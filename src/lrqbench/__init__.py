@@ -1,9 +1,10 @@
 """Linear-ramp QAOA MaxCut simulation and statistical verification toolkit."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .circuit import (
     CircuitIR,
+    CostLayer,
     GateOp,
     LrQaoaParams,
     Schedule,

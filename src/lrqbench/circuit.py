@@ -19,11 +19,12 @@ test suite):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .problem import WmcInstance
+from .problem import CutDiagonal, WmcInstance
 
 GATE_KINDS = ("H", "RX", "RZZ")
 
@@ -81,6 +82,24 @@ class GateOp:
             raise ValidationError(f"{self.kind} angle mismatch: theta={self.theta!r}")
 
 
+@dataclass(frozen=True)
+class CostLayer:
+    """A run of consecutive RZZ gates, which commute and act as one diagonal.
+
+    On basis state z the product of RZZ(theta_e) over the run's edges is
+    exp(-i (Theta/2 - C(z))), where Theta is the sum of the angles and
+    C(z) the angle-weighted cut: each RZZ contributes exp(-i theta/2) on
+    equal bits and exp(+i theta/2) on differing ones.
+    """
+
+    num_qubits: int
+    gates: tuple[GateOp, ...]
+
+    def cut(self) -> CutDiagonal:
+        """The angle-weighted cut C(z) of this layer."""
+        return CutDiagonal(self.num_qubits, [(*g.qubits, g.theta) for g in self.gates])
+
+
 @dataclass
 class CircuitIR:
     """Flat gate list plus the schedule and instance seed it came from."""
@@ -100,6 +119,19 @@ class CircuitIR:
         for g in self.gates:
             if any(not 0 <= q < self.num_qubits for q in g.qubits):
                 raise ValidationError(f"gate {g} out of range for {self.num_qubits} qubits")
+
+    def layers(self) -> list[GateOp | CostLayer]:
+        """The gate list with every run of consecutive RZZ gates grouped into
+        one ``CostLayer``; H and RX gates stay as they are.  The engines
+        execute this view, while gate-level bookkeeping (counts, text form,
+        noise attachment points, timing rows) keeps to ``gates``."""
+        out: list[GateOp | CostLayer] = []
+        for diagonal, run in itertools.groupby(self.gates, key=lambda g: g.kind == "RZZ"):
+            if diagonal:
+                out.append(CostLayer(self.num_qubits, tuple(run)))
+            else:
+                out.extend(run)
+        return out
 
 
 def build_circuit(inst: WmcInstance, params: LrQaoaParams) -> CircuitIR:

@@ -436,6 +436,13 @@ def _cmd_replay(args) -> int:
         raise ValidationError(f"cannot replay {args.manifest}: {exc}") from exc
     if not isinstance(argv, list) or not argv:
         raise ValidationError(f"{args.manifest} records no argv to replay")
+    recorded = manifest.get("version")
+    if recorded != __version__:
+        print(
+            f"warning: {args.manifest} was written by lrqbench {recorded}, this is "
+            f"{__version__}; outputs may differ from the recorded digests",
+            file=sys.stderr,
+        )
     return main([str(a) for a in argv])
 
 

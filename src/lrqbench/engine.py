@@ -1,10 +1,16 @@
-"""Dense statevector simulation of the gate list.
+"""Dense statevector simulation of the circuit's layer view.
 
 Amplitudes live in one flat array indexed by basis state, with qubit k at
 bit position k.  Gates act in place through reshaped views: a one-qubit
 gate on qubit q sees the array as (blocks, 2, 2^q) and mixes the two
-middle slices; RZZ is diagonal and only multiplies phases.  Nothing ever
-renormalizes, so global phase and accumulated rounding stay visible.
+middle slices.  A cost layer (a run of RZZ gates, see
+``CircuitIR.layers``) is diagonal, so it runs as one elementwise phase
+multiply, amps[lo:hi] *= exp(-i (Theta/2 - C[lo:hi])), over blocks of
+2^min(16, n) amplitudes; the layer's angle-weighted cut values C come
+from ``problem.CutDiagonal`` block by block, so no full-length diagonal
+is ever held.  The same executor serves the noisy and sharded engines.
+Nothing ever renormalizes, so global phase and accumulated rounding stay
+visible.
 
 Single precision (complex64) is the default and costs 2^(n+3) bytes;
 double costs 2^(n+4).  Requests over the memory budget raise
@@ -23,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import CircuitIR, GateOp
+from .circuit import CircuitIR, CostLayer, GateOp
 from .errors import CapacityError, StateError, ValidationError
-from .problem import WmcInstance, cut_values_range, index_to_bitstring
+from .problem import CutDiagonal, WmcInstance, cut_values_range, index_to_bitstring
 from .rng import derive_rng
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes, overridable via LRQBENCH_MEMORY_BYTES
@@ -64,12 +70,19 @@ def memory_budget_bytes(override: int | None = None) -> int:
     return int(os.environ.get("LRQBENCH_MEMORY_BYTES", DEFAULT_MEMORY_BUDGET))
 
 
-def check_memory(num_qubits: int, precision: Precision, budget: int | None = None) -> None:
-    need = state_bytes(num_qubits, precision)
+def check_memory(
+    num_qubits: int,
+    precision: Precision,
+    budget: int | None = None,
+    arrays: int = 1,
+) -> None:
+    """Refuse a run that holds ``arrays`` state-sized arrays over the budget."""
+    need = arrays * state_bytes(num_qubits, precision)
     limit = memory_budget_bytes(budget)
     if need > limit:
+        what = "statevector" if arrays == 1 else f"{arrays} state-sized arrays"
         raise CapacityError(
-            f"statevector for {num_qubits} qubits at {precision.value} needs "
+            f"{what} for {num_qubits} qubits at {precision.value} needs "
             f"{need} bytes ({need / (1 << 30):.1f} GiB), budget is {limit} bytes"
         )
 
@@ -156,14 +169,37 @@ def _rzz_kernel(amps: np.ndarray, theta: float, qa: int, qb: int) -> None:
 
 
 def _apply_gate_kernel(amps: np.ndarray, gate: GateOp, qubits: tuple[int, ...]) -> None:
+    """One H or RX on ``qubits`` (the gate's own, or a shard's local stand-ins)."""
     if gate.kind == "H":
         _h_kernel(amps, qubits[0])
     elif gate.kind == "RX":
         _rx_kernel(amps, gate.theta, qubits[0])
-    elif gate.kind == "RZZ":
-        _rzz_kernel(amps, gate.theta, qubits[0], qubits[1])
-    else:  # pragma: no cover - GateOp validation rejects this earlier
-        raise ValidationError(f"unknown gate kind {gate.kind!r}")
+    else:
+        raise ValidationError(f"{gate.kind} runs inside a cost layer, not as a single gate")
+
+
+def _cost_phase(cut: CutDiagonal, lo: int, hi: int, dtype: np.dtype) -> np.ndarray:
+    """exp(-i (Theta/2 - C(z))) for z in [lo, hi), computed in double
+    precision and rounded to ``dtype``."""
+    x = cut.values(lo, hi)
+    x -= 0.5 * cut.total
+    phase = np.empty(x.size, dtype)
+    phase.real = np.cos(x)
+    phase.imag = np.sin(x, out=x)
+    return phase
+
+
+def _apply_cost_layer(amps: np.ndarray, cut: CutDiagonal, offset: int = 0) -> None:
+    """Multiply amplitudes of the indices [offset, offset + amps.size) by a
+    cost layer's diagonal, one block of 2^cut.block_bits at a time.
+
+    The phase of an index does not depend on the block it was computed
+    in, so a shard that passes its own offset gets the dense engine's bits.
+    """
+    step = 1 << cut.block_bits
+    for lo in range(0, amps.size, step):
+        hi = min(lo + step, amps.size)
+        amps[lo:hi] *= _cost_phase(cut, offset + lo, offset + hi, amps.dtype)
 
 
 def _check_qubit(sv: StateVector, q: int) -> None:
@@ -190,6 +226,9 @@ def apply_rzz(sv: StateVector, theta: float, qa: int, qb: int) -> None:
 
 
 def apply_gate(sv: StateVector, gate: GateOp) -> None:
+    if gate.kind == "RZZ":
+        apply_rzz(sv, gate.theta, *gate.qubits)
+        return
     for q in gate.qubits:
         _check_qubit(sv, q)
     _apply_gate_kernel(sv.amps, gate, gate.qubits)
@@ -200,10 +239,13 @@ def run_circuit(
     precision: Precision | str = Precision.FP32,
     memory_budget: int | None = None,
 ) -> StateVector:
-    """Evolve |0...0> through the full gate list (the IR includes its H layer)."""
+    """Evolve |0...0> through the circuit's layers (the IR includes its H layer)."""
     sv = zero_state(circuit.num_qubits, precision, memory_budget)
-    for gate in circuit.gates:
-        _apply_gate_kernel(sv.amps, gate, gate.qubits)
+    for op in circuit.layers():
+        if isinstance(op, CostLayer):
+            _apply_cost_layer(sv.amps, op.cut())
+        else:
+            _apply_gate_kernel(sv.amps, op, op.qubits)
     return sv
 
 

@@ -7,6 +7,16 @@ that means: after the ideal gate, with probability 15 eps / 16 apply one
 of the 15 non-identity two-qubit Paulis uniformly at random.  Averaging
 |amplitude|^2 over trajectories recovers the channel.
 
+Trajectories run the circuit's layer view.  An ensemble computes the
+phase of each cost layer once, with the dense engine's executor, and
+every trajectory multiplies by it (``check_memory`` counts these cached
+phases).  A Pauli fired inside a layer is commuted to the layer's end: it
+flips the sign of Z_i Z_j on every later edge whose qubits carry an odd
+number of its X/Y components, so each later edge that anticommutes with
+an odd number of the Paulis fired before it gets RZZ(-2 theta), and then
+the fired Paulis follow in firing order.  This is exactly the
+time-ordered product, global phase included.
+
 Noise strength aggregates as eps_acc = N_2q * eps, and the overlap ratio
 
     r_ovl = (r_noisy - r_random) / (r_ideal - r_random)
@@ -21,17 +31,20 @@ reproducible and trajectory order or thread count cannot change results.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitIR
+from .circuit import CircuitIR, CostLayer, GateOp
 from .engine import (
     Precision,
     ShotSet,
     StateVector,
+    _apply_cost_layer,
     _apply_gate_kernel,
+    _rzz_kernel,
     check_memory,
     draw_indices,
     expected_r_from_probs,
@@ -101,53 +114,107 @@ def _apply_pauli_pair(amps: np.ndarray, code: int, qa: int, qb: int) -> None:
 # ---------------------------------------------------------------------------
 # trajectories
 
+# Per-qubit Pauli codes 0..3 are I, X, Y, Z; X and Y anticommute with Z.
+_ANTICOMMUTES_WITH_Z = (False, True, True, False)
+# Finished trajectories held per worker thread before the consumer reads them.
+_IN_FLIGHT_PER_THREAD = 2
 
-def _rzz_count(circuit: CircuitIR) -> int:
-    return sum(1 for g in circuit.gates if g.kind == "RZZ")
+
+@dataclass(frozen=True)
+class _Ensemble:
+    """What every trajectory of one run shares: the circuit's layers, each
+    cost layer's phase (None for a gate), and the RZZ count the draws cover."""
+
+    num_qubits: int
+    dtype: np.dtype
+    layers: list[GateOp | CostLayer]
+    phases: list[np.ndarray | None]
+    n_rzz: int
 
 
-def _run_trajectory(
-    circuit: CircuitIR,
-    cfg: DepolarizingConfig,
-    trajectory: int,
-    dtype: np.dtype,
-) -> np.ndarray:
-    amps = np.zeros(1 << circuit.num_qubits, dtype=dtype)
+def _prepare(circuit: CircuitIR, precision: Precision, memory_budget: int | None) -> _Ensemble:
+    """Layers and cached cost-layer phases, after checking that the state
+    and one phase array per cost layer fit the memory budget."""
+    layers = circuit.layers()
+    costs = [op for op in layers if isinstance(op, CostLayer)]
+    check_memory(circuit.num_qubits, precision, memory_budget, arrays=1 + len(costs))
+    phases = []
+    for op in layers:
+        phase = None
+        if isinstance(op, CostLayer):
+            # the executor applied to ones leaves its own phases, bit for bit
+            # (1 * p == p), built one block at a time like the dense engine's
+            phase = np.ones(1 << circuit.num_qubits, dtype=precision.dtype)
+            _apply_cost_layer(phase, op.cut())
+        phases.append(phase)
+    n_rzz = sum(len(op.gates) for op in costs)
+    return _Ensemble(circuit.num_qubits, precision.dtype, layers, phases, n_rzz)
+
+
+def _commute_fired(
+    amps: np.ndarray, gates: tuple[GateOp, ...], fire: np.ndarray, codes: np.ndarray
+) -> None:
+    """Finish a cost layer whose diagonal is applied: flip the later edges the
+    fired Paulis anticommute with, then apply the Paulis in firing order."""
+    flipped = 0  # bit q set: the Paulis fired so far carry an odd number of X/Y on q
+    fired = []
+    for k in range(int(np.argmax(fire)), len(gates)):
+        qa, qb = gates[k].qubits
+        if ((flipped >> qa) ^ (flipped >> qb)) & 1:
+            _rzz_kernel(amps, -2.0 * gates[k].theta, qa, qb)
+        if fire[k]:
+            pa, pb = divmod(int(codes[k]), 4)
+            flipped ^= (_ANTICOMMUTES_WITH_Z[pa] << qa) | (_ANTICOMMUTES_WITH_Z[pb] << qb)
+            fired.append((int(codes[k]), qa, qb))
+    for code, qa, qb in fired:
+        _apply_pauli_pair(amps, code, qa, qb)
+
+
+def _run_trajectory(ens: _Ensemble, cfg: DepolarizingConfig, trajectory: int) -> np.ndarray:
+    amps = np.zeros(1 << ens.num_qubits, dtype=ens.dtype)
     amps[0] = 1.0
+    fire = np.zeros(ens.n_rzz, dtype=bool)
+    codes = None
     if cfg.epsilon > 0.0:
         rng = derive_rng(cfg.rng_seed, "trajectory", trajectory)
-        n_rzz = _rzz_count(circuit)
-        fire = rng.random(n_rzz) < _PAULI_BRANCH * cfg.epsilon
-        codes = rng.integers(1, 16, size=n_rzz)
-        k = 0
-        for gate in circuit.gates:
-            _apply_gate_kernel(amps, gate, gate.qubits)
-            if gate.kind == "RZZ":
-                if fire[k]:
-                    _apply_pauli_pair(amps, int(codes[k]), gate.qubits[0], gate.qubits[1])
-                k += 1
-    else:
-        for gate in circuit.gates:
-            _apply_gate_kernel(amps, gate, gate.qubits)
+        fire = rng.random(ens.n_rzz) < _PAULI_BRANCH * cfg.epsilon
+        codes = rng.integers(1, 16, size=ens.n_rzz)
+    k = 0
+    for op, phase in zip(ens.layers, ens.phases):
+        if phase is None:
+            _apply_gate_kernel(amps, op, op.qubits)
+            continue
+        amps *= phase
+        m = len(op.gates)
+        if fire[k : k + m].any():
+            _commute_fired(amps, op.gates, fire[k : k + m], codes[k : k + m])
+        k += m
     return amps
 
 
-def _trajectory_probs(args) -> np.ndarray:
-    circuit, cfg, t, dtype = args
-    amps = _run_trajectory(circuit, cfg, t, dtype)
-    return StateVector(circuit.num_qubits, amps).probabilities()
+def _trajectory_probs(ens: _Ensemble, cfg: DepolarizingConfig, t: int) -> np.ndarray:
+    return StateVector(ens.num_qubits, _run_trajectory(ens, cfg, t)).probabilities()
 
 
 def _iter_trajectory_probs(circuit, cfg, precision, memory_budget, threads):
-    precision = Precision.coerce(precision)
-    check_memory(circuit.num_qubits, precision, memory_budget)
-    jobs = [(circuit, cfg, t, precision.dtype) for t in range(cfg.trajectories)]
+    """Probabilities of every trajectory, in trajectory order.
+
+    With threads, at most ``_IN_FLIGHT_PER_THREAD * threads`` trajectories
+    are submitted and not yet read, so finished vectors never pile up.
+    """
+    ens = _prepare(circuit, Precision.coerce(precision), memory_budget)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(_trajectory_probs, jobs)
+            pending = deque()
+            for t in range(cfg.trajectories):
+                pending.append(pool.submit(_trajectory_probs, ens, cfg, t))
+                if len(pending) >= _IN_FLIGHT_PER_THREAD * threads:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
     else:
-        for job in jobs:
-            yield _trajectory_probs(job)
+        for t in range(cfg.trajectories):
+            yield _trajectory_probs(ens, cfg, t)
 
 
 def run_noisy_ensemble(

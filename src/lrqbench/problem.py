@@ -26,7 +26,7 @@ from .errors import CapacityError, StateError, ValidationError
 from .rng import derive_rng
 
 DEFAULT_BRUTEFORCE_LIMIT = 24
-_SCAN_CHUNK_BITS = 16
+_BLOCK_BITS = 16
 
 
 def complete_edge_list(n: int) -> list[tuple[int, int]]:
@@ -155,20 +155,110 @@ def cut_value(inst: WmcInstance, x: int | str | Sequence[int]) -> float:
     return float(cut_values(inst, np.array([z], dtype=np.uint64))[0])
 
 
+def _doubling(start: float, steps: np.ndarray) -> np.ndarray:
+    """v[l] = start + sum of steps[i] over the set bits i of l, added in
+    increasing bit order, for l in [0, 2^len(steps))."""
+    v = np.empty(1 << len(steps))
+    v[0] = start
+    for i, step in enumerate(steps):
+        np.add(v[: 1 << i], step, out=v[1 << i : 2 << i])
+    return v
+
+
+class CutDiagonal:
+    """Cut values C(z) = sum of w_ij over edges with z_i != z_j, by index range.
+
+    An index z splits into a block h = z >> b and an offset l < 2^b, with
+    b = min(16, n).  Edges among the low b vertices give a table Q(l),
+    built once.  A block's high bits fix a constant (its high-high cut plus
+    the low-high edges whose high end is set) and a linear term
+    a_i = sum_j w_ij (1 - 2 h_j) per low vertex i, so a block is
+    C = const + sum of a_i over the set bits of l + Q(l), its middle term
+    built by doubling over the low vertices.  Every value is a fixed
+    sequence of additions determined by its index alone, so any range,
+    block, shard or sub-range gives the same bits for the same index.
+
+    Edges are ``(i, j, w)`` triples; repeated pairs add up and weights may
+    be any finite number (cost layers pass RZZ angles).
+    """
+
+    def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int, float]]) -> None:
+        n = num_vertices
+        b = min(_BLOCK_BITS, n)
+        w = np.zeros((n, n))
+        total = 0.0
+        for i, j, x in edges:
+            w[i, j] += x
+            w[j, i] += x
+            total += x
+        self.num_vertices = n
+        self.block_bits = b
+        self.total = total
+        self._w = w
+        self._low_to_high = w[:b, b:].sum(axis=0)
+        # setting bit i of l < 2^i cuts every low edge (k, i) with l_k = 0:
+        # Q(l + 2^i) = Q(l) + sum_{k<b} w_ki - 2 sum_{k<i} w_ki l_k
+        low = np.zeros(1)
+        for i in range(b):
+            low = np.concatenate((low, low + (w[:b, i].sum() - 2.0 * _doubling(0.0, w[:i, i]))))
+        self._low = low
+
+    def _block_terms(self, h: int) -> tuple[float, np.ndarray]:
+        n, b, w = self.num_vertices, self.block_bits, self._w
+        bits = [(h >> (j - b)) & 1 for j in range(b, n)]
+        const = 0.0
+        linear = np.zeros(b)
+        for j in range(b, n):
+            if bits[j - b]:
+                const += self._low_to_high[j - b]
+                linear -= w[:b, j]
+            else:
+                linear += w[:b, j]
+            for k in range(j + 1, n):
+                if bits[j - b] != bits[k - b]:
+                    const += w[j, k]
+        return const, linear
+
+    def _piece(self, lo: int, k: int) -> np.ndarray:
+        """Values on [lo, lo + 2^k), lo a multiple of 2^k, k <= block_bits."""
+        b = self.block_bits
+        const, linear = self._block_terms(lo >> b)
+        offset = lo & ((1 << b) - 1)
+        v = _doubling(const, linear[:k])
+        for i in range(k, b):
+            if (offset >> i) & 1:
+                v += linear[i]
+        v += self._low[offset : offset + (1 << k)]
+        return v
+
+    def values(self, start: int, stop: int) -> np.ndarray:
+        """Cut values of the indices [start, stop)."""
+        start, stop = int(start), int(stop)
+        if not 0 <= start <= stop <= 1 << self.num_vertices:
+            raise ValidationError(
+                f"index range [{start}, {stop}) outside [0, 2^{self.num_vertices})"
+            )
+        pieces = []
+        z = start
+        while z < stop:
+            # the largest aligned power-of-two piece that starts at z and fits
+            k = min(self.block_bits, (stop - z).bit_length() - 1)
+            if z:
+                k = min(k, (z & -z).bit_length() - 1)
+            pieces.append(self._piece(z, k))
+            z += 1 << k
+        if len(pieces) == 1:
+            return pieces[0]
+        return np.concatenate(pieces) if pieces else np.zeros(0)
+
+
 def cut_values_range(inst: WmcInstance, start: int, stop: int) -> np.ndarray:
     """Cut values for the contiguous index block [start, stop).
 
-    Uses the spin form C = W/2 - s^T A s / 4 so exhaustive scans go
-    through one matrix product instead of a per-edge loop.
+    Each value depends only on its index (see ``CutDiagonal``), so a
+    sub-range reproduces the same indices of a wider scan bit for bit.
     """
-    a = inst.weight_matrix()
-    half_total = 0.5 * inst.total_weight()
-    z = np.arange(start, stop, dtype=np.uint64)
-    shifts = np.arange(inst.num_vertices, dtype=np.uint64)
-    bits = ((z[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.float64)
-    s = 1.0 - 2.0 * bits
-    quad = np.einsum("ij,ij->i", s @ a, s)
-    return half_total - 0.25 * quad
+    return CutDiagonal(inst.num_vertices, inst.edges).values(start, stop)
 
 
 def optimal_cut_bruteforce(
@@ -187,13 +277,16 @@ def optimal_cut_bruteforce(
         raise CapacityError(
             f"brute force limited to {limit} vertices, instance has {n}"
         )
-    total = 1 << n
-    chunk = 1 << min(_SCAN_CHUNK_BITS, n)
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    # a cut ties with its complement, and of the two the lower index has
+    # the top bit clear, so the lower half of the indices holds the answer
+    half = 1 << (n - 1)
+    chunk = 1 << min(_BLOCK_BITS, n - 1)
+    ranges = [(lo, min(lo + chunk, half)) for lo in range(0, half, chunk)]
+    cut = CutDiagonal(n, inst.edges)
 
     def scan(bounds: tuple[int, int]) -> tuple[float, int]:
         lo, hi = bounds
-        vals = cut_values_range(inst, lo, hi)
+        vals = cut.values(lo, hi)
         k = int(np.argmax(vals))
         return float(vals[k]), lo + k
 

@@ -2,23 +2,31 @@
 
 The amplitude array splits into 2^(nq - nq_local) contiguous shards of
 2^nq_local amplitudes; shard s owns the basis states whose top bits equal
-s.  Qubits below nq_local are local: gates on them run inside each shard
-with the ordinary kernels.  A gate touching a global qubit g pairs shard
-s with shard s XOR 2^(g - nq_local); the pair swaps complementary halves
-of their blocks (L/2 amplitudes out of each shard), which transposes
-qubit g with a spare local bit so the gate can run locally, then swaps
-back.  A two-qubit gate on two global qubits does this twice with two
-spare bits.  One such swap-apply-restore counts as a single exchange of
-L/2 amplitudes per shard; the restore leg moves the same amplitudes home
-and is not double-counted, and the static ``exchange_volume`` and the
-counters measured during a run agree exactly on that convention.
+s.  The workers run the circuit's layer view (``CircuitIR.layers``).
+
+A cost layer (a run of RZZ gates) is diagonal, so each shard multiplies
+its own index range by the layer's phases through the dense engine's
+executor, whatever qubits the layer touches: diagonal layers never
+exchange, and their phases match the dense engine's bit for bit.
+
+H and RX run inside each shard with the ordinary kernels when their qubit
+is local.  One on a global qubit g pairs shard s with shard
+s XOR 2^(g - nq_local); the pair swaps complementary halves of their
+blocks (L/2 amplitudes out of each shard), which transposes qubit g with
+a spare local bit so the gate can run locally, then swaps back.  One such
+swap-apply-restore counts as a single exchange of L/2 amplitudes per
+shard; the restore leg moves the same amplitudes home and is not
+double-counted, and the static ``exchange_volume`` and the counters
+measured during a run agree exactly on that convention.
 
 Workers are one thread per shard.  They own their block outright and
 communicate only through per-shard queues carrying copied amplitude
-blocks; the coordinator barriers them gate by gate, so results cannot
-depend on scheduling.  Per-gate times record the slowest worker: compute
-is the kernel span, exchange runs from first-byte wait to the received
-block being written in place.  A worker exception aborts the run.
+blocks; the coordinator barriers them layer by layer, so results cannot
+depend on scheduling.  The timing record keeps one row per gate and each
+row records the slowest worker: compute is the kernel span, exchange runs
+from first-byte wait to the received block being written in place.  A
+cost layer's compute time goes on the row of its first RZZ, and the
+layer's other rows carry zeros.  A worker exception aborts the run.
 """
 
 from __future__ import annotations
@@ -32,8 +40,14 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .circuit import CircuitIR, GateOp, LrQaoaParams, build_circuit
-from .engine import Precision, StateVector, _apply_gate_kernel, check_memory
+from .circuit import CircuitIR, CostLayer, GateOp, LrQaoaParams, build_circuit
+from .engine import (
+    Precision,
+    StateVector,
+    _apply_cost_layer,
+    _apply_gate_kernel,
+    check_memory,
+)
 from .errors import AbortedRunError, ValidationError
 from .problem import generate_instance
 
@@ -94,7 +108,9 @@ class ExchangeStep:
 
 
 def exchange_steps(gate: GateOp, plan: ShardPlan) -> list[ExchangeStep]:
-    """Exchange steps a gate needs under the plan (empty if fully local).
+    """Exchange steps that make a gate's qubits local under the plan (empty
+    if they already are).  The engine takes them for H and RX only; an RZZ
+    runs inside its cost layer, which never exchanges.
 
     Spare local slots are taken from the top of the shard, skipping any
     local qubit the gate itself uses; a shard too small to host the gate
@@ -123,10 +139,14 @@ def exchange_steps(gate: GateOp, plan: ShardPlan) -> list[ExchangeStep]:
 
 
 def exchange_volume(circuit: CircuitIR, plan: ShardPlan) -> int:
-    """Total amplitudes redistributed over the run (static analysis)."""
+    """Total amplitudes redistributed over the run (static analysis).
+
+    Only the gates outside cost layers count; diagonal layers never exchange.
+    """
     total = 0
-    for gate in circuit.gates:
-        total += len(exchange_steps(gate, plan)) * plan.num_shards * (plan.shard_len // 2)
+    for op in circuit.layers():
+        if isinstance(op, GateOp):
+            total += len(exchange_steps(op, plan)) * plan.num_shards * (plan.shard_len // 2)
     return total
 
 
@@ -234,6 +254,12 @@ class _ShardWorker(threading.Thread):
                         block, idx, gate, steps, local_qubits
                     )
                     self.done_q.put(("done", self.shard, idx, compute_s, exchange_s, sent))
+                elif op == "layer":
+                    _, idx, cut = msg
+                    t0 = time.perf_counter()
+                    _apply_cost_layer(block, cut, self.shard * self.plan.shard_len)
+                    compute_s = time.perf_counter() - t0
+                    self.done_q.put(("done", self.shard, idx, compute_s, 0.0, 0))
                 elif op == "collect":
                     self.done_q.put(("state", self.shard, block))
                 elif op == "stop":
@@ -285,14 +311,20 @@ class _ShardWorker(threading.Thread):
 # coordinator
 
 
-def _gate_plan(circuit: CircuitIR, plan: ShardPlan):
-    """Precompute (gate, steps, effective local qubits) for every gate."""
+def _layer_plan(circuit: CircuitIR, plan: ShardPlan):
+    """(index of the first gate, layer, exchange steps, effective local
+    qubits) for every layer; a cost layer has no steps and no qubits."""
     out = []
-    for gate in circuit.gates:
-        steps = exchange_steps(gate, plan)
+    idx = 0
+    for op in circuit.layers():
+        if isinstance(op, CostLayer):
+            out.append((idx, op, [], ()))
+            idx += len(op.gates)
+            continue
+        steps = exchange_steps(op, plan)
         slot_of = {s.global_qubit: s.local_slot for s in steps}
-        local = tuple(slot_of.get(q, q) for q in gate.qubits)
-        out.append((gate, steps, local))
+        out.append((idx, op, steps, tuple(slot_of.get(q, q) for q in op.qubits)))
+        idx += 1
     return out
 
 
@@ -313,7 +345,7 @@ def run_circuit_sharded(
             f"circuit has {circuit.num_qubits} qubits but plan covers {plan.nq}"
         )
     check_memory(plan.nq, precision, memory_budget)
-    gate_plan = _gate_plan(circuit, plan)
+    layer_plan = _layer_plan(circuit, plan)
 
     n = plan.num_shards
     mailboxes = [queue.Queue() for _ in range(n)]
@@ -336,9 +368,14 @@ def run_circuit_sharded(
     wall0 = time.perf_counter()
     gate_rows: list[GateTiming] = []
     try:
-        for idx, (gate, steps, local_qubits) in enumerate(gate_plan):
+        for idx, op, steps, local_qubits in layer_plan:
+            if isinstance(op, CostLayer):
+                # built when due, so one layer's cut tables are alive at a time
+                kind, num_gates, command = "RZZ", len(op.gates), ("layer", idx, op.cut())
+            else:
+                kind, num_gates, command = op.kind, 1, ("gate", idx, op, steps, local_qubits)
             for box in inboxes:
-                box.put(("gate", idx, gate, steps, local_qubits))
+                box.put(command)
             computes, exchanges, sent_total = [], [], 0
             for _ in range(n):
                 msg = done_q.get(timeout=_RECV_TIMEOUT_S)
@@ -353,12 +390,13 @@ def run_circuit_sharded(
             gate_rows.append(
                 GateTiming(
                     gate_index=idx,
-                    kind=gate.kind,
+                    kind=kind,
                     compute_s=max(computes),
                     exchange_s=max(exchanges),
                     amps_exchanged=sent_total,
                 )
             )
+            gate_rows.extend(GateTiming(idx + k, kind, 0.0, 0.0, 0) for k in range(1, num_gates))
         for box in inboxes:
             box.put(("collect",))
         blocks: dict[int, np.ndarray] = {}

@@ -297,6 +297,20 @@ def test_replay_reproduces_output(tmp_path):
     assert sha256(out) == first
 
 
+def test_replay_warns_on_version_mismatch(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    run_cli("gen", "--n", 6, "--out", out, "--seed", 12)
+    manifest = tmp_path / "inst.json.manifest.json"
+    assert run_cli("replay", manifest) == 0
+    assert "warning" not in capsys.readouterr().err
+    data = json.loads(manifest.read_text())
+    data["version"] = "0.1.0"
+    manifest.write_text(json.dumps(data))
+    assert run_cli("replay", manifest) == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and "0.1.0" in err
+
+
 def test_replay_rejects_garbage(tmp_path):
     bogus = tmp_path / "m.json"
     bogus.write_text("{}")

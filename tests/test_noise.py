@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import lrqbench.noise as noise
 from lrqbench import (
     DepolarizingConfig,
     FitError,
     LrQaoaParams,
+    Precision,
     ValidationError,
     build_circuit,
     epsilon_accumulated,
@@ -23,7 +25,15 @@ from lrqbench import (
     sample,
     solve_instance,
 )
-from lrqbench.noise import _apply_pauli_pair, _x_kernel, _y_kernel, _z_kernel
+from lrqbench.noise import (
+    _apply_pauli_pair,
+    _prepare,
+    _run_trajectory,
+    _x_kernel,
+    _y_kernel,
+    _z_kernel,
+)
+from lrqbench.rng import derive_rng
 
 import oracles
 
@@ -74,6 +84,43 @@ def test_pauli_pair_code_mapping(code):
     np.testing.assert_allclose(amps, want, atol=1e-14)
 
 
+def test_commuted_paulis_match_time_ordered_product():
+    # the trajectory commutes each fired Pauli to the end of its cost layer;
+    # the oracle applies gates and Paulis in time order with the same draws
+    n, eps = 5, 0.45
+    circ = build_circuit(generate_instance(n, 17), LrQaoaParams(p=2))
+    ens = _prepare(circ, Precision.FP64, None)
+    n_rzz = sum(g.kind == "RZZ" for g in circ.gates)
+    layer_size = n * (n - 1) // 2
+    cfg = DepolarizingConfig(eps, trajectories=4, rng_seed=21)
+    most_in_one_layer = 0
+    for t in range(cfg.trajectories):
+        rng = derive_rng(cfg.rng_seed, "trajectory", t)
+        fire = rng.random(n_rzz) < 15.0 / 16.0 * eps
+        codes = rng.integers(1, 16, size=n_rzz)
+        most_in_one_layer = max(
+            most_in_one_layer, *(int(fire[k : k + layer_size].sum()) for k in (0, layer_size))
+        )
+        want = np.zeros(1 << n, dtype=complex)
+        want[0] = 1.0
+        k = 0
+        for gate in circ.gates:
+            want = oracles.gate_unitary(gate, n) @ want
+            if gate.kind == "RZZ":
+                if fire[k]:
+                    pa, pb = divmod(int(codes[k]), 4)
+                    qa, qb = gate.qubits
+                    want = (
+                        oracles.embed_single(oracles.PAULIS[pa], qa, n)
+                        @ oracles.embed_single(oracles.PAULIS[pb], qb, n)
+                        @ want
+                    )
+                k += 1
+        got = _run_trajectory(ens, cfg, t)
+        assert np.max(np.abs(got - want)) < 1e-12
+    assert most_in_one_layer >= 4
+
+
 def test_zero_noise_probs_match_noiseless_exactly():
     inst = generate_instance(6, 7)
     circ = build_circuit(inst, LrQaoaParams(p=3))
@@ -116,6 +163,25 @@ def test_threaded_ensemble_matches_serial():
     s_shots = run_noisy_ensemble(circ, cfg, 20, "fp64", threads=1)
     t_shots = run_noisy_ensemble(circ, cfg, 20, "fp64", threads=4)
     np.testing.assert_array_equal(s_shots.indices, t_shots.indices)
+
+
+def test_threaded_ensemble_bounds_results_in_flight(monkeypatch):
+    submitted = []
+
+    class CountingPool(noise.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(1)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "ThreadPoolExecutor", CountingPool)
+    circ = build_circuit(generate_instance(4, 2), LrQaoaParams(p=1))
+    cfg = DepolarizingConfig(0.1, trajectories=40, rng_seed=3)
+    threads = 2
+    probs = noise._iter_trajectory_probs(circ, cfg, "fp64", None, threads)
+    for read in range(1, cfg.trajectories + 1):
+        next(probs)
+        assert len(submitted) - read < 2 * threads
+    assert len(submitted) == cfg.trajectories
 
 
 def test_trajectory_average_matches_density_matrix():

@@ -88,13 +88,16 @@ def test_cut_values_matches_python_loop():
 
 
 def test_cut_values_range_matches_per_index_path():
-    # the range scan goes through the spin quadratic form, the per-index
+    # the range scan goes through the block recurrence, the per-index
     # path through edge accumulation; they must agree to rounding
-    inst = generate_instance(7, 11)
-    lo, hi = 17, 101
-    scan = cut_values_range(inst, lo, hi)
-    direct = cut_values(inst, np.arange(lo, hi, dtype=np.uint64))
-    np.testing.assert_allclose(scan, direct, atol=1e-12)
+    for n, seed, lo, hi in ((7, 11, 17, 101), (17, 4, (1 << 16) - 300, (1 << 16) + 500)):
+        inst = generate_instance(n, seed)
+        scan = cut_values_range(inst, lo, hi)
+        direct = cut_values(inst, np.arange(lo, hi, dtype=np.uint64))
+        np.testing.assert_allclose(scan, direct, atol=1e-12)
+    # a value depends only on its index, not on the range it was scanned in
+    wide = cut_values_range(inst, 0, 1 << 17)
+    np.testing.assert_array_equal(scan, wide[lo:hi])
 
 
 def test_bitstring_encoding_vertex_zero_leftmost():

@@ -100,8 +100,11 @@ def test_exchange_volume_hand_count():
 def test_exchange_volume_counts_two_global_gates_twice():
     plan = plan_shards(4, 2)
     one = CircuitIR(num_qubits=4, gates=[GateOp("RX", (3,), 0.5)])
-    two = CircuitIR(num_qubits=4, gates=[GateOp("RZZ", (2, 3), 0.5)])
+    two = CircuitIR(num_qubits=4, gates=[GateOp("RX", (2,), 0.5), GateOp("RX", (3,), 0.5)])
     assert exchange_volume(two, plan) == 2 * exchange_volume(one, plan)
+    # diagonal gates never exchange, even on two global qubits
+    rzz = CircuitIR(num_qubits=4, gates=[GateOp("RZZ", (2, 3), 0.5)])
+    assert exchange_volume(rzz, plan) == 0
 
 
 @pytest.mark.parametrize("num_shards", [1, 2, 4, 8])
@@ -131,7 +134,7 @@ def test_local_gates_report_zero_exchange():
     plan = plan_shards(6, 4)
     _, record = run_circuit_sharded(circ, plan, "fp64")
     for row, gate in zip(record.gates, circ.gates):
-        if all(q < plan.nq_local for q in gate.qubits):
+        if all(q < plan.nq_local for q in gate.qubits) or gate.kind == "RZZ":
             assert row.exchange_s == 0.0
             assert row.amps_exchanged == 0
         else:
