@@ -153,7 +153,23 @@ def _resolved_deltas(args) -> tuple[float, float]:
     return beta, gamma
 
 
+def _check_mode_flags(args) -> None:
+    """Reject simulate flags that the chosen mode would silently ignore."""
+    if args.mode == "noisy":
+        ignored = {"--shards": args.shards != 1, "--dump-state": args.dump_state is not None}
+    else:
+        ignored = {
+            "--epsilon": args.epsilon != 0,
+            "--trajectories": args.trajectories != 1,
+            "--ideal-shots": args.ideal_shots is not None,
+        }
+    named = [flag for flag, given in ignored.items() if given]
+    if named:
+        raise ValidationError(f"{', '.join(named)} not used in --mode {args.mode}")
+
+
 def _cmd_simulate(args) -> int:
+    _check_mode_flags(args)
     inst = load_instance(args.instance)
     delta_beta, delta_gamma = _resolved_deltas(args)
     params = LrQaoaParams(p=args.p, delta_beta=delta_beta, delta_gamma=delta_gamma)

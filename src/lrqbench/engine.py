@@ -31,7 +31,7 @@ import numpy as np
 
 from .circuit import CircuitIR, CostLayer, GateOp
 from .errors import CapacityError, StateError, ValidationError
-from .problem import CutDiagonal, WmcInstance, cut_values_range, index_to_bitstring
+from .problem import CutDiagonal, WmcInstance, index_to_bitstring
 from .rng import derive_rng
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes, overridable via LRQBENCH_MEMORY_BYTES
@@ -105,8 +105,10 @@ class StateVector:
         return 10.0 * (1 << self.num_qubits) * float(eps)
 
     def probabilities(self) -> np.ndarray:
-        amps = self.amps.astype(np.complex128, copy=False)
-        return (amps.real**2 + amps.imag**2).astype(np.float64)
+        """|amplitude|^2 in double precision, with one float64 temporary."""
+        probs = np.square(self.amps.real, dtype=np.float64)
+        probs += np.square(self.amps.imag, dtype=np.float64)
+        return probs
 
 
 def zero_state(
@@ -261,10 +263,11 @@ def expected_r_from_probs(probs: np.ndarray, inst: WmcInstance) -> float:
         )
     if inst.optimal_cut is None:
         raise StateError("instance has no optimal cut; solve it first")
+    cut = CutDiagonal(inst.num_vertices, inst.edges)
     total = 0.0
     for lo in range(0, probs.size, _EXPECTATION_CHUNK):
         hi = min(lo + _EXPECTATION_CHUNK, probs.size)
-        total += float(probs[lo:hi] @ cut_values_range(inst, lo, hi))
+        total += float(probs[lo:hi] @ cut.values(lo, hi))
     return total / inst.optimal_cut.value
 
 
@@ -333,22 +336,26 @@ def save_statevector(sv: StateVector, path: str | Path) -> None:
 
 
 def load_statevector(path: str | Path) -> StateVector:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValidationError(f"{path} is not a statevector dump (truncated header)")
-    magic, version, float_bytes, num_qubits = _HEADER.unpack_from(raw)
-    if magic != _MAGIC or version != 1:
-        raise ValidationError(f"{path} is not a statevector dump (bad magic/version)")
-    if float_bytes == 4:
-        precision = Precision.FP32
-    elif float_bytes == 8:
-        precision = Precision.FP64
-    else:
-        raise ValidationError(f"{path} has unsupported float width {float_bytes}")
-    code = "<c8" if precision is Precision.FP32 else "<c16"
-    amps = np.frombuffer(raw, dtype=code, offset=_HEADER.size)
-    if amps.size != 1 << num_qubits:
-        raise ValidationError(
-            f"{path} payload has {amps.size} amplitudes, expected {1 << num_qubits}"
-        )
-    return StateVector(num_qubits, amps.astype(precision.dtype))
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValidationError(f"{path} is not a statevector dump (truncated header)")
+        magic, version, float_bytes, num_qubits = _HEADER.unpack(head)
+        if magic != _MAGIC or version != 1:
+            raise ValidationError(f"{path} is not a statevector dump (bad magic/version)")
+        if float_bytes == 4:
+            precision = Precision.FP32
+        elif float_bytes == 8:
+            precision = Precision.FP64
+        else:
+            raise ValidationError(f"{path} has unsupported float width {float_bytes}")
+        code = np.dtype("<c8" if precision is Precision.FP32 else "<c16")
+        count = 1 << num_qubits
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload != count * code.itemsize:
+            raise ValidationError(
+                f"{path} payload has {payload} bytes, expected {count} amplitudes "
+                f"of {code.itemsize} bytes"
+            )
+        amps = np.fromfile(fh, dtype=code, count=count)
+    return StateVector(num_qubits, amps.astype(precision.dtype, copy=False))

@@ -2,7 +2,9 @@
 
 The amplitude array splits into 2^(nq - nq_local) contiguous shards of
 2^nq_local amplitudes; shard s owns the basis states whose top bits equal
-s.  The workers run the circuit's layer view (``CircuitIR.layers``).
+s.  All shards are rows of one state array, viewed as
+(num_shards, shard_len), and the engine runs the circuit's layer view
+(``CircuitIR.layers``) over them.
 
 A cost layer (a run of RZZ gates) is diagonal, so each shard multiplies
 its own index range by the layer's phases through the dense engine's
@@ -19,22 +21,24 @@ shard; the restore leg moves the same amplitudes home and is not
 double-counted, and the static ``exchange_volume`` and the counters
 measured during a run agree exactly on that convention.
 
-Workers are one thread per shard.  They own their block outright and
-communicate only through per-shard queues carrying copied amplitude
-blocks; the coordinator barriers them layer by layer, so results cannot
-depend on scheduling.  The timing record keeps one row per gate and each
-row records the slowest worker: compute is the kernel span, exchange runs
-from first-byte wait to the received block being written in place.  A
-cost layer's compute time goes on the row of its first RZZ, and the
-layer's other rows carry zeros.  A worker exception aborts the run.
+Per-shard work runs on one thread pool of min(num_shards, CPU count)
+threads.  Every step maps one task per shard (or per pair, for a swap
+leg) and the map returning is the barrier; no task waits on another,
+and tasks of one step touch disjoint amplitudes, so results cannot
+depend on scheduling.  The timing record keeps one row per gate: compute
+is the slowest shard's kernel span, exchange sums over the swap legs the
+slowest pair's copy, and the exchanged amplitudes are counted from the
+halves actually copied on the outward legs.  A cost layer's compute time
+goes on the row of its first RZZ, and the layer's other rows carry
+zeros.  An exception in any task aborts the run.
 """
 
 from __future__ import annotations
 
 import csv
-import queue
-import threading
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -46,12 +50,10 @@ from .engine import (
     StateVector,
     _apply_cost_layer,
     _apply_gate_kernel,
-    check_memory,
+    zero_state,
 )
 from .errors import AbortedRunError, ValidationError
 from .problem import generate_instance
-
-_RECV_TIMEOUT_S = 300.0
 
 
 @dataclass(frozen=True)
@@ -216,99 +218,7 @@ def write_timing_csv(records: Iterable[TimingRecord], fh: IO[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# workers
-
-
-class _ShardWorker(threading.Thread):
-    """Owns one shard; executes coordinator commands until told to stop."""
-
-    def __init__(
-        self,
-        shard: int,
-        plan: ShardPlan,
-        dtype: np.dtype,
-        inbox: queue.Queue,
-        mailboxes: list[queue.Queue],
-        done_q: queue.Queue,
-    ) -> None:
-        super().__init__(name=f"shard-{shard}", daemon=True)
-        self.shard = shard
-        self.plan = plan
-        self.dtype = dtype
-        self.inbox = inbox
-        self.mailboxes = mailboxes
-        self.done_q = done_q
-        self._stash: dict = {}
-
-    def run(self) -> None:
-        try:
-            block = np.zeros(self.plan.shard_len, dtype=self.dtype)
-            if self.shard == 0:
-                block[0] = 1.0
-            while True:
-                msg = self.inbox.get()
-                op = msg[0]
-                if op == "gate":
-                    _, idx, gate, steps, local_qubits = msg
-                    compute_s, exchange_s, sent = self._run_gate(
-                        block, idx, gate, steps, local_qubits
-                    )
-                    self.done_q.put(("done", self.shard, idx, compute_s, exchange_s, sent))
-                elif op == "layer":
-                    _, idx, cut = msg
-                    t0 = time.perf_counter()
-                    _apply_cost_layer(block, cut, self.shard * self.plan.shard_len)
-                    compute_s = time.perf_counter() - t0
-                    self.done_q.put(("done", self.shard, idx, compute_s, 0.0, 0))
-                elif op == "collect":
-                    self.done_q.put(("state", self.shard, block))
-                elif op == "stop":
-                    return
-                else:
-                    raise AbortedRunError(f"unknown worker command {op!r}")
-        except BaseException as exc:  # noqa: BLE001 - surfaced to the coordinator
-            self.done_q.put(("error", self.shard, exc))
-
-    def _run_gate(self, block, idx, gate, steps, local_qubits):
-        exchange_s = 0.0
-        sent = 0
-        for k, step in enumerate(steps):
-            exchange_s += self._swap_half(block, step, (idx, k, "out"))
-            sent += step.amps_per_shard
-        t0 = time.perf_counter()
-        _apply_gate_kernel(block, gate, local_qubits)
-        compute_s = time.perf_counter() - t0
-        for k in range(len(steps) - 1, -1, -1):
-            exchange_s += self._swap_half(block, steps[k], (idx, k, "back"))
-        return compute_s, exchange_s, sent
-
-    def _swap_half(self, block: np.ndarray, step: ExchangeStep, tag) -> float:
-        peer = step.partner(self.shard)
-        # the low shard of the pair trades its upper half for the peer's
-        # lower half, which transposes the global qubit with the slot bit
-        half = 1 - ((self.shard >> step.pair_bit) & 1)
-        view = block.reshape(-1, 2, 1 << step.local_slot)
-        self.mailboxes[peer].put((tag, view[:, half, :].copy()))
-        t0 = time.perf_counter()
-        incoming = self._recv(tag)
-        view[:, half, :] = incoming
-        return time.perf_counter() - t0
-
-    def _recv(self, tag):
-        while True:
-            if tag in self._stash:
-                return self._stash.pop(tag)
-            got_tag, payload = self.mailboxes[self.shard].get(timeout=_RECV_TIMEOUT_S)
-            if got_tag == "abort":
-                raise AbortedRunError("peer shard aborted during exchange")
-            if got_tag == tag:
-                return payload
-            # a faster peer can run ahead within a gate; keep its block for later
-            self._stash[got_tag] = payload
-
-
-# ---------------------------------------------------------------------------
-# coordinator
+# execution
 
 
 def _layer_plan(circuit: CircuitIR, plan: ShardPlan):
@@ -328,6 +238,26 @@ def _layer_plan(circuit: CircuitIR, plan: ShardPlan):
     return out
 
 
+def _timed(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def _swap_halves(rows: np.ndarray, slot: int, low: int, high: int) -> tuple[float, int]:
+    """Trade shard ``low``'s upper half at the slot bit for shard ``high``'s
+    lower half, which transposes the pair's global qubit with the slot bit;
+    the swap is its own inverse.  Returns the seconds taken and the
+    amplitudes that changed shards."""
+    t0 = time.perf_counter()
+    mine = rows[low].reshape(-1, 2, 1 << slot)[:, 1, :]
+    theirs = rows[high].reshape(-1, 2, 1 << slot)[:, 0, :]
+    held = mine.copy()
+    mine[...] = theirs
+    theirs[...] = held
+    return time.perf_counter() - t0, mine.size + theirs.size
+
+
 def run_circuit_sharded(
     circuit: CircuitIR,
     plan: ShardPlan,
@@ -344,83 +274,64 @@ def run_circuit_sharded(
         raise ValidationError(
             f"circuit has {circuit.num_qubits} qubits but plan covers {plan.nq}"
         )
-    check_memory(plan.nq, precision, memory_budget)
-    layer_plan = _layer_plan(circuit, plan)
-
-    n = plan.num_shards
-    mailboxes = [queue.Queue() for _ in range(n)]
-    inboxes = [queue.Queue() for _ in range(n)]
-    done_q: queue.Queue = queue.Queue()
-    workers = [
-        _ShardWorker(s, plan, precision.dtype, inboxes[s], mailboxes, done_q)
-        for s in range(n)
-    ]
-    for w in workers:
-        w.start()
-
-    def abort(cause: BaseException) -> None:
-        for box in mailboxes:
-            box.put(("abort", None))
-        for box in inboxes:
-            box.put(("stop",))
-        raise AbortedRunError(f"shard worker failed: {cause}") from cause
+    layers = _layer_plan(circuit, plan)
+    sv = zero_state(plan.nq, precision, memory_budget)
+    rows = sv.amps.reshape(plan.num_shards, plan.shard_len)
+    shards = range(plan.num_shards)
+    gate_rows: list[GateTiming] = []
 
     wall0 = time.perf_counter()
-    gate_rows: list[GateTiming] = []
-    try:
-        for idx, op, steps, local_qubits in layer_plan:
+    with ThreadPoolExecutor(max_workers=min(plan.num_shards, os.cpu_count() or 1)) as pool:
+
+        def each(fn, items) -> list:
+            # map's return is the barrier: no task waits on another
+            try:
+                return list(pool.map(fn, items))
+            except Exception as exc:
+                raise AbortedRunError(f"shard task failed: {exc}") from exc
+
+        def swap(step: ExchangeStep) -> tuple[float, int]:
+            """One leg over every pair: the slowest pair's seconds, amplitudes moved."""
+            legs = each(
+                lambda pair: _swap_halves(rows, step.local_slot, *pair),
+                step.pairs(plan.num_shards),
+            )
+            return max(t for t, _ in legs), sum(m for _, m in legs)
+
+        for idx, op, steps, local_qubits in layers:
             if isinstance(op, CostLayer):
                 # built when due, so one layer's cut tables are alive at a time
-                kind, num_gates, command = "RZZ", len(op.gates), ("layer", idx, op.cut())
-            else:
-                kind, num_gates, command = op.kind, 1, ("gate", idx, op, steps, local_qubits)
-            for box in inboxes:
-                box.put(command)
-            computes, exchanges, sent_total = [], [], 0
-            for _ in range(n):
-                msg = done_q.get(timeout=_RECV_TIMEOUT_S)
-                if msg[0] == "error":
-                    abort(msg[2])
-                _, _, got_idx, compute_s, exchange_s, sent = msg
-                if got_idx != idx:
-                    abort(AbortedRunError(f"barrier mismatch at gate {idx}"))
-                computes.append(compute_s)
-                exchanges.append(exchange_s)
-                sent_total += sent
-            gate_rows.append(
-                GateTiming(
-                    gate_index=idx,
-                    kind=kind,
-                    compute_s=max(computes),
-                    exchange_s=max(exchanges),
-                    amps_exchanged=sent_total,
+                cut = op.cut()
+                computes = each(
+                    lambda s: _timed(_apply_cost_layer, rows[s], cut, s * plan.shard_len),
+                    shards,
                 )
+                gate_rows.append(GateTiming(idx, "RZZ", max(computes), 0.0, 0))
+                gate_rows.extend(
+                    GateTiming(idx + k, "RZZ", 0.0, 0.0, 0) for k in range(1, len(op.gates))
+                )
+                continue
+            exchange_s, moved = 0.0, 0
+            for step in steps:
+                seconds, amps = swap(step)
+                exchange_s += seconds
+                moved += amps
+            computes = each(
+                lambda s: _timed(_apply_gate_kernel, rows[s], op, local_qubits), shards
             )
-            gate_rows.extend(GateTiming(idx + k, kind, 0.0, 0.0, 0) for k in range(1, num_gates))
-        for box in inboxes:
-            box.put(("collect",))
-        blocks: dict[int, np.ndarray] = {}
-        for _ in range(n):
-            msg = done_q.get(timeout=_RECV_TIMEOUT_S)
-            if msg[0] == "error":
-                abort(msg[2])
-            blocks[msg[1]] = msg[2]
-    finally:
-        for box in inboxes:
-            box.put(("stop",))
-        for w in workers:
-            w.join(timeout=5.0)
+            # the restore leg moves the same amplitudes home and is not counted
+            for step in reversed(steps):
+                exchange_s += swap(step)[0]
+            gate_rows.append(GateTiming(idx, op.kind, max(computes), exchange_s, moved))
 
-    wall = time.perf_counter() - wall0
-    amps = np.concatenate([blocks[s] for s in range(n)])
     record = TimingRecord(
         nq=plan.nq,
         p=circuit.p,
-        num_shards=n,
-        wall_seconds=wall,
+        num_shards=plan.num_shards,
+        wall_seconds=time.perf_counter() - wall0,
         gates=gate_rows,
     )
-    return StateVector(plan.nq, amps), record
+    return sv, record
 
 
 # ---------------------------------------------------------------------------

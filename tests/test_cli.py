@@ -124,6 +124,24 @@ def test_simulate_dump_state(tmp_path, instance_path):
     np.testing.assert_array_equal(sv.amps, want.amps)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--mode", "noisy", "--shards", 2),
+        ("--mode", "noisy", "--dump-state", "state.bin"),
+        ("--epsilon", 0.01),
+        ("--trajectories", 5),
+        ("--ideal-shots", 100),
+    ],
+)
+def test_simulate_rejects_flags_its_mode_ignores(tmp_path, instance_path, extra, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = set(tmp_path.iterdir())
+    code = run_cli("simulate", "--instance", instance_path, "--out", "res.json", "--p", 1, *extra)
+    assert code == 2
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_simulate_noisy_zero_eps_matches_noiseless(tmp_path, instance_path):
     clean = tmp_path / "clean.json"
     noisy = tmp_path / "noisy.json"

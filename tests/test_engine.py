@@ -16,6 +16,7 @@ from lrqbench import (
     run_circuit,
     sample,
     save_statevector,
+    solve_instance,
     load_statevector,
     zero_state,
 )
@@ -29,7 +30,8 @@ from lrqbench.engine import (
     expected_r_from_probs,
     state_bytes,
 )
-from lrqbench.problem import index_to_bitstring
+from lrqbench import engine
+from lrqbench.problem import cut_values_range, index_to_bitstring
 from lrqbench.rng import derive_rng
 
 import oracles
@@ -166,6 +168,36 @@ def test_expected_r_requires_solved_instance(triangle):
         exact_expected_r(sv, triangle)
 
 
+def test_expected_r_builds_one_cut_diagonal(monkeypatch):
+    inst = solve_instance(generate_instance(17, 2))
+    probs = np.random.default_rng(0).random(1 << 17)
+    probs /= probs.sum()
+    want = 0.0  # the per-chunk evaluation this replaced
+    for lo in range(0, probs.size, 1 << 16):
+        want += float(probs[lo : lo + (1 << 16)] @ cut_values_range(inst, lo, lo + (1 << 16)))
+    want /= inst.optimal_cut.value
+    built = []
+
+    class Counting(engine.CutDiagonal):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "CutDiagonal", Counting)
+    assert expected_r_from_probs(probs, inst) == want
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+def test_probabilities_match_complex128_formula(precision):
+    amps = random_state(9, 4).astype(Precision.coerce(precision).dtype)
+    wide = amps.astype(np.complex128)
+    want = (wide.real**2 + wide.imag**2).astype(np.float64)
+    got = StateVector(9, amps).probabilities()
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+
+
 def test_expected_r_checks_sizes(triangle_solved):
     with pytest.raises(ValidationError):
         expected_r_from_probs(np.ones(4) / 4.0, triangle_solved)
@@ -236,6 +268,11 @@ def test_dump_roundtrip(tmp_path):
         assert back.num_qubits == 5
         assert back.amps.dtype == sv.amps.dtype
         np.testing.assert_array_equal(back.amps, sv.amps)
+        assert back.amps.flags.writeable
+        short = tmp_path / f"short-{precision}.bin"
+        short.write_bytes(path.read_bytes()[: -sv.amps.itemsize])
+        with pytest.raises(ValidationError):
+            load_statevector(short)
 
 
 def test_load_rejects_corrupt_dump(tmp_path):

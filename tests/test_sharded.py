@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -162,6 +165,46 @@ def test_worker_failure_aborts_run(monkeypatch):
     monkeypatch.setattr(sharded, "_apply_gate_kernel", flaky)
     with pytest.raises(AbortedRunError):
         run_circuit_sharded(circ, plan_shards(6, 4), "fp64")
+
+
+def test_cost_layer_failure_aborts_run(monkeypatch):
+    circ = build_circuit(generate_instance(6, 0), LrQaoaParams(p=1))
+
+    def broken(amps, cut, offset=0):
+        raise RuntimeError("injected cost-layer fault")
+
+    monkeypatch.setattr(sharded, "_apply_cost_layer", broken)
+    with pytest.raises(AbortedRunError) as exc:
+        run_circuit_sharded(circ, plan_shards(6, 4), "fp64")
+    assert isinstance(exc.value.__cause__, RuntimeError)
+
+
+def test_shard_tasks_run_on_bounded_threads(monkeypatch):
+    circ = build_circuit(generate_instance(8, 3), LrQaoaParams(p=1))
+    threads = set()
+    real = sharded._apply_gate_kernel
+
+    def recording(amps, gate, qubits):
+        threads.add(threading.get_ident())
+        real(amps, gate, qubits)
+
+    monkeypatch.setattr(sharded, "_apply_gate_kernel", recording)
+    run_circuit_sharded(circ, plan_for_shard_count(8, 64), "fp64")
+    assert 1 <= len(threads) <= (os.cpu_count() or 1)
+
+
+def test_more_threads_than_cores_keep_dense_bits(monkeypatch):
+    # eight pool threads on fast thread switches: a lost or overlapping
+    # update in a swap leg or a kernel would break bitwise equality
+    circ = build_circuit(generate_instance(8, 31), LrQaoaParams(p=3))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sv, _ = run_circuit_sharded(circ, plan_for_shard_count(8, 8), "fp64")
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(sv.amps, run_circuit(circ, "fp64").amps)
 
 
 def test_timing_csv_schema():
