@@ -191,7 +191,7 @@ def _cmd_simulate(args) -> int:
     outputs = [args.out]
 
     if args.mode == "noiseless":
-        if args.shards > 1:
+        if args.shards != 1:
             plan = plan_for_shard_count(inst.num_vertices, args.shards)
             sv, record = run_circuit_sharded(
                 circuit, plan, args.precision, args.memory_bytes

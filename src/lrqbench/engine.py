@@ -2,13 +2,25 @@
 
 Amplitudes live in one flat array indexed by basis state, with qubit k at
 bit position k.  Gates act in place through reshaped views: a one-qubit
-gate on qubit q sees the array as (blocks, 2, 2^q) and mixes the two
-middle slices.  A cost layer (a run of RZZ gates, see
-``CircuitIR.layers``) is diagonal, so it runs as one elementwise phase
-multiply, amps[lo:hi] *= exp(-i (Theta/2 - C[lo:hi])), over blocks of
-2^min(16, n) amplitudes; the layer's angle-weighted cut values C come
-from ``problem.CutDiagonal`` block by block, so no full-length diagonal
-is ever held.  The same executor serves the noisy and sharded engines.
+gate on qubit q sees the array as (blocks, 2, 2^q) and one pair kernel
+mixes the two middle slices.  Each run of consecutive H/RX gates goes
+through one executor, ``_apply_gate_run``.  A state of more than 2^15
+amplitudes takes the run's gates on qubits below 15 block by block, all
+of them on one 2^15-amplitude block before the next, so the block stays
+in cache; the gates among them on qubits below 6 act on a transposed
+copy of the block, where their halves are contiguous.  A gate on a
+higher qubit makes one pass over pairs of 2^15-amplitude chunks 2^q
+apart.  Scratch is one block for the copy and the kernel's temporaries,
+which are never larger than a block, and every amplitude gets the same
+operations as with the gates applied one by one, so the blocking never
+changes a bit.  Smaller states take the gates one by one.
+
+A cost layer (a run of RZZ gates, see ``CircuitIR.layers``) is
+diagonal, so it runs as one elementwise phase multiply,
+amps[lo:hi] *= exp(-i (Theta/2 - C[lo:hi])), over blocks of 2^min(16, n)
+amplitudes; the layer's angle-weighted cut values C come from
+``problem.CutDiagonal`` block by block, so no full-length diagonal is
+ever held.  The same two executors serve the noisy and sharded engines.
 Nothing ever renormalizes, so global phase and accumulated rounding stay
 visible.
 
@@ -21,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 import os
 import struct
@@ -31,11 +44,11 @@ import numpy as np
 
 from .circuit import CircuitIR, CostLayer, GateOp
 from .errors import CapacityError, StateError, ValidationError
-from .problem import CutDiagonal, WmcInstance, index_to_bitstring
+from .problem import CutDiagonal, WmcInstance, indices_to_bitstrings
 from .rng import derive_rng
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes, overridable via LRQBENCH_MEMORY_BYTES
-_EXPECTATION_CHUNK = 1 << 16
+_REDUCTION_CHUNK = 1 << 16
 
 
 class Precision(enum.Enum):
@@ -97,7 +110,13 @@ class StateVector:
         return Precision.FP32 if self.amps.dtype == np.complex64 else Precision.FP64
 
     def norm_squared(self) -> float:
-        return float(np.real(np.vdot(self.amps, self.amps)))
+        """Sum of |amplitude|^2 in double precision: numpy's pairwise sums
+        over fixed chunks, added in order, so no BLAS thread count can
+        change the bits."""
+        total = 0.0
+        for lo in range(0, self.amps.size, _REDUCTION_CHUNK):
+            total += float(_abs_squared(self.amps[lo : lo + _REDUCTION_CHUNK]).sum())
+        return total
 
     def norm_tolerance(self) -> float:
         """Allowed drift of the squared norm: 10 * 2^n * machine epsilon."""
@@ -106,9 +125,13 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         """|amplitude|^2 in double precision, with one float64 temporary."""
-        probs = np.square(self.amps.real, dtype=np.float64)
-        probs += np.square(self.amps.imag, dtype=np.float64)
-        return probs
+        return _abs_squared(self.amps)
+
+
+def _abs_squared(amps: np.ndarray) -> np.ndarray:
+    probs = np.square(amps.real, dtype=np.float64)
+    probs += np.square(amps.imag, dtype=np.float64)
+    return probs
 
 
 def zero_state(
@@ -137,26 +160,100 @@ def init_plus_state(
 
 
 # ---------------------------------------------------------------------------
-# gate kernels (operate on raw amplitude arrays; used by the sharded engine too)
+# one-qubit gates
+
+# A state of more than 2^_GATE_BLOCK_BITS amplitudes runs one-qubit gates
+# block by block; gates below _TRANSPOSED_BITS run on a transposed copy.
+_GATE_BLOCK_BITS = 15
+_TRANSPOSED_BITS = 6
 
 
-def _h_kernel(amps: np.ndarray, q: int) -> None:
-    inv = amps.dtype.type(1.0 / math.sqrt(2.0))
-    v = amps.reshape(-1, 2, 1 << q)
-    a0 = v[:, 0, :].copy()
-    a1 = v[:, 1, :]
-    v[:, 0, :] = (a0 + a1) * inv
-    v[:, 1, :] = (a0 - a1) * inv
+def _pair_kernel(a0: np.ndarray, a1: np.ndarray, gate: GateOp) -> None:
+    """Apply an H (any other kind is taken as RX) to the amplitude pairs
+    (a0[k], a1[k]), gate qubit clear and set, in place.
+
+    Each element gets the same operations in the same operand order
+    whatever the views' shapes, so any blocking gives the same bits.
+    Temporaries are the size of a0.
+    """
+    held = a0.copy()
+    if gate.kind == "H":
+        inv = a0.dtype.type(1.0 / math.sqrt(2.0))
+        a0[...] = (held + a1) * inv
+        a1[...] = (held - a1) * inv
+    else:
+        c = a0.dtype.type(math.cos(gate.theta / 2.0))
+        s = a0.dtype.type(-1j * math.sin(gate.theta / 2.0))
+        a0[...] = c * held + s * a1
+        a1[...] = s * held + c * a1
 
 
-def _rx_kernel(amps: np.ndarray, theta: float, q: int) -> None:
-    c = amps.dtype.type(math.cos(theta / 2.0))
-    s = amps.dtype.type(-1j * math.sin(theta / 2.0))
-    v = amps.reshape(-1, 2, 1 << q)
-    a0 = v[:, 0, :].copy()
-    a1 = v[:, 1, :]
-    v[:, 0, :] = c * a0 + s * a1
-    v[:, 1, :] = s * a0 + c * a1
+def _apply_on_bit(amps: np.ndarray, gate: GateOp, bit: int) -> None:
+    """The gate on index bit ``bit`` of ``amps``, through views of its halves."""
+    v = amps.reshape(-1, 2, 1 << bit)
+    _pair_kernel(v[:, 0, :], v[:, 1, :], gate)
+
+
+def _apply_low_segment(amps: np.ndarray, gates: list[GateOp], copy: np.ndarray) -> None:
+    """Gates on qubits below b = _GATE_BLOCK_BITS, all of them on one block
+    of 2^b amplitudes before the next.  A stretch of gates on qubits below
+    k = _TRANSPOSED_BITS runs on a copy of the block transposed from
+    (2^(b-k), 2^k) to (2^k, 2^(b-k)), where qubit q is index bit q + b - k
+    and its halves are contiguous runs of at least 2^(b-k) amplitudes."""
+    b, k = _GATE_BLOCK_BITS, _TRANSPOSED_BITS
+    parts = [
+        (low, list(part))
+        for low, part in itertools.groupby(gates, key=lambda g: g.qubits[0] < k)
+    ]
+    for lo in range(0, amps.size, 1 << b):
+        block = amps[lo : lo + (1 << b)]
+        for low, part in parts:
+            if not low:
+                for g in part:
+                    _apply_on_bit(block, g, g.qubits[0])
+                continue
+            rows = block.reshape(1 << (b - k), 1 << k)
+            cols = copy.reshape(1 << k, 1 << (b - k))
+            np.copyto(cols, rows.T)
+            for g in part:
+                _apply_on_bit(copy, g, g.qubits[0] + b - k)
+            np.copyto(rows, cols.T)
+
+
+def _apply_high_gate(amps: np.ndarray, gate: GateOp) -> None:
+    """A gate on qubit q >= _GATE_BLOCK_BITS, over pairs of 2^_GATE_BLOCK_BITS
+    chunks 2^q apart."""
+    step, stride = 1 << _GATE_BLOCK_BITS, 1 << gate.qubits[0]
+    for base in range(0, amps.size, 2 * stride):
+        for lo in range(base, base + stride, step):
+            hi = lo + stride
+            _pair_kernel(amps[lo : lo + step], amps[hi : hi + step], gate)
+
+
+def _apply_gate_run(amps: np.ndarray, gates) -> None:
+    """Apply consecutive H/RX gates in order, on the qubits they name.
+
+    A state of at most 2^_GATE_BLOCK_BITS amplitudes takes them one by one.
+    A larger one takes each stretch of gates on low qubits block by block,
+    so the block stays in cache for the whole stretch, and each gate on a
+    high qubit in one pass over chunk pairs.  Scratch is one block for the
+    transposed copy plus the kernel's block-sized temporaries, never a
+    half-state temporary, and the bits are those of the gates one by one.
+    """
+    for g in gates:
+        if g.kind not in ("H", "RX"):
+            raise ValidationError(f"{g.kind} runs inside a cost layer, not as a single gate")
+    if amps.size <= 1 << _GATE_BLOCK_BITS:
+        for g in gates:
+            _apply_on_bit(amps, g, g.qubits[0])
+        return
+    copy = np.empty(1 << _GATE_BLOCK_BITS, amps.dtype)
+    for low, part in itertools.groupby(gates, key=lambda g: g.qubits[0] < _GATE_BLOCK_BITS):
+        if low:
+            _apply_low_segment(amps, list(part), copy)
+        else:
+            for g in part:
+                _apply_high_gate(amps, g)
 
 
 def _rzz_kernel(amps: np.ndarray, theta: float, qa: int, qb: int) -> None:
@@ -168,16 +265,6 @@ def _rzz_kernel(amps: np.ndarray, theta: float, qa: int, qb: int) -> None:
     v[:, 1, :, 1, :] *= equal
     v[:, 0, :, 1, :] *= differ
     v[:, 1, :, 0, :] *= differ
-
-
-def _apply_gate_kernel(amps: np.ndarray, gate: GateOp, qubits: tuple[int, ...]) -> None:
-    """One H or RX on ``qubits`` (the gate's own, or a shard's local stand-ins)."""
-    if gate.kind == "H":
-        _h_kernel(amps, qubits[0])
-    elif gate.kind == "RX":
-        _rx_kernel(amps, gate.theta, qubits[0])
-    else:
-        raise ValidationError(f"{gate.kind} runs inside a cost layer, not as a single gate")
 
 
 def _cost_phase(cut: CutDiagonal, lo: int, hi: int, dtype: np.dtype) -> np.ndarray:
@@ -210,13 +297,11 @@ def _check_qubit(sv: StateVector, q: int) -> None:
 
 
 def apply_h(sv: StateVector, q: int) -> None:
-    _check_qubit(sv, q)
-    _h_kernel(sv.amps, q)
+    apply_gate(sv, GateOp("H", (q,)))
 
 
 def apply_rx(sv: StateVector, theta: float, q: int) -> None:
-    _check_qubit(sv, q)
-    _rx_kernel(sv.amps, theta, q)
+    apply_gate(sv, GateOp("RX", (q,), theta))
 
 
 def apply_rzz(sv: StateVector, theta: float, qa: int, qb: int) -> None:
@@ -233,7 +318,19 @@ def apply_gate(sv: StateVector, gate: GateOp) -> None:
         return
     for q in gate.qubits:
         _check_qubit(sv, q)
-    _apply_gate_kernel(sv.amps, gate, gate.qubits)
+    _apply_gate_run(sv.amps, (gate,))
+
+
+def _layer_runs(circuit: CircuitIR) -> list[CostLayer | tuple[GateOp, ...]]:
+    """The circuit's layer view with each run of consecutive H/RX gates
+    grouped into one tuple, the unit ``_apply_gate_run`` executes."""
+    out: list[CostLayer | tuple[GateOp, ...]] = []
+    for gates, ops in itertools.groupby(circuit.layers(), key=lambda op: isinstance(op, GateOp)):
+        if gates:
+            out.append(tuple(ops))
+        else:
+            out.extend(ops)
+    return out
 
 
 def run_circuit(
@@ -243,11 +340,11 @@ def run_circuit(
 ) -> StateVector:
     """Evolve |0...0> through the circuit's layers (the IR includes its H layer)."""
     sv = zero_state(circuit.num_qubits, precision, memory_budget)
-    for op in circuit.layers():
+    for op in _layer_runs(circuit):
         if isinstance(op, CostLayer):
             _apply_cost_layer(sv.amps, op.cut())
         else:
-            _apply_gate_kernel(sv.amps, op, op.qubits)
+            _apply_gate_run(sv.amps, op)
     return sv
 
 
@@ -265,9 +362,12 @@ def expected_r_from_probs(probs: np.ndarray, inst: WmcInstance) -> float:
         raise StateError("instance has no optimal cut; solve it first")
     cut = CutDiagonal(inst.num_vertices, inst.edges)
     total = 0.0
-    for lo in range(0, probs.size, _EXPECTATION_CHUNK):
-        hi = min(lo + _EXPECTATION_CHUNK, probs.size)
-        total += float(probs[lo:hi] @ cut.values(lo, hi))
+    for lo in range(0, probs.size, _REDUCTION_CHUNK):
+        hi = min(lo + _REDUCTION_CHUNK, probs.size)
+        # an elementwise product and numpy's pairwise sum, not a BLAS dot
+        weighted = cut.values(lo, hi)
+        weighted *= probs[lo:hi]
+        total += float(weighted.sum())
     return total / inst.optimal_cut.value
 
 
@@ -293,7 +393,7 @@ class ShotSet:
         return int(self.indices.size)
 
     def bitstrings(self) -> list[str]:
-        return [index_to_bitstring(int(z), self.num_qubits) for z in self.indices]
+        return indices_to_bitstrings(self.indices, self.num_qubits)
 
 
 def draw_indices(probs: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:

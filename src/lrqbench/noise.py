@@ -7,9 +7,10 @@ that means: after the ideal gate, with probability 15 eps / 16 apply one
 of the 15 non-identity two-qubit Paulis uniformly at random.  Averaging
 |amplitude|^2 over trajectories recovers the channel.
 
-Trajectories run the circuit's layer view.  An ensemble computes the
-phase of each cost layer once, with the dense engine's executor, and
-every trajectory multiplies by it (``check_memory`` counts these cached
+Trajectories run the circuit's layer view through the dense engine's
+executors: each run of H/RX gates goes through ``_apply_gate_run``, and
+an ensemble computes the phase of each cost layer once and every
+trajectory multiplies by it (``check_memory`` counts these cached
 phases).  A Pauli fired inside a layer is commuted to the layer's end: it
 flips the sign of Z_i Z_j on every later edge whose qubits carry an odd
 number of its X/Y components, so each later edge that anticommutes with
@@ -43,7 +44,8 @@ from .engine import (
     ShotSet,
     StateVector,
     _apply_cost_layer,
-    _apply_gate_kernel,
+    _apply_gate_run,
+    _layer_runs,
     _rzz_kernel,
     check_memory,
     draw_indices,
@@ -122,12 +124,13 @@ _IN_FLIGHT_PER_THREAD = 2
 
 @dataclass(frozen=True)
 class _Ensemble:
-    """What every trajectory of one run shares: the circuit's layers, each
-    cost layer's phase (None for a gate), and the RZZ count the draws cover."""
+    """What every trajectory of one run shares: the circuit's layers with
+    one-qubit gate runs grouped, each cost layer's phase (None for a gate
+    run), and the RZZ count the draws cover."""
 
     num_qubits: int
     dtype: np.dtype
-    layers: list[GateOp | CostLayer]
+    layers: list[CostLayer | tuple[GateOp, ...]]
     phases: list[np.ndarray | None]
     n_rzz: int
 
@@ -135,7 +138,7 @@ class _Ensemble:
 def _prepare(circuit: CircuitIR, precision: Precision, memory_budget: int | None) -> _Ensemble:
     """Layers and cached cost-layer phases, after checking that the state
     and one phase array per cost layer fit the memory budget."""
-    layers = circuit.layers()
+    layers = _layer_runs(circuit)
     costs = [op for op in layers if isinstance(op, CostLayer)]
     check_memory(circuit.num_qubits, precision, memory_budget, arrays=1 + len(costs))
     phases = []
@@ -182,7 +185,7 @@ def _run_trajectory(ens: _Ensemble, cfg: DepolarizingConfig, trajectory: int) ->
     k = 0
     for op, phase in zip(ens.layers, ens.phases):
         if phase is None:
-            _apply_gate_kernel(amps, op, op.qubits)
+            _apply_gate_run(amps, op)
             continue
         amps *= phase
         m = len(op.gates)

@@ -109,7 +109,10 @@ def bitstring_to_index(bits: str | Sequence[int]) -> int:
     """Index of a bitstring written vertex 0 first (vertex k -> bit k)."""
     z = 0
     for k, b in enumerate(bits):
-        b = int(b)
+        try:
+            b = int(b)
+        except (TypeError, ValueError):
+            raise ValidationError(f"bit {k} is {b!r}, expected 0 or 1") from None
         if b not in (0, 1):
             raise ValidationError(f"bit {k} is {b!r}, expected 0 or 1")
         z |= b << k
@@ -118,6 +121,29 @@ def bitstring_to_index(bits: str | Sequence[int]) -> int:
 
 def index_to_bitstring(z: int, n: int) -> str:
     return "".join("1" if (z >> k) & 1 else "0" for k in range(n))
+
+
+def indices_to_bitstrings(indices: np.ndarray, n: int) -> list[str]:
+    """``index_to_bitstring`` of every index, as one shift-and-mask."""
+    z = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
+    codes = ((z >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(np.uint32)
+    codes += ord("0")
+    return codes.view(f"U{n}").ravel().tolist()
+
+
+def bitstrings_to_indices(strings: Sequence[str], n: int) -> np.ndarray:
+    """``as_index`` of every bitstring, by viewing their characters as
+    code points; the first malformed string raises the error ``as_index``
+    gives it."""
+    arr = np.asarray(strings, dtype=str).reshape(-1)
+    width = max(n, arr.dtype.itemsize // 4)
+    codes = arr.astype(f"U{width}").view(np.uint32).reshape(-1, width)
+    bits = codes[:, :n] - np.uint32(ord("0"))  # anything but '0'/'1' wraps above 1
+    bad = np.flatnonzero((bits > 1).any(axis=1) | (codes[:, n:] != 0).any(axis=1))
+    if bad.size:
+        as_index(str(arr[bad[0]]), n)
+        raise ValidationError(f"sample {bad[0]} is not a bitstring of length {n}")
+    return (bits.astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
 
 
 def as_index(x: int | str | Sequence[int] | np.integer, n: int) -> int:
@@ -327,6 +353,8 @@ def _to_indices(inst: WmcInstance, samples) -> np.ndarray:
     arr = np.asarray(samples)
     if arr.dtype.kind in "iu":
         return arr.astype(np.uint64)
+    if arr.ndim == 1 and all(isinstance(x, str) for x in samples):
+        return bitstrings_to_indices(arr, inst.num_vertices)
     return np.array(
         [as_index(x, inst.num_vertices) for x in samples], dtype=np.uint64
     )

@@ -11,11 +11,12 @@ its own index range by the layer's phases through the dense engine's
 executor, whatever qubits the layer touches: diagonal layers never
 exchange, and their phases match the dense engine's bit for bit.
 
-H and RX run inside each shard with the ordinary kernels when their qubit
-is local.  One on a global qubit g pairs shard s with shard
-s XOR 2^(g - nq_local); the pair swaps complementary halves of their
-blocks (L/2 amplitudes out of each shard), which transposes qubit g with
-a spare local bit so the gate can run locally, then swaps back.  One such
+A stretch of consecutive H and RX gates on local qubits runs inside each
+shard as one call of the dense engine's one-qubit executor.  A gate on a
+global qubit g pairs shard s with shard s XOR 2^(g - nq_local); the pair
+swaps complementary halves of their blocks (L/2 amplitudes out of each
+shard), which transposes qubit g with a spare local bit so the gate can
+run locally, then swaps back.  One such
 swap-apply-restore counts as a single exchange of L/2 amplitudes per
 shard; the restore leg moves the same amplitudes home and is not
 double-counted, and the static ``exchange_volume`` and the counters
@@ -28,18 +29,20 @@ and tasks of one step touch disjoint amplitudes, so results cannot
 depend on scheduling.  The timing record keeps one row per gate: compute
 is the slowest shard's kernel span, exchange sums over the swap legs the
 slowest pair's copy, and the exchanged amplitudes are counted from the
-halves actually copied on the outward legs.  A cost layer's compute time
-goes on the row of its first RZZ, and the layer's other rows carry
-zeros.  An exception in any task aborts the run.
+halves actually copied on the outward legs.  The compute time of a cost
+layer, or of a stretch of local H and RX gates, goes on the row of its
+first gate, and its other rows carry zeros.  An exception in any task
+aborts the run.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
 import numpy as np
@@ -49,7 +52,8 @@ from .engine import (
     Precision,
     StateVector,
     _apply_cost_layer,
-    _apply_gate_kernel,
+    _apply_gate_run,
+    _layer_runs,
     zero_state,
 )
 from .errors import AbortedRunError, ValidationError
@@ -222,19 +226,30 @@ def write_timing_csv(records: Iterable[TimingRecord], fh: IO[str]) -> None:
 
 
 def _layer_plan(circuit: CircuitIR, plan: ShardPlan):
-    """(index of the first gate, layer, exchange steps, effective local
-    qubits) for every layer; a cost layer has no steps and no qubits."""
+    """(index of the first gate, step, exchange steps) in execution order.
+
+    A step is a cost layer, or a tuple of H/RX gates every shard runs with
+    ``_apply_gate_run``: a stretch of consecutive gates on local qubits,
+    or one gate on a global qubit as its stand-in on the spare local slot,
+    which the exchange steps move the global qubit into and back out of.
+    """
     out = []
     idx = 0
-    for op in circuit.layers():
+    for op in _layer_runs(circuit):
         if isinstance(op, CostLayer):
-            out.append((idx, op, [], ()))
+            out.append((idx, op, []))
             idx += len(op.gates)
             continue
-        steps = exchange_steps(op, plan)
-        slot_of = {s.global_qubit: s.local_slot for s in steps}
-        out.append((idx, op, steps, tuple(slot_of.get(q, q) for q in op.qubits)))
-        idx += 1
+        for local, gates in itertools.groupby(op, key=lambda g: g.qubits[0] < plan.nq_local):
+            if local:
+                stretch = tuple(gates)
+                out.append((idx, stretch, []))
+                idx += len(stretch)
+                continue
+            for gate in gates:
+                steps = exchange_steps(gate, plan)
+                out.append((idx, (replace(gate, qubits=(steps[0].local_slot,)),), steps))
+                idx += 1
     return out
 
 
@@ -298,31 +313,33 @@ def run_circuit_sharded(
             )
             return max(t for t, _ in legs), sum(m for _, m in legs)
 
-        for idx, op, steps, local_qubits in layers:
+        for idx, op, steps in layers:
             if isinstance(op, CostLayer):
                 # built when due, so one layer's cut tables are alive at a time
-                cut = op.cut()
-                computes = each(
-                    lambda s: _timed(_apply_cost_layer, rows[s], cut, s * plan.shard_len),
-                    shards,
-                )
-                gate_rows.append(GateTiming(idx, "RZZ", max(computes), 0.0, 0))
-                gate_rows.extend(
-                    GateTiming(idx + k, "RZZ", 0.0, 0.0, 0) for k in range(1, len(op.gates))
-                )
-                continue
+                cut, gates = op.cut(), op.gates
+
+                def task(s):
+                    return _timed(_apply_cost_layer, rows[s], cut, s * plan.shard_len)
+
+            else:
+                gates = op
+
+                def task(s):
+                    return _timed(_apply_gate_run, rows[s], gates)
+
             exchange_s, moved = 0.0, 0
             for step in steps:
                 seconds, amps = swap(step)
                 exchange_s += seconds
                 moved += amps
-            computes = each(
-                lambda s: _timed(_apply_gate_kernel, rows[s], op, local_qubits), shards
-            )
+            computes = each(task, shards)
             # the restore leg moves the same amplitudes home and is not counted
             for step in reversed(steps):
                 exchange_s += swap(step)[0]
-            gate_rows.append(GateTiming(idx, op.kind, max(computes), exchange_s, moved))
+            gate_rows.append(GateTiming(idx, gates[0].kind, max(computes), exchange_s, moved))
+            gate_rows.extend(
+                GateTiming(idx + k, g.kind, 0.0, 0.0, 0) for k, g in enumerate(gates[1:], 1)
+            )
 
     record = TimingRecord(
         nq=plan.nq,

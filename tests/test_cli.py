@@ -132,6 +132,8 @@ def test_simulate_dump_state(tmp_path, instance_path):
         ("--epsilon", 0.01),
         ("--trajectories", 5),
         ("--ideal-shots", 100),
+        ("--shards", 0),
+        ("--shards", -4),
     ],
 )
 def test_simulate_rejects_flags_its_mode_ignores(tmp_path, instance_path, extra, monkeypatch):

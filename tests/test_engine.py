@@ -1,5 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import lrqbench
 
 from lrqbench import (
     CapacityError,
@@ -134,6 +142,83 @@ def test_run_circuit_matches_matrix_product(n, p, seed):
     assert np.max(np.abs(got.amps - want)) < 1e-12
 
 
+def kernel_of_0_2(amps: np.ndarray, gate: GateOp) -> None:
+    """The H and RX kernels of 0.2.0: copy the lower half, assign both."""
+    v = amps.reshape(-1, 2, 1 << gate.qubits[0])
+    a0 = v[:, 0, :].copy()
+    a1 = v[:, 1, :]
+    if gate.kind == "H":
+        inv = amps.dtype.type(1.0 / math.sqrt(2.0))
+        v[:, 0, :] = (a0 + a1) * inv
+        v[:, 1, :] = (a0 - a1) * inv
+    else:
+        c = amps.dtype.type(math.cos(gate.theta / 2.0))
+        s = amps.dtype.type(-1j * math.sin(gate.theta / 2.0))
+        v[:, 0, :] = c * a0 + s * a1
+        v[:, 1, :] = s * a0 + c * a1
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_gate_run_matches_gates_one_by_one(n, precision):
+    # every qubit twice, shuffled, so the run mixes gates below the
+    # transposed bits, inside a block and (n > 15) above it, with stretches
+    # of each and repeats on one qubit
+    rng = np.random.default_rng(n)
+    gates = [
+        GateOp("H", (int(q),)) if rng.random() < 0.3 else GateOp("RX", (int(q),), rng.normal())
+        for q in rng.permutation(np.repeat(np.arange(n), 2))
+    ]
+    start = random_state(n, n).astype(Precision.coerce(precision).dtype)
+    run = start.copy()
+    engine._apply_gate_run(run, gates)
+    one_by_one = StateVector(n, start.copy())
+    old = start.copy()
+    for g in gates:
+        apply_gate(one_by_one, g)
+        kernel_of_0_2(old, g)
+    np.testing.assert_array_equal(run, one_by_one.amps)
+    np.testing.assert_array_equal(run, old)
+
+
+def test_gate_run_rejects_diagonal_gates():
+    amps = random_state(4, 0)
+    with pytest.raises(ValidationError):
+        engine._apply_gate_run(amps, [GateOp("H", (0,)), GateOp("RZZ", (0, 1), 0.3)])
+
+
+_REDUCTIONS = """
+from lrqbench import (LrQaoaParams, build_circuit, exact_expected_r, generate_instance,
+                      run_circuit, solve_instance)
+inst = solve_instance(generate_instance(18, 1))
+sv = run_circuit(build_circuit(inst, LrQaoaParams(p=1)))
+print(sv.norm_squared().hex(), exact_expected_r(sv, inst).hex())
+"""
+
+
+def test_reductions_do_not_depend_on_blas_threads():
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(lrqbench.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+
+    def bits(**extra) -> str:
+        out = subprocess.run(
+            [sys.executable, "-c", _REDUCTIONS],
+            env={**env, **extra},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return out.stdout
+
+    assert bits() == bits(OPENBLAS_NUM_THREADS="1")
+
+
 def test_norm_preserved_through_long_circuit():
     inst = generate_instance(8, 4)
     circ = build_circuit(inst, LrQaoaParams(p=20))
@@ -172,10 +257,13 @@ def test_expected_r_builds_one_cut_diagonal(monkeypatch):
     inst = solve_instance(generate_instance(17, 2))
     probs = np.random.default_rng(0).random(1 << 17)
     probs /= probs.sum()
-    want = 0.0  # the per-chunk evaluation this replaced
+    want = dot = 0.0  # per-chunk evaluations with a cut table each
     for lo in range(0, probs.size, 1 << 16):
-        want += float(probs[lo : lo + (1 << 16)] @ cut_values_range(inst, lo, lo + (1 << 16)))
+        chunk = probs[lo : lo + (1 << 16)]
+        want += float((cut_values_range(inst, lo, lo + (1 << 16)) * chunk).sum())
+        dot += float(chunk @ cut_values_range(inst, lo, lo + (1 << 16)))
     want /= inst.optimal_cut.value
+    assert want == pytest.approx(dot / inst.optimal_cut.value, rel=1e-14)
     built = []
 
     class Counting(engine.CutDiagonal):

@@ -129,6 +129,14 @@ def test_zero_noise_probs_match_noiseless_exactly():
     np.testing.assert_array_equal(noisy, ideal)
 
 
+def test_zero_noise_trajectory_matches_blocked_run_exactly():
+    # n=17 is above the size where one-qubit gate runs go block by block
+    circ = build_circuit(generate_instance(17, 3), LrQaoaParams(p=1))
+    ideal = run_circuit(circ, "fp32").probabilities()
+    noisy = noisy_expected_probs(circ, DepolarizingConfig(0.0, trajectories=1), "fp32")
+    np.testing.assert_array_equal(noisy, ideal)
+
+
 def test_zero_noise_shots_match_noiseless_exactly():
     inst = generate_instance(6, 7)
     circ = build_circuit(inst, LrQaoaParams(p=3))

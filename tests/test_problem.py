@@ -22,9 +22,11 @@ from lrqbench import (
 from lrqbench.problem import (
     as_index,
     bitstring_to_index,
+    bitstrings_to_indices,
     complete_edge_list,
     cut_values_range,
     index_to_bitstring,
+    indices_to_bitstrings,
 )
 
 from oracles import best_cut_by_enumeration, cut_of_index
@@ -108,6 +110,10 @@ def test_bitstring_encoding_vertex_zero_leftmost():
     assert index_to_bitstring(6, 3) == "011"
     for z in range(32):
         assert bitstring_to_index(index_to_bitstring(z, 5)) == z
+    z = np.random.default_rng(3).integers(0, 1 << 20, size=300).astype(np.uint64)
+    strings = indices_to_bitstrings(z, 20)
+    assert strings == [index_to_bitstring(int(x), 20) for x in z]
+    np.testing.assert_array_equal(bitstrings_to_indices(strings, 20), z)
 
 
 def test_as_index_accepts_all_forms():
@@ -169,6 +175,15 @@ def test_shot_ratios_and_mean(triangle_solved):
     ratios = shot_ratios(triangle_solved, ["101", "100"])
     np.testing.assert_allclose(ratios, [0.5, 1.0])
     assert approximation_ratio(triangle_solved, ["101", "100"]) == 0.75
+    # a malformed string in the middle of a batch names that string
+    with pytest.raises(ValidationError, match="bit 1 is 2"):
+        shot_ratios(triangle_solved, ["101", "100", "120", "011"])
+    with pytest.raises(ValidationError, match="bit 2 is 'x'"):
+        shot_ratios(triangle_solved, ["101", "10x", "1000"])
+    with pytest.raises(ValidationError, match="length 4"):
+        shot_ratios(triangle_solved, ["101", "1000", "100"])
+    with pytest.raises(ValidationError, match="length 2"):
+        shot_ratios(triangle_solved, ["101", "10", "100"])
 
 
 def test_shot_ratios_accepts_indices(triangle_solved):

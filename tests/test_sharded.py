@@ -131,6 +131,17 @@ def test_sharded_fp32_matches_dense_bitwise():
     np.testing.assert_array_equal(sv.amps, dense.amps)
 
 
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_sharded_blocked_runs_match_dense_bitwise(num_shards):
+    # n=17: two shards of 2^16 run gate stretches block by block, four
+    # shards of 2^15 gate by gate, and the dense state is blocked
+    circ = build_circuit(generate_instance(17, 4), LrQaoaParams(p=2))
+    dense = run_circuit(circ, "fp32")
+    sv, record = run_circuit_sharded(circ, plan_for_shard_count(17, num_shards), "fp32")
+    np.testing.assert_array_equal(sv.amps, dense.amps)
+    assert len(record.gates) == len(circ.gates)
+
+
 def test_local_gates_report_zero_exchange():
     inst = generate_instance(6, 2)
     circ = build_circuit(inst, LrQaoaParams(p=1))
@@ -154,15 +165,15 @@ def test_plan_circuit_size_mismatch():
 def test_worker_failure_aborts_run(monkeypatch):
     circ = build_circuit(generate_instance(6, 0), LrQaoaParams(p=1))
     calls = {"n": 0}
-    real = sharded._apply_gate_kernel
+    real = sharded._apply_gate_run
 
-    def flaky(amps, gate, qubits):
+    def flaky(amps, gates):
         calls["n"] += 1
         if calls["n"] > 10:
             raise RuntimeError("injected kernel fault")
-        real(amps, gate, qubits)
+        real(amps, gates)
 
-    monkeypatch.setattr(sharded, "_apply_gate_kernel", flaky)
+    monkeypatch.setattr(sharded, "_apply_gate_run", flaky)
     with pytest.raises(AbortedRunError):
         run_circuit_sharded(circ, plan_shards(6, 4), "fp64")
 
@@ -182,13 +193,13 @@ def test_cost_layer_failure_aborts_run(monkeypatch):
 def test_shard_tasks_run_on_bounded_threads(monkeypatch):
     circ = build_circuit(generate_instance(8, 3), LrQaoaParams(p=1))
     threads = set()
-    real = sharded._apply_gate_kernel
+    real = sharded._apply_gate_run
 
-    def recording(amps, gate, qubits):
+    def recording(amps, gates):
         threads.add(threading.get_ident())
-        real(amps, gate, qubits)
+        real(amps, gates)
 
-    monkeypatch.setattr(sharded, "_apply_gate_kernel", recording)
+    monkeypatch.setattr(sharded, "_apply_gate_run", recording)
     run_circuit_sharded(circ, plan_for_shard_count(8, 64), "fp64")
     assert 1 <= len(threads) <= (os.cpu_count() or 1)
 
