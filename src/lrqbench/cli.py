@@ -247,6 +247,9 @@ def _cmd_simulate(args) -> int:
                 "trajectories": args.trajectories,
                 "shots": args.shots,
                 "eps_acc": epsilon_accumulated(n_2q, args.epsilon),
+                "paulis_expected": 15 / 16 * args.epsilon * n_2q * args.trajectories,
+                "paulis_fired": int(shots.paulis_fired.sum()),
+                "zero_fire_trajectories": int(np.count_nonzero(shots.paulis_fired == 0)),
                 "mean_r": mean_r,
                 "r_ovl": ovl,
                 "bitstrings": shots.bitstrings(),

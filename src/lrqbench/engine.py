@@ -382,12 +382,14 @@ def exact_expected_r(sv: StateVector, inst: WmcInstance) -> float:
 
 @dataclass(eq=False)
 class ShotSet:
-    """Measurement outcomes as basis indices, tagged with their provenance."""
+    """Measurement outcomes as basis indices, tagged with their provenance;
+    a noisy ensemble's also carry the Paulis each trajectory fired."""
 
     num_qubits: int
     indices: np.ndarray
     rng_seed: int | None
     source: str
+    paulis_fired: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -396,16 +398,25 @@ class ShotSet:
         return indices_to_bitstrings(self.indices, self.num_qubits)
 
 
-def draw_indices(probs: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw over an unnormalized probability vector."""
-    if n_shots < 1:
-        raise ValidationError(f"shot count must be positive, got {n_shots}")
+def _normalized_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of an unnormalized probability vector."""
     cdf = np.cumsum(probs)
     if cdf[-1] <= 0.0:
         raise ValidationError("statevector has zero norm, nothing to sample")
     cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_from_cdf(cdf: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
     idx = np.searchsorted(cdf, rng.random(n_shots), side="right")
     return np.minimum(idx, cdf.size - 1).astype(np.uint64)
+
+
+def draw_indices(probs: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draw over an unnormalized probability vector."""
+    if n_shots < 1:
+        raise ValidationError(f"shot count must be positive, got {n_shots}")
+    return _draw_from_cdf(_normalized_cdf(probs), n_shots, rng)
 
 
 def sample(sv: StateVector, n_shots: int, rng_seed: int) -> ShotSet:

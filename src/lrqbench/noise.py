@@ -7,16 +7,22 @@ that means: after the ideal gate, with probability 15 eps / 16 apply one
 of the 15 non-identity two-qubit Paulis uniformly at random.  Averaging
 |amplitude|^2 over trajectories recovers the channel.
 
-Trajectories run the circuit's layer view through the dense engine's
-executors: each run of H/RX gates goes through ``_apply_gate_run``, and
-an ensemble computes the phase of each cost layer once and every
-trajectory multiplies by it (``check_memory`` counts these cached
-phases).  A Pauli fired inside a layer is commuted to the layer's end: it
-flips the sign of Z_i Z_j on every later edge whose qubits carry an odd
-number of its X/Y components, so each later edge that anticommutes with
-an odd number of the Paulis fired before it gets RZZ(-2 theta), and then
-the fired Paulis follow in firing order.  This is exactly the
-time-ordered product, global phase included.
+Trajectories run in blocks, as rows of one array of at most 2^15
+amplitudes (one row when a state is larger), through the dense engine's
+executors: each run of H/RX gates is one ``_apply_gate_run`` call on the
+block's active rows, and each cost layer one broadcast multiply by the
+layer's phase, which an ensemble computes once (``check_memory`` counts
+these cached phases and the blocks).  Row 0 of a block follows the
+noiseless path.  A trajectory gets its own row, a copy of row 0 after
+the phase multiply, only at the first cost layer where it fires a
+Pauli; trajectories that fire nothing share row 0's probabilities, and
+so one CDF for their shots.  A Pauli fired inside a layer is commuted to
+the layer's end: it flips the sign of Z_i Z_j on every later edge whose
+qubits carry an odd number of its X/Y components, so each later edge
+that anticommutes with an odd number of the Paulis fired before it gets
+RZZ(-2 theta), and then the fired Paulis follow in firing order.  This
+is exactly the time-ordered product, global phase included, and every
+row gets the operations of its trajectory run alone, bit for bit.
 
 Noise strength aggregates as eps_acc = N_2q * eps, and the overlap ratio
 
@@ -27,7 +33,8 @@ least-squares line through the origin on -log2(r_ovl) versus eps_acc,
 dropping non-positive overlaps (their count is reported).
 
 Each trajectory draws from its own derived stream, so runs are
-reproducible and trajectory order or thread count cannot change results.
+reproducible and neither the blocks nor the thread count (threads run
+whole blocks) can change results.
 """
 
 from __future__ import annotations
@@ -40,15 +47,17 @@ import numpy as np
 
 from .circuit import CircuitIR, CostLayer, GateOp
 from .engine import (
+    _GATE_BLOCK_BITS,
     Precision,
     ShotSet,
-    StateVector,
+    _abs_squared,
     _apply_cost_layer,
     _apply_gate_run,
+    _draw_from_cdf,
     _layer_runs,
+    _normalized_cdf,
     _rzz_kernel,
     check_memory,
-    draw_indices,
     expected_r_from_probs,
 )
 from .errors import FitError, ValidationError
@@ -118,7 +127,7 @@ def _apply_pauli_pair(amps: np.ndarray, code: int, qa: int, qb: int) -> None:
 
 # Per-qubit Pauli codes 0..3 are I, X, Y, Z; X and Y anticommute with Z.
 _ANTICOMMUTES_WITH_Z = (False, True, True, False)
-# Finished trajectories held per worker thread before the consumer reads them.
+# Finished blocks held per worker thread before the consumer reads them.
 _IN_FLIGHT_PER_THREAD = 2
 
 
@@ -135,12 +144,23 @@ class _Ensemble:
     n_rzz: int
 
 
-def _prepare(circuit: CircuitIR, precision: Precision, memory_budget: int | None) -> _Ensemble:
-    """Layers and cached cost-layer phases, after checking that the state
-    and one phase array per cost layer fit the memory budget."""
+def _block_rows(num_qubits: int, trajectories: int, threads: int) -> int:
+    """Rows of a block: as many states as fill 2^_GATE_BLOCK_BITS amplitudes
+    (one when a state is larger), capped at each thread's share of the
+    trajectories."""
+    rows = max(1, (1 << _GATE_BLOCK_BITS) >> num_qubits)
+    return min(rows, -(-trajectories // max(1, threads)))
+
+
+def _prepare(
+    circuit: CircuitIR, precision: Precision, memory_budget: int | None, block_states: int = 1
+) -> _Ensemble:
+    """Layers and cached cost-layer phases, after checking that one phase
+    array per cost layer and ``block_states`` states in blocks fit the
+    memory budget."""
     layers = _layer_runs(circuit)
     costs = [op for op in layers if isinstance(op, CostLayer)]
-    check_memory(circuit.num_qubits, precision, memory_budget, arrays=1 + len(costs))
+    check_memory(circuit.num_qubits, precision, memory_budget, arrays=len(costs) + block_states)
     phases = []
     for op in layers:
         phase = None
@@ -152,6 +172,33 @@ def _prepare(circuit: CircuitIR, precision: Precision, memory_budget: int | None
         phases.append(phase)
     n_rzz = sum(len(op.gates) for op in costs)
     return _Ensemble(circuit.num_qubits, precision.dtype, layers, phases, n_rzz)
+
+
+def _draw(cfg: DepolarizingConfig, n_rzz: int, trajectory: int):
+    """The trajectory's (fire, codes) draws from its own stream: which RZZ
+    gates fire a Pauli and which one; None if it fires nothing."""
+    if cfg.epsilon == 0.0:
+        return None
+    rng = derive_rng(cfg.rng_seed, "trajectory", trajectory)
+    fire = rng.random(n_rzz) < _PAULI_BRANCH * cfg.epsilon
+    codes = rng.integers(1, 16, size=n_rzz)
+    return (fire, codes) if fire.any() else None
+
+
+def _blocks(ens: _Ensemble, cfg: DepolarizingConfig, rows: int):
+    """The trajectories' draws in order, cut into blocks.  A block needs a
+    row per trajectory that fires plus one clean row shared by those that
+    fire nothing, and is closed before it would need more than ``rows``."""
+    block, firing, clean = [], 0, False
+    for t in range(cfg.trajectories):
+        draw = _draw(cfg, ens.n_rzz, t)
+        if block and firing + (draw is not None) + (clean or draw is None) > rows:
+            yield block
+            block, firing, clean = [], 0, False
+        block.append(draw)
+        firing += draw is not None
+        clean = clean or draw is None
+    yield block
 
 
 def _commute_fired(
@@ -173,51 +220,80 @@ def _commute_fired(
         _apply_pauli_pair(amps, code, qa, qb)
 
 
-def _run_trajectory(ens: _Ensemble, cfg: DepolarizingConfig, trajectory: int) -> np.ndarray:
-    amps = np.zeros(1 << ens.num_qubits, dtype=ens.dtype)
-    amps[0] = 1.0
-    fire = np.zeros(ens.n_rzz, dtype=bool)
-    codes = None
-    if cfg.epsilon > 0.0:
-        rng = derive_rng(cfg.rng_seed, "trajectory", trajectory)
-        fire = rng.random(ens.n_rzz) < _PAULI_BRANCH * cfg.epsilon
-        codes = rng.integers(1, 16, size=ens.n_rzz)
-    k = 0
+def _run_block(ens: _Ensemble, block: list) -> tuple[np.ndarray, list[int]]:
+    """Final states of a block of trajectories, given their draws (None for
+    one that fires nothing), as rows of one array, and each one's row.
+
+    Row 0 follows the noiseless path while any trajectory of the block is
+    still on it.  At the first cost layer where a trajectory fires, after
+    the layer's phase multiply, it takes a copy of row 0, or row 0 itself
+    when no other trajectory is left on it.  Each gate run is one executor
+    call on the active rows and each cost layer one broadcast multiply, so
+    every row gets the operations of a trajectory run alone.
+    """
+    firsts = [None if d is None else int(np.argmax(d[0])) for d in block]
+    # a row per trajectory that fires, and row 0 kept to the end for
+    # those that fire nothing (the last to fire takes it when there are none)
+    rows = len(block) - firsts.count(None) + (None in firsts)
+    states = np.zeros((rows, 1 << ens.num_qubits), ens.dtype)
+    on_clean = len(block)
+    states[0, 0] = 1.0
+    row_of = [0] * len(block)
+    active, k = 1, 0
     for op, phase in zip(ens.layers, ens.phases):
         if phase is None:
-            _apply_gate_run(amps, op)
+            _apply_gate_run(states[:active].reshape(-1), op)
             continue
-        amps *= phase
+        states[:active] *= phase
         m = len(op.gates)
-        if fire[k : k + m].any():
-            _commute_fired(amps, op.gates, fire[k : k + m], codes[k : k + m])
+        for i, first in enumerate(firsts):
+            if first is not None and k <= first < k + m:
+                on_clean -= 1
+                if on_clean:
+                    states[active] = states[0]
+                    row_of[i] = active
+                    active += 1
+        for i, draw in enumerate(block):
+            if draw is not None and draw[0][k : k + m].any():
+                fire, codes = draw[0][k : k + m], draw[1][k : k + m]
+                _commute_fired(states[row_of[i]], op.gates, fire, codes)
         k += m
-    return amps
+    return states, row_of
 
 
-def _trajectory_probs(ens: _Ensemble, cfg: DepolarizingConfig, t: int) -> np.ndarray:
-    return StateVector(ens.num_qubits, _run_trajectory(ens, cfg, t)).probabilities()
+def _block_probs(ens: _Ensemble, block: list) -> list[tuple[np.ndarray, int]]:
+    """(probabilities, Paulis fired) of each trajectory of a block; the
+    trajectories that fire nothing share one probabilities array."""
+    states, row_of = _run_block(ens, block)
+    probs = {r: _abs_squared(states[r]) for r in dict.fromkeys(row_of)}
+    return [
+        (probs[r], 0 if draw is None else int(draw[0].sum()))
+        for draw, r in zip(block, row_of)
+    ]
 
 
-def _iter_trajectory_probs(circuit, cfg, precision, memory_budget, threads):
-    """Probabilities of every trajectory, in trajectory order.
+def _iter_trajectories(circuit, cfg, precision, memory_budget, threads):
+    """(probabilities, Paulis fired) of every trajectory, in trajectory order.
 
-    With threads, at most ``_IN_FLIGHT_PER_THREAD * threads`` trajectories
-    are submitted and not yet read, so finished vectors never pile up.
+    With threads, blocks run on the pool and at most
+    ``_IN_FLIGHT_PER_THREAD * threads`` of them are submitted and not yet
+    read, so finished vectors never pile up.
     """
-    ens = _prepare(circuit, Precision.coerce(precision), memory_budget)
+    rows = _block_rows(circuit.num_qubits, cfg.trajectories, threads)
+    workers = min(max(1, threads), cfg.trajectories)  # each holds one block
+    ens = _prepare(circuit, Precision.coerce(precision), memory_budget, rows * workers)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pending = deque()
-            for t in range(cfg.trajectories):
-                pending.append(pool.submit(_trajectory_probs, ens, cfg, t))
+            for block in _blocks(ens, cfg, rows):
+                pending.append(pool.submit(_block_probs, ens, block))
                 if len(pending) >= _IN_FLIGHT_PER_THREAD * threads:
-                    yield pending.popleft().result()
+                    yield from pending.popleft().result()
             while pending:
-                yield pending.popleft().result()
+                yield from pending.popleft().result()
     else:
-        for t in range(cfg.trajectories):
-            yield _trajectory_probs(ens, cfg, t)
+        for block in _blocks(ens, cfg, rows):
+            yield from _block_probs(ens, block)
 
 
 def run_noisy_ensemble(
@@ -232,21 +308,27 @@ def run_noisy_ensemble(
 
     Trajectory t samples with the stream ("shots", t) derived from the
     config seed; at epsilon 0 with one trajectory this reproduces the
-    noiseless ``sample`` byte for byte.
+    noiseless ``sample`` byte for byte.  The result carries the number of
+    Paulis each trajectory fired.
     """
     if shots_per_trajectory < 1:
         raise ValidationError(f"shot count must be positive, got {shots_per_trajectory}")
-    pooled = []
-    for t, probs in enumerate(
-        _iter_trajectory_probs(circuit, cfg, precision, memory_budget, threads)
+    pooled, fired = [], []
+    last = cdf = None
+    for t, (probs, paulis) in enumerate(
+        _iter_trajectories(circuit, cfg, precision, memory_budget, threads)
     ):
+        if probs is not last:  # trajectories sharing a vector share its CDF
+            last, cdf = probs, _normalized_cdf(probs)
         rng = derive_rng(cfg.rng_seed, "shots", t)
-        pooled.append(draw_indices(probs, shots_per_trajectory, rng))
+        pooled.append(_draw_from_cdf(cdf, shots_per_trajectory, rng))
+        fired.append(paulis)
     return ShotSet(
         num_qubits=circuit.num_qubits,
         indices=np.concatenate(pooled),
         rng_seed=cfg.rng_seed,
         source=f"noisy(epsilon={cfg.epsilon:g}, trajectories={cfg.trajectories})",
+        paulis_fired=np.array(fired, dtype=np.int64),
     )
 
 
@@ -259,7 +341,7 @@ def noisy_expected_probs(
 ) -> np.ndarray:
     """Trajectory-averaged basis-state distribution (channel average)."""
     acc = np.zeros(1 << circuit.num_qubits)
-    for probs in _iter_trajectory_probs(circuit, cfg, precision, memory_budget, threads):
+    for probs, _ in _iter_trajectories(circuit, cfg, precision, memory_budget, threads):
         acc += probs
     return acc / cfg.trajectories
 

@@ -347,17 +347,34 @@ def _require_optimal(inst: WmcInstance) -> OptimalCut:
 
 
 def _to_indices(inst: WmcInstance, samples) -> np.ndarray:
+    """Basis indices of a ShotSet, of integer indices, of bitstrings, or of
+    rows of 0/1 bits (vertex 0 first); ``as_index`` names the first sample
+    it rejects."""
     indices = getattr(samples, "indices", None)
     if indices is not None:
         return np.asarray(indices, dtype=np.uint64)
-    arr = np.asarray(samples)
+    n = inst.num_vertices
+    try:
+        arr = np.asarray(samples)
+    except ValueError:  # ragged: check one sample at a time
+        return np.array([as_index(x, n) for x in samples], dtype=np.uint64)
+    if arr.ndim == 2 and arr.dtype.kind in "biu":
+        if arr.shape[1] != n:
+            raise ValidationError(f"rows of {arr.shape[1]} bits do not match n={n}")
+        bad = np.flatnonzero(((arr != 0) & (arr != 1)).any(axis=1))
+        if bad.size:
+            as_index(arr[bad[0]].tolist(), n)
+        return (arr.astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    if arr.ndim != 1:
+        raise ValidationError(f"samples of shape {arr.shape} are neither indices nor rows of bits")
     if arr.dtype.kind in "iu":
+        bad = np.flatnonzero((arr < 0) | (arr >= 1 << n))
+        if bad.size:
+            as_index(int(arr[bad[0]]), n)
         return arr.astype(np.uint64)
-    if arr.ndim == 1 and all(isinstance(x, str) for x in samples):
-        return bitstrings_to_indices(arr, inst.num_vertices)
-    return np.array(
-        [as_index(x, inst.num_vertices) for x in samples], dtype=np.uint64
-    )
+    if all(isinstance(x, str) for x in samples):
+        return bitstrings_to_indices(arr, n)
+    return np.array([as_index(x, n) for x in samples], dtype=np.uint64)
 
 
 def shot_ratios(inst: WmcInstance, samples) -> np.ndarray:

@@ -179,6 +179,32 @@ def test_simulate_noisy_reports_overlap(tmp_path, instance_path):
     assert data["r_ovl"] is not None
 
 
+def test_simulate_noisy_reports_fired_paulis(tmp_path, instance_path):
+    from lrqbench.rng import derive_rng
+
+    counts = {}
+    for eps in (0.0, 0.02):
+        out = tmp_path / f"noisy{eps}.json"
+        run_cli(
+            "simulate", "--instance", instance_path, "--out", out, "--p", 3, "--seed", 8,
+            "--mode", "noisy", "--epsilon", eps, "--trajectories", 30, "--shots", 2,
+        )
+        counts[eps] = json.loads(out.read_text())
+    assert counts[0.0]["paulis_fired"] == 0
+    assert counts[0.0]["zero_fire_trajectories"] == 30
+    assert counts[0.0]["paulis_expected"] == 0.0
+    # the same per-trajectory draws the ensemble makes; n=6, p=3 has 45 RZZ gates
+    fired = [
+        int((derive_rng(8, "trajectory", t).random(45) < 15.0 / 16.0 * 0.02).sum())
+        for t in range(30)
+    ]
+    data = counts[0.02]
+    assert data["paulis_fired"] == sum(fired)
+    assert data["zero_fire_trajectories"] == fired.count(0)
+    assert 0 < fired.count(0) < 30
+    assert data["paulis_expected"] == pytest.approx(15 / 16 * 0.02 * 45 * 30)
+
+
 def test_simulate_ideal_shots_option(tmp_path, instance_path):
     exact = tmp_path / "exact.json"
     sampled = tmp_path / "sampled.json"

@@ -25,10 +25,12 @@ from lrqbench import (
     sample,
     solve_instance,
 )
+from lrqbench.engine import _abs_squared, _apply_gate_run, draw_indices
 from lrqbench.noise import (
     _apply_pauli_pair,
+    _commute_fired,
     _prepare,
-    _run_trajectory,
+    _run_block,
     _x_kernel,
     _y_kernel,
     _z_kernel,
@@ -116,9 +118,97 @@ def test_commuted_paulis_match_time_ordered_product():
                         @ want
                     )
                 k += 1
-        got = _run_trajectory(ens, cfg, t)
+        states, row_of = _run_block(ens, [(fire, codes)])
+        got = states[row_of[0]]
         assert np.max(np.abs(got - want)) < 1e-12
     assert most_in_one_layer >= 4
+
+
+def per_trajectory_reference(circ, cfg, precision, shots):
+    """The ensemble as one state per trajectory, run alone: zeros, gate
+    runs, phase multiply, commuted Paulis, probabilities, then shots."""
+    ens = _prepare(circ, Precision.coerce(precision), None)
+    probs, pooled = [], []
+    for t in range(cfg.trajectories):
+        amps = np.zeros(1 << circ.num_qubits, dtype=ens.dtype)
+        amps[0] = 1.0
+        fire = np.zeros(ens.n_rzz, dtype=bool)
+        codes = None
+        if cfg.epsilon > 0.0:
+            rng = derive_rng(cfg.rng_seed, "trajectory", t)
+            fire = rng.random(ens.n_rzz) < 15.0 / 16.0 * cfg.epsilon
+            codes = rng.integers(1, 16, size=ens.n_rzz)
+        k = 0
+        for op, phase in zip(ens.layers, ens.phases):
+            if phase is None:
+                _apply_gate_run(amps, op)
+                continue
+            amps *= phase
+            m = len(op.gates)
+            if fire[k : k + m].any():
+                _commute_fired(amps, op.gates, fire[k : k + m], codes[k : k + m])
+            k += m
+        probs.append(_abs_squared(amps))
+        pooled.append(draw_indices(probs[-1], shots, derive_rng(cfg.rng_seed, "shots", t)))
+    return probs, np.concatenate(pooled)
+
+
+def first_firing_layers(cfg, n_rzz, layer_size):
+    """Per trajectory, the cost layer of its first Pauli, None if it fires none."""
+    out = []
+    for t in range(cfg.trajectories):
+        fire = derive_rng(cfg.rng_seed, "trajectory", t).random(n_rzz) < 15.0 / 16.0 * cfg.epsilon
+        out.append(int(np.argmax(fire)) // layer_size if fire.any() else None)
+    return out
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("noise_level", ["none", "mid", "all_in_layer_1"])
+@pytest.mark.parametrize("n,trajectories", [(4, 7), (9, 70), (13, 7), (16, 3)])
+def test_block_runner_matches_lone_trajectories_bitwise(n, trajectories, noise_level, precision):
+    # blocks hold 2^15 >> n states (n=4: 2048, n=9: 64, n=13: 4, n=16: 1),
+    # capped at ceil(trajectories / threads); below n=16 no trajectory
+    # count is a multiple of its rows with three threads, nor at n=9 and
+    # n=13 with one
+    p = 2
+    circ = build_circuit(generate_instance(n, 40 + n), LrQaoaParams(p=p))
+    layer_size = n * (n - 1) // 2
+    n_rzz = p * layer_size
+    epsilon = {"none": 0.0, "mid": 1.0 / n_rzz, "all_in_layer_1": 1.0}[noise_level]
+    cfg = DepolarizingConfig(epsilon, trajectories=trajectories, rng_seed=n)
+    firsts = first_firing_layers(cfg, n_rzz, layer_size)
+    if noise_level == "mid":
+        # trajectories that fire nothing share blocks with those that fire
+        assert None in firsts and any(f is not None for f in firsts)
+    if noise_level == "all_in_layer_1":
+        assert firsts == [0] * trajectories
+    want_probs, want_shots = per_trajectory_reference(circ, cfg, precision, 3)
+    want_mean = np.zeros(1 << n)
+    for probs in want_probs:
+        want_mean += probs
+    want_mean /= trajectories
+    for threads in (1, 3):
+        got = [probs for probs, _ in noise._iter_trajectories(circ, cfg, precision, None, threads)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want_probs]
+        shots = run_noisy_ensemble(circ, cfg, 3, precision, threads=threads)
+        assert shots.indices.tobytes() == want_shots.tobytes()
+        mean = noisy_expected_probs(circ, cfg, precision, threads=threads)
+        assert mean.tobytes() == want_mean.tobytes()
+
+
+def test_ensemble_counts_fired_paulis():
+    circ = build_circuit(generate_instance(6, 3), LrQaoaParams(p=2))
+    n_rzz = sum(g.kind == "RZZ" for g in circ.gates)
+    clean = run_noisy_ensemble(circ, DepolarizingConfig(0.0, trajectories=9), 2, "fp64")
+    np.testing.assert_array_equal(clean.paulis_fired, np.zeros(9, dtype=np.int64))
+    cfg = DepolarizingConfig(0.02, trajectories=30, rng_seed=4)
+    noisy = run_noisy_ensemble(circ, cfg, 2, "fp64", threads=3)
+    want = [
+        int((derive_rng(cfg.rng_seed, "trajectory", t).random(n_rzz) < 15.0 / 16.0 * 0.02).sum())
+        for t in range(cfg.trajectories)
+    ]
+    np.testing.assert_array_equal(noisy.paulis_fired, want)
+    assert 0 in want and max(want) > 1
 
 
 def test_zero_noise_probs_match_noiseless_exactly():
@@ -174,22 +264,27 @@ def test_threaded_ensemble_matches_serial():
 
 
 def test_threaded_ensemble_bounds_results_in_flight(monkeypatch):
+    # block sizes in trajectories, in submission order
     submitted = []
 
     class CountingPool(noise.ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submitted.append(1)
-            return super().submit(*args, **kwargs)
+        def submit(self, fn, ens, block):
+            submitted.append(len(block))
+            return super().submit(fn, ens, block)
 
     monkeypatch.setattr(noise, "ThreadPoolExecutor", CountingPool)
-    circ = build_circuit(generate_instance(4, 2), LrQaoaParams(p=1))
+    # n=13 holds four states per block, so 40 trajectories make many blocks
+    circ = build_circuit(generate_instance(13, 2), LrQaoaParams(p=1))
     cfg = DepolarizingConfig(0.1, trajectories=40, rng_seed=3)
     threads = 2
-    probs = noise._iter_trajectory_probs(circ, cfg, "fp64", None, threads)
+    trajectories = noise._iter_trajectories(circ, cfg, "fp64", None, threads)
     for read in range(1, cfg.trajectories + 1):
-        next(probs)
-        assert len(submitted) - read < 2 * threads
-    assert len(submitted) == cfg.trajectories
+        next(trajectories)
+        # the block being read, and those submitted after it
+        reading = int(np.searchsorted(np.cumsum(submitted), read))
+        assert len(submitted) - reading - 1 < 2 * threads
+    assert sum(submitted) == cfg.trajectories
+    assert len(submitted) > 2 * threads
 
 
 def test_trajectory_average_matches_density_matrix():

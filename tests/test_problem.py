@@ -193,6 +193,43 @@ def test_shot_ratios_accepts_indices(triangle_solved):
     )
 
 
+def test_shot_ratios_reads_rows_of_bits(triangle_solved):
+    # one ratio per row, the row read vertex 0 first like as_index
+    np.testing.assert_array_equal(
+        shot_ratios(triangle_solved, [[1, 0, 1], [1, 0, 0]]),
+        shot_ratios(triangle_solved, ["101", "100"]),
+    )
+    np.testing.assert_array_equal(
+        shot_ratios(triangle_solved, np.array([[True, False, True]])),
+        shot_ratios(triangle_solved, ["101"]),
+    )
+    with pytest.raises(ValidationError, match="bit 1 is 2"):
+        shot_ratios(triangle_solved, [[1, 0, 1], [1, 2, 0]])
+    with pytest.raises(ValidationError, match="rows of 4 bits"):
+        shot_ratios(triangle_solved, [[1, 0, 1, 0]])
+    with pytest.raises(ValidationError, match="rows of 2 bits"):
+        shot_ratios(triangle_solved, np.zeros((0, 2), dtype=int))
+
+
+def test_shot_ratios_rejects_indices_out_of_range(triangle_solved):
+    for bad in ([5, 9], [-1], np.array([8], dtype=np.uint64)):
+        with pytest.raises(ValidationError, match="out of range for n=3"):
+            shot_ratios(triangle_solved, bad)
+
+
+def test_shot_ratios_rejects_other_shapes(triangle_solved):
+    for bad in (np.zeros((2, 2, 3), dtype=int), np.int64(5), "101"):
+        with pytest.raises(ValidationError, match="shape"):
+            shot_ratios(triangle_solved, bad)
+    # samples of mixed forms, or of ragged bit lists, are checked one by one
+    np.testing.assert_array_equal(
+        shot_ratios(triangle_solved, ["101", [1, 0, 0]]),
+        shot_ratios(triangle_solved, ["101", "100"]),
+    )
+    with pytest.raises(ValidationError, match="length 2"):
+        shot_ratios(triangle_solved, [[1, 0, 1], [1, 0]])
+
+
 def test_random_baseline_triangle(triangle_solved):
     # half the total weight over the optimum: 0.875 / 1.5
     assert abs(random_baseline_expectation(triangle_solved) - 7.0 / 12.0) < 1e-15
