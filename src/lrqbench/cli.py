@@ -31,6 +31,7 @@ from .circuit import LrQaoaParams, build_circuit, gate_counts, hqc_cost
 from .engine import (
     Precision,
     exact_expected_r,
+    expected_r_from_probs,
     run_circuit,
     sample,
     save_statevector,
@@ -59,7 +60,7 @@ from .sharded import (
     scaling_sweep,
     write_timing_csv,
 )
-from .stats import ResampleConfig, classify, kde_curve, mean_of_means, uniform_sampler
+from .stats import ResampleConfig, classify, kde_curve, uniform_sampler
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
@@ -202,13 +203,17 @@ def _cmd_simulate(args) -> int:
             outputs.append(timing_path)
         else:
             sv = run_circuit(circuit, args.precision, args.memory_bytes)
-        shots = sample(sv, args.shots, args.seed)
+        # one probability vector feeds the shots, the exact ratio and the drift
+        probs = sv.probabilities()
+        shots = sample(sv, args.shots, args.seed, probs=probs)
         payload.update(
             {
                 "shards": args.shards,
                 "shots": args.shots,
                 "mean_r": approximation_ratio(inst, shots) if solved else None,
-                "exact_expected_r": exact_expected_r(sv, inst) if solved else None,
+                "exact_expected_r": expected_r_from_probs(probs, inst) if solved else None,
+                "norm_drift": abs(float(probs.sum()) - 1.0),
+                "norm_tolerance": sv.norm_tolerance(),
                 "bitstrings": shots.bitstrings(),
             }
         )
@@ -298,15 +303,7 @@ def _cmd_classify(args) -> int:
     _write_json(args.out, report.to_dict())
     outputs = [args.out]
     if args.kde_out is not None:
-        mom = mean_of_means(
-            random_pool, ResampleConfig(
-                subsample_size=args.n_s,
-                repeats=args.repeats,
-                rng_seed=derive_seed(args.seed, "classify", 0),
-                replacement=args.replacement,
-            ),
-        )
-        grid, density = kde_curve(mom.subsample_means)
+        grid, density = kde_curve(report.random_subsample_means)
         with open(args.kde_out, "w") as fh:
             fh.write("x,density\n")
             for x, d in zip(grid, density):

@@ -16,13 +16,31 @@ operations as with the gates applied one by one, so the blocking never
 changes a bit.  Smaller states take the gates one by one.
 
 A cost layer (a run of RZZ gates, see ``CircuitIR.layers``) is
-diagonal, so it runs as one elementwise phase multiply,
-amps[lo:hi] *= exp(-i (Theta/2 - C[lo:hi])), over blocks of 2^min(16, n)
-amplitudes; the layer's angle-weighted cut values C come from
-``problem.CutDiagonal`` block by block, so no full-length diagonal is
-ever held.  The same two executors serve the noisy and sharded engines.
-Nothing ever renormalizes, so global phase and accumulated rounding stay
-visible.
+diagonal, so it runs as one elementwise phase multiply by
+exp(-i (Theta/2 - C(z))), with no transcendental per amplitude.
+``problem.CutDiagonal`` splits an index z into a block h = z >> b and an
+offset l < 2^b (b = min(16, n)) and writes the layer's angle-weighted cut
+as C = const(h) + sum of a_i(h) over the set bits of l + Q(l), so the
+phase factors as exp(i (const - Theta/2)) * prod exp(i a_i) * exp(i Q(l)).
+The table exp(i Q) is built once per layer; each block takes 1 + b
+exponentials and two complex doubling tables, A over the low 12 bits of
+l (starting at exp(i (const - Theta/2))) and B over the rest (starting at
+1).  Index z then gets (A[l & 4095] * B[l >> 12]) * exp(i Q(l)) in double
+precision, rounded to the state's precision and multiplied in, over
+aligned pieces of at most 2^12 amplitudes, each of which reads one entry
+of B.  An index's phase is the same three products whatever range,
+block, shard or piece computes it, so no full-length diagonal is ever
+held and a shard gets the dense bits.
+
+Every circuit opens with an H on each qubit of |0...0>, which leaves
+every amplitude equal to x = (...((1 * inv) * inv)...) * inv, n products
+with inv = 1/sqrt(2) rounded in the state's precision.  The executors
+fold that layer: the first cost layer writes x times its phases instead
+of multiplying a state the H gates filled, with the same bits and one
+pass fewer (``_fold_h``).  The circuit keeps its H gates; only the
+executed layer view drops them.  The same executors serve the noisy and
+sharded engines.  Nothing ever renormalizes, so global phase and
+accumulated rounding stay visible.
 
 Single precision (complex64) is the default and costs 2^(n+3) bytes;
 double costs 2^(n+4).  Requests over the memory budget raise
@@ -153,10 +171,24 @@ def init_plus_state(
     precision: Precision | str = Precision.FP32,
     memory_budget: int | None = None,
 ) -> StateVector:
-    """Uniform superposition with amplitude 2^(-n/2) everywhere."""
+    """Uniform superposition, bit for bit the state an H on every qubit of
+    |0...0> leaves: every amplitude is ``_plus_amplitude``, which is
+    2^(-n/2) up to the last bit."""
     sv = zero_state(num_qubits, precision, memory_budget)
-    sv.amps[:] = sv.amps.dtype.type(1.0 / math.sqrt(1 << num_qubits))
+    sv.amps[:] = _plus_amplitude(num_qubits, sv.amps.dtype)
     return sv
+
+
+def _plus_amplitude(num_qubits: int, dtype: np.dtype) -> np.generic:
+    """x = (...((1 * inv) * inv)...) * inv, n products with inv = 1/sqrt(2)
+    rounded in ``dtype``'s real precision: the H kernel's (a0 + 0) * inv on
+    every amplitude, n times over."""
+    real = np.finfo(dtype).dtype.type
+    inv = real(1.0 / math.sqrt(2.0))
+    x = real(1.0)
+    for _ in range(num_qubits):
+        x = x * inv
+    return np.dtype(dtype).type(x)
 
 
 # ---------------------------------------------------------------------------
@@ -267,28 +299,86 @@ def _rzz_kernel(amps: np.ndarray, theta: float, qa: int, qb: int) -> None:
     v[:, 1, :, 0, :] *= differ
 
 
-def _cost_phase(cut: CutDiagonal, lo: int, hi: int, dtype: np.dtype) -> np.ndarray:
-    """exp(-i (Theta/2 - C(z))) for z in [lo, hi), computed in double
-    precision and rounded to ``dtype``."""
-    x = cut.values(lo, hi)
-    x -= 0.5 * cut.total
-    phase = np.empty(x.size, dtype)
-    phase.real = np.cos(x)
-    phase.imag = np.sin(x, out=x)
-    return phase
+# A cost layer's phases are formed over aligned pieces of at most
+# 2^_PHASE_PIECE_BITS amplitudes; a block's doubling tables split its
+# offsets at the same bit, so a piece reads one entry of the high table.
+_PHASE_PIECE_BITS = 12
 
 
-def _apply_cost_layer(amps: np.ndarray, cut: CutDiagonal, offset: int = 0) -> None:
-    """Multiply amplitudes of the indices [offset, offset + amps.size) by a
-    cost layer's diagonal, one block of 2^cut.block_bits at a time.
+def _products(start: complex, factors: np.ndarray) -> np.ndarray:
+    """v[l] = start times factors[i] over the set bits i of l, multiplied in
+    increasing bit order, for l in [0, 2^len(factors))."""
+    v = np.empty(1 << len(factors), np.complex128)
+    v[0] = start
+    for i, f in enumerate(factors):
+        np.multiply(v[: 1 << i], f, out=v[1 << i : 2 << i])
+    return v
 
-    The phase of an index does not depend on the block it was computed
-    in, so a shard that passes its own offset gets the dense engine's bits.
+
+class _CostPhase:
+    """A cost layer's diagonal exp(-i (Theta/2 - C(z))), factored along its
+    ``CutDiagonal``: the table exp(i Q) over a block's offsets, built once,
+    and per block the doubling tables of ``block_tables``.  Read-only once
+    built, so shards can share one."""
+
+    def __init__(self, layer: CostLayer) -> None:
+        self.cut = layer.cut()
+        eq = np.multiply(self.cut._low, 1j)
+        self.eq = np.exp(eq, out=eq)
+
+    def block_tables(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) for block h: A over the offset's low _PHASE_PIECE_BITS
+        bits, starting at exp(i (const - Theta/2)), and B over the rest,
+        starting at 1."""
+        const, linear = self.cut._block_terms(h)
+        e = np.exp(1j * np.concatenate(([const - 0.5 * self.cut.total], linear)))
+        split = 1 + min(_PHASE_PIECE_BITS, self.cut.block_bits)
+        return _products(e[0], e[1:split]), _products(1.0, e[split:])
+
+
+def _apply_cost_layer(
+    amps: np.ndarray, phase: _CostPhase, offset: int = 0, start: np.generic | None = None
+) -> None:
+    """Multiply the amplitudes of the indices [offset, offset + amps.size) by
+    a cost layer's diagonal; given ``start``, the folded H layer's amplitude,
+    write start times the diagonal instead, which are the bits of filling
+    the state with it and multiplying.
+
+    With s = _PHASE_PIECE_BITS, index z = h * 2^b + l gets
+    (A[l mod 2^s] * B[l >> s]) * exp(i Q(l)) from its block's tables, in
+    that operand order, over the largest aligned power-of-two piece of at
+    most 2^s that starts at z and fits, so its phase does not depend on the
+    range, block, shard or piece computing it.  Scratch is one piece in
+    double precision and one in the state's, so no phase product is formed
+    in place.
     """
-    step = 1 << cut.block_bits
-    for lo in range(0, amps.size, step):
-        hi = min(lo + step, amps.size)
-        amps[lo:hi] *= _cost_phase(cut, offset + lo, offset + hi, amps.dtype)
+    b = phase.cut.block_bits
+    split = min(_PHASE_PIECE_BITS, b)
+    wide = np.empty(1 << split, np.complex128)
+    rounded = np.empty(wide.size, amps.dtype)
+    block = None
+    z, stop = offset, offset + amps.size
+    while z < stop:
+        k = min(split, (stop - z).bit_length() - 1)
+        if z:
+            k = min(k, (z & -z).bit_length() - 1)
+        if z >> b != block:
+            block = z >> b
+            low, high = phase.block_tables(block)
+        l, size = z & ((1 << b) - 1), 1 << k
+        lo = l & ((1 << split) - 1)
+        np.multiply(low[lo : lo + size], high[l >> split], out=wide[:size])
+        # rounded to the state's precision as it is stored
+        np.multiply(wide[:size], phase.eq[l : l + size], out=rounded[:size], casting="same_kind")
+        piece = amps[z - offset : z - offset + size]
+        if start is None:
+            # numpy runs a one-element multiply into its own input as a
+            # reduction, without the fused multiply-add of its array loop
+            np.multiply(piece if size > 1 else piece.copy(), rounded[:size], out=piece)
+        else:
+            # start first, as in piece *= phase on a state filled with it
+            np.multiply(start, rounded[:size], out=piece)
+        z += size
 
 
 def _check_qubit(sv: StateVector, q: int) -> None:
@@ -333,16 +423,39 @@ def _layer_runs(circuit: CircuitIR) -> list[CostLayer | tuple[GateOp, ...]]:
     return out
 
 
+def _fold_h(circuit: CircuitIR, dtype: np.dtype = np.complex64):
+    """The executed layer view: ``_layer_runs`` with a leading H layer folded.
+
+    A circuit that opens with exactly one H per qubit, followed by a cost
+    layer, returns ``_plus_amplitude`` in ``dtype`` (the amplitude those
+    gates leave everywhere on |0...0>, which the first cost layer takes as
+    its ``start``) and the layers after the H run.  Any other circuit
+    returns None and all of its layers.
+    """
+    runs = _layer_runs(circuit)
+    n = circuit.num_qubits
+    if (
+        len(runs) > 1
+        and isinstance(runs[1], CostLayer)
+        and sorted((g.kind, g.qubits[0]) for g in runs[0]) == [("H", q) for q in range(n)]
+    ):
+        return _plus_amplitude(n, dtype), runs[1:]
+    return None, runs
+
+
 def run_circuit(
     circuit: CircuitIR,
     precision: Precision | str = Precision.FP32,
     memory_budget: int | None = None,
 ) -> StateVector:
-    """Evolve |0...0> through the circuit's layers (the IR includes its H layer)."""
+    """Evolve |0...0> through the circuit's layers (the IR includes its H
+    layer, which ``_fold_h`` folds into the first cost layer)."""
     sv = zero_state(circuit.num_qubits, precision, memory_budget)
-    for op in _layer_runs(circuit):
+    start, runs = _fold_h(circuit, sv.amps.dtype)
+    for op in runs:
         if isinstance(op, CostLayer):
-            _apply_cost_layer(sv.amps, op.cut())
+            _apply_cost_layer(sv.amps, _CostPhase(op), start=start)
+            start = None
         else:
             _apply_gate_run(sv.amps, op)
     return sv
@@ -419,13 +532,20 @@ def draw_indices(probs: np.ndarray, n_shots: int, rng: np.random.Generator) -> n
     return _draw_from_cdf(_normalized_cdf(probs), n_shots, rng)
 
 
-def sample(sv: StateVector, n_shots: int, rng_seed: int) -> ShotSet:
+def sample(
+    sv: StateVector, n_shots: int, rng_seed: int, *, probs: np.ndarray | None = None
+) -> ShotSet:
     """Draw basis states by inverse-CDF over |amplitude|^2.
 
     The CDF is renormalized in double precision, so single-precision
-    norm drift does not bias the draw.  Same seed, same shots.
+    norm drift does not bias the draw.  Same seed, same shots.  A caller
+    that already holds ``sv.probabilities()`` passes it as ``probs``.
     """
-    idx = draw_indices(sv.probabilities(), n_shots, derive_rng(rng_seed, "shots", 0))
+    if probs is None:
+        probs = sv.probabilities()
+    elif probs.size != sv.amps.size:
+        raise ValidationError(f"{probs.size} probabilities for {sv.amps.size} amplitudes")
+    idx = draw_indices(probs, n_shots, derive_rng(rng_seed, "shots", 0))
     return ShotSet(sv.num_qubits, idx, int(rng_seed), "noiseless")
 
 

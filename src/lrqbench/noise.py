@@ -13,7 +13,8 @@ executors: each run of H/RX gates is one ``_apply_gate_run`` call on the
 block's active rows, and each cost layer one broadcast multiply by the
 layer's phase, which an ensemble computes once (``check_memory`` counts
 these cached phases and the blocks).  Row 0 of a block follows the
-noiseless path.  A trajectory gets its own row, a copy of row 0 after
+noiseless path, and starts as the amplitude of the folded H layer
+(``engine._fold_h``).  A trajectory gets its own row, a copy of row 0 after
 the phase multiply, only at the first cost layer where it fires a
 Pauli; trajectories that fire nothing share row 0's probabilities, and
 so one CDF for their shots.  A Pauli fired inside a layer is commuted to
@@ -53,8 +54,9 @@ from .engine import (
     _abs_squared,
     _apply_cost_layer,
     _apply_gate_run,
+    _CostPhase,
     _draw_from_cdf,
-    _layer_runs,
+    _fold_h,
     _normalized_cdf,
     _rzz_kernel,
     check_memory,
@@ -133,12 +135,14 @@ _IN_FLIGHT_PER_THREAD = 2
 
 @dataclass(frozen=True)
 class _Ensemble:
-    """What every trajectory of one run shares: the circuit's layers with
-    one-qubit gate runs grouped, each cost layer's phase (None for a gate
-    run), and the RZZ count the draws cover."""
+    """What every trajectory of one run shares: the folded start amplitude
+    (None when the H layer does not fold), the circuit's executed layers
+    with one-qubit gate runs grouped, each cost layer's phase (None for a
+    gate run), and the RZZ count the draws cover."""
 
     num_qubits: int
     dtype: np.dtype
+    start: np.generic | None
     layers: list[CostLayer | tuple[GateOp, ...]]
     phases: list[np.ndarray | None]
     n_rzz: int
@@ -158,7 +162,7 @@ def _prepare(
     """Layers and cached cost-layer phases, after checking that one phase
     array per cost layer and ``block_states`` states in blocks fit the
     memory budget."""
-    layers = _layer_runs(circuit)
+    start, layers = _fold_h(circuit, precision.dtype)
     costs = [op for op in layers if isinstance(op, CostLayer)]
     check_memory(circuit.num_qubits, precision, memory_budget, arrays=len(costs) + block_states)
     phases = []
@@ -166,12 +170,12 @@ def _prepare(
         phase = None
         if isinstance(op, CostLayer):
             # the executor applied to ones leaves its own phases, bit for bit
-            # (1 * p == p), built one block at a time like the dense engine's
+            # (1 * p == p), built piece by piece like the dense engine's
             phase = np.ones(1 << circuit.num_qubits, dtype=precision.dtype)
-            _apply_cost_layer(phase, op.cut())
+            _apply_cost_layer(phase, _CostPhase(op))
         phases.append(phase)
     n_rzz = sum(len(op.gates) for op in costs)
-    return _Ensemble(circuit.num_qubits, precision.dtype, layers, phases, n_rzz)
+    return _Ensemble(circuit.num_qubits, precision.dtype, start, layers, phases, n_rzz)
 
 
 def _draw(cfg: DepolarizingConfig, n_rzz: int, trajectory: int):
@@ -237,7 +241,10 @@ def _run_block(ens: _Ensemble, block: list) -> tuple[np.ndarray, list[int]]:
     rows = len(block) - firsts.count(None) + (None in firsts)
     states = np.zeros((rows, 1 << ens.num_qubits), ens.dtype)
     on_clean = len(block)
-    states[0, 0] = 1.0
+    if ens.start is None:
+        states[0, 0] = 1.0
+    else:
+        states[0] = ens.start
     row_of = [0] * len(block)
     active, k = 1, 0
     for op, phase in zip(ens.layers, ens.phases):

@@ -9,7 +9,13 @@ s.  All shards are rows of one state array, viewed as
 A cost layer (a run of RZZ gates) is diagonal, so each shard multiplies
 its own index range by the layer's phases through the dense engine's
 executor, whatever qubits the layer touches: diagonal layers never
-exchange, and their phases match the dense engine's bit for bit.
+exchange, and their phases match the dense engine's bit for bit.  The
+coordinator builds a layer's phase tables when the layer is due and
+hands the same read-only tables to every shard.
+
+The leading H layer is folded as in the dense engine: every row starts
+filled with the amplitude those gates leave, so they neither compute nor
+exchange, and ``exchange_volume`` reads the same folded layer view.
 
 A stretch of consecutive H and RX gates on local qubits runs inside each
 shard as one call of the dense engine's one-qubit executor.  A gate on a
@@ -31,8 +37,8 @@ is the slowest shard's kernel span, exchange sums over the swap legs the
 slowest pair's copy, and the exchanged amplitudes are counted from the
 halves actually copied on the outward legs.  The compute time of a cost
 layer, or of a stretch of local H and RX gates, goes on the row of its
-first gate, and its other rows carry zeros.  An exception in any task
-aborts the run.
+first gate, and its other rows carry zeros, as do the folded H gates.
+An exception in any task aborts the run.
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ from .engine import (
     StateVector,
     _apply_cost_layer,
     _apply_gate_run,
-    _layer_runs,
+    _CostPhase,
+    _fold_h,
     zero_state,
 )
 from .errors import AbortedRunError, ValidationError
@@ -145,15 +152,14 @@ def exchange_steps(gate: GateOp, plan: ShardPlan) -> list[ExchangeStep]:
 
 
 def exchange_volume(circuit: CircuitIR, plan: ShardPlan) -> int:
-    """Total amplitudes redistributed over the run (static analysis).
+    """Total amplitudes redistributed over the run (static analysis of the
+    steps the engine executes).
 
-    Only the gates outside cost layers count; diagonal layers never exchange.
+    Only the gates outside cost layers count; diagonal layers never
+    exchange, and neither does a folded H layer, which never runs.
     """
-    total = 0
-    for op in circuit.layers():
-        if isinstance(op, GateOp):
-            total += len(exchange_steps(op, plan)) * plan.num_shards * (plan.shard_len // 2)
-    return total
+    _, layers = _layer_plan(circuit, plan)
+    return sum(len(steps) for _, _, steps in layers) * plan.num_shards * (plan.shard_len // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +231,21 @@ def write_timing_csv(records: Iterable[TimingRecord], fh: IO[str]) -> None:
 # execution
 
 
-def _layer_plan(circuit: CircuitIR, plan: ShardPlan):
-    """(index of the first gate, step, exchange steps) in execution order.
+def _layer_plan(circuit: CircuitIR, plan: ShardPlan, dtype: np.dtype = np.complex64):
+    """The folded start amplitude (None when the H layer does not fold, see
+    ``engine._fold_h``) and the (index of the first gate, step, exchange
+    steps) of every step in execution order.
 
     A step is a cost layer, or a tuple of H/RX gates every shard runs with
     ``_apply_gate_run``: a stretch of consecutive gates on local qubits,
     or one gate on a global qubit as its stand-in on the spare local slot,
     which the exchange steps move the global qubit into and back out of.
+    Folded H gates take no step.
     """
+    start, runs = _fold_h(circuit, dtype)
     out = []
-    idx = 0
-    for op in _layer_runs(circuit):
+    idx = 0 if start is None else circuit.num_qubits
+    for op in runs:
         if isinstance(op, CostLayer):
             out.append((idx, op, []))
             idx += len(op.gates)
@@ -250,7 +260,7 @@ def _layer_plan(circuit: CircuitIR, plan: ShardPlan):
                 steps = exchange_steps(gate, plan)
                 out.append((idx, (replace(gate, qubits=(steps[0].local_slot,)),), steps))
                 idx += 1
-    return out
+    return start, out
 
 
 def _timed(fn, *args) -> float:
@@ -289,13 +299,18 @@ def run_circuit_sharded(
         raise ValidationError(
             f"circuit has {circuit.num_qubits} qubits but plan covers {plan.nq}"
         )
-    layers = _layer_plan(circuit, plan)
+    start, layers = _layer_plan(circuit, plan, precision.dtype)
     sv = zero_state(plan.nq, precision, memory_budget)
     rows = sv.amps.reshape(plan.num_shards, plan.shard_len)
     shards = range(plan.num_shards)
     gate_rows: list[GateTiming] = []
 
     wall0 = time.perf_counter()
+    if start is not None:
+        # the folded H layer: rows start as its amplitude, and its gates
+        # keep their timing rows with nothing computed or exchanged
+        sv.amps.fill(start)
+        gate_rows.extend(GateTiming(q, "H", 0.0, 0.0, 0) for q in range(plan.nq))
     with ThreadPoolExecutor(max_workers=min(plan.num_shards, os.cpu_count() or 1)) as pool:
 
         def each(fn, items) -> list:
@@ -313,30 +328,29 @@ def run_circuit_sharded(
             )
             return max(t for t, _ in legs), sum(m for _, m in legs)
 
-        for idx, op, steps in layers:
+        def compute(op) -> float:
+            """Run a step in every shard: the slowest shard's seconds.  A cost
+            layer's tables are built here when the layer is due and dropped
+            on return, so one layer's are alive at a time."""
             if isinstance(op, CostLayer):
-                # built when due, so one layer's cut tables are alive at a time
-                cut, gates = op.cut(), op.gates
+                phase = _CostPhase(op)
+                return max(
+                    each(lambda s: _timed(_apply_cost_layer, rows[s], phase, s * plan.shard_len), shards)
+                )
+            return max(each(lambda s: _timed(_apply_gate_run, rows[s], op), shards))
 
-                def task(s):
-                    return _timed(_apply_cost_layer, rows[s], cut, s * plan.shard_len)
-
-            else:
-                gates = op
-
-                def task(s):
-                    return _timed(_apply_gate_run, rows[s], gates)
-
+        for idx, op, steps in layers:
+            gates = op.gates if isinstance(op, CostLayer) else op
             exchange_s, moved = 0.0, 0
             for step in steps:
                 seconds, amps = swap(step)
                 exchange_s += seconds
                 moved += amps
-            computes = each(task, shards)
+            compute_s = compute(op)
             # the restore leg moves the same amplitudes home and is not counted
             for step in reversed(steps):
                 exchange_s += swap(step)[0]
-            gate_rows.append(GateTiming(idx, gates[0].kind, max(computes), exchange_s, moved))
+            gate_rows.append(GateTiming(idx, gates[0].kind, compute_s, exchange_s, moved))
             gate_rows.extend(
                 GateTiming(idx + k, g.kind, 0.0, 0.0, 0) for k, g in enumerate(gates[1:], 1)
             )

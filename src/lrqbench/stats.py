@@ -20,7 +20,7 @@ says so.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,9 +106,13 @@ class RegimeReport:
     repeats: int
     rng_seed: int
     replacement: bool
+    # the random pool's subsample means, for a density plot; not reported
+    random_subsample_means: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        out = {
+            k: getattr(self, k) for k in self.__dataclass_fields__ if k != "random_subsample_means"
+        }
         out["verdict"] = self.verdict.value
         return out
 
@@ -172,6 +176,7 @@ def classify(
         repeats=cfg.repeats,
         rng_seed=cfg.rng_seed,
         replacement=cfg.replacement,
+        random_subsample_means=rand_mom.subsample_means,
     )
 
 

@@ -86,6 +86,27 @@ def test_simulate_noiseless(tmp_path, instance_path):
     assert data["exact_expected_r"] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_simulate_reports_norm_drift(tmp_path, instance_path, shards):
+    from lrqbench import exact_expected_r, sample
+
+    out, dump = tmp_path / "res.json", tmp_path / "state.bin"
+    argv = ("simulate", "--instance", instance_path, "--p", 3, "--seed", 12,
+            "--shots", 40, "--shards", shards)
+    run_cli(*argv, "--out", out, "--dump-state", dump)
+    data = json.loads(out.read_text())
+    sv = load_statevector(dump)
+    probs = sv.probabilities()
+    assert data["norm_drift"] == abs(float(probs.sum()) - 1.0) <= data["norm_tolerance"]
+    assert data["norm_tolerance"] == sv.norm_tolerance() == 10.0 * 64 * 2.0**-23
+    # shots and the exact ratio keep the bytes of their own probability vectors
+    assert data["bitstrings"] == sample(sv, 40, 12).bitstrings()
+    assert data["exact_expected_r"] == exact_expected_r(sv, load_instance(instance_path))
+    again = tmp_path / "again.json"
+    run_cli(*argv, "--out", again)
+    assert again.read_bytes() == out.read_bytes()
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path, instance_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ("simulate", "--instance", instance_path, "--p", 2, "--seed", 9)
@@ -242,6 +263,35 @@ def test_classify_end_to_end(tmp_path, instance_path, capsys):
     lines = kde_path.read_text().splitlines()
     assert lines[0] == "x,density"
     assert len(lines) == 1 + 512
+
+
+def test_classify_kde_reuses_the_random_means(tmp_path, instance_path, monkeypatch):
+    from lrqbench import stats
+    from lrqbench.problem import shot_ratios
+    from lrqbench.rng import derive_seed
+
+    qpu = tmp_path / "qpu.json"
+    run_cli("simulate", "--instance", instance_path, "--out", qpu, "--p", 2,
+            "--shots", 300, "--seed", 5)
+    # the curve of 0.3.0, which resampled the random pool a second time
+    inst = load_instance(instance_path)
+    pool = shot_ratios(inst, stats.uniform_sampler(inst, 2000, 8))
+    cfg = stats.ResampleConfig(subsample_size=10, repeats=60,
+                               rng_seed=derive_seed(8, "classify", 0))
+    grid, density = stats.kde_curve(stats.mean_of_means(pool, cfg).subsample_means)
+    want = "x,density\n" + "".join(f"{x:.12g},{d:.12g}\n" for x, d in zip(grid, density))
+
+    calls = []
+    real = stats.mean_of_means
+    monkeypatch.setattr(stats, "mean_of_means", lambda *a: calls.append(a) or real(*a))
+    report_path, kde_path = tmp_path / "report.json", tmp_path / "kde.csv"
+    assert run_cli(
+        "classify", "--qpu", qpu, "--instance", instance_path, "--out", report_path,
+        "--seed", 8, "--random-pool-size", 2000, "--repeats", 60, "--kde-out", kde_path,
+    ) == 0
+    assert kde_path.read_text() == want
+    assert len(calls) == 1  # the random pool only, no noiseless pool given
+    assert "random_subsample_means" not in json.loads(report_path.read_text())
 
 
 def test_classify_uniform_input_is_random(tmp_path, instance_path):

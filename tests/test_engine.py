@@ -11,6 +11,8 @@ import lrqbench
 
 from lrqbench import (
     CapacityError,
+    CircuitIR,
+    CostLayer,
     GateOp,
     LrQaoaParams,
     Precision,
@@ -371,3 +373,112 @@ def test_load_rejects_corrupt_dump(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(ValidationError):
         load_statevector(path)
+
+
+# ---------------------------------------------------------------------------
+# folded H layer and factored cost phases
+
+
+def run_unfolded(circuit, precision):
+    """The layer view executed as it stands: |0...0>, the H gates as a gate
+    run, each cost layer multiplied into the state."""
+    amps = zero_state(circuit.num_qubits, precision).amps
+    for op in engine._layer_runs(circuit):
+        if isinstance(op, CostLayer):
+            engine._apply_cost_layer(amps, engine._CostPhase(op))
+        else:
+            engine._apply_gate_run(amps, op)
+    return amps
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", range(1, 18))
+def test_folded_start_matches_unfolded_h_run(n, precision):
+    h_run = zero_state(n, precision).amps
+    engine._apply_gate_run(h_run, [GateOp("H", (q,)) for q in range(n)])
+    plus = init_plus_state(n, precision).amps
+    assert plus.tobytes() == h_run.tobytes()
+    if n == 1:  # no instance, and no edge to make a cost layer
+        return
+    circ = build_circuit(generate_instance(n, 60 + n), LrQaoaParams(p=1))
+    start, _ = engine._fold_h(circ, plus.dtype)
+    assert start.tobytes() == plus[:1].tobytes()
+    assert run_circuit(circ, precision).amps.tobytes() == run_unfolded(circ, precision).tobytes()
+
+
+def unfoldable_circuits():
+    n = 5
+    h = [GateOp("H", (q,)) for q in range(n)]
+    cost = [GateOp("RZZ", (i, j), 0.1 * (i + 2 * j)) for i in range(n) for j in range(i + 1, n)]
+    rx = [GateOp("RX", (q,), -0.3) for q in range(n)]
+    return {
+        "some_qubits": h[:3] + cost + rx,
+        "h_twice_on_one_qubit": h + [GateOp("H", (2,))] + cost + rx,
+        "rx_first": rx + h + cost + rx,
+        "no_cost_layer": h + rx,
+    }
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("name", sorted(unfoldable_circuits()))
+def test_other_openings_take_the_unfolded_path(name, precision):
+    circ = CircuitIR(num_qubits=5, gates=unfoldable_circuits()[name])
+    start, runs = engine._fold_h(circ, Precision.coerce(precision).dtype)
+    assert start is None and runs == engine._layer_runs(circ)
+    assert run_circuit(circ, precision).amps.tobytes() == run_unfolded(circ, precision).tobytes()
+
+
+def cost_layer(n: int, seed: int) -> CostLayer:
+    inst = generate_instance(n, seed)
+    return CostLayer(n, tuple(GateOp("RZZ", (i, j), 0.37 * w) for i, j, w in inst.edges))
+
+
+def range_cuts(size: int, rng) -> list[int]:
+    """Sub-range bounds: unaligned offsets, pieces below 2^8 and 2^16 block
+    edges approached from both sides."""
+    cuts = {0, size, 1, 3, 250, 256 + 7}
+    cuts |= {int(c) for c in rng.integers(0, size, 12)}
+    for edge in range(1 << 16, size, 1 << 16):
+        cuts |= {edge - 5, edge + 3, edge + 4096 + 1}
+    return sorted(c for c in cuts if 0 <= c <= size)
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", [3, 16, 17, 18])
+def test_cost_layer_sub_ranges_match_full_range(n, precision):
+    phase = engine._CostPhase(cost_layer(n, 70 + n))
+    start = random_state(n, n).astype(Precision.coerce(precision).dtype)
+    full = start.copy()
+    engine._apply_cost_layer(full, phase)
+    x = engine._plus_amplitude(n, start.dtype)
+    folded = np.empty_like(start)
+    engine._apply_cost_layer(folded, phase, start=x)
+    filled = np.full_like(start, x)
+    engine._apply_cost_layer(filled, phase)
+    assert folded.tobytes() == filled.tobytes()
+
+    cuts = range_cuts(start.size, np.random.default_rng(n))
+    parts, parts_folded = start.copy(), np.empty_like(start)
+    for lo, hi in zip(cuts, cuts[1:]):
+        engine._apply_cost_layer(parts[lo:hi], phase, lo)
+        engine._apply_cost_layer(parts_folded[lo:hi], phase, lo, start=x)
+    assert parts.tobytes() == full.tobytes()
+    assert parts_folded.tobytes() == folded.tobytes()
+    if n >= 16:
+        rows = start.copy().reshape(-1, 1 << 15)
+        for s, row in enumerate(rows):
+            engine._apply_cost_layer(row, phase, s << 15)
+        assert rows.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 12, 17])
+def test_cost_layer_matches_cos_sin_formula(n):
+    # the cost phase of 0.3.0: cos and sin of C - Theta/2 per amplitude
+    layer = cost_layer(n, 80 + n)
+    cut = layer.cut()
+    x = cut.values(0, 1 << n) - 0.5 * cut.total
+    start = random_state(n, 90 + n)
+    want = start * (np.cos(x) + 1j * np.sin(x))
+    got = start.copy()
+    engine._apply_cost_layer(got, engine._CostPhase(layer))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

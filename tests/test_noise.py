@@ -25,7 +25,7 @@ from lrqbench import (
     sample,
     solve_instance,
 )
-from lrqbench.engine import _abs_squared, _apply_gate_run, draw_indices
+from lrqbench.engine import _abs_squared, _apply_gate_run, _layer_runs, draw_indices
 from lrqbench.noise import (
     _apply_pauli_pair,
     _commute_fired,
@@ -126,12 +126,15 @@ def test_commuted_paulis_match_time_ordered_product():
 
 def per_trajectory_reference(circ, cfg, precision, shots):
     """The ensemble as one state per trajectory, run alone: zeros, gate
-    runs, phase multiply, commuted Paulis, probabilities, then shots."""
+    runs (the H layer the ensemble folds included), phase multiply,
+    commuted Paulis, probabilities, then shots."""
     ens = _prepare(circ, Precision.coerce(precision), None)
     probs, pooled = [], []
     for t in range(cfg.trajectories):
         amps = np.zeros(1 << circ.num_qubits, dtype=ens.dtype)
         amps[0] = 1.0
+        if ens.start is not None:
+            _apply_gate_run(amps, _layer_runs(circ)[0])
         fire = np.zeros(ens.n_rzz, dtype=bool)
         codes = None
         if cfg.epsilon > 0.0:
@@ -237,6 +240,19 @@ def test_zero_noise_shots_match_noiseless_exactly():
     )
     np.testing.assert_array_equal(ensemble.indices, baseline.indices)
     assert ensemble.source == "noisy(epsilon=0, trajectories=1)"
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", [6, 17])
+def test_zero_noise_trajectory_is_run_circuit_bytes(n, precision):
+    # both start from the folded H layer; n=17 runs gates block by block
+    circ = build_circuit(generate_instance(n, 11), LrQaoaParams(p=2))
+    sv = run_circuit(circ, precision)
+    cfg = DepolarizingConfig(0.0, trajectories=1, rng_seed=n)
+    noisy = noisy_expected_probs(circ, cfg, precision)
+    assert noisy.tobytes() == sv.probabilities().tobytes()
+    shots = run_noisy_ensemble(circ, cfg, 50, precision)
+    assert shots.indices.tobytes() == sample(sv, 50, rng_seed=n).indices.tobytes()
 
 
 def test_trajectories_are_reproducible_and_distinct():

@@ -142,13 +142,47 @@ def test_sharded_blocked_runs_match_dense_bitwise(num_shards):
     assert len(record.gates) == len(circ.gates)
 
 
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_sharded_matches_dense_bitwise_at_scale(n):
+    # 8 shards at n=17 hold 2^14 amplitudes, below a 2^16 cost block
+    circ = build_circuit(generate_instance(n, 50 + n), LrQaoaParams(p=2))
+    dense = run_circuit(circ, "fp32").amps.tobytes()
+    for num_shards in (2, 4, 8):
+        sv, _ = run_circuit_sharded(circ, plan_for_shard_count(n, num_shards), "fp32")
+        assert sv.amps.tobytes() == dense, num_shards
+
+
+def test_folded_h_layer_exchanges_nothing():
+    # n=18 on 2 shards at p=3: only the 3 RX gates on qubit 17 exchange,
+    # each moving 2^16 amplitudes out of each shard of the pair
+    circ = build_circuit(generate_instance(18, 6), LrQaoaParams(p=3))
+    plan = plan_for_shard_count(18, 2)
+    _, record = run_circuit_sharded(circ, plan, "fp32")
+    assert record.amps_exchanged == exchange_volume(circ, plan) == 3 * (1 << 17) == 393_216
+    buf = io.StringIO()
+    write_timing_csv([record], buf)
+    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    assert len(rows) == len(circ.gates)
+    assert [r["kind"] for r in rows] == [g.kind for g in circ.gates]
+    for row in rows[:18]:
+        assert row["kind"] == "H"
+        assert (float(row["compute_s"]), float(row["exchange_s"]), row["amps_exchanged"]) == (
+            0.0,
+            0.0,
+            "0",
+        )
+
+
 def test_local_gates_report_zero_exchange():
     inst = generate_instance(6, 2)
     circ = build_circuit(inst, LrQaoaParams(p=1))
     plan = plan_shards(6, 4)
     _, record = run_circuit_sharded(circ, plan, "fp64")
     for row, gate in zip(record.gates, circ.gates):
-        if all(q < plan.nq_local for q in gate.qubits) or gate.kind == "RZZ":
+        if gate.kind == "H":
+            # the folded H layer neither computes nor exchanges
+            assert (row.compute_s, row.exchange_s, row.amps_exchanged) == (0.0, 0.0, 0)
+        elif all(q < plan.nq_local for q in gate.qubits) or gate.kind == "RZZ":
             assert row.exchange_s == 0.0
             assert row.amps_exchanged == 0
         else:
