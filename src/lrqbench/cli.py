@@ -203,7 +203,7 @@ def _cmd_simulate(args) -> int:
             outputs.append(timing_path)
         else:
             sv = run_circuit(circuit, args.precision, args.memory_bytes)
-        # one probability vector feeds the shots, the exact ratio and the drift
+        # one probability vector feeds the shots and the exact ratio
         probs = sv.probabilities()
         shots = sample(sv, args.shots, args.seed, probs=probs)
         payload.update(
@@ -212,7 +212,7 @@ def _cmd_simulate(args) -> int:
                 "shots": args.shots,
                 "mean_r": approximation_ratio(inst, shots) if solved else None,
                 "exact_expected_r": expected_r_from_probs(probs, inst) if solved else None,
-                "norm_drift": abs(float(probs.sum()) - 1.0),
+                "norm_drift": abs(sv.norm_squared() - 1.0),
                 "norm_tolerance": sv.norm_tolerance(),
                 "bitstrings": shots.bitstrings(),
             }

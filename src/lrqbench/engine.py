@@ -35,10 +35,9 @@ held and a shard gets the dense bits.
 Every circuit opens with an H on each qubit of |0...0>, which leaves
 every amplitude equal to x = (...((1 * inv) * inv)...) * inv, n products
 with inv = 1/sqrt(2) rounded in the state's precision.  The executors
-fold that layer: the first cost layer writes x times its phases instead
-of multiplying a state the H gates filled, with the same bits and one
-pass fewer (``_fold_h``).  The circuit keeps its H gates; only the
-executed layer view drops them.  The same executors serve the noisy and
+fold that layer: the state starts filled with x instead of running the
+H gates, with the same bits (``_fold_h``).  The circuit keeps its H
+gates; only the executed layer view drops them.  The same executors serve the noisy and
 sharded engines.  Nothing ever renormalizes, so global phase and
 accumulated rounding stay visible.
 
@@ -62,7 +61,7 @@ import numpy as np
 
 from .circuit import CircuitIR, CostLayer, GateOp
 from .errors import CapacityError, StateError, ValidationError
-from .problem import CutDiagonal, WmcInstance, indices_to_bitstrings
+from .problem import CutDiagonal, WmcInstance, doubling, indices_to_bitstrings
 from .rng import derive_rng
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes, overridable via LRQBENCH_MEMORY_BYTES
@@ -305,16 +304,6 @@ def _rzz_kernel(amps: np.ndarray, theta: float, qa: int, qb: int) -> None:
 _PHASE_PIECE_BITS = 12
 
 
-def _products(start: complex, factors: np.ndarray) -> np.ndarray:
-    """v[l] = start times factors[i] over the set bits i of l, multiplied in
-    increasing bit order, for l in [0, 2^len(factors))."""
-    v = np.empty(1 << len(factors), np.complex128)
-    v[0] = start
-    for i, f in enumerate(factors):
-        np.multiply(v[: 1 << i], f, out=v[1 << i : 2 << i])
-    return v
-
-
 class _CostPhase:
     """A cost layer's diagonal exp(-i (Theta/2 - C(z))), factored along its
     ``CutDiagonal``: the table exp(i Q) over a block's offsets, built once,
@@ -323,26 +312,25 @@ class _CostPhase:
 
     def __init__(self, layer: CostLayer) -> None:
         self.cut = layer.cut()
-        eq = np.multiply(self.cut._low, 1j)
+        eq = np.multiply(self.cut.offset_cut, 1j)
         self.eq = np.exp(eq, out=eq)
 
     def block_tables(self, h: int) -> tuple[np.ndarray, np.ndarray]:
         """(A, B) for block h: A over the offset's low _PHASE_PIECE_BITS
         bits, starting at exp(i (const - Theta/2)), and B over the rest,
         starting at 1."""
-        const, linear = self.cut._block_terms(h)
+        const, linear = self.cut.block_terms(h)
         e = np.exp(1j * np.concatenate(([const - 0.5 * self.cut.total], linear)))
         split = 1 + min(_PHASE_PIECE_BITS, self.cut.block_bits)
-        return _products(e[0], e[1:split]), _products(1.0, e[split:])
+        return (
+            doubling(e[0], e[1:split], np.multiply, np.complex128),
+            doubling(1.0, e[split:], np.multiply, np.complex128),
+        )
 
 
-def _apply_cost_layer(
-    amps: np.ndarray, phase: _CostPhase, offset: int = 0, start: np.generic | None = None
-) -> None:
+def _apply_cost_layer(amps: np.ndarray, phase: _CostPhase, offset: int = 0) -> None:
     """Multiply the amplitudes of the indices [offset, offset + amps.size) by
-    a cost layer's diagonal; given ``start``, the folded H layer's amplitude,
-    write start times the diagonal instead, which are the bits of filling
-    the state with it and multiplying.
+    a cost layer's diagonal.
 
     With s = _PHASE_PIECE_BITS, index z = h * 2^b + l gets
     (A[l mod 2^s] * B[l >> s]) * exp(i Q(l)) from its block's tables, in
@@ -371,13 +359,9 @@ def _apply_cost_layer(
         # rounded to the state's precision as it is stored
         np.multiply(wide[:size], phase.eq[l : l + size], out=rounded[:size], casting="same_kind")
         piece = amps[z - offset : z - offset + size]
-        if start is None:
-            # numpy runs a one-element multiply into its own input as a
-            # reduction, without the fused multiply-add of its array loop
-            np.multiply(piece if size > 1 else piece.copy(), rounded[:size], out=piece)
-        else:
-            # start first, as in piece *= phase on a state filled with it
-            np.multiply(start, rounded[:size], out=piece)
+        # numpy runs a one-element multiply into its own input as a
+        # reduction, without the fused multiply-add of its array loop
+        np.multiply(piece if size > 1 else piece.copy(), rounded[:size], out=piece)
         z += size
 
 
@@ -428,9 +412,9 @@ def _fold_h(circuit: CircuitIR, dtype: np.dtype = np.complex64):
 
     A circuit that opens with exactly one H per qubit, followed by a cost
     layer, returns ``_plus_amplitude`` in ``dtype`` (the amplitude those
-    gates leave everywhere on |0...0>, which the first cost layer takes as
-    its ``start``) and the layers after the H run.  Any other circuit
-    returns None and all of its layers.
+    gates leave everywhere on |0...0>, which the state starts filled with)
+    and the layers after the H run.  Any other circuit returns None and
+    all of its layers.
     """
     runs = _layer_runs(circuit)
     n = circuit.num_qubits
@@ -449,13 +433,14 @@ def run_circuit(
     memory_budget: int | None = None,
 ) -> StateVector:
     """Evolve |0...0> through the circuit's layers (the IR includes its H
-    layer, which ``_fold_h`` folds into the first cost layer)."""
+    layer, which ``_fold_h`` folds into the start state)."""
     sv = zero_state(circuit.num_qubits, precision, memory_budget)
     start, runs = _fold_h(circuit, sv.amps.dtype)
+    if start is not None:
+        sv.amps.fill(start)
     for op in runs:
         if isinstance(op, CostLayer):
-            _apply_cost_layer(sv.amps, _CostPhase(op), start=start)
-            start = None
+            _apply_cost_layer(sv.amps, _CostPhase(op))
         else:
             _apply_gate_run(sv.amps, op)
     return sv

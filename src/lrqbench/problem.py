@@ -181,13 +181,16 @@ def cut_value(inst: WmcInstance, x: int | str | Sequence[int]) -> float:
     return float(cut_values(inst, np.array([z], dtype=np.uint64))[0])
 
 
-def _doubling(start: float, steps: np.ndarray) -> np.ndarray:
-    """v[l] = start + sum of steps[i] over the set bits i of l, added in
-    increasing bit order, for l in [0, 2^len(steps))."""
-    v = np.empty(1 << len(steps))
+def doubling(
+    start: float | complex, steps: np.ndarray, op: np.ufunc = np.add, dtype=np.float64
+) -> np.ndarray:
+    """v[l] = start op steps[i] over the set bits i of l, applied in
+    increasing bit order, for l in [0, 2^len(steps)): sums by default,
+    products with ``op=np.multiply``."""
+    v = np.empty(1 << len(steps), dtype)
     v[0] = start
     for i, step in enumerate(steps):
-        np.add(v[: 1 << i], step, out=v[1 << i : 2 << i])
+        op(v[: 1 << i], step, out=v[1 << i : 2 << i])
     return v
 
 
@@ -196,9 +199,10 @@ class CutDiagonal:
 
     An index z splits into a block h = z >> b and an offset l < 2^b, with
     b = min(16, n).  Edges among the low b vertices give a table Q(l),
-    built once.  A block's high bits fix a constant (its high-high cut plus
-    the low-high edges whose high end is set) and a linear term
-    a_i = sum_j w_ij (1 - 2 h_j) per low vertex i, so a block is
+    ``offset_cut``, built once.  A block's high bits fix a constant (its
+    high-high cut plus the low-high edges whose high end is set) and a
+    linear term a_i = sum_j w_ij (1 - 2 h_j) per low vertex i
+    (``block_terms``), so a block is
     C = const + sum of a_i over the set bits of l + Q(l), its middle term
     built by doubling over the low vertices.  Every value is a fixed
     sequence of additions determined by its index alone, so any range,
@@ -226,10 +230,11 @@ class CutDiagonal:
         # Q(l + 2^i) = Q(l) + sum_{k<b} w_ki - 2 sum_{k<i} w_ki l_k
         low = np.zeros(1)
         for i in range(b):
-            low = np.concatenate((low, low + (w[:b, i].sum() - 2.0 * _doubling(0.0, w[:i, i]))))
-        self._low = low
+            low = np.concatenate((low, low + (w[:b, i].sum() - 2.0 * doubling(0.0, w[:i, i]))))
+        self.offset_cut = low
 
-    def _block_terms(self, h: int) -> tuple[float, np.ndarray]:
+    def block_terms(self, h: int) -> tuple[float, np.ndarray]:
+        """Block h's constant const(h) and linear terms a_i(h), i < b."""
         n, b, w = self.num_vertices, self.block_bits, self._w
         bits = [(h >> (j - b)) & 1 for j in range(b, n)]
         const = 0.0
@@ -248,13 +253,13 @@ class CutDiagonal:
     def _piece(self, lo: int, k: int) -> np.ndarray:
         """Values on [lo, lo + 2^k), lo a multiple of 2^k, k <= block_bits."""
         b = self.block_bits
-        const, linear = self._block_terms(lo >> b)
+        const, linear = self.block_terms(lo >> b)
         offset = lo & ((1 << b) - 1)
-        v = _doubling(const, linear[:k])
+        v = doubling(const, linear[:k])
         for i in range(k, b):
             if (offset >> i) & 1:
                 v += linear[i]
-        v += self._low[offset : offset + (1 << k)]
+        v += self.offset_cut[offset : offset + (1 << k)]
         return v
 
     def values(self, start: int, stop: int) -> np.ndarray:

@@ -450,20 +450,11 @@ def test_cost_layer_sub_ranges_match_full_range(n, precision):
     start = random_state(n, n).astype(Precision.coerce(precision).dtype)
     full = start.copy()
     engine._apply_cost_layer(full, phase)
-    x = engine._plus_amplitude(n, start.dtype)
-    folded = np.empty_like(start)
-    engine._apply_cost_layer(folded, phase, start=x)
-    filled = np.full_like(start, x)
-    engine._apply_cost_layer(filled, phase)
-    assert folded.tobytes() == filled.tobytes()
-
     cuts = range_cuts(start.size, np.random.default_rng(n))
-    parts, parts_folded = start.copy(), np.empty_like(start)
+    parts = start.copy()
     for lo, hi in zip(cuts, cuts[1:]):
         engine._apply_cost_layer(parts[lo:hi], phase, lo)
-        engine._apply_cost_layer(parts_folded[lo:hi], phase, lo, start=x)
     assert parts.tobytes() == full.tobytes()
-    assert parts_folded.tobytes() == folded.tobytes()
     if n >= 16:
         rows = start.copy().reshape(-1, 1 << 15)
         for s, row in enumerate(rows):
