@@ -68,11 +68,22 @@ _EXIT_CAPACITY = 3
 _EXIT_RUNTIME = 4
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LRQBENCH_THREADS", "1")))
-    except ValueError:
-        return 1
+def _resolve_threads(args) -> int:
+    """The worker-thread count: ``--threads``, else ``LRQBENCH_THREADS``,
+    else 1.  A count below 1 or a non-integer is a validation error.  The
+    count is written back to ``args``, so the manifest records it."""
+    if args.threads is not None:
+        source, value = "--threads", args.threads
+    else:
+        source, raw = "LRQBENCH_THREADS", os.environ.get("LRQBENCH_THREADS", "1")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValidationError(f"{source} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ValidationError(f"{source} must be at least 1, got {value}")
+    args.threads = value
+    return value
 
 
 def _sha256(path: Path) -> str:
@@ -132,9 +143,10 @@ def _load_results(path: Path) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    threads = _resolve_threads(args)
     inst = generate_instance(args.n, args.seed)
     if args.n <= args.solve_limit:
-        inst = solve_instance(inst, limit=args.solve_limit, threads=args.threads)
+        inst = solve_instance(inst, limit=args.solve_limit, threads=threads)
     else:
         print(
             f"warning: n={args.n} exceeds solve limit {args.solve_limit}; "
@@ -163,6 +175,7 @@ def _check_mode_flags(args) -> None:
             "--epsilon": args.epsilon != 0,
             "--trajectories": args.trajectories != 1,
             "--ideal-shots": args.ideal_shots is not None,
+            "--threads": args.threads is not None,
         }
     named = [flag for flag, given in ignored.items() if given]
     if named:
@@ -230,7 +243,7 @@ def _cmd_simulate(args) -> int:
             args.shots,
             args.precision,
             args.memory_bytes,
-            threads=args.threads,
+            threads=_resolve_threads(args),
         )
         mean_r = approximation_ratio(inst, shots) if solved else None
         ovl = None
@@ -468,11 +481,15 @@ def _cmd_replay(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for every derived stream")
+
+
+def _add_threads(parser: argparse.ArgumentParser) -> None:
+    """``--threads``, for the subcommands that run work on threads."""
     parser.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
-        help="worker threads for parallelizable pieces (env LRQBENCH_THREADS)",
+        default=None,
+        help="worker threads (default: env LRQBENCH_THREADS, else 1)",
     )
 
 
@@ -498,6 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest n solved exactly; above this the optimal cut is omitted",
     )
     _add_common(p_gen)
+    _add_threads(p_gen)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_sim = sub.add_parser("simulate", help="run the circuit for an instance")
@@ -522,6 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dump-state", type=Path, default=None, help="binary statevector dump")
     p_sim.add_argument("--memory-bytes", type=int, default=None, help="statevector memory budget")
     _add_common(p_sim)
+    _add_threads(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_cls = sub.add_parser("classify", help="classify measured shots into a regime")

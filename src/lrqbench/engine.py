@@ -1,19 +1,21 @@
 """Dense statevector simulation of the circuit's layer view.
 
 Amplitudes live in one flat array indexed by basis state, with qubit k at
-bit position k.  Gates act in place through reshaped views: a one-qubit
-gate on qubit q sees the array as (blocks, 2, 2^q) and one pair kernel
-mixes the two middle slices.  Each run of consecutive H/RX gates goes
-through one executor, ``_apply_gate_run``.  A state of more than 2^15
-amplitudes takes the run's gates on qubits below 15 block by block, all
-of them on one 2^15-amplitude block before the next, so the block stays
-in cache; the gates among them on qubits below 6 act on a transposed
-copy of the block, where their halves are contiguous.  A gate on a
-higher qubit makes one pass over pairs of 2^15-amplitude chunks 2^q
-apart.  Scratch is one block for the copy and the kernel's temporaries,
-which are never larger than a block, and every amplitude gets the same
-operations as with the gates applied one by one, so the blocking never
-changes a bit.  Smaller states take the gates one by one.
+bit position k.  Each run of consecutive H/RX gates goes through one
+executor, ``_apply_gate_run``.  It takes the run's gates on qubits below
+15 block by block, all of them on one 2^15-amplitude block (or the whole
+array, when smaller) before the next, so the block stays in cache.  A
+gate on the qubit at the block's index bit 0 (qubit k, after k such
+gates) is a pass out of place, as in Stockham's autosort FFT (1966): it
+reads the pairs of index bit 0 and writes its two outputs as the
+contiguous halves of a second buffer, which moves that qubit to the top,
+so an ascending run such as the RX mixer hits bit 0 every time.  Any
+other gate runs in place through one pair kernel at its current stride,
+and one transposed copy restores the block's order at the end.  A gate
+on a higher qubit makes one pass over pairs of 2^15-amplitude chunks 2^q
+apart.  Scratch is two blocks, and every amplitude gets the same
+operations as with the gates applied one by one, so neither the
+blocking nor the passes ever change a bit.
 
 A cost layer (a run of RZZ gates, see ``CircuitIR.layers``) is
 diagonal, so it runs as one elementwise phase multiply by
@@ -193,10 +195,9 @@ def _plus_amplitude(num_qubits: int, dtype: np.dtype) -> np.generic:
 # ---------------------------------------------------------------------------
 # one-qubit gates
 
-# A state of more than 2^_GATE_BLOCK_BITS amplitudes runs one-qubit gates
-# block by block; gates below _TRANSPOSED_BITS run on a transposed copy.
+# One-qubit gates on qubits below _GATE_BLOCK_BITS run on blocks of
+# 2^_GATE_BLOCK_BITS amplitudes, or on the whole array when it is smaller.
 _GATE_BLOCK_BITS = 15
-_TRANSPOSED_BITS = 6
 
 
 def _pair_kernel(a0: np.ndarray, a1: np.ndarray, gate: GateOp) -> None:
@@ -219,36 +220,57 @@ def _pair_kernel(a0: np.ndarray, a1: np.ndarray, gate: GateOp) -> None:
         a1[...] = s * held + c * a1
 
 
-def _apply_on_bit(amps: np.ndarray, gate: GateOp, bit: int) -> None:
-    """The gate on index bit ``bit`` of ``amps``, through views of its halves."""
-    v = amps.reshape(-1, 2, 1 << bit)
-    _pair_kernel(v[:, 0, :], v[:, 1, :], gate)
+def _pass_lowest(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, gate: GateOp) -> None:
+    """The gate on index bit 0 of ``src``, written to ``dst`` with that bit
+    moved to the top: the pair (src[2i], src[2i + 1]) becomes
+    (dst[i], dst[h + i]), h = src.size / 2.
+
+    Every amplitude gets ``_pair_kernel``'s operations in its operand
+    order, but each numpy call runs over a whole contiguous block or half.
+    ``tmp`` is scratch of ``src``'s size, and an RX leaves ``src``
+    overwritten.
+    """
+    h = src.size // 2
+    if gate.kind == "H":
+        inv = src.dtype.type(1.0 / math.sqrt(2.0))
+        np.add(src[0::2], src[1::2], out=tmp[:h])
+        np.multiply(tmp[:h], inv, out=dst[:h])
+        np.subtract(src[0::2], src[1::2], out=tmp[:h])
+        np.multiply(tmp[:h], inv, out=dst[h:])
+    else:
+        c = src.dtype.type(math.cos(gate.theta / 2.0))
+        s = src.dtype.type(-1j * math.sin(gate.theta / 2.0))
+        np.multiply(c, src, out=tmp)
+        # src is read for the last time by the product above
+        np.multiply(s, src, out=src)
+        np.add(tmp[0::2], src[1::2], out=dst[:h])
+        np.add(src[0::2], tmp[1::2], out=dst[h:])
 
 
-def _apply_low_segment(amps: np.ndarray, gates: list[GateOp], copy: np.ndarray) -> None:
-    """Gates on qubits below b = _GATE_BLOCK_BITS, all of them on one block
-    of 2^b amplitudes before the next.  A stretch of gates on qubits below
-    k = _TRANSPOSED_BITS runs on a copy of the block transposed from
-    (2^(b-k), 2^k) to (2^k, 2^(b-k)), where qubit q is index bit q + b - k
-    and its halves are contiguous runs of at least 2^(b-k) amplitudes."""
-    b, k = _GATE_BLOCK_BITS, _TRANSPOSED_BITS
-    parts = [
-        (low, list(part))
-        for low, part in itertools.groupby(gates, key=lambda g: g.qubits[0] < k)
-    ]
-    for lo in range(0, amps.size, 1 << b):
-        block = amps[lo : lo + (1 << b)]
-        for low, part in parts:
-            if not low:
-                for g in part:
-                    _apply_on_bit(block, g, g.qubits[0])
-                continue
-            rows = block.reshape(1 << (b - k), 1 << k)
-            cols = copy.reshape(1 << k, 1 << (b - k))
-            np.copyto(cols, rows.T)
-            for g in part:
-                _apply_on_bit(copy, g, g.qubits[0] + b - k)
-            np.copyto(rows, cols.T)
+def _apply_block_gates(block: np.ndarray, gates: list[GateOp], scratch: np.ndarray) -> None:
+    """Gates on qubits below _GATE_BLOCK_BITS, in order, on one block.
+
+    With k passes done, index m * 2^k + j (j < 2^k) of the block sits at
+    j * (size >> k) + m of the current buffer, so qubit k is its index
+    bit 0.  A gate on qubit k is one more pass, into the other buffer; any
+    other gate runs in place at its current stride, 2^(q - k) for q > k
+    and 2^q * (size >> k) for q < k.  One transposed copy restores the
+    order.  The data move between the two rows of ``scratch``; the block
+    itself is the first pass's source and every later pass's ``tmp``.
+    """
+    size, k, cur = block.size, 0, block
+    for g in gates:
+        q = g.qubits[0]
+        if q == k:
+            dst = scratch[k % 2]
+            _pass_lowest(cur, dst, scratch[1] if k == 0 else block, g)
+            cur, k = dst, k + 1
+        else:
+            stride = 1 << (q - k) if q > k else (1 << q) * (size >> k)
+            v = cur.reshape(-1, 2, stride)
+            _pair_kernel(v[:, 0], v[:, 1], g)
+    if k:
+        np.copyto(block.reshape(size >> k, 1 << k), cur.reshape(1 << k, size >> k).T)
 
 
 def _apply_high_gate(amps: np.ndarray, gate: GateOp) -> None:
@@ -264,24 +286,24 @@ def _apply_high_gate(amps: np.ndarray, gate: GateOp) -> None:
 def _apply_gate_run(amps: np.ndarray, gates) -> None:
     """Apply consecutive H/RX gates in order, on the qubits they name.
 
-    A state of at most 2^_GATE_BLOCK_BITS amplitudes takes them one by one.
-    A larger one takes each stretch of gates on low qubits block by block,
-    so the block stays in cache for the whole stretch, and each gate on a
-    high qubit in one pass over chunk pairs.  Scratch is one block for the
-    transposed copy plus the kernel's block-sized temporaries, never a
-    half-state temporary, and the bits are those of the gates one by one.
+    Each stretch of gates on qubits below _GATE_BLOCK_BITS runs block by
+    block (``_apply_block_gates``), the whole stretch on one block while
+    it sits in cache; each gate on a higher qubit makes one pass over
+    chunk pairs.  ``amps`` may also be a flat batch of states of 2^n
+    amplitudes each, since a block only has to split evenly on the bits
+    its passes take.  Scratch is two blocks, allocated once per call, and
+    the bits are those of the gates applied one by one.
     """
     for g in gates:
         if g.kind not in ("H", "RX"):
             raise ValidationError(f"{g.kind} runs inside a cost layer, not as a single gate")
-    if amps.size <= 1 << _GATE_BLOCK_BITS:
-        for g in gates:
-            _apply_on_bit(amps, g, g.qubits[0])
-        return
-    copy = np.empty(1 << _GATE_BLOCK_BITS, amps.dtype)
+    size = min(amps.size, 1 << _GATE_BLOCK_BITS)
+    scratch = np.empty((2, size), amps.dtype)
     for low, part in itertools.groupby(gates, key=lambda g: g.qubits[0] < _GATE_BLOCK_BITS):
         if low:
-            _apply_low_segment(amps, list(part), copy)
+            part = list(part)
+            for lo in range(0, amps.size, size):
+                _apply_block_gates(amps[lo : lo + size], part, scratch)
         else:
             for g in part:
                 _apply_high_gate(amps, g)
@@ -370,14 +392,6 @@ def _check_qubit(sv: StateVector, q: int) -> None:
         raise ValidationError(f"qubit {q} out of range for {sv.num_qubits} qubits")
 
 
-def apply_h(sv: StateVector, q: int) -> None:
-    apply_gate(sv, GateOp("H", (q,)))
-
-
-def apply_rx(sv: StateVector, theta: float, q: int) -> None:
-    apply_gate(sv, GateOp("RX", (q,), theta))
-
-
 def apply_rzz(sv: StateVector, theta: float, qa: int, qb: int) -> None:
     _check_qubit(sv, qa)
     _check_qubit(sv, qb)
@@ -387,6 +401,7 @@ def apply_rzz(sv: StateVector, theta: float, qa: int, qb: int) -> None:
 
 
 def apply_gate(sv: StateVector, gate: GateOp) -> None:
+    """Apply one H, RX or RZZ gate to the state in place."""
     if gate.kind == "RZZ":
         apply_rzz(sv, gate.theta, *gate.qubits)
         return

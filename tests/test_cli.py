@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +155,7 @@ def test_simulate_dump_state(tmp_path, instance_path):
         ("--ideal-shots", 100),
         ("--shards", 0),
         ("--shards", -4),
+        ("--threads", 2),
     ],
 )
 def test_simulate_rejects_flags_its_mode_ignores(tmp_path, instance_path, extra, monkeypatch):
@@ -162,6 +164,59 @@ def test_simulate_rejects_flags_its_mode_ignores(tmp_path, instance_path, extra,
     code = run_cli("simulate", "--instance", instance_path, "--out", "res.json", "--p", 1, *extra)
     assert code == 2
     assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("threads", [-3, 0])
+def test_gen_rejects_thread_counts_below_one(tmp_path, threads):
+    out = tmp_path / "inst.json"
+    assert run_cli("gen", "--n", 6, "--out", out, "--threads", threads) == 2
+    assert not out.exists()
+
+
+def test_simulate_noisy_rejects_zero_threads(tmp_path, instance_path):
+    out = tmp_path / "noisy.json"
+    code = run_cli(
+        "simulate", "--instance", instance_path, "--out", out, "--p", 1,
+        "--mode", "noisy", "--epsilon", 0.01, "--threads", 0,
+    )
+    assert code == 2
+    assert not out.exists()
+
+
+def test_non_integer_thread_counts_are_rejected(tmp_path, monkeypatch):
+    out = tmp_path / "inst.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen", "--n", 6, "--out", out, "--threads", "abc")
+    assert exc.value.code == 2
+    monkeypatch.setenv("LRQBENCH_THREADS", "abc")
+    assert run_cli("gen", "--n", 6, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_threads_is_refused_where_nothing_runs_on_threads(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("hqc", "--n", 10, "--out", tmp_path / "h.json", "--threads", 2)
+    assert exc.value.code == 2
+    assert not (tmp_path / "h.json").exists()
+
+
+def test_manifest_records_the_resolved_thread_count(tmp_path, instance_path, monkeypatch):
+    def recorded(out):
+        return json.loads(Path(str(out) + ".manifest.json").read_text())["params"]["threads"]
+
+    monkeypatch.setenv("LRQBENCH_THREADS", "2")
+    noisy = tmp_path / "noisy.json"
+    assert run_cli(
+        "simulate", "--instance", instance_path, "--out", noisy, "--p", 1,
+        "--mode", "noisy", "--epsilon", 0.01, "--trajectories", 4,
+    ) == 0
+    assert recorded(noisy) == 2
+    inst = tmp_path / "inst.json"
+    assert run_cli("gen", "--n", 6, "--out", inst, "--threads", 3) == 0
+    assert recorded(inst) == 3
+    monkeypatch.delenv("LRQBENCH_THREADS")
+    assert run_cli("gen", "--n", 6, "--out", inst) == 0
+    assert recorded(inst) == 1
 
 
 def test_simulate_noisy_zero_eps_matches_noiseless(tmp_path, instance_path):

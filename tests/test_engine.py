@@ -32,8 +32,6 @@ from lrqbench import (
 )
 from lrqbench.engine import (
     apply_gate,
-    apply_h,
-    apply_rx,
     apply_rzz,
     check_memory,
     draw_indices,
@@ -73,7 +71,7 @@ def test_precision_coerce():
 def test_h_matches_matrix(q):
     start = random_state(3, 10 + q)
     sv = StateVector(3, start.copy())
-    apply_h(sv, q)
+    apply_gate(sv, GateOp("H", (q,)))
     want = oracles.embed_single(oracles.HADAMARD, q, 3) @ start
     np.testing.assert_allclose(sv.amps, want, atol=1e-12)
 
@@ -82,7 +80,7 @@ def test_h_matches_matrix(q):
 def test_rx_matches_expm(q, theta):
     start = random_state(3, 20 + q)
     sv = StateVector(3, start.copy())
-    apply_rx(sv, theta, q)
+    apply_gate(sv, GateOp("RX", (q,), theta))
     want = oracles.gate_unitary(GateOp("RX", (q,), theta), 3) @ start
     np.testing.assert_allclose(sv.amps, want, atol=1e-12)
 
@@ -128,11 +126,11 @@ def test_rzz_layer_order_irrelevant():
 def test_gate_validation():
     sv = zero_state(2)
     with pytest.raises(ValidationError):
-        apply_h(sv, 2)
+        apply_gate(sv, GateOp("H", (2,)))
     with pytest.raises(ValidationError):
         apply_rzz(sv, 0.1, 0, 0)
     with pytest.raises(ValidationError):
-        apply_rx(sv, 0.1, -1)
+        apply_gate(sv, GateOp("RX", (-1,), 0.1))
 
 
 @pytest.mark.parametrize("n,p,seed", [(2, 1, 0), (4, 2, 1), (5, 3, 2)])
@@ -160,18 +158,36 @@ def kernel_of_0_2(amps: np.ndarray, gate: GateOp) -> None:
         v[:, 1, :] = s * a0 + c * a1
 
 
-@pytest.mark.parametrize("precision", ["fp32", "fp64"])
-@pytest.mark.parametrize("n", [15, 16, 17])
-def test_gate_run_matches_gates_one_by_one(n, precision):
-    # every qubit twice, shuffled, so the run mixes gates below the
-    # transposed bits, inside a block and (n > 15) above it, with stretches
-    # of each and repeats on one qubit
-    rng = np.random.default_rng(n)
-    gates = [
+def mixed_gates(qubits, rng: np.random.Generator) -> list[GateOp]:
+    return [
         GateOp("H", (int(q),)) if rng.random() < 0.3 else GateOp("RX", (int(q),), rng.normal())
-        for q in rng.permutation(np.repeat(np.arange(n), 2))
+        for q in qubits
     ]
-    start = random_state(n, n).astype(Precision.coerce(precision).dtype)
+
+
+def gate_run_input(n: int, order: str, rng: np.random.Generator) -> list[GateOp]:
+    """A run on n qubits.  "shuffled": every qubit twice, in random order,
+    so most gates run in place at their stride, on qubits above and below
+    the ones passed so far and (n > 15) above the block.  "mixer": an
+    ascending RX on every qubit, one pass each up to the block's top bit,
+    then the shuffled list.  "broken": an ascending stretch that breaks
+    off part-way (0, 1, 2, 5, 3, 4, 6, ...), so the block is restored after
+    five passes, not after as many as it has bits."""
+    shuffled = mixed_gates(rng.permutation(np.repeat(np.arange(n), 2)), rng)
+    if order == "shuffled":
+        return shuffled
+    if order == "mixer":
+        return [GateOp("RX", (q,), rng.normal()) for q in range(n)] + shuffled
+    return mixed_gates([0, 1, 2, 5, 3, 4, *range(6, n)], rng)
+
+
+def check_gate_run(n: int, rows: int, order: str, precision: str) -> None:
+    """The run on a flat batch of ``rows`` random states of n qubits is bit
+    for bit the gates one by one, and the kernels of 0.2.0."""
+    rng = np.random.default_rng(100 * rows + n)
+    gates = gate_run_input(n, order, rng)
+    start = np.concatenate([random_state(n, n + r) for r in range(rows)])
+    start = start.astype(Precision.coerce(precision).dtype)
     run = start.copy()
     engine._apply_gate_run(run, gates)
     one_by_one = StateVector(n, start.copy())
@@ -181,6 +197,32 @@ def test_gate_run_matches_gates_one_by_one(n, precision):
         kernel_of_0_2(old, g)
     np.testing.assert_array_equal(run, one_by_one.amps)
     np.testing.assert_array_equal(run, old)
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_gate_run_matches_gates_one_by_one(n, precision):
+    for order in ("shuffled", "mixer"):
+        check_gate_run(n, 1, order, precision)
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize(
+    "rows,n,order",
+    [
+        (1, 15, "broken"),
+        (1, 17, "broken"),
+        # flat batches of three states, as the noisy engine runs its blocks
+        (3, 4, "mixer"),
+        (3, 9, "mixer"),
+        (3, 13, "mixer"),
+        (3, 9, "broken"),
+        (1, 1, "shuffled"),
+        (1, 1, "mixer"),
+    ],
+)
+def test_gate_run_on_batches_and_broken_ascents(rows, n, order, precision):
+    check_gate_run(n, rows, order, precision)
 
 
 def test_gate_run_rejects_diagonal_gates():
