@@ -1,6 +1,6 @@
 """Linear-ramp QAOA MaxCut simulation and statistical verification toolkit."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .circuit import (
     CircuitIR,

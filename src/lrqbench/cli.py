@@ -32,6 +32,7 @@ from .engine import (
     Precision,
     exact_expected_r,
     expected_r_from_probs,
+    norm_tolerance,
     run_circuit,
     sample,
     save_statevector,
@@ -71,18 +72,21 @@ _EXIT_RUNTIME = 4
 def _resolve_threads(args) -> int:
     """The worker-thread count: ``--threads``, else ``LRQBENCH_THREADS``,
     else 1.  A count below 1 or a non-integer is a validation error.  The
-    count is written back to ``args``, so the manifest records it."""
+    count and where it came from ("--threads", "LRQBENCH_THREADS" or
+    "default") are written back to ``args``, so the manifest records them."""
     if args.threads is not None:
         source, value = "--threads", args.threads
-    else:
-        source, raw = "LRQBENCH_THREADS", os.environ.get("LRQBENCH_THREADS", "1")
+    elif "LRQBENCH_THREADS" in os.environ:
+        source, raw = "LRQBENCH_THREADS", os.environ["LRQBENCH_THREADS"]
         try:
             value = int(raw)
         except ValueError:
             raise ValidationError(f"{source} must be an integer, got {raw!r}") from None
+    else:
+        source, value = "default", 1
     if value < 1:
         raise ValidationError(f"{source} must be at least 1, got {value}")
-    args.threads = value
+    args.threads, args.threads_source = value, source
     return value
 
 
@@ -268,6 +272,10 @@ def _cmd_simulate(args) -> int:
                 "paulis_expected": 15 / 16 * args.epsilon * n_2q * args.trajectories,
                 "paulis_fired": int(shots.paulis_fired.sum()),
                 "zero_fire_trajectories": int(np.count_nonzero(shots.paulis_fired == 0)),
+                "norm_drift": shots.norm_drift,
+                "norm_tolerance": norm_tolerance(
+                    inst.num_vertices, Precision.coerce(args.precision)
+                ),
                 "mean_r": mean_r,
                 "r_ovl": ovl,
                 "bitstrings": shots.bitstrings(),
@@ -479,7 +487,8 @@ def _cmd_replay(args) -> int:
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_seed(parser: argparse.ArgumentParser) -> None:
+    """``--seed``, for the subcommands that draw random numbers."""
     parser.add_argument("--seed", type=int, default=0, help="seed for every derived stream")
 
 
@@ -514,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=24,
         help="largest n solved exactly; above this the optimal cut is omitted",
     )
-    _add_common(p_gen)
+    _add_seed(p_gen)
     _add_threads(p_gen)
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -539,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--dump-state", type=Path, default=None, help="binary statevector dump")
     p_sim.add_argument("--memory-bytes", type=int, default=None, help="statevector memory budget")
-    _add_common(p_sim)
+    _add_seed(p_sim)
     _add_threads(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -558,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the density of random-baseline subsample means as CSV",
     )
-    _add_common(p_cls)
+    _add_seed(p_cls)
     p_cls.set_defaults(func=_cmd_classify)
 
     p_bench = sub.add_parser("bench", help="timing sweeps for the sharded engine")
@@ -575,13 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeat", type=int, default=1)
     p_bench.add_argument("--precision", choices=("fp32", "fp64"), default="fp32")
     p_bench.add_argument("--memory-bytes", type=int, default=None)
-    _add_common(p_bench)
+    _add_seed(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_fit = sub.add_parser("fitnoise", help="fit the overlap decay constant")
     p_fit.add_argument("results", type=Path, nargs="+", help="noisy results JSON files")
     p_fit.add_argument("--out", type=Path, required=True, help="fit JSON path")
-    _add_common(p_fit)
     p_fit.set_defaults(func=_cmd_fitnoise)
 
     p_hqc = sub.add_parser("hqc", help="credit cost of a hypothetical hardware job")
@@ -590,12 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_hqc.add_argument("--shots", type=int, default=100)
     p_hqc.add_argument("--n-m", type=int, default=None, help="measured qubits (default: n)")
     p_hqc.add_argument("--out", type=Path, default=None, help="optional JSON output")
-    _add_common(p_hqc)
     p_hqc.set_defaults(func=_cmd_hqc)
 
     p_rep = sub.add_parser("replay", help="re-run the argv recorded in a manifest")
     p_rep.add_argument("manifest", type=Path)
-    _add_common(p_rep)
     p_rep.set_defaults(func=_cmd_replay)
 
     return parser

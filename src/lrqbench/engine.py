@@ -50,7 +50,6 @@ double costs 2^(n+4).  Requests over the memory budget raise
 
 from __future__ import annotations
 
-import cmath
 import enum
 import itertools
 import math
@@ -107,12 +106,16 @@ def check_memory(
     precision: Precision,
     budget: int | None = None,
     arrays: int = 1,
+    scratch: int = 0,
 ) -> None:
-    """Refuse a run that holds ``arrays`` state-sized arrays over the budget."""
-    need = arrays * state_bytes(num_qubits, precision)
+    """Refuse a run that holds ``arrays`` state-sized arrays plus ``scratch``
+    bytes over the budget."""
+    need = arrays * state_bytes(num_qubits, precision) + scratch
     limit = memory_budget_bytes(budget)
     if need > limit:
         what = "statevector" if arrays == 1 else f"{arrays} state-sized arrays"
+        if scratch:
+            what += f" and {scratch} bytes of scratch"
         raise CapacityError(
             f"{what} for {num_qubits} qubits at {precision.value} needs "
             f"{need} bytes ({need / (1 << 30):.1f} GiB), budget is {limit} bytes"
@@ -138,13 +141,18 @@ class StateVector:
         return total
 
     def norm_tolerance(self) -> float:
-        """Allowed drift of the squared norm: 10 * 2^n * machine epsilon."""
-        eps = np.finfo(self.amps.real.dtype).eps
-        return 10.0 * (1 << self.num_qubits) * float(eps)
+        """Allowed drift of the squared norm: ``norm_tolerance`` of the state."""
+        return norm_tolerance(self.num_qubits, self.precision)
 
     def probabilities(self) -> np.ndarray:
         """|amplitude|^2 in double precision, with one float64 temporary."""
         return _abs_squared(self.amps)
+
+
+def norm_tolerance(num_qubits: int, precision: Precision) -> float:
+    """Allowed drift of a state's squared norm: 10 * 2^n * machine epsilon."""
+    eps = np.finfo(precision.dtype).eps
+    return 10.0 * (1 << num_qubits) * float(eps)
 
 
 def _abs_squared(amps: np.ndarray) -> np.ndarray:
@@ -309,17 +317,6 @@ def _apply_gate_run(amps: np.ndarray, gates) -> None:
                 _apply_high_gate(amps, g)
 
 
-def _rzz_kernel(amps: np.ndarray, theta: float, qa: int, qb: int) -> None:
-    i, j = (qa, qb) if qa < qb else (qb, qa)
-    equal = amps.dtype.type(cmath.exp(-0.5j * theta))
-    differ = amps.dtype.type(cmath.exp(0.5j * theta))
-    v = amps.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
-    v[:, 0, :, 0, :] *= equal
-    v[:, 1, :, 1, :] *= equal
-    v[:, 0, :, 1, :] *= differ
-    v[:, 1, :, 0, :] *= differ
-
-
 # A cost layer's phases are formed over aligned pieces of at most
 # 2^_PHASE_PIECE_BITS amplitudes; a block's doubling tables split its
 # offsets at the same bit, so a piece reads one entry of the high table.
@@ -393,11 +390,11 @@ def _check_qubit(sv: StateVector, q: int) -> None:
 
 
 def apply_rzz(sv: StateVector, theta: float, qa: int, qb: int) -> None:
+    """Apply RZZ(theta) in place, as a cost layer of one gate."""
     _check_qubit(sv, qa)
     _check_qubit(sv, qb)
-    if qa == qb:
-        raise ValidationError("RZZ qubits must differ")
-    _rzz_kernel(sv.amps, theta, qa, qb)
+    gate = GateOp("RZZ", (qa, qb), theta)  # refuses qa == qb
+    _apply_cost_layer(sv.amps, _CostPhase(CostLayer(sv.num_qubits, (gate,))))
 
 
 def apply_gate(sv: StateVector, gate: GateOp) -> None:
@@ -496,13 +493,15 @@ def exact_expected_r(sv: StateVector, inst: WmcInstance) -> float:
 @dataclass(eq=False)
 class ShotSet:
     """Measurement outcomes as basis indices, tagged with their provenance;
-    a noisy ensemble's also carry the Paulis each trajectory fired."""
+    a noisy ensemble's also carry the Paulis each trajectory fired and the
+    largest |squared norm - 1| of its trajectories' final states."""
 
     num_qubits: int
     indices: np.ndarray
     rng_seed: int | None
     source: str
     paulis_fired: np.ndarray | None = None
+    norm_drift: float | None = None
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -511,13 +510,15 @@ class ShotSet:
         return indices_to_bitstrings(self.indices, self.num_qubits)
 
 
-def _normalized_cdf(probs: np.ndarray) -> np.ndarray:
-    """Cumulative distribution of an unnormalized probability vector."""
+def _normalized_cdf(probs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cumulative distribution of an unnormalized probability vector, and
+    the vector's total (the state's squared norm)."""
     cdf = np.cumsum(probs)
-    if cdf[-1] <= 0.0:
+    total = float(cdf[-1])
+    if total <= 0.0:
         raise ValidationError("statevector has zero norm, nothing to sample")
-    cdf /= cdf[-1]
-    return cdf
+    cdf /= total
+    return cdf, total
 
 
 def _draw_from_cdf(cdf: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -529,7 +530,7 @@ def draw_indices(probs: np.ndarray, n_shots: int, rng: np.random.Generator) -> n
     """Inverse-CDF draw over an unnormalized probability vector."""
     if n_shots < 1:
         raise ValidationError(f"shot count must be positive, got {n_shots}")
-    return _draw_from_cdf(_normalized_cdf(probs), n_shots, rng)
+    return _draw_from_cdf(_normalized_cdf(probs)[0], n_shots, rng)
 
 
 def sample(

@@ -19,11 +19,20 @@ the phase multiply, only at the first cost layer where it fires a
 Pauli; trajectories that fire nothing share row 0's probabilities, and
 so one CDF for their shots.  A Pauli fired inside a layer is commuted to
 the layer's end: it flips the sign of Z_i Z_j on every later edge whose
-qubits carry an odd number of its X/Y components, so each later edge
-that anticommutes with an odd number of the Paulis fired before it gets
-RZZ(-2 theta), and then the fired Paulis follow in firing order.  This
-is exactly the time-ordered product, global phase included, and every
-row gets the operations of its trajectory run alone, bit for bit.
+qubits carry an odd number of its X/Y components.  The later edges F
+that anticommute with an odd number of the Paulis fired before them need
+RZZ(-2 theta_k), which all commute, so their product is one diagonal
+exp(i sum_{k in F} theta_k S_k(z)), S_k = +-1 the ZZ sign of edge k.  The
+angle is summed in float64 from ``_sign_table``, the signs of the qubits
+below bit 15 over one chunk of at most 2^15 amplitudes, built once per
+ensemble; a qubit at or above bit 15 is constant over a chunk and only
+flips its edges' signs there.  The angle is reduced to [-pi, pi], its cos
+and sin taken in the state's precision, and the phase multiplied in once
+per chunk; then the fired Paulis follow in firing order.  This is the
+time-ordered product, global phase included, up to rounding; its scratch
+is bounded by the chunk and |F|, not by the state, and counted by
+``check_memory``; and every row gets the operations of its trajectory
+run alone, bit for bit.
 
 Noise strength aggregates as eps_acc = N_2q * eps, and the overlap ratio
 
@@ -58,7 +67,6 @@ from .engine import (
     _draw_from_cdf,
     _fold_h,
     _normalized_cdf,
-    _rzz_kernel,
     check_memory,
     expected_r_from_probs,
 )
@@ -138,7 +146,8 @@ class _Ensemble:
     """What every trajectory of one run shares: the folded start amplitude
     (None when the H layer does not fold), the circuit's executed layers
     with one-qubit gate runs grouped, each cost layer's phase (None for a
-    gate run), and the RZZ count the draws cover."""
+    gate run), the RZZ count the draws cover, and the ZZ sign table of
+    ``_sign_table``."""
 
     num_qubits: int
     dtype: np.dtype
@@ -146,6 +155,7 @@ class _Ensemble:
     layers: list[CostLayer | tuple[GateOp, ...]]
     phases: list[np.ndarray | None]
     n_rzz: int
+    signs: np.ndarray
 
 
 def _block_rows(num_qubits: int, trajectories: int, threads: int) -> int:
@@ -157,25 +167,38 @@ def _block_rows(num_qubits: int, trajectories: int, threads: int) -> int:
 
 
 def _prepare(
-    circuit: CircuitIR, precision: Precision, memory_budget: int | None, block_states: int = 1
+    circuit: CircuitIR,
+    precision: Precision,
+    memory_budget: int | None,
+    rows: int = 1,
+    workers: int = 1,
 ) -> _Ensemble:
-    """Layers and cached cost-layer phases, after checking that one phase
-    array per cost layer and ``block_states`` states in blocks fit the
-    memory budget."""
-    start, layers = _fold_h(circuit, precision.dtype)
+    """Layers, cached cost-layer phases and the sign table, after checking
+    that they, ``workers`` blocks of ``rows`` states, and each worker's
+    correction scratch fit the memory budget."""
+    n, dtype = circuit.num_qubits, precision.dtype
+    start, layers = _fold_h(circuit, dtype)
     costs = [op for op in layers if isinstance(op, CostLayer)]
-    check_memory(circuit.num_qubits, precision, memory_budget, arrays=len(costs) + block_states)
+    widest = max((len(op.gates) for op in costs), default=0)
+    signs = _sign_table(n)
+    check_memory(
+        n,
+        precision,
+        memory_budget,
+        arrays=len(costs) + rows * workers,
+        scratch=signs.nbytes + workers * _correction_bytes(n, widest, dtype),
+    )
     phases = []
     for op in layers:
         phase = None
         if isinstance(op, CostLayer):
             # the executor applied to ones leaves its own phases, bit for bit
             # (1 * p == p), built piece by piece like the dense engine's
-            phase = np.ones(1 << circuit.num_qubits, dtype=precision.dtype)
+            phase = np.ones(1 << n, dtype=dtype)
             _apply_cost_layer(phase, _CostPhase(op))
         phases.append(phase)
     n_rzz = sum(len(op.gates) for op in costs)
-    return _Ensemble(circuit.num_qubits, precision.dtype, start, layers, phases, n_rzz)
+    return _Ensemble(n, dtype, start, layers, phases, n_rzz, signs)
 
 
 def _draw(cfg: DepolarizingConfig, n_rzz: int, trajectory: int):
@@ -205,21 +228,86 @@ def _blocks(ens: _Ensemble, cfg: DepolarizingConfig, rows: int):
     yield block
 
 
-def _commute_fired(
-    amps: np.ndarray, gates: tuple[GateOp, ...], fire: np.ndarray, codes: np.ndarray
+def _sign_table(num_qubits: int) -> np.ndarray:
+    """ZZ signs over one chunk of 2^low amplitudes, low = min(n,
+    _GATE_BLOCK_BITS): row q < low holds 1 - 2 bit_q(l) over the chunk's
+    offsets l, and row low holds ones, for the qubits at or above ``low``,
+    which are constant over a chunk."""
+    low = min(num_qubits, _GATE_BLOCK_BITS)
+    signs = np.ones((low + 1, 1 << low), np.int8)
+    for q in range(low):
+        signs[q].reshape(-1, 2, 1 << q)[:, 1] = -1
+    return signs
+
+
+def _correction_bytes(num_qubits: int, edges: int, dtype: np.dtype) -> int:
+    """Scratch of one ``_flip_phase`` call over at most ``edges`` edges: the
+    gathered sign rows and their product's second operand (int8), two
+    chunks of angles (float64), and a chunk each of reduced angles and
+    phases in the state's precision."""
+    chunk = 1 << min(num_qubits, _GATE_BLOCK_BITS)
+    return chunk * (2 * edges + 16 + dtype.itemsize // 2 + dtype.itemsize)
+
+
+def _flip_phase(
+    amps: np.ndarray, signs: np.ndarray, theta: np.ndarray, qa: np.ndarray, qb: np.ndarray
 ) -> None:
-    """Finish a cost layer whose diagonal is applied: flip the later edges the
-    fired Paulis anticommute with, then apply the Paulis in firing order."""
+    """Multiply by exp(i sum_k theta_k Z_qa_k Z_qb_k), the product of the
+    commuting RZZ(-2 theta_k), one chunk of ``signs``' width at a time.
+
+    A chunk starts at z0, a multiple of 2^low, so the ZZ sign of index
+    z0 + l is its sign at z0 (set only by qubits at or above low) times its
+    sign at l (set only by those below).  The angle is summed in float64 by
+    an einsum over the edges, which calls no BLAS, reduced to [-pi, pi],
+    rounded to the state's real precision for cos and sin, and multiplied
+    in as one phase array.
+    """
+    chunk = signs.shape[1]
+    # "clip" sends every qubit at or above low to the last row, the ones
+    rows = signs.take(qa, axis=0, mode="clip")
+    rows *= signs.take(qb, axis=0, mode="clip")
+    angle, turns = np.empty((2, chunk))
+    reduced = np.empty(chunk, amps.real.dtype)
+    phase = np.empty(chunk, amps.dtype)
+    for z0 in range(0, amps.size, chunk):
+        w = theta * (1 - 2 * ((z0 >> qa) & 1)) * (1 - 2 * ((z0 >> qb) & 1)) if z0 else theta
+        np.einsum("k,kz->z", w, rows, out=angle)
+        # angle - 2 pi rint(angle / 2 pi): np.remainder takes six times longer
+        np.multiply(angle, 0.5 / np.pi, out=turns)
+        np.rint(turns, out=turns)
+        turns *= 2.0 * np.pi
+        np.subtract(angle, turns, out=reduced, casting="same_kind")
+        np.cos(reduced, out=phase.real)
+        np.sin(reduced, out=phase.imag)
+        amps[z0 : z0 + chunk] *= phase
+
+
+def _commute_fired(
+    amps: np.ndarray,
+    gates: tuple[GateOp, ...],
+    fire: np.ndarray,
+    codes: np.ndarray,
+    signs: np.ndarray,
+) -> None:
+    """Finish a cost layer whose diagonal is applied: one phase for the later
+    edges the fired Paulis anticommute with, then the Paulis in firing
+    order.  ``signs`` is the ensemble's ``_sign_table``."""
     flipped = 0  # bit q set: the Paulis fired so far carry an odd number of X/Y on q
-    fired = []
-    for k in range(int(np.argmax(fire)), len(gates)):
-        qa, qb = gates[k].qubits
+    edges, fired = [], []
+    fire = fire.tolist()  # Python bools index faster than numpy's
+    for k in range(fire.index(True), len(gates)):
+        gate = gates[k]
+        qa, qb = gate.qubits
         if ((flipped >> qa) ^ (flipped >> qb)) & 1:
-            _rzz_kernel(amps, -2.0 * gates[k].theta, qa, qb)
+            edges.append((gate.theta, qa, qb))
         if fire[k]:
-            pa, pb = divmod(int(codes[k]), 4)
+            code = int(codes[k])
+            pa, pb = divmod(code, 4)
             flipped ^= (_ANTICOMMUTES_WITH_Z[pa] << qa) | (_ANTICOMMUTES_WITH_Z[pb] << qb)
-            fired.append((int(codes[k]), qa, qb))
+            fired.append((code, qa, qb))
+    if edges:
+        theta, qa, qb = zip(*edges)
+        _flip_phase(amps, signs, np.array(theta), np.array(qa), np.array(qb))
     for code, qa, qb in fired:
         _apply_pauli_pair(amps, code, qa, qb)
 
@@ -263,7 +351,7 @@ def _run_block(ens: _Ensemble, block: list) -> tuple[np.ndarray, list[int]]:
         for i, draw in enumerate(block):
             if draw is not None and draw[0][k : k + m].any():
                 fire, codes = draw[0][k : k + m], draw[1][k : k + m]
-                _commute_fired(states[row_of[i]], op.gates, fire, codes)
+                _commute_fired(states[row_of[i]], op.gates, fire, codes, ens.signs)
         k += m
     return states, row_of
 
@@ -288,7 +376,7 @@ def _iter_trajectories(circuit, cfg, precision, memory_budget, threads):
     """
     rows = _block_rows(circuit.num_qubits, cfg.trajectories, threads)
     workers = min(max(1, threads), cfg.trajectories)  # each holds one block
-    ens = _prepare(circuit, Precision.coerce(precision), memory_budget, rows * workers)
+    ens = _prepare(circuit, Precision.coerce(precision), memory_budget, rows, workers)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pending = deque()
@@ -316,17 +404,21 @@ def run_noisy_ensemble(
     Trajectory t samples with the stream ("shots", t) derived from the
     config seed; at epsilon 0 with one trajectory this reproduces the
     noiseless ``sample`` byte for byte.  The result carries the number of
-    Paulis each trajectory fired.
+    Paulis each trajectory fired, and the largest drift of a trajectory's
+    squared norm from 1, read off the end of its unnormalized CDF.
     """
     if shots_per_trajectory < 1:
         raise ValidationError(f"shot count must be positive, got {shots_per_trajectory}")
     pooled, fired = [], []
     last = cdf = None
+    drift = 0.0
     for t, (probs, paulis) in enumerate(
         _iter_trajectories(circuit, cfg, precision, memory_budget, threads)
     ):
         if probs is not last:  # trajectories sharing a vector share its CDF
-            last, cdf = probs, _normalized_cdf(probs)
+            last = probs
+            cdf, total = _normalized_cdf(probs)
+            drift = max(drift, abs(total - 1.0))
         rng = derive_rng(cfg.rng_seed, "shots", t)
         pooled.append(_draw_from_cdf(cdf, shots_per_trajectory, rng))
         fired.append(paulis)
@@ -336,6 +428,7 @@ def run_noisy_ensemble(
         rng_seed=cfg.rng_seed,
         source=f"noisy(epsilon={cfg.epsilon:g}, trajectories={cfg.trajectories})",
         paulis_fired=np.array(fired, dtype=np.int64),
+        norm_drift=drift,
     )
 
 

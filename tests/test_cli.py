@@ -202,7 +202,8 @@ def test_threads_is_refused_where_nothing_runs_on_threads(tmp_path):
 
 def test_manifest_records_the_resolved_thread_count(tmp_path, instance_path, monkeypatch):
     def recorded(out):
-        return json.loads(Path(str(out) + ".manifest.json").read_text())["params"]["threads"]
+        params = json.loads(Path(str(out) + ".manifest.json").read_text())["params"]
+        return params["threads"], params["threads_source"]
 
     monkeypatch.setenv("LRQBENCH_THREADS", "2")
     noisy = tmp_path / "noisy.json"
@@ -210,13 +211,43 @@ def test_manifest_records_the_resolved_thread_count(tmp_path, instance_path, mon
         "simulate", "--instance", instance_path, "--out", noisy, "--p", 1,
         "--mode", "noisy", "--epsilon", 0.01, "--trajectories", 4,
     ) == 0
-    assert recorded(noisy) == 2
+    assert recorded(noisy) == (2, "LRQBENCH_THREADS")
     inst = tmp_path / "inst.json"
     assert run_cli("gen", "--n", 6, "--out", inst, "--threads", 3) == 0
-    assert recorded(inst) == 3
+    assert recorded(inst) == (3, "--threads")
     monkeypatch.delenv("LRQBENCH_THREADS")
     assert run_cli("gen", "--n", 6, "--out", inst) == 0
-    assert recorded(inst) == 1
+    assert recorded(inst) == (1, "default")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hqc", "--n", 10, "--out", "h.json"),
+        ("fitnoise", "res.json", "--out", "h.json"),
+        ("replay", "res.json.manifest.json"),
+    ],
+    ids=["hqc", "fitnoise", "replay"],
+)
+def test_seed_is_refused_where_nothing_draws_random_numbers(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--seed", 7)
+    assert exc.value.code == 2
+    assert not (tmp_path / "h.json").exists()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_simulate_noisy_reports_norm_drift(tmp_path, instance_path, epsilon):
+    out = tmp_path / "noisy.json"
+    assert run_cli(
+        "simulate", "--instance", instance_path, "--out", out, "--p", 2, "--seed", 3,
+        "--mode", "noisy", "--epsilon", epsilon, "--trajectories", 20, "--shots", 2,
+    ) == 0
+    data = json.loads(out.read_text())
+    assert data["norm_tolerance"] == 10.0 * 64 * 2.0**-23
+    assert 0.0 <= data["norm_drift"] <= data["norm_tolerance"]
+    assert (data["paulis_fired"] > 0) == (epsilon > 0.0)
 
 
 def test_simulate_noisy_zero_eps_matches_noiseless(tmp_path, instance_path):
@@ -389,7 +420,7 @@ def test_fitnoise_pipeline(tmp_path, instance_path, capsys):
     run_cli("simulate", "--instance", instance_path, "--out", clean, "--p", 3)
 
     fit_path = tmp_path / "fit.json"
-    assert run_cli("fitnoise", *results, clean, "--out", fit_path, "--seed", 5) == 0
+    assert run_cli("fitnoise", *results, clean, "--out", fit_path) == 0
     captured = capsys.readouterr()
     assert "has no overlap ratio" in captured.err
     assert "k0=" in captured.out

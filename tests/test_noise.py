@@ -1,11 +1,16 @@
+import cmath
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 import lrqbench.noise as noise
 from lrqbench import (
+    CapacityError,
     DepolarizingConfig,
     FitError,
+    GateOp,
     LrQaoaParams,
     Precision,
     ValidationError,
@@ -25,12 +30,22 @@ from lrqbench import (
     sample,
     solve_instance,
 )
-from lrqbench.engine import _abs_squared, _apply_gate_run, _layer_runs, draw_indices
+from lrqbench.engine import (
+    _GATE_BLOCK_BITS,
+    _abs_squared,
+    _apply_gate_run,
+    _layer_runs,
+    draw_indices,
+    state_bytes,
+)
 from lrqbench.noise import (
     _apply_pauli_pair,
     _commute_fired,
+    _correction_bytes,
+    _flip_phase,
     _prepare,
     _run_block,
+    _sign_table,
     _x_kernel,
     _y_kernel,
     _z_kernel,
@@ -124,6 +139,101 @@ def test_commuted_paulis_match_time_ordered_product():
     assert most_in_one_layer >= 4
 
 
+def zz_signs(n, qa, qb):
+    """S(z) = (1 - 2 z_a)(1 - 2 z_b) over every index z, one row per edge."""
+    z = np.arange(1 << n)
+    qa, qb = np.atleast_1d(qa)[:, None], np.atleast_1d(qb)[:, None]
+    return (1 - 2 * ((z >> qa) & 1)) * (1 - 2 * ((z >> qb) & 1))
+
+
+def test_flip_phase_fp32_error_within_per_edge_chain():
+    # one float64 angle sum, cos and sin in float32, against the chain of
+    # complex64 factors an RZZ(-2 theta) kernel applied edge by edge forms
+    n = 12
+    signs = _sign_table(n)
+    rng = np.random.default_rng(12)
+    worst_diagonal = worst_chain = 0.0
+    for _ in range(50):
+        size = int(rng.integers(5, 41))
+        qa = rng.integers(0, n, size)
+        qb = (qa + rng.integers(1, n, size)) % n
+        theta = rng.uniform(-np.pi, np.pi, size)
+        zz = zz_signs(n, qa, qb)
+        exact = np.exp(1j * (theta[:, None] * zz).sum(axis=0))
+        diagonal = np.ones(1 << n, np.complex64)
+        _flip_phase(diagonal, signs, theta, qa, qb)
+        chain = np.ones(1 << n, np.complex64)
+        for t, s in zip(theta, zz):
+            chain[s == 1] *= np.complex64(cmath.exp(1j * t))
+            chain[s == -1] *= np.complex64(cmath.exp(-1j * t))
+        worst_diagonal = max(worst_diagonal, float(np.abs(diagonal - exact).max()))
+        worst_chain = max(worst_chain, float(np.abs(chain - exact).max()))
+    assert worst_diagonal <= worst_chain
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_commute_fired_chunked_matches_time_ordered_product(n):
+    # edges among qubits below and at or above bit 15 (both ends above at
+    # n=17); Y Y on (0, 1) flips the edges with one end in {0, 1}, and
+    # I X on (5, 15) then adds 15, so (14, 15) and (15, 16) flip too
+    qubits = [0, 1, 5, 14, 15, 16][: n - 11]
+    pairs = [(a, b) for i, a in enumerate(qubits) for b in qubits[i + 1 :]]
+    rng = np.random.default_rng(n)
+    gates = tuple(GateOp("RZZ", pair, float(rng.uniform(-2, 2))) for pair in pairs)
+    fire = np.zeros(len(pairs), bool)
+    codes = np.zeros(len(pairs), np.int64)
+    for pair, code in (((0, 1), 10), ((5, 15), 1), ((14, 16 if n == 17 else 15), 3)):
+        fire[pairs.index(pair)], codes[pairs.index(pair)] = True, code
+    start = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    want = start.copy()
+    got = start.copy()
+    for k, gate in enumerate(gates):
+        diagonal = np.exp(-0.5j * gate.theta * zz_signs(n, *gate.qubits)[0])
+        want *= diagonal
+        got *= diagonal
+        if fire[k]:
+            _apply_pauli_pair(want, int(codes[k]), *gate.qubits)
+    _commute_fired(got, gates, fire, codes, _sign_table(n))
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(got - start)) > 1e-3
+
+
+@pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+def test_correction_scratch_is_what_check_memory_counts(precision):
+    n = 17
+    signs = _sign_table(n)
+    assert signs.nbytes == (_GATE_BLOCK_BITS + 1) << _GATE_BLOCK_BITS
+    amps = np.ones(1 << n, precision.dtype)
+    qa = np.repeat([0, 1], 15)
+    qb = np.tile(np.arange(2, 17), 2)
+    theta = np.linspace(-3.0, 3.0, qa.size)
+    tracemalloc.start()
+    try:
+        _flip_phase(amps, signs, theta, qa, qb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= _correction_bytes(n, qa.size, precision.dtype)
+    # chunks of 2^15 amplitudes: the count does not grow with the state
+    assert _correction_bytes(30, qa.size, precision.dtype) == _correction_bytes(
+        n, qa.size, precision.dtype
+    )
+
+
+def test_prepare_budgets_the_sign_table_and_correction_scratch():
+    n = 6
+    circ = build_circuit(generate_instance(n, 3), LrQaoaParams(p=2))
+    states = 2 + 3 * 4  # two cost-layer phases, three workers' blocks of four
+    need = (
+        states * state_bytes(n, Precision.FP32)
+        + _sign_table(n).nbytes
+        + 3 * _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype)
+    )
+    _prepare(circ, Precision.FP32, need, rows=4, workers=3)
+    with pytest.raises(CapacityError):
+        _prepare(circ, Precision.FP32, need - 1, rows=4, workers=3)
+
+
 def per_trajectory_reference(circ, cfg, precision, shots):
     """The ensemble as one state per trajectory, run alone: zeros, gate
     runs (the H layer the ensemble folds included), phase multiply,
@@ -149,7 +259,7 @@ def per_trajectory_reference(circ, cfg, precision, shots):
             amps *= phase
             m = len(op.gates)
             if fire[k : k + m].any():
-                _commute_fired(amps, op.gates, fire[k : k + m], codes[k : k + m])
+                _commute_fired(amps, op.gates, fire[k : k + m], codes[k : k + m], ens.signs)
             k += m
         probs.append(_abs_squared(amps))
         pooled.append(draw_indices(probs[-1], shots, derive_rng(cfg.rng_seed, "shots", t)))
@@ -195,6 +305,7 @@ def test_block_runner_matches_lone_trajectories_bitwise(n, trajectories, noise_l
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want_probs]
         shots = run_noisy_ensemble(circ, cfg, 3, precision, threads=threads)
         assert shots.indices.tobytes() == want_shots.tobytes()
+        assert shots.norm_drift == max(abs(np.cumsum(w)[-1] - 1.0) for w in want_probs)
         mean = noisy_expected_probs(circ, cfg, precision, threads=threads)
         assert mean.tobytes() == want_mean.tobytes()
 
