@@ -8,7 +8,8 @@ noisy runs, and ``hqc`` prints the credit cost of a hypothetical job.
 
 Every file-writing invocation also writes ``<output>.manifest.json``
 recording the tool version, argv, resolved parameters, and SHA-256
-digests of inputs and outputs; ``replay`` re-executes a manifest's argv.
+digests of inputs and outputs; ``replay`` re-executes a manifest's argv
+once every recorded input matches its digest.
 Exit codes: 0 success, 2 bad input, 3 over a capacity limit, 4 runtime
 failure.
 """
@@ -31,7 +32,6 @@ from .circuit import LrQaoaParams, build_circuit, gate_counts, hqc_cost
 from .engine import (
     Precision,
     exact_expected_r,
-    expected_r_from_probs,
     norm_tolerance,
     run_circuit,
     sample,
@@ -220,15 +220,13 @@ def _cmd_simulate(args) -> int:
             outputs.append(timing_path)
         else:
             sv = run_circuit(circuit, args.precision, args.memory_bytes)
-        # one probability vector feeds the shots and the exact ratio
-        probs = sv.probabilities()
-        shots = sample(sv, args.shots, args.seed, probs=probs)
+        shots = sample(sv, args.shots, args.seed)
         payload.update(
             {
                 "shards": args.shards,
                 "shots": args.shots,
                 "mean_r": approximation_ratio(inst, shots) if solved else None,
-                "exact_expected_r": expected_r_from_probs(probs, inst) if solved else None,
+                "exact_expected_r": exact_expected_r(sv, inst) if solved else None,
                 "norm_drift": abs(sv.norm_squared() - 1.0),
                 "norm_tolerance": sv.norm_tolerance(),
                 "bitstrings": shots.bitstrings(),
@@ -473,6 +471,9 @@ def _cmd_replay(args) -> int:
         raise ValidationError(f"cannot replay {args.manifest}: {exc}") from exc
     if not isinstance(argv, list) or not argv:
         raise ValidationError(f"{args.manifest} records no argv to replay")
+    inputs = manifest.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise ValidationError(f"{args.manifest} records no input digests")
     recorded = manifest.get("version")
     if recorded != __version__:
         print(
@@ -480,6 +481,13 @@ def _cmd_replay(args) -> int:
             f"{__version__}; outputs may differ from the recorded digests",
             file=sys.stderr,
         )
+    for path, digest in inputs.items():
+        if not Path(path).is_file():
+            raise ValidationError(f"cannot replay {args.manifest}: input {path} is missing")
+        if _sha256(Path(path)) != digest:
+            raise ValidationError(
+                f"cannot replay {args.manifest}: input {path} does not match its recorded sha256"
+            )
     return main([str(a) for a in argv])
 
 
@@ -600,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hqc.add_argument("--out", type=Path, default=None, help="optional JSON output")
     p_hqc.set_defaults(func=_cmd_hqc)
 
-    p_rep = sub.add_parser("replay", help="re-run the argv recorded in a manifest")
+    p_rep = sub.add_parser("replay", help="check a manifest's input digests, then re-run its argv")
     p_rep.add_argument("manifest", type=Path)
     p_rep.set_defaults(func=_cmd_replay)
 

@@ -43,9 +43,17 @@ gates; only the executed layer view drops them.  The same executors serve the no
 sharded engines.  Nothing ever renormalizes, so global phase and
 accumulated rounding stay visible.
 
+The tail of a run streams over the final state: ``norm_squared``,
+``exact_expected_r`` and ``sample`` read |amplitude|^2 in float64 one
+2^16-amplitude chunk at a time (``_squared_chunks``), and the sampler
+keeps one running total per chunk, so the tail holds
+O(2^16 + 2^(n-16)) bytes besides the state and its results are those of
+the full probability vector, bit for bit.
+
 Single precision (complex64) is the default and costs 2^(n+3) bytes;
 double costs 2^(n+4).  Requests over the memory budget raise
-``CapacityError`` up front, naming the required bytes.
+``CapacityError`` up front, naming the required bytes; a run's budget
+covers its state and its bounded scratch (``_run_scratch_bytes``).
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ import numpy as np
 
 from .circuit import CircuitIR, CostLayer, GateOp
 from .errors import CapacityError, StateError, ValidationError
-from .problem import CutDiagonal, WmcInstance, doubling, indices_to_bitstrings
+from .problem import _BLOCK_BITS, CutDiagonal, WmcInstance, doubling, indices_to_bitstrings
 from .rng import derive_rng
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes, overridable via LRQBENCH_MEMORY_BYTES
@@ -133,11 +141,11 @@ class StateVector:
 
     def norm_squared(self) -> float:
         """Sum of |amplitude|^2 in double precision: numpy's pairwise sums
-        over fixed chunks, added in order, so no BLAS thread count can
-        change the bits."""
+        over fixed chunks (``_squared_chunks``), added in order, so no BLAS
+        thread count can change the bits."""
         total = 0.0
-        for lo in range(0, self.amps.size, _REDUCTION_CHUNK):
-            total += float(_abs_squared(self.amps[lo : lo + _REDUCTION_CHUNK]).sum())
+        for _, p in _squared_chunks(self.amps):
+            total += float(p.sum())
         return total
 
     def norm_tolerance(self) -> float:
@@ -145,7 +153,10 @@ class StateVector:
         return norm_tolerance(self.num_qubits, self.precision)
 
     def probabilities(self) -> np.ndarray:
-        """|amplitude|^2 in double precision, with one float64 temporary."""
+        """|amplitude|^2 in double precision, as a full-length vector: its
+        peak holds two float64 arrays of 2^n entries.  The reductions over
+        a final state (``norm_squared``, ``exact_expected_r``, ``sample``)
+        stream it chunk by chunk instead."""
         return _abs_squared(self.amps)
 
 
@@ -161,15 +172,40 @@ def _abs_squared(amps: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _squared_chunks(amps: np.ndarray, chunks=None):
+    """(lo, |amps[lo : lo + _REDUCTION_CHUNK]|^2) in double precision, for
+    the chunks numbered in ``chunks`` (all of them by default), in order.
+
+    Every chunk is written into row 0 of one two-row float64 buffer, row 1
+    holding the squared imaginary parts, with ``_abs_squared``'s
+    operations, so its bits are those of the full vector's slice.  The
+    view yielded is overwritten by the next chunk; a caller may work on it
+    in place.  Scratch is the buffer, two chunks.
+    """
+    buf = np.empty((2, min(amps.size, _REDUCTION_CHUNK)))
+    if chunks is None:
+        chunks = range(-(-amps.size // _REDUCTION_CHUNK))
+    for j in chunks:
+        lo = int(j) * _REDUCTION_CHUNK
+        part = amps[lo : lo + _REDUCTION_CHUNK]
+        p, imag = buf[0, : part.size], buf[1, : part.size]
+        np.square(part.real, out=p, dtype=np.float64)
+        np.square(part.imag, out=imag, dtype=np.float64)
+        p += imag
+        yield lo, p
+
+
 def zero_state(
     num_qubits: int,
     precision: Precision | str = Precision.FP32,
     memory_budget: int | None = None,
+    scratch: int = 0,
 ) -> StateVector:
+    """|0...0>, after checking that it and ``scratch`` bytes fit the budget."""
     precision = Precision.coerce(precision)
     if num_qubits < 1:
         raise ValidationError(f"need at least one qubit, got {num_qubits}")
-    check_memory(num_qubits, precision, memory_budget)
+    check_memory(num_qubits, precision, memory_budget, scratch=scratch)
     amps = np.zeros(1 << num_qubits, dtype=precision.dtype)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
@@ -439,14 +475,55 @@ def _fold_h(circuit: CircuitIR, dtype: np.dtype = np.complex64):
     return None, runs
 
 
+def _run_scratch_bytes(
+    num_qubits: int, precision: Precision, workers: int = 1, exchange: int = 0
+) -> int:
+    """Bytes a noiseless run and its tail hold besides the state, at most:
+    the largest of the stages' bounds below, with ``workers`` running gates
+    at once, plus the cast buffers of one numpy call (``np.getbufsize()``
+    elements of at most 16 bytes for each of up to three operands).
+    ``exchange`` is a sharded run's bound for one exchange step.
+
+    - A one-qubit gate run, per worker: ``_apply_gate_run``'s two blocks
+      and ``_pair_kernel``'s temporaries, at most four of one block.
+    - A cost layer: its ``_CostPhase``, which holds ``eq`` (complex128)
+      and the cut's ``offset_cut`` (float64) over 2^b offsets,
+      b = min(16, n), after a constructor transient of about twice
+      ``offset_cut``; and per worker ``_apply_cost_layer``'s pieces, one
+      in double and one in the state's precision, and its block's table
+      over the low 2^12 offsets (complex128).
+    - The tail: the reader's two float64 chunks (``_squared_chunks``),
+      the sampler's two running totals per chunk, and ``exact_expected_r``'s
+      ``CutDiagonal``, its table and transient, with one chunk of cut
+      values.
+
+    What grows with the shot count is not counted.
+    """
+    item = precision.bytes_per_amplitude
+    block = min(1 << num_qubits, 1 << _GATE_BLOCK_BITS)
+    table = 1 << min(_BLOCK_BITS, num_qubits)
+    piece = min(table, 1 << _PHASE_PIECE_BITS)
+    chunk = min(1 << num_qubits, _REDUCTION_CHUNK)
+    chunks = -(-(1 << num_qubits) // _REDUCTION_CHUNK)
+    gate_run = 6 * block * item
+    pieces = piece * (16 + item + 16)
+    phase = (16 + 8 + 2 * 8) * table
+    tail = 2 * 8 * chunk + 2 * 8 * chunks + 3 * 8 * table + 8 * chunk
+    buffers = 3 * 16 * np.getbufsize()
+    return max(workers * gate_run, phase + workers * pieces, tail, exchange) + buffers
+
+
 def run_circuit(
     circuit: CircuitIR,
     precision: Precision | str = Precision.FP32,
     memory_budget: int | None = None,
 ) -> StateVector:
     """Evolve |0...0> through the circuit's layers (the IR includes its H
-    layer, which ``_fold_h`` folds into the start state)."""
-    sv = zero_state(circuit.num_qubits, precision, memory_budget)
+    layer, which ``_fold_h`` folds into the start state).  The budget
+    covers the state and ``_run_scratch_bytes``."""
+    precision = Precision.coerce(precision)
+    n = circuit.num_qubits
+    sv = zero_state(n, precision, memory_budget, _run_scratch_bytes(n, precision))
     start, runs = _fold_h(circuit, sv.amps.dtype)
     if start is not None:
         sv.amps.fill(start)
@@ -462,32 +539,41 @@ def run_circuit(
 # observables and sampling
 
 
+def _expected_r(chunks, inst: WmcInstance) -> float:
+    """Expected approximation ratio from (lo, probabilities of the indices
+    lo, lo + 1, ...) chunks: an elementwise product with the cut values and
+    numpy's pairwise sum per chunk, not a BLAS dot, added in order."""
+    if inst.optimal_cut is None:
+        raise StateError("instance has no optimal cut; solve it first")
+    cut = CutDiagonal(inst.num_vertices, inst.edges)
+    total = 0.0
+    for lo, p in chunks:
+        weighted = cut.values(lo, lo + p.size)
+        weighted *= p
+        total += float(weighted.sum())
+        del weighted  # dropped before the next chunk's values are formed
+    return total / inst.optimal_cut.value
+
+
 def expected_r_from_probs(probs: np.ndarray, inst: WmcInstance) -> float:
     """Expected approximation ratio of an explicit basis-state distribution."""
     if probs.size != 1 << inst.num_vertices:
         raise ValidationError(
             f"distribution over {probs.size} states does not match n={inst.num_vertices}"
         )
-    if inst.optimal_cut is None:
-        raise StateError("instance has no optimal cut; solve it first")
-    cut = CutDiagonal(inst.num_vertices, inst.edges)
-    total = 0.0
-    for lo in range(0, probs.size, _REDUCTION_CHUNK):
-        hi = min(lo + _REDUCTION_CHUNK, probs.size)
-        # an elementwise product and numpy's pairwise sum, not a BLAS dot
-        weighted = cut.values(lo, hi)
-        weighted *= probs[lo:hi]
-        total += float(weighted.sum())
-    return total / inst.optimal_cut.value
+    step = _REDUCTION_CHUNK
+    return _expected_r(((lo, probs[lo : lo + step]) for lo in range(0, probs.size, step)), inst)
 
 
 def exact_expected_r(sv: StateVector, inst: WmcInstance) -> float:
-    """Expected approximation ratio of the full distribution, no sampling."""
+    """Expected approximation ratio of the full distribution, no sampling:
+    ``expected_r_from_probs(sv.probabilities(), inst)`` bit for bit, read
+    chunk by chunk off the state."""
     if inst.num_vertices != sv.num_qubits:
         raise ValidationError(
             f"instance has {inst.num_vertices} vertices, state has {sv.num_qubits} qubits"
         )
-    return expected_r_from_probs(sv.probabilities(), inst)
+    return _expected_r(_squared_chunks(sv.amps), inst)
 
 
 @dataclass(eq=False)
@@ -533,20 +619,62 @@ def draw_indices(probs: np.ndarray, n_shots: int, rng: np.random.Generator) -> n
     return _draw_from_cdf(_normalized_cdf(probs)[0], n_shots, rng)
 
 
-def sample(
-    sv: StateVector, n_shots: int, rng_seed: int, *, probs: np.ndarray | None = None
-) -> ShotSet:
+def _running_totals(amps: np.ndarray) -> np.ndarray:
+    """The full ``np.cumsum`` of |amps|^2 at each chunk's last index, bit
+    for bit: each chunk's cumsum with the total so far added into its
+    first probability."""
+    totals = np.empty(-(-amps.size // _REDUCTION_CHUNK))
+    carry = 0.0
+    for j, (_, p) in enumerate(_squared_chunks(amps)):
+        p[0] += carry
+        carry = totals[j] = np.cumsum(p, out=p)[-1]
+    return totals
+
+
+def _draw_streamed(amps: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
+    """``draw_indices`` over |amps|^2, bit for bit, without a full-length
+    vector.
+
+    ``np.cumsum`` adds in order, so chunk j's slice of the full CDF is the
+    cumsum of its probabilities with the running total up to the chunk
+    added into its first one.  Pass 1 keeps only each chunk's last value,
+    the running totals, whose last is the norm; divided by it they are the
+    normalized CDF at the chunks' ends.  A uniform u goes to the first
+    chunk whose end exceeds u, and pass 2 rebuilds only the chunks hit
+    and searches u inside them: the first index where the normalized CDF
+    exceeds u, as a search of the full CDF finds it.
+    """
+    carries = _running_totals(amps)
+    total = float(carries[-1])
+    if total <= 0.0:
+        raise ValidationError("statevector has zero norm, nothing to sample")
+    u = rng.random(n_shots)
+    # a u past the last end (never, as that end is total / total = 1) is
+    # searched in the last chunk, which gives the full search's index size
+    which = np.minimum(np.searchsorted(carries / total, u, side="right"), carries.size - 1)
+    idx = np.empty(n_shots, np.intp)
+    order = np.argsort(which, kind="stable")
+    hit, first = np.unique(which[order], return_index=True)
+    for (lo, p), shots in zip(_squared_chunks(amps, hit), np.split(order, first[1:])):
+        if lo:
+            p[0] += carries[lo // _REDUCTION_CHUNK - 1]
+        np.cumsum(p, out=p)
+        p /= total
+        idx[shots] = lo + np.searchsorted(p, u[shots], side="right")
+    return np.minimum(idx, amps.size - 1).astype(np.uint64)
+
+
+def sample(sv: StateVector, n_shots: int, rng_seed: int) -> ShotSet:
     """Draw basis states by inverse-CDF over |amplitude|^2.
 
     The CDF is renormalized in double precision, so single-precision
-    norm drift does not bias the draw.  Same seed, same shots.  A caller
-    that already holds ``sv.probabilities()`` passes it as ``probs``.
+    norm drift does not bias the draw.  Same seed, same shots: those of
+    ``draw_indices`` over ``sv.probabilities()``, streamed chunk by chunk
+    (``_draw_streamed``), so no vector of the state's length is formed.
     """
-    if probs is None:
-        probs = sv.probabilities()
-    elif probs.size != sv.amps.size:
-        raise ValidationError(f"{probs.size} probabilities for {sv.amps.size} amplitudes")
-    idx = draw_indices(probs, n_shots, derive_rng(rng_seed, "shots", 0))
+    if n_shots < 1:
+        raise ValidationError(f"shot count must be positive, got {n_shots}")
+    idx = _draw_streamed(sv.amps, n_shots, derive_rng(rng_seed, "shots", 0))
     return ShotSet(sv.num_qubits, idx, int(rng_seed), "noiseless")
 
 

@@ -38,7 +38,9 @@ slowest pair's copy, and the exchanged amplitudes are counted from the
 halves actually copied on the outward legs.  The compute time of a cost
 layer, or of a stretch of local H and RX gates, goes on the row of its
 first gate, and its other rows carry zeros, as do the folded H gates.
-An exception in any task aborts the run.
+An exception in any task aborts the run.  The memory budget covers the
+state, each thread's executor scratch and the halves that the swap legs
+running at once hold (``engine._run_scratch_bytes``).
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .engine import (
     _apply_gate_run,
     _CostPhase,
     _fold_h,
+    _run_scratch_bytes,
     zero_state,
 )
 from .errors import AbortedRunError, ValidationError
@@ -300,7 +303,12 @@ def run_circuit_sharded(
             f"circuit has {circuit.num_qubits} qubits but plan covers {plan.nq}"
         )
     start, layers = _layer_plan(circuit, plan, precision.dtype)
-    sv = zero_state(plan.nq, precision, memory_budget)
+    workers = min(plan.num_shards, os.cpu_count() or 1)
+    # a swap leg holds half a shard per pair, for as many pairs as run at once
+    pairs = min(workers, plan.num_shards // 2)
+    legs = pairs * (plan.shard_len // 2) * precision.bytes_per_amplitude
+    scratch = _run_scratch_bytes(plan.nq, precision, workers, legs)
+    sv = zero_state(plan.nq, precision, memory_budget, scratch)
     rows = sv.amps.reshape(plan.num_shards, plan.shard_len)
     shards = range(plan.num_shards)
     gate_rows: list[GateTiming] = []
@@ -311,7 +319,7 @@ def run_circuit_sharded(
         # keep their timing rows with nothing computed or exchanged
         sv.amps.fill(start)
         gate_rows.extend(GateTiming(q, "H", 0.0, 0.0, 0) for q in range(plan.nq))
-    with ThreadPoolExecutor(max_workers=min(plan.num_shards, os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
 
         def each(fn, items) -> list:
             # map's return is the barrier: no task waits on another

@@ -492,6 +492,23 @@ def test_replay_warns_on_version_mismatch(tmp_path, capsys):
     assert "warning" in err and "0.1.0" in err
 
 
+@pytest.mark.parametrize("change", ["tampered", "deleted"])
+def test_replay_checks_its_inputs(tmp_path, instance_path, capsys, change):
+    out = tmp_path / "r.json"
+    assert run_cli("simulate", "--instance", instance_path, "--p", 1, "--out", out) == 0
+    out.unlink()
+    if change == "tampered":
+        data = json.loads(instance_path.read_text())
+        data["edges"][0][2] += 0.5
+        instance_path.write_text(json.dumps(data))
+    else:
+        instance_path.unlink()
+    capsys.readouterr()
+    assert run_cli("replay", tmp_path / "r.json.manifest.json") == 2
+    assert f"input {instance_path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_replay_rejects_garbage(tmp_path):
     bogus = tmp_path / "m.json"
     bogus.write_text("{}")

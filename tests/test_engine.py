@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from lrqbench.engine import (
 )
 from lrqbench import engine
 from lrqbench.problem import cut_values_range, index_to_bitstring
+from lrqbench.sharded import plan_for_shard_count, run_circuit_sharded
 from lrqbench.rng import derive_rng
 
 import oracles
@@ -364,6 +366,124 @@ def test_draw_indices_tracks_distribution():
 def test_draw_indices_rejects_zero_mass():
     with pytest.raises(ValidationError):
         draw_indices(np.zeros(4), 10, derive_rng(0, "shots", 0))
+
+
+def full_vector_shots(amps: np.ndarray, n_shots: int, seed: int) -> np.ndarray:
+    """The sampler over the whole probability vector, written out."""
+    probs = np.square(amps.real, dtype=np.float64)
+    probs += np.square(amps.imag, dtype=np.float64)
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    idx = np.searchsorted(cdf, derive_rng(seed, "shots", 0).random(n_shots), side="right")
+    return np.minimum(idx, cdf.size - 1).astype(np.uint64)
+
+
+def streamed_cases(n: int) -> dict:
+    chunk = engine._REDUCTION_CHUNK
+    dense = random_state(n, 60 + n)
+    hollow = dense.copy()  # every other chunk without mass
+    for lo in range(0, hollow.size, 2 * chunk):
+        hollow[lo : lo + chunk] = 0.0
+    seam = np.zeros(1 << n, complex)  # mass on both sides of a chunk edge
+    seam[chunk - 1], seam[chunk] = 0.6, 0.8j
+    basis = np.zeros(1 << n, complex)
+    basis[(1 << n) - 3] = 1.0
+    return {"dense": dense, "hollow": hollow, "seam": seam, "basis": basis}
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", [17, 18])
+@pytest.mark.parametrize("case", ["dense", "hollow", "seam", "basis"])
+def test_streamed_sample_matches_full_vector_formula(precision, n, case):
+    amps = streamed_cases(n)[case].astype(Precision.coerce(precision).dtype)
+    for seed in (0, 5):
+        got = sample(StateVector(n, amps), 3000, seed).indices
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, full_vector_shots(amps, 3000, seed))
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+def test_streamed_sample_below_one_chunk(precision):
+    amps = random_state(10, 8).astype(Precision.coerce(precision).dtype)
+    got = sample(StateVector(10, amps), 3000, 2).indices
+    np.testing.assert_array_equal(got, full_vector_shots(amps, 3000, 2))
+
+
+@pytest.mark.parametrize("n", [3, 17])
+def test_streamed_sample_rejects_zero_norm(n):
+    with pytest.raises(ValidationError, match="zero norm"):
+        sample(StateVector(n, np.zeros(1 << n, np.complex64)), 10, 0)
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", [17, 18])
+def test_streamed_expected_r_and_norm_match_full_vector(precision, n):
+    inst = solve_instance(generate_instance(n, 9))
+    sv = StateVector(n, random_state(n, 70 + n).astype(Precision.coerce(precision).dtype))
+    probs = sv.probabilities()
+    assert exact_expected_r(sv, inst) == expected_r_from_probs(probs, inst)
+    want = sum(float(probs[lo : lo + (1 << 16)].sum()) for lo in range(0, probs.size, 1 << 16))
+    assert sv.norm_squared() == want
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees allocated while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+def test_noiseless_pipeline_peaks_within_its_budget(precision):
+    n = 17
+    inst = solve_instance(generate_instance(n, 5))
+    circ = build_circuit(inst, LrQaoaParams(p=1))
+    need = state_bytes(n, precision) + engine._run_scratch_bytes(n, precision)
+
+    def pipeline():
+        sv = run_circuit(circ, precision, need)
+        sample(sv, 100, 1)
+        exact_expected_r(sv, inst)
+        sv.norm_squared()
+
+    assert state_bytes(n, precision) < traced_peak(pipeline) <= need
+    with pytest.raises(CapacityError):
+        run_circuit(circ, precision, need - 1)
+
+
+def test_run_tail_allocates_nothing_of_state_size():
+    """The tail's peak at n=18 is the one at n=17 plus a few running totals:
+    a vector over the state would add 2^17 entries."""
+    peaks = []
+    for n in (17, 18):
+        inst = solve_instance(generate_instance(n, 6))
+        sv = StateVector(n, random_state(n, 80 + n).astype(np.complex64))
+
+        def tail():
+            sample(sv, 100, 1)
+            exact_expected_r(sv, inst)
+            sv.norm_squared()
+
+        peaks.append(traced_peak(tail))
+    assert peaks[1] - peaks[0] < 1 << 12
+    assert peaks[0] <= engine._run_scratch_bytes(17, Precision.FP32)
+
+
+def test_sharded_run_budgets_its_exchange_legs():
+    plan = plan_for_shard_count(17, 2)
+    circ = build_circuit(generate_instance(17, 5), LrQaoaParams(p=1))
+    workers = min(2, os.cpu_count() or 1)
+    legs = (plan.shard_len // 2) * Precision.FP32.bytes_per_amplitude  # one pair, half a shard
+    need = state_bytes(17, Precision.FP32) + engine._run_scratch_bytes(
+        17, Precision.FP32, workers, legs
+    )
+    peak = traced_peak(lambda: run_circuit_sharded(circ, plan, "fp32", need))
+    assert state_bytes(17, Precision.FP32) < peak <= need
+    with pytest.raises(CapacityError):
+        run_circuit_sharded(circ, plan, "fp32", need - 1)
 
 
 def test_state_bytes():

@@ -86,6 +86,26 @@ def test_pauli_kernels_match_matrices(kernel, matrix, q):
     np.testing.assert_allclose(amps, oracles.embed_single(matrix, q, 3) @ start, atol=1e-14)
 
 
+@pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+@pytest.mark.parametrize("kernel", [_x_kernel, _y_kernel])
+@pytest.mark.parametrize("q", [3, 15, 16])
+def test_pauli_kernels_hold_at_most_one_chunk(precision, kernel, q):
+    n = 17
+    amps = random_state(n, 90 + q).astype(precision.dtype)
+    matrix = oracles.X if kernel is _x_kernel else oracles.Y
+    v = amps.reshape(-1, 2, 1 << q)
+    want = np.einsum("ij,rjc->ric", matrix, v.astype(np.complex128))
+    tracemalloc.start()
+    try:
+        kernel(amps, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk of 2^15 amplitudes, and the views' Python objects
+    assert peak <= (1 << _GATE_BLOCK_BITS) * precision.dtype.itemsize + 8192
+    np.testing.assert_array_equal(amps.reshape(v.shape), want.astype(precision.dtype))
+
+
 @pytest.mark.parametrize("code", list(range(1, 16)))
 def test_pauli_pair_code_mapping(code):
     qa, qb = 0, 2
