@@ -59,11 +59,9 @@ from .problem import (
     solve_instance,
 )
 from .sharded import (
-    ExchangeStep,
     ShardPlan,
     SweepConfig,
     TimingRecord,
-    exchange_steps,
     exchange_volume,
     plan_for_shard_count,
     plan_shards,

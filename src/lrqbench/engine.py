@@ -13,9 +13,10 @@ so an ascending run such as the RX mixer hits bit 0 every time.  Any
 other gate runs in place through one pair kernel at its current stride,
 and one transposed copy restores the block's order at the end.  A gate
 on a higher qubit makes one pass over pairs of 2^15-amplitude chunks 2^q
-apart.  Scratch is two blocks, and every amplitude gets the same
-operations as with the gates applied one by one, so neither the
-blocking nor the passes ever change a bit.
+apart.  Scratch is two blocks plus the pair kernel's temporaries, at
+most four of one block, and every amplitude gets the same operations as
+with the gates applied one by one, so neither the blocking nor the
+passes ever change a bit.
 
 A cost layer (a run of RZZ gates, see ``CircuitIR.layers``) is
 diagonal, so it runs as one elementwise phase multiply by
@@ -335,8 +336,9 @@ def _apply_gate_run(amps: np.ndarray, gates) -> None:
     it sits in cache; each gate on a higher qubit makes one pass over
     chunk pairs.  ``amps`` may also be a flat batch of states of 2^n
     amplitudes each, since a block only has to split evenly on the bits
-    its passes take.  Scratch is two blocks, allocated once per call, and
-    the bits are those of the gates applied one by one.
+    its passes take.  Scratch is two blocks, allocated once per call, plus
+    ``_pair_kernel``'s temporaries, at most four of one block; the bits
+    are those of the gates applied one by one.
     """
     for g in gates:
         if g.kind not in ("H", "RX"):
@@ -475,17 +477,16 @@ def _fold_h(circuit: CircuitIR, dtype: np.dtype = np.complex64):
     return None, runs
 
 
-def _run_scratch_bytes(
-    num_qubits: int, precision: Precision, workers: int = 1, exchange: int = 0
-) -> int:
+def _run_scratch_bytes(num_qubits: int, precision: Precision, workers: int = 1) -> int:
     """Bytes a noiseless run and its tail hold besides the state, at most:
     the largest of the stages' bounds below, with ``workers`` running gates
     at once, plus the cast buffers of one numpy call (``np.getbufsize()``
     elements of at most 16 bytes for each of up to three operands).
-    ``exchange`` is a sharded run's bound for one exchange step.
 
     - A one-qubit gate run, per worker: ``_apply_gate_run``'s two blocks
-      and ``_pair_kernel``'s temporaries, at most four of one block.
+      and ``_pair_kernel``'s temporaries, at most four of one block.  This
+      also bounds a sharded run's swap leg, which holds one buffer of at
+      most half a block per pair.
     - A cost layer: its ``_CostPhase``, which holds ``eq`` (complex128)
       and the cut's ``offset_cut`` (float64) over 2^b offsets,
       b = min(16, n), after a constructor transient of about twice
@@ -510,7 +511,7 @@ def _run_scratch_bytes(
     phase = (16 + 8 + 2 * 8) * table
     tail = 2 * 8 * chunk + 2 * 8 * chunks + 3 * 8 * table + 8 * chunk
     buffers = 3 * 16 * np.getbufsize()
-    return max(workers * gate_run, phase + workers * pieces, tail, exchange) + buffers
+    return max(workers * gate_run, phase + workers * pieces, tail) + buffers
 
 
 def run_circuit(

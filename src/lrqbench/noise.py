@@ -12,8 +12,9 @@ amplitudes (one row when a state is larger), through the dense engine's
 executors: each run of H/RX gates is one ``_apply_gate_run`` call on the
 block's active rows, and each cost layer one broadcast multiply by the
 layer's phase, which an ensemble computes once (``check_memory`` counts
-these cached phases and the blocks).  Row 0 of a block follows the
-noiseless path, and starts as the amplitude of the folded H layer
+these cached phases, the blocks, and the float64 probabilities and CDFs
+of the blocks in flight, see ``_prepare``).  Row 0 of a block follows
+the noiseless path, and starts as the amplitude of the folded H layer
 (``engine._fold_h``).  A trajectory gets its own row, a copy of row 0 after
 the phase multiply, only at the first cost layer where it fires a
 Pauli; trajectories that fire nothing share row 0's probabilities, and
@@ -197,19 +198,27 @@ def _prepare(
     workers: int = 1,
 ) -> _Ensemble:
     """Layers, cached cost-layer phases and the sign table, after checking
-    that they, ``workers`` blocks of ``rows`` states, and each worker's
-    correction scratch fit the memory budget."""
+    that they, ``workers`` blocks of ``rows`` states, each worker's
+    correction scratch and the trajectories' float64 probabilities fit
+    the memory budget."""
     n, dtype = circuit.num_qubits, precision.dtype
     start, layers = _fold_h(circuit, dtype)
     costs = [op for op in layers if isinstance(op, CostLayer)]
     widest = max((len(op.gates) for op in costs), default=0)
     signs = _sign_table(n)
+    # float64 vectors of 2^n: ``rows`` for every block whose results are
+    # held (one without threads, else up to _IN_FLIGHT_PER_THREAD per
+    # worker), the second one ``_abs_squared`` forms in each worker, and
+    # the consumer's two: its CDF, or the mean it sums into, and the
+    # vector or CDF of the trajectory before while the next is formed
+    in_flight = 1 if workers == 1 else _IN_FLIGHT_PER_THREAD * workers
+    probs = (in_flight * rows + workers + 2) << (n + 3)
     check_memory(
         n,
         precision,
         memory_budget,
         arrays=len(costs) + rows * workers,
-        scratch=signs.nbytes + workers * _correction_bytes(n, widest, dtype),
+        scratch=signs.nbytes + workers * _correction_bytes(n, widest, dtype) + probs,
     )
     phases = []
     for op in layers:

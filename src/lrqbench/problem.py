@@ -80,12 +80,6 @@ class WmcInstance:
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
 
-    def weight_matrix(self) -> np.ndarray:
-        a = np.zeros((self.num_vertices, self.num_vertices))
-        for i, j, w in self.edges:
-            a[i, j] = a[j, i] = w
-        return a
-
 
 def generate_instance(n: int, seed: int) -> WmcInstance:
     """Draw a seeded instance; same (n, seed) always gives the same weights.

@@ -19,10 +19,13 @@ exchange, and ``exchange_volume`` reads the same folded layer view.
 
 A stretch of consecutive H and RX gates on local qubits runs inside each
 shard as one call of the dense engine's one-qubit executor.  A gate on a
-global qubit g pairs shard s with shard s XOR 2^(g - nq_local); the pair
-swaps complementary halves of their blocks (L/2 amplitudes out of each
-shard), which transposes qubit g with a spare local bit so the gate can
-run locally, then swaps back.  One such
+global qubit g runs as its stand-in on the top local qubit nq_local - 1.
+A swap leg pairs shard s (bit g - nq_local clear) with shard
+s | 2^(g - nq_local) and trades the upper half of the first with the
+lower half of the second, two contiguous runs of L/2 amplitudes, which
+transposes qubit g with the top local qubit; the stand-in runs in every
+shard, and a second leg swaps back.  A leg copies its halves piece by
+piece through one buffer of at most 2^14 amplitudes per pair.  One such
 swap-apply-restore counts as a single exchange of L/2 amplitudes per
 shard; the restore leg moves the same amplitudes home and is not
 double-counted, and the static ``exchange_volume`` and the counters
@@ -39,8 +42,8 @@ halves actually copied on the outward legs.  The compute time of a cost
 layer, or of a stretch of local H and RX gates, goes on the row of its
 first gate, and its other rows carry zeros, as do the folded H gates.
 An exception in any task aborts the run.  The memory budget covers the
-state, each thread's executor scratch and the halves that the swap legs
-running at once hold (``engine._run_scratch_bytes``).
+state and each thread's executor scratch (``engine._run_scratch_bytes``),
+which also bounds a swap leg's buffer.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .circuit import CircuitIR, CostLayer, GateOp, LrQaoaParams, build_circuit
+from .circuit import CircuitIR, CostLayer, LrQaoaParams, build_circuit
 from .engine import (
+    _GATE_BLOCK_BITS,
     Precision,
     StateVector,
     _apply_cost_layer,
@@ -74,8 +78,14 @@ from .problem import generate_instance
 class ShardPlan:
     nq: int
     nq_local: int
-    num_shards: int
-    shard_len: int
+
+    @property
+    def num_shards(self) -> int:
+        return 1 << (self.nq - self.nq_local)
+
+    @property
+    def shard_len(self) -> int:
+        return 1 << self.nq_local
 
 
 def plan_shards(nq: int, nq_local: int) -> ShardPlan:
@@ -86,12 +96,7 @@ def plan_shards(nq: int, nq_local: int) -> ShardPlan:
         raise ValidationError(
             f"nq_local must satisfy 1 <= nq_local <= nq, got {nq_local} for nq={nq}"
         )
-    return ShardPlan(
-        nq=nq,
-        nq_local=nq_local,
-        num_shards=1 << (nq - nq_local),
-        shard_len=1 << nq_local,
-    )
+    return ShardPlan(nq, nq_local)
 
 
 def plan_for_shard_count(nq: int, num_shards: int) -> ShardPlan:
@@ -103,66 +108,17 @@ def plan_for_shard_count(nq: int, num_shards: int) -> ShardPlan:
     return plan_shards(nq, nq - log2)
 
 
-@dataclass(frozen=True)
-class ExchangeStep:
-    """One pairwise half-block swap: global qubit in, spare local slot out."""
-
-    global_qubit: int
-    local_slot: int
-    pair_bit: int
-    amps_per_shard: int
-
-    def partner(self, shard: int) -> int:
-        return shard ^ (1 << self.pair_bit)
-
-    def pairs(self, num_shards: int) -> list[tuple[int, int]]:
-        return [
-            (s, self.partner(s))
-            for s in range(num_shards)
-            if not (s >> self.pair_bit) & 1
-        ]
-
-
-def exchange_steps(gate: GateOp, plan: ShardPlan) -> list[ExchangeStep]:
-    """Exchange steps that make a gate's qubits local under the plan (empty
-    if they already are).  The engine takes them for H and RX only; an RZZ
-    runs inside its cost layer, which never exchanges.
-
-    Spare local slots are taken from the top of the shard, skipping any
-    local qubit the gate itself uses; a shard too small to host the gate
-    is rejected.
-    """
-    global_qubits = sorted((q for q in gate.qubits if q >= plan.nq_local), reverse=True)
-    if not global_qubits:
-        return []
-    local_qubits = {q for q in gate.qubits if q < plan.nq_local}
-    slots = [
-        s for s in range(plan.nq_local - 1, -1, -1) if s not in local_qubits
-    ][: len(global_qubits)]
-    if len(slots) < len(global_qubits):
-        raise ValidationError(
-            f"shards of 2^{plan.nq_local} amplitudes cannot host gate on {gate.qubits}"
-        )
-    return [
-        ExchangeStep(
-            global_qubit=g,
-            local_slot=slot,
-            pair_bit=g - plan.nq_local,
-            amps_per_shard=plan.shard_len // 2,
-        )
-        for g, slot in zip(global_qubits, slots)
-    ]
-
-
 def exchange_volume(circuit: CircuitIR, plan: ShardPlan) -> int:
     """Total amplitudes redistributed over the run (static analysis of the
-    steps the engine executes).
+    steps the engine executes): half of every shard per gate on a global
+    qubit.
 
     Only the gates outside cost layers count; diagonal layers never
     exchange, and neither does a folded H layer, which never runs.
     """
     _, layers = _layer_plan(circuit, plan)
-    return sum(len(steps) for _, _, steps in layers) * plan.num_shards * (plan.shard_len // 2)
+    moves = sum(qubit is not None for _, _, qubit in layers)
+    return moves * plan.num_shards * (plan.shard_len // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -236,32 +192,32 @@ def write_timing_csv(records: Iterable[TimingRecord], fh: IO[str]) -> None:
 
 def _layer_plan(circuit: CircuitIR, plan: ShardPlan, dtype: np.dtype = np.complex64):
     """The folded start amplitude (None when the H layer does not fold, see
-    ``engine._fold_h``) and the (index of the first gate, step, exchange
-    steps) of every step in execution order.
+    ``engine._fold_h``) and the (index of the first gate, step, global
+    qubit or None) of every step in execution order.
 
     A step is a cost layer, or a tuple of H/RX gates every shard runs with
     ``_apply_gate_run``: a stretch of consecutive gates on local qubits,
-    or one gate on a global qubit as its stand-in on the spare local slot,
-    which the exchange steps move the global qubit into and back out of.
-    Folded H gates take no step.
+    or one gate on a global qubit as its stand-in on the top local qubit,
+    which the swap legs trade with the global qubit and back.  Folded H
+    gates take no step.
     """
     start, runs = _fold_h(circuit, dtype)
     out = []
     idx = 0 if start is None else circuit.num_qubits
     for op in runs:
         if isinstance(op, CostLayer):
-            out.append((idx, op, []))
+            out.append((idx, op, None))
             idx += len(op.gates)
             continue
         for local, gates in itertools.groupby(op, key=lambda g: g.qubits[0] < plan.nq_local):
             if local:
                 stretch = tuple(gates)
-                out.append((idx, stretch, []))
+                out.append((idx, stretch, None))
                 idx += len(stretch)
                 continue
             for gate in gates:
-                steps = exchange_steps(gate, plan)
-                out.append((idx, (replace(gate, qubits=(steps[0].local_slot,)),), steps))
+                stand_in = replace(gate, qubits=(plan.nq_local - 1,))
+                out.append((idx, (stand_in,), gate.qubits[0]))
                 idx += 1
     return start, out
 
@@ -272,18 +228,22 @@ def _timed(fn, *args) -> float:
     return time.perf_counter() - t0
 
 
-def _swap_halves(rows: np.ndarray, slot: int, low: int, high: int) -> tuple[float, int]:
-    """Trade shard ``low``'s upper half at the slot bit for shard ``high``'s
-    lower half, which transposes the pair's global qubit with the slot bit;
-    the swap is its own inverse.  Returns the seconds taken and the
-    amplitudes that changed shards."""
+def _swap_halves(rows: np.ndarray, low: int, high: int) -> tuple[float, int]:
+    """Trade shard ``low``'s upper half for shard ``high``'s lower half, which
+    transposes the pair's global qubit with the top local qubit; the swap
+    is its own inverse.  The halves go piece by piece through one buffer
+    of at most 2^(_GATE_BLOCK_BITS - 1) amplitudes.  Returns the seconds
+    taken and the amplitudes that changed shards."""
     t0 = time.perf_counter()
-    mine = rows[low].reshape(-1, 2, 1 << slot)[:, 1, :]
-    theirs = rows[high].reshape(-1, 2, 1 << slot)[:, 0, :]
-    held = mine.copy()
-    mine[...] = theirs
-    theirs[...] = held
-    return time.perf_counter() - t0, mine.size + theirs.size
+    h = rows.shape[1] // 2
+    mine, theirs = rows[low, h:], rows[high, :h]
+    held = np.empty(min(h, 1 << (_GATE_BLOCK_BITS - 1)), rows.dtype)
+    for lo in range(0, h, held.size):
+        part = slice(lo, lo + held.size)
+        held[...] = mine[part]
+        mine[part] = theirs[part]
+        theirs[part] = held
+    return time.perf_counter() - t0, 2 * h
 
 
 def run_circuit_sharded(
@@ -304,10 +264,7 @@ def run_circuit_sharded(
         )
     start, layers = _layer_plan(circuit, plan, precision.dtype)
     workers = min(plan.num_shards, os.cpu_count() or 1)
-    # a swap leg holds half a shard per pair, for as many pairs as run at once
-    pairs = min(workers, plan.num_shards // 2)
-    legs = pairs * (plan.shard_len // 2) * precision.bytes_per_amplitude
-    scratch = _run_scratch_bytes(plan.nq, precision, workers, legs)
+    scratch = _run_scratch_bytes(plan.nq, precision, workers)
     sv = zero_state(plan.nq, precision, memory_budget, scratch)
     rows = sv.amps.reshape(plan.num_shards, plan.shard_len)
     shards = range(plan.num_shards)
@@ -328,12 +285,12 @@ def run_circuit_sharded(
             except Exception as exc:
                 raise AbortedRunError(f"shard task failed: {exc}") from exc
 
-        def swap(step: ExchangeStep) -> tuple[float, int]:
-            """One leg over every pair: the slowest pair's seconds, amplitudes moved."""
-            legs = each(
-                lambda pair: _swap_halves(rows, step.local_slot, *pair),
-                step.pairs(plan.num_shards),
-            )
+        def swap(g: int) -> tuple[float, int]:
+            """One leg over every pair of shards that differ in global qubit g:
+            the slowest pair's seconds, amplitudes moved."""
+            bit = 1 << (g - plan.nq_local)
+            lows = [s for s in shards if not s & bit]
+            legs = each(lambda s: _swap_halves(rows, s, s | bit), lows)
             return max(t for t, _ in legs), sum(m for _, m in legs)
 
         def compute(op) -> float:
@@ -347,17 +304,13 @@ def run_circuit_sharded(
                 )
             return max(each(lambda s: _timed(_apply_gate_run, rows[s], op), shards))
 
-        for idx, op, steps in layers:
+        for idx, op, qubit in layers:
             gates = op.gates if isinstance(op, CostLayer) else op
-            exchange_s, moved = 0.0, 0
-            for step in steps:
-                seconds, amps = swap(step)
-                exchange_s += seconds
-                moved += amps
+            exchange_s, moved = (0.0, 0) if qubit is None else swap(qubit)
             compute_s = compute(op)
-            # the restore leg moves the same amplitudes home and is not counted
-            for step in reversed(steps):
-                exchange_s += swap(step)[0]
+            if qubit is not None:
+                # the restore leg moves the same amplitudes home and is not counted
+                exchange_s += swap(qubit)[0]
             gate_rows.append(GateTiming(idx, gates[0].kind, compute_s, exchange_s, moved))
             gate_rows.extend(
                 GateTiming(idx + k, g.kind, 0.0, 0.0, 0) for k, g in enumerate(gates[1:], 1)

@@ -476,10 +476,7 @@ def test_sharded_run_budgets_its_exchange_legs():
     plan = plan_for_shard_count(17, 2)
     circ = build_circuit(generate_instance(17, 5), LrQaoaParams(p=1))
     workers = min(2, os.cpu_count() or 1)
-    legs = (plan.shard_len // 2) * Precision.FP32.bytes_per_amplitude  # one pair, half a shard
-    need = state_bytes(17, Precision.FP32) + engine._run_scratch_bytes(
-        17, Precision.FP32, workers, legs
-    )
+    need = state_bytes(17, Precision.FP32) + engine._run_scratch_bytes(17, Precision.FP32, workers)
     peak = traced_peak(lambda: run_circuit_sharded(circ, plan, "fp32", need))
     assert state_bytes(17, Precision.FP32) < peak <= need
     with pytest.raises(CapacityError):

@@ -244,14 +244,41 @@ def test_prepare_budgets_the_sign_table_and_correction_scratch():
     n = 6
     circ = build_circuit(generate_instance(n, 3), LrQaoaParams(p=2))
     states = 2 + 3 * 4  # two cost-layer phases, three workers' blocks of four
+    # six blocks of four held, a second vector per worker, and the consumer's two
+    probs = 6 * 4 + 3 + 2
     need = (
         states * state_bytes(n, Precision.FP32)
         + _sign_table(n).nbytes
         + 3 * _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype)
+        + probs * 8 * (1 << n)
     )
     _prepare(circ, Precision.FP32, need, rows=4, workers=3)
     with pytest.raises(CapacityError):
         _prepare(circ, Precision.FP32, need - 1, rows=4, workers=3)
+
+
+def test_noisy_ensemble_peaks_within_its_budget():
+    # n=19 fp32, one row per block: the float64 probabilities and CDF,
+    # four vectors at most, outweigh the cached phase and the block
+    n = 19
+    circ = build_circuit(generate_instance(n, 5), LrQaoaParams(p=1))
+    cfg = DepolarizingConfig(0.05, trajectories=2, rng_seed=3)
+    need = (
+        2 * state_bytes(n, Precision.FP32)
+        + _sign_table(n).nbytes
+        + _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype)
+        + 4 * 8 * (1 << n)
+    )
+    tracemalloc.start()
+    try:
+        shots = run_noisy_ensemble(circ, cfg, 10, "fp32", need)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shots.paulis_fired.min() > 0  # both trajectories take their own row
+    assert 4 * state_bytes(n, Precision.FP32) < peak <= need
+    with pytest.raises(CapacityError):
+        run_noisy_ensemble(circ, cfg, 10, "fp32", need - 1)
 
 
 def per_trajectory_reference(circ, cfg, precision, shots):

@@ -242,11 +242,7 @@ def test_random_baseline_equals_uniform_average():
     assert abs(random_baseline_expectation(inst) - want) < 1e-12
 
 
-def test_weight_matrix_symmetric_zero_diagonal(triangle):
-    m = triangle.weight_matrix()
-    np.testing.assert_array_equal(m, m.T)
-    assert np.all(np.diag(m) == 0.0)
-    assert m[0, 2] == 1.0
+def test_total_weight(triangle):
     assert abs(triangle.total_weight() - 1.75) < 1e-15
 
 

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import io
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from lrqbench import (
     SweepConfig,
     ValidationError,
     build_circuit,
-    exchange_steps,
     exchange_volume,
     generate_instance,
     plan_for_shard_count,
@@ -26,7 +27,7 @@ from lrqbench import (
     scaling_sweep,
     write_timing_csv,
 )
-from lrqbench.sharded import TIMING_CSV_FIELDS
+from lrqbench.sharded import TIMING_CSV_FIELDS, ShardPlan
 
 
 def test_plan_shards_published_sizes():
@@ -52,44 +53,34 @@ def test_plan_shards_validation():
         plan_shards(5, 6)
 
 
+def test_shard_plan_derives_its_sizes():
+    assert [f.name for f in dataclasses.fields(ShardPlan)] == ["nq", "nq_local"]
+    plan = ShardPlan(7, 4)
+    assert (plan.num_shards, plan.shard_len) == (8, 16)
+
+
 def test_local_gate_needs_no_exchange():
     plan = plan_shards(6, 3)
-    assert exchange_steps(GateOp("RX", (2,), 0.1), plan) == []
-    assert exchange_steps(GateOp("RZZ", (0, 2), 0.1), plan) == []
+    circ = CircuitIR(num_qubits=6, gates=[GateOp("RX", (2,), 0.1), GateOp("RZZ", (0, 5), 0.1)])
+    _, layers = sharded._layer_plan(circ, plan)
+    assert [qubit for _, _, qubit in layers] == [None, None]
 
 
 def test_global_gate_single_step():
+    # RX on global qubit 4 of 8 shards of 8 amplitudes runs as its stand-in
+    # on the top local qubit 2, and the legs pair shard s with s | 2
     plan = plan_shards(6, 3)
-    steps = exchange_steps(GateOp("RX", (4,), 0.1), plan)
-    assert len(steps) == 1
-    step = steps[0]
-    assert step.global_qubit == 4
-    assert step.pair_bit == 1
-    assert step.local_slot == 2  # top local slot is free
-    assert step.amps_per_shard == 4
-    assert step.partner(0b000) == 0b010
-    assert sorted(step.pairs(plan.num_shards)) == [(0, 2), (1, 3), (4, 6), (5, 7)]
-
-
-def test_mixed_gate_slot_skips_local_operand():
-    plan = plan_shards(6, 3)
-    steps = exchange_steps(GateOp("RZZ", (2, 5), 0.1), plan)
-    assert len(steps) == 1
-    # qubit 2 is local to the gate, so the spare slot falls back to 1
-    assert steps[0].local_slot == 1
-
-
-def test_two_global_gate_two_steps():
-    plan = plan_shards(6, 3)
-    steps = exchange_steps(GateOp("RZZ", (3, 5), 0.1), plan)
-    assert [s.global_qubit for s in steps] == [5, 3]
-    assert [s.local_slot for s in steps] == [2, 1]
-
-
-def test_gate_too_large_for_shard():
-    plan = plan_shards(4, 1)
-    with pytest.raises(ValidationError):
-        exchange_steps(GateOp("RZZ", (2, 3), 0.1), plan)
+    circ = CircuitIR(num_qubits=6, gates=[GateOp("RX", (4,), 0.1)])
+    _, layers = sharded._layer_plan(circ, plan)
+    assert layers == [(0, (GateOp("RX", (2,), 0.1),), 4)]
+    rows = np.arange(64).reshape(plan.num_shards, plan.shard_len)
+    moved = [sharded._swap_halves(rows, s, s | 2)[1] for s in (0, 1, 4, 5)]
+    assert moved == [plan.shard_len] * 4
+    # one leg transposes qubits 2 and 4: index z now holds the amplitude
+    # of z with those two bits exchanged
+    z = np.arange(64)
+    swapped = z ^ ((((z >> 2) ^ (z >> 4)) & 1) * 0b10100)
+    np.testing.assert_array_equal(rows.reshape(-1), swapped)
 
 
 def test_exchange_volume_hand_count():
@@ -150,6 +141,33 @@ def test_sharded_matches_dense_bitwise_at_scale(n):
     for num_shards in (2, 4, 8):
         sv, _ = run_circuit_sharded(circ, plan_for_shard_count(n, num_shards), "fp32")
         assert sv.amps.tobytes() == dense, num_shards
+
+
+def test_smallest_shards_match_dense_bitwise():
+    # one local qubit: every RX runs as its stand-in on qubit 0, and each
+    # leg trades one-amplitude halves between 32 pairs of shards
+    circ = build_circuit(generate_instance(6, 7), LrQaoaParams(p=2))
+    plan = plan_shards(6, 1)
+    sv, record = run_circuit_sharded(circ, plan, "fp64")
+    np.testing.assert_array_equal(sv.amps, run_circuit(circ, "fp64").amps)
+    assert record.amps_exchanged == exchange_volume(circ, plan) > 0
+
+
+def test_swap_leg_holds_one_bounded_piece():
+    # n=18 fp32 on 2 shards: each leg trades halves of 2^16 amplitudes
+    # through one buffer of 2^14
+    rows = np.arange(1 << 18, dtype=np.complex64).reshape(2, 1 << 17)
+    tracemalloc.start()
+    try:
+        _, moved = sharded._swap_halves(rows, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << 14) * 8 + 1024
+    assert moved == 1 << 17
+    half = np.arange(1 << 16, dtype=np.complex64)
+    np.testing.assert_array_equal(rows[0, 1 << 16 :], half + (1 << 17))
+    np.testing.assert_array_equal(rows[1, : 1 << 16], half + (1 << 16))
 
 
 def test_folded_h_layer_exchanges_nothing():
