@@ -19,7 +19,6 @@ from .engine import (
     ShotSet,
     StateVector,
     exact_expected_r,
-    init_plus_state,
     load_statevector,
     run_circuit,
     sample,

@@ -90,6 +90,14 @@ def _resolve_threads(args) -> int:
     return value
 
 
+def _check_memory_bytes(args) -> None:
+    """A ``--memory-bytes`` below 1 is a validation error (the engine checks
+    ``LRQBENCH_MEMORY_BYTES`` where it reads it); a positive budget too
+    small for the run is a capacity error."""
+    if args.memory_bytes is not None and args.memory_bytes < 1:
+        raise ValidationError(f"--memory-bytes must be at least 1, got {args.memory_bytes}")
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -188,12 +196,17 @@ def _check_mode_flags(args) -> None:
 
 def _cmd_simulate(args) -> int:
     _check_mode_flags(args)
+    _check_memory_bytes(args)
     inst = load_instance(args.instance)
     delta_beta, delta_gamma = _resolved_deltas(args)
     params = LrQaoaParams(p=args.p, delta_beta=delta_beta, delta_gamma=delta_gamma)
     circuit = build_circuit(inst, params)
     n_1q, n_2q = gate_counts(inst.num_vertices, args.p)
     solved = inst.optimal_cut is not None
+    if args.ideal_shots is not None and not solved:
+        raise ValidationError(
+            f"--ideal-shots needs a solved instance, and {args.instance} has no optimal cut"
+        )
 
     payload = {
         "n": inst.num_vertices,
@@ -354,6 +367,7 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 
 def _cmd_bench(args) -> int:
+    _check_memory_bytes(args)
     delta_beta, delta_gamma = _resolved_deltas(args)
     common = dict(
         p=args.p,

@@ -49,7 +49,9 @@ The tail of a run streams over the final state: ``norm_squared``,
 2^16-amplitude chunk at a time (``_squared_chunks``), and the sampler
 keeps one running total per chunk, so the tail holds
 O(2^16 + 2^(n-16)) bytes besides the state and its results are those of
-the full probability vector, bit for bit.
+the full probability vector, bit for bit.  The sampler,
+``_draw_streamed``, is the package's only one: the noisy engine draws
+every trajectory's shots through it too.
 
 Single precision (complex64) is the default and costs 2^(n+3) bytes;
 double costs 2^(n+4).  Requests over the memory budget raise
@@ -105,9 +107,20 @@ def state_bytes(num_qubits: int, precision: Precision) -> int:
 
 
 def memory_budget_bytes(override: int | None = None) -> int:
+    """``override``, else ``LRQBENCH_MEMORY_BYTES``, else the default.  A
+    variable that is not an integer of at least 1 is a validation error."""
     if override is not None:
         return int(override)
-    return int(os.environ.get("LRQBENCH_MEMORY_BYTES", DEFAULT_MEMORY_BUDGET))
+    if "LRQBENCH_MEMORY_BYTES" not in os.environ:
+        return DEFAULT_MEMORY_BUDGET
+    raw = os.environ["LRQBENCH_MEMORY_BYTES"]
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValidationError(f"LRQBENCH_MEMORY_BYTES must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ValidationError(f"LRQBENCH_MEMORY_BYTES must be at least 1, got {value}")
+    return value
 
 
 def check_memory(
@@ -153,13 +166,6 @@ class StateVector:
         """Allowed drift of the squared norm: ``norm_tolerance`` of the state."""
         return norm_tolerance(self.num_qubits, self.precision)
 
-    def probabilities(self) -> np.ndarray:
-        """|amplitude|^2 in double precision, as a full-length vector: its
-        peak holds two float64 arrays of 2^n entries.  The reductions over
-        a final state (``norm_squared``, ``exact_expected_r``, ``sample``)
-        stream it chunk by chunk instead."""
-        return _abs_squared(self.amps)
-
 
 def norm_tolerance(num_qubits: int, precision: Precision) -> float:
     """Allowed drift of a state's squared norm: 10 * 2^n * machine epsilon."""
@@ -167,21 +173,15 @@ def norm_tolerance(num_qubits: int, precision: Precision) -> float:
     return 10.0 * (1 << num_qubits) * float(eps)
 
 
-def _abs_squared(amps: np.ndarray) -> np.ndarray:
-    probs = np.square(amps.real, dtype=np.float64)
-    probs += np.square(amps.imag, dtype=np.float64)
-    return probs
-
-
 def _squared_chunks(amps: np.ndarray, chunks=None):
     """(lo, |amps[lo : lo + _REDUCTION_CHUNK]|^2) in double precision, for
     the chunks numbered in ``chunks`` (all of them by default), in order.
 
-    Every chunk is written into row 0 of one two-row float64 buffer, row 1
-    holding the squared imaginary parts, with ``_abs_squared``'s
-    operations, so its bits are those of the full vector's slice.  The
-    view yielded is overwritten by the next chunk; a caller may work on it
-    in place.  Scratch is the buffer, two chunks.
+    Every chunk is written into row 0 of one two-row float64 buffer: the
+    squared real parts, plus the squared imaginary parts held in row 1,
+    elementwise, so its bits do not depend on the chunking.  The view
+    yielded is overwritten by the next chunk; a caller may work on it in
+    place.  Scratch is the buffer, two chunks.
     """
     buf = np.empty((2, min(amps.size, _REDUCTION_CHUNK)))
     if chunks is None:
@@ -210,19 +210,6 @@ def zero_state(
     amps = np.zeros(1 << num_qubits, dtype=precision.dtype)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
-
-
-def init_plus_state(
-    num_qubits: int,
-    precision: Precision | str = Precision.FP32,
-    memory_budget: int | None = None,
-) -> StateVector:
-    """Uniform superposition, bit for bit the state an H on every qubit of
-    |0...0> leaves: every amplitude is ``_plus_amplitude``, which is
-    2^(-n/2) up to the last bit."""
-    sv = zero_state(num_qubits, precision, memory_budget)
-    sv.amps[:] = _plus_amplitude(num_qubits, sv.amps.dtype)
-    return sv
 
 
 def _plus_amplitude(num_qubits: int, dtype: np.dtype) -> np.generic:
@@ -568,8 +555,8 @@ def expected_r_from_probs(probs: np.ndarray, inst: WmcInstance) -> float:
 
 def exact_expected_r(sv: StateVector, inst: WmcInstance) -> float:
     """Expected approximation ratio of the full distribution, no sampling:
-    ``expected_r_from_probs(sv.probabilities(), inst)`` bit for bit, read
-    chunk by chunk off the state."""
+    ``expected_r_from_probs`` of |amplitude|^2 bit for bit, read chunk by
+    chunk off the state."""
     if inst.num_vertices != sv.num_qubits:
         raise ValidationError(
             f"instance has {inst.num_vertices} vertices, state has {sv.num_qubits} qubits"
@@ -597,85 +584,64 @@ class ShotSet:
         return indices_to_bitstrings(self.indices, self.num_qubits)
 
 
-def _normalized_cdf(probs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cumulative distribution of an unnormalized probability vector, and
-    the vector's total (the state's squared norm)."""
-    cdf = np.cumsum(probs)
-    total = float(cdf[-1])
-    if total <= 0.0:
-        raise ValidationError("statevector has zero norm, nothing to sample")
-    cdf /= total
-    return cdf, total
-
-
-def _draw_from_cdf(cdf: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
-    idx = np.searchsorted(cdf, rng.random(n_shots), side="right")
-    return np.minimum(idx, cdf.size - 1).astype(np.uint64)
-
-
-def draw_indices(probs: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw over an unnormalized probability vector."""
-    if n_shots < 1:
-        raise ValidationError(f"shot count must be positive, got {n_shots}")
-    return _draw_from_cdf(_normalized_cdf(probs)[0], n_shots, rng)
-
-
-def _running_totals(amps: np.ndarray) -> np.ndarray:
-    """The full ``np.cumsum`` of |amps|^2 at each chunk's last index, bit
-    for bit: each chunk's cumsum with the total so far added into its
-    first probability."""
-    totals = np.empty(-(-amps.size // _REDUCTION_CHUNK))
-    carry = 0.0
-    for j, (_, p) in enumerate(_squared_chunks(amps)):
-        p[0] += carry
-        carry = totals[j] = np.cumsum(p, out=p)[-1]
-    return totals
-
-
-def _draw_streamed(amps: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
-    """``draw_indices`` over |amps|^2, bit for bit, without a full-length
+def _draw_streamed(
+    amps: np.ndarray, rngs: list[np.random.Generator], n_shots: int
+) -> tuple[np.ndarray, float]:
+    """Inverse-CDF draws over |amps|^2: a row of ``n_shots`` basis indices
+    for each generator, and the state's squared norm, with no full-length
     vector.
 
-    ``np.cumsum`` adds in order, so chunk j's slice of the full CDF is the
-    cumsum of its probabilities with the running total up to the chunk
-    added into its first one.  Pass 1 keeps only each chunk's last value,
-    the running totals, whose last is the norm; divided by it they are the
-    normalized CDF at the chunks' ends.  A uniform u goes to the first
-    chunk whose end exceeds u, and pass 2 rebuilds only the chunks hit
-    and searches u inside them: the first index where the normalized CDF
-    exceeds u, as a search of the full CDF finds it.
+    Each generator gives ``n_shots`` uniforms u in [0, 1), and each u the
+    first index where the full ``np.cumsum`` of |amps|^2, divided by its
+    last value (the norm, in double precision, so single-precision drift
+    does not bias the draw), exceeds u; the last value divided by itself is
+    1, so there is one.  ``np.cumsum`` adds in order, so chunk j's slice of
+    the full cumsum is the cumsum of its probabilities with the running
+    total up to the chunk added into its first one.  Pass 1 keeps only
+    each chunk's last value, the running totals, whose last is the norm;
+    divided by it they are the normalized CDF at the chunks' ends.  A
+    uniform goes to the first chunk whose end exceeds it, and pass 2
+    searches it inside that chunk's slice: the last chunk's is still in
+    pass 1's buffer, and every other chunk hit is rebuilt.  The running
+    totals are formed once however many generators share the state.
     """
-    carries = _running_totals(amps)
-    total = float(carries[-1])
+    totals = np.empty(-(-amps.size // _REDUCTION_CHUNK))
+    carry = 0.0
+    for j, (lo, p) in enumerate(_squared_chunks(amps)):
+        p[0] += carry
+        carry = totals[j] = np.cumsum(p, out=p)[-1]
+    total = float(carry)
     if total <= 0.0:
         raise ValidationError("statevector has zero norm, nothing to sample")
-    u = rng.random(n_shots)
-    # a u past the last end (never, as that end is total / total = 1) is
-    # searched in the last chunk, which gives the full search's index size
-    which = np.minimum(np.searchsorted(carries / total, u, side="right"), carries.size - 1)
-    idx = np.empty(n_shots, np.intp)
-    order = np.argsort(which, kind="stable")
-    hit, first = np.unique(which[order], return_index=True)
-    for (lo, p), shots in zip(_squared_chunks(amps, hit), np.split(order, first[1:])):
-        if lo:
-            p[0] += carries[lo // _REDUCTION_CHUNK - 1]
-        np.cumsum(p, out=p)
+    u = np.concatenate([rng.random(n_shots) for rng in rngs])
+    last = totals.size - 1
+    # the last end is total / total = 1, beyond every u, so it needs no search
+    which = np.searchsorted(totals[:last] / total, u, side="right")
+    hit = np.flatnonzero(np.bincount(which, minlength=totals.size))
+    idx = np.empty(u.size, np.uint64)
+    if hit[-1] == last:
+        hit, shots = hit[:-1], which == last
         p /= total
         idx[shots] = lo + np.searchsorted(p, u[shots], side="right")
-    return np.minimum(idx, amps.size - 1).astype(np.uint64)
+    del p  # pass 1's buffer goes before pass 2's is allocated
+    for lo, p in _squared_chunks(amps, hit):
+        if lo:
+            p[0] += totals[lo // _REDUCTION_CHUNK - 1]
+        np.cumsum(p, out=p)
+        p /= total
+        shots = which == lo // _REDUCTION_CHUNK
+        idx[shots] = lo + np.searchsorted(p, u[shots], side="right")
+    return idx.reshape(len(rngs), n_shots), total
 
 
 def sample(sv: StateVector, n_shots: int, rng_seed: int) -> ShotSet:
-    """Draw basis states by inverse-CDF over |amplitude|^2.
-
-    The CDF is renormalized in double precision, so single-precision
-    norm drift does not bias the draw.  Same seed, same shots: those of
-    ``draw_indices`` over ``sv.probabilities()``, streamed chunk by chunk
-    (``_draw_streamed``), so no vector of the state's length is formed.
+    """Draw basis states by inverse-CDF over |amplitude|^2 (``_draw_streamed``,
+    on the stream ("shots", 0) derived from ``rng_seed``): same seed, same
+    shots, and no vector of the state's length is formed.
     """
     if n_shots < 1:
         raise ValidationError(f"shot count must be positive, got {n_shots}")
-    idx = _draw_streamed(sv.amps, n_shots, derive_rng(rng_seed, "shots", 0))
+    (idx,), _ = _draw_streamed(sv.amps, [derive_rng(rng_seed, "shots", 0)], n_shots)
     return ShotSet(sv.num_qubits, idx, int(rng_seed), "noiseless")
 
 

@@ -12,13 +12,16 @@ amplitudes (one row when a state is larger), through the dense engine's
 executors: each run of H/RX gates is one ``_apply_gate_run`` call on the
 block's active rows, and each cost layer one broadcast multiply by the
 layer's phase, which an ensemble computes once (``check_memory`` counts
-these cached phases, the blocks, and the float64 probabilities and CDFs
-of the blocks in flight, see ``_prepare``).  Row 0 of a block follows
+these cached phases, the blocks in flight and the float64 tail, see
+``_prepare``).  Row 0 of a block follows
 the noiseless path, and starts as the amplitude of the folded H layer
 (``engine._fold_h``).  A trajectory gets its own row, a copy of row 0 after
 the phase multiply, only at the first cost layer where it fires a
-Pauli; trajectories that fire nothing share row 0's probabilities, and
-so one CDF for their shots.  A Pauli fired inside a layer is commuted to
+Pauli; trajectories that fire nothing share row 0's final state.  The
+shots of every trajectory that ends in one row come from one call of the
+dense engine's streamed sampler (``engine._draw_streamed``), which reads
+the row chunk by chunk, so no float64 vector of 2^n is formed on the way
+to the shots.  A Pauli fired inside a layer is commuted to
 the layer's end: it flips the sign of Z_i Z_j on every later edge whose
 qubits carry an odd number of its X/Y components.  The later edges F
 that anticommute with an odd number of the Paulis fired before them need
@@ -59,15 +62,15 @@ import numpy as np
 from .circuit import CircuitIR, CostLayer, GateOp
 from .engine import (
     _GATE_BLOCK_BITS,
+    _REDUCTION_CHUNK,
     Precision,
     ShotSet,
-    _abs_squared,
     _apply_cost_layer,
     _apply_gate_run,
     _CostPhase,
-    _draw_from_cdf,
+    _draw_streamed,
     _fold_h,
-    _normalized_cdf,
+    _squared_chunks,
     check_memory,
     expected_r_from_probs,
 )
@@ -198,27 +201,31 @@ def _prepare(
     workers: int = 1,
 ) -> _Ensemble:
     """Layers, cached cost-layer phases and the sign table, after checking
-    that they, ``workers`` blocks of ``rows`` states, each worker's
-    correction scratch and the trajectories' float64 probabilities fit
-    the memory budget."""
+    that they, the blocks of ``rows`` states in flight, each of the
+    ``workers``' correction scratch and the consumer's float64 tail fit
+    the memory budget.
+
+    A block is in flight from the start of its run until its consumer
+    drops it, which it does before asking for the next: one block without
+    threads, else up to _IN_FLIGHT_PER_THREAD per worker.  The tail is the
+    sampler's reader (two chunks, ``_squared_chunks``) and its running
+    totals, once more divided by the norm, and the vector of 2^n that
+    ``noisy_expected_probs`` sums into.
+    """
     n, dtype = circuit.num_qubits, precision.dtype
     start, layers = _fold_h(circuit, dtype)
     costs = [op for op in layers if isinstance(op, CostLayer)]
     widest = max((len(op.gates) for op in costs), default=0)
     signs = _sign_table(n)
-    # float64 vectors of 2^n: ``rows`` for every block whose results are
-    # held (one without threads, else up to _IN_FLIGHT_PER_THREAD per
-    # worker), the second one ``_abs_squared`` forms in each worker, and
-    # the consumer's two: its CDF, or the mean it sums into, and the
-    # vector or CDF of the trajectory before while the next is formed
     in_flight = 1 if workers == 1 else _IN_FLIGHT_PER_THREAD * workers
-    probs = (in_flight * rows + workers + 2) << (n + 3)
+    chunks = -(-(1 << n) // _REDUCTION_CHUNK)
+    tail = 8 * (2 * min(1 << n, _REDUCTION_CHUNK) + 2 * chunks + (1 << n))
     check_memory(
         n,
         precision,
         memory_budget,
-        arrays=len(costs) + rows * workers,
-        scratch=signs.nbytes + workers * _correction_bytes(n, widest, dtype) + probs,
+        arrays=len(costs) + in_flight * rows,
+        scratch=signs.nbytes + workers * _correction_bytes(n, widest, dtype) + tail,
     )
     phases = []
     for op in layers:
@@ -346,9 +353,10 @@ def _commute_fired(
         _apply_pauli_pair(amps, code, qa, qb)
 
 
-def _run_block(ens: _Ensemble, block: list) -> tuple[np.ndarray, list[int]]:
+def _run_block(ens: _Ensemble, block: list) -> tuple[np.ndarray, list[int], list[int]]:
     """Final states of a block of trajectories, given their draws (None for
-    one that fires nothing), as rows of one array, and each one's row.
+    one that fires nothing), as rows of one array, each one's row, and the
+    Paulis each one fired.
 
     Row 0 follows the noiseless path while any trajectory of the block is
     still on it.  At the first cost layer where a trajectory fires, after
@@ -387,26 +395,16 @@ def _run_block(ens: _Ensemble, block: list) -> tuple[np.ndarray, list[int]]:
                 fire, codes = draw[0][k : k + m], draw[1][k : k + m]
                 _commute_fired(states[row_of[i]], op.gates, fire, codes, ens.signs)
         k += m
-    return states, row_of
+    return states, row_of, [0 if draw is None else int(draw[0].sum()) for draw in block]
 
 
-def _block_probs(ens: _Ensemble, block: list) -> list[tuple[np.ndarray, int]]:
-    """(probabilities, Paulis fired) of each trajectory of a block; the
-    trajectories that fire nothing share one probabilities array."""
-    states, row_of = _run_block(ens, block)
-    probs = {r: _abs_squared(states[r]) for r in dict.fromkeys(row_of)}
-    return [
-        (probs[r], 0 if draw is None else int(draw[0].sum()))
-        for draw, r in zip(block, row_of)
-    ]
-
-
-def _iter_trajectories(circuit, cfg, precision, memory_budget, threads):
-    """(probabilities, Paulis fired) of every trajectory, in trajectory order.
+def _iter_blocks(circuit, cfg, precision, memory_budget, threads):
+    """``_run_block``'s results for every block, in trajectory order.
 
     With threads, blocks run on the pool and at most
     ``_IN_FLIGHT_PER_THREAD * threads`` of them are submitted and not yet
-    read, so finished vectors never pile up.
+    read, so finished blocks never pile up.  The consumer drops each block
+    before it asks for the next, as ``_prepare`` counts.
     """
     rows = _block_rows(circuit.num_qubits, cfg.trajectories, threads)
     workers = min(max(1, threads), cfg.trajectories)  # each holds one block
@@ -415,14 +413,14 @@ def _iter_trajectories(circuit, cfg, precision, memory_budget, threads):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pending = deque()
             for block in _blocks(ens, cfg, rows):
-                pending.append(pool.submit(_block_probs, ens, block))
+                pending.append(pool.submit(_run_block, ens, block))
                 if len(pending) >= _IN_FLIGHT_PER_THREAD * threads:
-                    yield from pending.popleft().result()
+                    yield pending.popleft().result()
             while pending:
-                yield from pending.popleft().result()
+                yield pending.popleft().result()
     else:
         for block in _blocks(ens, cfg, rows):
-            yield from _block_probs(ens, block)
+            yield _run_block(ens, block)
 
 
 def run_noisy_ensemble(
@@ -437,28 +435,30 @@ def run_noisy_ensemble(
 
     Trajectory t samples with the stream ("shots", t) derived from the
     config seed; at epsilon 0 with one trajectory this reproduces the
-    noiseless ``sample`` byte for byte.  The result carries the number of
-    Paulis each trajectory fired, and the largest drift of a trajectory's
-    squared norm from 1, read off the end of its unnormalized CDF.
+    noiseless ``sample`` byte for byte.  The trajectories that end in one
+    row of a block draw in one sampler call, which also gives the row's
+    squared norm.  The result carries the number of Paulis each
+    trajectory fired, and the largest drift of a final state's squared
+    norm from 1.
     """
     if shots_per_trajectory < 1:
         raise ValidationError(f"shot count must be positive, got {shots_per_trajectory}")
-    pooled, fired = [], []
-    last = cdf = None
-    drift = 0.0
-    for t, (probs, paulis) in enumerate(
-        _iter_trajectories(circuit, cfg, precision, memory_budget, threads)
-    ):
-        if probs is not last:  # trajectories sharing a vector share its CDF
-            last = probs
-            cdf, total = _normalized_cdf(probs)
+    indices = np.empty((cfg.trajectories, shots_per_trajectory), np.uint64)
+    fired, drift = [], 0.0
+    for states, row_of, paulis in _iter_blocks(circuit, cfg, precision, memory_budget, threads):
+        sharing = {}  # row -> the trajectories that end in it
+        for t, r in enumerate(row_of, start=len(fired)):
+            sharing.setdefault(r, []).append(t)
+        for r, ts in sharing.items():
+            rngs = [derive_rng(cfg.rng_seed, "shots", t) for t in ts]
+            shots, total = _draw_streamed(states[r], rngs, shots_per_trajectory)
+            indices[ts] = shots
             drift = max(drift, abs(total - 1.0))
-        rng = derive_rng(cfg.rng_seed, "shots", t)
-        pooled.append(_draw_from_cdf(cdf, shots_per_trajectory, rng))
-        fired.append(paulis)
+        fired += paulis
+        del states  # dropped before the next block runs
     return ShotSet(
         num_qubits=circuit.num_qubits,
-        indices=np.concatenate(pooled),
+        indices=indices.reshape(-1),
         rng_seed=cfg.rng_seed,
         source=f"noisy(epsilon={cfg.epsilon:g}, trajectories={cfg.trajectories})",
         paulis_fired=np.array(fired, dtype=np.int64),
@@ -473,11 +473,16 @@ def noisy_expected_probs(
     memory_budget: int | None = None,
     threads: int = 1,
 ) -> np.ndarray:
-    """Trajectory-averaged basis-state distribution (channel average)."""
+    """Trajectory-averaged basis-state distribution (channel average): each
+    trajectory's |amplitude|^2 added in trajectory order, chunk by chunk."""
     acc = np.zeros(1 << circuit.num_qubits)
-    for probs, _ in _iter_trajectories(circuit, cfg, precision, memory_budget, threads):
-        acc += probs
-    return acc / cfg.trajectories
+    for states, row_of, _ in _iter_blocks(circuit, cfg, precision, memory_budget, threads):
+        for r in row_of:
+            for lo, p in _squared_chunks(states[r]):
+                acc[lo : lo + p.size] += p
+        del states  # dropped before the next block runs
+    acc /= cfg.trajectories
+    return acc
 
 
 def noisy_expected_r(

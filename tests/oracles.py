@@ -72,6 +72,23 @@ def depolarized_probs(circuit, epsilon: float) -> np.ndarray:
     return np.real(np.diag(rho)).copy()
 
 
+def probabilities(amps: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 in float64 over the whole vector at once."""
+    probs = np.square(amps.real, dtype=np.float64)
+    probs += np.square(amps.imag, dtype=np.float64)
+    return probs
+
+
+def inverse_cdf_shots(probs: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draw over a whole unnormalized probability vector: per
+    uniform u, the first index where the normalized cumulative sum exceeds
+    u (clamped to the last index)."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    idx = np.searchsorted(cdf, rng.random(n_shots), side="right")
+    return np.minimum(idx, cdf.size - 1).astype(np.uint64)
+
+
 def cut_of_index(edges, z: int) -> float:
     """Cut weight of assignment z where vertex k is bit k of z."""
     return sum(w for i, j, w in edges if ((z >> i) & 1) != ((z >> j) & 1))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lrqbench import (
+    __version__,
     LrQaoaParams,
     build_circuit,
     load_instance,
@@ -164,6 +165,40 @@ def test_simulate_rejects_flags_its_mode_ignores(tmp_path, instance_path, extra,
     code = run_cli("simulate", "--instance", instance_path, "--out", "res.json", "--p", 1, *extra)
     assert code == 2
     assert set(tmp_path.iterdir()) == before
+
+
+def test_simulate_rejects_ideal_shots_without_optimum(tmp_path):
+    inst = tmp_path / "unsolved.json"
+    run_cli("gen", "--n", 6, "--out", inst, "--solve-limit", 4)
+    out = tmp_path / "noisy.json"
+    code = run_cli(
+        "simulate", "--instance", inst, "--out", out, "--p", 1,
+        "--mode", "noisy", "--ideal-shots", 50,
+    )
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+@pytest.mark.parametrize("budget", [0, -5])
+def test_memory_bytes_below_one_is_rejected(tmp_path, instance_path, command, budget, capsys):
+    out = tmp_path / "out.json"
+    if command == "simulate":
+        argv = ("simulate", "--instance", instance_path, "--out", out, "--p", 1)
+    else:
+        argv = ("bench", "--nq", 6, "--shards", 1, "--p", 1, "--out", out)
+    assert run_cli(*argv, "--memory-bytes", budget) == 2
+    assert "--memory-bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-5"])
+def test_bad_memory_budget_variable_is_rejected(tmp_path, instance_path, value, monkeypatch, capsys):
+    monkeypatch.setenv("LRQBENCH_MEMORY_BYTES", value)
+    out = tmp_path / "r.json"
+    assert run_cli("simulate", "--instance", instance_path, "--out", out, "--p", 1) == 2
+    assert "LRQBENCH_MEMORY_BYTES" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", [-3, 0])
@@ -551,6 +586,12 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")
     assert exc.value.code == 2
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert project["project"]["version"] == __version__
 
 
 def test_version_flag(capsys):

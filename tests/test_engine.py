@@ -23,7 +23,6 @@ from lrqbench import (
     build_circuit,
     exact_expected_r,
     generate_instance,
-    init_plus_state,
     run_circuit,
     sample,
     save_statevector,
@@ -35,7 +34,6 @@ from lrqbench.engine import (
     apply_gate,
     apply_rzz,
     check_memory,
-    draw_indices,
     expected_r_from_probs,
     state_bytes,
 )
@@ -53,10 +51,16 @@ def random_state(n: int, seed: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def plus_state(n: int, precision: str) -> StateVector:
+    """An H on every qubit of |0...0>, run as gates: with no cost layer
+    after them, the executors do not fold them."""
+    return run_circuit(CircuitIR(n, [GateOp("H", (q,)) for q in range(n)]), precision)
+
+
 def test_zero_and_plus_states():
     sv = zero_state(3, "fp64")
     assert sv.amps[0] == 1.0 and np.all(sv.amps[1:] == 0.0)
-    plus = init_plus_state(4, "fp32")
+    plus = plus_state(4, "fp32")
     assert plus.amps.dtype == np.complex64
     np.testing.assert_allclose(plus.amps, np.full(16, 0.25), rtol=1e-6)
     assert plus.norm_squared() == pytest.approx(1.0, abs=plus.norm_tolerance())
@@ -97,7 +101,7 @@ def test_rzz_matches_expm(qa, qb, theta):
 
 
 def test_rzz_pi_on_plus_plus():
-    sv = init_plus_state(2, "fp64")
+    sv = plus_state(2, "fp64")
     apply_rzz(sv, np.pi, 0, 1)
     np.testing.assert_allclose(sv.amps, [-0.5j, 0.5j, 0.5j, -0.5j], atol=1e-15)
 
@@ -287,14 +291,14 @@ def test_expected_r_is_probability_weighted_ratio(triangle_solved):
     circ = build_circuit(triangle_solved, LrQaoaParams(p=3))
     sv = run_circuit(circ, "fp64")
     got = exact_expected_r(sv, triangle_solved)
-    probs = sv.probabilities()
+    probs = oracles.probabilities(sv.amps)
     cuts = np.array([0.0, 1.5, 0.75, 1.25, 1.25, 0.75, 1.5, 0.0])
     assert got == pytest.approx(float(probs @ cuts) / 1.5, abs=1e-12)
     assert 0.0 <= got <= 1.0
 
 
 def test_expected_r_requires_solved_instance(triangle):
-    sv = init_plus_state(3, "fp64")
+    sv = plus_state(3, "fp64")
     with pytest.raises(StateError):
         exact_expected_r(sv, triangle)
 
@@ -322,23 +326,13 @@ def test_expected_r_builds_one_cut_diagonal(monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("precision", ["fp32", "fp64"])
-def test_probabilities_match_complex128_formula(precision):
-    amps = random_state(9, 4).astype(Precision.coerce(precision).dtype)
-    wide = amps.astype(np.complex128)
-    want = (wide.real**2 + wide.imag**2).astype(np.float64)
-    got = StateVector(9, amps).probabilities()
-    assert got.dtype == np.float64
-    np.testing.assert_array_equal(got, want)
-
-
 def test_expected_r_checks_sizes(triangle_solved):
     with pytest.raises(ValidationError):
         expected_r_from_probs(np.ones(4) / 4.0, triangle_solved)
 
 
 def test_sample_deterministic_and_decodable():
-    sv = init_plus_state(4, "fp64")
+    sv = plus_state(4, "fp64")
     a = sample(sv, 50, rng_seed=7)
     b = sample(sv, 50, rng_seed=7)
     np.testing.assert_array_equal(a.indices, b.indices)
@@ -355,27 +349,19 @@ def test_sample_concentrated_state():
     assert np.all(shots.indices == 0)
 
 
-def test_draw_indices_tracks_distribution():
-    probs = np.array([0.25, 0.75])
-    idx = draw_indices(probs, 10_000, derive_rng(0, "shots", 0))
+def test_sample_tracks_distribution():
+    sv = StateVector(1, np.array([0.5, math.sqrt(0.75)], np.complex128))
+    idx = sample(sv, 10_000, 0).indices
     frac = float((idx == 1).mean())
     # 3 sigma of a binomial at p=0.75, n=1e4
     assert abs(frac - 0.75) < 3.0 * np.sqrt(0.75 * 0.25 / 10_000)
 
 
-def test_draw_indices_rejects_zero_mass():
-    with pytest.raises(ValidationError):
-        draw_indices(np.zeros(4), 10, derive_rng(0, "shots", 0))
-
-
 def full_vector_shots(amps: np.ndarray, n_shots: int, seed: int) -> np.ndarray:
-    """The sampler over the whole probability vector, written out."""
-    probs = np.square(amps.real, dtype=np.float64)
-    probs += np.square(amps.imag, dtype=np.float64)
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    idx = np.searchsorted(cdf, derive_rng(seed, "shots", 0).random(n_shots), side="right")
-    return np.minimum(idx, cdf.size - 1).astype(np.uint64)
+    """``sample``'s shots over the whole probability vector."""
+    return oracles.inverse_cdf_shots(
+        oracles.probabilities(amps), n_shots, derive_rng(seed, "shots", 0)
+    )
 
 
 def streamed_cases(n: int) -> dict:
@@ -409,7 +395,7 @@ def test_streamed_sample_below_one_chunk(precision):
     np.testing.assert_array_equal(got, full_vector_shots(amps, 3000, 2))
 
 
-@pytest.mark.parametrize("n", [3, 17])
+@pytest.mark.parametrize("n", [2, 3, 17])
 def test_streamed_sample_rejects_zero_norm(n):
     with pytest.raises(ValidationError, match="zero norm"):
         sample(StateVector(n, np.zeros(1 << n, np.complex64)), 10, 0)
@@ -420,7 +406,7 @@ def test_streamed_sample_rejects_zero_norm(n):
 def test_streamed_expected_r_and_norm_match_full_vector(precision, n):
     inst = solve_instance(generate_instance(n, 9))
     sv = StateVector(n, random_state(n, 70 + n).astype(Precision.coerce(precision).dtype))
-    probs = sv.probabilities()
+    probs = oracles.probabilities(sv.amps)
     assert exact_expected_r(sv, inst) == expected_r_from_probs(probs, inst)
     want = sum(float(probs[lo : lo + (1 << 16)].sum()) for lo in range(0, probs.size, 1 << 16))
     assert sv.norm_squared() == want
@@ -555,7 +541,7 @@ def run_unfolded(circuit, precision):
 def test_folded_start_matches_unfolded_h_run(n, precision):
     h_run = zero_state(n, precision).amps
     engine._apply_gate_run(h_run, [GateOp("H", (q,)) for q in range(n)])
-    plus = init_plus_state(n, precision).amps
+    plus = np.full(1 << n, engine._plus_amplitude(n, h_run.dtype))
     assert plus.tobytes() == h_run.tobytes()
     if n == 1:  # no instance, and no edge to make a cost layer
         return

@@ -32,10 +32,9 @@ from lrqbench import (
 )
 from lrqbench.engine import (
     _GATE_BLOCK_BITS,
-    _abs_squared,
+    _REDUCTION_CHUNK,
     _apply_gate_run,
     _layer_runs,
-    draw_indices,
     state_bytes,
 )
 from lrqbench.noise import (
@@ -153,7 +152,7 @@ def test_commuted_paulis_match_time_ordered_product():
                         @ want
                     )
                 k += 1
-        states, row_of = _run_block(ens, [(fire, codes)])
+        states, row_of, _ = _run_block(ens, [(fire, codes)])
         got = states[row_of[0]]
         assert np.max(np.abs(got - want)) < 1e-12
     assert most_in_one_layer >= 4
@@ -243,14 +242,15 @@ def test_correction_scratch_is_what_check_memory_counts(precision):
 def test_prepare_budgets_the_sign_table_and_correction_scratch():
     n = 6
     circ = build_circuit(generate_instance(n, 3), LrQaoaParams(p=2))
-    states = 2 + 3 * 4  # two cost-layer phases, three workers' blocks of four
-    # six blocks of four held, a second vector per worker, and the consumer's two
-    probs = 6 * 4 + 3 + 2
+    states = 2 + 6 * 4  # two cost-layer phases, six blocks of four in flight
+    # the sampler's two chunks (here the whole state) and two running
+    # totals, and the mean's vector
+    tail = 8 * (2 * (1 << n) + 2 + (1 << n))
     need = (
         states * state_bytes(n, Precision.FP32)
         + _sign_table(n).nbytes
         + 3 * _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype)
-        + probs * 8 * (1 << n)
+        + tail
     )
     _prepare(circ, Precision.FP32, need, rows=4, workers=3)
     with pytest.raises(CapacityError):
@@ -258,8 +258,9 @@ def test_prepare_budgets_the_sign_table_and_correction_scratch():
 
 
 def test_noisy_ensemble_peaks_within_its_budget():
-    # n=19 fp32, one row per block: the float64 probabilities and CDF,
-    # four vectors at most, outweigh the cached phase and the block
+    # n=19 fp32, one row per block: the cached phase, one block, the
+    # correction scratch and a tail of two chunks, eight running totals
+    # twice and one float64 vector of 2^n, the mean's
     n = 19
     circ = build_circuit(generate_instance(n, 5), LrQaoaParams(p=1))
     cfg = DepolarizingConfig(0.05, trajectories=2, rng_seed=3)
@@ -267,7 +268,7 @@ def test_noisy_ensemble_peaks_within_its_budget():
         2 * state_bytes(n, Precision.FP32)
         + _sign_table(n).nbytes
         + _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype)
-        + 4 * 8 * (1 << n)
+        + 8 * (2 * _REDUCTION_CHUNK + 2 * 8 + (1 << n))
     )
     tracemalloc.start()
     try:
@@ -276,7 +277,7 @@ def test_noisy_ensemble_peaks_within_its_budget():
     finally:
         tracemalloc.stop()
     assert shots.paulis_fired.min() > 0  # both trajectories take their own row
-    assert 4 * state_bytes(n, Precision.FP32) < peak <= need
+    assert 2 * state_bytes(n, Precision.FP32) < peak <= need
     with pytest.raises(CapacityError):
         run_noisy_ensemble(circ, cfg, 10, "fp32", need - 1)
 
@@ -284,7 +285,8 @@ def test_noisy_ensemble_peaks_within_its_budget():
 def per_trajectory_reference(circ, cfg, precision, shots):
     """The ensemble as one state per trajectory, run alone: zeros, gate
     runs (the H layer the ensemble folds included), phase multiply,
-    commuted Paulis, probabilities, then shots."""
+    commuted Paulis, probabilities, then shots, each over the whole
+    vector."""
     ens = _prepare(circ, Precision.coerce(precision), None)
     probs, pooled = [], []
     for t in range(cfg.trajectories):
@@ -308,8 +310,9 @@ def per_trajectory_reference(circ, cfg, precision, shots):
             if fire[k : k + m].any():
                 _commute_fired(amps, op.gates, fire[k : k + m], codes[k : k + m], ens.signs)
             k += m
-        probs.append(_abs_squared(amps))
-        pooled.append(draw_indices(probs[-1], shots, derive_rng(cfg.rng_seed, "shots", t)))
+        probs.append(oracles.probabilities(amps))
+        rng = derive_rng(cfg.rng_seed, "shots", t)
+        pooled.append(oracles.inverse_cdf_shots(probs[-1], shots, rng))
     return probs, np.concatenate(pooled)
 
 
@@ -324,12 +327,12 @@ def first_firing_layers(cfg, n_rzz, layer_size):
 
 @pytest.mark.parametrize("precision", ["fp32", "fp64"])
 @pytest.mark.parametrize("noise_level", ["none", "mid", "all_in_layer_1"])
-@pytest.mark.parametrize("n,trajectories", [(4, 7), (9, 70), (13, 7), (16, 3)])
+@pytest.mark.parametrize("n,trajectories", [(4, 7), (9, 70), (13, 7), (16, 3), (17, 3)])
 def test_block_runner_matches_lone_trajectories_bitwise(n, trajectories, noise_level, precision):
-    # blocks hold 2^15 >> n states (n=4: 2048, n=9: 64, n=13: 4, n=16: 1),
-    # capped at ceil(trajectories / threads); below n=16 no trajectory
-    # count is a multiple of its rows with three threads, nor at n=9 and
-    # n=13 with one
+    # blocks hold 2^15 >> n states (n=4: 2048, n=9: 64, n=13: 4, n=16 and
+    # n=17: 1), capped at ceil(trajectories / threads); below n=16 no
+    # trajectory count is a multiple of its rows with three threads, nor at
+    # n=9 and n=13 with one; at n=17 the sampler reads a row as two chunks
     p = 2
     circ = build_circuit(generate_instance(n, 40 + n), LrQaoaParams(p=p))
     layer_size = n * (n - 1) // 2
@@ -348,7 +351,8 @@ def test_block_runner_matches_lone_trajectories_bitwise(n, trajectories, noise_l
         want_mean += probs
     want_mean /= trajectories
     for threads in (1, 3):
-        got = [probs for probs, _ in noise._iter_trajectories(circ, cfg, precision, None, threads)]
+        blocks = noise._iter_blocks(circ, cfg, precision, None, threads)
+        got = [oracles.probabilities(states[r]) for states, row_of, _ in blocks for r in row_of]
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want_probs]
         shots = run_noisy_ensemble(circ, cfg, 3, precision, threads=threads)
         assert shots.indices.tobytes() == want_shots.tobytes()
@@ -375,7 +379,7 @@ def test_ensemble_counts_fired_paulis():
 def test_zero_noise_probs_match_noiseless_exactly():
     inst = generate_instance(6, 7)
     circ = build_circuit(inst, LrQaoaParams(p=3))
-    ideal = run_circuit(circ, "fp32").probabilities()
+    ideal = oracles.probabilities(run_circuit(circ, "fp32").amps)
     noisy = noisy_expected_probs(circ, DepolarizingConfig(0.0, trajectories=1), "fp32")
     np.testing.assert_array_equal(noisy, ideal)
 
@@ -383,7 +387,7 @@ def test_zero_noise_probs_match_noiseless_exactly():
 def test_zero_noise_trajectory_matches_blocked_run_exactly():
     # n=17 is above the size where one-qubit gate runs go block by block
     circ = build_circuit(generate_instance(17, 3), LrQaoaParams(p=1))
-    ideal = run_circuit(circ, "fp32").probabilities()
+    ideal = oracles.probabilities(run_circuit(circ, "fp32").amps)
     noisy = noisy_expected_probs(circ, DepolarizingConfig(0.0, trajectories=1), "fp32")
     np.testing.assert_array_equal(noisy, ideal)
 
@@ -408,7 +412,7 @@ def test_zero_noise_trajectory_is_run_circuit_bytes(n, precision):
     sv = run_circuit(circ, precision)
     cfg = DepolarizingConfig(0.0, trajectories=1, rng_seed=n)
     noisy = noisy_expected_probs(circ, cfg, precision)
-    assert noisy.tobytes() == sv.probabilities().tobytes()
+    assert noisy.tobytes() == oracles.probabilities(sv.amps).tobytes()
     shots = run_noisy_ensemble(circ, cfg, 50, precision)
     assert shots.indices.tobytes() == sample(sv, 50, rng_seed=n).indices.tobytes()
 
@@ -451,11 +455,10 @@ def test_threaded_ensemble_bounds_results_in_flight(monkeypatch):
     circ = build_circuit(generate_instance(13, 2), LrQaoaParams(p=1))
     cfg = DepolarizingConfig(0.1, trajectories=40, rng_seed=3)
     threads = 2
-    trajectories = noise._iter_trajectories(circ, cfg, "fp64", None, threads)
-    for read in range(1, cfg.trajectories + 1):
-        next(trajectories)
-        # the block being read, and those submitted after it
-        reading = int(np.searchsorted(np.cumsum(submitted), read))
+    blocks = noise._iter_blocks(circ, cfg, "fp64", None, threads)
+    for reading, (_, row_of, _) in enumerate(blocks):
+        assert len(row_of) == submitted[reading]
+        # the blocks submitted after the one being read
         assert len(submitted) - reading - 1 < 2 * threads
     assert sum(submitted) == cfg.trajectories
     assert len(submitted) > 2 * threads
