@@ -1,6 +1,6 @@
 """Linear-ramp QAOA MaxCut simulation and statistical verification toolkit."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .circuit import (
     CircuitIR,
@@ -48,7 +48,6 @@ from .problem import (
     WmcInstance,
     approximation_ratio,
     cut_value,
-    cut_values,
     generate_instance,
     load_instance,
     optimal_cut_bruteforce,

@@ -260,10 +260,10 @@ def _cmd_simulate(args) -> int:
             args.memory_bytes,
             threads=_resolve_threads(args),
         )
-        mean_r = approximation_ratio(inst, shots) if solved else None
-        ovl = None
+        mean_r = ovl = None
         if solved:
             ideal_sv = run_circuit(circuit, args.precision, args.memory_bytes)
+            mean_r = approximation_ratio(inst, shots)
             if args.ideal_shots is None:
                 r_ideal = exact_expected_r(ideal_sv, inst)
             else:

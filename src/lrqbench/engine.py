@@ -72,8 +72,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import CircuitIR, CostLayer, GateOp
-from .errors import CapacityError, StateError, ValidationError
-from .problem import _BLOCK_BITS, CutDiagonal, WmcInstance, doubling, indices_to_bitstrings
+from .errors import CapacityError, ValidationError
+from .problem import _BLOCK_BITS, WmcInstance, _require_optimal, doubling, indices_to_bitstrings
 from .rng import derive_rng
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes, overridable via LRQBENCH_MEMORY_BYTES
@@ -481,9 +481,10 @@ def _run_scratch_bytes(num_qubits: int, precision: Precision, workers: int = 1) 
       in double and one in the state's precision, and its block's table
       over the low 2^12 offsets (complex128).
     - The tail: the reader's two float64 chunks (``_squared_chunks``),
-      the sampler's two running totals per chunk, and ``exact_expected_r``'s
-      ``CutDiagonal``, its table and transient, with one chunk of cut
-      values.
+      the sampler's two running totals per chunk, and the instance's
+      ``CutDiagonal`` (``WmcInstance.cut``), its table and transient, with
+      one chunk of cut values.  Commands build that cut only after their
+      last run, so no run's state shares the peak with it.
 
     What grows with the shot count is not counted.
     """
@@ -531,16 +532,14 @@ def _expected_r(chunks, inst: WmcInstance) -> float:
     """Expected approximation ratio from (lo, probabilities of the indices
     lo, lo + 1, ...) chunks: an elementwise product with the cut values and
     numpy's pairwise sum per chunk, not a BLAS dot, added in order."""
-    if inst.optimal_cut is None:
-        raise StateError("instance has no optimal cut; solve it first")
-    cut = CutDiagonal(inst.num_vertices, inst.edges)
+    opt = _require_optimal(inst)
     total = 0.0
     for lo, p in chunks:
-        weighted = cut.values(lo, lo + p.size)
+        weighted = inst.cut.values(lo, lo + p.size)
         weighted *= p
         total += float(weighted.sum())
         del weighted  # dropped before the next chunk's values are formed
-    return total / inst.optimal_cut.value
+    return total / opt.value
 
 
 def expected_r_from_probs(probs: np.ndarray, inst: WmcInstance) -> float:

@@ -13,6 +13,7 @@ solved by exhaustive enumeration.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -70,12 +71,24 @@ class WmcInstance:
         if [(i, j) for i, j, _ in normalized] != complete_edge_list(n):
             raise ValidationError("edge set is not the complete graph on n vertices")
         self.edges = normalized
-        if self.optimal_cut is not None and len(self.optimal_cut.bitstring) != n:
-            raise ValidationError("optimal-cut bitstring length does not match n")
+        opt = self.optimal_cut
+        if opt is not None:
+            if len(opt.bitstring) != n:
+                raise ValidationError("optimal-cut bitstring length does not match n")
+            if not (math.isfinite(opt.value) and opt.value > 0.0):
+                raise ValidationError(
+                    f"optimal cut value {opt.value} is not a positive number, so no ratio exists"
+                )
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @functools.cached_property
+    def cut(self) -> CutDiagonal:
+        """The instance's cut function, built on first use; every cut value
+        of the instance comes from it."""
+        return CutDiagonal(self.num_vertices, self.edges)
 
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
@@ -156,23 +169,9 @@ def as_index(x: int | str | Sequence[int] | np.integer, n: int) -> int:
 # cut evaluation
 
 
-def cut_values(inst: WmcInstance, indices: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Cut values for an array of basis indices.
-
-    Edges accumulate in lexicographic order, so repeated calls agree
-    bit for bit.
-    """
-    z = np.asarray(indices, dtype=np.uint64)
-    acc = np.zeros(z.shape)
-    for i, j, w in inst.edges:
-        acc += w * (((z >> np.uint64(i)) ^ (z >> np.uint64(j))) & np.uint64(1))
-    return acc
-
-
 def cut_value(inst: WmcInstance, x: int | str | Sequence[int]) -> float:
     """Total weight of edges cut by assignment ``x``."""
-    z = as_index(x, inst.num_vertices)
-    return float(cut_values(inst, np.array([z], dtype=np.uint64))[0])
+    return float(inst.cut.at([as_index(x, inst.num_vertices)])[0])
 
 
 def doubling(
@@ -189,7 +188,8 @@ def doubling(
 
 
 class CutDiagonal:
-    """Cut values C(z) = sum of w_ij over edges with z_i != z_j, by index range.
+    """Cut values C(z) = sum of w_ij over edges with z_i != z_j, by index
+    range (``values``) or at any indices (``at``).
 
     An index z splits into a block h = z >> b and an offset l < 2^b, with
     b = min(16, n).  Edges among the low b vertices give a table Q(l),
@@ -200,7 +200,7 @@ class CutDiagonal:
     C = const + sum of a_i over the set bits of l + Q(l), its middle term
     built by doubling over the low vertices.  Every value is a fixed
     sequence of additions determined by its index alone, so any range,
-    block, shard or sub-range gives the same bits for the same index.
+    block, shard, sub-range or lookup gives the same bits for the same index.
 
     Edges are ``(i, j, w)`` triples; repeated pairs add up and weights may
     be any finite number (cost layers pass RZZ angles).
@@ -276,14 +276,26 @@ class CutDiagonal:
             return pieces[0]
         return np.concatenate(pieces) if pieces else np.zeros(0)
 
-
-def cut_values_range(inst: WmcInstance, start: int, stop: int) -> np.ndarray:
-    """Cut values for the contiguous index block [start, stop).
-
-    Each value depends only on its index (see ``CutDiagonal``), so a
-    sub-range reproduces the same indices of a wider scan bit for bit.
-    """
-    return CutDiagonal(inst.num_vertices, inst.edges).values(start, stop)
+    def at(self, indices) -> np.ndarray:
+        """Cut values of arbitrary indices in [0, 2^n), each with the bits
+        ``values`` gives it: ``block_terms`` once per distinct block, then
+        const + a_i over the set bits of l in increasing i + Q(l), adding
+        0.0 where a bit is clear (which changes only a -0.0)."""
+        z = np.asarray(indices, dtype=np.uint64)
+        flat = z.ravel()
+        if flat.size and int(flat.max()) >> self.num_vertices:
+            raise ValidationError(f"index {int(flat.max())} outside [0, 2^{self.num_vertices})")
+        b = self.block_bits
+        blocks, inv = np.unique(flat >> np.uint64(b), return_inverse=True)
+        terms = [self.block_terms(int(h)) for h in blocks]
+        const = np.array([c for c, _ in terms])
+        linear = np.array([a for _, a in terms]).reshape(-1, b)
+        low = flat & np.uint64((1 << b) - 1)
+        acc = const[inv]
+        for i in range(b):
+            acc += np.where((low >> np.uint64(i)) & np.uint64(1), linear[inv, i], 0.0)
+        acc += self.offset_cut[low]
+        return acc.reshape(z.shape)
 
 
 def optimal_cut_bruteforce(
@@ -307,7 +319,7 @@ def optimal_cut_bruteforce(
     half = 1 << (n - 1)
     chunk = 1 << min(_BLOCK_BITS, n - 1)
     ranges = [(lo, min(lo + chunk, half)) for lo in range(0, half, chunk)]
-    cut = CutDiagonal(n, inst.edges)
+    cut = inst.cut
 
     def scan(bounds: tuple[int, int]) -> tuple[float, int]:
         lo, hi = bounds
@@ -325,8 +337,7 @@ def optimal_cut_bruteforce(
     for val, z in candidates[1:]:
         if val > best_val or (val == best_val and z < best_z):
             best_val, best_z = val, z
-    best = index_to_bitstring(best_z, n)
-    return best, cut_value(inst, best)
+    return index_to_bitstring(best_z, n), best_val
 
 
 def solve_instance(inst: WmcInstance, **kwargs) -> WmcInstance:
@@ -340,19 +351,29 @@ def solve_instance(inst: WmcInstance, **kwargs) -> WmcInstance:
 
 
 def _require_optimal(inst: WmcInstance) -> OptimalCut:
-    if inst.optimal_cut is None:
+    """The instance's optimal cut, once its value is checked against the
+    cut of its bitstring, to 1e-12 times max(1, total weight)."""
+    opt = inst.optimal_cut
+    if opt is None:
         raise StateError("instance has no optimal cut; solve it first")
-    return inst.optimal_cut
+    actual = cut_value(inst, opt.bitstring)
+    if abs(opt.value - actual) > 1e-12 * max(1.0, inst.total_weight()):
+        raise ValidationError(
+            f"optimal cut value {opt.value!r} contradicts its bitstring, whose cut is {actual!r}"
+        )
+    return opt
 
 
 def _to_indices(inst: WmcInstance, samples) -> np.ndarray:
     """Basis indices of a ShotSet, of integer indices, of bitstrings, or of
     rows of 0/1 bits (vertex 0 first); ``as_index`` names the first sample
     it rejects."""
+    n = inst.num_vertices
     indices = getattr(samples, "indices", None)
     if indices is not None:
+        if samples.num_qubits != n:
+            raise ValidationError(f"shots of {samples.num_qubits} qubits do not match n={n}")
         return np.asarray(indices, dtype=np.uint64)
-    n = inst.num_vertices
     try:
         arr = np.asarray(samples)
     except ValueError:  # ragged: check one sample at a time
@@ -380,7 +401,7 @@ def shot_ratios(inst: WmcInstance, samples) -> np.ndarray:
     """Per-shot approximation ratios C(x_i) / C(x*)."""
     opt = _require_optimal(inst)
     indices = _to_indices(inst, samples)
-    return cut_values(inst, indices) / opt.value
+    return inst.cut.at(indices) / opt.value
 
 
 def approximation_ratio(inst: WmcInstance, samples) -> float:

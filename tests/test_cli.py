@@ -599,3 +599,66 @@ def test_version_flag(capsys):
         run_cli("--version")
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("lrqbench ")
+
+
+def zero_weight_instance(path: Path) -> Path:
+    edges = [[i, j, 0.0] for i in range(4) for j in range(i + 1, 4)]
+    path.write_text(json.dumps(
+        {"n": 4, "seed": None, "edges": edges, "optimal": {"bitstring": "0000", "value": 0.0}}
+    ))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--p", 1),
+    ("simulate", "--p", 1, "--mode", "noisy", "--epsilon", 0.01, "--trajectories", 2),
+    ("classify", "--qpu", "qpu.json"),
+])
+def test_zero_optimum_exits_2_without_a_result(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    inst = zero_weight_instance(tmp_path / "zero.json")
+    Path("qpu.json").write_text(json.dumps({"bitstrings": ["0101"] * 20}))
+    assert run_cli(*argv, "--instance", inst, "--out", "res.json") == 2
+    assert "not a positive number" in capsys.readouterr().err
+    assert not Path("res.json").exists()
+
+
+def test_classify_rejects_a_tampered_optimum(tmp_path, instance_path, capsys):
+    qpu = tmp_path / "qpu.json"
+    assert run_cli("simulate", "--instance", instance_path, "--out", qpu, "--p", 1) == 0
+    data = json.loads(instance_path.read_text())
+    data["optimal"]["value"] = 999.0
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert run_cli("classify", "--qpu", qpu, "--instance", tampered, "--out", out) == 2
+    assert "contradicts its bitstring" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_command_builds_one_instance_cut(tmp_path, monkeypatch):
+    # cost layers bind CutDiagonal in circuit, so only the instance's cut counts
+    from lrqbench import problem
+
+    built = []
+
+    class Counting(problem.CutDiagonal):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(problem, "CutDiagonal", Counting)
+    inst, qpu, ideal = tmp_path / "inst.json", tmp_path / "qpu.json", tmp_path / "ideal.json"
+    sim = ("simulate", "--instance", inst, "--p", 2, "--shots", 200)
+    commands = [
+        ("gen", "--n", 8, "--out", inst),
+        (*sim, "--out", ideal),
+        (*sim, "--out", tmp_path / "sharded.json", "--shards", 2),
+        (*sim, "--out", qpu, "--mode", "noisy", "--epsilon", 0.01, "--trajectories", 3),
+        ("classify", "--qpu", qpu, "--instance", inst, "--noiseless", ideal,
+         "--out", tmp_path / "report.json"),
+    ]
+    for argv in commands:
+        built.clear()
+        assert run_cli(*argv) == 0
+        assert len(built) == 1, argv[0]

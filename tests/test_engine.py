@@ -37,8 +37,8 @@ from lrqbench.engine import (
     expected_r_from_probs,
     state_bytes,
 )
-from lrqbench import engine
-from lrqbench.problem import cut_values_range, index_to_bitstring
+from lrqbench import engine, problem
+from lrqbench.problem import CutDiagonal, index_to_bitstring
 from lrqbench.sharded import plan_for_shard_count, run_circuit_sharded
 from lrqbench.rng import derive_rng
 
@@ -307,22 +307,24 @@ def test_expected_r_builds_one_cut_diagonal(monkeypatch):
     inst = solve_instance(generate_instance(17, 2))
     probs = np.random.default_rng(0).random(1 << 17)
     probs /= probs.sum()
-    want = dot = 0.0  # per-chunk evaluations with a cut table each
+    cut = CutDiagonal(inst.num_vertices, inst.edges)
+    want = dot = 0.0  # per-chunk evaluations
     for lo in range(0, probs.size, 1 << 16):
         chunk = probs[lo : lo + (1 << 16)]
-        want += float((cut_values_range(inst, lo, lo + (1 << 16)) * chunk).sum())
-        dot += float(chunk @ cut_values_range(inst, lo, lo + (1 << 16)))
+        want += float((cut.values(lo, lo + (1 << 16)) * chunk).sum())
+        dot += float(chunk @ cut.values(lo, lo + (1 << 16)))
     want /= inst.optimal_cut.value
     assert want == pytest.approx(dot / inst.optimal_cut.value, rel=1e-14)
     built = []
 
-    class Counting(engine.CutDiagonal):
+    class Counting(CutDiagonal):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(engine, "CutDiagonal", Counting)
+    monkeypatch.setattr(problem, "CutDiagonal", Counting)
     assert expected_r_from_probs(probs, inst) == want
+    assert expected_r_from_probs(probs, inst) == want  # the instance keeps its cut
     assert len(built) == 1
 
 

@@ -10,7 +10,6 @@ from lrqbench import (
     WmcInstance,
     approximation_ratio,
     cut_value,
-    cut_values,
     generate_instance,
     load_instance,
     optimal_cut_bruteforce,
@@ -24,7 +23,6 @@ from lrqbench.problem import (
     bitstring_to_index,
     bitstrings_to_indices,
     complete_edge_list,
-    cut_values_range,
     index_to_bitstring,
     indices_to_bitstrings,
 )
@@ -81,25 +79,38 @@ def test_cut_value_hand_computed(triangle):
     assert cut_value(triangle, 0b001) == 1.5  # index form of "100"
 
 
-def test_cut_values_matches_python_loop():
-    inst = generate_instance(6, 3)
-    zs = np.arange(64, dtype=np.uint64)
-    got = cut_values(inst, zs)
-    want = np.array([cut_of_index(inst.edges, z) for z in range(64)])
-    np.testing.assert_array_equal(got, want)
-
-
-def test_cut_values_range_matches_per_index_path():
-    # the range scan goes through the block recurrence, the per-index
-    # path through edge accumulation; they must agree to rounding
-    for n, seed, lo, hi in ((7, 11, 17, 101), (17, 4, (1 << 16) - 300, (1 << 16) + 500)):
+def test_cut_lookup_matches_python_loop():
+    # the block recurrence and the oracle's edge loop agree to rounding
+    for n, seed in ((6, 3), (13, 8), (20, 2)):
         inst = generate_instance(n, seed)
-        scan = cut_values_range(inst, lo, hi)
-        direct = cut_values(inst, np.arange(lo, hi, dtype=np.uint64))
-        np.testing.assert_allclose(scan, direct, atol=1e-12)
+        zs = np.random.default_rng(n).integers(0, 1 << n, size=300, dtype=np.uint64)
+        got = inst.cut.at(zs)
+        want = np.array([cut_of_index(inst.edges, int(z)) for z in zs])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * inst.total_weight())
+
+
+@pytest.mark.parametrize("n", [5, 16, 17])
+def test_cut_lookup_matches_range_scan(n):
+    # every index of a full scan, shuffled, in one lookup and in a 2-D one
+    inst = generate_instance(n, n)
+    scan = inst.cut.values(0, 1 << n)
+    z = np.random.default_rng(n).permutation(1 << n).astype(np.uint64)
+    assert inst.cut.at(z).tobytes() == scan[z].tobytes()
+    assert inst.cut.at(z.reshape(-1, 4)).tobytes() == scan[z].tobytes()
+    assert inst.cut.at(np.zeros(0, np.uint64)).shape == (0,)
     # a value depends only on its index, not on the range it was scanned in
-    wide = cut_values_range(inst, 0, 1 << 17)
-    np.testing.assert_array_equal(scan, wide[lo:hi])
+    lo, hi = (1 << n) // 3, (1 << n) // 3 + (1 << n) // 2
+    assert inst.cut.values(lo, hi).tobytes() == scan[lo:hi].tobytes()
+    with pytest.raises(ValidationError):
+        inst.cut.at([1 << n])
+
+
+def test_cut_lookup_matches_range_scan_at_n20():
+    inst = generate_instance(20, 2)
+    rng = np.random.default_rng(20)
+    edges = [lo + d for lo in range(0, 1 << 20, 1 << 16) for d in (0, 1, (1 << 16) - 1)]
+    z = np.concatenate((rng.integers(0, 1 << 20, size=4000), edges)).astype(np.uint64)
+    assert inst.cut.at(z).tobytes() == inst.cut.values(0, 1 << 20)[z].tobytes()
 
 
 def test_bitstring_encoding_vertex_zero_leftmost():
@@ -143,14 +154,15 @@ def test_bruteforce_matches_enumeration(n, seed):
     bits, val = optimal_cut_bruteforce(inst)
     z, want_val = best_cut_by_enumeration(inst.edges, n)
     assert bitstring_to_index(bits) == z
-    assert val == want_val
+    assert val == pytest.approx(want_val, rel=0, abs=1e-12 * inst.total_weight())
+    assert val == cut_value(inst, bits)  # the scanned maximum, bit for bit
 
 
 def test_bruteforce_beats_random_sampling():
     inst = generate_instance(9, 17)
     _, val = optimal_cut_bruteforce(inst)
     rng = np.random.default_rng(0)
-    draws = cut_values(inst, rng.integers(0, 512, size=1000, dtype=np.uint64))
+    draws = inst.cut.at(rng.integers(0, 512, size=1000, dtype=np.uint64))
     assert val >= draws.max()
 
 
@@ -237,7 +249,7 @@ def test_random_baseline_triangle(triangle_solved):
 
 def test_random_baseline_equals_uniform_average():
     inst = solve_instance(generate_instance(6, 8))
-    mean_cut = cut_values(inst, np.arange(64, dtype=np.uint64)).mean()
+    mean_cut = inst.cut.values(0, 64).mean()
     want = mean_cut / inst.optimal_cut.value
     assert abs(random_baseline_expectation(inst) - want) < 1e-12
 
@@ -263,3 +275,49 @@ def test_load_unsolved_instance(tmp_path):
     path = tmp_path / "inst.json"
     save_instance(inst, path)
     assert load_instance(path).optimal_cut is None
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_optimum_must_be_positive_and_finite(triangle, value):
+    with pytest.raises(ValidationError, match="not a positive number"):
+        WmcInstance(3, triangle.edges, optimal_cut=OptimalCut("100", value))
+
+
+def test_solving_a_zero_weight_instance_raises():
+    inst = WmcInstance(4, [(i, j, 0.0) for i, j in complete_edge_list(4)])
+    with pytest.raises(ValidationError, match="not a positive number"):
+        solve_instance(inst)
+
+
+def test_shot_ratios_rejects_shots_of_another_size():
+    from lrqbench import ShotSet
+
+    inst = solve_instance(generate_instance(8, 1))
+    shots = ShotSet(4, np.arange(5, dtype=np.uint64), None, "test")
+    with pytest.raises(ValidationError, match="4 qubits do not match n=8"):
+        shot_ratios(inst, shots)
+    assert shot_ratios(inst, ShotSet(8, np.arange(5, dtype=np.uint64), None, "test")).size == 5
+
+
+def test_solved_optimum_is_its_bitstrings_cut():
+    inst = solve_instance(generate_instance(17, 5))
+    opt = inst.optimal_cut
+    z = bitstring_to_index(opt.bitstring)
+    assert inst.cut.at([z]).tobytes() == np.array([opt.value]).tobytes()
+    assert shot_ratios(inst, [opt.bitstring, z]).tolist() == [1.0, 1.0]
+
+
+def test_optimum_contradicting_its_bitstring_is_rejected():
+    from dataclasses import replace
+
+    inst = generate_instance(12, 4)
+    z, value = best_cut_by_enumeration(inst.edges, 12)
+    bits = index_to_bitstring(z, 12)
+    # the oracle's edge loop rounds differently from the cut table, within 1e-12 W
+    oracle = replace(inst, optimal_cut=OptimalCut(bits, value))
+    assert shot_ratios(oracle, [bits])[0] == pytest.approx(1.0, abs=1e-12)
+    tampered = replace(inst, optimal_cut=OptimalCut(bits, 999.0))
+    with pytest.raises(ValidationError, match="contradicts its bitstring"):
+        shot_ratios(tampered, [bits])
+    with pytest.raises(ValidationError, match="contradicts its bitstring"):
+        random_baseline_expectation(tampered)
