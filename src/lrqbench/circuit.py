@@ -120,18 +120,15 @@ class CircuitIR:
             if any(not 0 <= q < self.num_qubits for q in g.qubits):
                 raise ValidationError(f"gate {g} out of range for {self.num_qubits} qubits")
 
-    def layers(self) -> list[GateOp | CostLayer]:
-        """The gate list with every run of consecutive RZZ gates grouped into
-        one ``CostLayer``; H and RX gates stay as they are.  The engines
-        execute this view, while gate-level bookkeeping (counts, text form,
-        noise attachment points, timing rows) keeps to ``gates``."""
-        out: list[GateOp | CostLayer] = []
-        for diagonal, run in itertools.groupby(self.gates, key=lambda g: g.kind == "RZZ"):
-            if diagonal:
-                out.append(CostLayer(self.num_qubits, tuple(run)))
-            else:
-                out.extend(run)
-        return out
+    def layers(self) -> list[CostLayer | tuple[GateOp, ...]]:
+        """The runs the engines execute: every run of consecutive RZZ gates as
+        one ``CostLayer``, every run of consecutive H and RX gates as one
+        tuple.  Gate-level bookkeeping (counts, text form, noise attachment
+        points, timing rows) keeps to ``gates``."""
+        return [
+            CostLayer(self.num_qubits, tuple(run)) if diagonal else tuple(run)
+            for diagonal, run in itertools.groupby(self.gates, key=lambda g: g.kind == "RZZ")
+        ]
 
 
 def build_circuit(inst: WmcInstance, params: LrQaoaParams) -> CircuitIR:

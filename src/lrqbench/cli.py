@@ -179,8 +179,13 @@ def _resolved_deltas(args) -> tuple[float, float]:
 
 
 def _check_mode_flags(args) -> None:
-    """Reject simulate flags that the chosen mode would silently ignore."""
-    if args.mode == "noisy":
+    """Reject simulate and bench flags that the chosen mode would silently
+    ignore."""
+    if args.func is _cmd_bench and args.mode == "strong":
+        ignored = {"--nq-range": args.nq_range is not None, "--nq-local": args.nq_local is not None}
+    elif args.func is _cmd_bench:
+        ignored = {"--nq": args.nq is not None, "--shards": args.shards is not None}
+    elif args.mode == "noisy":
         ignored = {"--shards": args.shards != 1, "--dump-state": args.dump_state is not None}
     else:
         ignored = {
@@ -367,6 +372,7 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 
 def _cmd_bench(args) -> int:
+    _check_mode_flags(args)
     _check_memory_bytes(args)
     delta_beta, delta_gamma = _resolved_deltas(args)
     common = dict(
@@ -381,9 +387,8 @@ def _cmd_bench(args) -> int:
     if args.mode == "strong":
         if args.nq is None:
             raise ValidationError("strong-scaling bench needs --nq")
-        cfg = SweepConfig(
-            mode="strong", nq=args.nq, shard_counts=_parse_int_list(args.shards), **common
-        )
+        shards = SweepConfig.shard_counts if args.shards is None else _parse_int_list(args.shards)
+        cfg = SweepConfig(mode="strong", nq=args.nq, shard_counts=shards, **common)
     else:
         if args.nq_range is None or args.nq_local is None:
             raise ValidationError("size bench needs --nq-range and --nq-local")
@@ -596,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--mode", choices=("strong", "size"), default="strong")
     p_bench.add_argument("--out", type=Path, required=True, help="timing CSV path")
     p_bench.add_argument("--nq", type=int, default=None, help="qubits (strong mode)")
-    p_bench.add_argument("--shards", type=str, default="1,2,4", help="shard counts, comma separated")
+    p_bench.add_argument("--shards", default=None, help="comma-separated shard counts (strong mode; default 1,2,4)")
     p_bench.add_argument("--nq-range", type=str, default=None, help="LO:HI qubit range (size mode)")
     p_bench.add_argument("--nq-local", type=int, default=None, help="local qubits per shard (size mode)")
     p_bench.add_argument("--p", type=int, default=3)

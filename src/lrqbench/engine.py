@@ -432,20 +432,9 @@ def apply_gate(sv: StateVector, gate: GateOp) -> None:
     _apply_gate_run(sv.amps, (gate,))
 
 
-def _layer_runs(circuit: CircuitIR) -> list[CostLayer | tuple[GateOp, ...]]:
-    """The circuit's layer view with each run of consecutive H/RX gates
-    grouped into one tuple, the unit ``_apply_gate_run`` executes."""
-    out: list[CostLayer | tuple[GateOp, ...]] = []
-    for gates, ops in itertools.groupby(circuit.layers(), key=lambda op: isinstance(op, GateOp)):
-        if gates:
-            out.append(tuple(ops))
-        else:
-            out.extend(ops)
-    return out
-
-
 def _fold_h(circuit: CircuitIR, dtype: np.dtype = np.complex64):
-    """The executed layer view: ``_layer_runs`` with a leading H layer folded.
+    """The executed layer view: ``CircuitIR.layers`` with a leading H layer
+    folded.
 
     A circuit that opens with exactly one H per qubit, followed by a cost
     layer, returns ``_plus_amplitude`` in ``dtype`` (the amplitude those
@@ -453,7 +442,7 @@ def _fold_h(circuit: CircuitIR, dtype: np.dtype = np.complex64):
     and the layers after the H run.  Any other circuit returns None and
     all of its layers.
     """
-    runs = _layer_runs(circuit)
+    runs = circuit.layers()
     n = circuit.num_qubits
     if (
         len(runs) > 1

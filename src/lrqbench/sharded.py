@@ -2,52 +2,52 @@
 
 The amplitude array splits into 2^(nq - nq_local) contiguous shards of
 2^nq_local amplitudes; shard s owns the basis states whose top bits equal
-s.  All shards are rows of one state array, viewed as
-(num_shards, shard_len), and the engine runs the circuit's layer view
-(``CircuitIR.layers``) over them.
+s.  Shards shape only the exchange.  All of them are rows of one state
+array, and the circuit's layer view (``CircuitIR.layers``) is computed on
+``workers`` contiguous slabs of it, the largest power of two up to both
+the shard count and the CPUs the process may use, so a slab is a whole
+number of shards and splits evenly on every local bit.
 
-A cost layer (a run of RZZ gates) is diagonal, so each shard multiplies
-its own index range by the layer's phases through the dense engine's
-executor, whatever qubits the layer touches: diagonal layers never
-exchange, and their phases match the dense engine's bit for bit.  The
-coordinator builds a layer's phase tables when the layer is due and
-hands the same read-only tables to every shard.
-
-The leading H layer is folded as in the dense engine: every row starts
-filled with the amplitude those gates leave, so they neither compute nor
+The leading H layer is folded as in the dense engine: every amplitude
+starts as the one those gates leave, so they neither compute nor
 exchange, and ``exchange_volume`` reads the same folded layer view.
+Every other step calls a dense executor once per slab: a cost layer (a
+run of RZZ gates, diagonal, so it never exchanges) multiplies the slab's
+index range, from its offset, by one read-only ``_CostPhase`` built when
+the layer is due; a stretch of H and RX gates on local qubits is one
+one-qubit executor call.  Both executors give an index the same bits
+whatever range computes it, so the state is the dense engine's.
 
-A stretch of consecutive H and RX gates on local qubits runs inside each
-shard as one call of the dense engine's one-qubit executor.  A gate on a
-global qubit g runs as its stand-in on the top local qubit nq_local - 1.
-A swap leg pairs shard s (bit g - nq_local clear) with shard
-s | 2^(g - nq_local) and trades the upper half of the first with the
-lower half of the second, two contiguous runs of L/2 amplitudes, which
-transposes qubit g with the top local qubit; the stand-in runs in every
-shard, and a second leg swaps back.  A leg copies its halves piece by
-piece through one buffer of at most 2^14 amplitudes per pair.  One such
-swap-apply-restore counts as a single exchange of L/2 amplitudes per
-shard; the restore leg moves the same amplitudes home and is not
-double-counted, and the static ``exchange_volume`` and the counters
-measured during a run agree exactly on that convention.
+A gate on a global qubit g runs as its stand-in on the top local qubit
+nq_local - 1.  A swap leg pairs shard s (bit g - nq_local clear) with
+shard s | 2^(g - nq_local) and trades the upper half of the first with
+the lower half of the second, two contiguous runs of L/2 amplitudes,
+which transposes qubit g with the top local qubit; the stand-in runs on
+every slab, and a second leg swaps back.  A leg is one task per worker
+over a strided share of the pairs, copied piece by piece through one
+buffer of at most 2^14 amplitudes.  One swap-apply-restore counts as a
+single exchange of L/2 amplitudes per shard (the restore leg moves the
+same amplitudes home), the convention on which the static
+``exchange_volume`` and the counters measured during a run agree.
 
-Per-shard work runs on one thread pool of min(num_shards, CPU count)
-threads.  Every step maps one task per shard (or per pair, for a swap
-leg) and the map returning is the barrier; no task waits on another,
-and tasks of one step touch disjoint amplitudes, so results cannot
-depend on scheduling.  The timing record keeps one row per gate: compute
-is the slowest shard's kernel span, exchange sums over the swap legs the
-slowest pair's copy, and the exchanged amplitudes are counted from the
-halves actually copied on the outward legs.  The compute time of a cost
-layer, or of a stretch of local H and RX gates, goes on the row of its
-first gate, and its other rows carry zeros, as do the folded H gates.
-An exception in any task aborts the run.  The memory budget covers the
-state and each thread's executor scratch (``engine._run_scratch_bytes``),
-which also bounds a swap leg's buffer.
+With several workers a step maps its tasks on a thread pool of that size
+and the map returning is the barrier; with one, the tasks run in order
+on the calling thread, so a 1-shard plan makes ``run_circuit``'s
+executor calls.  No task waits on another, and tasks of one step touch
+disjoint amplitudes, so results cannot depend on scheduling.  The timing
+record keeps one row per gate: compute is the slowest slab's span,
+exchange sums over the swap legs the slowest worker's share, and the
+amplitudes exchanged are counted from the halves the outward legs copy.
+The compute time of a cost layer, or of a stretch of local H and RX
+gates, goes on the row of its first gate; its other rows carry zeros, as
+do the folded H gates.  An exception in any task aborts the run.  The
+memory budget covers the state and each worker's executor scratch
+(``engine._run_scratch_bytes``), which also bounds a leg's buffer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import os
@@ -117,7 +117,7 @@ def exchange_volume(circuit: CircuitIR, plan: ShardPlan) -> int:
     exchange, and neither does a folded H layer, which never runs.
     """
     _, layers = _layer_plan(circuit, plan)
-    moves = sum(qubit is not None for _, _, qubit in layers)
+    moves = sum(qubit is not None for _, qubit in layers)
     return moves * plan.num_shards * (plan.shard_len // 2)
 
 
@@ -192,10 +192,10 @@ def write_timing_csv(records: Iterable[TimingRecord], fh: IO[str]) -> None:
 
 def _layer_plan(circuit: CircuitIR, plan: ShardPlan, dtype: np.dtype = np.complex64):
     """The folded start amplitude (None when the H layer does not fold, see
-    ``engine._fold_h``) and the (index of the first gate, step, global
-    qubit or None) of every step in execution order.
+    ``engine._fold_h``) and the (step, global qubit or None) of every step
+    in execution order.
 
-    A step is a cost layer, or a tuple of H/RX gates every shard runs with
+    A step is a cost layer, or a tuple of H/RX gates every slab runs with
     ``_apply_gate_run``: a stretch of consecutive gates on local qubits,
     or one gate on a global qubit as its stand-in on the top local qubit,
     which the swap legs trade with the global qubit and back.  Folded H
@@ -203,23 +203,24 @@ def _layer_plan(circuit: CircuitIR, plan: ShardPlan, dtype: np.dtype = np.comple
     """
     start, runs = _fold_h(circuit, dtype)
     out = []
-    idx = 0 if start is None else circuit.num_qubits
     for op in runs:
         if isinstance(op, CostLayer):
-            out.append((idx, op, None))
-            idx += len(op.gates)
+            out.append((op, None))
             continue
         for local, gates in itertools.groupby(op, key=lambda g: g.qubits[0] < plan.nq_local):
             if local:
-                stretch = tuple(gates)
-                out.append((idx, stretch, None))
-                idx += len(stretch)
-                continue
-            for gate in gates:
-                stand_in = replace(gate, qubits=(plan.nq_local - 1,))
-                out.append((idx, (stand_in,), gate.qubits[0]))
-                idx += 1
+                out.append((tuple(gates), None))
+            else:
+                out.extend(((replace(g, qubits=(plan.nq_local - 1,)),), g.qubits[0]) for g in gates)
     return start, out
+
+
+def _workers(plan: ShardPlan) -> int:
+    """The slabs a run computes on: the largest power of two up to both the
+    shard count and the CPUs the process may use (its affinity set, where
+    the platform has one)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return 1 << (min(plan.num_shards, cpus).bit_length() - 1)
 
 
 def _timed(fn, *args) -> float:
@@ -228,22 +229,23 @@ def _timed(fn, *args) -> float:
     return time.perf_counter() - t0
 
 
-def _swap_halves(rows: np.ndarray, low: int, high: int) -> tuple[float, int]:
-    """Trade shard ``low``'s upper half for shard ``high``'s lower half, which
-    transposes the pair's global qubit with the top local qubit; the swap
-    is its own inverse.  The halves go piece by piece through one buffer
-    of at most 2^(_GATE_BLOCK_BITS - 1) amplitudes.  Returns the seconds
-    taken and the amplitudes that changed shards."""
+def _swap_halves(rows: np.ndarray, lows: list[int], bit: int) -> tuple[float, int]:
+    """Trade the upper half of each shard s in ``lows`` for the lower half of
+    shard s | bit, which transposes the pair's global qubit with the top
+    local qubit (a swap is its own inverse), piece by piece through one
+    buffer of at most 2^(_GATE_BLOCK_BITS - 1) amplitudes.  Returns the
+    seconds taken and the amplitudes that changed shards."""
     t0 = time.perf_counter()
     h = rows.shape[1] // 2
-    mine, theirs = rows[low, h:], rows[high, :h]
     held = np.empty(min(h, 1 << (_GATE_BLOCK_BITS - 1)), rows.dtype)
-    for lo in range(0, h, held.size):
-        part = slice(lo, lo + held.size)
-        held[...] = mine[part]
-        mine[part] = theirs[part]
-        theirs[part] = held
-    return time.perf_counter() - t0, 2 * h
+    for s in lows:
+        mine, theirs = rows[s, h:], rows[s | bit, :h]
+        for lo in range(0, h, held.size):
+            part = slice(lo, lo + held.size)
+            held[...] = mine[part]
+            mine[part] = theirs[part]
+            theirs[part] = held
+    return time.perf_counter() - t0, 2 * h * len(lows)
 
 
 def run_circuit_sharded(
@@ -254,8 +256,8 @@ def run_circuit_sharded(
 ) -> tuple[StateVector, TimingRecord]:
     """Run the gate list across shards; returns the full state plus timings.
 
-    A single-shard plan degenerates to the dense engine: same kernels,
-    same order, bit-identical amplitudes.
+    A single-shard plan makes the dense engine's executor calls, in its
+    order, on the calling thread: bit-identical amplitudes.
     """
     precision = Precision.coerce(precision)
     if circuit.num_qubits != plan.nq:
@@ -263,11 +265,12 @@ def run_circuit_sharded(
             f"circuit has {circuit.num_qubits} qubits but plan covers {plan.nq}"
         )
     start, layers = _layer_plan(circuit, plan, precision.dtype)
-    workers = min(plan.num_shards, os.cpu_count() or 1)
+    workers = _workers(plan)
     scratch = _run_scratch_bytes(plan.nq, precision, workers)
     sv = zero_state(plan.nq, precision, memory_budget, scratch)
     rows = sv.amps.reshape(plan.num_shards, plan.shard_len)
-    shards = range(plan.num_shards)
+    slab = sv.amps.size // workers
+    slabs = range(0, sv.amps.size, slab)
     gate_rows: list[GateTiming] = []
 
     wall0 = time.perf_counter()
@@ -276,36 +279,35 @@ def run_circuit_sharded(
         # keep their timing rows with nothing computed or exchanged
         sv.amps.fill(start)
         gate_rows.extend(GateTiming(q, "H", 0.0, 0.0, 0) for q in range(plan.nq))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
 
         def each(fn, items) -> list:
             # map's return is the barrier: no task waits on another
             try:
-                return list(pool.map(fn, items))
+                return list((map if pool is None else pool.map)(fn, items))
             except Exception as exc:
                 raise AbortedRunError(f"shard task failed: {exc}") from exc
 
         def swap(g: int) -> tuple[float, int]:
-            """One leg over every pair of shards that differ in global qubit g:
-            the slowest pair's seconds, amplitudes moved."""
+            """One leg over the pairs of shards that differ in global qubit g, a
+            strided share per worker: the slowest worker's seconds, amplitudes moved."""
             bit = 1 << (g - plan.nq_local)
-            lows = [s for s in shards if not s & bit]
-            legs = each(lambda s: _swap_halves(rows, s, s | bit), lows)
+            lows = [s for s in range(plan.num_shards) if not s & bit]
+            legs = each(lambda w: _swap_halves(rows, lows[w::workers], bit), range(workers))
             return max(t for t, _ in legs), sum(m for _, m in legs)
 
         def compute(op) -> float:
-            """Run a step in every shard: the slowest shard's seconds.  A cost
+            """Run a step on every slab: the slowest slab's seconds.  A cost
             layer's tables are built here when the layer is due and dropped
             on return, so one layer's are alive at a time."""
             if isinstance(op, CostLayer):
                 phase = _CostPhase(op)
-                return max(
-                    each(lambda s: _timed(_apply_cost_layer, rows[s], phase, s * plan.shard_len), shards)
-                )
-            return max(each(lambda s: _timed(_apply_gate_run, rows[s], op), shards))
+                return max(each(lambda lo: _timed(_apply_cost_layer, sv.amps[lo : lo + slab], phase, lo), slabs))
+            return max(each(lambda lo: _timed(_apply_gate_run, sv.amps[lo : lo + slab], op), slabs))
 
-        for idx, op, qubit in layers:
-            gates = op.gates if isinstance(op, CostLayer) else op
+        for op, qubit in layers:
+            # the step's first gate is the next timing row
+            idx, gates = len(gate_rows), op.gates if isinstance(op, CostLayer) else op
             exchange_s, moved = (0.0, 0) if qubit is None else swap(qubit)
             compute_s = compute(op)
             if qubit is not None:

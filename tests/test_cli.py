@@ -504,6 +504,27 @@ def test_bench_size(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "mode, argv, named",
+    [
+        ("strong", ("--nq", 6, "--shards", "1,2", "--nq-local", 3, "--nq-range", "4:5"), "--nq-range, --nq-local"),
+        ("size", ("--nq-range", "6:7", "--nq-local", 5, "--nq", 12, "--shards", 8), "--nq, --shards"),
+    ],
+)
+def test_bench_rejects_flags_its_mode_ignores(tmp_path, capsys, mode, argv, named):
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--mode", mode, *argv, "--p", 1, "--out", out) == 2
+    assert f"{named} not used in --mode {mode}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_strong_sweeps_one_two_four_shards_by_default(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--nq", 6, "--p", 1, "--out", out) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert sorted({int(row.split(",")[2]) for row in rows}) == [1, 2, 4]
+
+
 def test_replay_reproduces_output(tmp_path):
     out = tmp_path / "inst.json"
     run_cli("gen", "--n", 6, "--out", out, "--seed", 12)

@@ -27,8 +27,8 @@ from lrqbench import (
 
 import oracles
 
-# (n, leading H layer, precision); a sharded step runs one task per shard,
-# so the two largest sizes, whose plans reach 1 024 and 2 048 shards, run once
+# (n, leading H layer, precision); the two largest sizes, whose plans reach
+# 1 024 and 2 048 shards and swap that many halves per leg, run once
 CASES = [
     (n, h_layer, "fp64" if (n + h_layer) % 2 else "fp32")
     for n in range(1, 11)

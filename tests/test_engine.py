@@ -39,7 +39,7 @@ from lrqbench.engine import (
 )
 from lrqbench import engine, problem
 from lrqbench.problem import CutDiagonal, index_to_bitstring
-from lrqbench.sharded import plan_for_shard_count, run_circuit_sharded
+from lrqbench.sharded import _workers, plan_for_shard_count, run_circuit_sharded
 from lrqbench.rng import derive_rng
 
 import oracles
@@ -463,7 +463,7 @@ def test_run_tail_allocates_nothing_of_state_size():
 def test_sharded_run_budgets_its_exchange_legs():
     plan = plan_for_shard_count(17, 2)
     circ = build_circuit(generate_instance(17, 5), LrQaoaParams(p=1))
-    workers = min(2, os.cpu_count() or 1)
+    workers = _workers(plan)
     need = state_bytes(17, Precision.FP32) + engine._run_scratch_bytes(17, Precision.FP32, workers)
     peak = traced_peak(lambda: run_circuit_sharded(circ, plan, "fp32", need))
     assert state_bytes(17, Precision.FP32) < peak <= need
@@ -530,7 +530,7 @@ def run_unfolded(circuit, precision):
     """The layer view executed as it stands: |0...0>, the H gates as a gate
     run, each cost layer multiplied into the state."""
     amps = zero_state(circuit.num_qubits, precision).amps
-    for op in engine._layer_runs(circuit):
+    for op in circuit.layers():
         if isinstance(op, CostLayer):
             engine._apply_cost_layer(amps, engine._CostPhase(op))
         else:
@@ -571,7 +571,7 @@ def unfoldable_circuits():
 def test_other_openings_take_the_unfolded_path(name, precision):
     circ = CircuitIR(num_qubits=5, gates=unfoldable_circuits()[name])
     start, runs = engine._fold_h(circ, Precision.coerce(precision).dtype)
-    assert start is None and runs == engine._layer_runs(circ)
+    assert start is None and runs == circ.layers()
     assert run_circuit(circ, precision).amps.tobytes() == run_unfolded(circ, precision).tobytes()
 
 

@@ -34,7 +34,6 @@ from lrqbench.engine import (
     _GATE_BLOCK_BITS,
     _REDUCTION_CHUNK,
     _apply_gate_run,
-    _layer_runs,
     state_bytes,
 )
 from lrqbench.noise import (
@@ -293,7 +292,7 @@ def per_trajectory_reference(circ, cfg, precision, shots):
         amps = np.zeros(1 << circ.num_qubits, dtype=ens.dtype)
         amps[0] = 1.0
         if ens.start is not None:
-            _apply_gate_run(amps, _layer_runs(circ)[0])
+            _apply_gate_run(amps, circ.layers()[0])
         fire = np.zeros(ens.n_rzz, dtype=bool)
         codes = None
         if cfg.epsilon > 0.0:

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lrqbench.engine as engine
 import lrqbench.sharded as sharded
 from lrqbench import (
     AbortedRunError,
@@ -63,7 +64,7 @@ def test_local_gate_needs_no_exchange():
     plan = plan_shards(6, 3)
     circ = CircuitIR(num_qubits=6, gates=[GateOp("RX", (2,), 0.1), GateOp("RZZ", (0, 5), 0.1)])
     _, layers = sharded._layer_plan(circ, plan)
-    assert [qubit for _, _, qubit in layers] == [None, None]
+    assert [qubit for _, qubit in layers] == [None, None]
 
 
 def test_global_gate_single_step():
@@ -72,10 +73,10 @@ def test_global_gate_single_step():
     plan = plan_shards(6, 3)
     circ = CircuitIR(num_qubits=6, gates=[GateOp("RX", (4,), 0.1)])
     _, layers = sharded._layer_plan(circ, plan)
-    assert layers == [(0, (GateOp("RX", (2,), 0.1),), 4)]
+    assert layers == [((GateOp("RX", (2,), 0.1),), 4)]
     rows = np.arange(64).reshape(plan.num_shards, plan.shard_len)
-    moved = [sharded._swap_halves(rows, s, s | 2)[1] for s in (0, 1, 4, 5)]
-    assert moved == [plan.shard_len] * 4
+    _, moved = sharded._swap_halves(rows, [0, 1, 4, 5], 2)
+    assert moved == 4 * plan.shard_len
     # one leg transposes qubits 2 and 4: index z now holds the amplitude
     # of z with those two bits exchanged
     z = np.arange(64)
@@ -159,7 +160,7 @@ def test_swap_leg_holds_one_bounded_piece():
     rows = np.arange(1 << 18, dtype=np.complex64).reshape(2, 1 << 17)
     tracemalloc.start()
     try:
-        _, moved = sharded._swap_halves(rows, 0, 1)
+        _, moved = sharded._swap_halves(rows, [0], 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -215,13 +216,14 @@ def test_plan_circuit_size_mismatch():
 
 
 def test_worker_failure_aborts_run(monkeypatch):
+    # three gate-run steps of one call per slab: 3 calls on one worker, 6 on two
     circ = build_circuit(generate_instance(6, 0), LrQaoaParams(p=1))
     calls = {"n": 0}
     real = sharded._apply_gate_run
 
     def flaky(amps, gates):
         calls["n"] += 1
-        if calls["n"] > 10:
+        if calls["n"] > 1:
             raise RuntimeError("injected kernel fault")
         real(amps, gates)
 
@@ -242,25 +244,100 @@ def test_cost_layer_failure_aborts_run(monkeypatch):
     assert isinstance(exc.value.__cause__, RuntimeError)
 
 
+def use_cpus(monkeypatch, cpus: int) -> None:
+    """Let the process appear to run on ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def record_executor_calls(monkeypatch) -> list:
+    """Wrap both executors where the dense and the sharded engines call them;
+    returns the (executor, size, start in the state, offset argument or
+    None, thread) of every call, in order."""
+    calls = []
+
+    def start(amps):
+        base = amps if amps.base is None else amps.base
+        return (amps.ctypes.data - base.ctypes.data) // amps.itemsize
+
+    real_cost, real_run = engine._apply_cost_layer, engine._apply_gate_run
+
+    def cost(amps, phase, offset=0):
+        calls.append(("cost", amps.size, start(amps), offset, threading.get_ident()))
+        real_cost(amps, phase, offset)
+
+    def run(amps, gates):
+        calls.append(("run", amps.size, start(amps), None, threading.get_ident()))
+        real_run(amps, gates)
+
+    for module in (engine, sharded):
+        monkeypatch.setattr(module, "_apply_cost_layer", cost)
+        monkeypatch.setattr(module, "_apply_gate_run", run)
+    return calls
+
+
 def test_shard_tasks_run_on_bounded_threads(monkeypatch):
     circ = build_circuit(generate_instance(8, 3), LrQaoaParams(p=1))
-    threads = set()
-    real = sharded._apply_gate_run
-
-    def recording(amps, gates):
-        threads.add(threading.get_ident())
-        real(amps, gates)
-
-    monkeypatch.setattr(sharded, "_apply_gate_run", recording)
-    run_circuit_sharded(circ, plan_for_shard_count(8, 64), "fp64")
-    assert 1 <= len(threads) <= (os.cpu_count() or 1)
+    plan = plan_for_shard_count(8, 64)
+    calls = record_executor_calls(monkeypatch)
+    run_circuit_sharded(circ, plan, "fp64")
+    assert 1 <= len({thread for *_, thread in calls}) <= sharded._workers(plan)
 
 
-def test_more_threads_than_cores_keep_dense_bits(monkeypatch):
-    # eight pool threads on fast thread switches: a lost or overlapping
-    # update in a swap leg or a kernel would break bitwise equality
-    circ = build_circuit(generate_instance(8, 31), LrQaoaParams(p=3))
+def test_workers_count_only_the_cpus_the_process_may_use(monkeypatch):
+    # the largest power of two up to the shard count and the usable CPUs,
+    # which the affinity set gives where there is one, whatever cpu_count says
+    plan = plan_for_shard_count(8, 8)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for cpus, workers in ((1, 1), (3, 2), (8, 8), (64, 8)):
+        use_cpus(monkeypatch, cpus)
+        assert sharded._workers(plan) == workers
+    assert sharded._workers(plan_for_shard_count(8, 1)) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sharded._workers(plan) == 8
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 8])
+def test_steps_call_the_executors_once_per_worker(monkeypatch, cpus):
+    # 1 024 shards of 4 amplitudes: each step is one executor call per slab,
+    # however many shards there are
+    circ = build_circuit(generate_instance(12, 8), LrQaoaParams(p=1))
+    plan = plan_for_shard_count(12, 1024)
+    use_cpus(monkeypatch, cpus)
+    workers = sharded._workers(plan)
+    calls = record_executor_calls(monkeypatch)
+    sv, _ = run_circuit_sharded(circ, plan, "fp64")
+    _, steps = sharded._layer_plan(circ, plan)
+    assert len(calls) == len(steps) * workers
+    assert {size for _, size, *_ in calls} == {(1 << 12) // workers}
+    assert sv.amps.tobytes() == run_circuit(circ, "fp64").amps.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+def test_one_shard_plan_makes_the_dense_calls_on_the_calling_thread(monkeypatch, precision):
+    circ = build_circuit(generate_instance(9, 4), LrQaoaParams(p=2))
+    use_cpus(monkeypatch, 8)
+    calls = record_executor_calls(monkeypatch)
+    dense = run_circuit(circ, precision).amps.tobytes()
+    want = calls[:]
+    del calls[:]
+    sv, _ = run_circuit_sharded(circ, plan_for_shard_count(9, 1), precision)
+    # two cost layers and two mixers, each over the whole state
+    assert [(kind, size, start) for kind, size, start, *_ in want] == [
+        ("cost", 512, 0),
+        ("run", 512, 0),
+    ] * 2
+    assert calls == want
+    assert {thread for *_, thread in calls} == {threading.get_ident()}
+    assert sv.amps.tobytes() == dense
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 8])
+def test_more_threads_than_cores_keep_dense_bits(monkeypatch, cpus):
+    # up to eight pool threads on fast thread switches: a lost or
+    # overlapping update in a swap leg or a kernel would break bitwise
+    # equality
+    circ = build_circuit(generate_instance(8, 31), LrQaoaParams(p=3))
+    use_cpus(monkeypatch, cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
