@@ -9,7 +9,13 @@ noisy runs, and ``hqc`` prints the credit cost of a hypothetical job.
 Every file-writing invocation also writes ``<output>.manifest.json``
 recording the tool version, argv, resolved parameters, and SHA-256
 digests of inputs and outputs; ``replay`` re-executes a manifest's argv
-once every recorded input matches its digest.
+once every recorded input matches its digest, then checks every output
+against its digest.  Timing CSVs change on every run, so the manifest
+lists them under ``compared_by_schema`` with their header and row count,
+and ``replay`` compares those instead.  Every output and manifest goes
+through ``files.write_output``: written whole beside the target and
+renamed into place, never truncated in place, so neither a reader nor
+``replay`` sees a partial file.
 Exit codes: 0 success, 2 bad input, 3 over a capacity limit, 4 runtime
 failure.
 """
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import statistics
@@ -43,6 +50,7 @@ from .errors import (
     StateError,
     ValidationError,
 )
+from .files import write_output
 from .noise import DepolarizingConfig, epsilon_accumulated, fit_k0, r_overlap, run_noisy_ensemble
 from .problem import (
     approximation_ratio,
@@ -114,7 +122,17 @@ def _jsonable(value):
     return value
 
 
-def _write_manifest(args, inputs: list[Path], outputs: list[Path]) -> Path:
+def _csv_schema(path: Path) -> dict:
+    """What a timing CSV keeps from run to run: its header and row count."""
+    header, *rows = path.read_text().splitlines() or [""]
+    return {"header": header, "rows": len(rows)}
+
+
+def _write_manifest(
+    args, inputs: list[Path], outputs: list[Path], by_schema: tuple[Path, ...] = ()
+) -> Path:
+    """``<outputs[0]>.manifest.json``; the outputs in ``by_schema`` are
+    listed under ``compared_by_schema`` for ``replay``."""
     anchor = outputs[0]
     params = {
         k: _jsonable(v)
@@ -131,13 +149,21 @@ def _write_manifest(args, inputs: list[Path], outputs: list[Path]) -> Path:
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
     }
+    if by_schema:
+        manifest["compared_by_schema"] = {str(p): _csv_schema(Path(p)) for p in by_schema}
     path = Path(str(anchor) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_output(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_output(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_timing(path: Path, records) -> None:
+    text = io.StringIO()
+    write_timing_csv(records, text)
+    write_output(path, text.getvalue())
 
 
 def _load_results(path: Path) -> dict:
@@ -224,7 +250,7 @@ def _cmd_simulate(args) -> int:
         "n_2q": n_2q,
         "mode": args.mode,
     }
-    outputs = [args.out]
+    outputs, timing = [args.out], ()
 
     if args.mode == "noiseless":
         if args.shards != 1:
@@ -232,10 +258,9 @@ def _cmd_simulate(args) -> int:
             sv, record = run_circuit_sharded(
                 circuit, plan, args.precision, args.memory_bytes
             )
-            timing_path = args.out.with_suffix(".timing.csv")
-            with open(timing_path, "w", newline="") as fh:
-                write_timing_csv([record], fh)
-            outputs.append(timing_path)
+            timing = (args.out.with_suffix(".timing.csv"),)
+            _write_timing(timing[0], [record])
+            outputs.extend(timing)
         else:
             sv = run_circuit(circuit, args.precision, args.memory_bytes)
         shots = sample(sv, args.shots, args.seed)
@@ -299,7 +324,7 @@ def _cmd_simulate(args) -> int:
         )
 
     _write_json(args.out, payload)
-    _write_manifest(args, inputs=[args.instance], outputs=outputs)
+    _write_manifest(args, inputs=[args.instance], outputs=outputs, by_schema=timing)
     shown = "n/a" if payload["mean_r"] is None else f"{payload['mean_r']:.4f}"
     print(f"wrote {args.out}: mode={args.mode} mean_r={shown}")
     return _EXIT_OK
@@ -341,10 +366,8 @@ def _cmd_classify(args) -> int:
     outputs = [args.out]
     if args.kde_out is not None:
         grid, density = kde_curve(report.random_subsample_means)
-        with open(args.kde_out, "w") as fh:
-            fh.write("x,density\n")
-            for x, d in zip(grid, density):
-                fh.write(f"{x:.12g},{d:.12g}\n")
+        rows = "".join(f"{x:.12g},{d:.12g}\n" for x, d in zip(grid, density))
+        write_output(args.kde_out, "x,density\n" + rows)
         outputs.append(args.kde_out)
     _write_manifest(args, inputs=inputs, outputs=outputs)
     print(
@@ -399,9 +422,8 @@ def _cmd_bench(args) -> int:
             **common,
         )
     records = scaling_sweep(cfg)
-    with open(args.out, "w", newline="") as fh:
-        write_timing_csv(records, fh)
-    _write_manifest(args, inputs=[], outputs=[args.out])
+    _write_timing(args.out, records)
+    _write_manifest(args, inputs=[], outputs=[args.out], by_schema=(args.out,))
 
     by_key: dict[tuple[int, int], list[float]] = {}
     for rec in records:
@@ -490,9 +512,12 @@ def _cmd_replay(args) -> int:
         raise ValidationError(f"cannot replay {args.manifest}: {exc}") from exc
     if not isinstance(argv, list) or not argv:
         raise ValidationError(f"{args.manifest} records no argv to replay")
+    # read before the re-run, which writes the manifest anew
     inputs = manifest.get("inputs", {})
-    if not isinstance(inputs, dict):
-        raise ValidationError(f"{args.manifest} records no input digests")
+    outputs = manifest.get("outputs", {})
+    by_schema = manifest.get("compared_by_schema", {})
+    if not all(isinstance(d, dict) for d in (inputs, outputs, by_schema)):
+        raise ValidationError(f"{args.manifest} records no input and output digests")
     recorded = manifest.get("version")
     if recorded != __version__:
         print(
@@ -507,7 +532,24 @@ def _cmd_replay(args) -> int:
             raise ValidationError(
                 f"cannot replay {args.manifest}: input {path} does not match its recorded sha256"
             )
-    return main([str(a) for a in argv])
+    code = main([str(a) for a in argv])
+    if code != _EXIT_OK:
+        return code
+    for path, digest in outputs.items():
+        out = Path(path)
+        if not out.is_file():
+            raise ValidationError(f"replay of {args.manifest}: output {path} is missing")
+        if path in by_schema:
+            if _csv_schema(out) != by_schema[path]:
+                raise ValidationError(
+                    f"replay of {args.manifest}: output {path} does not match its recorded "
+                    "header and row count"
+                )
+        elif _sha256(out) != digest:
+            raise ValidationError(
+                f"replay of {args.manifest}: output {path} does not match its recorded sha256"
+            )
+    return _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hqc.add_argument("--out", type=Path, default=None, help="optional JSON output")
     p_hqc.set_defaults(func=_cmd_hqc)
 
-    p_rep = sub.add_parser("replay", help="check a manifest's input digests, then re-run its argv")
+    p_rep = sub.add_parser("replay", help="check a manifest's inputs, re-run its argv, then check its outputs")
     p_rep.add_argument("manifest", type=Path)
     p_rep.set_defaults(func=_cmd_replay)
 

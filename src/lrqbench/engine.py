@@ -73,6 +73,7 @@ import numpy as np
 
 from .circuit import CircuitIR, CostLayer, GateOp
 from .errors import CapacityError, ValidationError
+from .files import write_output
 from .problem import _BLOCK_BITS, WmcInstance, _require_optimal, doubling, indices_to_bitstrings
 from .rng import derive_rng
 
@@ -644,10 +645,11 @@ def save_statevector(sv: StateVector, path: str | Path) -> None:
     """Write little-endian interleaved re/im pairs behind a small header."""
     float_bytes = sv.precision.bytes_per_amplitude // 2
     code = "<c8" if sv.precision is Precision.FP32 else "<c16"
-    payload = np.ascontiguousarray(sv.amps, dtype=code).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, 1, float_bytes, sv.num_qubits))
-        fh.write(payload)
+    # one buffer holds header and payload, so the state is copied once
+    data = bytearray(_HEADER.size + sv.amps.nbytes)
+    _HEADER.pack_into(data, 0, _MAGIC, 1, float_bytes, sv.num_qubits)
+    np.frombuffer(data, dtype=code, offset=_HEADER.size)[...] = sv.amps
+    write_output(path, data)
 
 
 def load_statevector(path: str | Path) -> StateVector:

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, StateError, ValidationError
+from .files import write_output
 from .rng import derive_rng
 
 DEFAULT_BRUTEFORCE_LIMIT = 24
@@ -455,12 +456,18 @@ def instance_from_dict(data: dict) -> WmcInstance:
 
 
 def save_instance(inst: WmcInstance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2) + "\n")
+    write_output(path, json.dumps(instance_to_dict(inst), indent=2) + "\n")
 
 
 def load_instance(path: str | Path) -> WmcInstance:
+    """The instance a file records.  A stored optimum is checked against the
+    cut of its bitstring here, so a contradictory file is rejected before
+    any work is done on it."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read instance file {path}: {exc}") from exc
-    return instance_from_dict(data)
+    inst = instance_from_dict(data)
+    if inst.optimal_cut is not None:
+        _require_optimal(inst)
+    return inst

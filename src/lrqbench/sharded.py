@@ -38,8 +38,9 @@ disjoint amplitudes, so results cannot depend on scheduling.  The timing
 record keeps one row per gate: compute is the slowest slab's span,
 exchange sums over the swap legs the slowest worker's share, and the
 amplitudes exchanged are counted from the halves the outward legs copy.
-The compute time of a cost layer, or of a stretch of local H and RX
-gates, goes on the row of its first gate; its other rows carry zeros, as
+The compute time of a cost layer (building its ``_CostPhase`` and the
+slowest slab's multiply), or of a stretch of local H and RX gates, goes
+on the row of its first gate; its other rows carry zeros, as
 do the folded H gates.  An exception in any task aborts the run.  The
 memory budget covers the state and each worker's executor scratch
 (``engine._run_scratch_bytes``), which also bounds a leg's buffer.
@@ -298,11 +299,13 @@ def run_circuit_sharded(
 
         def compute(op) -> float:
             """Run a step on every slab: the slowest slab's seconds.  A cost
-            layer's tables are built here when the layer is due and dropped
-            on return, so one layer's are alive at a time."""
+            layer's tables are built here when the layer is due, timed with
+            it, and dropped on return, so one layer's are alive at a time."""
             if isinstance(op, CostLayer):
+                t0 = time.perf_counter()
                 phase = _CostPhase(op)
-                return max(each(lambda lo: _timed(_apply_cost_layer, sv.amps[lo : lo + slab], phase, lo), slabs))
+                built = time.perf_counter() - t0
+                return built + max(each(lambda lo: _timed(_apply_cost_layer, sv.amps[lo : lo + slab], phase, lo), slabs))
             return max(each(lambda lo: _timed(_apply_gate_run, sv.amps[lo : lo + slab], op), slabs))
 
         for op, qubit in layers:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -565,6 +567,84 @@ def test_replay_checks_its_inputs(tmp_path, instance_path, capsys, change):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("recorded", ["digest", "schema"])
+def test_replay_checks_its_outputs(tmp_path, instance_path, capsys, recorded):
+    out = tmp_path / "r.json"
+    assert run_cli(
+        "simulate", "--instance", instance_path, "--p", 1, "--shards", 2, "--out", out
+    ) == 0
+    manifest = tmp_path / "r.json.manifest.json"
+    # the timing CSV's bytes change from run to run; its header and row count do not
+    assert run_cli("replay", manifest) == 0
+    data = json.loads(manifest.read_text())
+    if recorded == "digest":
+        changed = str(out)
+        data["outputs"][changed] = "0" * 64
+    else:
+        changed = str(tmp_path / "r.timing.csv")
+        data["compared_by_schema"][changed]["rows"] += 1
+    manifest.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("replay", manifest) == 2
+    assert f"output {changed} does not match" in capsys.readouterr().err
+
+
+def file_writing_commands(d: Path) -> list[tuple[tuple, list[Path]]]:
+    """Every subcommand that writes files, as (argv, outputs)."""
+    inst, ideal, state = d / "inst.json", d / "ideal.json", d / "state.bin"
+    noisy = [d / "noisy0.json", d / "noisy1.json"]
+    sim = ("simulate", "--instance", inst, "--p", 1)
+    return [
+        (("gen", "--n", 6, "--out", inst, "--seed", 3), [inst]),
+        ((*sim, "--out", ideal, "--dump-state", state), [ideal, state]),
+        ((*sim, "--out", d / "sharded.json", "--shards", 2),
+         [d / "sharded.json", d / "sharded.timing.csv"]),
+        *(
+            ((*sim, "--out", path, "--mode", "noisy", "--epsilon", eps, "--trajectories", 4),
+             [path])
+            for path, eps in zip(noisy, (0.01, 0.05))
+        ),
+        (("classify", "--qpu", noisy[0], "--instance", inst, "--noiseless", ideal,
+          "--out", d / "report.json", "--kde-out", d / "kde.csv",
+          "--random-pool-size", 200, "--repeats", 20),
+         [d / "report.json", d / "kde.csv"]),
+        (("fitnoise", *noisy, "--out", d / "fit.json"), [d / "fit.json"]),
+        (("bench", "--nq", 6, "--p", 1, "--shards", "1,2", "--out", d / "bench.csv"),
+         [d / "bench.csv"]),
+        (("hqc", "--n", 10, "--out", d / "hqc.json"), [d / "hqc.json"]),
+    ]
+
+
+def test_rerunning_every_command_replaces_its_outputs(tmp_path):
+    commands = file_writing_commands(tmp_path)
+    paths = [p for _, outs in commands for p in outs]
+    paths += [Path(f"{outs[0]}.manifest.json") for _, outs in commands]
+    mask = os.umask(0)
+    os.umask(mask)
+
+    def comparable(path: Path):
+        """The bytes that stay the same from run to run."""
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(path.read_text())
+            del manifest["timestamp_utc"]
+            for timing in manifest.get("compared_by_schema", {}):
+                del manifest["outputs"][timing]
+            return manifest
+        return None if path.name in ("sharded.timing.csv", "bench.csv") else path.read_bytes()
+
+    runs = []
+    for _ in range(2):
+        for argv, _ in commands:
+            assert run_cli(*argv) == 0, argv
+        runs.append({p: (p.stat().st_ino, comparable(p)) for p in paths})
+    for path in paths:
+        # a new inode: the old file was replaced, never truncated in place
+        assert runs[1][path][0] != runs[0][path][0], path
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask, path
+        assert runs[1][path][1] == runs[0][path][1], path
+    assert list(tmp_path.glob(".*.tmp")) == []
+
+
 def test_replay_rejects_garbage(tmp_path):
     bogus = tmp_path / "m.json"
     bogus.write_text("{}")
@@ -644,17 +724,24 @@ def test_zero_optimum_exits_2_without_a_result(tmp_path, monkeypatch, capsys, ar
     assert not Path("res.json").exists()
 
 
-def test_classify_rejects_a_tampered_optimum(tmp_path, instance_path, capsys):
-    qpu = tmp_path / "qpu.json"
-    assert run_cli("simulate", "--instance", instance_path, "--out", qpu, "--p", 1) == 0
-    data = json.loads(instance_path.read_text())
+@pytest.mark.parametrize("command", ["simulate", "classify"])
+def test_a_tampered_optimum_is_rejected_at_load(tmp_path, monkeypatch, capsys, command):
+    from lrqbench import cli
+
+    inst = tmp_path / "inst.json"
+    assert run_cli("gen", "--n", 12, "--out", inst, "--seed", 4) == 0
+    data = json.loads(inst.read_text())
     data["optimal"]["value"] = 999.0
-    tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(data))
-    out = tmp_path / "report.json"
-    assert run_cli("classify", "--qpu", qpu, "--instance", tampered, "--out", out) == 2
+    inst.write_text(json.dumps(data))
+    qpu = tmp_path / "qpu.json"
+    qpu.write_text(json.dumps({"bitstrings": ["0" * 12] * 20}))
+    runs = []
+    monkeypatch.setattr(cli, "run_circuit", lambda *args, **kwargs: runs.append(args))
+    argv = ("simulate", "--p", 1) if command == "simulate" else ("classify", "--qpu", qpu)
+    assert run_cli(*argv, "--instance", inst, "--out", tmp_path / "res.json") == 2
     assert "contradicts its bitstring" in capsys.readouterr().err
-    assert not out.exists()
+    assert runs == []
+    assert list(tmp_path.glob("res.json*")) == []
 
 
 def test_each_command_builds_one_instance_cut(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import io
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -242,6 +243,24 @@ def test_cost_layer_failure_aborts_run(monkeypatch):
     with pytest.raises(AbortedRunError) as exc:
         run_circuit_sharded(circ, plan_shards(6, 4), "fp64")
     assert isinstance(exc.value.__cause__, RuntimeError)
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_cost_layer_compute_counts_its_phase_build(monkeypatch, num_shards):
+    circ = build_circuit(generate_instance(8, 0), LrQaoaParams(p=3))
+    real = sharded._CostPhase
+
+    def slow(layer):
+        time.sleep(0.02)
+        return real(layer)
+
+    monkeypatch.setattr(sharded, "_CostPhase", slow)
+    _, record = run_circuit_sharded(circ, plan_for_shard_count(8, num_shards))
+    # a cost layer's time goes on the row of its first RZZ gate
+    kinds = [None] + [row.kind for row in record.gates]
+    firsts = [row for prev, row in zip(kinds, record.gates) if row.kind == "RZZ" and prev != "RZZ"]
+    assert len(firsts) == 3
+    assert all(row.compute_s >= 0.02 for row in firsts)
 
 
 def use_cpus(monkeypatch, cpus: int) -> None:
