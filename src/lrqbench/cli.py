@@ -26,7 +26,6 @@ import argparse
 import hashlib
 import io
 import json
-import os
 import statistics
 import sys
 from datetime import datetime, timezone
@@ -75,27 +74,6 @@ _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_CAPACITY = 3
 _EXIT_RUNTIME = 4
-
-
-def _resolve_threads(args) -> int:
-    """The worker-thread count: ``--threads``, else ``LRQBENCH_THREADS``,
-    else 1.  A count below 1 or a non-integer is a validation error.  The
-    count and where it came from ("--threads", "LRQBENCH_THREADS" or
-    "default") are written back to ``args``, so the manifest records them."""
-    if args.threads is not None:
-        source, value = "--threads", args.threads
-    elif "LRQBENCH_THREADS" in os.environ:
-        source, raw = "LRQBENCH_THREADS", os.environ["LRQBENCH_THREADS"]
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValidationError(f"{source} must be an integer, got {raw!r}") from None
-    else:
-        source, value = "default", 1
-    if value < 1:
-        raise ValidationError(f"{source} must be at least 1, got {value}")
-    args.threads, args.threads_source = value, source
-    return value
 
 
 def _check_memory_bytes(args) -> None:
@@ -181,10 +159,9 @@ def _load_results(path: Path) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    threads = _resolve_threads(args)
     inst = generate_instance(args.n, args.seed)
     if args.n <= args.solve_limit:
-        inst = solve_instance(inst, limit=args.solve_limit, threads=threads)
+        inst = solve_instance(inst, limit=args.solve_limit)
     else:
         print(
             f"warning: n={args.n} exceeds solve limit {args.solve_limit}; "
@@ -228,6 +205,10 @@ def _check_mode_flags(args) -> None:
 def _cmd_simulate(args) -> int:
     _check_mode_flags(args)
     _check_memory_bytes(args)
+    if args.mode == "noisy":
+        args.threads = 1 if args.threads is None else args.threads  # as the manifest records it
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
     inst = load_instance(args.instance)
     delta_beta, delta_gamma = _resolved_deltas(args)
     params = LrQaoaParams(p=args.p, delta_beta=delta_beta, delta_gamma=delta_gamma)
@@ -288,7 +269,7 @@ def _cmd_simulate(args) -> int:
             args.shots,
             args.precision,
             args.memory_bytes,
-            threads=_resolve_threads(args),
+            threads=args.threads,
         )
         mean_r = ovl = None
         if solved:
@@ -561,16 +542,6 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for every derived stream")
 
 
-def _add_threads(parser: argparse.ArgumentParser) -> None:
-    """``--threads``, for the subcommands that run work on threads."""
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: env LRQBENCH_THREADS, else 1)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrqbench",
@@ -593,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest n solved exactly; above this the optimal cut is omitted",
     )
     _add_seed(p_gen)
-    _add_threads(p_gen)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_sim = sub.add_parser("simulate", help="run the circuit for an instance")
@@ -617,8 +587,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--dump-state", type=Path, default=None, help="binary statevector dump")
     p_sim.add_argument("--memory-bytes", type=int, default=None, help="statevector memory budget")
+    p_sim.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker threads for the noisy trajectories (noisy mode; default 1)",
+    )
     _add_seed(p_sim)
-    _add_threads(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_cls = sub.add_parser("classify", help="classify measured shots into a regime")

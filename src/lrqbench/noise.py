@@ -70,6 +70,7 @@ from .engine import (
     _CostPhase,
     _draw_streamed,
     _fold_h,
+    _pairs,
     _squared_chunks,
     check_memory,
     expected_r_from_probs,
@@ -105,35 +106,22 @@ def epsilon_accumulated(n_2q: int, epsilon: float) -> float:
 # Pauli kernels
 
 
-def _halves(amps: np.ndarray, q: int):
-    """(a0, a1) piece by piece: the amplitudes with qubit q clear and set,
-    paired index by index, at most 2^(_GATE_BLOCK_BITS - 1) of each.
-
-    X and Y hold a copy of a0, and numpy one of a1 where it cannot rule
-    out an overlap of the interleaved halves: two pieces, so a kernel's
-    scratch is at most 2^_GATE_BLOCK_BITS amplitudes whatever the state.
-    """
-    v = amps.reshape(-1, 2, 1 << q)
-    step = 1 << (_GATE_BLOCK_BITS - 1)
-    if v.shape[2] >= step:
-        for r in range(v.shape[0]):
-            for c in range(0, v.shape[2], step):
-                yield v[r, 0, c : c + step], v[r, 1, c : c + step]
-    else:
-        rows = step >> q
-        for r in range(0, v.shape[0], rows):
-            yield v[r : r + rows, 0], v[r : r + rows, 1]
+# X and Y hold a copy of a0, and numpy one of a1 where it cannot rule out an
+# overlap of the interleaved halves: two pieces of at most _PAULI_PIECE
+# amplitudes, so a kernel's scratch is at most 2^_GATE_BLOCK_BITS amplitudes
+# whatever the state.
+_PAULI_PIECE = 1 << (_GATE_BLOCK_BITS - 1)
 
 
 def _x_kernel(amps: np.ndarray, q: int) -> None:
-    for a0, a1 in _halves(amps, q):
+    for a0, a1 in _pairs(amps, q, _PAULI_PIECE):
         held = a0.copy()
         a0[...] = a1
         a1[...] = held
 
 
 def _y_kernel(amps: np.ndarray, q: int) -> None:
-    for a0, a1 in _halves(amps, q):
+    for a0, a1 in _pairs(amps, q, _PAULI_PIECE):
         held = a0.copy()
         a0[...] = a1
         # the products run in place, where numpy buffers nothing
@@ -285,7 +273,7 @@ def _correction_bytes(num_qubits: int, edges: int, dtype: np.dtype) -> int:
     chunks of angles (float64), and a chunk each of reduced angles and
     phases in the state's precision.  That also covers the Pauli kernels
     that follow it, which hold at most one chunk in the state's precision
-    (``_halves``)."""
+    (``_PAULI_PIECE``)."""
     chunk = 1 << min(num_qubits, _GATE_BLOCK_BITS)
     return chunk * (2 * edges + 16 + dtype.itemsize // 2 + dtype.itemsize)
 

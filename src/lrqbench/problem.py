@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -188,6 +187,19 @@ def doubling(
     return v
 
 
+def aligned_pieces(start: int, stop: int, max_bits: int):
+    """(z, k) for the pieces [z, z + 2^k) that tile [start, stop) in order:
+    from each z, the largest power-of-two piece of at most 2^max_bits that
+    is aligned (z a multiple of 2^k) and fits."""
+    z = start
+    while z < stop:
+        k = min(max_bits, (stop - z).bit_length() - 1)
+        if z:
+            k = min(k, (z & -z).bit_length() - 1)
+        yield z, k
+        z += 1 << k
+
+
 class CutDiagonal:
     """Cut values C(z) = sum of w_ij over edges with z_i != z_j, by index
     range (``values``) or at any indices (``at``).
@@ -264,15 +276,7 @@ class CutDiagonal:
             raise ValidationError(
                 f"index range [{start}, {stop}) outside [0, 2^{self.num_vertices})"
             )
-        pieces = []
-        z = start
-        while z < stop:
-            # the largest aligned power-of-two piece that starts at z and fits
-            k = min(self.block_bits, (stop - z).bit_length() - 1)
-            if z:
-                k = min(k, (z & -z).bit_length() - 1)
-            pieces.append(self._piece(z, k))
-            z += 1 << k
+        pieces = [self._piece(z, k) for z, k in aligned_pieces(start, stop, self.block_bits)]
         if len(pieces) == 1:
             return pieces[0]
         return np.concatenate(pieces) if pieces else np.zeros(0)
@@ -300,15 +304,13 @@ class CutDiagonal:
 
 
 def optimal_cut_bruteforce(
-    inst: WmcInstance,
-    *,
-    limit: int = DEFAULT_BRUTEFORCE_LIMIT,
-    threads: int = 1,
+    inst: WmcInstance, *, limit: int = DEFAULT_BRUTEFORCE_LIMIT
 ) -> tuple[str, float]:
     """Enumerate all assignments and return (bitstring, value) of the best.
 
     Ties (every cut has at least its complement) resolve to the lowest
-    basis index.  Refuses instances above ``limit`` vertices.
+    basis index.  Refuses instances above ``limit`` vertices.  The scan is
+    Python-bound under the GIL, so it runs on the calling thread.
     """
     n = inst.num_vertices
     if n > limit:
@@ -319,31 +321,20 @@ def optimal_cut_bruteforce(
     # the top bit clear, so the lower half of the indices holds the answer
     half = 1 << (n - 1)
     chunk = 1 << min(_BLOCK_BITS, n - 1)
-    ranges = [(lo, min(lo + chunk, half)) for lo in range(0, half, chunk)]
-    cut = inst.cut
-
-    def scan(bounds: tuple[int, int]) -> tuple[float, int]:
-        lo, hi = bounds
-        vals = cut.values(lo, hi)
+    best_val, best_z = -math.inf, 0
+    # chunks ascend and argmax takes the first maximum, so a strict
+    # improvement keeps a tie at the lowest index
+    for lo in range(0, half, chunk):
+        vals = inst.cut.values(lo, min(lo + chunk, half))
         k = int(np.argmax(vals))
-        return float(vals[k]), lo + k
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            candidates = list(pool.map(scan, ranges))
-    else:
-        candidates = [scan(r) for r in ranges]
-
-    best_val, best_z = candidates[0]
-    for val, z in candidates[1:]:
-        if val > best_val or (val == best_val and z < best_z):
-            best_val, best_z = val, z
+        if vals[k] > best_val:
+            best_val, best_z = float(vals[k]), lo + k
     return index_to_bitstring(best_z, n), best_val
 
 
-def solve_instance(inst: WmcInstance, **kwargs) -> WmcInstance:
+def solve_instance(inst: WmcInstance, *, limit: int = DEFAULT_BRUTEFORCE_LIMIT) -> WmcInstance:
     """Copy of ``inst`` with the brute-force optimal cut attached."""
-    bits, value = optimal_cut_bruteforce(inst, **kwargs)
+    bits, value = optimal_cut_bruteforce(inst, limit=limit)
     return replace(inst, optimal_cut=OptimalCut(bits, value))
 
 

@@ -203,13 +203,6 @@ def test_bad_memory_budget_variable_is_rejected(tmp_path, instance_path, value, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", [-3, 0])
-def test_gen_rejects_thread_counts_below_one(tmp_path, threads):
-    out = tmp_path / "inst.json"
-    assert run_cli("gen", "--n", 6, "--out", out, "--threads", threads) == 2
-    assert not out.exists()
-
-
 def test_simulate_noisy_rejects_zero_threads(tmp_path, instance_path):
     out = tmp_path / "noisy.json"
     code = run_cli(
@@ -220,41 +213,47 @@ def test_simulate_noisy_rejects_zero_threads(tmp_path, instance_path):
     assert not out.exists()
 
 
-def test_non_integer_thread_counts_are_rejected(tmp_path, monkeypatch):
-    out = tmp_path / "inst.json"
+def test_non_integer_thread_counts_are_rejected(tmp_path, instance_path):
+    out = tmp_path / "noisy.json"
     with pytest.raises(SystemExit) as exc:
-        run_cli("gen", "--n", 6, "--out", out, "--threads", "abc")
+        run_cli(
+            "simulate", "--instance", instance_path, "--out", out, "--p", 1,
+            "--mode", "noisy", "--epsilon", 0.01, "--threads", "abc",
+        )
     assert exc.value.code == 2
-    monkeypatch.setenv("LRQBENCH_THREADS", "abc")
-    assert run_cli("gen", "--n", 6, "--out", out) == 2
     assert not out.exists()
 
 
-def test_threads_is_refused_where_nothing_runs_on_threads(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("hqc", "--n", 10, "--out", tmp_path / "h.json", "--threads", 2)
-    assert exc.value.code == 2
-    assert not (tmp_path / "h.json").exists()
+def test_threads_is_refused_where_nothing_runs_on_threads(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (("hqc", "--n", 10, "--out", "h.json"), ("gen", "--n", 6, "--out", "g.json")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--threads", 2)
+        assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_manifest_records_the_resolved_thread_count(tmp_path, instance_path, monkeypatch):
-    def recorded(out):
-        params = json.loads(Path(str(out) + ".manifest.json").read_text())["params"]
-        return params["threads"], params["threads_source"]
+def test_noisy_thread_counts_write_identical_results(tmp_path):
+    from lrqbench import noise
 
-    monkeypatch.setenv("LRQBENCH_THREADS", "2")
-    noisy = tmp_path / "noisy.json"
-    assert run_cli(
-        "simulate", "--instance", instance_path, "--out", noisy, "--p", 1,
-        "--mode", "noisy", "--epsilon", 0.01, "--trajectories", 4,
-    ) == 0
-    assert recorded(noisy) == (2, "LRQBENCH_THREADS")
     inst = tmp_path / "inst.json"
-    assert run_cli("gen", "--n", 6, "--out", inst, "--threads", 3) == 0
-    assert recorded(inst) == (3, "--threads")
-    monkeypatch.delenv("LRQBENCH_THREADS")
-    assert run_cli("gen", "--n", 6, "--out", inst) == 0
-    assert recorded(inst) == (1, "default")
+    assert run_cli("gen", "--n", 12, "--out", inst, "--seed", 2) == 0
+    argv = ("simulate", "--instance", inst, "--p", 2, "--seed", 4, "--mode", "noisy",
+            "--epsilon", 0.02, "--trajectories", 13, "--shots", 3)
+
+    def run(out, *extra):
+        assert run_cli(*argv, "--out", out, *extra) == 0
+        params = json.loads(Path(str(out) + ".manifest.json").read_text())["params"]
+        assert "threads_source" not in params
+        return out.read_bytes(), params["threads"]
+
+    serial = run(tmp_path / "default.json")
+    assert serial[1] == 1
+    for threads in (1, 2, 3):
+        # a block holds up to 8 states at n=12, capped at each thread's
+        # share: 13 trajectories fill none of these evenly
+        assert 13 % noise._block_rows(12, 13, threads)
+        assert run(tmp_path / f"noisy{threads}.json", "--threads", threads) == (serial[0], threads)
 
 
 @pytest.mark.parametrize(

@@ -23,8 +23,10 @@ from lrqbench import (
     build_circuit,
     exact_expected_r,
     generate_instance,
+    load_instance,
     run_circuit,
     sample,
+    save_instance,
     save_statevector,
     solve_instance,
     load_statevector,
@@ -425,21 +427,24 @@ def traced_peak(fn) -> int:
 
 
 @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
-def test_noiseless_pipeline_peaks_within_its_budget(precision):
+def test_noiseless_pipeline_peaks_within_its_budget(tmp_path, precision):
+    # traced from the load of a solved instance, which builds the instance's
+    # cut before any run, as ``simulate`` does
     n = 17
-    inst = solve_instance(generate_instance(n, 5))
-    circ = build_circuit(inst, LrQaoaParams(p=1))
+    path = tmp_path / "inst.json"
+    save_instance(solve_instance(generate_instance(n, 5)), path)
     need = state_bytes(n, precision) + engine._run_scratch_bytes(n, precision)
 
     def pipeline():
-        sv = run_circuit(circ, precision, need)
+        inst = load_instance(path)
+        sv = run_circuit(build_circuit(inst, LrQaoaParams(p=1)), precision, need)
         sample(sv, 100, 1)
         exact_expected_r(sv, inst)
         sv.norm_squared()
 
     assert state_bytes(n, precision) < traced_peak(pipeline) <= need
     with pytest.raises(CapacityError):
-        run_circuit(circ, precision, need - 1)
+        run_circuit(build_circuit(load_instance(path), LrQaoaParams(p=1)), precision, need - 1)
 
 
 def test_run_tail_allocates_nothing_of_state_size():

@@ -166,9 +166,12 @@ def test_bruteforce_beats_random_sampling():
     assert val >= draws.max()
 
 
-def test_bruteforce_threads_agree():
-    inst = generate_instance(10, 9)
-    assert optimal_cut_bruteforce(inst, threads=4) == optimal_cut_bruteforce(inst)
+def test_bruteforce_tie_across_chunks_goes_to_lowest_index():
+    # unit weights at n=18: every 9/9 split cuts 81, and the scanned half
+    # [0, 2^17) spans two 2^16-index chunks, each holding such splits; the
+    # lowest index with nine bits set is 2^9 - 1, in the first chunk
+    inst = WmcInstance(18, [(i, j, 1.0) for i, j in complete_edge_list(18)])
+    assert optimal_cut_bruteforce(inst) == ("111111111000000000", 81.0)
 
 
 def test_bruteforce_refuses_oversized_instance():
