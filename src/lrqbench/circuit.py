@@ -80,6 +80,8 @@ class GateOp:
             raise ValidationError("RZZ qubits must differ")
         if (self.theta is None) == (self.kind != "H"):
             raise ValidationError(f"{self.kind} angle mismatch: theta={self.theta!r}")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValidationError(f"{self.kind} angle must be finite, got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,14 @@ class CostLayer:
 
     num_qubits: int
     gates: tuple[GateOp, ...]
+
+    def __post_init__(self) -> None:
+        # every sum the engines form from the angles (the cut's tables,
+        # const - Theta/2, a fired Pauli's angle) is at most 2 S, S = sum of
+        # |theta|; 4 S finite leaves a factor of two for rounding (a Python
+        # float overflows to inf, without a warning)
+        if not math.isfinite(4.0 * sum(abs(g.theta) for g in self.gates)):
+            raise ValidationError("cost layer angles too large: its cut sums would overflow")
 
     def cut(self) -> CutDiagonal:
         """The angle-weighted cut C(z) of this layer."""
@@ -119,6 +129,7 @@ class CircuitIR:
         for g in self.gates:
             if any(not 0 <= q < self.num_qubits for q in g.qubits):
                 raise ValidationError(f"gate {g} out of range for {self.num_qubits} qubits")
+        self.layers()  # each cost layer checks its angles
 
     def layers(self) -> list[CostLayer | tuple[GateOp, ...]]:
         """The runs the engines execute: every run of consecutive RZZ gates as

@@ -430,13 +430,16 @@ def _cmd_fitnoise(args) -> int:
             skipped += 1
             print(f"warning: {path} has no overlap ratio, skipping", file=sys.stderr)
             continue
-        if "eps_acc" in data:
-            eps_acc = float(data["eps_acc"])
-        elif "n_2q" in data and "epsilon" in data:
-            eps_acc = epsilon_accumulated(int(data["n_2q"]), float(data["epsilon"]))
-        else:
+        if "eps_acc" not in data and not ("n_2q" in data and "epsilon" in data):
             raise ValidationError(f"{path} lacks eps_acc (or n_2q and epsilon)")
-        points.append((eps_acc, float(ovl)))
+        try:
+            if "eps_acc" in data:
+                eps_acc = float(data["eps_acc"])
+            else:
+                eps_acc = epsilon_accumulated(int(data["n_2q"]), float(data["epsilon"]))
+            points.append((eps_acc, float(ovl)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path} holds a value that is not a number: {exc}") from exc
     if not points:
         raise ValidationError("no usable (eps_acc, r_ovl) points in the inputs")
     fit = fit_k0(points)
@@ -537,9 +540,17 @@ def _cmd_replay(args) -> int:
 # parser
 
 
+def _seed(text: str) -> int:
+    """A seed in [0, 2^64): streams take its low 64 bits, so others alias."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2^64), got {value}")
+    return value
+
+
 def _add_seed(parser: argparse.ArgumentParser) -> None:
     """``--seed``, for the subcommands that draw random numbers."""
-    parser.add_argument("--seed", type=int, default=0, help="seed for every derived stream")
+    parser.add_argument("--seed", type=_seed, default=0, help="seed for every derived stream")
 
 
 def build_parser() -> argparse.ArgumentParser:

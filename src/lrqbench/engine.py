@@ -389,8 +389,9 @@ class _CostPhase:
 
 
 def _apply_cost_layer(amps: np.ndarray, phase: _CostPhase, offset: int = 0) -> None:
-    """Multiply the amplitudes of the indices [offset, offset + amps.size) by
-    a cost layer's diagonal.
+    """Multiply the amplitudes of the indices [offset, offset + amps.shape[-1])
+    by a cost layer's diagonal: ``amps`` is one range, or a batch of them
+    as rows, each row getting the bits it would get alone.
 
     With s = _PHASE_PIECE_BITS, index z = h * 2^b + l gets
     (A[l mod 2^s] * B[l >> s]) * exp(i Q(l)) from its block's tables, in
@@ -404,7 +405,7 @@ def _apply_cost_layer(amps: np.ndarray, phase: _CostPhase, offset: int = 0) -> N
     wide = np.empty(1 << split, np.complex128)
     rounded = np.empty(wide.size, amps.dtype)
     block = None
-    for z, k in aligned_pieces(offset, offset + amps.size, split):
+    for z, k in aligned_pieces(offset, offset + amps.shape[-1], split):
         if z >> b != block:
             block = z >> b
             low, high = phase.block_tables(block)
@@ -413,33 +414,10 @@ def _apply_cost_layer(amps: np.ndarray, phase: _CostPhase, offset: int = 0) -> N
         np.multiply(low[lo : lo + size], high[l >> split], out=wide[:size])
         # rounded to the state's precision as it is stored
         np.multiply(wide[:size], phase.eq[l : l + size], out=rounded[:size], casting="same_kind")
-        piece = amps[z - offset : z - offset + size]
+        piece = amps[..., z - offset : z - offset + size]
         # numpy runs a one-element multiply into its own input as a
         # reduction, without the fused multiply-add of its array loop
         np.multiply(piece if size > 1 else piece.copy(), rounded[:size], out=piece)
-
-
-def _check_qubit(sv: StateVector, q: int) -> None:
-    if not 0 <= q < sv.num_qubits:
-        raise ValidationError(f"qubit {q} out of range for {sv.num_qubits} qubits")
-
-
-def apply_rzz(sv: StateVector, theta: float, qa: int, qb: int) -> None:
-    """Apply RZZ(theta) in place, as a cost layer of one gate."""
-    _check_qubit(sv, qa)
-    _check_qubit(sv, qb)
-    gate = GateOp("RZZ", (qa, qb), theta)  # refuses qa == qb
-    _apply_cost_layer(sv.amps, _CostPhase(CostLayer(sv.num_qubits, (gate,))))
-
-
-def apply_gate(sv: StateVector, gate: GateOp) -> None:
-    """Apply one H, RX or RZZ gate to the state in place."""
-    if gate.kind == "RZZ":
-        apply_rzz(sv, gate.theta, *gate.qubits)
-        return
-    for q in gate.qubits:
-        _check_qubit(sv, q)
-    _apply_gate_run(sv.amps, (gate,))
 
 
 def _fold_h(circuit: CircuitIR, dtype: np.dtype = np.complex64):
@@ -463,6 +441,16 @@ def _fold_h(circuit: CircuitIR, dtype: np.dtype = np.complex64):
     return None, runs
 
 
+def _cost_layer_bytes(num_qubits: int, precision: Precision) -> tuple[int, int]:
+    """(phase, pieces): a ``_CostPhase``'s ``eq`` (complex128) and cut
+    ``offset_cut`` (float64) over 2^min(16, n) offsets, after a transient of
+    twice ``offset_cut``; one ``_apply_cost_layer`` call's pieces, in double
+    and the state's precision, and its block's table over 2^12 offsets."""
+    table = 1 << min(_BLOCK_BITS, num_qubits)
+    piece = min(table, 1 << _PHASE_PIECE_BITS)
+    return (16 + 8 + 2 * 8) * table, piece * (16 + precision.bytes_per_amplitude + 16)
+
+
 def _run_scratch_bytes(num_qubits: int, precision: Precision, workers: int = 1) -> int:
     """Bytes a noiseless run and its tail hold besides the state, at most:
     the largest of the stages' bounds below, with ``workers`` running gates
@@ -473,12 +461,8 @@ def _run_scratch_bytes(num_qubits: int, precision: Precision, workers: int = 1) 
       and ``_pair_kernel``'s temporaries, at most four of one block.  This
       also bounds a sharded run's swap leg, which holds one buffer of at
       most half a block per pair.
-    - A cost layer: its ``_CostPhase``, which holds ``eq`` (complex128)
-      and the cut's ``offset_cut`` (float64) over 2^b offsets,
-      b = min(16, n), after a constructor transient of about twice
-      ``offset_cut``; and per worker ``_apply_cost_layer``'s pieces, one
-      in double and one in the state's precision, and its block's table
-      over the low 2^12 offsets (complex128).
+    - A cost layer: its ``_CostPhase``, and per worker
+      ``_apply_cost_layer``'s pieces (``_cost_layer_bytes``).
     - The tail: the reader's two float64 chunks (``_squared_chunks``),
       the sampler's two running totals per chunk, and the instance's
       ``CutDiagonal`` (``WmcInstance.cut``), its table and transient, with
@@ -491,15 +475,12 @@ def _run_scratch_bytes(num_qubits: int, precision: Precision, workers: int = 1) 
 
     What grows with the shot count is not counted.
     """
-    item = precision.bytes_per_amplitude
     block = min(1 << num_qubits, 1 << _GATE_BLOCK_BITS)
     table = 1 << min(_BLOCK_BITS, num_qubits)
-    piece = min(table, 1 << _PHASE_PIECE_BITS)
     chunk = min(1 << num_qubits, _REDUCTION_CHUNK)
     chunks = -(-(1 << num_qubits) // _REDUCTION_CHUNK)
-    gate_run = 6 * block * item
-    pieces = piece * (16 + item + 16)
-    phase = (16 + 8 + 2 * 8) * table
+    gate_run = 6 * block * precision.bytes_per_amplitude
+    phase, pieces = _cost_layer_bytes(num_qubits, precision)
     tail = 2 * 8 * chunk + 2 * 8 * chunks + 3 * 8 * table + 8 * chunk
     buffers = 3 * 16 * np.getbufsize()
     return max(workers * gate_run, phase + workers * pieces, tail) + buffers

@@ -10,13 +10,14 @@ of the 15 non-identity two-qubit Paulis uniformly at random.  Averaging
 Trajectories run in blocks, as rows of one array of at most 2^15
 amplitudes (one row when a state is larger), through the dense engine's
 executors: each run of H/RX gates is one ``_apply_gate_run`` call on the
-block's active rows, and each cost layer one broadcast multiply by the
-layer's phase, which an ensemble computes once (``check_memory`` counts
-these cached phases, the blocks in flight and the float64 tail, see
+block's active rows, and each cost layer one ``_apply_cost_layer`` call
+on them from the layer's ``_CostPhase``, built once and shared by the
+threads (``check_memory`` counts these phase tables, the blocks in
+flight, each worker's scratch and the float64 tail, see
 ``_prepare``).  Row 0 of a block follows
 the noiseless path, and starts as the amplitude of the folded H layer
 (``engine._fold_h``).  A trajectory gets its own row, a copy of row 0 after
-the phase multiply, only at the first cost layer where it fires a
+the cost layer, only at the first cost layer where it fires a
 Pauli; trajectories that fire nothing share row 0's final state.  The
 shots of every trajectory that ends in one row come from one call of the
 dense engine's streamed sampler (``engine._draw_streamed``), which reads
@@ -53,6 +54,7 @@ whole blocks) can change results.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,6 +69,7 @@ from .engine import (
     ShotSet,
     _apply_cost_layer,
     _apply_gate_run,
+    _cost_layer_bytes,
     _CostPhase,
     _draw_streamed,
     _fold_h,
@@ -160,15 +163,15 @@ _IN_FLIGHT_PER_THREAD = 2
 class _Ensemble:
     """What every trajectory of one run shares: the folded start amplitude
     (None when the H layer does not fold), the circuit's executed layers
-    with one-qubit gate runs grouped, each cost layer's phase (None for a
-    gate run), the RZZ count the draws cover, and the ZZ sign table of
-    ``_sign_table``."""
+    with one-qubit gate runs grouped, each cost layer's read-only
+    ``_CostPhase`` (None for a gate run), the RZZ count the draws cover,
+    and the ZZ sign table of ``_sign_table``."""
 
     num_qubits: int
     dtype: np.dtype
     start: np.generic | None
     layers: list[CostLayer | tuple[GateOp, ...]]
-    phases: list[np.ndarray | None]
+    phases: list[_CostPhase | None]
     n_rzz: int
     signs: np.ndarray
 
@@ -188,10 +191,10 @@ def _prepare(
     rows: int = 1,
     workers: int = 1,
 ) -> _Ensemble:
-    """Layers, cached cost-layer phases and the sign table, after checking
-    that they, the blocks of ``rows`` states in flight, each of the
-    ``workers``' correction scratch and the consumer's float64 tail fit
-    the memory budget.
+    """Layers, cost-layer phases and the sign table, after checking that
+    they, the blocks of ``rows`` states in flight, each of the ``workers``'
+    cost-layer pieces (``_cost_layer_bytes``) and correction scratch, and
+    the consumer's float64 tail fit the memory budget.
 
     A block is in flight from the start of its run until its consumer
     drops it, which it does before asking for the next: one block without
@@ -208,22 +211,16 @@ def _prepare(
     in_flight = 1 if workers == 1 else _IN_FLIGHT_PER_THREAD * workers
     chunks = -(-(1 << n) // _REDUCTION_CHUNK)
     tail = 8 * (2 * min(1 << n, _REDUCTION_CHUNK) + 2 * chunks + (1 << n))
+    phase, pieces = _cost_layer_bytes(n, precision)
+    per_worker = pieces + _correction_bytes(n, widest, dtype)
     check_memory(
         n,
         precision,
         memory_budget,
-        arrays=len(costs) + in_flight * rows,
-        scratch=signs.nbytes + workers * _correction_bytes(n, widest, dtype) + tail,
+        arrays=in_flight * rows,
+        scratch=signs.nbytes + len(costs) * phase + workers * per_worker + tail,
     )
-    phases = []
-    for op in layers:
-        phase = None
-        if isinstance(op, CostLayer):
-            # the executor applied to ones leaves its own phases, bit for bit
-            # (1 * p == p), built piece by piece like the dense engine's
-            phase = np.ones(1 << n, dtype=dtype)
-            _apply_cost_layer(phase, _CostPhase(op))
-        phases.append(phase)
+    phases = [_CostPhase(op) if isinstance(op, CostLayer) else None for op in layers]
     n_rzz = sum(len(op.gates) for op in costs)
     return _Ensemble(n, dtype, start, layers, phases, n_rzz, signs)
 
@@ -348,10 +345,10 @@ def _run_block(ens: _Ensemble, block: list) -> tuple[np.ndarray, list[int], list
 
     Row 0 follows the noiseless path while any trajectory of the block is
     still on it.  At the first cost layer where a trajectory fires, after
-    the layer's phase multiply, it takes a copy of row 0, or row 0 itself
-    when no other trajectory is left on it.  Each gate run is one executor
-    call on the active rows and each cost layer one broadcast multiply, so
-    every row gets the operations of a trajectory run alone.
+    the layer's diagonal, it takes a copy of row 0, or row 0 itself when
+    no other trajectory is left on it.  Each gate run and each cost layer
+    is one executor call on the active rows, so every row gets the
+    operations of a trajectory run alone.
     """
     firsts = [None if d is None else int(np.argmax(d[0])) for d in block]
     # a row per trajectory that fires, and row 0 kept to the end for
@@ -369,7 +366,7 @@ def _run_block(ens: _Ensemble, block: list) -> tuple[np.ndarray, list[int], list
         if phase is None:
             _apply_gate_run(states[:active].reshape(-1), op)
             continue
-        states[:active] *= phase
+        _apply_cost_layer(states[:active], phase)
         m = len(op.gates)
         for i, first in enumerate(firsts):
             if first is not None and k <= first < k + m:
@@ -516,6 +513,9 @@ def fit_k0(points) -> NoiseFit:
     the line exactly.
     """
     pts = [(float(x), float(r)) for x, r in points]
+    # the fit sums x^2; a Python float overflows to inf, without a warning
+    if not all(x >= 0.0 and math.isfinite(len(pts) * x * x) and math.isfinite(r) for x, r in pts):
+        raise FitError("each point needs a finite r_ovl and an eps_acc >= 0 whose square is finite")
     included = [(x, r) for x, r in pts if r > 0.0]
     n_excluded = len(pts) - len(included)
     if not included:

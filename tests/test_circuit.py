@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from lrqbench import (
     CircuitIR,
+    CostLayer,
     GateOp,
     LrQaoaParams,
     ValidationError,
@@ -120,11 +123,38 @@ def test_hqc_cost_validation():
         ("H", (0,), 0.1),
         ("RZZ", (1, 1), 0.1),
         ("RZZ", (0,), 0.1),
+        ("RX", (0,), float("inf")),
+        ("RX", (0,), float("-inf")),
+        ("RZZ", (0, 1), float("nan")),
     ],
 )
 def test_bad_gates_rejected(kind, qubits, theta):
     with pytest.raises(ValidationError):
         GateOp(kind, qubits, theta)
+
+
+def test_cost_layer_whose_cut_arithmetic_would_overflow_is_rejected():
+    # four times the sum of |theta| must be finite
+    quarter = sys.float_info.max / 4
+    CostLayer(3, (GateOp("RZZ", (0, 1), quarter / 2), GateOp("RZZ", (1, 2), -quarter / 2)))
+    with pytest.raises(ValidationError, match="too large"):
+        CostLayer(3, (GateOp("RZZ", (0, 1), quarter), GateOp("RZZ", (1, 2), -quarter / 2)))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"delta_beta": 1e308},  # RX angle -2 beta overflows to -inf
+        {"delta": 1e308},
+        {"delta_gamma": 5e307},  # every RZZ angle is finite, their sum is not
+    ],
+)
+def test_circuit_with_overflowing_angles_is_refused_when_built(triangle, params):
+    delta = params.pop("delta", None)
+    if delta is not None:
+        params = {"delta_beta": delta, "delta_gamma": delta}
+    with pytest.raises(ValidationError):
+        build_circuit(triangle, LrQaoaParams(p=2, **params))
 
 
 def test_circuit_rejects_out_of_range_qubit():

@@ -15,7 +15,7 @@ from lrqbench import (
     load_statevector,
     run_circuit,
 )
-from lrqbench.cli import main
+from lrqbench.cli import build_parser, main
 
 
 def sha256(path) -> str:
@@ -271,6 +271,27 @@ def test_seed_is_refused_where_nothing_draws_random_numbers(tmp_path, monkeypatc
         run_cli(*argv, "--seed", 7)
     assert exc.value.code == 2
     assert not (tmp_path / "h.json").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, "abc"])
+@pytest.mark.parametrize("command", ["gen", "simulate", "classify", "bench"])
+def test_seeds_outside_64_bits_are_rejected(tmp_path, instance_path, capsys, command, seed):
+    # streams take the seed's low 64 bits: 2^64 would alias 0, and -1 2^64 - 1
+    out = tmp_path / "out.json"
+    argv = {
+        "gen": ("gen", "--n", 4),
+        "simulate": ("simulate", "--instance", instance_path),
+        "classify": ("classify", "--qpu", instance_path, "--instance", instance_path),
+        "bench": ("bench", "--nq", 4),
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", out, "--seed", seed)
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not out.exists()
+    largest = (1 << 64) - 1
+    args = [str(a) for a in (*argv, "--out", out, "--seed", largest)]
+    assert build_parser().parse_args(args).seed == largest  # the largest seed is accepted
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])

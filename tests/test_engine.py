@@ -33,8 +33,6 @@ from lrqbench import (
     zero_state,
 )
 from lrqbench.engine import (
-    apply_gate,
-    apply_rzz,
     check_memory,
     expected_r_from_probs,
     state_bytes,
@@ -78,67 +76,71 @@ def test_precision_coerce():
 @pytest.mark.parametrize("q", [0, 1, 2])
 def test_h_matches_matrix(q):
     start = random_state(3, 10 + q)
-    sv = StateVector(3, start.copy())
-    apply_gate(sv, GateOp("H", (q,)))
+    amps = start.copy()
+    engine._apply_gate_run(amps, (GateOp("H", (q,)),))
     want = oracles.embed_single(oracles.HADAMARD, q, 3) @ start
-    np.testing.assert_allclose(sv.amps, want, atol=1e-12)
+    np.testing.assert_allclose(amps, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("q,theta", [(0, 0.7), (1, -1.3), (2, 2.9)])
 def test_rx_matches_expm(q, theta):
     start = random_state(3, 20 + q)
-    sv = StateVector(3, start.copy())
-    apply_gate(sv, GateOp("RX", (q,), theta))
+    amps = start.copy()
+    engine._apply_gate_run(amps, (GateOp("RX", (q,), theta),))
     want = oracles.gate_unitary(GateOp("RX", (q,), theta), 3) @ start
-    np.testing.assert_allclose(sv.amps, want, atol=1e-12)
+    np.testing.assert_allclose(amps, want, atol=1e-12)
+
+
+def apply_rzz(amps: np.ndarray, n: int, theta: float, qa: int, qb: int) -> None:
+    """RZZ(theta) in place, as a cost layer of one gate."""
+    layer = CostLayer(n, (GateOp("RZZ", (qa, qb), theta),))
+    engine._apply_cost_layer(amps, engine._CostPhase(layer))
 
 
 @pytest.mark.parametrize("qa,qb,theta", [(0, 1, 0.4), (0, 2, -0.9), (1, 2, 2.2), (2, 0, 1.1)])
 def test_rzz_matches_expm(qa, qb, theta):
     start = random_state(3, 30 + qa * 3 + qb)
-    sv = StateVector(3, start.copy())
-    apply_rzz(sv, theta, qa, qb)
+    amps = start.copy()
+    apply_rzz(amps, 3, theta, qa, qb)
     want = oracles.gate_unitary(GateOp("RZZ", (qa, qb), theta), 3) @ start
-    np.testing.assert_allclose(sv.amps, want, atol=1e-12)
+    np.testing.assert_allclose(amps, want, atol=1e-12)
 
 
 def test_rzz_pi_on_plus_plus():
     sv = plus_state(2, "fp64")
-    apply_rzz(sv, np.pi, 0, 1)
+    apply_rzz(sv.amps, 2, np.pi, 0, 1)
     np.testing.assert_allclose(sv.amps, [-0.5j, 0.5j, 0.5j, -0.5j], atol=1e-15)
 
 
 def test_rzz_qubit_order_irrelevant():
     start = random_state(4, 5)
-    a = StateVector(4, start.copy())
-    b = StateVector(4, start.copy())
-    apply_rzz(a, 0.8, 1, 3)
-    apply_rzz(b, 0.8, 3, 1)
-    np.testing.assert_array_equal(a.amps, b.amps)
+    a, b = start.copy(), start.copy()
+    apply_rzz(a, 4, 0.8, 1, 3)
+    apply_rzz(b, 4, 0.8, 3, 1)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_rzz_layer_order_irrelevant():
     # a full cost layer is diagonal, so any gate order gives the same state
     inst = generate_instance(6, 21)
     start = random_state(6, 6)
-    fwd = StateVector(6, start.copy())
-    rev = StateVector(6, start.copy())
+    fwd, rev = start.copy(), start.copy()
     gates = [GateOp("RZZ", (i, j), 0.3 * w) for i, j, w in inst.edges]
     for g in gates:
-        apply_gate(fwd, g)
+        apply_rzz(fwd, 6, g.theta, *g.qubits)
     for g in reversed(gates):
-        apply_gate(rev, g)
-    np.testing.assert_allclose(fwd.amps, rev.amps, atol=1e-12)
+        apply_rzz(rev, 6, g.theta, *g.qubits)
+    np.testing.assert_allclose(fwd, rev, atol=1e-12)
 
 
 def test_gate_validation():
-    sv = zero_state(2)
+    # a gate the engines cannot run is refused where the circuit is built
     with pytest.raises(ValidationError):
-        apply_gate(sv, GateOp("H", (2,)))
+        CircuitIR(2, [GateOp("H", (2,))])
     with pytest.raises(ValidationError):
-        apply_rzz(sv, 0.1, 0, 0)
+        GateOp("RZZ", (0, 0), 0.1)
     with pytest.raises(ValidationError):
-        apply_gate(sv, GateOp("RX", (-1,), 0.1))
+        CircuitIR(2, [GateOp("RX", (-1,), 0.1)])
 
 
 @pytest.mark.parametrize("n,p,seed", [(2, 1, 0), (4, 2, 1), (5, 3, 2)])
@@ -198,12 +200,12 @@ def check_gate_run(n: int, rows: int, order: str, precision: str) -> None:
     start = start.astype(Precision.coerce(precision).dtype)
     run = start.copy()
     engine._apply_gate_run(run, gates)
-    one_by_one = StateVector(n, start.copy())
+    one_by_one = start.copy()
     old = start.copy()
     for g in gates:
-        apply_gate(one_by_one, g)
+        engine._apply_gate_run(one_by_one, (g,))
         kernel_of_0_2(old, g)
-    np.testing.assert_array_equal(run, one_by_one.amps)
+    np.testing.assert_array_equal(run, one_by_one)
     np.testing.assert_array_equal(run, old)
 
 
@@ -585,6 +587,38 @@ def cost_layer(n: int, seed: int) -> CostLayer:
     return CostLayer(n, tuple(GateOp("RZZ", (i, j), 0.37 * w) for i, j, w in inst.edges))
 
 
+def layouts_at_the_angle_bound(n: int) -> dict[str, list[tuple[int, int, float]]]:
+    """Cost layers whose sum of |theta| is just inside what ``CostLayer``
+    admits, with the weight on one low edge, one low-high edge, one high
+    edge, a star (large column sums in ``offset_cut``), or spread over the
+    complete graph with alternating signs."""
+    s = sys.float_info.max / 4 * (1 - 1e-12)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return {
+        "low": [(0, 1, s)],
+        "low_high": [(0, n - 1, -s)],
+        "high": [(n - 2, n - 1, s)],
+        "star": [(0, j, s / (n - 1)) for j in range(1, n)],
+        "spread": [(i, j, (-1) ** k * s / len(edges)) for k, (i, j) in enumerate(edges)],
+    }
+
+
+@pytest.mark.parametrize("layout", ["low", "low_high", "high", "star", "spread"])
+def test_largest_admitted_angles_run_without_overflow(layout):
+    # n=17: blocks of 2^16 with a high vertex, and two chunks per noisy row
+    n = 17
+    gates = [GateOp("RZZ", (i, j), t) for i, j, t in layouts_at_the_angle_bound(n)[layout]]
+    layer = CostLayer(n, tuple(gates))
+    circ = CircuitIR(n, [GateOp("H", (q,)) for q in range(n)] + gates)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        values = layer.cut().values(0, 1 << n)
+        sv = run_circuit(circ, "fp64")
+        noisy = lrqbench.noisy_expected_probs(circ, lrqbench.DepolarizingConfig(1.0, 2, 3), "fp64")
+    assert np.isfinite(values).all()
+    assert np.isfinite(sv.amps).all() and np.isfinite(noisy).all()
+    assert sv.norm_squared() == pytest.approx(1.0, abs=sv.norm_tolerance())
+
+
 def range_cuts(size: int, rng) -> list[int]:
     """Sub-range bounds: unaligned offsets, pieces below 2^8 and 2^16 block
     edges approached from both sides."""
@@ -612,6 +646,20 @@ def test_cost_layer_sub_ranges_match_full_range(n, precision):
         for s, row in enumerate(rows):
             engine._apply_cost_layer(row, phase, s << 15)
         assert rows.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", [3, 11, 17])
+def test_cost_layer_on_a_batch_matches_each_row_alone(n, precision):
+    # the noisy ensemble runs a cost layer on a block's rows in one call
+    phase = engine._CostPhase(cost_layer(n, 60 + n))
+    dtype = Precision.coerce(precision).dtype
+    batch = np.stack([random_state(n, 10 * n + r) for r in range(3)]).astype(dtype)
+    alone = batch.copy()
+    engine._apply_cost_layer(batch, phase)
+    for row in alone:
+        engine._apply_cost_layer(row, phase)
+    assert batch.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 12, 17])

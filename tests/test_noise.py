@@ -33,7 +33,9 @@ from lrqbench import (
 from lrqbench.engine import (
     _GATE_BLOCK_BITS,
     _REDUCTION_CHUNK,
+    _apply_cost_layer,
     _apply_gate_run,
+    _cost_layer_bytes,
     state_bytes,
 )
 from lrqbench.noise import (
@@ -238,37 +240,42 @@ def test_correction_scratch_is_what_check_memory_counts(precision):
     )
 
 
+def noisy_budget(n: int, p: int, blocks: int, workers: int) -> int:
+    """Bytes ``_prepare`` counts for an fp32 ensemble of a depth-p circuit:
+    ``blocks`` states in flight, the sign table, one phase table per cost
+    layer (not one state), each worker's cost-layer pieces and correction
+    scratch, and a tail of the sampler's two chunks, its running totals and
+    the mean's vector."""
+    phase, pieces = _cost_layer_bytes(n, Precision.FP32)
+    correction = _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype)
+    chunks = -(-(1 << n) // _REDUCTION_CHUNK)
+    tail = 8 * (2 * min(1 << n, _REDUCTION_CHUNK) + 2 * chunks + (1 << n))
+    return (
+        blocks * state_bytes(n, Precision.FP32)
+        + _sign_table(n).nbytes
+        + p * phase
+        + workers * (pieces + correction)
+        + tail
+    )
+
+
 def test_prepare_budgets_the_sign_table_and_correction_scratch():
     n = 6
     circ = build_circuit(generate_instance(n, 3), LrQaoaParams(p=2))
-    states = 2 + 6 * 4  # two cost-layer phases, six blocks of four in flight
-    # the sampler's two chunks (here the whole state) and two running
-    # totals, and the mean's vector
-    tail = 8 * (2 * (1 << n) + 2 + (1 << n))
-    need = (
-        states * state_bytes(n, Precision.FP32)
-        + _sign_table(n).nbytes
-        + 3 * _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype)
-        + tail
-    )
+    need = noisy_budget(n, 2, blocks=6 * 4, workers=3)  # six blocks of four in flight
     _prepare(circ, Precision.FP32, need, rows=4, workers=3)
     with pytest.raises(CapacityError):
         _prepare(circ, Precision.FP32, need - 1, rows=4, workers=3)
 
 
 def test_noisy_ensemble_peaks_within_its_budget():
-    # n=19 fp32, one row per block: the cached phase, one block, the
-    # correction scratch and a tail of two chunks, eight running totals
-    # twice and one float64 vector of 2^n, the mean's
-    n = 19
-    circ = build_circuit(generate_instance(n, 5), LrQaoaParams(p=1))
+    # n=20 fp32, p=3, one row per block: one block in flight and no state-sized
+    # phase per cost layer, so the peak stays below three states even with
+    # the correction scratch of a firing trajectory
+    n = 20
+    circ = build_circuit(generate_instance(n, 5), LrQaoaParams(p=3))
     cfg = DepolarizingConfig(0.05, trajectories=2, rng_seed=3)
-    need = (
-        2 * state_bytes(n, Precision.FP32)
-        + _sign_table(n).nbytes
-        + _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype)
-        + 8 * (2 * _REDUCTION_CHUNK + 2 * 8 + (1 << n))
-    )
+    need = noisy_budget(n, 3, blocks=1, workers=1)
     tracemalloc.start()
     try:
         shots = run_noisy_ensemble(circ, cfg, 10, "fp32", need)
@@ -276,16 +283,25 @@ def test_noisy_ensemble_peaks_within_its_budget():
     finally:
         tracemalloc.stop()
     assert shots.paulis_fired.min() > 0  # both trajectories take their own row
-    assert 2 * state_bytes(n, Precision.FP32) < peak <= need
+    assert state_bytes(n, Precision.FP32) < peak < 3 * state_bytes(n, Precision.FP32)
+    assert peak <= need
     with pytest.raises(CapacityError):
         run_noisy_ensemble(circ, cfg, 10, "fp32", need - 1)
 
 
+def test_prepare_fits_three_cost_layers_at_n27_in_the_default_budget(monkeypatch):
+    # 1 GiB for the block and 1 GiB for the mean's float64 vector; a
+    # state-sized phase per cost layer would need 3 GiB more
+    monkeypatch.delenv("LRQBENCH_MEMORY_BYTES", raising=False)
+    circ = build_circuit(generate_instance(27, 1), LrQaoaParams(p=3))
+    ens = _prepare(circ, Precision.FP32, None)
+    assert sum(phase is not None for phase in ens.phases) == 3
+
+
 def per_trajectory_reference(circ, cfg, precision, shots):
     """The ensemble as one state per trajectory, run alone: zeros, gate
-    runs (the H layer the ensemble folds included), phase multiply,
-    commuted Paulis, probabilities, then shots, each over the whole
-    vector."""
+    runs (the H layer the ensemble folds included), cost layers, commuted
+    Paulis, probabilities, then shots, each over the whole vector."""
     ens = _prepare(circ, Precision.coerce(precision), None)
     probs, pooled = [], []
     for t in range(cfg.trajectories):
@@ -304,7 +320,7 @@ def per_trajectory_reference(circ, cfg, precision, shots):
             if phase is None:
                 _apply_gate_run(amps, op)
                 continue
-            amps *= phase
+            _apply_cost_layer(amps, phase)
             m = len(op.gates)
             if fire[k : k + m].any():
                 _commute_fired(amps, op.gates, fire[k : k + m], codes[k : k + m], ens.signs)
@@ -526,6 +542,11 @@ def test_fit_needs_usable_points():
         fit_k0([(1.0, 0.0), (2.0, -0.5)])
     with pytest.raises(FitError):
         fit_k0([(0.0, 0.5)])
+    # not numbers the fit can use, or an eps_acc whose square overflows
+    nan, inf = float("nan"), float("inf")
+    for bad in [(nan, 0.5), (inf, 0.5), (-1.0, 0.5), (0.5, inf), (0.5, nan), (1e308, 0.5)]:
+        with pytest.raises(FitError):
+            fit_k0([(1.0, 0.25), bad])
 
 
 def test_predict_r_overlap_roundtrip():
