@@ -37,6 +37,8 @@ from . import __version__
 from .circuit import LrQaoaParams, build_circuit, gate_counts, hqc_cost
 from .engine import (
     Precision,
+    _gate_list_bytes,
+    check_memory,
     exact_expected_r,
     norm_tolerance,
     run_circuit,
@@ -52,6 +54,7 @@ from .errors import (
 from .files import write_output
 from .noise import DepolarizingConfig, epsilon_accumulated, fit_k0, r_overlap, run_noisy_ensemble
 from .problem import (
+    DEFAULT_BRUTEFORCE_LIMIT,
     approximation_ratio,
     generate_instance,
     load_instance,
@@ -74,14 +77,6 @@ _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_CAPACITY = 3
 _EXIT_RUNTIME = 4
-
-
-def _check_memory_bytes(args) -> None:
-    """A ``--memory-bytes`` below 1 is a validation error (the engine checks
-    ``LRQBENCH_MEMORY_BYTES`` where it reads it); a positive budget too
-    small for the run is a capacity error."""
-    if args.memory_bytes is not None and args.memory_bytes < 1:
-        raise ValidationError(f"--memory-bytes must be at least 1, got {args.memory_bytes}")
 
 
 def _sha256(path: Path) -> str:
@@ -204,16 +199,19 @@ def _check_mode_flags(args) -> None:
 
 def _cmd_simulate(args) -> int:
     _check_mode_flags(args)
-    _check_memory_bytes(args)
     if args.mode == "noisy":
         args.threads = 1 if args.threads is None else args.threads  # as the manifest records it
         if args.threads < 1:
             raise ValidationError(f"--threads must be at least 1, got {args.threads}")
     inst = load_instance(args.instance)
+    precision = Precision.coerce(args.precision)
     delta_beta, delta_gamma = _resolved_deltas(args)
     params = LrQaoaParams(p=args.p, delta_beta=delta_beta, delta_gamma=delta_gamma)
-    circuit = build_circuit(inst, params)
     n_1q, n_2q = gate_counts(inst.num_vertices, args.p)
+    # the depth sets the gate list's size: refused before it is built
+    gate_list = _gate_list_bytes(n_1q + n_2q)
+    check_memory(inst.num_vertices, precision, args.memory_bytes, scratch=gate_list)
+    circuit = build_circuit(inst, params)
     solved = inst.optimal_cut is not None
     if args.ideal_shots is not None and not solved:
         raise ValidationError(
@@ -237,13 +235,13 @@ def _cmd_simulate(args) -> int:
         if args.shards != 1:
             plan = plan_for_shard_count(inst.num_vertices, args.shards)
             sv, record = run_circuit_sharded(
-                circuit, plan, args.precision, args.memory_bytes
+                circuit, plan, args.precision, args.memory_bytes, args.shots
             )
             timing = (args.out.with_suffix(".timing.csv"),)
             _write_timing(timing[0], [record])
             outputs.extend(timing)
         else:
-            sv = run_circuit(circuit, args.precision, args.memory_bytes)
+            sv = run_circuit(circuit, args.precision, args.memory_bytes, args.shots)
         shots = sample(sv, args.shots, args.seed)
         payload.update(
             {
@@ -273,7 +271,9 @@ def _cmd_simulate(args) -> int:
         )
         mean_r = ovl = None
         if solved:
-            ideal_sv = run_circuit(circuit, args.precision, args.memory_bytes)
+            # the ensemble's shots are held while the ideal ones are drawn
+            held = args.trajectories * args.shots + (args.ideal_shots or 0)
+            ideal_sv = run_circuit(circuit, args.precision, args.memory_bytes, held)
             mean_r = approximation_ratio(inst, shots)
             if args.ideal_shots is None:
                 r_ideal = exact_expected_r(ideal_sv, inst)
@@ -295,9 +295,7 @@ def _cmd_simulate(args) -> int:
                 "paulis_fired": int(shots.paulis_fired.sum()),
                 "zero_fire_trajectories": int(np.count_nonzero(shots.paulis_fired == 0)),
                 "norm_drift": shots.norm_drift,
-                "norm_tolerance": norm_tolerance(
-                    inst.num_vertices, Precision.coerce(args.precision)
-                ),
+                "norm_tolerance": norm_tolerance(inst.num_vertices, precision),
                 "mean_r": mean_r,
                 "r_ovl": ovl,
                 "bitstrings": shots.bitstrings(),
@@ -377,7 +375,6 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 def _cmd_bench(args) -> int:
     _check_mode_flags(args)
-    _check_memory_bytes(args)
     delta_beta, delta_gamma = _resolved_deltas(args)
     common = dict(
         p=args.p,
@@ -548,6 +545,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _budget(text: str) -> int:
+    """A memory budget in bytes, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"memory budget must be at least 1 byte, got {value}")
+    return value
+
+
 def _add_seed(parser: argparse.ArgumentParser) -> None:
     """``--seed``, for the subcommands that draw random numbers."""
     parser.add_argument("--seed", type=_seed, default=0, help="seed for every derived stream")
@@ -571,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--solve-limit",
         type=int,
-        default=24,
+        default=DEFAULT_BRUTEFORCE_LIMIT,
         help="largest n solved exactly; above this the optimal cut is omitted",
     )
     _add_seed(p_gen)
@@ -597,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="estimate the ideal baseline from this many shots instead of exactly",
     )
     p_sim.add_argument("--dump-state", type=Path, default=None, help="binary statevector dump")
-    p_sim.add_argument("--memory-bytes", type=int, default=None, help="statevector memory budget")
+    p_sim.add_argument("--memory-bytes", type=_budget, default=None, help="memory budget, bytes")
     p_sim.add_argument(
         "--threads",
         type=int,
@@ -638,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--delta-gamma", type=float, default=None)
     p_bench.add_argument("--repeat", type=int, default=1)
     p_bench.add_argument("--precision", choices=("fp32", "fp64"), default="fp32")
-    p_bench.add_argument("--memory-bytes", type=int, default=None)
+    p_bench.add_argument("--memory-bytes", type=_budget, default=None)
     _add_seed(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -54,9 +54,10 @@ the full probability vector, bit for bit.  The sampler,
 every trajectory's shots through it too.
 
 Single precision (complex64) is the default and costs 2^(n+3) bytes;
-double costs 2^(n+4).  Requests over the memory budget raise
-``CapacityError`` up front, naming the required bytes; a run's budget
-covers its state and its bounded scratch (``_run_scratch_bytes``).
+double costs 2^(n+4).  A run over its ``memory_budget`` (by default
+``DEFAULT_MEMORY_BUDGET``) raises ``CapacityError`` before its state is
+allocated, naming the bytes needed; this module alone bounds a run's
+scratch (``_scratch_bytes``), which the noisy engine adds to.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from .problem import (
 )
 from .rng import derive_rng
 
-DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes, overridable via LRQBENCH_MEMORY_BYTES
+DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes
 _REDUCTION_CHUNK = 1 << 16
 
 
@@ -114,23 +115,6 @@ def state_bytes(num_qubits: int, precision: Precision) -> int:
     return precision.bytes_per_amplitude << num_qubits
 
 
-def memory_budget_bytes(override: int | None = None) -> int:
-    """``override``, else ``LRQBENCH_MEMORY_BYTES``, else the default.  A
-    variable that is not an integer of at least 1 is a validation error."""
-    if override is not None:
-        return int(override)
-    if "LRQBENCH_MEMORY_BYTES" not in os.environ:
-        return DEFAULT_MEMORY_BUDGET
-    raw = os.environ["LRQBENCH_MEMORY_BYTES"]
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"LRQBENCH_MEMORY_BYTES must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValidationError(f"LRQBENCH_MEMORY_BYTES must be at least 1, got {value}")
-    return value
-
-
 def check_memory(
     num_qubits: int,
     precision: Precision,
@@ -139,9 +123,9 @@ def check_memory(
     scratch: int = 0,
 ) -> None:
     """Refuse a run that holds ``arrays`` state-sized arrays plus ``scratch``
-    bytes over the budget."""
+    bytes over the budget, ``DEFAULT_MEMORY_BUDGET`` when it is None."""
     need = arrays * state_bytes(num_qubits, precision) + scratch
-    limit = memory_budget_bytes(budget)
+    limit = DEFAULT_MEMORY_BUDGET if budget is None else int(budget)
     if need > limit:
         what = "statevector" if arrays == 1 else f"{arrays} state-sized arrays"
         if scratch:
@@ -451,52 +435,75 @@ def _cost_layer_bytes(num_qubits: int, precision: Precision) -> tuple[int, int]:
     return (16 + 8 + 2 * 8) * table, piece * (16 + precision.bytes_per_amplitude + 16)
 
 
-def _run_scratch_bytes(num_qubits: int, precision: Precision, workers: int = 1) -> int:
-    """Bytes a noiseless run and its tail hold besides the state, at most:
-    the largest of the stages' bounds below, with ``workers`` running gates
-    at once, plus the cast buffers of one numpy call (``np.getbufsize()``
-    elements of at most 16 bytes for each of up to three operands).
+def _shot_bytes(num_qubits: int, shots: int) -> int:
+    """Bytes ``shots`` draws hold at most: each its uint64 index, the codes
+    of ``indices_to_bitstrings`` (n uint64, twice) and the bitstring as
+    text (the result's ``str``, a JSON chunk, the joined text and its
+    bytes), together under 4 (64 + n) bytes.  The sampler's and the cut
+    evaluation's temporaries, under 100 bytes a draw, are gone by then."""
+    return shots * (8 + 16 * num_qubits + 4 * (64 + num_qubits))
 
-    - A one-qubit gate run, per worker: ``_apply_gate_run``'s two blocks
-      and ``_pair_kernel``'s temporaries, at most four of one block.  This
-      also bounds a sharded run's swap leg, which holds one buffer of at
-      most half a block per pair.
-    - A cost layer: its ``_CostPhase``, and per worker
+
+def _scratch_bytes(
+    num_qubits: int, precision: Precision, workers: int = 1, shots: int = 0
+) -> tuple[int, int]:
+    """(executor, tail): the bytes a run holds besides the state and the
+    gate list, at most, while ``workers`` executors run at once and while
+    its tail reads the final state and draws ``shots``.  A noiseless run's
+    executors finish before its tail starts, so it counts the larger.
+    Each numpy call may hold cast buffers of ``np.getbufsize()`` elements
+    of at most 16 bytes for each of up to three operands.
+
+    - Executors, the larger of a one-qubit gate run, per worker
+      (``_apply_gate_run``'s two blocks and ``_pair_kernel``'s
+      temporaries, at most four of one block; this also bounds a sharded
+      run's swap leg, which holds one buffer of at most half a block per
+      pair), and a cost layer: its ``_CostPhase``, and per worker
       ``_apply_cost_layer``'s pieces (``_cost_layer_bytes``).
     - The tail: the reader's two float64 chunks (``_squared_chunks``),
-      the sampler's two running totals per chunk, and the instance's
-      ``CutDiagonal`` (``WmcInstance.cut``), its table and transient, with
-      one chunk of cut values.  Loading a solved instance builds that cut
+      the sampler's two running totals per chunk, the draws
+      (``_shot_bytes``), and the instance's ``CutDiagonal``
+      (``WmcInstance.cut``), its table and transient, with one chunk of
+      cut values.  Loading a solved instance builds that cut
       (``load_instance`` checks the optimum against it), so it is alive
-      during every run as well.  Only this stage counts it; the others
+      during every run as well.  Only the tail counts it; the executors
       hold it within their slack: traced from the instance load through
       the tail, for n = 14 to 20, p = 1 and 3, at either precision, the
-      peak above the state stayed below 0.92 of this bound.
-
-    What grows with the shot count is not counted.
+      peak above the state stayed below 0.92 of the larger bound.
     """
     block = min(1 << num_qubits, 1 << _GATE_BLOCK_BITS)
     table = 1 << min(_BLOCK_BITS, num_qubits)
     chunk = min(1 << num_qubits, _REDUCTION_CHUNK)
     chunks = -(-(1 << num_qubits) // _REDUCTION_CHUNK)
-    gate_run = 6 * block * precision.bytes_per_amplitude
-    phase, pieces = _cost_layer_bytes(num_qubits, precision)
-    tail = 2 * 8 * chunk + 2 * 8 * chunks + 3 * 8 * table + 8 * chunk
     buffers = 3 * 16 * np.getbufsize()
-    return max(workers * gate_run, phase + workers * pieces, tail) + buffers
+    gate_run = 6 * block * precision.bytes_per_amplitude + buffers
+    phase, pieces = _cost_layer_bytes(num_qubits, precision)
+    executor = max(workers * gate_run, phase + workers * (pieces + buffers))
+    tail = 2 * 8 * chunk + 2 * 8 * chunks + 3 * 8 * table + 8 * chunk + buffers
+    return executor, tail + _shot_bytes(num_qubits, shots)
+
+
+def _gate_list_bytes(gates: int) -> int:
+    """Bytes a circuit of ``gates`` gates holds while it runs, with its
+    schedule and layer views: 320 a gate, above the 276 traced at n = 2,
+    where each layer's own objects weigh most (CPython 3.11)."""
+    return 320 * gates
 
 
 def run_circuit(
     circuit: CircuitIR,
     precision: Precision | str = Precision.FP32,
     memory_budget: int | None = None,
+    shots: int = 0,
 ) -> StateVector:
     """Evolve |0...0> through the circuit's layers (the IR includes its H
     layer, which ``_fold_h`` folds into the start state).  The budget
-    covers the state and ``_run_scratch_bytes``."""
+    covers the state, the gate list and ``_scratch_bytes``, with ``shots``
+    draws the caller takes from the result or holds beside it."""
     precision = Precision.coerce(precision)
     n = circuit.num_qubits
-    sv = zero_state(n, precision, memory_budget, _run_scratch_bytes(n, precision))
+    scratch = max(_scratch_bytes(n, precision, shots=shots)) + _gate_list_bytes(len(circuit.gates))
+    sv = zero_state(n, precision, memory_budget, scratch)
     start, runs = _fold_h(circuit, sv.amps.dtype)
     if start is not None:
         sv.amps.fill(start)

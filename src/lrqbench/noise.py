@@ -12,9 +12,8 @@ amplitudes (one row when a state is larger), through the dense engine's
 executors: each run of H/RX gates is one ``_apply_gate_run`` call on the
 block's active rows, and each cost layer one ``_apply_cost_layer`` call
 on them from the layer's ``_CostPhase``, built once and shared by the
-threads (``check_memory`` counts these phase tables, the blocks in
-flight, each worker's scratch and the float64 tail, see
-``_prepare``).  Row 0 of a block follows
+threads; ``_prepare`` adds what only the ensemble holds to the dense
+engine's scratch bound.  Row 0 of a block follows
 the noiseless path, and starts as the amplitude of the folded H layer
 (``engine._fold_h``).  A trajectory gets its own row, a copy of row 0 after
 the cost layer, only at the first cost layer where it fires a
@@ -64,7 +63,6 @@ import numpy as np
 from .circuit import CircuitIR, CostLayer, GateOp
 from .engine import (
     _GATE_BLOCK_BITS,
-    _REDUCTION_CHUNK,
     Precision,
     ShotSet,
     _apply_cost_layer,
@@ -73,7 +71,10 @@ from .engine import (
     _CostPhase,
     _draw_streamed,
     _fold_h,
+    _gate_list_bytes,
     _pairs,
+    _scratch_bytes,
+    _shot_bytes,
     _squared_chunks,
     check_memory,
     expected_r_from_probs,
@@ -190,18 +191,20 @@ def _prepare(
     memory_budget: int | None,
     rows: int = 1,
     workers: int = 1,
+    held: int = 0,
 ) -> _Ensemble:
-    """Layers, cost-layer phases and the sign table, after checking that
-    they, the blocks of ``rows`` states in flight, each of the ``workers``'
-    cost-layer pieces (``_cost_layer_bytes``) and correction scratch, and
-    the consumer's float64 tail fit the memory budget.
+    """Layers, cost-layer phases and the sign table, after checking that the
+    run and ``held`` bytes of the caller's fit the memory budget.
 
-    A block is in flight from the start of its run until its consumer
-    drops it, which it does before asking for the next: one block without
-    threads, else up to _IN_FLIGHT_PER_THREAD per worker.  The tail is the
-    sampler's reader (two chunks, ``_squared_chunks``) and its running
-    totals, once more divided by the norm, and the vector of 2^n that
-    ``noisy_expected_probs`` sums into.
+    The dense engine bounds the gate list, and in ``_scratch_bytes`` the
+    ``workers``' executors and the consumer's tail: with one worker the
+    consumer samples a block after running it, so the larger counts, and
+    with more while they run, so both do.  To the one ``_CostPhase`` the
+    executor bound holds this adds the other cost layers', the sign table,
+    each worker's ``_correction_bytes`` and the blocks of ``rows`` states
+    in flight: one without threads, else up to _IN_FLIGHT_PER_THREAD per
+    worker, each from the start of its run until its consumer drops it,
+    before asking for the next.
     """
     n, dtype = circuit.num_qubits, precision.dtype
     start, layers = _fold_h(circuit, dtype)
@@ -209,16 +212,17 @@ def _prepare(
     widest = max((len(op.gates) for op in costs), default=0)
     signs = _sign_table(n)
     in_flight = 1 if workers == 1 else _IN_FLIGHT_PER_THREAD * workers
-    chunks = -(-(1 << n) // _REDUCTION_CHUNK)
-    tail = 8 * (2 * min(1 << n, _REDUCTION_CHUNK) + 2 * chunks + (1 << n))
-    phase, pieces = _cost_layer_bytes(n, precision)
-    per_worker = pieces + _correction_bytes(n, widest, dtype)
+    executor, tail = _scratch_bytes(n, precision, workers)
+    dense = executor + tail if workers > 1 else max(executor, tail)
+    dense += _gate_list_bytes(len(circuit.gates))
+    tables = len(costs[1:]) * _cost_layer_bytes(n, precision)[0]
+    correction = workers * _correction_bytes(n, widest, dtype)
     check_memory(
         n,
         precision,
         memory_budget,
         arrays=in_flight * rows,
-        scratch=signs.nbytes + len(costs) * phase + workers * per_worker + tail,
+        scratch=dense + signs.nbytes + tables + correction + held,
     )
     phases = [_CostPhase(op) if isinstance(op, CostLayer) else None for op in layers]
     n_rzz = sum(len(op.gates) for op in costs)
@@ -383,8 +387,10 @@ def _run_block(ens: _Ensemble, block: list) -> tuple[np.ndarray, list[int], list
     return states, row_of, [0 if draw is None else int(draw[0].sum()) for draw in block]
 
 
-def _iter_blocks(circuit, cfg, precision, memory_budget, threads):
-    """``_run_block``'s results for every block, in trajectory order.
+def _iter_blocks(circuit, cfg, precision, memory_budget, threads, held=0):
+    """``_run_block``'s results for every block, in trajectory order.  The
+    budget, with ``held`` bytes the caller keeps beside the blocks, is
+    checked on the call, before the first block runs.
 
     With threads, blocks run on the pool and at most
     ``_IN_FLIGHT_PER_THREAD * threads`` of them are submitted and not yet
@@ -393,19 +399,23 @@ def _iter_blocks(circuit, cfg, precision, memory_budget, threads):
     """
     rows = _block_rows(circuit.num_qubits, cfg.trajectories, threads)
     workers = min(max(1, threads), cfg.trajectories)  # each holds one block
-    ens = _prepare(circuit, Precision.coerce(precision), memory_budget, rows, workers)
+    ens = _prepare(circuit, Precision.coerce(precision), memory_budget, rows, workers, held)
+    blocks = _blocks(ens, cfg, rows)
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = deque()
-            for block in _blocks(ens, cfg, rows):
-                pending.append(pool.submit(_run_block, ens, block))
-                if len(pending) >= _IN_FLIGHT_PER_THREAD * threads:
-                    yield pending.popleft().result()
-            while pending:
+        return _pooled(ens, blocks, threads)
+    return (_run_block(ens, block) for block in blocks)
+
+
+def _pooled(ens: _Ensemble, blocks, threads: int):
+    """``_run_block`` over ``blocks`` on a pool of ``threads``, read in order."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for block in blocks:
+            pending.append(pool.submit(_run_block, ens, block))
+            if len(pending) >= _IN_FLIGHT_PER_THREAD * threads:
                 yield pending.popleft().result()
-    else:
-        for block in _blocks(ens, cfg, rows):
-            yield _run_block(ens, block)
+        while pending:
+            yield pending.popleft().result()
 
 
 def run_noisy_ensemble(
@@ -428,9 +438,11 @@ def run_noisy_ensemble(
     """
     if shots_per_trajectory < 1:
         raise ValidationError(f"shot count must be positive, got {shots_per_trajectory}")
+    held = _shot_bytes(circuit.num_qubits, cfg.trajectories * shots_per_trajectory)
+    blocks = _iter_blocks(circuit, cfg, precision, memory_budget, threads, held)
     indices = np.empty((cfg.trajectories, shots_per_trajectory), np.uint64)
     fired, drift = [], 0.0
-    for states, row_of, paulis in _iter_blocks(circuit, cfg, precision, memory_budget, threads):
+    for states, row_of, paulis in blocks:
         sharing = {}  # row -> the trajectories that end in it
         for t, r in enumerate(row_of, start=len(fired)):
             sharing.setdefault(r, []).append(t)
@@ -459,9 +471,11 @@ def noisy_expected_probs(
     threads: int = 1,
 ) -> np.ndarray:
     """Trajectory-averaged basis-state distribution (channel average): each
-    trajectory's |amplitude|^2 added in trajectory order, chunk by chunk."""
+    trajectory's |amplitude|^2 added in trajectory order, chunk by chunk,
+    into a float64 vector the budget counts."""
+    blocks = _iter_blocks(circuit, cfg, precision, memory_budget, threads, 8 << circuit.num_qubits)
     acc = np.zeros(1 << circuit.num_qubits)
-    for states, row_of, _ in _iter_blocks(circuit, cfg, precision, memory_budget, threads):
+    for states, row_of, _ in blocks:
         for r in row_of:
             for lo, p in _squared_chunks(states[r]):
                 acc[lo : lo + p.size] += p

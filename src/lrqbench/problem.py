@@ -28,6 +28,17 @@ from .rng import derive_rng
 
 DEFAULT_BRUTEFORCE_LIMIT = 24
 _BLOCK_BITS = 16
+# basis indices are uint64, one bit per vertex
+_MAX_VERTICES = np.iinfo(np.uint64).bits
+
+
+def _check_vertex_count(n) -> None:
+    if not isinstance(n, int) or n < 2:
+        raise ValidationError(f"instance needs at least 2 vertices, got {n!r}")
+    if n > _MAX_VERTICES:
+        raise ValidationError(
+            f"instance has {n} vertices, but uint64 basis indices hold at most {_MAX_VERTICES}"
+        )
 
 
 def complete_edge_list(n: int) -> list[tuple[int, int]]:
@@ -52,8 +63,7 @@ class WmcInstance:
 
     def __post_init__(self) -> None:
         n = self.num_vertices
-        if not isinstance(n, int) or n < 2:
-            raise ValidationError(f"instance needs at least 2 vertices, got {n!r}")
+        _check_vertex_count(n)
         normalized = []
         for i, j, w in self.edges:
             i, j = int(i), int(j)
@@ -100,8 +110,7 @@ def generate_instance(n: int, seed: int) -> WmcInstance:
     Weights come from the "instance" stream keyed by (seed, n) and are
     assigned to edges in lexicographic order.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValidationError(f"instance needs at least 2 vertices, got {n!r}")
+    _check_vertex_count(n)
     pairs = complete_edge_list(n)
     weights = derive_rng(seed, "instance", n).random(len(pairs))
     edges = [(i, j, float(w)) for (i, j), w in zip(pairs, weights)]

@@ -42,8 +42,9 @@ The compute time of a cost layer (building its ``_CostPhase`` and the
 slowest slab's multiply), or of a stretch of local H and RX gates, goes
 on the row of its first gate; its other rows carry zeros, as
 do the folded H gates.  An exception in any task aborts the run.  The
-memory budget covers the state and each worker's executor scratch
-(``engine._run_scratch_bytes``), which also bounds a leg's buffer.
+memory budget covers the state, the gate list and each worker's executor
+scratch (``engine._scratch_bytes``), which also bounds a leg's buffer; a
+sweep checks the state and the gate list before it builds a circuit.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .circuit import CircuitIR, CostLayer, LrQaoaParams, build_circuit
+from .circuit import CircuitIR, CostLayer, LrQaoaParams, build_circuit, gate_counts
 from .engine import (
     _GATE_BLOCK_BITS,
     Precision,
@@ -68,7 +69,9 @@ from .engine import (
     _apply_gate_run,
     _CostPhase,
     _fold_h,
-    _run_scratch_bytes,
+    _gate_list_bytes,
+    _scratch_bytes,
+    check_memory,
     zero_state,
 )
 from .errors import AbortedRunError, ValidationError
@@ -254,8 +257,10 @@ def run_circuit_sharded(
     plan: ShardPlan,
     precision: Precision | str = Precision.FP32,
     memory_budget: int | None = None,
+    shots: int = 0,
 ) -> tuple[StateVector, TimingRecord]:
     """Run the gate list across shards; returns the full state plus timings.
+    The budget counts ``shots`` draws from the state, as ``run_circuit``'s.
 
     A single-shard plan makes the dense engine's executor calls, in its
     order, on the calling thread: bit-identical amplitudes.
@@ -267,7 +272,8 @@ def run_circuit_sharded(
         )
     start, layers = _layer_plan(circuit, plan, precision.dtype)
     workers = _workers(plan)
-    scratch = _run_scratch_bytes(plan.nq, precision, workers)
+    scratch = max(_scratch_bytes(plan.nq, precision, workers, shots))
+    scratch += _gate_list_bytes(len(circuit.gates))
     sv = zero_state(plan.nq, precision, memory_budget, scratch)
     rows = sv.amps.reshape(plan.num_shards, plan.shard_len)
     slab = sv.amps.size // workers
@@ -366,17 +372,25 @@ class SweepConfig:
 
 def scaling_sweep(cfg: SweepConfig) -> list[TimingRecord]:
     params = LrQaoaParams(p=cfg.p, delta_beta=cfg.delta_beta, delta_gamma=cfg.delta_gamma)
+    precision = Precision.coerce(cfg.precision)
+
+    def circuit_for(nq: int) -> CircuitIR:
+        inst = generate_instance(nq, cfg.seed)
+        # the depth sets the gate list's size: refused before it is built
+        gate_list = _gate_list_bytes(sum(gate_counts(nq, cfg.p)))
+        check_memory(nq, precision, cfg.memory_budget, scratch=gate_list)
+        return build_circuit(inst, params)
+
     runs: list[tuple[CircuitIR, ShardPlan]] = []
     if cfg.mode == "strong":
-        circuit = build_circuit(generate_instance(cfg.nq, cfg.seed), params)
+        circuit = circuit_for(cfg.nq)
         for count in cfg.shard_counts:
             runs.append((circuit, plan_for_shard_count(cfg.nq, count)))
     else:
         for nq in cfg.nq_values:
             if nq < cfg.nq_local:
                 raise ValidationError(f"nq={nq} below nq_local={cfg.nq_local}")
-            circuit = build_circuit(generate_instance(nq, cfg.seed), params)
-            runs.append((circuit, plan_shards(nq, cfg.nq_local)))
+            runs.append((circuit_for(nq), plan_shards(nq, cfg.nq_local)))
     records = []
     for circuit, plan in runs:
         for _ in range(cfg.repeat):

@@ -189,18 +189,61 @@ def test_memory_bytes_below_one_is_rejected(tmp_path, instance_path, command, bu
         argv = ("simulate", "--instance", instance_path, "--out", out, "--p", 1)
     else:
         argv = ("bench", "--nq", 6, "--shards", 1, "--p", 1, "--out", out)
-    assert run_cli(*argv, "--memory-bytes", budget) == 2
-    assert "--memory-bytes" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--memory-bytes", budget)
+    assert exc.value.code == 2
+    assert "argument --memory-bytes" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-5"])
-def test_bad_memory_budget_variable_is_rejected(tmp_path, instance_path, value, monkeypatch, capsys):
-    monkeypatch.setenv("LRQBENCH_MEMORY_BYTES", value)
+def test_replay_ignores_a_budget_in_the_environment(tmp_path, monkeypatch):
+    # the budget is argv's or the default, both of which the manifest holds
+    inst, out = tmp_path / "inst.json", tmp_path / "r.json"
+    assert run_cli("gen", "--n", 10, "--out", inst) == 0
+    assert run_cli("simulate", "--instance", inst, "--out", out) == 0
+    monkeypatch.setenv("LRQBENCH_MEMORY_BYTES", "100000")
+    assert run_cli("replay", tmp_path / "r.json.manifest.json") == 0
+
+
+BIG = 1 << 64
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--shots", BIG),
+        ("--shots", BIG, "--shards", 2),
+        ("--p", BIG),
+        ("--mode", "noisy", "--trajectories", BIG),
+        ("--mode", "noisy", "--shots", BIG, "--threads", 2),
+        ("--mode", "noisy", "--ideal-shots", BIG),
+    ],
+    ids=["shots", "sharded-shots", "p", "trajectories", "noisy-shots", "ideal-shots"],
+)
+def test_counts_over_the_budget_exit_3_before_the_work(tmp_path, instance_path, extra, capsys):
     out = tmp_path / "r.json"
-    assert run_cli("simulate", "--instance", instance_path, "--out", out, "--p", 1) == 2
-    assert "LRQBENCH_MEMORY_BYTES" in capsys.readouterr().err
+    assert run_cli("simulate", "--instance", instance_path, "--out", out, *extra) == 3
+    assert "capacity error" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["inst.json", "inst.json.manifest.json"]
+
+
+def test_bench_depth_over_the_budget_exits_3(tmp_path):
+    out = tmp_path / "b.csv"
+    assert run_cli("bench", "--nq", 4, "--shards", 1, "--p", BIG, "--out", out) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", "--n", 65), ("gen", "--n", BIG), ("bench", "--nq", 65), ("bench", "--nq", BIG)],
+)
+def test_vertex_counts_beyond_uint64_indices_exit_2(tmp_path, argv, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 2
+    assert "at most 64" in capsys.readouterr().err
+    assert not out.exists()
+    # 64 vertices still index: the instance is written, unsolved
+    assert run_cli("gen", "--n", 64, "--out", tmp_path / "i64.json") == 0
 
 
 def test_simulate_noisy_rejects_zero_threads(tmp_path, instance_path):

@@ -22,6 +22,7 @@ from lrqbench import (
     ValidationError,
     build_circuit,
     exact_expected_r,
+    gate_counts,
     generate_instance,
     load_instance,
     run_circuit,
@@ -435,18 +436,20 @@ def test_noiseless_pipeline_peaks_within_its_budget(tmp_path, precision):
     n = 17
     path = tmp_path / "inst.json"
     save_instance(solve_instance(generate_instance(n, 5)), path)
-    need = state_bytes(n, precision) + engine._run_scratch_bytes(n, precision)
+    need = state_bytes(n, precision) + max(engine._scratch_bytes(n, precision, shots=100))
+    need += engine._gate_list_bytes(sum(gate_counts(n, 1)))
 
     def pipeline():
         inst = load_instance(path)
-        sv = run_circuit(build_circuit(inst, LrQaoaParams(p=1)), precision, need)
-        sample(sv, 100, 1)
+        sv = run_circuit(build_circuit(inst, LrQaoaParams(p=1)), precision, need, 100)
+        sample(sv, 100, 1).bitstrings()
         exact_expected_r(sv, inst)
         sv.norm_squared()
 
     assert state_bytes(n, precision) < traced_peak(pipeline) <= need
+    circ = build_circuit(load_instance(path), LrQaoaParams(p=1))
     with pytest.raises(CapacityError):
-        run_circuit(build_circuit(load_instance(path), LrQaoaParams(p=1)), precision, need - 1)
+        run_circuit(circ, precision, need - 1, 100)
 
 
 def test_run_tail_allocates_nothing_of_state_size():
@@ -464,14 +467,15 @@ def test_run_tail_allocates_nothing_of_state_size():
 
         peaks.append(traced_peak(tail))
     assert peaks[1] - peaks[0] < 1 << 12
-    assert peaks[0] <= engine._run_scratch_bytes(17, Precision.FP32)
+    assert peaks[0] <= engine._scratch_bytes(17, Precision.FP32, shots=100)[1]
 
 
 def test_sharded_run_budgets_its_exchange_legs():
     plan = plan_for_shard_count(17, 2)
     circ = build_circuit(generate_instance(17, 5), LrQaoaParams(p=1))
     workers = _workers(plan)
-    need = state_bytes(17, Precision.FP32) + engine._run_scratch_bytes(17, Precision.FP32, workers)
+    need = state_bytes(17, Precision.FP32) + engine._gate_list_bytes(len(circ.gates))
+    need += max(engine._scratch_bytes(17, Precision.FP32, workers))
     peak = traced_peak(lambda: run_circuit_sharded(circ, plan, "fp32", need))
     assert state_bytes(17, Precision.FP32) < peak <= need
     with pytest.raises(CapacityError):
@@ -483,22 +487,19 @@ def test_state_bytes():
     assert state_bytes(3, Precision.FP64) == 128
 
 
-def test_capacity_error_names_requirement(monkeypatch):
-    monkeypatch.delenv("LRQBENCH_MEMORY_BYTES", raising=False)
+def test_capacity_error_names_requirement():
     with pytest.raises(CapacityError, match=r"68719476736 bytes \(64\.0 GiB\)"):
         check_memory(33, Precision.FP32)
 
 
-def test_memory_budget_env_override(monkeypatch):
-    monkeypatch.setenv("LRQBENCH_MEMORY_BYTES", str(1 << 20))
+def test_run_budget_counts_the_shots_to_be_drawn():
+    # a million draws hold far more than the run's other scratch
+    circ = build_circuit(generate_instance(12, 5), LrQaoaParams(p=1))
+    need = state_bytes(12, Precision.FP32) + engine._gate_list_bytes(len(circ.gates))
+    need += max(engine._scratch_bytes(12, Precision.FP32, shots=10**6))
+    run_circuit(circ, "fp32", need, 10**6)
     with pytest.raises(CapacityError):
-        zero_state(18, "fp64")  # 4 MiB
-    check_memory(16, Precision.FP32)  # 512 KiB fits
-
-
-def test_explicit_budget_beats_env(monkeypatch):
-    monkeypatch.setenv("LRQBENCH_MEMORY_BYTES", "1")
-    check_memory(10, Precision.FP32, budget=1 << 20)
+        run_circuit(circ, "fp32", need, 10**6 + 1)
 
 
 def test_dump_roundtrip(tmp_path):

@@ -7,10 +7,13 @@ exit-0 run must write no NaN or Infinity, and its manifest must replay.
 Flags take valid values and the edge values 0, -1, 2^64, 1e308, 5e307,
 nan and inf.  2^64 goes to every flag that bounds its value (seeds, the
 memory budget, the shard, thread, local-qubit, solve and subsample
-limits, and ``hqc``'s counts, which only enter a formula), but not to the
-flags that set an amount of work (vertices, depth, shots, trajectories,
-pool sizes, repeats): 2^64 of those is a run no bounded test can wait
-for.
+limits, and ``hqc``'s counts, which only enter a formula), and to the
+counts that set an amount of memory (vertices, depth, shots,
+trajectories and ideal shots), which the index width or the memory
+budget refuses before anything is built.  It does not go to the counts
+that set only time or run without a budget (``bench --repeat``, and
+``classify``'s repeats and pool sizes): 2^64 of those is a run no bounded
+test can wait for.
 """
 
 import json
@@ -59,7 +62,7 @@ def optional(rng, argv, flag, normal, edge=(), p=0.4):
 
 
 def gen_argv(rng, d):
-    argv = ["gen", "--n", pick(rng, (2, 4, 6), EDGE_INTS), "--out", f"{d['out']}/i.json"]
+    argv = ["gen", "--n", pick(rng, (2, 4, 6), (*EDGE_INTS, BIG)), "--out", f"{d['out']}/i.json"]
     optional(rng, argv, "--solve-limit", (3, 24), (*EDGE_INTS, BIG))
     optional(rng, argv, "--seed", (0, 5, (1 << 64) - 1), (*EDGE_INTS, BIG))
     return argv
@@ -68,19 +71,19 @@ def gen_argv(rng, d):
 def simulate_argv(rng, d):
     inst = d["inst"] if rng.random() < 0.8 else d["unsolved"]
     argv = ["simulate", "--instance", inst, "--out", f"{d['out']}/r.json"]
-    optional(rng, argv, "--p", (1, 2, 3), EDGE_INTS)
+    optional(rng, argv, "--p", (1, 2, 3), (*EDGE_INTS, BIG))
     for flag in ("--delta", "--delta-beta", "--delta-gamma"):
         optional(rng, argv, flag, (0.1, 0.2, 0.9), EDGE_FLOATS, p=0.3)
-    optional(rng, argv, "--shots", (1, 20), EDGE_INTS)
+    optional(rng, argv, "--shots", (1, 20), (*EDGE_INTS, BIG))
     optional(rng, argv, "--precision", ("fp32", "fp64"))
     optional(rng, argv, "--memory-bytes", (3000, 10**9), (*EDGE_INTS, BIG), p=0.2)
     optional(rng, argv, "--seed", (0, 3), (*EDGE_INTS, BIG))
     if rng.random() < 0.5:
         argv += ["--mode", "noisy"]
         optional(rng, argv, "--epsilon", (0.0, 0.01, 0.3), EDGE_FLOATS, p=0.7)
-        optional(rng, argv, "--trajectories", (1, 3, 7), EDGE_INTS, p=0.6)
+        optional(rng, argv, "--trajectories", (1, 3, 7), (*EDGE_INTS, BIG), p=0.6)
         optional(rng, argv, "--threads", (1, 2, 3), (*EDGE_INTS, BIG), p=0.5)
-        optional(rng, argv, "--ideal-shots", (5, 30), EDGE_INTS, p=0.2)
+        optional(rng, argv, "--ideal-shots", (5, 30), (*EDGE_INTS, BIG), p=0.2)
     else:
         optional(rng, argv, "--shards", (1, 2, 4), (*EDGE_INTS, BIG), p=0.5)
         if rng.random() < 0.2:
@@ -106,9 +109,9 @@ def classify_argv(rng, d):
 
 
 def bench_argv(rng, d):
-    argv = ["bench", "--out", f"{d['out']}/b.csv", "--p", pick(rng, (1, 2), EDGE_INTS)]
+    argv = ["bench", "--out", f"{d['out']}/b.csv", "--p", pick(rng, (1, 2), (*EDGE_INTS, BIG))]
     if rng.random() < 0.6:
-        argv += ["--nq", pick(rng, (4, 5), EDGE_INTS)]
+        argv += ["--nq", pick(rng, (4, 5), (*EDGE_INTS, BIG))]
         optional(rng, argv, "--shards", ("1,2", "2", "1,2,4"), (*EDGE_INTS, BIG, "1,3"), p=0.6)
     else:
         argv += ["--mode", "size", "--nq-range", pick(rng, ("4:5", "5"), ("6:4", "x"))]
@@ -194,8 +197,7 @@ def check_argv(argv, out: Path) -> None:
     shutil.rmtree(out)
 
 
-def test_cli_fuzz(inputs, tmp_path, monkeypatch):
-    monkeypatch.delenv("LRQBENCH_MEMORY_BYTES", raising=False)
+def test_cli_fuzz(inputs, tmp_path):
     d = {**inputs, "out": str(tmp_path / "out")}
     rng = np.random.default_rng(SEED)
     argvs = [[a.format(**d) for a in argv] for argv in REGRESSIONS]

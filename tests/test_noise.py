@@ -1,4 +1,5 @@
 import cmath
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,10 +33,12 @@ from lrqbench import (
 )
 from lrqbench.engine import (
     _GATE_BLOCK_BITS,
-    _REDUCTION_CHUNK,
     _apply_cost_layer,
     _apply_gate_run,
     _cost_layer_bytes,
+    _gate_list_bytes,
+    _scratch_bytes,
+    _shot_bytes,
     state_bytes,
 )
 from lrqbench.noise import (
@@ -240,29 +243,48 @@ def test_correction_scratch_is_what_check_memory_counts(precision):
     )
 
 
-def noisy_budget(n: int, p: int, blocks: int, workers: int) -> int:
-    """Bytes ``_prepare`` counts for an fp32 ensemble of a depth-p circuit:
-    ``blocks`` states in flight, the sign table, one phase table per cost
-    layer (not one state), each worker's cost-layer pieces and correction
-    scratch, and a tail of the sampler's two chunks, its running totals and
-    the mean's vector."""
-    phase, pieces = _cost_layer_bytes(n, Precision.FP32)
+def noisy_budget(circ, blocks: int, workers: int, shots: int = 0) -> int:
+    """Bytes ``_prepare`` counts for an fp32 ensemble of ``circ``: ``blocks``
+    states in flight; the dense engine's gate list and scratch bound, the
+    larger of executor and tail for one worker and both for more; the sign
+    table, the phase tables of the cost layers after the first (the
+    executor bound holds one), each worker's correction scratch, and
+    ``shots`` draws."""
+    n = circ.num_qubits
+    executor, tail = _scratch_bytes(n, Precision.FP32, workers)
     correction = _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype)
-    chunks = -(-(1 << n) // _REDUCTION_CHUNK)
-    tail = 8 * (2 * min(1 << n, _REDUCTION_CHUNK) + 2 * chunks + (1 << n))
     return (
         blocks * state_bytes(n, Precision.FP32)
+        + (max(executor, tail) if workers == 1 else executor + tail)
+        + _gate_list_bytes(len(circ.gates))
         + _sign_table(n).nbytes
-        + p * phase
-        + workers * (pieces + correction)
-        + tail
+        + (circ.p - 1) * _cost_layer_bytes(n, Precision.FP32)[0]
+        + workers * correction
+        + _shot_bytes(n, shots)
     )
+
+
+def counted(run) -> int:
+    """The bytes a run's memory check counts, as it names them when the
+    run is refused."""
+    with pytest.raises(CapacityError) as exc:
+        run(1)
+    return int(re.search(r"needs (\d+) bytes", str(exc.value)).group(1))
+
+
+def traced_peak(fn):
+    """``fn``'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_prepare_budgets_the_sign_table_and_correction_scratch():
     n = 6
     circ = build_circuit(generate_instance(n, 3), LrQaoaParams(p=2))
-    need = noisy_budget(n, 2, blocks=6 * 4, workers=3)  # six blocks of four in flight
+    need = noisy_budget(circ, blocks=6 * 4, workers=3)  # six blocks of four in flight
     _prepare(circ, Precision.FP32, need, rows=4, workers=3)
     with pytest.raises(CapacityError):
         _prepare(circ, Precision.FP32, need - 1, rows=4, workers=3)
@@ -275,13 +297,8 @@ def test_noisy_ensemble_peaks_within_its_budget():
     n = 20
     circ = build_circuit(generate_instance(n, 5), LrQaoaParams(p=3))
     cfg = DepolarizingConfig(0.05, trajectories=2, rng_seed=3)
-    need = noisy_budget(n, 3, blocks=1, workers=1)
-    tracemalloc.start()
-    try:
-        shots = run_noisy_ensemble(circ, cfg, 10, "fp32", need)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    need = noisy_budget(circ, blocks=1, workers=1, shots=2 * 10)
+    shots, peak = traced_peak(lambda: run_noisy_ensemble(circ, cfg, 10, "fp32", need))
     assert shots.paulis_fired.min() > 0  # both trajectories take their own row
     assert state_bytes(n, Precision.FP32) < peak < 3 * state_bytes(n, Precision.FP32)
     assert peak <= need
@@ -289,13 +306,45 @@ def test_noisy_ensemble_peaks_within_its_budget():
         run_noisy_ensemble(circ, cfg, 10, "fp32", need - 1)
 
 
-def test_prepare_fits_three_cost_layers_at_n27_in_the_default_budget(monkeypatch):
-    # 1 GiB for the block and 1 GiB for the mean's float64 vector; a
-    # state-sized phase per cost layer would need 3 GiB more
-    monkeypatch.delenv("LRQBENCH_MEMORY_BYTES", raising=False)
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_noisy_peak_stays_within_its_count_on_threads(n, threads):
+    # two trajectories that both fire; on two threads each runs its own
+    # block while the consumer samples the other's
+    circ = build_circuit(generate_instance(n, 5), LrQaoaParams(p=3))
+    cfg = DepolarizingConfig(0.05, trajectories=2, rng_seed=3)
+
+    def run(budget):
+        return run_noisy_ensemble(circ, cfg, 10, "fp32", budget, threads)
+
+    need = counted(run)
+    shots, peak = traced_peak(lambda: run(need))
+    assert shots.paulis_fired.min() > 0
+    assert peak <= need
+    with pytest.raises(CapacityError):
+        run(need - 1)
+
+
+def test_prepare_fits_three_cost_layers_at_n27_in_the_default_budget():
+    # 1 GiB for the block; a state-sized phase per cost layer would need
+    # 3 GiB more
     circ = build_circuit(generate_instance(27, 1), LrQaoaParams(p=3))
     ens = _prepare(circ, Precision.FP32, None)
     assert sum(phase is not None for phase in ens.phases) == 3
+
+
+def test_default_budget_admits_noisy_shots_at_n28_but_not_the_channel_average():
+    # the shots' ensemble holds one 2 GiB block and about 40 MB besides; the
+    # channel average also holds its float64 mean, 2 GiB more
+    circ = build_circuit(generate_instance(28, 1), LrQaoaParams(p=3))
+
+    def check():
+        _prepare(circ, Precision.FP32, None, held=_shot_bytes(28, 100))
+        with pytest.raises(CapacityError):
+            noisy_expected_probs(circ, DepolarizingConfig(0.01, trajectories=1))
+
+    _, peak = traced_peak(check)
+    assert peak < state_bytes(28, Precision.FP32) // 64  # nothing of state size
 
 
 def per_trajectory_reference(circ, cfg, precision, shots):
