@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__
 from .circuit import LrQaoaParams, build_circuit, gate_counts, hqc_cost
 from .engine import (
+    DEFAULT_MEMORY_BUDGET,
     Precision,
     _gate_list_bytes,
     check_memory,
@@ -55,6 +56,7 @@ from .files import write_output
 from .noise import DepolarizingConfig, epsilon_accumulated, fit_k0, r_overlap, run_noisy_ensemble
 from .problem import (
     DEFAULT_BRUTEFORCE_LIMIT,
+    _check_vertex_count,
     approximation_ratio,
     generate_instance,
     load_instance,
@@ -71,7 +73,13 @@ from .sharded import (
     scaling_sweep,
     write_timing_csv,
 )
-from .stats import ResampleConfig, classify, kde_curve, uniform_sampler
+from .stats import (
+    ResampleConfig,
+    _resample_bytes,
+    classify,
+    kde_curve,
+    uniform_sampler,
+)
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
@@ -261,6 +269,17 @@ def _cmd_simulate(args) -> int:
         cfg = DepolarizingConfig(
             epsilon=args.epsilon, trajectories=args.trajectories, rng_seed=args.seed
         )
+        if solved:
+            # the ideal baseline first, its state and shots dropped before the
+            # ensemble runs, so neither run holds the other's memory
+            ideal_sv = run_circuit(circuit, args.precision, args.memory_bytes, args.ideal_shots or 0)
+            if args.ideal_shots is None:
+                r_ideal = exact_expected_r(ideal_sv, inst)
+            else:
+                ideal_set = sample(ideal_sv, args.ideal_shots, derive_seed(args.seed, "ideal"))
+                r_ideal = approximation_ratio(inst, ideal_set)
+                del ideal_set
+            del ideal_sv
         shots = run_noisy_ensemble(
             circuit,
             cfg,
@@ -271,17 +290,7 @@ def _cmd_simulate(args) -> int:
         )
         mean_r = ovl = None
         if solved:
-            # the ensemble's shots are held while the ideal ones are drawn
-            held = args.trajectories * args.shots + (args.ideal_shots or 0)
-            ideal_sv = run_circuit(circuit, args.precision, args.memory_bytes, held)
             mean_r = approximation_ratio(inst, shots)
-            if args.ideal_shots is None:
-                r_ideal = exact_expected_r(ideal_sv, inst)
-            else:
-                ideal_set = sample(
-                    ideal_sv, args.ideal_shots, derive_seed(args.seed, "ideal")
-                )
-                r_ideal = approximation_ratio(inst, ideal_set)
             r_random = random_baseline_expectation(inst)
             ovl = r_overlap(mean_r, r_random, r_ideal)
             payload.update({"r_ideal": r_ideal, "r_random": r_random})
@@ -319,6 +328,15 @@ def _cmd_classify(args) -> int:
         raise ValidationError(
             f"random pool of {args.random_pool_size} is too small for "
             f"n_s={args.n_s}; need at least {10 * args.n_s}"
+        )
+    # refused before the pool or the means are allocated
+    need = _resample_bytes(
+        inst.num_vertices, args.random_pool_size, args.repeats, args.kde_out is not None
+    )
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise CapacityError(
+            f"a random pool of {args.random_pool_size} shots and {args.repeats} repeats "
+            f"need {need} bytes, budget is {DEFAULT_MEMORY_BUDGET} bytes"
         )
     qpu_r = shot_ratios(inst, bitstrings)
     random_pool = shot_ratios(
@@ -369,6 +387,10 @@ def _parse_range(text: str) -> tuple[int, ...]:
             lo, hi = (int(tok) for tok in text.split(":"))
         except ValueError as exc:
             raise ValidationError(f"bad range {text!r}, expected LO:HI") from exc
+        if lo <= hi:
+            # the sweep's sizes are bounded before the range is built
+            _check_vertex_count(lo)
+            _check_vertex_count(hi)
         return tuple(range(lo, hi + 1))
     return _parse_int_list(text)
 

@@ -37,12 +37,41 @@ held and a shard gets the dense bits.
 
 Every circuit opens with an H on each qubit of |0...0>, which leaves
 every amplitude equal to x = (...((1 * inv) * inv)...) * inv, n products
-with inv = 1/sqrt(2) rounded in the state's precision.  The executors
-fold that layer: the state starts filled with x instead of running the
-H gates, with the same bits (``_fold_h``).  The circuit keeps its H
-gates; only the executed layer view drops them.  The same executors serve the noisy and
-sharded engines.  Nothing ever renormalizes, so global phase and
-accumulated rounding stay visible.
+with inv = 1/sqrt(2) rounded in the state's precision.  The executed
+layer view, ``_layer_plan``, folds that layer: the state starts filled
+with x instead of running the H gates, with the same bits.  The circuit
+keeps its H gates; only the executed view drops them.  The same view and
+executors serve the noisy engine.  Nothing ever renormalizes, so global
+phase and accumulated rounding stay visible.
+
+Dense and sharded runs go through one step loop, ``_run_steps``.  Its
+top n - nq_local qubits are global: the state splits into shards of
+2^nq_local amplitudes, shard s owning the indices whose top bits equal
+s, and a dense run is the case nq_local = n, one shard.  A step of the
+layer view is a cost layer, a stretch of H and RX gates on local
+qubits, or one gate on a global qubit g, which runs as its stand-in on
+the top local qubit nq_local - 1.  Every step calls an executor once per
+slab, one of ``workers`` contiguous ranges of the state (a power of two
+up to the shard count, so a slab is a whole number of shards and splits
+evenly on every local bit); a cost layer multiplies each slab's index
+range, from its offset, by one read-only ``_CostPhase`` built when the
+layer is due.  Both executors give an index the same bits whatever range
+computes it, so the slabs never change the state.  Around a stand-in, a
+swap leg (``_swap_halves``) pairs shard s (bit g - nq_local clear) with
+shard s | 2^(g - nq_local) and trades the upper half of the first for
+the lower half of the second, two contiguous runs of half a shard,
+which transposes qubit g with the top local qubit; a second leg swaps
+back.  A leg is one task per worker over a strided share of the pairs,
+copied piece by piece through one buffer of at most 2^14 amplitudes.
+With several workers a step maps its tasks on a thread pool of that size
+and the map returning is the barrier; with one, the tasks run in order
+on the calling thread.  No task waits on another, and the tasks of one
+step touch disjoint amplitudes, so results cannot depend on scheduling.
+An exception in any task aborts the run (``AbortedRunError``).  The loop
+times every step: compute is the slowest slab's span (with the build of
+a cost layer's ``_CostPhase``), exchange sums over the legs the slowest
+worker's share, and the amplitudes exchanged are the halves the outward
+leg copies.
 
 The tail of a run streams over the final state: ``norm_squared``,
 ``exact_expected_r`` and ``sample`` read |amplitude|^2 in float64 one
@@ -62,18 +91,21 @@ scratch (``_scratch_bytes``), which the noisy engine adds to.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import math
 import os
 import struct
-from dataclasses import dataclass
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .circuit import CircuitIR, CostLayer, GateOp
-from .errors import CapacityError, ValidationError
+from .errors import AbortedRunError, CapacityError, ValidationError
 from .files import write_output
 from .problem import (
     _BLOCK_BITS,
@@ -404,25 +436,42 @@ def _apply_cost_layer(amps: np.ndarray, phase: _CostPhase, offset: int = 0) -> N
         np.multiply(piece if size > 1 else piece.copy(), rounded[:size], out=piece)
 
 
-def _fold_h(circuit: CircuitIR, dtype: np.dtype = np.complex64):
-    """The executed layer view: ``CircuitIR.layers`` with a leading H layer
-    folded.
+def _layer_plan(circuit: CircuitIR, nq_local: int, dtype: np.dtype = np.complex64):
+    """The executed layer view: the start amplitude (None when the H layer
+    does not fold) and the (step, global qubit or None) of every step in
+    execution order.
 
     A circuit that opens with exactly one H per qubit, followed by a cost
-    layer, returns ``_plus_amplitude`` in ``dtype`` (the amplitude those
-    gates leave everywhere on |0...0>, which the state starts filled with)
-    and the layers after the H run.  Any other circuit returns None and
-    all of its layers.
+    layer, starts as ``_plus_amplitude`` in ``dtype`` (the amplitude those
+    gates leave everywhere on |0...0>, which the state starts filled
+    with), and those gates take no step; any other circuit runs all of
+    its layers.  A step is a cost layer, or a tuple of H/RX gates every
+    slab runs with ``_apply_gate_run``: a stretch of consecutive gates on
+    qubits below ``nq_local``, or one gate on a global qubit as its
+    stand-in on the top local qubit, which the swap legs trade with the
+    global qubit and back.  With ``nq_local`` = n the steps are
+    ``CircuitIR.layers`` after the folded H layer.
     """
     runs = circuit.layers()
     n = circuit.num_qubits
+    start = None
     if (
         len(runs) > 1
         and isinstance(runs[1], CostLayer)
         and sorted((g.kind, g.qubits[0]) for g in runs[0]) == [("H", q) for q in range(n)]
     ):
-        return _plus_amplitude(n, dtype), runs[1:]
-    return None, runs
+        start, runs = _plus_amplitude(n, dtype), runs[1:]
+    steps = []
+    for op in runs:
+        if isinstance(op, CostLayer):
+            steps.append((op, None))
+            continue
+        for local, gates in itertools.groupby(op, key=lambda g: g.qubits[0] < nq_local):
+            if local:
+                steps.append((tuple(gates), None))
+            else:
+                steps.extend(((replace(g, qubits=(nq_local - 1,)),), g.qubits[0]) for g in gates)
+    return start, steps
 
 
 def _cost_layer_bytes(num_qubits: int, precision: Precision) -> tuple[int, int]:
@@ -490,6 +539,100 @@ def _gate_list_bytes(gates: int) -> int:
     return 320 * gates
 
 
+def _timed(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def _swap_halves(rows: np.ndarray, lows: list[int], bit: int) -> tuple[float, int]:
+    """Trade the upper half of each shard s in ``lows`` for the lower half of
+    shard s | bit, which transposes the pair's global qubit with the top
+    local qubit (a swap is its own inverse), piece by piece through one
+    buffer of at most 2^(_GATE_BLOCK_BITS - 1) amplitudes.  Returns the
+    seconds taken and the amplitudes that changed shards."""
+    t0 = time.perf_counter()
+    h = rows.shape[1] // 2
+    held = np.empty(min(h, 1 << (_GATE_BLOCK_BITS - 1)), rows.dtype)
+    for s in lows:
+        mine, theirs = rows[s, h:], rows[s | bit, :h]
+        for lo in range(0, h, held.size):
+            part = slice(lo, lo + held.size)
+            held[...] = mine[part]
+            mine[part] = theirs[part]
+            theirs[part] = held
+    return time.perf_counter() - t0, 2 * h * len(lows)
+
+
+def _run_steps(
+    circuit: CircuitIR,
+    nq_local: int,
+    precision: Precision | str,
+    memory_budget: int | None,
+    shots: int,
+    workers: int = 1,
+) -> tuple[StateVector, float, list[tuple[int, float, float, int]]]:
+    """Evolve |0...0> through ``_layer_plan(circuit, nq_local)`` on
+    ``workers`` slabs, the qubits from ``nq_local`` up global.  The budget
+    covers the state, the gate list and ``_scratch_bytes``, with ``shots``
+    draws the caller takes from the result or holds beside it.
+
+    Returns the state, the seconds from its allocation to the end of the
+    last step, and per step its gate count, compute and exchange seconds
+    and the amplitudes it exchanged.
+    """
+    precision = Precision.coerce(precision)
+    n = circuit.num_qubits
+    start, steps = _layer_plan(circuit, nq_local, precision.dtype)
+    scratch = max(_scratch_bytes(n, precision, workers, shots)) + _gate_list_bytes(len(circuit.gates))
+    sv = zero_state(n, precision, memory_budget, scratch)
+    rows = sv.amps.reshape(-1, 1 << nq_local)
+    slab = sv.amps.size // workers
+    slabs = range(0, sv.amps.size, slab)
+    timed = []
+
+    wall0 = time.perf_counter()
+    if start is not None:
+        sv.amps.fill(start)
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+
+        def each(fn, items) -> list:
+            # map's return is the barrier: no task waits on another
+            try:
+                return list((map if pool is None else pool.map)(fn, items))
+            except Exception as exc:
+                raise AbortedRunError(f"step task failed: {exc}") from exc
+
+        def swap(g: int) -> tuple[float, int]:
+            """One leg over the pairs of shards that differ in global qubit g, a
+            strided share per worker: the slowest worker's seconds, amplitudes moved."""
+            bit = 1 << (g - nq_local)
+            lows = [s for s in range(rows.shape[0]) if not s & bit]
+            legs = each(lambda w: _swap_halves(rows, lows[w::workers], bit), range(workers))
+            return max(t for t, _ in legs), sum(m for _, m in legs)
+
+        def compute(op) -> float:
+            """Run a step on every slab: the slowest slab's seconds.  A cost
+            layer's tables are built here when the layer is due, timed with
+            it, and dropped on return, so one layer's are alive at a time."""
+            if isinstance(op, CostLayer):
+                t0 = time.perf_counter()
+                phase = _CostPhase(op)
+                built = time.perf_counter() - t0
+                return built + max(each(lambda lo: _timed(_apply_cost_layer, sv.amps[lo : lo + slab], phase, lo), slabs))
+            return max(each(lambda lo: _timed(_apply_gate_run, sv.amps[lo : lo + slab], op), slabs))
+
+        for op, qubit in steps:
+            exchange_s, moved = (0.0, 0) if qubit is None else swap(qubit)
+            compute_s = compute(op)
+            if qubit is not None:
+                # the restore leg moves the same amplitudes home and is not counted
+                exchange_s += swap(qubit)[0]
+            size = len(op.gates) if isinstance(op, CostLayer) else len(op)
+            timed.append((size, compute_s, exchange_s, moved))
+    return sv, time.perf_counter() - wall0, timed
+
+
 def run_circuit(
     circuit: CircuitIR,
     precision: Precision | str = Precision.FP32,
@@ -497,22 +640,11 @@ def run_circuit(
     shots: int = 0,
 ) -> StateVector:
     """Evolve |0...0> through the circuit's layers (the IR includes its H
-    layer, which ``_fold_h`` folds into the start state).  The budget
+    layer, which ``_layer_plan`` folds into the start state): ``_run_steps``
+    with every qubit local, on one worker, the calling thread.  The budget
     covers the state, the gate list and ``_scratch_bytes``, with ``shots``
     draws the caller takes from the result or holds beside it."""
-    precision = Precision.coerce(precision)
-    n = circuit.num_qubits
-    scratch = max(_scratch_bytes(n, precision, shots=shots)) + _gate_list_bytes(len(circuit.gates))
-    sv = zero_state(n, precision, memory_budget, scratch)
-    start, runs = _fold_h(circuit, sv.amps.dtype)
-    if start is not None:
-        sv.amps.fill(start)
-    for op in runs:
-        if isinstance(op, CostLayer):
-            _apply_cost_layer(sv.amps, _CostPhase(op))
-        else:
-            _apply_gate_run(sv.amps, op)
-    return sv
+    return _run_steps(circuit, circuit.num_qubits, precision, memory_budget, shots)[0]
 
 
 # ---------------------------------------------------------------------------

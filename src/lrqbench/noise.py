@@ -15,7 +15,7 @@ on them from the layer's ``_CostPhase``, built once and shared by the
 threads; ``_prepare`` adds what only the ensemble holds to the dense
 engine's scratch bound.  Row 0 of a block follows
 the noiseless path, and starts as the amplitude of the folded H layer
-(``engine._fold_h``).  A trajectory gets its own row, a copy of row 0 after
+(``engine._layer_plan``).  A trajectory gets its own row, a copy of row 0 after
 the cost layer, only at the first cost layer where it fires a
 Pauli; trajectories that fire nothing share row 0's final state.  The
 shots of every trajectory that ends in one row come from one call of the
@@ -70,8 +70,8 @@ from .engine import (
     _cost_layer_bytes,
     _CostPhase,
     _draw_streamed,
-    _fold_h,
     _gate_list_bytes,
+    _layer_plan,
     _pairs,
     _scratch_bytes,
     _shot_bytes,
@@ -207,7 +207,8 @@ def _prepare(
     before asking for the next.
     """
     n, dtype = circuit.num_qubits, precision.dtype
-    start, layers = _fold_h(circuit, dtype)
+    start, steps = _layer_plan(circuit, n, dtype)
+    layers = [op for op, _ in steps]
     costs = [op for op in layers if isinstance(op, CostLayer)]
     widest = max((len(op.gates) for op in costs), default=0)
     signs = _sign_table(n)

@@ -1,80 +1,39 @@
-"""Sharded statevector execution with explicit exchange accounting.
+"""Shard plans, exchange accounting, timing records and scaling sweeps.
 
-The amplitude array splits into 2^(nq - nq_local) contiguous shards of
-2^nq_local amplitudes; shard s owns the basis states whose top bits equal
-s.  Shards shape only the exchange.  All of them are rows of one state
-array, and the circuit's layer view (``CircuitIR.layers``) is computed on
-``workers`` contiguous slabs of it, the largest power of two up to both
-the shard count and the CPUs the process may use, so a slab is a whole
-number of shards and splits evenly on every local bit.
+A plan splits the amplitudes into 2^(nq - nq_local) contiguous shards of
+2^nq_local; shard s owns the basis states whose top bits equal s.
+``run_circuit_sharded`` runs a plan through the engine's step loop
+(``engine._run_steps``, with its slabs, swap legs and barrier) on
+``_workers`` slabs, so the state is the dense engine's, bit for bit.
 
-The leading H layer is folded as in the dense engine: every amplitude
-starts as the one those gates leave, so they neither compute nor
-exchange, and ``exchange_volume`` reads the same folded layer view.
-Every other step calls a dense executor once per slab: a cost layer (a
-run of RZZ gates, diagonal, so it never exchanges) multiplies the slab's
-index range, from its offset, by one read-only ``_CostPhase`` built when
-the layer is due; a stretch of H and RX gates on local qubits is one
-one-qubit executor call.  Both executors give an index the same bits
-whatever range computes it, so the state is the dense engine's.
-
-A gate on a global qubit g runs as its stand-in on the top local qubit
-nq_local - 1.  A swap leg pairs shard s (bit g - nq_local clear) with
-shard s | 2^(g - nq_local) and trades the upper half of the first with
-the lower half of the second, two contiguous runs of L/2 amplitudes,
-which transposes qubit g with the top local qubit; the stand-in runs on
-every slab, and a second leg swaps back.  A leg is one task per worker
-over a strided share of the pairs, copied piece by piece through one
-buffer of at most 2^14 amplitudes.  One swap-apply-restore counts as a
-single exchange of L/2 amplitudes per shard (the restore leg moves the
-same amplitudes home), the convention on which the static
-``exchange_volume`` and the counters measured during a run agree.
-
-With several workers a step maps its tasks on a thread pool of that size
-and the map returning is the barrier; with one, the tasks run in order
-on the calling thread, so a 1-shard plan makes ``run_circuit``'s
-executor calls.  No task waits on another, and tasks of one step touch
-disjoint amplitudes, so results cannot depend on scheduling.  The timing
-record keeps one row per gate: compute is the slowest slab's span,
-exchange sums over the swap legs the slowest worker's share, and the
-amplitudes exchanged are counted from the halves the outward legs copy.
-The compute time of a cost layer (building its ``_CostPhase`` and the
-slowest slab's multiply), or of a stretch of local H and RX gates, goes
-on the row of its first gate; its other rows carry zeros, as
-do the folded H gates.  An exception in any task aborts the run.  The
-memory budget covers the state, the gate list and each worker's executor
-scratch (``engine._scratch_bytes``), which also bounds a leg's buffer; a
-sweep checks the state and the gate list before it builds a circuit.
+One swap-apply-restore counts as a single exchange of L/2 amplitudes per
+shard (the restore leg moves the same amplitudes home), the convention on
+which the static ``exchange_volume`` and the measured counters agree;
+both read the engine's layer view (``engine._layer_plan``), in which a
+folded H layer takes no step.  The timing record keeps one row per gate:
+a step's figures go on the row of its first gate, and its other rows
+carry zeros, as do the folded H gates.  The memory budget covers the
+state, the gate list and each worker's scratch (``engine._scratch_bytes``);
+a sweep checks the state and the gate list before it builds a circuit.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import itertools
 import os
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-import numpy as np
-
-from .circuit import CircuitIR, CostLayer, LrQaoaParams, build_circuit, gate_counts
+from .circuit import CircuitIR, LrQaoaParams, build_circuit, gate_counts
 from .engine import (
-    _GATE_BLOCK_BITS,
     Precision,
     StateVector,
-    _apply_cost_layer,
-    _apply_gate_run,
-    _CostPhase,
-    _fold_h,
     _gate_list_bytes,
-    _scratch_bytes,
+    _layer_plan,
+    _run_steps,
     check_memory,
-    zero_state,
 )
-from .errors import AbortedRunError, ValidationError
+from .errors import ValidationError
 from .problem import generate_instance
 
 
@@ -120,8 +79,8 @@ def exchange_volume(circuit: CircuitIR, plan: ShardPlan) -> int:
     Only the gates outside cost layers count; diagonal layers never
     exchange, and neither does a folded H layer, which never runs.
     """
-    _, layers = _layer_plan(circuit, plan)
-    moves = sum(qubit is not None for _, qubit in layers)
+    _, steps = _layer_plan(circuit, plan.nq_local)
+    moves = sum(qubit is not None for _, qubit in steps)
     return moves * plan.num_shards * (plan.shard_len // 2)
 
 
@@ -194,62 +153,12 @@ def write_timing_csv(records: Iterable[TimingRecord], fh: IO[str]) -> None:
 # execution
 
 
-def _layer_plan(circuit: CircuitIR, plan: ShardPlan, dtype: np.dtype = np.complex64):
-    """The folded start amplitude (None when the H layer does not fold, see
-    ``engine._fold_h``) and the (step, global qubit or None) of every step
-    in execution order.
-
-    A step is a cost layer, or a tuple of H/RX gates every slab runs with
-    ``_apply_gate_run``: a stretch of consecutive gates on local qubits,
-    or one gate on a global qubit as its stand-in on the top local qubit,
-    which the swap legs trade with the global qubit and back.  Folded H
-    gates take no step.
-    """
-    start, runs = _fold_h(circuit, dtype)
-    out = []
-    for op in runs:
-        if isinstance(op, CostLayer):
-            out.append((op, None))
-            continue
-        for local, gates in itertools.groupby(op, key=lambda g: g.qubits[0] < plan.nq_local):
-            if local:
-                out.append((tuple(gates), None))
-            else:
-                out.extend(((replace(g, qubits=(plan.nq_local - 1,)),), g.qubits[0]) for g in gates)
-    return start, out
-
-
 def _workers(plan: ShardPlan) -> int:
     """The slabs a run computes on: the largest power of two up to both the
     shard count and the CPUs the process may use (its affinity set, where
     the platform has one)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return 1 << (min(plan.num_shards, cpus).bit_length() - 1)
-
-
-def _timed(fn, *args) -> float:
-    t0 = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - t0
-
-
-def _swap_halves(rows: np.ndarray, lows: list[int], bit: int) -> tuple[float, int]:
-    """Trade the upper half of each shard s in ``lows`` for the lower half of
-    shard s | bit, which transposes the pair's global qubit with the top
-    local qubit (a swap is its own inverse), piece by piece through one
-    buffer of at most 2^(_GATE_BLOCK_BITS - 1) amplitudes.  Returns the
-    seconds taken and the amplitudes that changed shards."""
-    t0 = time.perf_counter()
-    h = rows.shape[1] // 2
-    held = np.empty(min(h, 1 << (_GATE_BLOCK_BITS - 1)), rows.dtype)
-    for s in lows:
-        mine, theirs = rows[s, h:], rows[s | bit, :h]
-        for lo in range(0, h, held.size):
-            part = slice(lo, lo + held.size)
-            held[...] = mine[part]
-            mine[part] = theirs[part]
-            theirs[part] = held
-    return time.perf_counter() - t0, 2 * h * len(lows)
 
 
 def run_circuit_sharded(
@@ -262,79 +171,27 @@ def run_circuit_sharded(
     """Run the gate list across shards; returns the full state plus timings.
     The budget counts ``shots`` draws from the state, as ``run_circuit``'s.
 
-    A single-shard plan makes the dense engine's executor calls, in its
-    order, on the calling thread: bit-identical amplitudes.
+    The run is ``engine._run_steps`` with the plan's local qubits on
+    ``_workers(plan)`` slabs, so a single-shard plan makes the dense
+    engine's executor calls, in its order, on the calling thread:
+    bit-identical amplitudes.  ``wall_seconds`` spans the steps, from
+    after the state is allocated.
     """
-    precision = Precision.coerce(precision)
     if circuit.num_qubits != plan.nq:
         raise ValidationError(
             f"circuit has {circuit.num_qubits} qubits but plan covers {plan.nq}"
         )
-    start, layers = _layer_plan(circuit, plan, precision.dtype)
-    workers = _workers(plan)
-    scratch = max(_scratch_bytes(plan.nq, precision, workers, shots))
-    scratch += _gate_list_bytes(len(circuit.gates))
-    sv = zero_state(plan.nq, precision, memory_budget, scratch)
-    rows = sv.amps.reshape(plan.num_shards, plan.shard_len)
-    slab = sv.amps.size // workers
-    slabs = range(0, sv.amps.size, slab)
-    gate_rows: list[GateTiming] = []
-
-    wall0 = time.perf_counter()
-    if start is not None:
-        # the folded H layer: rows start as its amplitude, and its gates
-        # keep their timing rows with nothing computed or exchanged
-        sv.amps.fill(start)
-        gate_rows.extend(GateTiming(q, "H", 0.0, 0.0, 0) for q in range(plan.nq))
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-
-        def each(fn, items) -> list:
-            # map's return is the barrier: no task waits on another
-            try:
-                return list((map if pool is None else pool.map)(fn, items))
-            except Exception as exc:
-                raise AbortedRunError(f"shard task failed: {exc}") from exc
-
-        def swap(g: int) -> tuple[float, int]:
-            """One leg over the pairs of shards that differ in global qubit g, a
-            strided share per worker: the slowest worker's seconds, amplitudes moved."""
-            bit = 1 << (g - plan.nq_local)
-            lows = [s for s in range(plan.num_shards) if not s & bit]
-            legs = each(lambda w: _swap_halves(rows, lows[w::workers], bit), range(workers))
-            return max(t for t, _ in legs), sum(m for _, m in legs)
-
-        def compute(op) -> float:
-            """Run a step on every slab: the slowest slab's seconds.  A cost
-            layer's tables are built here when the layer is due, timed with
-            it, and dropped on return, so one layer's are alive at a time."""
-            if isinstance(op, CostLayer):
-                t0 = time.perf_counter()
-                phase = _CostPhase(op)
-                built = time.perf_counter() - t0
-                return built + max(each(lambda lo: _timed(_apply_cost_layer, sv.amps[lo : lo + slab], phase, lo), slabs))
-            return max(each(lambda lo: _timed(_apply_gate_run, sv.amps[lo : lo + slab], op), slabs))
-
-        for op, qubit in layers:
-            # the step's first gate is the next timing row
-            idx, gates = len(gate_rows), op.gates if isinstance(op, CostLayer) else op
-            exchange_s, moved = (0.0, 0) if qubit is None else swap(qubit)
-            compute_s = compute(op)
-            if qubit is not None:
-                # the restore leg moves the same amplitudes home and is not counted
-                exchange_s += swap(qubit)[0]
-            gate_rows.append(GateTiming(idx, gates[0].kind, compute_s, exchange_s, moved))
-            gate_rows.extend(
-                GateTiming(idx + k, g.kind, 0.0, 0.0, 0) for k, g in enumerate(gates[1:], 1)
-            )
-
-    record = TimingRecord(
-        nq=plan.nq,
-        p=circuit.p,
-        num_shards=plan.num_shards,
-        wall_seconds=time.perf_counter() - wall0,
-        gates=gate_rows,
+    sv, wall, steps = _run_steps(
+        circuit, plan.nq_local, precision, memory_budget, shots, _workers(plan)
     )
-    return sv, record
+    # a step's figures go on the row of its first gate; its other gates and
+    # the folded H gates, which come first, keep zeros
+    gates = [GateTiming(i, g.kind, 0.0, 0.0, 0) for i, g in enumerate(circuit.gates)]
+    i = len(gates) - sum(size for size, *_ in steps)
+    for size, compute_s, exchange_s, moved in steps:
+        gates[i] = GateTiming(i, gates[i].kind, compute_s, exchange_s, moved)
+        i += size
+    return sv, TimingRecord(plan.nq, circuit.p, plan.num_shards, wall, gates)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .engine import ShotSet
 from .errors import ValidationError
-from .problem import WmcInstance
+from .problem import _BLOCK_BITS, WmcInstance
 from .rng import derive_rng, derive_seed
 
 
@@ -218,6 +218,28 @@ def kde_curve(
     z = (grid[:, None] - x[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * np.sqrt(2.0 * np.pi))
     return grid, density
+
+
+def _resample_bytes(num_vertices: int, pool_size: int, repeats: int, kde: bool) -> int:
+    """Bytes ``classify`` holds at most for a uniform pool of ``pool_size``
+    shots on ``num_vertices`` vertices, ``repeats`` subsamples of each
+    pool, and with ``kde`` the density of the means.
+
+    - A pool entry holds at most 64 bytes.  While its cut is evaluated
+      that is its uint64 index, its float64 ratio and the temporaries of
+      ``CutDiagonal.at`` (the blocks, ``np.unique``'s sort and inverse,
+      the offsets and the running sum), 57 bytes traced at n = 6 to 24.
+      Afterwards it is the ratio and the index range a subsample may draw
+      from, 16 bytes.
+    - Each distinct block the pool hits holds its ``block_terms`` in
+      ``CutDiagonal.at``, about 460 bytes traced at n = 30 to 64; 512 are
+      counted for each of at most min(pool, 2^(n - 16)) blocks.
+    - A repeat keeps a float64 mean for each of the two pools, and the
+      density (``kde_curve``) three float64 arrays of KDE_GRID_POINTS per
+      mean.
+    """
+    blocks = min(pool_size, 1 << max(0, num_vertices - _BLOCK_BITS))
+    return 64 * pool_size + 512 * blocks + (16 + kde * 3 * 8 * KDE_GRID_POINTS) * repeats
 
 
 def uniform_sampler(inst: WmcInstance, n_shots: int, rng_seed: int) -> ShotSet:

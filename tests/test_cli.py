@@ -227,6 +227,18 @@ def test_counts_over_the_budget_exit_3_before_the_work(tmp_path, instance_path, 
     assert sorted(path.name for path in tmp_path.iterdir()) == ["inst.json", "inst.json.manifest.json"]
 
 
+def test_ideal_shots_over_the_budget_exit_3_before_the_ensemble(tmp_path, instance_path, monkeypatch):
+    # the ideal baseline runs, and is refused, before any trajectory
+    def ensemble(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the ideal baseline was refused")
+
+    monkeypatch.setattr("lrqbench.cli.run_noisy_ensemble", ensemble)
+    out = tmp_path / "r.json"
+    argv = ("--mode", "noisy", "--epsilon", 0.01, "--trajectories", 200, "--ideal-shots", BIG)
+    assert run_cli("simulate", "--instance", instance_path, "--out", out, *argv) == 3
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["inst.json", "inst.json.manifest.json"]
+
+
 def test_bench_depth_over_the_budget_exits_3(tmp_path):
     out = tmp_path / "b.csv"
     assert run_cli("bench", "--nq", 4, "--shards", 1, "--p", BIG, "--out", out) == 3
@@ -235,7 +247,13 @@ def test_bench_depth_over_the_budget_exits_3(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [("gen", "--n", 65), ("gen", "--n", BIG), ("bench", "--nq", 65), ("bench", "--nq", BIG)],
+    [
+        ("gen", "--n", 65),
+        ("gen", "--n", BIG),
+        ("bench", "--nq", 65),
+        ("bench", "--nq", BIG),
+        ("bench", "--mode", "size", "--nq-local", 3, "--nq-range", f"5:{BIG}"),
+    ],
 )
 def test_vertex_counts_beyond_uint64_indices_exit_2(tmp_path, argv, capsys):
     out = tmp_path / "out"
@@ -504,6 +522,27 @@ def test_classify_pool_size_guard(tmp_path, instance_path):
         "--out", tmp_path / "r.json", "--random-pool-size", 50, "--n-s", 10,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        ("--random-pool-size", BIG),
+        ("--repeats", BIG),
+        ("--random-pool-size", 10**12, "--n-s", 10**11),
+        ("--repeats", 10**6, "--kde-out", "kde.csv"),
+    ],
+    ids=["pool", "repeats", "pool-and-subsample", "density"],
+)
+def test_classify_counts_over_the_budget_exit_3_before_the_pool(tmp_path, instance_path, counts, capsys):
+    qpu = tmp_path / "qpu.json"
+    assert run_cli("simulate", "--instance", instance_path, "--out", qpu, "--p", 1) == 0
+    before = sorted(tmp_path.iterdir())
+    argv = [tmp_path / a if a == "kde.csv" else a for a in counts]
+    code = run_cli("classify", "--qpu", qpu, "--instance", instance_path, "--out", tmp_path / "r.json", *argv)
+    assert code == 3
+    assert "capacity error" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_fitnoise_pipeline(tmp_path, instance_path, capsys):

@@ -6,7 +6,8 @@ fold into the start state), in
 single precision for one of the two and double for the other, and ends
 with an RX on the top qubit between two cost layers, so every sharded
 plan exchanges between diagonals.  The dense state must equal the sharded
-one byte for byte on every valid shard count, a noiseless ensemble of one
+one byte for byte on every valid shard count, each sharded run must
+exchange the amplitudes ``exchange_volume`` predicts, a noiseless ensemble of one
 trajectory must draw the dense sampler's shots, and at small n the dense
 state must match the matrix oracle.
 """
@@ -18,6 +19,7 @@ from lrqbench import (
     CircuitIR,
     DepolarizingConfig,
     GateOp,
+    exchange_volume,
     plan_for_shard_count,
     run_circuit,
     run_circuit_sharded,
@@ -66,8 +68,10 @@ def test_random_circuit_agrees_across_executors(n, h_layer, precision):
     circuit = random_circuit(n, h_layer, seed)
     dense = run_circuit(circuit, precision)
     for log2 in range(1, n):
-        sv, _ = run_circuit_sharded(circuit, plan_for_shard_count(n, 1 << log2), precision)
+        plan = plan_for_shard_count(n, 1 << log2)
+        sv, record = run_circuit_sharded(circuit, plan, precision)
         assert sv.amps.tobytes() == dense.amps.tobytes(), f"{1 << log2} shards"
+        assert record.amps_exchanged == exchange_volume(circuit, plan), f"{1 << log2} shards"
 
     cfg = DepolarizingConfig(0.0, trajectories=1, rng_seed=seed)
     noisy = run_noisy_ensemble(circuit, cfg, 64, precision)

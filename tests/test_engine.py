@@ -11,6 +11,7 @@ import pytest
 import lrqbench
 
 from lrqbench import (
+    AbortedRunError,
     CapacityError,
     CircuitIR,
     CostLayer,
@@ -151,6 +152,21 @@ def test_run_circuit_matches_matrix_product(n, p, seed):
     got = run_circuit(circ, "fp64")
     want = oracles.final_state(circ)
     assert np.max(np.abs(got.amps - want)) < 1e-12
+
+
+@pytest.mark.parametrize("executor", ["_apply_cost_layer", "_apply_gate_run"])
+def test_fault_in_a_dense_step_aborts_the_run(monkeypatch, executor):
+    # a dense run is the step loop on one slab, which aborts as a sharded one does
+    circ = build_circuit(generate_instance(6, 0), LrQaoaParams(p=1))
+
+    def broken(*args):
+        raise RuntimeError("injected kernel fault")
+
+    monkeypatch.setattr(engine, executor, broken)
+    with pytest.raises(AbortedRunError, match="injected kernel fault") as exc:
+        run_circuit(circ, "fp64")
+    assert "shard" not in str(exc.value)
+    assert isinstance(exc.value.__cause__, RuntimeError)
 
 
 def kernel_of_0_2(amps: np.ndarray, gate: GateOp) -> None:
@@ -556,7 +572,7 @@ def test_folded_start_matches_unfolded_h_run(n, precision):
     if n == 1:  # no instance, and no edge to make a cost layer
         return
     circ = build_circuit(generate_instance(n, 60 + n), LrQaoaParams(p=1))
-    start, _ = engine._fold_h(circ, plus.dtype)
+    start, _ = engine._layer_plan(circ, n, plus.dtype)
     assert start.tobytes() == plus[:1].tobytes()
     assert run_circuit(circ, precision).amps.tobytes() == run_unfolded(circ, precision).tobytes()
 
@@ -578,8 +594,8 @@ def unfoldable_circuits():
 @pytest.mark.parametrize("name", sorted(unfoldable_circuits()))
 def test_other_openings_take_the_unfolded_path(name, precision):
     circ = CircuitIR(num_qubits=5, gates=unfoldable_circuits()[name])
-    start, runs = engine._fold_h(circ, Precision.coerce(precision).dtype)
-    assert start is None and runs == circ.layers()
+    start, steps = engine._layer_plan(circ, 5, Precision.coerce(precision).dtype)
+    assert start is None and [op for op, _ in steps] == circ.layers()
     assert run_circuit(circ, precision).amps.tobytes() == run_unfolded(circ, precision).tobytes()
 
 

@@ -9,11 +9,10 @@ nan and inf.  2^64 goes to every flag that bounds its value (seeds, the
 memory budget, the shard, thread, local-qubit, solve and subsample
 limits, and ``hqc``'s counts, which only enter a formula), and to the
 counts that set an amount of memory (vertices, depth, shots,
-trajectories and ideal shots), which the index width or the memory
-budget refuses before anything is built.  It does not go to the counts
-that set only time or run without a budget (``bench --repeat``, and
-``classify``'s repeats and pool sizes): 2^64 of those is a run no bounded
-test can wait for.
+trajectories, ideal shots, ``classify``'s pool size and repeats, and the
+top of ``bench --nq-range``), which the index width or the memory budget
+refuses before anything is built.  It does not go to ``bench --repeat``,
+which sets only time: 2^64 repeats is a run no bounded test can wait for.
 """
 
 import json
@@ -95,9 +94,9 @@ def simulate_argv(rng, d):
 
 def classify_argv(rng, d):
     argv = ["classify", "--qpu", d["results"], "--instance", d["inst"], "--out", f"{d['out']}/c.json"]
-    optional(rng, argv, "--random-pool-size", (200, 400), EDGE_INTS, p=1.0)
+    optional(rng, argv, "--random-pool-size", (200, 400), (*EDGE_INTS, BIG), p=1.0)
     optional(rng, argv, "--n-s", (5, 10), (*EDGE_INTS, BIG), p=0.7)
-    optional(rng, argv, "--repeats", (10, 30), EDGE_INTS, p=1.0)
+    optional(rng, argv, "--repeats", (10, 30), (*EDGE_INTS, BIG), p=1.0)
     optional(rng, argv, "--seed", (0, 2), (*EDGE_INTS, BIG))
     if rng.random() < 0.3:
         argv += ["--noiseless", d["results"]]
@@ -114,7 +113,7 @@ def bench_argv(rng, d):
         argv += ["--nq", pick(rng, (4, 5), (*EDGE_INTS, BIG))]
         optional(rng, argv, "--shards", ("1,2", "2", "1,2,4"), (*EDGE_INTS, BIG, "1,3"), p=0.6)
     else:
-        argv += ["--mode", "size", "--nq-range", pick(rng, ("4:5", "5"), ("6:4", "x"))]
+        argv += ["--mode", "size", "--nq-range", pick(rng, ("4:5", "5"), ("6:4", "x", f"4:{BIG}"))]
         optional(rng, argv, "--nq-local", (3, 4), (*EDGE_INTS, BIG), p=0.9)
     for flag in ("--delta", "--delta-beta", "--delta-gamma"):
         optional(rng, argv, flag, (0.1, 0.2), EDGE_FLOATS, p=0.2)

@@ -64,7 +64,7 @@ def test_shard_plan_derives_its_sizes():
 def test_local_gate_needs_no_exchange():
     plan = plan_shards(6, 3)
     circ = CircuitIR(num_qubits=6, gates=[GateOp("RX", (2,), 0.1), GateOp("RZZ", (0, 5), 0.1)])
-    _, layers = sharded._layer_plan(circ, plan)
+    _, layers = engine._layer_plan(circ, plan.nq_local)
     assert [qubit for _, qubit in layers] == [None, None]
 
 
@@ -73,10 +73,10 @@ def test_global_gate_single_step():
     # on the top local qubit 2, and the legs pair shard s with s | 2
     plan = plan_shards(6, 3)
     circ = CircuitIR(num_qubits=6, gates=[GateOp("RX", (4,), 0.1)])
-    _, layers = sharded._layer_plan(circ, plan)
+    _, layers = engine._layer_plan(circ, plan.nq_local)
     assert layers == [((GateOp("RX", (2,), 0.1),), 4)]
     rows = np.arange(64).reshape(plan.num_shards, plan.shard_len)
-    _, moved = sharded._swap_halves(rows, [0, 1, 4, 5], 2)
+    _, moved = engine._swap_halves(rows, [0, 1, 4, 5], 2)
     assert moved == 4 * plan.shard_len
     # one leg transposes qubits 2 and 4: index z now holds the amplitude
     # of z with those two bits exchanged
@@ -161,7 +161,7 @@ def test_swap_leg_holds_one_bounded_piece():
     rows = np.arange(1 << 18, dtype=np.complex64).reshape(2, 1 << 17)
     tracemalloc.start()
     try:
-        _, moved = sharded._swap_halves(rows, [0], 1)
+        _, moved = engine._swap_halves(rows, [0], 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -220,7 +220,7 @@ def test_worker_failure_aborts_run(monkeypatch):
     # three gate-run steps of one call per slab: 3 calls on one worker, 6 on two
     circ = build_circuit(generate_instance(6, 0), LrQaoaParams(p=1))
     calls = {"n": 0}
-    real = sharded._apply_gate_run
+    real = engine._apply_gate_run
 
     def flaky(amps, gates):
         calls["n"] += 1
@@ -228,7 +228,7 @@ def test_worker_failure_aborts_run(monkeypatch):
             raise RuntimeError("injected kernel fault")
         real(amps, gates)
 
-    monkeypatch.setattr(sharded, "_apply_gate_run", flaky)
+    monkeypatch.setattr(engine, "_apply_gate_run", flaky)
     with pytest.raises(AbortedRunError):
         run_circuit_sharded(circ, plan_shards(6, 4), "fp64")
 
@@ -239,7 +239,7 @@ def test_cost_layer_failure_aborts_run(monkeypatch):
     def broken(amps, cut, offset=0):
         raise RuntimeError("injected cost-layer fault")
 
-    monkeypatch.setattr(sharded, "_apply_cost_layer", broken)
+    monkeypatch.setattr(engine, "_apply_cost_layer", broken)
     with pytest.raises(AbortedRunError) as exc:
         run_circuit_sharded(circ, plan_shards(6, 4), "fp64")
     assert isinstance(exc.value.__cause__, RuntimeError)
@@ -248,13 +248,13 @@ def test_cost_layer_failure_aborts_run(monkeypatch):
 @pytest.mark.parametrize("num_shards", [1, 2])
 def test_cost_layer_compute_counts_its_phase_build(monkeypatch, num_shards):
     circ = build_circuit(generate_instance(8, 0), LrQaoaParams(p=3))
-    real = sharded._CostPhase
+    real = engine._CostPhase
 
     def slow(layer):
         time.sleep(0.02)
         return real(layer)
 
-    monkeypatch.setattr(sharded, "_CostPhase", slow)
+    monkeypatch.setattr(engine, "_CostPhase", slow)
     _, record = run_circuit_sharded(circ, plan_for_shard_count(8, num_shards))
     # a cost layer's time goes on the row of its first RZZ gate
     kinds = [None] + [row.kind for row in record.gates]
@@ -269,9 +269,9 @@ def use_cpus(monkeypatch, cpus: int) -> None:
 
 
 def record_executor_calls(monkeypatch) -> list:
-    """Wrap both executors where the dense and the sharded engines call them;
-    returns the (executor, size, start in the state, offset argument or
-    None, thread) of every call, in order."""
+    """Wrap both executors where the engine's step loop calls them; returns
+    the (executor, size, start in the state, offset argument or None,
+    thread) of every call, in order."""
     calls = []
 
     def start(amps):
@@ -288,9 +288,8 @@ def record_executor_calls(monkeypatch) -> list:
         calls.append(("run", amps.size, start(amps), None, threading.get_ident()))
         real_run(amps, gates)
 
-    for module in (engine, sharded):
-        monkeypatch.setattr(module, "_apply_cost_layer", cost)
-        monkeypatch.setattr(module, "_apply_gate_run", run)
+    monkeypatch.setattr(engine, "_apply_cost_layer", cost)
+    monkeypatch.setattr(engine, "_apply_gate_run", run)
     return calls
 
 
@@ -325,7 +324,7 @@ def test_steps_call_the_executors_once_per_worker(monkeypatch, cpus):
     workers = sharded._workers(plan)
     calls = record_executor_calls(monkeypatch)
     sv, _ = run_circuit_sharded(circ, plan, "fp64")
-    _, steps = sharded._layer_plan(circ, plan)
+    _, steps = engine._layer_plan(circ, plan.nq_local)
     assert len(calls) == len(steps) * workers
     assert {size for _, size, *_ in calls} == {(1 << 12) // workers}
     assert sv.amps.tobytes() == run_circuit(circ, "fp64").amps.tobytes()

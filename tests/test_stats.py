@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -15,7 +18,8 @@ from lrqbench import (
     solve_instance,
     uniform_sampler,
 )
-from lrqbench.stats import KDE_GRID_POINTS, silverman_bandwidth
+from lrqbench.problem import OptimalCut, cut_value
+from lrqbench.stats import KDE_GRID_POINTS, _resample_bytes, silverman_bandwidth
 
 
 def test_config_validation():
@@ -222,3 +226,32 @@ def test_uniform_sampler_mean_near_baseline():
     ratios = shot_ratios(inst, uniform_sampler(inst, 4000, rng_seed=11))
     sem = ratios.std(ddof=1) / np.sqrt(ratios.size)
     assert abs(ratios.mean() - random_baseline_expectation(inst)) < 5.0 * sem
+
+
+@pytest.mark.parametrize(
+    "n,pool,repeats",
+    [(6, 40_000, 300), (20, 40_000, 300), (24, 20_000, 100), (40, 2_000, 100)],
+)
+def test_classify_peak_stays_within_the_resample_bound(n, pool, repeats):
+    # one block (n <= 16), a few, and one per entry; above n = 24 the
+    # optimum is any cut, consistent with its bitstring
+    inst = generate_instance(n, n)
+    bits = "01" * (n // 2)
+    inst = solve_instance(inst) if n <= 24 else dataclasses.replace(
+        inst, optimal_cut=OptimalCut(bits, cut_value(inst, bits))
+    )
+    qpu = shot_ratios(inst, uniform_sampler(inst, 50, 1))
+
+    def classify_run():
+        pool_r = shot_ratios(inst, uniform_sampler(inst, pool, 0))
+        report = classify(qpu, pool_r, ResampleConfig(pool // 10, repeats), pool_r)
+        kde_curve(report.random_subsample_means)
+
+    tracemalloc.start()
+    try:
+        classify_run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = _resample_bytes(n, pool, repeats, kde=True)
+    assert 0.5 * bound < peak <= bound
