@@ -53,7 +53,14 @@ from .errors import (
     ValidationError,
 )
 from .files import write_output
-from .noise import DepolarizingConfig, epsilon_accumulated, fit_k0, r_overlap, run_noisy_ensemble
+from .noise import (
+    DepolarizingConfig,
+    check_ensemble_memory,
+    epsilon_accumulated,
+    fit_k0,
+    r_overlap,
+    run_noisy_ensemble,
+)
 from .problem import (
     DEFAULT_BRUTEFORCE_LIMIT,
     _check_vertex_count,
@@ -269,6 +276,8 @@ def _cmd_simulate(args) -> int:
         cfg = DepolarizingConfig(
             epsilon=args.epsilon, trajectories=args.trajectories, rng_seed=args.seed
         )
+        # an ensemble over the budget is refused before the ideal baseline runs
+        check_ensemble_memory(circuit, cfg, args.shots, args.precision, args.memory_bytes, args.threads)
         if solved:
             # the ideal baseline first, its state and shots dropped before the
             # ensemble runs, so neither run holds the other's memory

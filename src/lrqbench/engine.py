@@ -706,26 +706,26 @@ class ShotSet:
         return indices_to_bitstrings(self.indices, self.num_qubits)
 
 
-def _draw_streamed(
-    amps: np.ndarray, rngs: list[np.random.Generator], n_shots: int
-) -> tuple[np.ndarray, float]:
-    """Inverse-CDF draws over |amps|^2: a row of ``n_shots`` basis indices
-    for each generator, and the state's squared norm, with no full-length
+def _draw_streamed(amps: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse-CDF draws over |amps|^2: the basis index each uniform of
+    ``u`` in [0, 1) draws, in an array of ``u``'s shape (a row of uniforms
+    per trajectory), and the state's squared norm, with no full-length
     vector.
 
-    Each generator gives ``n_shots`` uniforms u in [0, 1), and each u the
-    first index where the full ``np.cumsum`` of |amps|^2, divided by its
-    last value (the norm, in double precision, so single-precision drift
-    does not bias the draw), exceeds u; the last value divided by itself is
-    1, so there is one.  ``np.cumsum`` adds in order, so chunk j's slice of
-    the full cumsum is the cumsum of its probabilities with the running
-    total up to the chunk added into its first one.  Pass 1 keeps only
-    each chunk's last value, the running totals, whose last is the norm;
-    divided by it they are the normalized CDF at the chunks' ends.  A
-    uniform goes to the first chunk whose end exceeds it, and pass 2
-    searches it inside that chunk's slice: the last chunk's is still in
-    pass 1's buffer, and every other chunk hit is rebuilt.  The running
-    totals are formed once however many generators share the state.
+    Each u gets the first index where the full ``np.cumsum`` of |amps|^2,
+    divided by its last value (the norm, in double precision, so
+    single-precision drift does not bias the draw), exceeds u; the last
+    value divided by itself is 1, so there is one.  ``np.cumsum`` adds in
+    order, so chunk j's slice of the full cumsum is the cumsum of its
+    probabilities with the running total up to the chunk added into its
+    first one.  Pass 1 keeps only each chunk's last value, the running
+    totals, whose last is the norm; divided by it they are the normalized
+    CDF at the chunks' ends.  A uniform goes to the first chunk whose end
+    exceeds it, and pass 2 searches it inside that chunk's slice: the last
+    chunk's is still in pass 1's buffer, and every other chunk hit is
+    rebuilt.  The running totals are formed once however many trajectories
+    share the state, and a state of one chunk is read once, with no
+    search over chunk ends.
     """
     totals = np.empty(-(-amps.size // _REDUCTION_CHUNK))
     carry = 0.0
@@ -735,25 +735,33 @@ def _draw_streamed(
     total = float(carry)
     if total <= 0.0:
         raise ValidationError("statevector has zero norm, nothing to sample")
-    u = np.concatenate([rng.random(n_shots) for rng in rngs])
+    flat = u.reshape(-1)
     last = totals.size - 1
-    # the last end is total / total = 1, beyond every u, so it needs no search
-    which = np.searchsorted(totals[:last] / total, u, side="right")
-    hit = np.flatnonzero(np.bincount(which, minlength=totals.size))
-    idx = np.empty(u.size, np.uint64)
+    hit, which = [last], None
+    if last:
+        # the last end is total / total = 1, beyond every u, so it needs no search
+        which = np.searchsorted(totals[:last] / total, flat, side="right")
+        hit = np.flatnonzero(np.bincount(which, minlength=totals.size)).tolist()
+    one = len(hit) == 1  # every uniform falls in one chunk
+    idx = np.empty(flat.size, np.uint64)
+
+    def search(lo: int, p: np.ndarray) -> None:
+        """The uniforms of the chunk at ``lo`` in its slice of the normalized CDF."""
+        p /= total
+        shots = slice(None) if one else which == lo // _REDUCTION_CHUNK
+        idx[shots] = lo + np.searchsorted(p, flat[shots], side="right")
+
     if hit[-1] == last:
-        hit, shots = hit[:-1], which == last
-        p /= total
-        idx[shots] = lo + np.searchsorted(p, u[shots], side="right")
+        search(lo, p)
+        hit.pop()
     del p  # pass 1's buffer goes before pass 2's is allocated
-    for lo, p in _squared_chunks(amps, hit):
-        if lo:
-            p[0] += totals[lo // _REDUCTION_CHUNK - 1]
-        np.cumsum(p, out=p)
-        p /= total
-        shots = which == lo // _REDUCTION_CHUNK
-        idx[shots] = lo + np.searchsorted(p, u[shots], side="right")
-    return idx.reshape(len(rngs), n_shots), total
+    if hit:
+        for lo, p in _squared_chunks(amps, hit):
+            if lo:
+                p[0] += totals[lo // _REDUCTION_CHUNK - 1]
+            np.cumsum(p, out=p)
+            search(lo, p)
+    return idx.reshape(u.shape), total
 
 
 def sample(sv: StateVector, n_shots: int, rng_seed: int) -> ShotSet:
@@ -763,7 +771,7 @@ def sample(sv: StateVector, n_shots: int, rng_seed: int) -> ShotSet:
     """
     if n_shots < 1:
         raise ValidationError(f"shot count must be positive, got {n_shots}")
-    (idx,), _ = _draw_streamed(sv.amps, [derive_rng(rng_seed, "shots", 0)], n_shots)
+    (idx,), _ = _draw_streamed(sv.amps, derive_rng(rng_seed, "shots", 0).random((1, n_shots)))
     return ShotSet(sv.num_qubits, idx, int(rng_seed), "noiseless")
 
 

@@ -21,22 +21,28 @@ Pauli; trajectories that fire nothing share row 0's final state.  The
 shots of every trajectory that ends in one row come from one call of the
 dense engine's streamed sampler (``engine._draw_streamed``), which reads
 the row chunk by chunk, so no float64 vector of 2^n is formed on the way
-to the shots.  A Pauli fired inside a layer is commuted to
-the layer's end: it flips the sign of Z_i Z_j on every later edge whose
-qubits carry an odd number of its X/Y components.  The later edges F
-that anticommute with an odd number of the Paulis fired before them need
-RZZ(-2 theta_k), which all commute, so their product is one diagonal
-exp(i sum_{k in F} theta_k S_k(z)), S_k = +-1 the ZZ sign of edge k.  The
-angle is summed in float64 from ``_sign_table``, the signs of the qubits
-below bit 15 over one chunk of at most 2^15 amplitudes, built once per
-ensemble; a qubit at or above bit 15 is constant over a chunk and only
-flips its edges' signs there.  The angle is reduced to [-pi, pi], its cos
-and sin taken in the state's precision, and the phase multiplied in once
-per chunk; then the fired Paulis follow in firing order.  This is the
+to the shots.
+
+A Pauli fired inside a layer is commuted to the layer's end: it flips
+the sign of Z_i Z_j on every later edge whose qubits carry an odd number
+of its X/Y components.  The later edges F that anticommute with an odd
+number of the Paulis fired before them need RZZ(-2 theta_k), which all
+commute, so their product is one diagonal
+exp(i sum_{k in F} theta_k S_k(z)), S_k = +-1 the ZZ sign of edge k.
+Each cost layer of a block takes one commute pass (``_commute_fired``)
+over all the rows that fire in it: every row's F comes from a prefix XOR
+of its fired Paulis' X/Y qubit masks, in a few numpy calls.  Each row's
+angle is summed in float64 by an einsum over its own F, from
+``_sign_table``, the signs of the qubits below bit 15 over one chunk of
+at most 2^15 amplitudes, built once per ensemble; a qubit at or above bit
+15 is constant over a chunk and only flips its edges' signs there.  The
+angles of all the rows are reduced to [-pi, pi], their cos and sin taken
+in the state's precision, and the phases multiplied in, in one pass per
+chunk; then each row's Paulis follow in firing order.  This is the
 time-ordered product, global phase included, up to rounding; its scratch
-is bounded by the chunk and |F|, not by the state, and counted by
-``check_memory``; and every row gets the operations of its trajectory
-run alone, bit for bit.
+is bounded by the block's rows of one chunk and |F|, not by the state,
+and counted by ``check_memory``; and every row gets the operations of
+its trajectory run alone, bit for bit.
 
 Noise strength aggregates as eps_acc = N_2q * eps, and the overlap ratio
 
@@ -46,13 +52,15 @@ is expected to decay as 2^(-k0 * eps_acc); ``fit_k0`` recovers k0 by a
 least-squares line through the origin on -log2(r_ovl) versus eps_acc,
 dropping non-positive overlaps (their count is reported).
 
-Each trajectory draws from its own derived stream, so runs are
+Each trajectory draws from its own derived streams ("trajectory", t)
+and ("shots", t), keyed in batches (``rng.KeyedStreams``), so runs are
 reproducible and neither the blocks nor the thread count (threads run
 whole blocks) can change results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -81,7 +89,7 @@ from .engine import (
 )
 from .errors import FitError, ValidationError
 from .problem import WmcInstance
-from .rng import derive_rng
+from .rng import KEYED_STREAMS_BYTES, KeyedStreams
 
 _PAULI_BRANCH = 15.0 / 16.0
 
@@ -115,16 +123,49 @@ def epsilon_accumulated(n_2q: int, epsilon: float) -> float:
 # amplitudes, so a kernel's scratch is at most 2^_GATE_BLOCK_BITS amplitudes
 # whatever the state.
 _PAULI_PIECE = 1 << (_GATE_BLOCK_BITS - 1)
+# Below this qubit a half of a pair holds runs of under 32 contiguous
+# amplitudes, too short for numpy to copy or multiply quickly one by one:
+# X moves each run as one raw unit, and Y multiplies rows of _Y_ROW
+# amplitudes by a pattern of -i and i.  The caches below hold at most one
+# entry per dtype, such qubit and row length: a few dozen small ones.
+_SHORT_RUN_QUBITS = 5
+_Y_ROW = 1 << (_SHORT_RUN_QUBITS + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _run_unit(itemsize: int, q: int) -> np.dtype:
+    """Raw bytes of a run of 2^q amplitudes of ``itemsize`` bytes each."""
+    return np.dtype((np.void, itemsize << q))
+
+
+@functools.lru_cache(maxsize=None)
+def _y_pattern(dtype: np.dtype, q: int, size: int) -> np.ndarray:
+    """-i over 2^q amplitudes, then i over 2^q, repeated to ``size`` (read-only)."""
+    pattern = np.empty(size, dtype)
+    v = pattern.reshape(-1, 2, 1 << q)
+    v[:, 0], v[:, 1] = -1j, 1j
+    pattern.flags.writeable = False
+    return pattern
 
 
 def _x_kernel(amps: np.ndarray, q: int) -> None:
+    unit = _run_unit(amps.itemsize, q) if 0 < q < _SHORT_RUN_QUBITS else None
     for a0, a1 in _pairs(amps, q, _PAULI_PIECE):
+        if unit is not None:
+            a0, a1 = a0.view(unit), a1.view(unit)
         held = a0.copy()
         a0[...] = a1
         a1[...] = held
 
 
 def _y_kernel(amps: np.ndarray, q: int) -> None:
+    if q < _SHORT_RUN_QUBITS:
+        # X, then each amplitude times -i (qubit q clear) or i (set): the
+        # same exact products as below, over rows of _Y_ROW amplitudes
+        _x_kernel(amps, q)
+        rows = amps.reshape(-1, min(amps.size, _Y_ROW))
+        np.multiply(_y_pattern(amps.dtype, q, rows.shape[1]), rows, out=rows)
+        return
     for a0, a1 in _pairs(amps, q, _PAULI_PIECE):
         held = a0.copy()
         a0[...] = a1
@@ -155,9 +196,38 @@ def _apply_pauli_pair(amps: np.ndarray, code: int, qa: int, qb: int) -> None:
 # trajectories
 
 # Per-qubit Pauli codes 0..3 are I, X, Y, Z; X and Y anticommute with Z.
-_ANTICOMMUTES_WITH_Z = (False, True, True, False)
+_ANTICOMMUTES_WITH_Z = np.array([0, 1, 1, 0], np.uint64)
 # Finished blocks held per worker thread before the consumer reads them.
 _IN_FLIGHT_PER_THREAD = 2
+# Sign rows ``_flip_phase`` gathers for a group of rows at a time (int8).
+_GATHER_BYTES = 1 << 16
+
+
+@dataclass(frozen=True)
+class _Edges:
+    """A cost layer's RZZ gates as arrays: angles theta_k (float64), qubits
+    qa_k and qb_k (intp) and their bits 2^qa_k and 2^qb_k (uint64), in gate
+    order, and the qubit pairs as Python ints."""
+
+    theta: np.ndarray
+    qa: np.ndarray
+    qb: np.ndarray
+    bit_a: np.ndarray
+    bit_b: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, gates: tuple[GateOp, ...]) -> "_Edges":
+        pairs = tuple(g.qubits for g in gates)
+        qa, qb = (np.array([p[i] for p in pairs], np.intp) for i in (0, 1))
+        return cls(
+            np.array([g.theta for g in gates], np.float64),
+            qa,
+            qb,
+            np.array([1 << a for a, _ in pairs], np.uint64),
+            np.array([1 << b for _, b in pairs], np.uint64),
+            pairs,
+        )
 
 
 @dataclass(frozen=True)
@@ -165,16 +235,32 @@ class _Ensemble:
     """What every trajectory of one run shares: the folded start amplitude
     (None when the H layer does not fold), the circuit's executed layers
     with one-qubit gate runs grouped, each cost layer's read-only
-    ``_CostPhase`` (None for a gate run), the RZZ count the draws cover,
-    and the ZZ sign table of ``_sign_table``."""
+    ``_CostPhase`` and ``_Edges`` (None for a gate run), the RZZ count the
+    draws cover, and the ZZ sign table of ``_sign_table``."""
 
     num_qubits: int
     dtype: np.dtype
     start: np.generic | None
     layers: list[CostLayer | tuple[GateOp, ...]]
     phases: list[_CostPhase | None]
+    edges: list[_Edges | None]
     n_rzz: int
     signs: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Block:
+    """The draws of a block of consecutive trajectories: the fire and codes
+    rows (bool and int64, one entry per RZZ gate) of those that fire a
+    Pauli, in trajectory order, and per trajectory its row in them, -1 for
+    one that fires nothing."""
+
+    fire: np.ndarray
+    codes: np.ndarray
+    slots: list[int]
+
+    def __len__(self) -> int:
+        return len(self.slots)
 
 
 def _block_rows(num_qubits: int, trajectories: int, threads: int) -> int:
@@ -185,6 +271,68 @@ def _block_rows(num_qubits: int, trajectories: int, threads: int) -> int:
     return min(rows, -(-trajectories // max(1, threads)))
 
 
+def _draw_bytes(rows: int, n_rzz: int) -> int:
+    """Bytes of one block's draws: fire (bool) and codes (int64) rows for
+    each of ``rows`` trajectories."""
+    return rows * n_rzz * 9
+
+
+def _block_plan(circuit: CircuitIR, cfg: DepolarizingConfig, threads: int) -> tuple[int, int]:
+    """(rows, workers) of a run: ``_block_rows`` a block, and the threads
+    that each hold one block while it runs."""
+    rows = _block_rows(circuit.num_qubits, cfg.trajectories, threads)
+    return rows, min(max(1, threads), cfg.trajectories)
+
+
+def _account(
+    circuit: CircuitIR,
+    precision: Precision,
+    memory_budget: int | None,
+    rows: int = 1,
+    workers: int = 1,
+    held: int = 0,
+):
+    """Check that the run and ``held`` bytes of the caller's fit the memory
+    budget, before anything is built; return the start amplitude, the
+    executed layers and their RZZ count.
+
+    The dense engine bounds the gate list, and in ``_scratch_bytes`` the
+    ``workers``' executors and the consumer's tail: with one worker the
+    consumer samples a block after running it, so the larger counts, and
+    with more while they run, so both do.  To the one ``_CostPhase`` the
+    executor bound holds this adds the other cost layers', the sign table,
+    each worker's ``_correction_bytes`` over a block of ``rows`` states,
+    the blocks of ``rows`` states in flight: one without threads, else up
+    to _IN_FLIGHT_PER_THREAD per worker, each from the start of its run
+    until its consumer drops it, before asking for the next; the draws of
+    those blocks and of the one the consumer is cutting; and the consumer's
+    two ``KeyedStreams``.
+    """
+    n, dtype = circuit.num_qubits, precision.dtype
+    start, steps = _layer_plan(circuit, n, dtype)
+    layers = [op for op, _ in steps]
+    costs = [op for op in layers if isinstance(op, CostLayer)]
+    widest = max((len(op.gates) for op in costs), default=0)
+    n_rzz = sum(len(op.gates) for op in costs)
+    low = min(n, _GATE_BLOCK_BITS)
+    signs = (low + 1) << low  # ``_sign_table``'s bytes
+    in_flight = 1 if workers == 1 else _IN_FLIGHT_PER_THREAD * workers
+    executor, tail = _scratch_bytes(n, precision, workers)
+    dense = executor + tail if workers > 1 else max(executor, tail)
+    dense += _gate_list_bytes(len(circuit.gates))
+    tables = len(costs[1:]) * _cost_layer_bytes(n, precision)[0]
+    correction = workers * _correction_bytes(n, widest, dtype, rows)
+    draws = (in_flight + 1) * _draw_bytes(rows, n_rzz) + 2 * KEYED_STREAMS_BYTES
+    check_memory(
+        n,
+        precision,
+        memory_budget,
+        arrays=in_flight * rows,
+        scratch=dense + signs + tables + correction + draws + held,
+    )
+    return start, layers, n_rzz
+
+
 def _prepare(
     circuit: CircuitIR,
     precision: Precision,
@@ -193,68 +341,45 @@ def _prepare(
     workers: int = 1,
     held: int = 0,
 ) -> _Ensemble:
-    """Layers, cost-layer phases and the sign table, after checking that the
-    run and ``held`` bytes of the caller's fit the memory budget.
-
-    The dense engine bounds the gate list, and in ``_scratch_bytes`` the
-    ``workers``' executors and the consumer's tail: with one worker the
-    consumer samples a block after running it, so the larger counts, and
-    with more while they run, so both do.  To the one ``_CostPhase`` the
-    executor bound holds this adds the other cost layers', the sign table,
-    each worker's ``_correction_bytes`` and the blocks of ``rows`` states
-    in flight: one without threads, else up to _IN_FLIGHT_PER_THREAD per
-    worker, each from the start of its run until its consumer drops it,
-    before asking for the next.
-    """
-    n, dtype = circuit.num_qubits, precision.dtype
-    start, steps = _layer_plan(circuit, n, dtype)
-    layers = [op for op, _ in steps]
-    costs = [op for op in layers if isinstance(op, CostLayer)]
-    widest = max((len(op.gates) for op in costs), default=0)
-    signs = _sign_table(n)
-    in_flight = 1 if workers == 1 else _IN_FLIGHT_PER_THREAD * workers
-    executor, tail = _scratch_bytes(n, precision, workers)
-    dense = executor + tail if workers > 1 else max(executor, tail)
-    dense += _gate_list_bytes(len(circuit.gates))
-    tables = len(costs[1:]) * _cost_layer_bytes(n, precision)[0]
-    correction = workers * _correction_bytes(n, widest, dtype)
-    check_memory(
-        n,
-        precision,
-        memory_budget,
-        arrays=in_flight * rows,
-        scratch=dense + signs.nbytes + tables + correction + held,
-    )
+    """Layers, cost-layer phases and edges, and the sign table, built once
+    ``_account`` has checked the run against the memory budget."""
+    start, layers, n_rzz = _account(circuit, precision, memory_budget, rows, workers, held)
     phases = [_CostPhase(op) if isinstance(op, CostLayer) else None for op in layers]
-    n_rzz = sum(len(op.gates) for op in costs)
-    return _Ensemble(n, dtype, start, layers, phases, n_rzz, signs)
-
-
-def _draw(cfg: DepolarizingConfig, n_rzz: int, trajectory: int):
-    """The trajectory's (fire, codes) draws from its own stream: which RZZ
-    gates fire a Pauli and which one; None if it fires nothing."""
-    if cfg.epsilon == 0.0:
-        return None
-    rng = derive_rng(cfg.rng_seed, "trajectory", trajectory)
-    fire = rng.random(n_rzz) < _PAULI_BRANCH * cfg.epsilon
-    codes = rng.integers(1, 16, size=n_rzz)
-    return (fire, codes) if fire.any() else None
+    edges = [_Edges.of(op.gates) if isinstance(op, CostLayer) else None for op in layers]
+    n = circuit.num_qubits
+    return _Ensemble(n, precision.dtype, start, layers, phases, edges, n_rzz, _sign_table(n))
 
 
 def _blocks(ens: _Ensemble, cfg: DepolarizingConfig, rows: int):
-    """The trajectories' draws in order, cut into blocks.  A block needs a
-    row per trajectory that fires plus one clean row shared by those that
-    fire nothing, and is closed before it would need more than ``rows``."""
-    block, firing, clean = [], 0, False
+    """The trajectories' draws in order, cut into ``_Block``s.  Trajectory t
+    draws from its own stream ("trajectory", t): which RZZ gates fire a
+    Pauli and, if any does, which one each; at epsilon 0 nothing is drawn.
+    A block needs a row per trajectory that fires plus one clean row shared
+    by those that fire nothing, and is closed before it would need more
+    than ``rows``."""
+    streams = KeyedStreams(cfg.rng_seed, "trajectory", cfg.trajectories) if cfg.epsilon else None
+    threshold = _PAULI_BRANCH * cfg.epsilon
+    slots, firing, clean = [], 0, False
+    fire, codes = np.empty((rows, ens.n_rzz), bool), np.empty((rows, ens.n_rzz), np.int64)
     for t in range(cfg.trajectories):
-        draw = _draw(cfg, ens.n_rzz, t)
-        if block and firing + (draw is not None) + (clean or draw is None) > rows:
-            yield block
-            block, firing, clean = [], 0, False
-        block.append(draw)
-        firing += draw is not None
-        clean = clean or draw is None
-    yield block
+        fires = None
+        if streams is not None:
+            rng = streams[t]
+            fires = rng.random(ens.n_rzz) < threshold
+            fires = fires if fires.any() else None
+        if slots and firing + (fires is not None) + (clean or fires is None) > rows:
+            yield _Block(fire[:firing], codes[:firing], slots)
+            slots, firing, clean = [], 0, False
+            fire, codes = np.empty_like(fire), np.empty_like(codes)
+        if fires is None:
+            slots.append(-1)
+            clean = True
+        else:
+            fire[firing] = fires
+            codes[firing] = rng.integers(1, 16, size=ens.n_rzz)
+            slots.append(firing)
+            firing += 1
+    yield _Block(fire[:firing], codes[:firing], slots)
 
 
 def _sign_table(num_qubits: int) -> np.ndarray:
@@ -269,40 +394,73 @@ def _sign_table(num_qubits: int) -> np.ndarray:
     return signs
 
 
-def _correction_bytes(num_qubits: int, edges: int, dtype: np.dtype) -> int:
-    """Scratch of one ``_flip_phase`` call over at most ``edges`` edges: the
-    gathered sign rows and their product's second operand (int8), two
-    chunks of angles (float64), and a chunk each of reduced angles and
-    phases in the state's precision.  That also covers the Pauli kernels
-    that follow it, which hold at most one chunk in the state's precision
-    (``_PAULI_PIECE``)."""
+def _correction_bytes(num_qubits: int, edges: int, dtype: np.dtype, rows: int = 1) -> int:
+    """Scratch of one ``_commute_fired`` call on up to ``rows`` rows of a
+    block, over a layer of at most ``edges`` edges: the gathered sign rows
+    of a group of rows, at most _GATHER_BYTES or one row's edges over a
+    chunk, and their product's second operand (int8); per row and chunk,
+    two chunks of angles (float64), a chunk of reduced angles in the
+    state's real precision, and two in its precision, the phases and the
+    copy of the row they multiply; and per row and edge, 96 bytes of the
+    draws, flip masks and edge lists the flipped edges are found from.
+    That also covers the Pauli kernels that follow, which hold at most one
+    chunk in the state's precision (``_PAULI_PIECE``)."""
     chunk = 1 << min(num_qubits, _GATE_BLOCK_BITS)
-    return chunk * (2 * edges + 16 + dtype.itemsize // 2 + dtype.itemsize)
+    per_chunk = 16 + dtype.itemsize // 2 + 2 * dtype.itemsize
+    return 2 * max(_GATHER_BYTES, edges * chunk) + rows * (chunk * per_chunk + 96 * edges)
 
 
 def _flip_phase(
-    amps: np.ndarray, signs: np.ndarray, theta: np.ndarray, qa: np.ndarray, qb: np.ndarray
+    states: np.ndarray,
+    rows: np.ndarray,
+    counts: np.ndarray,
+    theta: np.ndarray,
+    qa: np.ndarray,
+    qb: np.ndarray,
+    signs: np.ndarray,
 ) -> None:
-    """Multiply by exp(i sum_k theta_k Z_qa_k Z_qb_k), the product of the
-    commuting RZZ(-2 theta_k), one chunk of ``signs``' width at a time.
+    """Multiply row rows[i] of ``states`` by exp(i sum_k theta_k Z_qa_k
+    Z_qb_k), the product of the commuting RZZ(-2 theta_k), over its
+    counts[i] edges, the next of ``theta``, ``qa`` and ``qb`` in order;
+    one chunk of ``signs``' width at a time.
 
     A chunk starts at z0, a multiple of 2^low, so the ZZ sign of index
     z0 + l is its sign at z0 (set only by qubits at or above low) times its
-    sign at l (set only by those below).  The angle is summed in float64 by
-    an einsum over the edges, which calls no BLAS, reduced to [-pi, pi],
-    rounded to the state's real precision for cos and sin, and multiplied
-    in as one phase array.
+    sign at l (set only by those below).  Each row's angle is summed in
+    float64 by an einsum over its edges' gathered sign rows, which calls no
+    BLAS; then every row's angle is reduced to [-pi, pi], rounded to the
+    state's real precision for cos and sin, and multiplied into its row as
+    one phase array, in one pass over all the rows.
     """
     chunk = signs.shape[1]
-    # "clip" sends every qubit at or above low to the last row, the ones
-    rows = signs.take(qa, axis=0, mode="clip")
-    rows *= signs.take(qb, axis=0, mode="clip")
-    angle, turns = np.empty((2, chunk))
-    reduced = np.empty(chunk, amps.real.dtype)
-    phase = np.empty(chunk, amps.dtype)
-    for z0 in range(0, amps.size, chunk):
+    ends = np.cumsum(counts).tolist()
+    starts = [0] + ends[:-1]
+    # rows whose sign rows are gathered together: consecutive rows up to
+    # _GATHER_BYTES, or one row, so the einsums read them from cache
+    groups, first = [], 0
+    for i in range(1, len(ends) + 1):
+        if i == len(ends) or (ends[i] - starts[first]) * chunk > _GATHER_BYTES:
+            groups.append((first, i))
+            first = i
+    # a state of several chunks is a block of one row, gathered once
+    many = states.shape[-1] > chunk
+    gathered = None
+    angle, turns = np.empty((2, len(rows), chunk))
+    reduced = np.empty(angle.shape, np.finfo(states.dtype).dtype)
+    phase = np.empty(angle.shape, states.dtype)
+    for z0 in range(0, states.shape[-1], chunk):
         w = theta * (1 - 2 * ((z0 >> qa) & 1)) * (1 - 2 * ((z0 >> qb) & 1)) if z0 else theta
-        np.einsum("k,kz->z", w, rows, out=angle)
+        for first, last in groups:
+            a, b = starts[first], ends[last - 1]
+            if gathered is None or not many:
+                # "clip" sends every qubit at or above low to the last row, the ones
+                gathered = signs.take(qa[a:b], axis=0, mode="clip")
+                gathered *= signs.take(qb[a:b], axis=0, mode="clip")
+            for i in range(first, last):
+                lo, hi = starts[i], ends[i]
+                np.einsum("k,kz->z", w[lo:hi], gathered[lo - a : hi - a], out=angle[i])
+            if not many:
+                gathered = None  # dropped before the next group's
         # angle - 2 pi rint(angle / 2 pi): np.remainder takes six times longer
         np.multiply(angle, 0.5 / np.pi, out=turns)
         np.rint(turns, out=turns)
@@ -310,82 +468,100 @@ def _flip_phase(
         np.subtract(angle, turns, out=reduced, casting="same_kind")
         np.cos(reduced, out=phase.real)
         np.sin(reduced, out=phase.imag)
-        amps[z0 : z0 + chunk] *= phase
+        states[rows, z0 : z0 + chunk] *= phase
+
+
+def _flipped(edges: _Edges, fire: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per row of draws over a layer, the edges that anticommute with an odd
+    number of the Paulis fired before them (bool, rows by edges).
+
+    A Pauli fired at edge j flips the qubits its X or Y components act on;
+    the flips before edge k are the exclusive prefix XOR of those masks,
+    and edge k anticommutes when they hold exactly one of its qubits.
+    """
+    flips = _ANTICOMMUTES_WITH_Z[codes >> 2]
+    flips *= edges.bit_a
+    other = _ANTICOMMUTES_WITH_Z[codes & 3]
+    other *= edges.bit_b
+    flips |= other
+    flips *= fire
+    before = np.bitwise_xor.accumulate(flips, axis=1)
+    before ^= flips
+    return ((before & edges.bit_a) != 0) != ((before & edges.bit_b) != 0)
 
 
 def _commute_fired(
-    amps: np.ndarray,
-    gates: tuple[GateOp, ...],
+    states: np.ndarray,
+    rows: np.ndarray,
+    edges: _Edges,
     fire: np.ndarray,
     codes: np.ndarray,
     signs: np.ndarray,
 ) -> None:
-    """Finish a cost layer whose diagonal is applied: one phase for the later
-    edges the fired Paulis anticommute with, then the Paulis in firing
-    order.  ``signs`` is the ensemble's ``_sign_table``."""
-    flipped = 0  # bit q set: the Paulis fired so far carry an odd number of X/Y on q
-    edges, fired = [], []
-    fire = fire.tolist()  # Python bools index faster than numpy's
-    for k in range(fire.index(True), len(gates)):
-        gate = gates[k]
-        qa, qb = gate.qubits
-        if ((flipped >> qa) ^ (flipped >> qb)) & 1:
-            edges.append((gate.theta, qa, qb))
-        if fire[k]:
-            code = int(codes[k])
-            pa, pb = divmod(code, 4)
-            flipped ^= (_ANTICOMMUTES_WITH_Z[pa] << qa) | (_ANTICOMMUTES_WITH_Z[pb] << qb)
-            fired.append((code, qa, qb))
-    if edges:
-        theta, qa, qb = zip(*edges)
-        _flip_phase(amps, signs, np.array(theta), np.array(qa), np.array(qb))
-    for code, qa, qb in fired:
-        _apply_pauli_pair(amps, code, qa, qb)
+    """Finish a cost layer whose diagonal is applied, on the rows ``rows`` of
+    ``states``, given the draws over the layer's edges of each one's
+    trajectory as rows of ``fire`` and ``codes``: one phase per row for
+    the later edges its fired Paulis anticommute with, then its Paulis in
+    firing order.  ``signs`` is the ensemble's ``_sign_table``."""
+    flipped = _flipped(edges, fire, codes)
+    counts = flipped.sum(axis=1)
+    phased = np.flatnonzero(counts)
+    if phased.size:
+        k = np.nonzero(flipped[phased])[1]
+        _flip_phase(
+            states, rows[phased], counts[phased], edges.theta[k], edges.qa[k], edges.qb[k], signs
+        )
+    i, k = np.nonzero(fire)
+    for i, k, code in zip(i.tolist(), k.tolist(), codes[i, k].tolist()):
+        _apply_pauli_pair(states[rows[i]], code, *edges.pairs[k])
 
 
-def _run_block(ens: _Ensemble, block: list) -> tuple[np.ndarray, list[int], list[int]]:
-    """Final states of a block of trajectories, given their draws (None for
-    one that fires nothing), as rows of one array, each one's row, and the
-    Paulis each one fired.
+def _run_block(ens: _Ensemble, block: _Block) -> tuple[np.ndarray, list[int], list[int]]:
+    """Final states of a block of trajectories, given their draws, as rows
+    of one array, each one's row, and the Paulis each one fired.
 
     Row 0 follows the noiseless path while any trajectory of the block is
     still on it.  At the first cost layer where a trajectory fires, after
     the layer's diagonal, it takes a copy of row 0, or row 0 itself when
     no other trajectory is left on it.  Each gate run and each cost layer
-    is one executor call on the active rows, so every row gets the
-    operations of a trajectory run alone.
+    is one executor call on the active rows, and each cost layer's fired
+    Paulis one ``_commute_fired`` call on the rows that fire in it, so
+    every row gets the operations of a trajectory run alone.
     """
-    firsts = [None if d is None else int(np.argmax(d[0])) for d in block]
+    fire, codes = block.fire, block.codes
+    firsts = fire.argmax(axis=1) if len(fire) else np.empty(0, np.intp)
     # a row per trajectory that fires, and row 0 kept to the end for
     # those that fire nothing (the last to fire takes it when there are none)
-    rows = len(block) - firsts.count(None) + (None in firsts)
-    states = np.zeros((rows, 1 << ens.num_qubits), ens.dtype)
+    states = np.zeros((len(fire) + (-1 in block.slots), 1 << ens.num_qubits), ens.dtype)
     on_clean = len(block)
     if ens.start is None:
         states[0, 0] = 1.0
     else:
         states[0] = ens.start
-    row_of = [0] * len(block)
+    row_of = np.zeros(len(fire), np.intp)
     active, k = 1, 0
-    for op, phase in zip(ens.layers, ens.phases):
+    for op, phase, edges in zip(ens.layers, ens.phases, ens.edges):
         if phase is None:
             _apply_gate_run(states[:active].reshape(-1), op)
             continue
         _apply_cost_layer(states[:active], phase)
         m = len(op.gates)
-        for i, first in enumerate(firsts):
-            if first is not None and k <= first < k + m:
-                on_clean -= 1
-                if on_clean:
-                    states[active] = states[0]
-                    row_of[i] = active
-                    active += 1
-        for i, draw in enumerate(block):
-            if draw is not None and draw[0][k : k + m].any():
-                fire, codes = draw[0][k : k + m], draw[1][k : k + m]
-                _commute_fired(states[row_of[i]], op.gates, fire, codes, ens.signs)
+        leaving = np.flatnonzero((firsts >= k) & (firsts < k + m))
+        on_clean -= leaving.size
+        if not on_clean:
+            leaving = leaving[:-1]
+        states[active : active + leaving.size] = states[0]
+        row_of[leaving] = np.arange(active, active + leaving.size)
+        active += leaving.size
+        here = np.flatnonzero(fire[:, k : k + m].any(axis=1))
+        if here.size:
+            _commute_fired(
+                states, row_of[here], edges, fire[here, k : k + m], codes[here, k : k + m], ens.signs
+            )
         k += m
-    return states, row_of, [0 if draw is None else int(draw[0].sum()) for draw in block]
+    rows, paulis = row_of.tolist(), fire.sum(axis=1).tolist()
+    slots = block.slots
+    return states, [0 if s < 0 else rows[s] for s in slots], [0 if s < 0 else paulis[s] for s in slots]
 
 
 def _iter_blocks(circuit, cfg, precision, memory_budget, threads, held=0):
@@ -398,8 +574,7 @@ def _iter_blocks(circuit, cfg, precision, memory_budget, threads, held=0):
     read, so finished blocks never pile up.  The consumer drops each block
     before it asks for the next, as ``_prepare`` counts.
     """
-    rows = _block_rows(circuit.num_qubits, cfg.trajectories, threads)
-    workers = min(max(1, threads), cfg.trajectories)  # each holds one block
+    rows, workers = _block_plan(circuit, cfg, threads)
     ens = _prepare(circuit, Precision.coerce(precision), memory_budget, rows, workers, held)
     blocks = _blocks(ens, cfg, rows)
     if threads > 1:
@@ -417,6 +592,21 @@ def _pooled(ens: _Ensemble, blocks, threads: int):
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+
+
+def check_ensemble_memory(
+    circuit: CircuitIR,
+    cfg: DepolarizingConfig,
+    shots_per_trajectory: int,
+    precision: Precision | str = Precision.FP32,
+    memory_budget: int | None = None,
+    threads: int = 1,
+) -> None:
+    """Raise the ``CapacityError`` that ``run_noisy_ensemble`` with these
+    arguments would, before anything is built or run."""
+    rows, workers = _block_plan(circuit, cfg, threads)
+    held = _shot_bytes(circuit.num_qubits, cfg.trajectories * shots_per_trajectory)
+    _account(circuit, Precision.coerce(precision), memory_budget, rows, workers, held)
 
 
 def run_noisy_ensemble(
@@ -442,18 +632,21 @@ def run_noisy_ensemble(
     held = _shot_bytes(circuit.num_qubits, cfg.trajectories * shots_per_trajectory)
     blocks = _iter_blocks(circuit, cfg, precision, memory_budget, threads, held)
     indices = np.empty((cfg.trajectories, shots_per_trajectory), np.uint64)
+    streams = KeyedStreams(cfg.rng_seed, "shots", cfg.trajectories)
     fired, drift = [], 0.0
     for states, row_of, paulis in blocks:
-        sharing = {}  # row -> the trajectories that end in it
-        for t, r in enumerate(row_of, start=len(fired)):
-            sharing.setdefault(r, []).append(t)
-        for r, ts in sharing.items():
-            rngs = [derive_rng(cfg.rng_seed, "shots", t) for t in ts]
-            shots, total = _draw_streamed(states[r], rngs, shots_per_trajectory)
-            indices[ts] = shots
+        t0 = len(fired)
+        mine = indices[t0 : t0 + len(row_of)]
+        u = np.empty(mine.shape)
+        sharing = {}  # row -> the block's trajectories that end in it
+        for j, r in enumerate(row_of):
+            streams[t0 + j].random(out=u[j])
+            sharing.setdefault(r, []).append(j)
+        for r, js in sharing.items():
+            mine[js], total = _draw_streamed(states[r], u[js])
             drift = max(drift, abs(total - 1.0))
         fired += paulis
-        del states  # dropped before the next block runs
+        del states, u  # dropped before the next block runs
     return ShotSet(
         num_qubits=circuit.num_qubits,
         indices=indices.reshape(-1),

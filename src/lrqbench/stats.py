@@ -27,7 +27,7 @@ import numpy as np
 from .engine import ShotSet
 from .errors import ValidationError
 from .problem import _BLOCK_BITS, WmcInstance
-from .rng import derive_rng, derive_seed
+from .rng import KeyedStreams, derive_rng, derive_seed
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,9 @@ class MeanOfMeans:
 def mean_of_means(pool, cfg: ResampleConfig) -> MeanOfMeans:
     """Grand mean and sigma of repeated n_s-subsample means of the pool.
 
-    Each repeat draws from its own derived stream, so repeats could run
-    in any order (or in parallel) without changing the outcome.
+    Repeat i draws from its own derived stream ("resample", i), so repeats
+    could run in any order (or in parallel) without changing the outcome;
+    the streams are keyed in batches (``KeyedStreams``).
     """
     values = np.asarray(pool, dtype=np.float64).ravel()
     if values.size == 0:
@@ -66,9 +67,9 @@ def mean_of_means(pool, cfg: ResampleConfig) -> MeanOfMeans:
             f"{cfg.subsample_size} without replacement"
         )
     means = np.empty(cfg.repeats)
+    streams = KeyedStreams(cfg.rng_seed, "resample", cfg.repeats)
     for i in range(cfg.repeats):
-        rng = derive_rng(cfg.rng_seed, "resample", i)
-        idx = rng.choice(values.size, size=cfg.subsample_size, replace=cfg.replacement)
+        idx = streams[i].choice(values.size, size=cfg.subsample_size, replace=cfg.replacement)
         means[i] = values[idx].mean()
     sigma = float(means.std(ddof=1)) if cfg.repeats > 1 else 0.0
     return MeanOfMeans(grand_mean=float(means.mean()), sigma=sigma, subsample_means=means)

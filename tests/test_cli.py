@@ -239,6 +239,23 @@ def test_ideal_shots_over_the_budget_exit_3_before_the_ensemble(tmp_path, instan
     assert sorted(path.name for path in tmp_path.iterdir()) == ["inst.json", "inst.json.manifest.json"]
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [("--trajectories", BIG), ("--shots", BIG), ("--shots", 10**6, "--memory-bytes", 10**8)],
+    ids=["trajectories", "shots", "shots-under-a-set-budget"],
+)
+def test_ensemble_over_the_budget_exits_3_before_the_ideal_run(tmp_path, instance_path, extra, monkeypatch):
+    # the ensemble's own account is checked before the dense ideal baseline runs
+    def ideal(*args, **kwargs):
+        raise AssertionError("the ideal baseline ran before the ensemble was refused")
+
+    monkeypatch.setattr("lrqbench.cli.run_circuit", ideal)
+    out = tmp_path / "r.json"
+    argv = ("--mode", "noisy", "--epsilon", 0.01, *extra)
+    assert run_cli("simulate", "--instance", instance_path, "--out", out, *argv) == 3
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["inst.json", "inst.json.manifest.json"]
+
+
 def test_bench_depth_over_the_budget_exits_3(tmp_path):
     out = tmp_path / "b.csv"
     assert run_cli("bench", "--nq", 4, "--shards", 1, "--p", BIG, "--out", out) == 3

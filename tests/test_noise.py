@@ -43,8 +43,11 @@ from lrqbench.engine import (
 )
 from lrqbench.noise import (
     _apply_pauli_pair,
+    _Block,
     _commute_fired,
     _correction_bytes,
+    _draw_bytes,
+    _Edges,
     _flip_phase,
     _prepare,
     _run_block,
@@ -53,7 +56,7 @@ from lrqbench.noise import (
     _y_kernel,
     _z_kernel,
 )
-from lrqbench.rng import derive_rng
+from lrqbench.rng import KEYED_STREAMS_BYTES, derive_rng
 
 import oracles
 
@@ -156,10 +159,40 @@ def test_commuted_paulis_match_time_ordered_product():
                         @ want
                     )
                 k += 1
-        states, row_of, _ = _run_block(ens, [(fire, codes)])
+        states, row_of, _ = _run_block(ens, _Block(fire[None], codes[None], [0]))
         got = states[row_of[0]]
         assert np.max(np.abs(got - want)) < 1e-12
     assert most_in_one_layer >= 4
+
+
+def flipped_by_walk(gates, fire, codes):
+    """The edges after the first fired Pauli whose qubits carry an odd
+    number of the X/Y components fired before them, by a walk over the
+    gates: the reference for ``noise._flipped``."""
+    out = np.zeros(len(gates), bool)
+    flipped = 0  # bit q set: the Paulis fired so far carry an odd number of X/Y on q
+    for k, gate in enumerate(gates):
+        qa, qb = gate.qubits
+        out[k] = bool(((flipped >> qa) ^ (flipped >> qb)) & 1)
+        if fire[k]:
+            pa, pb = divmod(int(codes[k]), 4)
+            flipped ^= ((pa in (1, 2)) << qa) | ((pb in (1, 2)) << qb)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 40])
+def test_flipped_edges_match_a_walk_over_the_gates(n):
+    # n=40 puts qubits above bit 31 of the uint64 flip masks
+    rng = np.random.default_rng(n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))[:120]]
+    gates = tuple(GateOp("RZZ", pair, 0.1) for pair in pairs)
+    fire = rng.random((64, len(gates))) < rng.uniform(0.01, 0.5, size=(64, 1))
+    codes = rng.integers(1, 16, size=fire.shape)
+    got = noise._flipped(_Edges.of(gates), fire, codes)
+    want = np.array([flipped_by_walk(gates, f, c) for f, c in zip(fire, codes)])
+    np.testing.assert_array_equal(got, want)
+    assert want.any() and not want.all()
 
 
 def zz_signs(n, qa, qb):
@@ -184,7 +217,7 @@ def test_flip_phase_fp32_error_within_per_edge_chain():
         zz = zz_signs(n, qa, qb)
         exact = np.exp(1j * (theta[:, None] * zz).sum(axis=0))
         diagonal = np.ones(1 << n, np.complex64)
-        _flip_phase(diagonal, signs, theta, qa, qb)
+        _flip_phase(diagonal[None], np.array([0]), np.array([size]), theta, qa, qb, signs)
         chain = np.ones(1 << n, np.complex64)
         for t, s in zip(theta, zz):
             chain[s == 1] *= np.complex64(cmath.exp(1j * t))
@@ -216,7 +249,7 @@ def test_commute_fired_chunked_matches_time_ordered_product(n):
         got *= diagonal
         if fire[k]:
             _apply_pauli_pair(want, int(codes[k]), *gate.qubits)
-    _commute_fired(got, gates, fire, codes, _sign_table(n))
+    _commute_fired(got[None], np.array([0]), _Edges.of(gates), fire[None], codes[None], _sign_table(n))
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.max(np.abs(got - start)) > 1e-3
 
@@ -232,7 +265,7 @@ def test_correction_scratch_is_what_check_memory_counts(precision):
     theta = np.linspace(-3.0, 3.0, qa.size)
     tracemalloc.start()
     try:
-        _flip_phase(amps, signs, theta, qa, qb)
+        _flip_phase(amps[None], np.array([0]), np.array([qa.size]), theta, qa, qb, signs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -243,16 +276,40 @@ def test_correction_scratch_is_what_check_memory_counts(precision):
     )
 
 
-def noisy_budget(circ, blocks: int, workers: int, shots: int = 0) -> int:
+@pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 12])
+def test_block_correction_scratch_is_what_check_memory_counts(precision, n):
+    # a full block, every row firing about half the layer's edges: the
+    # flipped edges' gathers, the batched phases and the Pauli kernels
+    rows = noise._block_rows(n, 1 << 20, 1)
+    circ = build_circuit(generate_instance(n, 3), LrQaoaParams(p=1))
+    gates = tuple(g for g in circ.gates if g.kind == "RZZ")
+    rng = np.random.default_rng(n)
+    states = (rng.normal(size=(rows, 1 << n)) + 0j).astype(precision.dtype)
+    fire = rng.random((rows, len(gates))) < 0.5
+    fire[:, 0] = True
+    codes = rng.integers(1, 16, size=fire.shape)
+    signs = _sign_table(n)
+    _, peak = traced_peak(
+        lambda: _commute_fired(states, np.arange(rows), _Edges.of(gates), fire, codes, signs)
+    )
+    assert 0 < peak <= _correction_bytes(n, len(gates), precision.dtype, rows)
+
+
+def noisy_budget(circ, blocks: int, workers: int, shots: int = 0, rows: int = 1) -> int:
     """Bytes ``_prepare`` counts for an fp32 ensemble of ``circ``: ``blocks``
-    states in flight; the dense engine's gate list and scratch bound, the
-    larger of executor and tail for one worker and both for more; the sign
-    table, the phase tables of the cost layers after the first (the
-    executor bound holds one), each worker's correction scratch, and
+    states in flight, in blocks of ``rows``; the dense engine's gate list
+    and scratch bound, the larger of executor and tail for one worker and
+    both for more; the sign table, the phase tables of the cost layers
+    after the first (the executor bound holds one), each worker's
+    correction scratch over a block, the draws of the blocks in flight and
+    of the one being cut, the consumer's two keyed stream families, and
     ``shots`` draws."""
     n = circ.num_qubits
     executor, tail = _scratch_bytes(n, Precision.FP32, workers)
-    correction = _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype)
+    correction = _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype, rows)
+    n_rzz = sum(g.kind == "RZZ" for g in circ.gates)
+    draws = (blocks // rows + 1) * _draw_bytes(rows, n_rzz) + 2 * KEYED_STREAMS_BYTES
     return (
         blocks * state_bytes(n, Precision.FP32)
         + (max(executor, tail) if workers == 1 else executor + tail)
@@ -260,6 +317,7 @@ def noisy_budget(circ, blocks: int, workers: int, shots: int = 0) -> int:
         + _sign_table(n).nbytes
         + (circ.p - 1) * _cost_layer_bytes(n, Precision.FP32)[0]
         + workers * correction
+        + draws
         + _shot_bytes(n, shots)
     )
 
@@ -284,7 +342,7 @@ def traced_peak(fn):
 def test_prepare_budgets_the_sign_table_and_correction_scratch():
     n = 6
     circ = build_circuit(generate_instance(n, 3), LrQaoaParams(p=2))
-    need = noisy_budget(circ, blocks=6 * 4, workers=3)  # six blocks of four in flight
+    need = noisy_budget(circ, blocks=6 * 4, workers=3, rows=4)  # six blocks of four in flight
     _prepare(circ, Precision.FP32, need, rows=4, workers=3)
     with pytest.raises(CapacityError):
         _prepare(circ, Precision.FP32, need - 1, rows=4, workers=3)
@@ -365,14 +423,15 @@ def per_trajectory_reference(circ, cfg, precision, shots):
             fire = rng.random(ens.n_rzz) < 15.0 / 16.0 * cfg.epsilon
             codes = rng.integers(1, 16, size=ens.n_rzz)
         k = 0
-        for op, phase in zip(ens.layers, ens.phases):
+        for op, phase, edges in zip(ens.layers, ens.phases, ens.edges):
             if phase is None:
                 _apply_gate_run(amps, op)
                 continue
             _apply_cost_layer(amps, phase)
             m = len(op.gates)
             if fire[k : k + m].any():
-                _commute_fired(amps, op.gates, fire[k : k + m], codes[k : k + m], ens.signs)
+                one = np.s_[None, k : k + m]
+                _commute_fired(amps[None], np.array([0]), edges, fire[one], codes[one], ens.signs)
             k += m
         probs.append(oracles.probabilities(amps))
         rng = derive_rng(cfg.rng_seed, "shots", t)
