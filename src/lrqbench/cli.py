@@ -23,6 +23,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -55,7 +56,7 @@ from .errors import (
 from .files import write_output
 from .noise import (
     DepolarizingConfig,
-    check_ensemble_memory,
+    _prepare_shots,
     epsilon_accumulated,
     fit_k0,
     r_overlap,
@@ -276,12 +277,24 @@ def _cmd_simulate(args) -> int:
         cfg = DepolarizingConfig(
             epsilon=args.epsilon, trajectories=args.trajectories, rng_seed=args.seed
         )
-        # an ensemble over the budget is refused before the ideal baseline runs
-        check_ensemble_memory(circuit, cfg, args.shots, args.precision, args.memory_bytes, args.threads)
+        # the ensemble, and on a solved instance the ideal baseline before
+        # it, share the cost layers' phases, built once both runs are
+        # checked against the budget
+        ens = _prepare_shots(
+            circuit,
+            cfg,
+            args.shots,
+            args.precision,
+            args.memory_bytes,
+            args.threads,
+            baseline=(args.ideal_shots or 0) if solved else None,
+        )
         if solved:
             # the ideal baseline first, its state and shots dropped before the
             # ensemble runs, so neither run holds the other's memory
-            ideal_sv = run_circuit(circuit, args.precision, args.memory_bytes, args.ideal_shots or 0)
+            ideal_sv = run_circuit(
+                circuit, args.precision, args.memory_bytes, args.ideal_shots or 0, _phases=ens.cost_phases
+            )
             if args.ideal_shots is None:
                 r_ideal = exact_expected_r(ideal_sv, inst)
             else:
@@ -296,7 +309,9 @@ def _cmd_simulate(args) -> int:
             args.precision,
             args.memory_bytes,
             threads=args.threads,
+            _ensemble=ens,
         )
+        del ens  # the phases go before the result is formed
         mean_r = ovl = None
         if solved:
             mean_r = approximation_ratio(inst, shots)
@@ -589,7 +604,10 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_seed, default=0, help="seed for every derived stream")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing reads it
+    and leaves it as it was, so ``main`` reuses it for every call."""
     parser = argparse.ArgumentParser(
         prog="lrqbench",
         description="Linear-ramp QAOA MaxCut simulation and verification toolkit",

@@ -12,7 +12,8 @@ amplitudes (one row when a state is larger), through the dense engine's
 executors: each run of H/RX gates is one ``_apply_gate_run`` call on the
 block's active rows, and each cost layer one ``_apply_cost_layer`` call
 on them from the layer's ``_CostPhase``, built once and shared by the
-threads; ``_prepare`` adds what only the ensemble holds to the dense
+threads (and by the dense ideal baseline a noisy ``simulate`` runs
+first); ``_prepare`` adds what only the ensemble holds to the dense
 engine's scratch bound.  Row 0 of a block follows
 the noiseless path, and starts as the amplitude of the folded H layer
 (``engine._layer_plan``).  A trajectory gets its own row, a copy of row 0 after
@@ -86,6 +87,7 @@ from .engine import (
     _squared_chunks,
     check_memory,
     expected_r_from_probs,
+    state_bytes,
 )
 from .errors import FitError, ValidationError
 from .problem import WmcInstance
@@ -236,7 +238,8 @@ class _Ensemble:
     (None when the H layer does not fold), the circuit's executed layers
     with one-qubit gate runs grouped, each cost layer's read-only
     ``_CostPhase`` and ``_Edges`` (None for a gate run), the RZZ count the
-    draws cover, and the ZZ sign table of ``_sign_table``."""
+    draws cover, the ZZ sign table of ``_sign_table``, and the rows of a
+    block."""
 
     num_qubits: int
     dtype: np.dtype
@@ -246,6 +249,12 @@ class _Ensemble:
     edges: list[_Edges | None]
     n_rzz: int
     signs: np.ndarray
+    rows: int
+
+    @property
+    def cost_phases(self) -> list[_CostPhase]:
+        """The cost layers' phases, in order."""
+        return [phase for phase in self.phases if phase is not None]
 
 
 @dataclass(frozen=True)
@@ -291,6 +300,7 @@ def _account(
     rows: int = 1,
     workers: int = 1,
     held: int = 0,
+    baseline: int | None = None,
 ):
     """Check that the run and ``held`` bytes of the caller's fit the memory
     budget, before anything is built; return the start amplitude, the
@@ -307,6 +317,12 @@ def _account(
     until its consumer drops it, before asking for the next; the draws of
     those blocks and of the one the consumer is cutting; and the consumer's
     two ``KeyedStreams``.
+
+    With ``baseline`` draws, the count is the larger of that and the one
+    of a dense run with those draws on the ensemble's phases, as a noisy
+    ``simulate`` makes its ideal baseline before the ensemble: one state,
+    one worker's executor or its tail, the gate list, and the sign table
+    and the phases built for the ensemble, all p of them alive.
     """
     n, dtype = circuit.num_qubits, precision.dtype
     start, steps = _layer_plan(circuit, n, dtype)
@@ -319,17 +335,15 @@ def _account(
     in_flight = 1 if workers == 1 else _IN_FLIGHT_PER_THREAD * workers
     executor, tail = _scratch_bytes(n, precision, workers)
     dense = executor + tail if workers > 1 else max(executor, tail)
-    dense += _gate_list_bytes(len(circuit.gates))
     tables = len(costs[1:]) * _cost_layer_bytes(n, precision)[0]
+    shared = _gate_list_bytes(len(circuit.gates)) + signs + tables
     correction = workers * _correction_bytes(n, widest, dtype, rows)
     draws = (in_flight + 1) * _draw_bytes(rows, n_rzz) + 2 * KEYED_STREAMS_BYTES
-    check_memory(
-        n,
-        precision,
-        memory_budget,
-        arrays=in_flight * rows,
-        scratch=dense + signs + tables + correction + draws + held,
-    )
+    runs = [(in_flight * rows, dense + shared + correction + draws + held)]
+    if baseline is not None:
+        runs.append((1, max(_scratch_bytes(n, precision, 1, baseline)) + shared))
+    arrays, scratch = max(runs, key=lambda run: run[0] * state_bytes(n, precision) + run[1])
+    check_memory(n, precision, memory_budget, arrays=arrays, scratch=scratch)
     return start, layers, n_rzz
 
 
@@ -340,23 +354,25 @@ def _prepare(
     rows: int = 1,
     workers: int = 1,
     held: int = 0,
+    baseline: int | None = None,
 ) -> _Ensemble:
     """Layers, cost-layer phases and edges, and the sign table, built once
     ``_account`` has checked the run against the memory budget."""
-    start, layers, n_rzz = _account(circuit, precision, memory_budget, rows, workers, held)
+    start, layers, n_rzz = _account(circuit, precision, memory_budget, rows, workers, held, baseline)
     phases = [_CostPhase(op) if isinstance(op, CostLayer) else None for op in layers]
     edges = [_Edges.of(op.gates) if isinstance(op, CostLayer) else None for op in layers]
     n = circuit.num_qubits
-    return _Ensemble(n, precision.dtype, start, layers, phases, edges, n_rzz, _sign_table(n))
+    return _Ensemble(n, precision.dtype, start, layers, phases, edges, n_rzz, _sign_table(n), rows)
 
 
-def _blocks(ens: _Ensemble, cfg: DepolarizingConfig, rows: int):
+def _blocks(ens: _Ensemble, cfg: DepolarizingConfig):
     """The trajectories' draws in order, cut into ``_Block``s.  Trajectory t
     draws from its own stream ("trajectory", t): which RZZ gates fire a
     Pauli and, if any does, which one each; at epsilon 0 nothing is drawn.
     A block needs a row per trajectory that fires plus one clean row shared
     by those that fire nothing, and is closed before it would need more
-    than ``rows``."""
+    than ``ens.rows``."""
+    rows = ens.rows
     streams = KeyedStreams(cfg.rng_seed, "trajectory", cfg.trajectories) if cfg.epsilon else None
     threshold = _PAULI_BRANCH * cfg.epsilon
     slots, firing, clean = [], 0, False
@@ -576,7 +592,13 @@ def _iter_blocks(circuit, cfg, precision, memory_budget, threads, held=0):
     """
     rows, workers = _block_plan(circuit, cfg, threads)
     ens = _prepare(circuit, Precision.coerce(precision), memory_budget, rows, workers, held)
-    blocks = _blocks(ens, cfg, rows)
+    return _run_blocks(ens, cfg, threads)
+
+
+def _run_blocks(ens: _Ensemble, cfg: DepolarizingConfig, threads: int):
+    """``_run_block``'s results for every block of a prepared ensemble, in
+    trajectory order, on ``threads`` (see ``_iter_blocks``)."""
+    blocks = _blocks(ens, cfg)
     if threads > 1:
         return _pooled(ens, blocks, threads)
     return (_run_block(ens, block) for block in blocks)
@@ -594,19 +616,22 @@ def _pooled(ens: _Ensemble, blocks, threads: int):
             yield pending.popleft().result()
 
 
-def check_ensemble_memory(
+def _prepare_shots(
     circuit: CircuitIR,
     cfg: DepolarizingConfig,
     shots_per_trajectory: int,
     precision: Precision | str = Precision.FP32,
     memory_budget: int | None = None,
     threads: int = 1,
-) -> None:
-    """Raise the ``CapacityError`` that ``run_noisy_ensemble`` with these
-    arguments would, before anything is built or run."""
+    baseline: int | None = None,
+) -> _Ensemble:
+    """The ensemble ``run_noisy_ensemble`` with these arguments runs,
+    prepared once the budget holds its blocks beside the pooled shots and,
+    with ``baseline`` draws, a dense run with them on its phases before it
+    (``_account``)."""
     rows, workers = _block_plan(circuit, cfg, threads)
     held = _shot_bytes(circuit.num_qubits, cfg.trajectories * shots_per_trajectory)
-    _account(circuit, Precision.coerce(precision), memory_budget, rows, workers, held)
+    return _prepare(circuit, Precision.coerce(precision), memory_budget, rows, workers, held, baseline)
 
 
 def run_noisy_ensemble(
@@ -616,6 +641,8 @@ def run_noisy_ensemble(
     precision: Precision | str = Precision.FP32,
     memory_budget: int | None = None,
     threads: int = 1,
+    *,
+    _ensemble: _Ensemble | None = None,
 ) -> ShotSet:
     """Sample every trajectory and pool the shots in trajectory order.
 
@@ -626,11 +653,16 @@ def run_noisy_ensemble(
     squared norm.  The result carries the number of Paulis each
     trajectory fired, and the largest drift of a final state's squared
     norm from 1.
+
+    ``_ensemble`` is private: the ensemble ``_prepare_shots`` built, and
+    checked against the budget, for these arguments.
     """
     if shots_per_trajectory < 1:
         raise ValidationError(f"shot count must be positive, got {shots_per_trajectory}")
-    held = _shot_bytes(circuit.num_qubits, cfg.trajectories * shots_per_trajectory)
-    blocks = _iter_blocks(circuit, cfg, precision, memory_budget, threads, held)
+    ens = _ensemble
+    if ens is None:
+        ens = _prepare_shots(circuit, cfg, shots_per_trajectory, precision, memory_budget, threads)
+    blocks = _run_blocks(ens, cfg, threads)
     indices = np.empty((cfg.trajectories, shots_per_trajectory), np.uint64)
     streams = KeyedStreams(cfg.rng_seed, "shots", cfg.trajectories)
     fired, drift = [], 0.0

@@ -353,15 +353,19 @@ def solve_instance(inst: WmcInstance, *, limit: int = DEFAULT_BRUTEFORCE_LIMIT) 
 
 def _require_optimal(inst: WmcInstance) -> OptimalCut:
     """The instance's optimal cut, once its value is checked against the
-    cut of its bitstring, to 1e-12 times max(1, total weight)."""
+    cut of its bitstring, to 1e-12 times max(1, total weight).  The
+    instance remembers the ``OptimalCut`` object it last passed, so the
+    check runs again only when ``optimal_cut`` is replaced."""
     opt = inst.optimal_cut
     if opt is None:
         raise StateError("instance has no optimal cut; solve it first")
-    actual = cut_value(inst, opt.bitstring)
-    if abs(opt.value - actual) > 1e-12 * max(1.0, inst.total_weight()):
-        raise ValidationError(
-            f"optimal cut value {opt.value!r} contradicts its bitstring, whose cut is {actual!r}"
-        )
+    if getattr(inst, "_checked_optimum", None) is not opt:
+        actual = cut_value(inst, opt.bitstring)
+        if abs(opt.value - actual) > 1e-12 * max(1.0, inst.total_weight()):
+            raise ValidationError(
+                f"optimal cut value {opt.value!r} contradicts its bitstring, whose cut is {actual!r}"
+            )
+        inst._checked_optimum = opt
     return opt
 
 

@@ -186,6 +186,14 @@ def classify(
 
 
 KDE_GRID_POINTS = 512
+# ``kde_curve`` forms the kernel values of at most this many (grid point,
+# value) pairs at a time, or of one grid row when a row alone holds more.
+_KDE_BLOCK = 1 << 16
+
+
+def _kde_rows(count: int) -> int:
+    """Grid rows ``kde_curve`` takes at a time over ``count`` values."""
+    return min(KDE_GRID_POINTS, max(1, _KDE_BLOCK // max(1, count)))
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
@@ -207,7 +215,9 @@ def kde_curve(
     """Gaussian kernel density on a 512-point grid spanning the data.
 
     Presentation-only: the grid runs from min - 3h to max + 3h.  Returns
-    (grid, density).
+    (grid, density).  The kernel values are formed for ``_kde_rows`` grid
+    points at a time, and each point's sum is numpy's pairwise sum over its
+    own row, so the bits do not depend on how many rows a block holds.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     if x.size < 2:
@@ -216,8 +226,13 @@ def kde_curve(
     if h <= 0.0:
         raise ValidationError(f"bandwidth must be positive, got {h}")
     grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, KDE_GRID_POINTS)
-    z = (grid[:, None] - x[None, :]) / h
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * np.sqrt(2.0 * np.pi))
+    density = np.empty(KDE_GRID_POINTS)
+    rows = _kde_rows(x.size)
+    for lo in range(0, KDE_GRID_POINTS, rows):
+        z = (grid[lo : lo + rows, None] - x[None, :]) / h
+        density[lo : lo + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+        del z  # dropped before the next block is formed
+    density /= x.size * h * np.sqrt(2.0 * np.pi)
     return grid, density
 
 
@@ -236,11 +251,13 @@ def _resample_bytes(num_vertices: int, pool_size: int, repeats: int, kde: bool) 
       ``CutDiagonal.at``, about 460 bytes traced at n = 30 to 64; 512 are
       counted for each of at most min(pool, 2^(n - 16)) blocks.
     - A repeat keeps a float64 mean for each of the two pools, and the
-      density (``kde_curve``) three float64 arrays of KDE_GRID_POINTS per
-      mean.
+      density (``kde_curve``) holds three float64 arrays of a block of
+      ``_kde_rows`` grid points per mean: at most 3 * 8 * 2^16 bytes, or
+      24 per mean when a grid row alone is longer.
     """
     blocks = min(pool_size, 1 << max(0, num_vertices - _BLOCK_BITS))
-    return 64 * pool_size + 512 * blocks + (16 + kde * 3 * 8 * KDE_GRID_POINTS) * repeats
+    density = kde * 3 * 8 * _kde_rows(repeats) * repeats
+    return 64 * pool_size + 512 * blocks + 16 * repeats + density
 
 
 def uniform_sampler(inst: WmcInstance, n_shots: int, rng_seed: int) -> ShotSet:

@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import stat
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -547,7 +553,8 @@ def test_classify_pool_size_guard(tmp_path, instance_path):
         ("--random-pool-size", BIG),
         ("--repeats", BIG),
         ("--random-pool-size", 10**12, "--n-s", 10**11),
-        ("--repeats", 10**6, "--kde-out", "kde.csv"),
+        # 2 * 10^8 means fit the budget alone, and not with their density
+        ("--repeats", 2 * 10**8, "--kde-out", "kde.csv"),
     ],
     ids=["pool", "repeats", "pool-and-subsample", "density"],
 )
@@ -889,3 +896,153 @@ def test_each_command_builds_one_instance_cut(tmp_path, monkeypatch):
         built.clear()
         assert run_cli(*argv) == 0
         assert len(built) == 1, argv[0]
+
+
+def test_main_keeps_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_a_noisy_run_leaves_no_parsed_state_for_the_next_call(tmp_path, instance_path):
+    # the noisy run sets args.threads; a noiseless run refuses --threads
+    noisy = ("--mode", "noisy", "--epsilon", 0.05, "--trajectories", 4)
+    assert run_cli("simulate", "--instance", instance_path, "--out", tmp_path / "a.json", *noisy) == 0
+    assert run_cli("simulate", "--instance", instance_path, "--out", tmp_path / "b.json") == 0
+    assert run_cli("simulate", "--instance", instance_path, "--out", tmp_path / "c.json", *noisy) == 0
+    assert json.loads((tmp_path / "c.json.manifest.json").read_text())["params"]["threads"] == 1
+
+
+def test_version_and_help_exit_0_after_earlier_calls(tmp_path, instance_path, capsys):
+    assert run_cli("simulate", "--instance", instance_path, "--out", tmp_path / "r.json") == 0
+    assert run_cli("hqc", "--n", 10) == 0
+    capsys.readouterr()
+    for argv, shown in [(("--version",), "lrqbench "), (("--help",), "usage: lrqbench"),
+                        (("simulate", "--help"), "usage: lrqbench simulate")]:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(shown)
+
+
+# twenty calls of every command, run in one process and each in a fresh
+# interpreter: errors (exit 2 and 3) and nested calls (replay) included
+MIXED_CALLS = [
+    ("gen", "--n", "6", "--seed", "3", "--out", "inst.json"),
+    ("gen", "--n", "5", "--seed", "1", "--out", "inst5.json"),
+    ("simulate", "--instance", "inst.json", "--out", "sim.json", "--shots", "200"),
+    ("simulate", "--instance", "inst.json", "--out", "noisy.json", "--mode", "noisy",
+     "--epsilon", "0.05", "--trajectories", "8", "--threads", "2"),
+    ("simulate", "--instance", "inst.json", "--out", "plain.json", "--p", "2"),
+    ("simulate", "--instance", "inst5.json", "--out", "s5.json", "--precision", "fp64",
+     "--dump-state", "s5.bin"),
+    ("simulate", "--instance", "inst.json", "--out", "noisy2.json", "--mode", "noisy",
+     "--epsilon", "0.2", "--trajectories", "5", "--ideal-shots", "50", "--seed", "4"),
+    ("simulate", "--instance", "inst.json", "--out", "noisy3.json", "--mode", "noisy",
+     "--epsilon", "0.01", "--trajectories", "6", "--precision", "fp64", "--shots", "3"),
+    ("simulate", "--instance", "inst.json", "--out", "bad.json", "--threads", "2"),
+    ("simulate", "--instance", "inst.json", "--out", "over.json", "--memory-bytes", "1000"),
+    ("classify", "--qpu", "noisy.json", "--instance", "inst.json", "--noiseless", "sim.json",
+     "--out", "report.json", "--kde-out", "kde.csv"),
+    ("classify", "--qpu", "plain.json", "--instance", "inst.json", "--out", "report2.json",
+     "--repeats", "30", "--seed", "2"),
+    ("fitnoise", "noisy.json", "noisy2.json", "noisy3.json", "--out", "fit.json"),
+    ("hqc", "--n", "12", "--out", "hqc.json"),
+    ("hqc", "--n", "56", "--p", "5"),
+    ("replay", "sim.json.manifest.json"),
+    ("replay", "noisy.json.manifest.json"),
+    ("gen", "--n", "6", "--seed", "3", "--out", "inst.json"),
+    ("simulate", "--instance", "inst5.json", "--out", "noisy5.json", "--mode", "noisy",
+     "--epsilon", "0.1", "--trajectories", "4", "--threads", "3"),
+    ("fitnoise", "plain.json", "--out", "nofit.json"),
+]
+
+
+def written(directory: Path) -> dict:
+    """Every file's bytes, each manifest's without its timestamp."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(path.read_text())
+            del manifest["timestamp_utc"]
+            files[path.name] = json.dumps(manifest, sort_keys=True).encode()
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_mixed_calls_in_one_process_match_fresh_interpreters(tmp_path, monkeypatch):
+    one, fresh = tmp_path / "one", tmp_path / "fresh"
+    one.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(one)
+    in_process = []
+    for argv in MIXED_CALLS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        in_process.append((code, out.getvalue(), err.getvalue()))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    for argv, got in zip(MIXED_CALLS, in_process):
+        run = subprocess.run(
+            [sys.executable, "-m", "lrqbench.cli", *argv], cwd=fresh, env=env, capture_output=True, text=True
+        )
+        assert (run.returncode, run.stdout, run.stderr) == got, argv
+    assert {code for code, _, _ in in_process} == {0, 2, 3}
+    assert written(one) == written(fresh)
+
+
+def test_each_simulate_builds_each_cost_layer_phase_once(tmp_path, monkeypatch):
+    # the noisy ensemble and its ideal baseline share one phase per cost layer
+    from lrqbench import engine
+
+    built = []
+    real = engine._CostPhase.__init__
+
+    def counting(self, layer):
+        built.append(layer)
+        real(self, layer)
+
+    monkeypatch.setattr(engine._CostPhase, "__init__", counting)
+    inst, unsolved = tmp_path / "inst.json", tmp_path / "unsolved.json"
+    assert run_cli("gen", "--n", 6, "--out", inst) == 0
+    assert run_cli("gen", "--n", 6, "--out", unsolved, "--solve-limit", 4) == 0
+    noisy = ("--mode", "noisy", "--epsilon", 0.05, "--trajectories", 6)
+    for p in (1, 3):
+        for instance, extra in [
+            (inst, ()),
+            (inst, noisy),
+            (inst, (*noisy, "--ideal-shots", 40)),
+            (inst, (*noisy, "--threads", 2)),
+            (unsolved, noisy),
+        ]:
+            built.clear()
+            out = tmp_path / "r.json"
+            assert run_cli("simulate", "--instance", instance, "--out", out, "--p", p, *extra) == 0
+            assert len(built) == p, extra
+
+
+@pytest.mark.parametrize("ideal", [(), ("--ideal-shots", 20_000)], ids=["exact", "ideal-shots"])
+@pytest.mark.parametrize("n", [14, 16, 18])
+def test_noisy_simulate_peaks_within_its_count(tmp_path, capsys, n, ideal):
+    # the ensemble's count, or with many ideal shots the baseline's, which
+    # runs on the ensemble's phases: all p of them are alive through it
+    from lrqbench.circuit import gate_counts
+    from lrqbench.engine import Precision, _gate_list_bytes, state_bytes
+
+    inst = tmp_path / "inst.json"
+    assert run_cli("gen", "--n", n, "--out", inst, "--seed", 2) == 0
+    argv = ("simulate", "--instance", inst, "--out", tmp_path / "r.json", "--mode", "noisy",
+            "--epsilon", 0.05, "--trajectories", 2, "--shots", 10, "--seed", 3, *ideal)
+    # above the state and gate list checked before the circuit is built
+    first = state_bytes(n, Precision.FP32) + _gate_list_bytes(sum(gate_counts(n, 3)))
+    capsys.readouterr()
+    assert run_cli(*argv, "--memory-bytes", first) == 3
+    need = int(re.search(r"needs (\d+) bytes", capsys.readouterr().err).group(1))
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv, "--memory-bytes", need)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= need
+    assert run_cli(*argv, "--memory-bytes", need - 1) == 3

@@ -324,3 +324,36 @@ def test_optimum_contradicting_its_bitstring_is_rejected():
         shot_ratios(tampered, [bits])
     with pytest.raises(ValidationError, match="contradicts its bitstring"):
         random_baseline_expectation(tampered)
+
+
+def test_an_optimum_replaced_after_loading_is_checked_again(tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(solve_instance(generate_instance(8, 2)), path)
+    inst = load_instance(path)
+    opt = inst.optimal_cut
+    assert shot_ratios(inst, [opt.bitstring]).tolist() == [1.0]
+    inst.optimal_cut = OptimalCut(opt.bitstring, 2.0 * opt.value)
+    with pytest.raises(ValidationError, match="contradicts its bitstring"):
+        shot_ratios(inst, [opt.bitstring])
+    inst.optimal_cut = opt
+    assert shot_ratios(inst, [opt.bitstring]).tolist() == [1.0]
+
+
+def test_the_optimum_is_derived_once_per_optimal_cut_object(tmp_path, monkeypatch):
+    from lrqbench import problem
+
+    path = tmp_path / "inst.json"
+    save_instance(solve_instance(generate_instance(8, 2)), path)
+    derived = []
+    real = problem.cut_value
+    monkeypatch.setattr(problem, "cut_value", lambda inst, x: derived.append(x) or real(inst, x))
+    inst = load_instance(path)
+    for _ in range(3):
+        shot_ratios(inst, ["0" * 8])
+        random_baseline_expectation(inst)
+        approximation_ratio(inst, ["1" * 8])
+    assert len(derived) == 1  # the check at load
+    opt = inst.optimal_cut
+    inst.optimal_cut = OptimalCut(opt.bitstring, opt.value)  # equal, but a new object
+    shot_ratios(inst, ["0" * 8])
+    assert len(derived) == 2

@@ -201,6 +201,31 @@ def test_kde_matches_gaussian_mixture():
     np.testing.assert_allclose(density, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("count", [2, 100, 129, 1000, 70_000])
+def test_kde_blocks_of_grid_rows_keep_the_whole_matrix_bits(count):
+    # one block (count <= 128), several, and one grid row per block
+    x = np.random.default_rng(count).normal(0.7, 0.01, size=count)
+    h = silverman_bandwidth(x)
+    grid, density = kde_curve(x)
+    z = (grid[:, None] - x[None, :]) / h
+    want = np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * np.sqrt(2.0 * np.pi))
+    assert density.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [1000, 100_000])
+def test_kde_peak_stays_within_its_block_bound(count):
+    x = np.random.default_rng(2).normal(0.7, 0.01, size=count)
+    tracemalloc.start()
+    try:
+        kde_curve(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # within the bound for as many repeats, and far below the whole matrix
+    assert peak <= _resample_bytes(6, 0, count, kde=True)
+    assert peak < 8 * KDE_GRID_POINTS * count // 2
+
+
 def test_kde_needs_two_points():
     with pytest.raises(ValidationError):
         kde_curve([0.5])
