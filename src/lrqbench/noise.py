@@ -53,10 +53,10 @@ is expected to decay as 2^(-k0 * eps_acc); ``fit_k0`` recovers k0 by a
 least-squares line through the origin on -log2(r_ovl) versus eps_acc,
 dropping non-positive overlaps (their count is reported).
 
-Each trajectory draws from its own derived streams ("trajectory", t)
-and ("shots", t), keyed in batches (``rng.KeyedStreams``), so runs are
-reproducible and neither the blocks nor the thread count (threads run
-whole blocks) can change results.
+Trajectory t draws from stream t of the families "trajectory" and
+"shots" (``rng.StreamFamily``: one key each, stream t at counter t), so
+runs are reproducible and neither the blocks nor the thread count
+(threads run whole blocks) can change results.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ from .engine import (
 )
 from .errors import FitError, ValidationError
 from .problem import WmcInstance
-from .rng import KEYED_STREAMS_BYTES, KeyedStreams
+from .rng import StreamFamily
 
 _PAULI_BRANCH = 15.0 / 16.0
 
@@ -315,8 +315,9 @@ def _account(
     the blocks of ``rows`` states in flight: one without threads, else up
     to _IN_FLIGHT_PER_THREAD per worker, each from the start of its run
     until its consumer drops it, before asking for the next; the draws of
-    those blocks and of the one the consumer is cutting; and the consumer's
-    two ``KeyedStreams``.
+    those blocks and of the one the consumer is cutting.  A stream family
+    holds one generator however many streams it serves, so the draws'
+    streams add no term.
 
     With ``baseline`` draws, the count is the larger of that and the one
     of a dense run with those draws on the ensemble's phases, as a noisy
@@ -338,7 +339,7 @@ def _account(
     tables = len(costs[1:]) * _cost_layer_bytes(n, precision)[0]
     shared = _gate_list_bytes(len(circuit.gates)) + signs + tables
     correction = workers * _correction_bytes(n, widest, dtype, rows)
-    draws = (in_flight + 1) * _draw_bytes(rows, n_rzz) + 2 * KEYED_STREAMS_BYTES
+    draws = (in_flight + 1) * _draw_bytes(rows, n_rzz)
     runs = [(in_flight * rows, dense + shared + correction + draws + held)]
     if baseline is not None:
         runs.append((1, max(_scratch_bytes(n, precision, 1, baseline)) + shared))
@@ -367,13 +368,13 @@ def _prepare(
 
 def _blocks(ens: _Ensemble, cfg: DepolarizingConfig):
     """The trajectories' draws in order, cut into ``_Block``s.  Trajectory t
-    draws from its own stream ("trajectory", t): which RZZ gates fire a
+    draws from stream t of the "trajectory" family: which RZZ gates fire a
     Pauli and, if any does, which one each; at epsilon 0 nothing is drawn.
     A block needs a row per trajectory that fires plus one clean row shared
     by those that fire nothing, and is closed before it would need more
     than ``ens.rows``."""
     rows = ens.rows
-    streams = KeyedStreams(cfg.rng_seed, "trajectory", cfg.trajectories) if cfg.epsilon else None
+    streams = StreamFamily(cfg.rng_seed, "trajectory") if cfg.epsilon else None
     threshold = _PAULI_BRANCH * cfg.epsilon
     slots, firing, clean = [], 0, False
     fire, codes = np.empty((rows, ens.n_rzz), bool), np.empty((rows, ens.n_rzz), np.int64)
@@ -646,13 +647,13 @@ def run_noisy_ensemble(
 ) -> ShotSet:
     """Sample every trajectory and pool the shots in trajectory order.
 
-    Trajectory t samples with the stream ("shots", t) derived from the
-    config seed; at epsilon 0 with one trajectory this reproduces the
-    noiseless ``sample`` byte for byte.  The trajectories that end in one
-    row of a block draw in one sampler call, which also gives the row's
-    squared norm.  The result carries the number of Paulis each
-    trajectory fired, and the largest drift of a final state's squared
-    norm from 1.
+    Trajectory t samples with stream t of the config seed's "shots"
+    family, whose stream 0 is the one ``sample`` draws from, so at epsilon
+    0 with one trajectory this reproduces the noiseless ``sample`` byte for
+    byte.  The trajectories that end in one row of a block draw in one
+    sampler call, which also gives the row's squared norm.  The result
+    carries the number of Paulis each trajectory fired, and the largest
+    drift of a final state's squared norm from 1.
 
     ``_ensemble`` is private: the ensemble ``_prepare_shots`` built, and
     checked against the budget, for these arguments.
@@ -664,7 +665,7 @@ def run_noisy_ensemble(
         ens = _prepare_shots(circuit, cfg, shots_per_trajectory, precision, memory_budget, threads)
     blocks = _run_blocks(ens, cfg, threads)
     indices = np.empty((cfg.trajectories, shots_per_trajectory), np.uint64)
-    streams = KeyedStreams(cfg.rng_seed, "shots", cfg.trajectories)
+    streams = StreamFamily(cfg.rng_seed, "shots")
     fired, drift = [], 0.0
     for states, row_of, paulis in blocks:
         t0 = len(fired)

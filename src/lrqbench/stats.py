@@ -27,7 +27,7 @@ import numpy as np
 from .engine import ShotSet
 from .errors import ValidationError
 from .problem import _BLOCK_BITS, WmcInstance
-from .rng import KeyedStreams, derive_rng, derive_seed
+from .rng import StreamFamily, derive_rng, derive_seed
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ class MeanOfMeans:
 def mean_of_means(pool, cfg: ResampleConfig) -> MeanOfMeans:
     """Grand mean and sigma of repeated n_s-subsample means of the pool.
 
-    Repeat i draws from its own derived stream ("resample", i), so repeats
-    could run in any order (or in parallel) without changing the outcome;
-    the streams are keyed in batches (``KeyedStreams``).
+    Repeat i draws from stream i of the "resample" family
+    (``StreamFamily``), so repeats could run in any order (or in parallel)
+    without changing the outcome.
     """
     values = np.asarray(pool, dtype=np.float64).ravel()
     if values.size == 0:
@@ -67,7 +67,7 @@ def mean_of_means(pool, cfg: ResampleConfig) -> MeanOfMeans:
             f"{cfg.subsample_size} without replacement"
         )
     means = np.empty(cfg.repeats)
-    streams = KeyedStreams(cfg.rng_seed, "resample", cfg.repeats)
+    streams = StreamFamily(cfg.rng_seed, "resample")
     for i in range(cfg.repeats):
         idx = streams[i].choice(values.size, size=cfg.subsample_size, replace=cfg.replacement)
         means[i] = values[idx].mean()

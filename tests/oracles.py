@@ -89,6 +89,12 @@ def inverse_cdf_shots(probs: np.ndarray, n_shots: int, rng: np.random.Generator)
     return np.minimum(idx, cdf.size - 1).astype(np.uint64)
 
 
+def jumped(rng: np.random.Generator, t: int) -> np.random.Generator:
+    """Stream t of the counter family whose stream 0 is the fresh ``rng``:
+    numpy's own ``Philox.jumped(t)``, its counter advanced by t * 2^128."""
+    return np.random.Generator(rng.bit_generator.jumped(t))
+
+
 def cut_of_index(edges, z: int) -> float:
     """Cut weight of assignment z where vertex k is bit k of z."""
     return sum(w for i, j, w in edges if ((z >> i) & 1) != ((z >> j) & 1))

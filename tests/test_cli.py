@@ -427,6 +427,7 @@ def test_simulate_noisy_reports_overlap(tmp_path, instance_path):
 
 
 def test_simulate_noisy_reports_fired_paulis(tmp_path, instance_path):
+    import oracles
     from lrqbench.rng import derive_rng
 
     counts = {}
@@ -441,8 +442,9 @@ def test_simulate_noisy_reports_fired_paulis(tmp_path, instance_path):
     assert counts[0.0]["zero_fire_trajectories"] == 30
     assert counts[0.0]["paulis_expected"] == 0.0
     # the same per-trajectory draws the ensemble makes; n=6, p=3 has 45 RZZ gates
+    root = derive_rng(8, "trajectory", 0)
     fired = [
-        int((derive_rng(8, "trajectory", t).random(45) < 15.0 / 16.0 * 0.02).sum())
+        int((oracles.jumped(root, t).random(45) < 15.0 / 16.0 * 0.02).sum())
         for t in range(30)
     ]
     data = counts[0.02]

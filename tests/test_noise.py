@@ -56,7 +56,7 @@ from lrqbench.noise import (
     _y_kernel,
     _z_kernel,
 )
-from lrqbench.rng import KEYED_STREAMS_BYTES, derive_rng
+from lrqbench.rng import derive_rng
 
 import oracles
 
@@ -138,7 +138,7 @@ def test_commuted_paulis_match_time_ordered_product():
     cfg = DepolarizingConfig(eps, trajectories=4, rng_seed=21)
     most_in_one_layer = 0
     for t in range(cfg.trajectories):
-        rng = derive_rng(cfg.rng_seed, "trajectory", t)
+        rng = oracles.jumped(derive_rng(cfg.rng_seed, "trajectory", 0), t)
         fire = rng.random(n_rzz) < 15.0 / 16.0 * eps
         codes = rng.integers(1, 16, size=n_rzz)
         most_in_one_layer = max(
@@ -303,13 +303,12 @@ def noisy_budget(circ, blocks: int, workers: int, shots: int = 0, rows: int = 1)
     both for more; the sign table, the phase tables of the cost layers
     after the first (the executor bound holds one), each worker's
     correction scratch over a block, the draws of the blocks in flight and
-    of the one being cut, the consumer's two keyed stream families, and
-    ``shots`` draws."""
+    of the one being cut, and ``shots`` draws."""
     n = circ.num_qubits
     executor, tail = _scratch_bytes(n, Precision.FP32, workers)
     correction = _correction_bytes(n, n * (n - 1) // 2, Precision.FP32.dtype, rows)
     n_rzz = sum(g.kind == "RZZ" for g in circ.gates)
-    draws = (blocks // rows + 1) * _draw_bytes(rows, n_rzz) + 2 * KEYED_STREAMS_BYTES
+    draws = (blocks // rows + 1) * _draw_bytes(rows, n_rzz)
     return (
         blocks * state_bytes(n, Precision.FP32)
         + (max(executor, tail) if workers == 1 else executor + tail)
@@ -419,7 +418,7 @@ def per_trajectory_reference(circ, cfg, precision, shots):
         fire = np.zeros(ens.n_rzz, dtype=bool)
         codes = None
         if cfg.epsilon > 0.0:
-            rng = derive_rng(cfg.rng_seed, "trajectory", t)
+            rng = oracles.jumped(derive_rng(cfg.rng_seed, "trajectory", 0), t)
             fire = rng.random(ens.n_rzz) < 15.0 / 16.0 * cfg.epsilon
             codes = rng.integers(1, 16, size=ens.n_rzz)
         k = 0
@@ -434,7 +433,7 @@ def per_trajectory_reference(circ, cfg, precision, shots):
                 _commute_fired(amps[None], np.array([0]), edges, fire[one], codes[one], ens.signs)
             k += m
         probs.append(oracles.probabilities(amps))
-        rng = derive_rng(cfg.rng_seed, "shots", t)
+        rng = oracles.jumped(derive_rng(cfg.rng_seed, "shots", 0), t)
         pooled.append(oracles.inverse_cdf_shots(probs[-1], shots, rng))
     return probs, np.concatenate(pooled)
 
@@ -443,7 +442,8 @@ def first_firing_layers(cfg, n_rzz, layer_size):
     """Per trajectory, the cost layer of its first Pauli, None if it fires none."""
     out = []
     for t in range(cfg.trajectories):
-        fire = derive_rng(cfg.rng_seed, "trajectory", t).random(n_rzz) < 15.0 / 16.0 * cfg.epsilon
+        rng = oracles.jumped(derive_rng(cfg.rng_seed, "trajectory", 0), t)
+        fire = rng.random(n_rzz) < 15.0 / 16.0 * cfg.epsilon
         out.append(int(np.argmax(fire)) // layer_size if fire.any() else None)
     return out
 
@@ -491,8 +491,9 @@ def test_ensemble_counts_fired_paulis():
     np.testing.assert_array_equal(clean.paulis_fired, np.zeros(9, dtype=np.int64))
     cfg = DepolarizingConfig(0.02, trajectories=30, rng_seed=4)
     noisy = run_noisy_ensemble(circ, cfg, 2, "fp64", threads=3)
+    root = derive_rng(cfg.rng_seed, "trajectory", 0)
     want = [
-        int((derive_rng(cfg.rng_seed, "trajectory", t).random(n_rzz) < 15.0 / 16.0 * 0.02).sum())
+        int((oracles.jumped(root, t).random(n_rzz) < 15.0 / 16.0 * 0.02).sum())
         for t in range(cfg.trajectories)
     ]
     np.testing.assert_array_equal(noisy.paulis_fired, want)
