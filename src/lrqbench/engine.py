@@ -25,13 +25,15 @@ exp(-i (Theta/2 - C(z))), with no transcendental per amplitude.
 offset l < 2^b (b = min(16, n)) and writes the layer's angle-weighted cut
 as C = const(h) + sum of a_i(h) over the set bits of l + Q(l), so the
 phase factors as exp(i (const - Theta/2)) * prod exp(i a_i) * exp(i Q(l)).
-The table exp(i Q) is built once per layer; each block takes 1 + b
-exponentials and two complex doubling tables, A over the low 12 bits of
-l (starting at exp(i (const - Theta/2))) and B over the rest (starting at
-1).  Index z then gets (A[l & 4095] * B[l >> 12]) * exp(i Q(l)) in double
-precision, rounded to the state's precision and multiplied in, over
-aligned pieces of at most 2^12 amplitudes, each of which reads one entry
-of B.  An index's phase is the same three products whatever range,
+The table exp(i Q) is built once per layer, as products over the split
+l = m 2^s + r, s = min(8, b) (``_CostPhase``): 2^s + 2^(b - s) + s (b - s)
+exponentials, not 2^b, and the cut's table Q is never formed.  Each block
+takes 1 + b exponentials and two complex doubling tables, A over the low
+12 bits of l (starting at exp(i (const - Theta/2))) and B over the rest
+(starting at 1).  Index z then gets (A[l & 4095] * B[l >> 12]) * exp(i Q(l))
+in double precision, rounded to the state's precision and multiplied in,
+over aligned pieces of at most 2^12 amplitudes, each of which reads one
+entry of B.  An index's phase is the same three products whatever range,
 block, shard or piece computes it, so no full-length diagonal is ever
 held and a shard gets the dense bits.
 
@@ -379,18 +381,28 @@ def _apply_gate_run(amps: np.ndarray, gates) -> None:
 # 2^_PHASE_PIECE_BITS amplitudes; a block's doubling tables split its
 # offsets at the same bit, so a piece reads one entry of the high table.
 _PHASE_PIECE_BITS = 12
+_PHASE_SPLIT_BITS = 8  # exp(i Q) is built from tables over l's low 8 bits and the rest
 
 
 class _CostPhase:
     """A cost layer's diagonal exp(-i (Theta/2 - C(z))), factored along its
-    ``CutDiagonal``: the table exp(i Q) over a block's offsets, built once,
-    and per block the doubling tables of ``block_tables``.  Read-only once
-    built, so shards can share one."""
+    ``CutDiagonal``: ``eq`` = exp(i Q) over a block's offsets, built once
+    as products, and per block the doubling tables of ``block_tables``.
+    Read-only once built, so shards can share one."""
 
     def __init__(self, layer: CostLayer) -> None:
-        self.cut = layer.cut()
-        eq = np.multiply(self.cut.offset_cut, 1j)
-        self.eq = np.exp(eq, out=eq)
+        self.cut = cut = layer.cut()
+        b = cut.block_bits
+        s = min(_PHASE_SPLIT_BITS, b)
+        # Q(m 2^s + r) = Q(r) + Q(m 2^s) - 2 sum_{j: m_j = 1} sum_{i<s} w_{i,s+j} r_i:
+        # row m is row 0 times f[j] per set bit j of m, times exp(i Q(m 2^s))
+        f = doubling(1.0, np.exp(-2j * cut._w[:s, s:b]), np.multiply, np.complex128).T.copy()
+        eq = np.empty((1 << (b - s), 1 << s), np.complex128)
+        np.exp(1j * cut.offset_table(0, s), out=eq[0])
+        for j in range(b - s):
+            np.multiply(eq[: 1 << j], f[j], out=eq[1 << j : 2 << j])
+        eq[1:] *= np.exp(1j * cut.offset_table(s, b)[1:, None])
+        self.eq = eq.reshape(-1)
 
     def block_tables(self, h: int) -> tuple[np.ndarray, np.ndarray]:
         """(A, B) for block h: A over the offset's low _PHASE_PIECE_BITS
@@ -476,13 +488,20 @@ def _layer_plan(circuit: CircuitIR, nq_local: int, dtype: np.dtype = np.complex6
 
 
 def _cost_layer_bytes(num_qubits: int, precision: Precision) -> tuple[int, int]:
-    """(phase, pieces): a ``_CostPhase``'s ``eq`` (complex128) and cut
-    ``offset_cut`` (float64) over 2^min(16, n) offsets, after a transient of
-    twice ``offset_cut``; one ``_apply_cost_layer`` call's pieces, in double
-    and the state's precision, and its block's table over 2^12 offsets."""
-    table = 1 << min(_BLOCK_BITS, num_qubits)
+    """(phase, pieces): a ``_CostPhase``'s ``eq`` (complex128, 2^b) and cut
+    weights (n x n), plus its build's transient: f and its transposed copy
+    (complex128, 2^s per bit above s), the offset tables and their
+    exponentials (2^s and 2^(b - s)), a broadcasting multiply's buffer of
+    up to ``np.getbufsize()`` elements and the cut's Python objects; one
+    ``_apply_cost_layer`` call's pieces, in double and the state's
+    precision, and its block's table over 2^12 offsets."""
+    b = min(_BLOCK_BITS, num_qubits)
+    s = min(_PHASE_SPLIT_BITS, b)
+    table, low, high = 1 << b, 1 << s, 1 << (b - s)
+    build = 32 * (b - s) * low + 40 * low + 24 * high + 16 * min(np.getbufsize(), table) + 4096
     piece = min(table, 1 << _PHASE_PIECE_BITS)
-    return (16 + 8 + 2 * 8) * table, piece * (16 + precision.bytes_per_amplitude + 16)
+    phase = 16 * table + 8 * num_qubits**2 + build
+    return phase, piece * (16 + precision.bytes_per_amplitude + 16)
 
 
 def _shot_bytes(num_qubits: int, shots: int) -> int:

@@ -188,8 +188,9 @@ def doubling(
 ) -> np.ndarray:
     """v[l] = start op steps[i] over the set bits i of l, applied in
     increasing bit order, for l in [0, 2^len(steps)): sums by default,
-    products with ``op=np.multiply``."""
-    v = np.empty(1 << len(steps), dtype)
+    products with ``op=np.multiply``.  Steps with trailing axes give one
+    table per column, v[l] of their shape."""
+    v = np.empty((1 << len(steps),) + np.shape(steps)[1:], dtype)
     v[0] = start
     for i, step in enumerate(steps):
         op(v[: 1 << i], step, out=v[1 << i : 2 << i])
@@ -215,7 +216,8 @@ class CutDiagonal:
 
     An index z splits into a block h = z >> b and an offset l < 2^b, with
     b = min(16, n).  Edges among the low b vertices give a table Q(l),
-    ``offset_cut``, built once.  A block's high bits fix a constant (its
+    ``offset_cut``, built on first use; ``offset_table`` gives its entries
+    over a range of bits without it.  A block's high bits fix a constant (its
     high-high cut plus the low-high edges whose high end is set) and a
     linear term a_i = sum_j w_ij (1 - 2 h_j) per low vertex i
     (``block_terms``), so a block is
@@ -242,12 +244,21 @@ class CutDiagonal:
         self.total = total
         self._w = w
         self._low_to_high = w[:b, b:].sum(axis=0)
+
+    def offset_table(self, lo: int, hi: int) -> np.ndarray:
+        """Q at the offsets whose set bits lie in [lo, hi), in increasing
+        order: ``offset_cut[::2**lo][:2**(hi - lo)]``, by the same additions."""
+        w, b = self._w, self.block_bits
         # setting bit i of l < 2^i cuts every low edge (k, i) with l_k = 0:
         # Q(l + 2^i) = Q(l) + sum_{k<b} w_ki - 2 sum_{k<i} w_ki l_k
         low = np.zeros(1)
-        for i in range(b):
-            low = np.concatenate((low, low + (w[:b, i].sum() - 2.0 * doubling(0.0, w[:i, i]))))
-        self.offset_cut = low
+        for i in range(lo, hi):
+            low = np.concatenate((low, low + (w[:b, i].sum() - 2.0 * doubling(0.0, w[lo:i, i]))))
+        return low
+
+    @functools.cached_property
+    def offset_cut(self) -> np.ndarray:
+        return self.offset_table(0, self.block_bits)
 
     def block_terms(self, h: int) -> tuple[float, np.ndarray]:
         """Block h's constant const(h) and linear terms a_i(h), i < b."""

@@ -95,6 +95,13 @@ def jumped(rng: np.random.Generator, t: int) -> np.random.Generator:
     return np.random.Generator(rng.bit_generator.jumped(t))
 
 
+def cost_phase_table(cut) -> np.ndarray:
+    """exp(i Q(l)) over a cut's 2^b offsets, one complex exponential per
+    entry of its ``offset_cut``: the referee for a cost layer's table,
+    which the engine builds as products."""
+    return np.exp(1j * cut.offset_cut)
+
+
 def cut_of_index(edges, z: int) -> float:
     """Cut weight of assignment z where vertex k is bit k of z."""
     return sum(w for i, j, w in edges if ((z >> i) & 1) != ((z >> j) & 1))

@@ -638,6 +638,7 @@ def test_largest_admitted_angles_run_without_overflow(layout):
     layer = CostLayer(n, tuple(gates))
     circ = CircuitIR(n, [GateOp("H", (q,)) for q in range(n)] + gates)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert np.isfinite(engine._CostPhase(layer).eq).all()
         values = layer.cut().values(0, 1 << n)
         sv = run_circuit(circ, "fp64")
         noisy = lrqbench.noisy_expected_probs(circ, lrqbench.DepolarizingConfig(1.0, 2, 3), "fp64")
@@ -689,7 +690,26 @@ def test_cost_layer_on_a_batch_matches_each_row_alone(n, precision):
     assert batch.tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize("n", [3, 12, 17])
+@pytest.mark.parametrize("n", [2, 8, 9, 12, 16, 17, 20])
+def test_cost_phase_table_matches_one_exponential_per_offset(n):
+    phase = engine._CostPhase(cost_layer(n, 50 + n))
+    # the build reads the cut's offset tables, never its full table
+    assert "offset_cut" not in phase.cut.__dict__
+    want = oracles.cost_phase_table(phase.cut)
+    assert np.max(np.abs(phase.eq - want)) <= 1e-14
+    if n <= 8:  # one table over the low bits: the same exponentials
+        assert phase.eq.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20])
+def test_cost_phase_build_peaks_within_its_bound(n):
+    layer = cost_layer(n, 30 + n)
+    engine._CostPhase(layer)  # numpy's one-time allocations, outside the trace
+    bound = engine._cost_layer_bytes(n, Precision.FP32)[0]
+    assert bound / 2 < traced_peak(lambda: engine._CostPhase(layer)) <= bound
+
+
+@pytest.mark.parametrize("n", [3, 9, 12, 17, 20])
 def test_cost_layer_matches_cos_sin_formula(n):
     # the cost phase of 0.3.0: cos and sin of C - Theta/2 per amplitude
     layer = cost_layer(n, 80 + n)

@@ -113,6 +113,16 @@ def test_cut_lookup_matches_range_scan_at_n20():
     assert inst.cut.at(z).tobytes() == inst.cut.values(0, 1 << 20)[z].tobytes()
 
 
+@pytest.mark.parametrize("n", [3, 9, 16, 20])
+def test_offset_table_is_a_slice_of_offset_cut(n):
+    # the same additions in the same order, so the same bits
+    cut = generate_instance(n, 40 + n).cut
+    b = cut.block_bits
+    for lo, hi in {(0, b), (0, min(8, b)), (min(8, b), b), (1, b - 1), (2, 2), (b, b)}:
+        want = cut.offset_cut[:: 1 << lo][: 1 << (hi - lo)]
+        assert cut.offset_table(lo, hi).tobytes() == want.tobytes()
+
+
 def test_bitstring_encoding_vertex_zero_leftmost():
     assert bitstring_to_index("100") == 1
     assert bitstring_to_index("010") == 2
