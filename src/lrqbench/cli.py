@@ -40,6 +40,7 @@ from .engine import (
     DEFAULT_MEMORY_BUDGET,
     Precision,
     _gate_list_bytes,
+    _shot_bytes,
     check_memory,
     exact_expected_r,
     norm_tolerance,
@@ -56,11 +57,12 @@ from .errors import (
 from .files import write_output
 from .noise import (
     DepolarizingConfig,
-    _prepare_shots,
+    _clean_state,
+    _prepare,
+    _sample_ensemble,
     epsilon_accumulated,
     fit_k0,
     r_overlap,
-    run_noisy_ensemble,
 )
 from .problem import (
     DEFAULT_BRUTEFORCE_LIMIT,
@@ -280,21 +282,13 @@ def _cmd_simulate(args) -> int:
         # the ensemble, and on a solved instance the ideal baseline before
         # it, share the cost layers' phases, built once both runs are
         # checked against the budget
-        ens = _prepare_shots(
-            circuit,
-            cfg,
-            args.shots,
-            args.precision,
-            args.memory_bytes,
-            args.threads,
-            baseline=(args.ideal_shots or 0) if solved else None,
-        )
+        held = _shot_bytes(inst.num_vertices, args.trajectories * args.shots)  # the pooled shots
+        baseline = (args.ideal_shots or 0) if solved else None
+        ens = _prepare(circuit, cfg, precision, args.memory_bytes, args.threads, held, baseline)
         if solved:
             # the ideal baseline first, its state and shots dropped before the
             # ensemble runs, so neither run holds the other's memory
-            ideal_sv = run_circuit(
-                circuit, args.precision, args.memory_bytes, args.ideal_shots or 0, _phases=ens.cost_phases
-            )
+            ideal_sv = _clean_state(ens)
             if args.ideal_shots is None:
                 r_ideal = exact_expected_r(ideal_sv, inst)
             else:
@@ -302,15 +296,7 @@ def _cmd_simulate(args) -> int:
                 r_ideal = approximation_ratio(inst, ideal_set)
                 del ideal_set
             del ideal_sv
-        shots = run_noisy_ensemble(
-            circuit,
-            cfg,
-            args.shots,
-            args.precision,
-            args.memory_bytes,
-            threads=args.threads,
-            _ensemble=ens,
-        )
+        shots = _sample_ensemble(ens, cfg, args.shots)
         del ens  # the phases go before the result is formed
         mean_r = ovl = None
         if solved:
@@ -591,11 +577,12 @@ def _seed(text: str) -> int:
     return value
 
 
-def _budget(text: str) -> int:
-    """A memory budget in bytes, at least 1."""
+def _positive(text: str) -> int:
+    """An integer of at least 1: a count of shots, trajectories, repeats or
+    draws, or a memory budget in bytes."""
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"memory budget must be at least 1 byte, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -639,19 +626,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--delta-beta", type=float, default=None)
     p_sim.add_argument("--delta-gamma", type=float, default=None)
     p_sim.add_argument("--mode", choices=("noiseless", "noisy"), default="noiseless")
-    p_sim.add_argument("--shots", type=int, default=100, help="shots (per trajectory when noisy)")
+    p_sim.add_argument("--shots", type=_positive, default=100, help="shots (per trajectory when noisy)")
     p_sim.add_argument("--shards", type=int, default=1, help="shard count (power of two)")
     p_sim.add_argument("--precision", choices=("fp32", "fp64"), default="fp32")
     p_sim.add_argument("--epsilon", type=float, default=0.0, help="two-qubit depolarizing rate")
-    p_sim.add_argument("--trajectories", type=int, default=1)
+    p_sim.add_argument("--trajectories", type=_positive, default=1)
     p_sim.add_argument(
         "--ideal-shots",
-        type=int,
+        type=_positive,
         default=None,
         help="estimate the ideal baseline from this many shots instead of exactly",
     )
     p_sim.add_argument("--dump-state", type=Path, default=None, help="binary statevector dump")
-    p_sim.add_argument("--memory-bytes", type=_budget, default=None, help="memory budget, bytes")
+    p_sim.add_argument("--memory-bytes", type=_positive, default=None, help="memory budget, bytes")
     p_sim.add_argument(
         "--threads",
         type=int,
@@ -666,9 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--instance", type=Path, required=True)
     p_cls.add_argument("--out", type=Path, required=True, help="report JSON path")
     p_cls.add_argument("--noiseless", type=Path, default=None, help="noiseless results JSON")
-    p_cls.add_argument("--random-pool-size", type=int, default=10_000)
-    p_cls.add_argument("--n-s", type=int, default=10, help="subsample size")
-    p_cls.add_argument("--repeats", type=int, default=100)
+    p_cls.add_argument("--random-pool-size", type=_positive, default=10_000)
+    p_cls.add_argument("--n-s", type=_positive, default=10, help="subsample size")
+    p_cls.add_argument("--repeats", type=_positive, default=100)
     p_cls.add_argument("--replacement", action="store_true", help="subsample with replacement")
     p_cls.add_argument(
         "--kde-out",
@@ -692,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--delta-gamma", type=float, default=None)
     p_bench.add_argument("--repeat", type=int, default=1)
     p_bench.add_argument("--precision", choices=("fp32", "fp64"), default="fp32")
-    p_bench.add_argument("--memory-bytes", type=_budget, default=None)
+    p_bench.add_argument("--memory-bytes", type=_positive, default=None)
     _add_seed(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -57,14 +57,13 @@ slab, one of ``workers`` contiguous ranges of the state (a power of two
 up to the shard count, so a slab is a whole number of shards and splits
 evenly on every local bit); a cost layer multiplies each slab's index
 range, from its offset, by one read-only ``_CostPhase`` built when the
-layer is due (or by the caller, before the run, for every cost layer).
-Both executors give an index the same bits whatever range computes it,
-so the slabs never change the state.  Around a stand-in, a
-swap leg (``_swap_halves``) pairs shard s (bit g - nq_local clear) with
-shard s | 2^(g - nq_local) and trades the upper half of the first for
-the lower half of the second, two contiguous runs of half a shard,
-which transposes qubit g with the top local qubit; a second leg swaps
-back.  A leg is one task per worker over a strided share of the pairs,
+layer is due.  Both executors give an index the same bits whatever
+range computes it, so the slabs never change the state.  Around a
+stand-in, a swap leg (``_swap_halves``) pairs shard s (bit g - nq_local
+clear) with shard s | 2^(g - nq_local) and trades the upper half of the
+first for the lower half of the second, two contiguous runs of half a
+shard, which transposes qubit g with the top local qubit; a second leg
+swaps back.  A leg is one task per worker over a strided share of the pairs,
 copied piece by piece through one buffer of at most 2^14 amplitudes.
 With several workers a step maps its tasks on a thread pool of that size
 and the map returning is the barrier; with one, the tasks run in order
@@ -591,14 +590,11 @@ def _run_steps(
     memory_budget: int | None,
     shots: int,
     workers: int = 1,
-    phases: list[_CostPhase] | None = None,
 ) -> tuple[StateVector, float, list[tuple[int, float, float, int]]]:
     """Evolve |0...0> through ``_layer_plan(circuit, nq_local)`` on
     ``workers`` slabs, the qubits from ``nq_local`` up global.  The budget
     covers the state, the gate list and ``_scratch_bytes``, with ``shots``
-    draws the caller takes from the result or holds beside it.  With
-    ``phases``, the cost layers' ``_CostPhase``s in order, built and
-    budgeted by the caller, no cost layer builds its own.
+    draws the caller takes from the result or holds beside it.
 
     Returns the state, the seconds from its allocation to the end of the
     last step, and per step its gate count, compute and exchange seconds
@@ -612,7 +608,6 @@ def _run_steps(
     rows = sv.amps.reshape(-1, 1 << nq_local)
     slab = sv.amps.size // workers
     slabs = range(0, sv.amps.size, slab)
-    prebuilt = None if phases is None else iter(phases)
     timed = []
 
     wall0 = time.perf_counter()
@@ -636,13 +631,12 @@ def _run_steps(
             return max(t for t, _ in legs), sum(m for _, m in legs)
 
         def compute(op) -> float:
-            """Run a step on every slab: the slowest slab's seconds.  Unless
-            the caller built them, a cost layer's tables are built here when
-            the layer is due, timed with it, and dropped on return, so one
-            layer's are alive at a time."""
+            """Run a step on every slab: the slowest slab's seconds.  A cost
+            layer's tables are built when the layer is due, timed with it,
+            and dropped on return, so one layer's are alive at a time."""
             if isinstance(op, CostLayer):
                 t0 = time.perf_counter()
-                phase = _CostPhase(op) if prebuilt is None else next(prebuilt)
+                phase = _CostPhase(op)
                 built = time.perf_counter() - t0
                 return built + max(each(lambda lo: _timed(_apply_cost_layer, sv.amps[lo : lo + slab], phase, lo), slabs))
             return max(each(lambda lo: _timed(_apply_gate_run, sv.amps[lo : lo + slab], op), slabs))
@@ -663,19 +657,13 @@ def run_circuit(
     precision: Precision | str = Precision.FP32,
     memory_budget: int | None = None,
     shots: int = 0,
-    *,
-    _phases: list[_CostPhase] | None = None,
 ) -> StateVector:
     """Evolve |0...0> through the circuit's layers (the IR includes its H
     layer, which ``_layer_plan`` folds into the start state): ``_run_steps``
     with every qubit local, on one worker, the calling thread.  The budget
     covers the state, the gate list and ``_scratch_bytes``, with ``shots``
-    draws the caller takes from the result or holds beside it.
-
-    ``_phases`` is private: the cost layers' phases a caller built and
-    budgeted, as a noisy ``simulate`` does for its ensemble and its ideal
-    baseline."""
-    return _run_steps(circuit, circuit.num_qubits, precision, memory_budget, shots, phases=_phases)[0]
+    draws the caller takes from the result or holds beside it."""
+    return _run_steps(circuit, circuit.num_qubits, precision, memory_budget, shots)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,18 @@ amplitudes (one row when a state is larger), through the dense engine's
 executors: each run of H/RX gates is one ``_apply_gate_run`` call on the
 block's active rows, and each cost layer one ``_apply_cost_layer`` call
 on them from the layer's ``_CostPhase``, built once and shared by the
-threads (and by the dense ideal baseline a noisy ``simulate`` runs
-first); ``_prepare`` adds what only the ensemble holds to the dense
-engine's scratch bound.  Row 0 of a block follows
-the noiseless path, and starts as the amplitude of the folded H layer
-(``engine._layer_plan``).  A trajectory gets its own row, a copy of row 0 after
-the cost layer, only at the first cost layer where it fires a
-Pauli; trajectories that fire nothing share row 0's final state.  The
-shots of every trajectory that ends in one row come from one call of the
-dense engine's streamed sampler (``engine._draw_streamed``), which reads
-the row chunk by chunk, so no float64 vector of 2^n is formed on the way
-to the shots.
+threads.  ``_prepare`` plans, accounts and builds every ensemble, adding
+what only the ensemble holds to the dense engine's scratch bound.  Row 0
+of a block follows the noiseless path, and starts as the amplitude of
+the folded H layer (``engine._layer_plan``); a block of that row alone
+is ``run_circuit``'s state bit for bit, and is the ideal baseline a
+noisy ``simulate`` runs on the ensemble's phases (``_clean_state``).  A
+trajectory gets its own row, a copy of row 0 after the cost layer, only
+at the first cost layer where it fires a Pauli; trajectories that fire
+nothing share row 0's final state.  The shots of every trajectory that
+ends in one row come from one call of the dense engine's streamed
+sampler (``engine._draw_streamed``), which reads the row chunk by chunk,
+so no float64 vector of 2^n is formed on the way to the shots.
 
 A Pauli fired inside a layer is commuted to the layer's end: it flips
 the sign of Z_i Z_j on every later edge whose qubits carry an odd number
@@ -74,6 +75,7 @@ from .engine import (
     _GATE_BLOCK_BITS,
     Precision,
     ShotSet,
+    StateVector,
     _apply_cost_layer,
     _apply_gate_run,
     _cost_layer_bytes,
@@ -238,8 +240,8 @@ class _Ensemble:
     (None when the H layer does not fold), the circuit's executed layers
     with one-qubit gate runs grouped, each cost layer's read-only
     ``_CostPhase`` and ``_Edges`` (None for a gate run), the RZZ count the
-    draws cover, the ZZ sign table of ``_sign_table``, and the rows of a
-    block."""
+    draws cover, the ZZ sign table of ``_sign_table``, the rows of a
+    block, and the workers that each run one block at a time."""
 
     num_qubits: int
     dtype: np.dtype
@@ -250,11 +252,7 @@ class _Ensemble:
     n_rzz: int
     signs: np.ndarray
     rows: int
-
-    @property
-    def cost_phases(self) -> list[_CostPhase]:
-        """The cost layers' phases, in order."""
-        return [phase for phase in self.phases if phase is not None]
+    workers: int
 
 
 @dataclass(frozen=True)
@@ -286,13 +284,6 @@ def _draw_bytes(rows: int, n_rzz: int) -> int:
     return rows * n_rzz * 9
 
 
-def _block_plan(circuit: CircuitIR, cfg: DepolarizingConfig, threads: int) -> tuple[int, int]:
-    """(rows, workers) of a run: ``_block_rows`` a block, and the threads
-    that each hold one block while it runs."""
-    rows = _block_rows(circuit.num_qubits, cfg.trajectories, threads)
-    return rows, min(max(1, threads), cfg.trajectories)
-
-
 def _account(
     circuit: CircuitIR,
     precision: Precision,
@@ -320,10 +311,11 @@ def _account(
     streams add no term.
 
     With ``baseline`` draws, the count is the larger of that and the one
-    of a dense run with those draws on the ensemble's phases, as a noisy
-    ``simulate`` makes its ideal baseline before the ensemble: one state,
-    one worker's executor or its tail, the gate list, and the sign table
-    and the phases built for the ensemble, all p of them alive.
+    of the ideal baseline a noisy ``simulate`` makes before the ensemble
+    and draws those shots from (``_clean_state``): one block of the clean
+    row alone, so one state, one worker's executor or the dense tail, the
+    gate list, and the sign table and the phases built for the ensemble,
+    all p of them alive.
     """
     n, dtype = circuit.num_qubits, precision.dtype
     start, steps = _layer_plan(circuit, n, dtype)
@@ -350,20 +342,27 @@ def _account(
 
 def _prepare(
     circuit: CircuitIR,
-    precision: Precision,
-    memory_budget: int | None,
-    rows: int = 1,
-    workers: int = 1,
+    cfg: DepolarizingConfig,
+    precision: Precision | str = Precision.FP32,
+    memory_budget: int | None = None,
+    threads: int = 1,
     held: int = 0,
     baseline: int | None = None,
 ) -> _Ensemble:
-    """Layers, cost-layer phases and edges, and the sign table, built once
-    ``_account`` has checked the run against the memory budget."""
+    """The ensemble of ``cfg``'s trajectories on ``threads``: blocks of
+    ``_block_rows`` states, run by min(threads, trajectories) workers that
+    each hold one block while it runs.  Its layers, cost-layer phases and
+    edges and its sign table are built once ``_account`` has checked the
+    run, ``held`` bytes of the caller's and the ``baseline`` draws against
+    the memory budget."""
+    precision = Precision.coerce(precision)
+    n = circuit.num_qubits
+    rows = _block_rows(n, cfg.trajectories, threads)
+    workers = min(max(1, threads), cfg.trajectories)
     start, layers, n_rzz = _account(circuit, precision, memory_budget, rows, workers, held, baseline)
     phases = [_CostPhase(op) if isinstance(op, CostLayer) else None for op in layers]
     edges = [_Edges.of(op.gates) if isinstance(op, CostLayer) else None for op in layers]
-    n = circuit.num_qubits
-    return _Ensemble(n, precision.dtype, start, layers, phases, edges, n_rzz, _sign_table(n), rows)
+    return _Ensemble(n, precision.dtype, start, layers, phases, edges, n_rzz, _sign_table(n), rows, workers)
 
 
 def _blocks(ens: _Ensemble, cfg: DepolarizingConfig):
@@ -581,93 +580,47 @@ def _run_block(ens: _Ensemble, block: _Block) -> tuple[np.ndarray, list[int], li
     return states, [0 if s < 0 else rows[s] for s in slots], [0 if s < 0 else paulis[s] for s in slots]
 
 
-def _iter_blocks(circuit, cfg, precision, memory_budget, threads, held=0):
-    """``_run_block``'s results for every block, in trajectory order.  The
-    budget, with ``held`` bytes the caller keeps beside the blocks, is
-    checked on the call, before the first block runs.
-
-    With threads, blocks run on the pool and at most
-    ``_IN_FLIGHT_PER_THREAD * threads`` of them are submitted and not yet
-    read, so finished blocks never pile up.  The consumer drops each block
-    before it asks for the next, as ``_prepare`` counts.
-    """
-    rows, workers = _block_plan(circuit, cfg, threads)
-    ens = _prepare(circuit, Precision.coerce(precision), memory_budget, rows, workers, held)
-    return _run_blocks(ens, cfg, threads)
-
-
-def _run_blocks(ens: _Ensemble, cfg: DepolarizingConfig, threads: int):
+def _run_blocks(ens: _Ensemble, cfg: DepolarizingConfig):
     """``_run_block``'s results for every block of a prepared ensemble, in
-    trajectory order, on ``threads`` (see ``_iter_blocks``)."""
+    trajectory order.
+
+    With several workers, blocks run on a pool of that many threads and at
+    most ``_IN_FLIGHT_PER_THREAD`` per worker of them are submitted and not
+    yet read, so finished blocks never pile up.  The consumer drops each
+    block before it asks for the next, as ``_account`` counts.
+    """
     blocks = _blocks(ens, cfg)
-    if threads > 1:
-        return _pooled(ens, blocks, threads)
+    if ens.workers > 1:
+        return _pooled(ens, blocks)
     return (_run_block(ens, block) for block in blocks)
 
 
-def _pooled(ens: _Ensemble, blocks, threads: int):
-    """``_run_block`` over ``blocks`` on a pool of ``threads``, read in order."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+def _pooled(ens: _Ensemble, blocks):
+    """``_run_block`` over ``blocks`` on a pool of ``ens.workers``, read in order."""
+    with ThreadPoolExecutor(max_workers=ens.workers) as pool:
         pending = deque()
         for block in blocks:
             pending.append(pool.submit(_run_block, ens, block))
-            if len(pending) >= _IN_FLIGHT_PER_THREAD * threads:
+            if len(pending) >= _IN_FLIGHT_PER_THREAD * ens.workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
 
 
-def _prepare_shots(
-    circuit: CircuitIR,
-    cfg: DepolarizingConfig,
-    shots_per_trajectory: int,
-    precision: Precision | str = Precision.FP32,
-    memory_budget: int | None = None,
-    threads: int = 1,
-    baseline: int | None = None,
-) -> _Ensemble:
-    """The ensemble ``run_noisy_ensemble`` with these arguments runs,
-    prepared once the budget holds its blocks beside the pooled shots and,
-    with ``baseline`` draws, a dense run with them on its phases before it
-    (``_account``)."""
-    rows, workers = _block_plan(circuit, cfg, threads)
-    held = _shot_bytes(circuit.num_qubits, cfg.trajectories * shots_per_trajectory)
-    return _prepare(circuit, Precision.coerce(precision), memory_budget, rows, workers, held, baseline)
+def _clean_state(ens: _Ensemble) -> StateVector:
+    """The noiseless final state: a block of the clean row alone, run on the
+    ensemble's phases, which is ``run_circuit``'s state bit for bit."""
+    none = np.empty((0, ens.n_rzz), bool)
+    states, _, _ = _run_block(ens, _Block(none, none.astype(np.int64), [-1]))
+    return StateVector(ens.num_qubits, states[0])
 
 
-def run_noisy_ensemble(
-    circuit: CircuitIR,
-    cfg: DepolarizingConfig,
-    shots_per_trajectory: int,
-    precision: Precision | str = Precision.FP32,
-    memory_budget: int | None = None,
-    threads: int = 1,
-    *,
-    _ensemble: _Ensemble | None = None,
-) -> ShotSet:
-    """Sample every trajectory and pool the shots in trajectory order.
-
-    Trajectory t samples with stream t of the config seed's "shots"
-    family, whose stream 0 is the one ``sample`` draws from, so at epsilon
-    0 with one trajectory this reproduces the noiseless ``sample`` byte for
-    byte.  The trajectories that end in one row of a block draw in one
-    sampler call, which also gives the row's squared norm.  The result
-    carries the number of Paulis each trajectory fired, and the largest
-    drift of a final state's squared norm from 1.
-
-    ``_ensemble`` is private: the ensemble ``_prepare_shots`` built, and
-    checked against the budget, for these arguments.
-    """
-    if shots_per_trajectory < 1:
-        raise ValidationError(f"shot count must be positive, got {shots_per_trajectory}")
-    ens = _ensemble
-    if ens is None:
-        ens = _prepare_shots(circuit, cfg, shots_per_trajectory, precision, memory_budget, threads)
-    blocks = _run_blocks(ens, cfg, threads)
+def _sample_ensemble(ens: _Ensemble, cfg: DepolarizingConfig, shots_per_trajectory: int) -> ShotSet:
+    """``run_noisy_ensemble``'s shots from a prepared ensemble."""
     indices = np.empty((cfg.trajectories, shots_per_trajectory), np.uint64)
     streams = StreamFamily(cfg.rng_seed, "shots")
     fired, drift = [], 0.0
-    for states, row_of, paulis in blocks:
+    for states, row_of, paulis in _run_blocks(ens, cfg):
         t0 = len(fired)
         mine = indices[t0 : t0 + len(row_of)]
         u = np.empty(mine.shape)
@@ -681,13 +634,39 @@ def run_noisy_ensemble(
         fired += paulis
         del states, u  # dropped before the next block runs
     return ShotSet(
-        num_qubits=circuit.num_qubits,
+        num_qubits=ens.num_qubits,
         indices=indices.reshape(-1),
         rng_seed=cfg.rng_seed,
         source=f"noisy(epsilon={cfg.epsilon:g}, trajectories={cfg.trajectories})",
         paulis_fired=np.array(fired, dtype=np.int64),
         norm_drift=drift,
     )
+
+
+def run_noisy_ensemble(
+    circuit: CircuitIR,
+    cfg: DepolarizingConfig,
+    shots_per_trajectory: int,
+    precision: Precision | str = Precision.FP32,
+    memory_budget: int | None = None,
+    threads: int = 1,
+) -> ShotSet:
+    """Sample every trajectory and pool the shots in trajectory order.
+
+    Trajectory t samples with stream t of the config seed's "shots"
+    family, whose stream 0 is the one ``sample`` draws from, so at epsilon
+    0 with one trajectory this reproduces the noiseless ``sample`` byte for
+    byte.  The trajectories that end in one row of a block draw in one
+    sampler call, which also gives the row's squared norm.  The result
+    carries the number of Paulis each trajectory fired, and the largest
+    drift of a final state's squared norm from 1.  The budget holds the
+    blocks beside the pooled shots.
+    """
+    if shots_per_trajectory < 1:
+        raise ValidationError(f"shot count must be positive, got {shots_per_trajectory}")
+    held = _shot_bytes(circuit.num_qubits, cfg.trajectories * shots_per_trajectory)
+    ens = _prepare(circuit, cfg, precision, memory_budget, threads, held)
+    return _sample_ensemble(ens, cfg, shots_per_trajectory)
 
 
 def noisy_expected_probs(
@@ -700,9 +679,9 @@ def noisy_expected_probs(
     """Trajectory-averaged basis-state distribution (channel average): each
     trajectory's |amplitude|^2 added in trajectory order, chunk by chunk,
     into a float64 vector the budget counts."""
-    blocks = _iter_blocks(circuit, cfg, precision, memory_budget, threads, 8 << circuit.num_qubits)
+    ens = _prepare(circuit, cfg, precision, memory_budget, threads, 8 << circuit.num_qubits)
     acc = np.zeros(1 << circuit.num_qubits)
-    for states, row_of, _ in blocks:
+    for states, row_of, _ in _run_blocks(ens, cfg):
         for r in row_of:
             for lo, p in _squared_chunks(states[r]):
                 acc[lo : lo + p.size] += p

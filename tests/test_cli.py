@@ -238,7 +238,7 @@ def test_ideal_shots_over_the_budget_exit_3_before_the_ensemble(tmp_path, instan
     def ensemble(*args, **kwargs):
         raise AssertionError("the ensemble ran before the ideal baseline was refused")
 
-    monkeypatch.setattr("lrqbench.cli.run_noisy_ensemble", ensemble)
+    monkeypatch.setattr("lrqbench.cli._sample_ensemble", ensemble)
     out = tmp_path / "r.json"
     argv = ("--mode", "noisy", "--epsilon", 0.01, "--trajectories", 200, "--ideal-shots", BIG)
     assert run_cli("simulate", "--instance", instance_path, "--out", out, *argv) == 3
@@ -255,11 +255,53 @@ def test_ensemble_over_the_budget_exits_3_before_the_ideal_run(tmp_path, instanc
     def ideal(*args, **kwargs):
         raise AssertionError("the ideal baseline ran before the ensemble was refused")
 
-    monkeypatch.setattr("lrqbench.cli.run_circuit", ideal)
+    monkeypatch.setattr("lrqbench.cli._clean_state", ideal)
     out = tmp_path / "r.json"
     argv = ("--mode", "noisy", "--epsilon", 0.01, *extra)
     assert run_cli("simulate", "--instance", instance_path, "--out", out, *argv) == 3
     assert sorted(path.name for path in tmp_path.iterdir()) == ["inst.json", "inst.json.manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("simulate", ("--shots", 0)),
+        ("simulate", ("--shots", -1)),
+        ("simulate", ("--mode", "noisy", "--shots", 0)),
+        ("simulate", ("--mode", "noisy", "--shots", -3)),
+        ("simulate", ("--mode", "noisy", "--ideal-shots", 0)),
+        ("simulate", ("--mode", "noisy", "--trajectories", 0)),
+        ("simulate", ("--mode", "noisy", "--trajectories", -2)),
+        ("classify", ("--n-s", 0)),
+        ("classify", ("--repeats", 0)),
+        ("classify", ("--random-pool-size", 0)),
+        ("classify", ("--repeats", -1)),
+    ],
+)
+def test_counts_below_one_exit_2_before_anything_is_built(tmp_path, instance_path, command, extra, monkeypatch, capsys):
+    qpu = tmp_path / "qpu.json"
+    assert run_cli("simulate", "--instance", instance_path, "--out", qpu, "--p", 1) == 0
+    before = sorted(tmp_path.iterdir())
+
+    def built(*args, **kwargs):
+        raise AssertionError("work was done before the count was refused")
+
+    from lrqbench import cli, engine, noise
+
+    for module, name in [(engine, "_apply_gate_run"), (engine, "_apply_cost_layer"), (engine, "_CostPhase"),
+                         (noise, "_apply_gate_run"), (noise, "_apply_cost_layer"), (noise, "_CostPhase"),
+                         (cli, "shot_ratios"), (cli, "uniform_sampler")]:
+        monkeypatch.setattr(module, name, built)
+    if command == "simulate":
+        argv = ("simulate", "--instance", instance_path, "--out", tmp_path / "r.json", "--p", 1, *extra)
+    else:
+        argv = ("classify", "--qpu", qpu, "--instance", instance_path, "--out", tmp_path / "r.json", *extra)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert f"argument {extra[-2]}: must be at least 1" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_bench_depth_over_the_budget_exits_3(tmp_path):
@@ -452,6 +494,23 @@ def test_simulate_noisy_reports_fired_paulis(tmp_path, instance_path):
     assert data["zero_fire_trajectories"] == fired.count(0)
     assert 0 < fired.count(0) < 30
     assert data["paulis_expected"] == pytest.approx(15 / 16 * 0.02 * 45 * 30)
+
+
+@pytest.mark.parametrize(
+    "extra,digest",
+    [
+        ((), "b7d7fa33de36b30f95b413db527b6f14d052a08b4cab96ab02773cce01058be1"),
+        (("--ideal-shots", 200), "51acb2a763483407cdd9bf140e562cdc59bd42bf1ce5fdd451eebac94010aa6c"),
+    ],
+    ids=["exact", "ideal-shots"],
+)
+def test_noisy_result_bytes_are_pinned(tmp_path, extra, digest):
+    # r_ideal, from the exact baseline or its shots, and the trajectories' shots
+    inst, out = tmp_path / "inst.json", tmp_path / "r.json"
+    assert run_cli("gen", "--n", 8, "--seed", 2, "--out", inst) == 0
+    argv = ("--mode", "noisy", "--epsilon", 0.02, "--trajectories", 10, "--shots", 4, "--seed", 4, *extra)
+    assert run_cli("simulate", "--instance", inst, "--out", out, *argv) == 0
+    assert sha256(out) == digest
 
 
 def test_simulate_ideal_shots_option(tmp_path, instance_path):

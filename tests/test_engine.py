@@ -154,16 +154,6 @@ def test_run_circuit_matches_matrix_product(n, p, seed):
     assert np.max(np.abs(got.amps - want)) < 1e-12
 
 
-@pytest.mark.parametrize("precision", ["fp32", "fp64"])
-@pytest.mark.parametrize("n", [6, 17])
-def test_prebuilt_cost_phases_keep_the_state_bits(n, precision):
-    # the noisy simulate's ideal baseline runs on the ensemble's phases
-    circ = build_circuit(generate_instance(n, 3), LrQaoaParams(p=3))
-    phases = [engine._CostPhase(op) for op in circ.layers() if isinstance(op, engine.CostLayer)]
-    got = run_circuit(circ, precision, _phases=phases)
-    assert got.amps.tobytes() == run_circuit(circ, precision).amps.tobytes()
-
-
 @pytest.mark.parametrize("executor", ["_apply_cost_layer", "_apply_gate_run"])
 def test_fault_in_a_dense_step_aborts_the_run(monkeypatch, executor):
     # a dense run is the step loop on one slab, which aborts as a sharded one does

@@ -44,6 +44,7 @@ from lrqbench.engine import (
 from lrqbench.noise import (
     _apply_pauli_pair,
     _Block,
+    _clean_state,
     _commute_fired,
     _correction_bytes,
     _draw_bytes,
@@ -132,10 +133,10 @@ def test_commuted_paulis_match_time_ordered_product():
     # the oracle applies gates and Paulis in time order with the same draws
     n, eps = 5, 0.45
     circ = build_circuit(generate_instance(n, 17), LrQaoaParams(p=2))
-    ens = _prepare(circ, Precision.FP64, None)
+    cfg = DepolarizingConfig(eps, trajectories=4, rng_seed=21)
+    ens = _prepare(circ, cfg, Precision.FP64)
     n_rzz = sum(g.kind == "RZZ" for g in circ.gates)
     layer_size = n * (n - 1) // 2
-    cfg = DepolarizingConfig(eps, trajectories=4, rng_seed=21)
     most_in_one_layer = 0
     for t in range(cfg.trajectories):
         rng = oracles.jumped(derive_rng(cfg.rng_seed, "trajectory", 0), t)
@@ -342,9 +343,12 @@ def test_prepare_budgets_the_sign_table_and_correction_scratch():
     n = 6
     circ = build_circuit(generate_instance(n, 3), LrQaoaParams(p=2))
     need = noisy_budget(circ, blocks=6 * 4, workers=3, rows=4)  # six blocks of four in flight
-    _prepare(circ, Precision.FP32, need, rows=4, workers=3)
+    # twelve trajectories on three threads: blocks of four, three workers
+    cfg = DepolarizingConfig(0.1, trajectories=12)
+    ens = _prepare(circ, cfg, Precision.FP32, need, threads=3)
+    assert (ens.rows, ens.workers) == (4, 3)
     with pytest.raises(CapacityError):
-        _prepare(circ, Precision.FP32, need - 1, rows=4, workers=3)
+        _prepare(circ, cfg, Precision.FP32, need - 1, threads=3)
 
 
 def test_noisy_ensemble_peaks_within_its_budget():
@@ -386,7 +390,7 @@ def test_prepare_fits_three_cost_layers_at_n27_in_the_default_budget():
     # 1 GiB for the block; a state-sized phase per cost layer would need
     # 3 GiB more
     circ = build_circuit(generate_instance(27, 1), LrQaoaParams(p=3))
-    ens = _prepare(circ, Precision.FP32, None)
+    ens = _prepare(circ, DepolarizingConfig(0.01), Precision.FP32)
     assert sum(phase is not None for phase in ens.phases) == 3
 
 
@@ -396,7 +400,7 @@ def test_default_budget_admits_noisy_shots_at_n28_but_not_the_channel_average():
     circ = build_circuit(generate_instance(28, 1), LrQaoaParams(p=3))
 
     def check():
-        _prepare(circ, Precision.FP32, None, held=_shot_bytes(28, 100))
+        _prepare(circ, DepolarizingConfig(0.01), Precision.FP32, held=_shot_bytes(28, 100))
         with pytest.raises(CapacityError):
             noisy_expected_probs(circ, DepolarizingConfig(0.01, trajectories=1))
 
@@ -408,7 +412,7 @@ def per_trajectory_reference(circ, cfg, precision, shots):
     """The ensemble as one state per trajectory, run alone: zeros, gate
     runs (the H layer the ensemble folds included), cost layers, commuted
     Paulis, probabilities, then shots, each over the whole vector."""
-    ens = _prepare(circ, Precision.coerce(precision), None)
+    ens = _prepare(circ, cfg, precision)
     probs, pooled = [], []
     for t in range(cfg.trajectories):
         amps = np.zeros(1 << circ.num_qubits, dtype=ens.dtype)
@@ -474,7 +478,7 @@ def test_block_runner_matches_lone_trajectories_bitwise(n, trajectories, noise_l
         want_mean += probs
     want_mean /= trajectories
     for threads in (1, 3):
-        blocks = noise._iter_blocks(circ, cfg, precision, None, threads)
+        blocks = noise._run_blocks(_prepare(circ, cfg, precision, threads=threads), cfg)
         got = [oracles.probabilities(states[r]) for states, row_of, _ in blocks for r in row_of]
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want_probs]
         shots = run_noisy_ensemble(circ, cfg, 3, precision, threads=threads)
@@ -541,6 +545,16 @@ def test_zero_noise_trajectory_is_run_circuit_bytes(n, precision):
     assert shots.indices.tobytes() == sample(sv, 50, rng_seed=n).indices.tobytes()
 
 
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", [6, 17])
+def test_clean_state_is_run_circuit_bytes(n, precision):
+    # the noisy simulate's ideal baseline: the clean row alone, on the ensemble's phases
+    circ = build_circuit(generate_instance(n, 3), LrQaoaParams(p=3))
+    ens = _prepare(circ, DepolarizingConfig(0.05, trajectories=4), precision)
+    got = _clean_state(ens)
+    assert got.amps.tobytes() == run_circuit(circ, precision).amps.tobytes()
+
+
 def test_trajectories_are_reproducible_and_distinct():
     inst = generate_instance(5, 1)
     circ = build_circuit(inst, LrQaoaParams(p=2))
@@ -579,7 +593,7 @@ def test_threaded_ensemble_bounds_results_in_flight(monkeypatch):
     circ = build_circuit(generate_instance(13, 2), LrQaoaParams(p=1))
     cfg = DepolarizingConfig(0.1, trajectories=40, rng_seed=3)
     threads = 2
-    blocks = noise._iter_blocks(circ, cfg, "fp64", None, threads)
+    blocks = noise._run_blocks(_prepare(circ, cfg, "fp64", threads=threads), cfg)
     for reading, (_, row_of, _) in enumerate(blocks):
         assert len(row_of) == submitted[reading]
         # the blocks submitted after the one being read
