@@ -1,6 +1,6 @@
 """Linear-ramp QAOA MaxCut simulation and statistical verification toolkit."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .circuit import (
     CircuitIR,

@@ -7,8 +7,10 @@ problem sizes, ``fitnoise`` extracts the decay constant from a set of
 noisy runs, and ``hqc`` prints the credit cost of a hypothetical job.
 
 Every file-writing invocation also writes ``<output>.manifest.json``
-recording the tool version, argv, resolved parameters, and SHA-256
-digests of inputs and outputs; ``replay`` re-executes a manifest's argv
+recording the tool version, the BLAS fingerprint (``_blas_fingerprint``,
+which the simulated states' bits depend on), argv, resolved parameters, and
+SHA-256 digests of inputs and outputs; ``replay`` warns when the version or
+the fingerprint differs from this one's, and re-executes a manifest's argv
 once every recorded input matches its digest, then checks every output
 against its digest.  Timing CSVs change on every run, so the manifest
 lists them under ``compared_by_schema`` with their header and row count,
@@ -105,6 +107,21 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+@functools.cache
+def _blas_fingerprint() -> str:
+    """The first 16 hex digits of the SHA-256 of one product call of the
+    engine's shape, a 16 x 16 by 16 x 64 product in complex64 and again
+    in complex128, on fixed inputs that round: hosts whose BLAS gives these
+    bytes give a run's states the same bits."""
+    values = [(k * 0.6180339887498949) % 1.0 - 0.5 for k in range(2 * 16 * 80)]
+    data = np.array(values).view(np.complex128)
+    digest = hashlib.sha256()
+    for dtype in (np.complex64, np.complex128):
+        a, b = data[:256].astype(dtype).reshape(16, 16), data[256:].astype(dtype).reshape(16, 64)
+        digest.update(np.matmul(a, b).tobytes())
+    return digest.hexdigest()[:16]
+
+
 def _jsonable(value):
     if isinstance(value, Path):
         return str(value)
@@ -133,6 +150,7 @@ def _write_manifest(
     manifest = {
         "tool": "lrqbench",
         "version": __version__,
+        "blas_fingerprint": _blas_fingerprint(),
         "command": args.command,
         "argv": list(args.argv),
         "params": params,
@@ -536,6 +554,14 @@ def _cmd_replay(args) -> int:
         print(
             f"warning: {args.manifest} was written by lrqbench {recorded}, this is "
             f"{__version__}; outputs may differ from the recorded digests",
+            file=sys.stderr,
+        )
+    recorded = manifest.get("blas_fingerprint")
+    if recorded != _blas_fingerprint():
+        print(
+            f"warning: {args.manifest} was written with BLAS fingerprint {recorded}, this "
+            f"host's is {_blas_fingerprint()}; simulated states and the outputs drawn from "
+            "them may differ from the recorded digests",
             file=sys.stderr,
         )
     for path, digest in inputs.items():

@@ -1,22 +1,20 @@
 """Dense statevector simulation of the circuit's layer view.
 
 Amplitudes live in one flat array indexed by basis state, with qubit k at
-bit position k.  Each run of consecutive H/RX gates goes through one
-executor, ``_apply_gate_run``.  It takes the run's gates on qubits below
-15 block by block, all of them on one 2^15-amplitude block (or the whole
-array, when smaller) before the next, so the block stays in cache.  A
-gate on the qubit at the block's index bit 0 (qubit k, after k such
-gates) is a pass out of place, as in Stockham's autosort FFT (1966): it
-reads the pairs of index bit 0 and writes its two outputs as the
-contiguous halves of a second buffer, which moves that qubit to the top,
-so an ascending run such as the RX mixer hits bit 0 every time.  Any
-other gate runs in place through one pair kernel at its current stride,
-and one transposed copy restores the block's order at the end.  A gate
-on a higher qubit makes one pass over pairs of 2^15-amplitude chunks 2^q
-apart.  Scratch is two blocks plus the pair kernel's temporaries, at
-most four of one block, and every amplitude gets the same operations as
-with the gates applied one by one, so neither the blocking nor the
-passes ever change a bit.
+bit position k.  Each run of H/RX gates goes through one executor,
+``_apply_gate_run``, as products over the qubit groups [4k, 4k + 4) and a
+last one of the n mod 4 left (Haener and Steiger, arXiv:1704.01127), each
+group's 2^w x 2^w matrix the Kronecker product of its qubits' gates.
+Every ``np.matmul`` call writes a 2^w x W output, W = min(64, 2^(n - w)),
+whatever slab, row or block it reads: OpenBLAS sets an output's bits by
+its kernel and that shape alone, not by B's row stride, transposition,
+place in a stacked call or column.  Other shapes round differently
+(widths not a multiple of 8 in fp32 or 4 in fp64, one column, the row
+form B.T @ M.T), and under the Haswell and Zen kernels two threads split
+outputs of 256 columns or more.  At W = 64 every call is one thread's
+and a group pass costs about what wide calls do (1.04 against 0.98 ms
+over 2^20 fp32 amplitudes at W = 4096), so the bits are the kernel's at
+any thread count, slab, row or shard.
 
 A cost layer (a run of RZZ gates, see ``CircuitIR.layers``) is
 diagonal, so it runs as one elementwise phase multiply by
@@ -38,42 +36,37 @@ block, shard or piece computes it, so no full-length diagonal is ever
 held and a shard gets the dense bits.
 
 Every circuit opens with an H on each qubit of |0...0>, which leaves
-every amplitude equal to x = (...((1 * inv) * inv)...) * inv, n products
-with inv = 1/sqrt(2) rounded in the state's precision.  The executed
-layer view, ``_layer_plan``, folds that layer: the state starts filled
-with x instead of running the H gates, with the same bits.  The circuit
+every amplitude equal to x (``_plus_amplitude``).  The executed layer
+view, ``_layer_plan``, folds that layer: the state starts filled with x
+instead of running the H gates, with the same bits.  The circuit
 keeps its H gates; only the executed view drops them.  The same view and
 executors serve the noisy engine.  Nothing ever renormalizes, so global
 phase and accumulated rounding stay visible.
 
-Dense and sharded runs go through one step loop, ``_run_steps``.  Its
-top n - nq_local qubits are global: the state splits into shards of
-2^nq_local amplitudes, shard s owning the indices whose top bits equal
-s, and a dense run is the case nq_local = n, one shard.  A step of the
-layer view is a cost layer, a stretch of H and RX gates on local
-qubits, or one gate on a global qubit g, which runs as its stand-in on
-the top local qubit nq_local - 1.  Every step calls an executor once per
-slab, one of ``workers`` contiguous ranges of the state (a power of two
-up to the shard count, so a slab is a whole number of shards and splits
-evenly on every local bit); a cost layer multiplies each slab's index
-range, from its offset, by one read-only ``_CostPhase`` built when the
-layer is due.  Both executors give an index the same bits whatever
-range computes it, so the slabs never change the state.  Around a
-stand-in, a swap leg (``_swap_halves``) pairs shard s (bit g - nq_local
-clear) with shard s | 2^(g - nq_local) and trades the upper half of the
-first for the lower half of the second, two contiguous runs of half a
-shard, which transposes qubit g with the top local qubit; a second leg
-swaps back.  A leg is one task per worker over a strided share of the pairs,
-copied piece by piece through one buffer of at most 2^14 amplitudes.
-With several workers a step maps its tasks on a thread pool of that size
-and the map returning is the barrier; with one, the tasks run in order
-on the calling thread.  No task waits on another, and the tasks of one
-step touch disjoint amplitudes, so results cannot depend on scheduling.
-An exception in any task aborts the run (``AbortedRunError``).  The loop
-times every step: compute is the slowest slab's span (with the build of
-a cost layer's ``_CostPhase``), exchange sums over the legs the slowest
-worker's share, and the amplitudes exchanged are the halves the outward
-leg copies.
+Dense and sharded runs go through one step loop, ``_run_steps``, whose
+qubits from ``nq_local`` up are global: shard s owns the 2^nq_local
+indices whose top bits equal s, and a dense run is one shard.  A step is
+a cost layer, a gate run's groups below ``nq_local``, or one group
+[q, q + w) holding j global qubits, applied on the local bits
+[nq_local - w, nq_local) between two legs.  A step calls its executor
+once per slab, one of ``workers`` contiguous ranges, each whole shards
+(a gate run takes fewer, so a slab holds one call's columns); a cost
+layer multiplies each slab's range, from its offset, by one read-only
+``_CostPhase``.  Both executors give an index the same bits whatever
+range computes it.  The outward leg (``_swap_fields``) maps the group's
+qubits in order onto those local bits and the bits it displaces onto the
+group's places, moving runs of 2^(nq_local - w) amplitudes and
+(1 - 2^-j) of the state to another shard; the restore leg undoes it.  A
+leg is one task per worker, over a strided share of pieces copied
+through one buffer of at most 2^14 amplitudes.  With several workers a
+step maps its tasks on a thread pool, the map returning being the
+barrier; with one, they run on the calling thread.  Tasks of a step
+touch disjoint amplitudes and never wait on each other, so results
+cannot depend on scheduling; an exception in any aborts the run
+(``AbortedRunError``).  The loop times every step: compute is the
+slowest slab's span (with a cost layer's ``_CostPhase`` build), exchange
+the legs' slowest shares, and the amplitudes exchanged those the
+outward leg moves to another shard.
 
 The tail of a run streams over the final state: ``norm_squared``,
 ``exact_expected_r`` and ``sample`` read |amplitude|^2 in float64 one
@@ -101,7 +94,7 @@ import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -238,142 +231,117 @@ def zero_state(
     return StateVector(num_qubits, amps)
 
 
-def _plus_amplitude(num_qubits: int, dtype: np.dtype) -> np.generic:
-    """x = (...((1 * inv) * inv)...) * inv, n products with inv = 1/sqrt(2)
-    rounded in ``dtype``'s real precision: the H kernel's (a0 + 0) * inv on
-    every amplitude, n times over."""
-    real = np.finfo(dtype).dtype.type
-    inv = real(1.0 / math.sqrt(2.0))
-    x = real(1.0)
-    for _ in range(num_qubits):
-        x = x * inv
-    return np.dtype(dtype).type(x)
-
-
 # ---------------------------------------------------------------------------
-# one-qubit gates
+# one-qubit gates as group products
 
-# One-qubit gates on qubits below _GATE_BLOCK_BITS run on blocks of
-# 2^_GATE_BLOCK_BITS amplitudes, or on the whole array when it is smaller.
-_GATE_BLOCK_BITS = 15
+_GROUP_BITS = 4  # qubits [4k, 4k + 4) form group k
+_CALL_COLUMNS = 64  # a product call writes 2^w x min(64, 2^(n - w)) outputs
+_ROTATION_BITS = 12  # groups in the low 12 bits run as rotations of blocks
+_GATE_BLOCK_BITS = 15  # the executor's scratch chunks hold 2^15 amplitudes
 
 
-def _pair_kernel(a0: np.ndarray, a1: np.ndarray, gate: GateOp) -> None:
-    """Apply an H (any other kind is taken as RX) to the amplitude pairs
-    (a0[k], a1[k]), gate qubit clear and set, in place.
+def _groups(num_qubits: int) -> list[tuple[int, int]]:
+    """(first qubit, width) of every group, ascending."""
+    return [(q, min(_GROUP_BITS, num_qubits - q)) for q in range(0, num_qubits, _GROUP_BITS)]
 
-    Each element gets the same operations in the same operand order
-    whatever the views' shapes, so any blocking gives the same bits.
-    Temporaries are the size of a0.
-    """
-    held = a0.copy()
+
+def _gate_matrix(gate: GateOp) -> np.ndarray:
+    """H or RX as a 2 x 2 complex128 matrix, row the output bit."""
     if gate.kind == "H":
-        inv = a0.dtype.type(1.0 / math.sqrt(2.0))
-        a0[...] = (held + a1) * inv
-        a1[...] = (held - a1) * inv
-    else:
-        c = a0.dtype.type(math.cos(gate.theta / 2.0))
-        s = a0.dtype.type(-1j * math.sin(gate.theta / 2.0))
-        a0[...] = c * held + s * a1
-        a1[...] = s * held + c * a1
+        return np.array([[1, 1], [1, -1]], np.complex128) / math.sqrt(2.0)
+    if gate.kind != "RX":
+        raise ValidationError(f"{gate.kind} runs inside a cost layer, not as a single gate")
+    c, s = math.cos(gate.theta / 2.0), -1j * math.sin(gate.theta / 2.0)
+    return np.array([[c, s], [s, c]], np.complex128)
 
 
-def _pass_lowest(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, gate: GateOp) -> None:
-    """The gate on index bit 0 of ``src``, written to ``dst`` with that bit
-    moved to the top: the pair (src[2i], src[2i + 1]) becomes
-    (dst[i], dst[h + i]), h = src.size / 2.
+@dataclass(frozen=True, eq=False)
+class _GateRun:
+    """A run of H/RX gates as group products: the circuit's qubit count,
+    which fixes every call's columns, and the lowest bit and the 2^w x 2^w
+    matrix of each group applied, ascending."""
 
-    Every amplitude gets ``_pair_kernel``'s operations in its operand
-    order, but each numpy call runs over a whole contiguous block or half.
-    ``tmp`` is scratch of ``src``'s size, and an RX leaves ``src``
-    overwritten.
-    """
-    h = src.size // 2
-    if gate.kind == "H":
-        inv = src.dtype.type(1.0 / math.sqrt(2.0))
-        np.add(src[0::2], src[1::2], out=tmp[:h])
-        np.multiply(tmp[:h], inv, out=dst[:h])
-        np.subtract(src[0::2], src[1::2], out=tmp[:h])
-        np.multiply(tmp[:h], inv, out=dst[h:])
-    else:
-        c = src.dtype.type(math.cos(gate.theta / 2.0))
-        s = src.dtype.type(-1j * math.sin(gate.theta / 2.0))
-        np.multiply(c, src, out=tmp)
-        # src is read for the last time by the product above
-        np.multiply(s, src, out=src)
-        np.add(tmp[0::2], src[1::2], out=dst[:h])
-        np.add(src[0::2], tmp[1::2], out=dst[h:])
+    num_qubits: int
+    products: tuple[tuple[int, np.ndarray], ...]
 
 
-def _apply_block_gates(block: np.ndarray, gates: list[GateOp], scratch: np.ndarray) -> None:
-    """Gates on qubits below _GATE_BLOCK_BITS, in order, on one block.
-
-    With k passes done, index m * 2^k + j (j < 2^k) of the block sits at
-    j * (size >> k) + m of the current buffer, so qubit k is its index
-    bit 0.  A gate on qubit k is one more pass, into the other buffer; any
-    other gate runs in place at its current stride, 2^(q - k) for q > k
-    and 2^q * (size >> k) for q < k.  One transposed copy restores the
-    order.  The data move between the two rows of ``scratch``; the block
-    itself is the first pass's source and every later pass's ``tmp``.
-    """
-    size, k, cur = block.size, 0, block
+def _group_matrices(gates, num_qubits: int, dtype: np.dtype) -> dict[tuple[int, int], np.ndarray]:
+    """The matrix in ``dtype`` of every group (first qubit, width) that
+    ``gates`` act on: the Kronecker product, highest qubit outermost, of
+    each qubit's gates multiplied in run order, formed elementwise in
+    complex128 (no BLAS) and rounded once."""
+    per_qubit = {}
     for g in gates:
-        q = g.qubits[0]
-        if q == k:
-            dst = scratch[k % 2]
-            _pass_lowest(cur, dst, scratch[1] if k == 0 else block, g)
-            cur, k = dst, k + 1
-        else:
-            stride = 1 << (q - k) if q > k else (1 << q) * (size >> k)
-            v = cur.reshape(-1, 2, stride)
-            _pair_kernel(v[:, 0], v[:, 1], g)
-    if k:
-        np.copyto(block.reshape(size >> k, 1 << k), cur.reshape(1 << k, size >> k).T)
+        u, q = _gate_matrix(g), g.qubits[0]
+        per_qubit[q] = (u[:, :, None] * per_qubit[q][None]).sum(axis=1) if q in per_qubit else u
+    matrices = {}
+    for q, w in _groups(num_qubits):
+        if any(k in per_qubit for k in range(q, q + w)):
+            m = np.ones((1, 1), np.complex128)
+            for k in range(q, q + w):
+                u = per_qubit.get(k, np.eye(2, dtype=np.complex128))
+                # np.kron(u, m), with the same products and less overhead
+                m = (u[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(m), 2 * len(m))
+            matrices[q, w] = m.astype(dtype)
+    return matrices
 
 
-def _pairs(amps: np.ndarray, q: int, step: int):
-    """(a0, a1) piece by piece, in index order: the amplitudes with qubit q
-    clear and set, paired index by index, ``step`` (a power of two) of each
-    at most.  Each is one contiguous run when 2^q >= step, else
-    ``step >> q`` rows of 2^q."""
-    v = amps.reshape(-1, 2, 1 << q)
-    if v.shape[2] >= step:
-        for r in range(v.shape[0]):
-            for c in range(0, v.shape[2], step):
-                yield v[r, 0, c : c + step], v[r, 1, c : c + step]
-    else:
-        rows = step >> q
-        for r in range(0, v.shape[0], rows):
-            yield v[r : r + rows, 0], v[r : r + rows, 1]
+def _plus_amplitude(num_qubits: int, dtype: np.dtype) -> np.generic:
+    """What an H on every qubit leaves everywhere on |0...0>: each H group
+    matrix's [0, 0] entry multiplied in, group by group, as its call does."""
+    x = np.dtype(dtype).type(1.0)
+    for m in _group_matrices([GateOp("H", (q,)) for q in range(num_qubits)], num_qubits, dtype).values():
+        x = x * m[0, 0]
+    return x
 
 
-def _apply_gate_run(amps: np.ndarray, gates) -> None:
-    """Apply consecutive H/RX gates in order, on the qubits they name.
-
-    Each stretch of gates on qubits below _GATE_BLOCK_BITS runs block by
-    block (``_apply_block_gates``), the whole stretch on one block while
-    it sits in cache; each gate on a higher qubit makes one pass over
-    chunk pairs.  ``amps`` may also be a flat batch of states of 2^n
-    amplitudes each, since a block only has to split evenly on the bits
-    its passes take.  Scratch is two blocks, allocated once per call, plus
-    ``_pair_kernel``'s temporaries, at most four of one block; the bits
-    are those of the gates applied one by one.
-    """
-    for g in gates:
-        if g.kind not in ("H", "RX"):
-            raise ValidationError(f"{g.kind} runs inside a cost layer, not as a single gate")
-    size = min(amps.size, 1 << _GATE_BLOCK_BITS)
-    scratch = np.empty((2, size), amps.dtype)
-    for low, part in itertools.groupby(gates, key=lambda g: g.qubits[0] < _GATE_BLOCK_BITS):
-        if low:
-            part = list(part)
-            for lo in range(0, amps.size, size):
-                _apply_block_gates(amps[lo : lo + size], part, scratch)
-        else:
-            # a gate on a higher qubit: one pass over pairs of blocks 2^q apart
-            for g in part:
-                for a0, a1 in _pairs(amps, g.qubits[0], 1 << _GATE_BLOCK_BITS):
-                    _pair_kernel(a0, a1, g)
+def _apply_gate_run(amps: np.ndarray, run: _GateRun) -> None:
+    """Apply a gate run's products to ``amps``, a state, slab or flat batch
+    of states.  Groups in the low bits = min(n, 12, the size's power of
+    two) and the gaps between them are segments rotating blocks of 2^bits,
+    a chunk of blocks at a time; each other group is a pass of M @
+    view(-1, 2^w, 2^q), a piece of columns at a time through scratch, two
+    chunks of at most 2^_GATE_BLOCK_BITS amplitudes."""
+    n, size = run.num_qubits, amps.size
+    bits = min(n, _ROTATION_BITS, (size & -size).bit_length() - 1)
+    segments, high, top = [], [], 0
+    for q, m in run.products:
+        w = len(m).bit_length() - 1
+        if q + w > bits:
+            high.append((q, w, m))
+        else:  # gaps between the low groups are bare rotations
+            segments += [(q - top, None)] * (q > top) + [(w, m)]
+            top = q + w
+    segments += [(bits - top, None)] * (0 < top < bits)
+    chunk = min(size, 1 << _GATE_BLOCK_BITS)
+    scratch = np.empty((2, chunk), amps.dtype)
+    for lo in range(0, size if segments else 0, chunk):
+        # each segment writes M @ B, B the block's low w bits by the rest, to
+        # another buffer (without M, copies B.T), so the next is at bit 0
+        x = amps[lo : lo + chunk]
+        blocks, src, spare = x.size >> bits, x, (scratch[0, : x.size], scratch[1, : x.size])
+        for i, (w, m) in enumerate(segments):
+            dst = x if i == len(segments) - 1 and src is not x else spare[src is spare[0]]
+            rows = 1 << (bits - w)
+            view = src.reshape(blocks, rows, 1 << w)
+            if m is None:
+                np.copyto(dst.reshape(blocks, 1 << w, rows), view.transpose(0, 2, 1))
+            else:
+                cols = min(_CALL_COLUMNS, 1 << (n - w))
+                b = view.reshape(blocks, rows // cols, cols, 1 << w).transpose(0, 1, 3, 2)
+                np.matmul(m, b, out=dst.reshape(blocks, 1 << w, rows // cols, cols).transpose(0, 2, 1, 3))
+            src = dst
+        if src is not x:
+            np.copyto(x, src)
+    for q, w, m in high:
+        cols = min(_CALL_COLUMNS, 1 << (n - w))
+        per = 1 << ((chunk >> w).bit_length() - 1)  # columns a piece holds
+        hh, cc = (1, per) if per <= 1 << q else (per >> q, 1 << q)
+        v = amps.reshape(-1, 1 << w, 1 << q)
+        for h, c in itertools.product(range(0, len(v), hh), range(0, 1 << q, cc)):
+            part = v[h : h + hh, :, c : c + cc]
+            b = part.reshape(len(part), 1 << w, cc // cols, cols).transpose(0, 2, 1, 3)
+            np.copyto(b, np.matmul(m, b, out=scratch[0, : part.size].reshape(b.shape)))
 
 
 # A cost layer's phases are formed over aligned pieces of at most
@@ -450,39 +418,45 @@ def _apply_cost_layer(amps: np.ndarray, phase: _CostPhase, offset: int = 0) -> N
 
 def _layer_plan(circuit: CircuitIR, nq_local: int, dtype: np.dtype = np.complex64):
     """The executed layer view: the start amplitude (None when the H layer
-    does not fold) and the (step, global qubit or None) of every step in
-    execution order.
+    does not fold) and the (step, leg, row) of every step in execution
+    order.
 
     A circuit that opens with exactly one H per qubit, followed by a cost
-    layer, starts as ``_plus_amplitude`` in ``dtype`` (the amplitude those
-    gates leave everywhere on |0...0>, which the state starts filled
-    with), and those gates take no step; any other circuit runs all of
-    its layers.  A step is a cost layer, or a tuple of H/RX gates every
-    slab runs with ``_apply_gate_run``: a stretch of consecutive gates on
-    qubits below ``nq_local``, or one gate on a global qubit as its
-    stand-in on the top local qubit, which the swap legs trade with the
-    global qubit and back.  With ``nq_local`` = n the steps are
-    ``CircuitIR.layers`` after the folded H layer.
+    layer, starts as ``_plus_amplitude`` in ``dtype`` (which the state is
+    filled with), and those gates take no step; any other circuit runs all
+    of its layers.  A gate run is one ``_GateRun`` step for its groups
+    below ``nq_local`` and one for each group (q, w) holding a global
+    qubit, applied on the local bits [nq_local - w, nq_local) between the
+    legs of its leg (q, w); with ``nq_local`` = n every leg is None.  A
+    step's row indexes ``circuit.gates``: the gate whose timing row gets
+    its figures, its first, or for a leg its first on a global qubit.
     """
     runs = circuit.layers()
     n = circuit.num_qubits
-    start = None
+    start, row = None, 0
     if (
         len(runs) > 1
         and isinstance(runs[1], CostLayer)
         and sorted((g.kind, g.qubits[0]) for g in runs[0]) == [("H", q) for q in range(n)]
     ):
-        start, runs = _plus_amplitude(n, dtype), runs[1:]
+        start, runs, row = _plus_amplitude(n, dtype), runs[1:], len(runs[0])
     steps = []
     for op in runs:
         if isinstance(op, CostLayer):
-            steps.append((op, None))
+            steps.append((op, None, row))
+            row += len(op.gates)
             continue
-        for local, gates in itertools.groupby(op, key=lambda g: g.qubits[0] < nq_local):
-            if local:
-                steps.append((tuple(gates), None))
-            else:
-                steps.extend(((replace(g, qubits=(nq_local - 1,)),), g.qubits[0]) for g in gates)
+        matrices = _group_matrices(op, n, dtype)
+        local = tuple((q, m) for (q, w), m in matrices.items() if q + w <= nq_local)
+        if local:
+            top = max(q + m.shape[0].bit_length() - 1 for q, m in local)
+            steps.append((_GateRun(n, local), None, row + next(i for i, g in enumerate(op) if g.qubits[0] < top)))
+        for (q, w), m in matrices.items():
+            if q + w > nq_local:
+                mine = [i for i, g in enumerate(op) if q <= g.qubits[0] < q + w]
+                first = next((i for i in mine if op[i].qubits[0] >= nq_local), mine[0])
+                steps.append((_GateRun(n, ((nq_local - w, m),)), (q, w), row + first))
+        row += len(op)
     return start, steps
 
 
@@ -512,22 +486,37 @@ def _shot_bytes(num_qubits: int, shots: int) -> int:
     return shots * (8 + 16 * num_qubits + 4 * (64 + num_qubits))
 
 
+def _group_bytes(num_qubits: int, precision: Precision) -> int:
+    """Bytes of one gate run's group matrices: 2^w x 2^w per group."""
+    return sum(precision.bytes_per_amplitude << 2 * w for _, w in _groups(num_qubits))
+
+
+def _more_matrix_bytes(steps, num_qubits: int, precision: Precision) -> int:
+    """A layer view's group matrices beyond the one run's ``_scratch_bytes`` counts."""
+    held = sum(m.nbytes for op, *_ in steps if isinstance(op, _GateRun) for _, m in op.products)
+    return max(0, held - _group_bytes(num_qubits, precision))
+
+
 def _scratch_bytes(
     num_qubits: int, precision: Precision, workers: int = 1, shots: int = 0
 ) -> tuple[int, int]:
-    """(executor, tail): the bytes a run holds besides the state and the
-    gate list, at most, while ``workers`` executors run at once and while
-    its tail reads the final state and draws ``shots``.  A noiseless run's
-    executors finish before its tail starts, so it counts the larger.
-    Each numpy call may hold cast buffers of ``np.getbufsize()`` elements
-    of at most 16 bytes for each of up to three operands.
+    """(executor, tail): the bytes a run holds besides the state, the gate
+    list and the group matrices of all but one gate run, at most, while
+    ``workers`` executors run at once and while its tail reads the final
+    state and draws ``shots``.  A noiseless run's executors finish before
+    its tail starts, so it counts the larger.  Each numpy call may hold
+    cast buffers of ``np.getbufsize()`` elements of at most 16 bytes for
+    each of up to three operands.
 
-    - Executors, the larger of a one-qubit gate run, per worker
-      (``_apply_gate_run``'s two blocks and ``_pair_kernel``'s
-      temporaries, at most four of one block; this also bounds a sharded
-      run's swap leg, which holds one buffer of at most half a block per
-      pair), and a cost layer: its ``_CostPhase``, and per worker
-      ``_apply_cost_layer``'s pieces (``_cost_layer_bytes``).
+    - Executors, the larger of a gate run: one run's group matrices
+      (``_group_bytes``) and per worker ``_apply_gate_run``'s two chunks of
+      scratch (this also bounds a sharded run's leg, which holds one
+      buffer of at most half a chunk per worker); and a cost layer: its
+      ``_CostPhase``, and per worker ``_apply_cost_layer``'s pieces
+      (``_cost_layer_bytes``).  Not counted are OpenBLAS's own buffers,
+      unseen by tracemalloc: a fresh process's first complex64 and
+      complex128 products grew its resident set by 0.45 and 0.32 MiB, at
+      1 or 2 threads and any state size (OpenBLAS 0.3.31, 2-vCPU host).
     - The tail: the reader's two float64 chunks (``_squared_chunks``),
       the sampler's two running totals per chunk, the draws
       (``_shot_bytes``), and the instance's ``CutDiagonal``
@@ -544,9 +533,9 @@ def _scratch_bytes(
     chunk = min(1 << num_qubits, _REDUCTION_CHUNK)
     chunks = -(-(1 << num_qubits) // _REDUCTION_CHUNK)
     buffers = 3 * 16 * np.getbufsize()
-    gate_run = 6 * block * precision.bytes_per_amplitude + buffers
+    gate_run = 2 * block * precision.bytes_per_amplitude + buffers
     phase, pieces = _cost_layer_bytes(num_qubits, precision)
-    executor = max(workers * gate_run, phase + workers * (pieces + buffers))
+    executor = max(_group_bytes(num_qubits, precision) + workers * gate_run, phase + workers * (pieces + buffers))
     tail = 2 * 8 * chunk + 2 * 8 * chunks + 3 * 8 * table + 8 * chunk + buffers
     return executor, tail + _shot_bytes(num_qubits, shots)
 
@@ -564,23 +553,38 @@ def _timed(fn, *args) -> float:
     return time.perf_counter() - t0
 
 
-def _swap_halves(rows: np.ndarray, lows: list[int], bit: int) -> tuple[float, int]:
-    """Trade the upper half of each shard s in ``lows`` for the lower half of
-    shard s | bit, which transposes the pair's global qubit with the top
-    local qubit (a swap is its own inverse), piece by piece through one
-    buffer of at most 2^(_GATE_BLOCK_BITS - 1) amplitudes.  Returns the
-    seconds taken and the amplitudes that changed shards."""
+def _swap_fields(amps: np.ndarray, leg: tuple[int, int], nq_local: int, back: bool, share=0, shares=1) -> float:
+    """One leg of group (q, w) = ``leg``: the outward leg swaps the bits
+    [lo, q'), lo = nq_local - w, q' = min(q, nq_local), with the group's w
+    bits, which lie mid = q - q' bits above them; ``back`` swaps them home.
+    Runs of 2^lo amplitudes move through one buffer of at most 2^14
+    amplitudes, this task taking pieces share, share + shares, ...
+    Returns the seconds taken."""
     t0 = time.perf_counter()
-    h = rows.shape[1] // 2
-    held = np.empty(min(h, 1 << (_GATE_BLOCK_BITS - 1)), rows.dtype)
-    for s in lows:
-        mine, theirs = rows[s, h:], rows[s | bit, :h]
-        for lo in range(0, h, held.size):
-            part = slice(lo, lo + held.size)
-            held[...] = mine[part]
-            mine[part] = theirs[part]
-            theirs[part] = held
-    return time.perf_counter() - t0, 2 * h * len(lows)
+    q, w = leg
+    lo = nq_local - w
+    x, y, mid = min(q, nq_local) - lo, w, q - min(q, nq_local)
+    if back:
+        x, y = y, x
+    src = amps.reshape(-1, 1 << y, 1 << mid, 1 << x, 1 << lo)
+    dst = amps.reshape(-1, 1 << x, 1 << mid, 1 << y, 1 << lo)
+    room = _GATE_BLOCK_BITS - 1 - x - y
+    dl, dm = min(lo, room), min(mid, max(0, room - lo))
+    dh = max(0, room - lo - mid)
+    ms, ls = 1 << (mid - dm), 1 << (lo - dl)
+    buf = np.empty((min(len(src), 1 << dh), 1 << y, 1 << dm, 1 << x, 1 << dl), amps.dtype)
+    for k in range(share, -(-len(src) >> dh) * ms * ls, shares):
+        h, m, l = (k // (ms * ls)) << dh, (k // ls % ms) << dm, (k % ls) << dl
+        np.copyto(buf, src[h : h + (1 << dh), :, m : m + (1 << dm), :, l : l + (1 << dl)])
+        np.copyto(dst[h : h + (1 << dh), :, m : m + (1 << dm), :, l : l + (1 << dl)], buf.transpose(0, 3, 2, 1, 4))
+    return time.perf_counter() - t0
+
+
+def _moved(leg: tuple[int, int], nq_local: int, size: int) -> int:
+    """The amplitudes of ``size`` an outward leg of group (q, w) moves to
+    another shard: (1 - 2^-j), the group holding j global qubits."""
+    q, w = leg
+    return size - (size >> min(w, q + w - nq_local))
 
 
 def _run_steps(
@@ -597,17 +601,15 @@ def _run_steps(
     draws the caller takes from the result or holds beside it.
 
     Returns the state, the seconds from its allocation to the end of the
-    last step, and per step its gate count, compute and exchange seconds
-    and the amplitudes it exchanged.
+    last step, and per step its row (see ``_layer_plan``), compute and
+    exchange seconds and the amplitudes it exchanged.
     """
     precision = Precision.coerce(precision)
     n = circuit.num_qubits
     start, steps = _layer_plan(circuit, nq_local, precision.dtype)
     scratch = max(_scratch_bytes(n, precision, workers, shots)) + _gate_list_bytes(len(circuit.gates))
-    sv = zero_state(n, precision, memory_budget, scratch)
-    rows = sv.amps.reshape(-1, 1 << nq_local)
-    slab = sv.amps.size // workers
-    slabs = range(0, sv.amps.size, slab)
+    sv = zero_state(n, precision, memory_budget, scratch + _more_matrix_bytes(steps, n, precision))
+    size = sv.amps.size
     timed = []
 
     wall0 = time.perf_counter()
@@ -622,33 +624,30 @@ def _run_steps(
             except Exception as exc:
                 raise AbortedRunError(f"step task failed: {exc}") from exc
 
-        def swap(g: int) -> tuple[float, int]:
-            """One leg over the pairs of shards that differ in global qubit g, a
-            strided share per worker: the slowest worker's seconds, amplitudes moved."""
-            bit = 1 << (g - nq_local)
-            lows = [s for s in range(rows.shape[0]) if not s & bit]
-            legs = each(lambda w: _swap_halves(rows, lows[w::workers], bit), range(workers))
-            return max(t for t, _ in legs), sum(m for _, m in legs)
+        def swap(leg, back: bool) -> float:
+            # a strided share of the leg's pieces per worker: the slowest's seconds
+            return max(each(lambda w: _swap_fields(sv.amps, leg, nq_local, back, w, workers), range(workers)))
 
         def compute(op) -> float:
             """Run a step on every slab: the slowest slab's seconds.  A cost
             layer's tables are built when the layer is due, timed with it,
-            and dropped on return, so one layer's are alive at a time."""
+            and dropped on return, so one layer's are alive at a time.  A
+            gate run's slabs hold one call's columns of its widest group."""
+            t0 = time.perf_counter()
             if isinstance(op, CostLayer):
-                t0 = time.perf_counter()
-                phase = _CostPhase(op)
-                built = time.perf_counter() - t0
-                return built + max(each(lambda lo: _timed(_apply_cost_layer, sv.amps[lo : lo + slab], phase, lo), slabs))
-            return max(each(lambda lo: _timed(_apply_gate_run, sv.amps[lo : lo + slab], op), slabs))
+                phase, slab = _CostPhase(op), size // workers
+                task = lambda lo: _apply_cost_layer(sv.amps[lo : lo + slab], phase, lo)
+            else:
+                slab = size // min(workers, size // min(size, max(len(m) for _, m in op.products) * _CALL_COLUMNS))
+                task = lambda lo: _apply_gate_run(sv.amps[lo : lo + slab], op)
+            built = time.perf_counter() - t0
+            return built + max(each(lambda lo: _timed(task, lo), range(0, size, slab)))
 
-        for op, qubit in steps:
-            exchange_s, moved = (0.0, 0) if qubit is None else swap(qubit)
+        for op, leg, row in steps:
+            out = swap(leg, False) if leg else 0.0
             compute_s = compute(op)
-            if qubit is not None:
-                # the restore leg moves the same amplitudes home and is not counted
-                exchange_s += swap(qubit)[0]
-            size = len(op.gates) if isinstance(op, CostLayer) else len(op)
-            timed.append((size, compute_s, exchange_s, moved))
+            back = swap(leg, True) if leg else 0.0  # moves the same amplitudes home, uncounted
+            timed.append((row, compute_s, out + back, _moved(leg, nq_local, size) if leg else 0))
     return sv, time.perf_counter() - wall0, timed
 
 

@@ -80,10 +80,11 @@ from .engine import (
     _apply_gate_run,
     _cost_layer_bytes,
     _CostPhase,
+    _GateRun,
     _draw_streamed,
     _gate_list_bytes,
     _layer_plan,
-    _pairs,
+    _more_matrix_bytes,
     _scratch_bytes,
     _shot_bytes,
     _squared_chunks,
@@ -150,6 +151,22 @@ def _y_pattern(dtype: np.dtype, q: int, size: int) -> np.ndarray:
     v[:, 0], v[:, 1] = -1j, 1j
     pattern.flags.writeable = False
     return pattern
+
+
+def _pairs(amps: np.ndarray, q: int, step: int):
+    """(a0, a1) piece by piece, in index order: the amplitudes with qubit q
+    clear and set, paired index by index, ``step`` (a power of two) of each
+    at most.  Each is one contiguous run when 2^q >= step, else
+    ``step >> q`` rows of 2^q."""
+    v = amps.reshape(-1, 2, 1 << q)
+    if v.shape[2] >= step:
+        for r in range(v.shape[0]):
+            for c in range(0, v.shape[2], step):
+                yield v[r, 0, c : c + step], v[r, 1, c : c + step]
+    else:
+        rows = step >> q
+        for r in range(0, v.shape[0], rows):
+            yield v[r : r + rows, 0], v[r : r + rows, 1]
 
 
 def _x_kernel(amps: np.ndarray, q: int) -> None:
@@ -238,7 +255,7 @@ class _Edges:
 class _Ensemble:
     """What every trajectory of one run shares: the folded start amplitude
     (None when the H layer does not fold), the circuit's executed layers
-    with one-qubit gate runs grouped, each cost layer's read-only
+    with each gate run's group matrices, each cost layer's read-only
     ``_CostPhase`` and ``_Edges`` (None for a gate run), the RZZ count the
     draws cover, the ZZ sign table of ``_sign_table``, the rows of a
     block, and the workers that each run one block at a time."""
@@ -246,7 +263,7 @@ class _Ensemble:
     num_qubits: int
     dtype: np.dtype
     start: np.generic | None
-    layers: list[CostLayer | tuple[GateOp, ...]]
+    layers: list[CostLayer | _GateRun]
     phases: list[_CostPhase | None]
     edges: list[_Edges | None]
     n_rzz: int
@@ -300,8 +317,9 @@ def _account(
     The dense engine bounds the gate list, and in ``_scratch_bytes`` the
     ``workers``' executors and the consumer's tail: with one worker the
     consumer samples a block after running it, so the larger counts, and
-    with more while they run, so both do.  To the one ``_CostPhase`` the
-    executor bound holds this adds the other cost layers', the sign table,
+    with more while they run, so both do.  To the one ``_CostPhase`` and
+    the one gate run's group matrices the executor bound holds this adds
+    the other cost layers' and gate runs', the sign table,
     each worker's ``_correction_bytes`` over a block of ``rows`` states,
     the blocks of ``rows`` states in flight: one without threads, else up
     to _IN_FLIGHT_PER_THREAD per worker, each from the start of its run
@@ -319,7 +337,7 @@ def _account(
     """
     n, dtype = circuit.num_qubits, precision.dtype
     start, steps = _layer_plan(circuit, n, dtype)
-    layers = [op for op, _ in steps]
+    layers = [op for op, *_ in steps]
     costs = [op for op in layers if isinstance(op, CostLayer)]
     widest = max((len(op.gates) for op in costs), default=0)
     n_rzz = sum(len(op.gates) for op in costs)
@@ -329,7 +347,7 @@ def _account(
     executor, tail = _scratch_bytes(n, precision, workers)
     dense = executor + tail if workers > 1 else max(executor, tail)
     tables = len(costs[1:]) * _cost_layer_bytes(n, precision)[0]
-    shared = _gate_list_bytes(len(circuit.gates)) + signs + tables
+    shared = _gate_list_bytes(len(circuit.gates)) + signs + tables + _more_matrix_bytes(steps, n, precision)
     correction = workers * _correction_bytes(n, widest, dtype, rows)
     draws = (in_flight + 1) * _draw_bytes(rows, n_rzz)
     runs = [(in_flight * rows, dense + shared + correction + draws + held)]

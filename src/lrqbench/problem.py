@@ -235,10 +235,14 @@ class CutDiagonal:
         b = min(_BLOCK_BITS, n)
         w = np.zeros((n, n))
         total = 0.0
-        for i, j, x in edges:
-            w[i, j] += x
-            w[j, i] += x
-            total += x
+        i, j, x = tuple(zip(*edges)) or ((), (), ())
+        for v in x:
+            total += v
+        if x:
+            ij = np.array((i, j))
+            # both orientations of every edge, in edge order and unbuffered, so
+            # a repeated pair's entries are the same sums as one edge at a time
+            np.add.at(w, (ij.T.ravel(), ij[::-1].T.ravel()), np.repeat(np.array(x, float), 2))
         self.num_vertices = n
         self.block_bits = b
         self.total = total

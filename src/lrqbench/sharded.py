@@ -3,18 +3,19 @@
 A plan splits the amplitudes into 2^(nq - nq_local) contiguous shards of
 2^nq_local; shard s owns the basis states whose top bits equal s.
 ``run_circuit_sharded`` runs a plan through the engine's step loop
-(``engine._run_steps``, with its slabs, swap legs and barrier) on
+(``engine._run_steps``, with its slabs, legs and barrier) on
 ``_workers`` slabs, so the state is the dense engine's, bit for bit.
 
-One swap-apply-restore counts as a single exchange of L/2 amplitudes per
-shard (the restore leg moves the same amplitudes home), the convention on
-which the static ``exchange_volume`` and the measured counters agree;
-both read the engine's layer view (``engine._layer_plan``), in which a
-folded H layer takes no step.  The timing record keeps one row per gate:
-a step's figures go on the row of its first gate, and its other rows
-carry zeros, as do the folded H gates.  The memory budget covers the
-state, the gate list and each worker's scratch (``engine._scratch_bytes``);
-a sweep checks the state and the gate list before it builds a circuit.
+Shards of fewer than min(4, nq) qubits, one qubit group, are refused.
+One leg-apply-restore counts as one exchange of the amplitudes the
+outward leg moves to another shard (the restore leg moves them home),
+the convention on which the static ``exchange_volume`` and the measured
+counters agree; both read ``engine._layer_plan``, in which a folded H
+layer takes no step.  The timing record keeps one row per gate: a step's
+figures go on its row (see ``engine._layer_plan``), the others carry
+zeros.  The memory budget covers the state, the gate list and each
+worker's scratch (``engine._scratch_bytes``); a sweep checks the state
+and the gate list before it builds a circuit.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from typing import IO, Iterable
 
 from .circuit import CircuitIR, LrQaoaParams, build_circuit, gate_counts
 from .engine import (
+    _GROUP_BITS,
     Precision,
     StateVector,
     _gate_list_bytes,
     _layer_plan,
+    _moved,
     _run_steps,
     check_memory,
 )
@@ -52,12 +55,15 @@ class ShardPlan:
 
 
 def plan_shards(nq: int, nq_local: int) -> ShardPlan:
-    """Split nq qubits into 2^(nq - nq_local) shards of 2^nq_local amplitudes."""
+    """Split nq qubits into 2^(nq - nq_local) shards of 2^nq_local amplitudes,
+    nq_local >= min(4, nq): a shard must hold a whole qubit group
+    (``engine._groups``), which a gate run applies inside it."""
     if nq < 1:
         raise ValidationError(f"need at least one qubit, got {nq}")
-    if not 1 <= nq_local <= nq:
+    if not min(_GROUP_BITS, nq) <= nq_local <= nq:
         raise ValidationError(
-            f"nq_local must satisfy 1 <= nq_local <= nq, got {nq_local} for nq={nq}"
+            f"nq_local must satisfy {min(_GROUP_BITS, nq)} <= nq_local <= nq (a shard "
+            f"holds a whole qubit group), got {nq_local} for nq={nq}"
         )
     return ShardPlan(nq, nq_local)
 
@@ -73,15 +79,12 @@ def plan_for_shard_count(nq: int, num_shards: int) -> ShardPlan:
 
 def exchange_volume(circuit: CircuitIR, plan: ShardPlan) -> int:
     """Total amplitudes redistributed over the run (static analysis of the
-    steps the engine executes): half of every shard per gate on a global
-    qubit.
-
-    Only the gates outside cost layers count; diagonal layers never
-    exchange, and neither does a folded H layer, which never runs.
+    steps the engine executes): per gate run and qubit group holding j >= 1
+    global qubits, the (1 - 2^-j) of the state its leg moves to another
+    shard.  Diagonal layers never exchange, nor does a folded H layer.
     """
     _, steps = _layer_plan(circuit, plan.nq_local)
-    moves = sum(qubit is not None for _, qubit in steps)
-    return moves * plan.num_shards * (plan.shard_len // 2)
+    return sum(_moved(leg, plan.nq_local, 1 << plan.nq) for _, leg, _ in steps if leg)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +187,10 @@ def run_circuit_sharded(
     sv, wall, steps = _run_steps(
         circuit, plan.nq_local, precision, memory_budget, shots, _workers(plan)
     )
-    # a step's figures go on the row of its first gate; its other gates and
-    # the folded H gates, which come first, keep zeros
+    # a step's figures go on its row; other rows keep zeros
     gates = [GateTiming(i, g.kind, 0.0, 0.0, 0) for i, g in enumerate(circuit.gates)]
-    i = len(gates) - sum(size for size, *_ in steps)
-    for size, compute_s, exchange_s, moved in steps:
+    for i, compute_s, exchange_s, moved in steps:
         gates[i] = GateTiming(i, gates[i].kind, compute_s, exchange_s, moved)
-        i += size
     return sv, TimingRecord(plan.nq, circuit.p, plan.num_shards, wall, gates)
 
 

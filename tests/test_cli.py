@@ -499,17 +499,21 @@ def test_simulate_noisy_reports_fired_paulis(tmp_path, instance_path):
 @pytest.mark.parametrize(
     "extra,digest",
     [
-        ((), "b7d7fa33de36b30f95b413db527b6f14d052a08b4cab96ab02773cce01058be1"),
-        (("--ideal-shots", 200), "51acb2a763483407cdd9bf140e562cdc59bd42bf1ce5fdd451eebac94010aa6c"),
+        ((), "293e213fbfc6cfe8fb0d51dadce95262bcc90d7fd7fe61852c77b2126c351a40"),
+        (("--ideal-shots", 200), "3d7a37b9bcf168ecc97e4c1893d2ca47c0922bc627dcfe9fa393ad79a65cc1ca"),
     ],
     ids=["exact", "ideal-shots"],
 )
 def test_noisy_result_bytes_are_pinned(tmp_path, extra, digest):
-    # r_ideal, from the exact baseline or its shots, and the trajectories' shots
+    # r_ideal, from the exact baseline or its shots, and the trajectories'
+    # shots, at 0.9.0; the states' bits depend on the BLAS kernel, so the run
+    # forces OpenBLAS's Haswell kernel, which every AVX2 host can run
     inst, out = tmp_path / "inst.json", tmp_path / "r.json"
-    assert run_cli("gen", "--n", 8, "--seed", 2, "--out", inst) == 0
     argv = ("--mode", "noisy", "--epsilon", 0.02, "--trajectories", 10, "--shots", 4, "--seed", 4, *extra)
-    assert run_cli("simulate", "--instance", inst, "--out", out, *argv) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), OPENBLAS_CORETYPE="Haswell")
+    for command in (("gen", "--n", 8, "--seed", 2, "--out", inst),
+                    ("simulate", "--instance", inst, "--out", out, *argv)):
+        subprocess.run([sys.executable, "-m", "lrqbench.cli", *map(str, command)], env=env, check=True)
     assert sha256(out) == digest
 
 
@@ -735,6 +739,22 @@ def test_replay_warns_on_version_mismatch(tmp_path, capsys):
     assert run_cli("replay", manifest) == 0
     err = capsys.readouterr().err
     assert "warning" in err and "0.1.0" in err
+
+
+def test_replay_warns_on_another_blas_fingerprint(tmp_path, capsys):
+    from lrqbench.cli import _blas_fingerprint
+
+    out = tmp_path / "inst.json"
+    run_cli("gen", "--n", 6, "--out", out, "--seed", 12)
+    manifest = tmp_path / "inst.json.manifest.json"
+    data = json.loads(manifest.read_text())
+    assert re.fullmatch("[0-9a-f]{16}", data["blas_fingerprint"])
+    assert data["blas_fingerprint"] == _blas_fingerprint()
+    data["blas_fingerprint"] = "0123456789abcdef"
+    manifest.write_text(json.dumps(data))
+    assert run_cli("replay", manifest) == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and "0123456789abcdef" in err and _blas_fingerprint() in err
 
 
 @pytest.mark.parametrize("change", ["tampered", "deleted"])

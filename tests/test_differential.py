@@ -6,7 +6,8 @@ fold into the start state), in
 single precision for one of the two and double for the other, and ends
 with an RX on the top qubit between two cost layers, so every sharded
 plan exchanges between diagonals.  The dense state must equal the sharded
-one byte for byte on every valid shard count, each sharded run must
+one byte for byte on every shard count a plan admits (shards of at least
+min(4, n) qubits), each sharded run must
 exchange the amplitudes ``exchange_volume`` predicts, a noiseless ensemble of one
 trajectory must draw the dense sampler's shots, and at small n the dense
 state must match the matrix oracle.
@@ -30,7 +31,7 @@ from lrqbench import (
 import oracles
 
 # (n, leading H layer, precision); the two largest sizes, whose plans reach
-# 1 024 and 2 048 shards and swap that many halves per leg, run once
+# 128 and 256 shards, run once
 CASES = [
     (n, h_layer, "fp64" if (n + h_layer) % 2 else "fp32")
     for n in range(1, 11)
@@ -67,7 +68,7 @@ def test_random_circuit_agrees_across_executors(n, h_layer, precision):
     seed = 2 * n + h_layer
     circuit = random_circuit(n, h_layer, seed)
     dense = run_circuit(circuit, precision)
-    for log2 in range(1, n):
+    for log2 in range(1, n - min(4, n) + 1):
         plan = plan_for_shard_count(n, 1 << log2)
         sv, record = run_circuit_sharded(circuit, plan, precision)
         assert sv.amps.tobytes() == dense.amps.tobytes(), f"{1 << log2} shards"

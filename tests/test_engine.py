@@ -48,9 +48,19 @@ import oracles
 
 
 def random_state(n: int, seed: int) -> np.ndarray:
+    """A random unit state, normalized by numpy's pairwise sum (no BLAS,
+    whose dot changes its bits with the thread count)."""
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return amps / np.linalg.norm(amps)
+    return amps / np.sqrt((amps.real**2 + amps.imag**2).sum())
+
+
+def run_gates(amps: np.ndarray, gates, n: int | None = None) -> None:
+    """``gates`` as one gate run on ``amps``: a state of n qubits (by
+    default its size's), or a flat batch of them."""
+    n = amps.size.bit_length() - 1 if n is None else n
+    matrices = engine._group_matrices(gates, n, amps.dtype)
+    engine._apply_gate_run(amps, engine._GateRun(n, tuple((q, m) for (q, _), m in matrices.items())))
 
 
 def plus_state(n: int, precision: str) -> StateVector:
@@ -79,7 +89,7 @@ def test_precision_coerce():
 def test_h_matches_matrix(q):
     start = random_state(3, 10 + q)
     amps = start.copy()
-    engine._apply_gate_run(amps, (GateOp("H", (q,)),))
+    run_gates(amps, (GateOp("H", (q,)),))
     want = oracles.embed_single(oracles.HADAMARD, q, 3) @ start
     np.testing.assert_allclose(amps, want, atol=1e-12)
 
@@ -88,7 +98,7 @@ def test_h_matches_matrix(q):
 def test_rx_matches_expm(q, theta):
     start = random_state(3, 20 + q)
     amps = start.copy()
-    engine._apply_gate_run(amps, (GateOp("RX", (q,), theta),))
+    run_gates(amps, (GateOp("RX", (q,), theta),))
     want = oracles.gate_unitary(GateOp("RX", (q,), theta), 3) @ start
     np.testing.assert_allclose(amps, want, atol=1e-12)
 
@@ -194,12 +204,9 @@ def mixed_gates(qubits, rng: np.random.Generator) -> list[GateOp]:
 
 def gate_run_input(n: int, order: str, rng: np.random.Generator) -> list[GateOp]:
     """A run on n qubits.  "shuffled": every qubit twice, in random order,
-    so most gates run in place at their stride, on qubits above and below
-    the ones passed so far and (n > 15) above the block.  "mixer": an
-    ascending RX on every qubit, one pass each up to the block's top bit,
-    then the shuffled list.  "broken": an ascending stretch that breaks
-    off part-way (0, 1, 2, 5, 3, 4, 6, ...), so the block is restored after
-    five passes, not after as many as it has bits."""
+    so most groups take the product of several gates per qubit.  "mixer":
+    an ascending RX on every qubit, then the shuffled list.  "broken": an
+    ascending stretch that breaks off part-way (0, 1, 2, 5, 3, 4, 6, ...)."""
     shuffled = mixed_gates(rng.permutation(np.repeat(np.arange(n), 2)), rng)
     if order == "shuffled":
         return shuffled
@@ -209,21 +216,25 @@ def gate_run_input(n: int, order: str, rng: np.random.Generator) -> list[GateOp]
 
 
 def check_gate_run(n: int, rows: int, order: str, precision: str) -> None:
-    """The run on a flat batch of ``rows`` random states of n qubits is bit
-    for bit the gates one by one, and the kernels of 0.2.0."""
+    """The run on a flat batch of ``rows`` random states of n qubits gives
+    each row the bits of that row run alone, and is within rounding of the
+    kernels of 0.2.0 applied one by one in double precision."""
     rng = np.random.default_rng(100 * rows + n)
     gates = gate_run_input(n, order, rng)
     start = np.concatenate([random_state(n, n + r) for r in range(rows)])
-    start = start.astype(Precision.coerce(precision).dtype)
-    run = start.copy()
-    engine._apply_gate_run(run, gates)
-    one_by_one = start.copy()
+    dtype = Precision.coerce(precision).dtype
+    run = start.astype(dtype)
+    run_gates(run, gates, n)
+    for r in range(rows):
+        alone = start[r << n : (r + 1) << n].astype(dtype)
+        run_gates(alone, gates)
+        assert alone.tobytes() == run[r << n : (r + 1) << n].tobytes()
     old = start.copy()
     for g in gates:
-        engine._apply_gate_run(one_by_one, (g,))
         kernel_of_0_2(old, g)
-    np.testing.assert_array_equal(run, one_by_one)
-    np.testing.assert_array_equal(run, old)
+    # each gate rounds every amplitude once or twice; the groups round fewer times
+    eps = np.finfo(dtype).eps
+    assert np.max(np.abs(run - old)) <= 4 * len(gates) * eps * np.max(np.abs(old))
 
 
 @pytest.mark.parametrize("precision", ["fp32", "fp64"])
@@ -255,7 +266,7 @@ def test_gate_run_on_batches_and_broken_ascents(rows, n, order, precision):
 def test_gate_run_rejects_diagonal_gates():
     amps = random_state(4, 0)
     with pytest.raises(ValidationError):
-        engine._apply_gate_run(amps, [GateOp("H", (0,)), GateOp("RZZ", (0, 1), 0.3)])
+        run_gates(amps, [GateOp("H", (0,)), GateOp("RZZ", (0, 1), 0.3)])
 
 
 _REDUCTIONS = """
@@ -267,27 +278,49 @@ print(sv.norm_squared().hex(), exact_expected_r(sv, inst).hex())
 """
 
 
-def test_reductions_do_not_depend_on_blas_threads():
+def printed(code: str, **extra) -> str:
+    """What ``code`` prints in a fresh interpreter, with no BLAS thread or
+    kernel setting inherited, and ``extra`` set in its environment."""
     env = {
         k: v
         for k, v in os.environ.items()
-        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_CORETYPE")
     }
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(lrqbench.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**env, **extra}, capture_output=True, text=True, check=True
+    )
+    return out.stdout
 
-    def bits(**extra) -> str:
-        out = subprocess.run(
-            [sys.executable, "-c", _REDUCTIONS],
-            env={**env, **extra},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return out.stdout
 
-    assert bits() == bits(OPENBLAS_NUM_THREADS="1")
+def test_reductions_do_not_depend_on_blas_threads():
+    assert printed(_REDUCTIONS) == printed(_REDUCTIONS, OPENBLAS_NUM_THREADS="1")
+
+
+_STATES = """
+import hashlib
+from lrqbench import (DepolarizingConfig, LrQaoaParams, build_circuit, generate_instance,
+                      noisy_expected_probs, run_circuit)
+for n in (13, 17):
+    circ = build_circuit(generate_instance(n, 3), LrQaoaParams(p=2))
+    for precision in ("fp32", "fp64"):
+        print(hashlib.sha256(run_circuit(circ, precision).amps.tobytes()).hexdigest())
+circ = build_circuit(generate_instance(8, 3), LrQaoaParams(p=3))
+probs = noisy_expected_probs(circ, DepolarizingConfig(0.05, 20, 4), "fp32")
+print(hashlib.sha256(probs.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("coretype", ["default", "Haswell"])
+def test_states_do_not_depend_on_blas_threads(coretype):
+    # every product call writes 2^w x 64 outputs or fewer, which OpenBLAS
+    # computes on one thread whatever its thread count, under either kernel
+    kernel = {} if coretype == "default" else {"OPENBLAS_CORETYPE": coretype}
+    one = printed(_STATES, OPENBLAS_NUM_THREADS="1", **kernel)
+    assert len(one.split()) == 5
+    assert one == printed(_STATES, OPENBLAS_NUM_THREADS="2", **kernel)
 
 
 def test_norm_preserved_through_long_circuit():
@@ -558,7 +591,7 @@ def run_unfolded(circuit, precision):
         if isinstance(op, CostLayer):
             engine._apply_cost_layer(amps, engine._CostPhase(op))
         else:
-            engine._apply_gate_run(amps, op)
+            run_gates(amps, op)
     return amps
 
 
@@ -566,7 +599,7 @@ def run_unfolded(circuit, precision):
 @pytest.mark.parametrize("n", range(1, 18))
 def test_folded_start_matches_unfolded_h_run(n, precision):
     h_run = zero_state(n, precision).amps
-    engine._apply_gate_run(h_run, [GateOp("H", (q,)) for q in range(n)])
+    run_gates(h_run, [GateOp("H", (q,)) for q in range(n)])
     plus = np.full(1 << n, engine._plus_amplitude(n, h_run.dtype))
     assert plus.tobytes() == h_run.tobytes()
     if n == 1:  # no instance, and no edge to make a cost layer
@@ -595,7 +628,10 @@ def unfoldable_circuits():
 def test_other_openings_take_the_unfolded_path(name, precision):
     circ = CircuitIR(num_qubits=5, gates=unfoldable_circuits()[name])
     start, steps = engine._layer_plan(circ, 5, Precision.coerce(precision).dtype)
-    assert start is None and [op for op, _ in steps] == circ.layers()
+    assert start is None
+    assert [type(op) for op, *_ in steps] == [
+        CostLayer if isinstance(op, CostLayer) else engine._GateRun for op in circ.layers()
+    ]
     assert run_circuit(circ, precision).amps.tobytes() == run_unfolded(circ, precision).tobytes()
 
 

@@ -36,7 +36,10 @@ from lrqbench.engine import (
     _apply_cost_layer,
     _apply_gate_run,
     _cost_layer_bytes,
+    _GateRun,
     _gate_list_bytes,
+    _group_bytes,
+    _group_matrices,
     _scratch_bytes,
     _shot_bytes,
     state_bytes,
@@ -63,9 +66,11 @@ import oracles
 
 
 def random_state(n: int, seed: int) -> np.ndarray:
+    """A random unit state, normalized by numpy's pairwise sum (no BLAS,
+    whose dot changes its bits with the thread count)."""
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return (amps / np.linalg.norm(amps)).astype(np.complex128)
+    return amps / np.sqrt((amps.real**2 + amps.imag**2).sum())
 
 
 def test_config_validation():
@@ -301,8 +306,9 @@ def noisy_budget(circ, blocks: int, workers: int, shots: int = 0, rows: int = 1)
     """Bytes ``_prepare`` counts for an fp32 ensemble of ``circ``: ``blocks``
     states in flight, in blocks of ``rows``; the dense engine's gate list
     and scratch bound, the larger of executor and tail for one worker and
-    both for more; the sign table, the phase tables of the cost layers
-    after the first (the executor bound holds one), each worker's
+    both for more; the sign table, the phase tables of the cost layers and
+    the group matrices of the mixers after the first (the executor bound
+    holds one of each), each worker's
     correction scratch over a block, the draws of the blocks in flight and
     of the one being cut, and ``shots`` draws."""
     n = circ.num_qubits
@@ -315,7 +321,7 @@ def noisy_budget(circ, blocks: int, workers: int, shots: int = 0, rows: int = 1)
         + (max(executor, tail) if workers == 1 else executor + tail)
         + _gate_list_bytes(len(circ.gates))
         + _sign_table(n).nbytes
-        + (circ.p - 1) * _cost_layer_bytes(n, Precision.FP32)[0]
+        + (circ.p - 1) * (_cost_layer_bytes(n, Precision.FP32)[0] + _group_bytes(n, Precision.FP32))
         + workers * correction
         + draws
         + _shot_bytes(n, shots)
@@ -418,7 +424,9 @@ def per_trajectory_reference(circ, cfg, precision, shots):
         amps = np.zeros(1 << circ.num_qubits, dtype=ens.dtype)
         amps[0] = 1.0
         if ens.start is not None:
-            _apply_gate_run(amps, circ.layers()[0])
+            n = circ.num_qubits
+            matrices = _group_matrices(circ.layers()[0], n, ens.dtype)
+            _apply_gate_run(amps, _GateRun(n, tuple((q, m) for (q, _), m in matrices.items())))
         fire = np.zeros(ens.n_rzz, dtype=bool)
         codes = None
         if cfg.epsilon > 0.0:
@@ -513,7 +521,7 @@ def test_zero_noise_probs_match_noiseless_exactly():
 
 
 def test_zero_noise_trajectory_matches_blocked_run_exactly():
-    # n=17 is above the size where one-qubit gate runs go block by block
+    # n=17 is above the 2^12-amplitude blocks of the low-bit rotations
     circ = build_circuit(generate_instance(17, 3), LrQaoaParams(p=1))
     ideal = oracles.probabilities(run_circuit(circ, "fp32").amps)
     noisy = noisy_expected_probs(circ, DepolarizingConfig(0.0, trajectories=1), "fp32")
@@ -535,7 +543,7 @@ def test_zero_noise_shots_match_noiseless_exactly():
 @pytest.mark.parametrize("precision", ["fp32", "fp64"])
 @pytest.mark.parametrize("n", [6, 17])
 def test_zero_noise_trajectory_is_run_circuit_bytes(n, precision):
-    # both start from the folded H layer; n=17 runs gates block by block
+    # both start from the folded H layer; n=17 runs the high groups as strided passes
     circ = build_circuit(generate_instance(n, 11), LrQaoaParams(p=2))
     sv = run_circuit(circ, precision)
     cfg = DepolarizingConfig(0.0, trajectories=1, rng_seed=n)

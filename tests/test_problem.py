@@ -19,6 +19,7 @@ from lrqbench import (
     solve_instance,
 )
 from lrqbench.problem import (
+    CutDiagonal,
     as_index,
     bitstring_to_index,
     bitstrings_to_indices,
@@ -121,6 +122,34 @@ def test_offset_table_is_a_slice_of_offset_cut(n):
     for lo, hi in {(0, b), (0, min(8, b)), (min(8, b), b), (1, b - 1), (2, 2), (b, b)}:
         want = cut.offset_cut[:: 1 << lo][: 1 << (hi - lo)]
         assert cut.offset_table(lo, hi).tobytes() == want.tobytes()
+
+
+class LoopCut(CutDiagonal):
+    """A cut whose weights are filled as in 0.8.0, one edge at a time."""
+
+    def __init__(self, num_vertices, edges):
+        super().__init__(num_vertices, [])
+        for i, j, x in edges:
+            self._w[i, j] += x
+            self._w[j, i] += x
+            self.total += x
+        self._low_to_high = self._w[: self.block_bits, self.block_bits :].sum(axis=0)
+
+
+@pytest.mark.parametrize("n", [3, 17, 20])
+def test_cut_weights_keep_the_bits_of_one_edge_at_a_time(n):
+    # a repeated pair, in both orientations, among edges of any weight
+    edges = [(i, j, 0.37 * w - 0.1) for i, j, w in generate_instance(n, 70 + n).edges]
+    edges += [(1, 0, 1e-3), (0, 1, 7.5), (n - 1, 0, -2.25)]
+    cut, want = CutDiagonal(n, iter(edges)), LoopCut(n, edges)
+    assert cut._w.tobytes() == want._w.tobytes()
+    assert cut.total.hex() == want.total.hex()
+    b = cut.block_bits
+    assert cut.offset_table(0, b).tobytes() == want.offset_table(0, b).tobytes()
+    values = cut.values(0, 1 << n)
+    assert values.tobytes() == want.values(0, 1 << n).tobytes()
+    z = np.random.default_rng(n).integers(0, 1 << n, size=500).astype(np.uint64)
+    assert cut.at(z).tobytes() == want.at(z).tobytes() == values[z].tobytes()
 
 
 def test_bitstring_encoding_vertex_zero_leftmost():

@@ -15,6 +15,7 @@ import lrqbench.sharded as sharded
 from lrqbench import (
     AbortedRunError,
     CircuitIR,
+    CostLayer,
     GateOp,
     LrQaoaParams,
     SweepConfig,
@@ -35,8 +36,8 @@ from lrqbench.sharded import TIMING_CSV_FIELDS, ShardPlan
 def test_plan_shards_published_sizes():
     assert plan_shards(46, 33).num_shards == 8192
     assert plan_shards(48, 34).num_shards == 16384
-    plan = plan_shards(5, 3)
-    assert (plan.num_shards, plan.shard_len) == (4, 8)
+    plan = plan_shards(6, 4)
+    assert (plan.num_shards, plan.shard_len) == (4, 16)
 
 
 def test_plan_for_shard_count():
@@ -55,6 +56,14 @@ def test_plan_shards_validation():
         plan_shards(5, 6)
 
 
+@pytest.mark.parametrize("nq,least", [(1, 1), (3, 3), (4, 4), (5, 4), (30, 4)])
+def test_plans_below_one_group_are_refused(nq, least):
+    # a shard holds a whole qubit group, up to 4 qubits wide
+    assert plan_shards(nq, least).shard_len == 1 << least
+    with pytest.raises(ValidationError, match="qubit group"):
+        plan_shards(nq, least - 1)
+
+
 def test_shard_plan_derives_its_sizes():
     assert [f.name for f in dataclasses.fields(ShardPlan)] == ["nq", "nq_local"]
     plan = ShardPlan(7, 4)
@@ -62,44 +71,63 @@ def test_shard_plan_derives_its_sizes():
 
 
 def test_local_gate_needs_no_exchange():
-    plan = plan_shards(6, 3)
+    plan = plan_shards(6, 4)
     circ = CircuitIR(num_qubits=6, gates=[GateOp("RX", (2,), 0.1), GateOp("RZZ", (0, 5), 0.1)])
     _, layers = engine._layer_plan(circ, plan.nq_local)
-    assert [qubit for _, qubit in layers] == [None, None]
+    assert [leg for _, leg, _ in layers] == [None, None]
 
 
 def test_global_gate_single_step():
-    # RX on global qubit 4 of 8 shards of 8 amplitudes runs as its stand-in
-    # on the top local qubit 2, and the legs pair shard s with s | 2
-    plan = plan_shards(6, 3)
+    # RX on global qubit 4 of 4 shards of 16 amplitudes: its group [4, 6)
+    # holds both global qubits, and one step applies it on local bits [2, 4)
+    plan = plan_shards(6, 4)
     circ = CircuitIR(num_qubits=6, gates=[GateOp("RX", (4,), 0.1)])
     _, layers = engine._layer_plan(circ, plan.nq_local)
-    assert layers == [((GateOp("RX", (2,), 0.1),), 4)]
-    rows = np.arange(64).reshape(plan.num_shards, plan.shard_len)
-    _, moved = engine._swap_halves(rows, [0, 1, 4, 5], 2)
-    assert moved == 4 * plan.shard_len
-    # one leg transposes qubits 2 and 4: index z now holds the amplitude
-    # of z with those two bits exchanged
+    [(run, leg, row)] = layers
+    assert (leg, row) == ((4, 2), 0)
+    assert [q for q, _ in run.products] == [2]
+    assert engine._moved(leg, plan.nq_local, 64) == 48
+    # the leg exchanges the bit fields [2, 4) and [4, 6): index z then holds
+    # the amplitude of z with those fields swapped, and the restore leg undoes it
+    amps = np.arange(64, dtype=np.complex128)
+    engine._swap_fields(amps, leg, plan.nq_local, False)
     z = np.arange(64)
-    swapped = z ^ ((((z >> 2) ^ (z >> 4)) & 1) * 0b10100)
-    np.testing.assert_array_equal(rows.reshape(-1), swapped)
+    np.testing.assert_array_equal(amps, (z & 3) | ((z >> 4) & 3) << 2 | ((z >> 2) & 3) << 4)
+    engine._swap_fields(amps, leg, plan.nq_local, True)
+    np.testing.assert_array_equal(amps, z)
+
+
+def test_leg_of_a_group_above_the_top_local_bits():
+    # n=12 on shards of 16: group [8, 12) trades places with the local bits
+    # [0, 4), over the global bits [4, 8) between them
+    assert engine._moved((8, 4), 4, 1 << 12) == 15 << 8
+    amps = np.arange(1 << 12, dtype=np.complex64)
+    engine._swap_fields(amps, (8, 4), 4, False)
+    z = np.arange(1 << 12)
+    np.testing.assert_array_equal(amps, (z & 0xF0) | (z >> 8) | (z & 0xF) << 8)
+    engine._swap_fields(amps, (8, 4), 4, True)
+    np.testing.assert_array_equal(amps, z)
 
 
 def test_exchange_volume_hand_count():
-    # one RX on the lone global qubit with 2 shards of 8 amplitudes:
-    # the pair trades half a shard, 4 up and 4 down = 8 moved
-    plan = plan_shards(4, 3)
-    circ = CircuitIR(num_qubits=4, gates=[GateOp("RX", (3,), 0.5)])
-    assert exchange_volume(circ, plan) == 8
+    # one RX on the lone global qubit, alone in its group, with 2 shards of
+    # 16 amplitudes: the pair trades half a shard, 8 up and 8 down = 16 moved
+    plan = plan_shards(5, 4)
+    circ = CircuitIR(num_qubits=5, gates=[GateOp("RX", (4,), 0.5)])
+    assert exchange_volume(circ, plan) == 16
 
 
 def test_exchange_volume_counts_two_global_gates_twice():
-    plan = plan_shards(4, 2)
-    one = CircuitIR(num_qubits=4, gates=[GateOp("RX", (3,), 0.5)])
-    two = CircuitIR(num_qubits=4, gates=[GateOp("RX", (2,), 0.5), GateOp("RX", (3,), 0.5)])
+    # two gates in two global groups take two legs; two in one group, one;
+    # each leg of a group of 4 global qubits moves 15/16 of the state
+    plan = plan_shards(12, 4)
+    one = CircuitIR(num_qubits=12, gates=[GateOp("RX", (8,), 0.5)])
+    two = CircuitIR(num_qubits=12, gates=[GateOp("RX", (4,), 0.5), GateOp("RX", (8,), 0.5)])
+    same = CircuitIR(num_qubits=12, gates=[GateOp("RX", (8,), 0.5), GateOp("RX", (11,), 0.5)])
+    assert exchange_volume(one, plan) == exchange_volume(same, plan) == 15 << 8
     assert exchange_volume(two, plan) == 2 * exchange_volume(one, plan)
     # diagonal gates never exchange, even on two global qubits
-    rzz = CircuitIR(num_qubits=4, gates=[GateOp("RZZ", (2, 3), 0.5)])
+    rzz = CircuitIR(num_qubits=12, gates=[GateOp("RZZ", (8, 11), 0.5)])
     assert exchange_volume(rzz, plan) == 0
 
 
@@ -126,8 +154,8 @@ def test_sharded_fp32_matches_dense_bitwise():
 
 @pytest.mark.parametrize("num_shards", [2, 4])
 def test_sharded_blocked_runs_match_dense_bitwise(num_shards):
-    # n=17: two shards of 2^16 run gate stretches block by block, four
-    # shards of 2^15 gate by gate, and the dense state is blocked
+    # n=17: on two shards of 2^16 and four of 2^15 the group [16, 17) runs
+    # after a leg, and on the dense state as a strided pass
     circ = build_circuit(generate_instance(17, 4), LrQaoaParams(p=2))
     dense = run_circuit(circ, "fp32")
     sv, record = run_circuit_sharded(circ, plan_for_shard_count(17, num_shards), "fp32")
@@ -146,35 +174,37 @@ def test_sharded_matches_dense_bitwise_at_scale(n):
 
 
 def test_smallest_shards_match_dense_bitwise():
-    # one local qubit: every RX runs as its stand-in on qubit 0, and each
-    # leg trades one-amplitude halves between 32 pairs of shards
-    circ = build_circuit(generate_instance(6, 7), LrQaoaParams(p=2))
-    plan = plan_shards(6, 1)
+    # shards of 16 amplitudes, the smallest admitted: group [4, 8) is
+    # global and next to the local bits, and group [8, 10) above them
+    circ = build_circuit(generate_instance(10, 7), LrQaoaParams(p=2))
+    plan = plan_shards(10, 4)
     sv, record = run_circuit_sharded(circ, plan, "fp64")
     np.testing.assert_array_equal(sv.amps, run_circuit(circ, "fp64").amps)
     assert record.amps_exchanged == exchange_volume(circ, plan) > 0
 
 
 def test_swap_leg_holds_one_bounded_piece():
-    # n=18 fp32 on 2 shards: each leg trades halves of 2^16 amplitudes
-    # through one buffer of 2^14
-    rows = np.arange(1 << 18, dtype=np.complex64).reshape(2, 1 << 17)
+    # n=18 fp32 on 2 shards: the leg of group [16, 18) trades the local bit
+    # 15 with the group's bits, in runs of 2^15 amplitudes through one
+    # buffer of 2^14
+    assert engine._moved((16, 2), 17, 1 << 18) == 1 << 17
+    amps = np.arange(1 << 18, dtype=np.complex64)
     tracemalloc.start()
     try:
-        _, moved = engine._swap_halves(rows, [0], 1)
+        engine._swap_fields(amps, (16, 2), 17, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= (1 << 14) * 8 + 1024
-    assert moved == 1 << 17
-    half = np.arange(1 << 16, dtype=np.complex64)
-    np.testing.assert_array_equal(rows[0, 1 << 16 :], half + (1 << 17))
-    np.testing.assert_array_equal(rows[1, : 1 << 16], half + (1 << 16))
+    z = np.arange(1 << 18)
+    # index z then holds the amplitude whose bits 16, 17 are z's 15, 16, and bit 15 z's 17
+    want = (z & 0x7FFF) | ((z >> 17) & 1) << 15 | ((z >> 15) & 3) << 16
+    np.testing.assert_array_equal(amps, want)
 
 
 def test_folded_h_layer_exchanges_nothing():
-    # n=18 on 2 shards at p=3: only the 3 RX gates on qubit 17 exchange,
-    # each moving 2^16 amplitudes out of each shard of the pair
+    # n=18 on 2 shards at p=3: only the legs of the 3 mixers' group
+    # [16, 18), which holds qubit 17, exchange, each moving half the state
     circ = build_circuit(generate_instance(18, 6), LrQaoaParams(p=3))
     plan = plan_for_shard_count(18, 2)
     _, record = run_circuit_sharded(circ, plan, "fp32")
@@ -198,6 +228,7 @@ def test_local_gates_report_zero_exchange():
     circ = build_circuit(inst, LrQaoaParams(p=1))
     plan = plan_shards(6, 4)
     _, record = run_circuit_sharded(circ, plan, "fp64")
+    exchanged = []
     for row, gate in zip(record.gates, circ.gates):
         if gate.kind == "H":
             # the folded H layer neither computes nor exchanges
@@ -206,7 +237,10 @@ def test_local_gates_report_zero_exchange():
             assert row.exchange_s == 0.0
             assert row.amps_exchanged == 0
         else:
-            assert row.amps_exchanged > 0
+            exchanged.append(row.amps_exchanged)
+    # the RX gates on qubits 4 and 5 share one leg, on the row of the first:
+    # group [4, 6) holds both global qubits, so 3/4 of the state moves
+    assert exchanged == [48, 0] and exchange_volume(circ, plan) == 48
     assert record.compute_seconds > 0.0
 
 
@@ -295,7 +329,7 @@ def record_executor_calls(monkeypatch) -> list:
 
 def test_shard_tasks_run_on_bounded_threads(monkeypatch):
     circ = build_circuit(generate_instance(8, 3), LrQaoaParams(p=1))
-    plan = plan_for_shard_count(8, 64)
+    plan = plan_for_shard_count(8, 16)
     calls = record_executor_calls(monkeypatch)
     run_circuit_sharded(circ, plan, "fp64")
     assert 1 <= len({thread for *_, thread in calls}) <= sharded._workers(plan)
@@ -316,17 +350,21 @@ def test_workers_count_only_the_cpus_the_process_may_use(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 3, 8])
 def test_steps_call_the_executors_once_per_worker(monkeypatch, cpus):
-    # 1 024 shards of 4 amplitudes: each step is one executor call per slab,
-    # however many shards there are
+    # 256 shards of 16 amplitudes: a cost layer is one executor call per
+    # worker, however many shards there are; a gate run's slabs hold at
+    # least one product call of 16 x 64 amplitudes, so it takes at most 4
     circ = build_circuit(generate_instance(12, 8), LrQaoaParams(p=1))
-    plan = plan_for_shard_count(12, 1024)
+    plan = plan_for_shard_count(12, 256)
     use_cpus(monkeypatch, cpus)
     workers = sharded._workers(plan)
     calls = record_executor_calls(monkeypatch)
     sv, _ = run_circuit_sharded(circ, plan, "fp64")
     _, steps = engine._layer_plan(circ, plan.nq_local)
-    assert len(calls) == len(steps) * workers
-    assert {size for _, size, *_ in calls} == {(1 << 12) // workers}
+    want = []
+    for op, *_ in steps:
+        slabs = workers if isinstance(op, CostLayer) else min(workers, 4)
+        want += [("cost" if isinstance(op, CostLayer) else "run", (1 << 12) // slabs)] * slabs
+    assert [(kind, size) for kind, size, *_ in calls] == want
     assert sv.amps.tobytes() == run_circuit(circ, "fp64").amps.tobytes()
 
 
