@@ -357,6 +357,10 @@ def _cmd_classify(args) -> int:
             f"random pool of {args.random_pool_size} is too small for "
             f"n_s={args.n_s}; need at least {10 * args.n_s}"
         )
+    if args.kde_out is not None and args.repeats < 2:
+        raise ValidationError(
+            f"--kde-out needs at least 2 repeats to estimate a density from, got {args.repeats}"
+        )
     # refused before the pool or the means are allocated
     need = _resample_bytes(
         inst.num_vertices, args.random_pool_size, args.repeats, args.kde_out is not None

@@ -40,7 +40,12 @@ at most 2^15 amplitudes, built once per ensemble; a qubit at or above bit
 15 is constant over a chunk and only flips its edges' signs there.  The
 angles of all the rows are reduced to [-pi, pi], their cos and sin taken
 in the state's precision, and the phases multiplied in, in one pass per
-chunk; then each row's Paulis follow in firing order.  This is the
+chunk.  Then each row takes one Pauli string: its fired Paulis compose,
+in firing order, to i^q X^x Z^z (the phase and bit masks of Aaronson and
+Gottesman, PRA 70, 052328, 2004), whose x, z and q come from the same
+prefix XOR as F.  ``_apply_pauli_string`` gathers each chunk at l ^ x
+and multiplies in signs and a constant, each +-1 or +-i, so amplitudes
+move exactly, as one Pauli at a time moves them.  This is the
 time-ordered product, global phase included, up to rounding; its scratch
 is bounded by the block's rows of one chunk and |F|, not by the state,
 and counted by ``check_memory``; and every row gets the operations of
@@ -62,7 +67,6 @@ runs are reproducible and neither the blocks nor the thread count
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -120,104 +124,18 @@ def epsilon_accumulated(n_2q: int, epsilon: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pauli kernels
-
-
-# X and Y hold a copy of a0, and numpy one of a1 where it cannot rule out an
-# overlap of the interleaved halves: two pieces of at most _PAULI_PIECE
-# amplitudes, so a kernel's scratch is at most 2^_GATE_BLOCK_BITS amplitudes
-# whatever the state.
-_PAULI_PIECE = 1 << (_GATE_BLOCK_BITS - 1)
-# Below this qubit a half of a pair holds runs of under 32 contiguous
-# amplitudes, too short for numpy to copy or multiply quickly one by one:
-# X moves each run as one raw unit, and Y multiplies rows of _Y_ROW
-# amplitudes by a pattern of -i and i.  The caches below hold at most one
-# entry per dtype, such qubit and row length: a few dozen small ones.
-_SHORT_RUN_QUBITS = 5
-_Y_ROW = 1 << (_SHORT_RUN_QUBITS + 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _run_unit(itemsize: int, q: int) -> np.dtype:
-    """Raw bytes of a run of 2^q amplitudes of ``itemsize`` bytes each."""
-    return np.dtype((np.void, itemsize << q))
-
-
-@functools.lru_cache(maxsize=None)
-def _y_pattern(dtype: np.dtype, q: int, size: int) -> np.ndarray:
-    """-i over 2^q amplitudes, then i over 2^q, repeated to ``size`` (read-only)."""
-    pattern = np.empty(size, dtype)
-    v = pattern.reshape(-1, 2, 1 << q)
-    v[:, 0], v[:, 1] = -1j, 1j
-    pattern.flags.writeable = False
-    return pattern
-
-
-def _pairs(amps: np.ndarray, q: int, step: int):
-    """(a0, a1) piece by piece, in index order: the amplitudes with qubit q
-    clear and set, paired index by index, ``step`` (a power of two) of each
-    at most.  Each is one contiguous run when 2^q >= step, else
-    ``step >> q`` rows of 2^q."""
-    v = amps.reshape(-1, 2, 1 << q)
-    if v.shape[2] >= step:
-        for r in range(v.shape[0]):
-            for c in range(0, v.shape[2], step):
-                yield v[r, 0, c : c + step], v[r, 1, c : c + step]
-    else:
-        rows = step >> q
-        for r in range(0, v.shape[0], rows):
-            yield v[r : r + rows, 0], v[r : r + rows, 1]
-
-
-def _x_kernel(amps: np.ndarray, q: int) -> None:
-    unit = _run_unit(amps.itemsize, q) if 0 < q < _SHORT_RUN_QUBITS else None
-    for a0, a1 in _pairs(amps, q, _PAULI_PIECE):
-        if unit is not None:
-            a0, a1 = a0.view(unit), a1.view(unit)
-        held = a0.copy()
-        a0[...] = a1
-        a1[...] = held
-
-
-def _y_kernel(amps: np.ndarray, q: int) -> None:
-    if q < _SHORT_RUN_QUBITS:
-        # X, then each amplitude times -i (qubit q clear) or i (set): the
-        # same exact products as below, over rows of _Y_ROW amplitudes
-        _x_kernel(amps, q)
-        rows = amps.reshape(-1, min(amps.size, _Y_ROW))
-        np.multiply(_y_pattern(amps.dtype, q, rows.shape[1]), rows, out=rows)
-        return
-    for a0, a1 in _pairs(amps, q, _PAULI_PIECE):
-        held = a0.copy()
-        a0[...] = a1
-        # the products run in place, where numpy buffers nothing
-        np.multiply(-1j, a0, out=a0)
-        np.multiply(1j, held, out=held)
-        a1[...] = held
-
-
-def _z_kernel(amps: np.ndarray, q: int) -> None:
-    v = amps.reshape(-1, 2, 1 << q)
-    v[:, 1, :] *= -1
-
-
-_PAULI_KERNELS = (None, _x_kernel, _y_kernel, _z_kernel)
-
-
-def _apply_pauli_pair(amps: np.ndarray, code: int, qa: int, qb: int) -> None:
-    """Apply the two-qubit Pauli numbered 1..15 (base-4 digits, 0 meaning I)."""
-    pa, pb = divmod(code, 4)
-    if pa:
-        _PAULI_KERNELS[pa](amps, qa)
-    if pb:
-        _PAULI_KERNELS[pb](amps, qb)
-
-
-# ---------------------------------------------------------------------------
 # trajectories
 
-# Per-qubit Pauli codes 0..3 are I, X, Y, Z; X and Y anticommute with Z.
-_ANTICOMMUTES_WITH_Z = np.array([0, 1, 1, 0], np.uint64)
+# Per two-qubit Pauli code 0..15, whose base-4 digits are the Paulis on an
+# edge's qubits a and b (0..3: I, X, Y, Z): whether a and b carry X (row
+# 0) and Z (row 1) in the code as i^y X^x Z^z, with Y = i X Z.
+_PAULI_TERMS = np.array(
+    [
+        [[divmod(code, 4)[side] in carries for code in range(16)] for side in (0, 1)]
+        for carries in ((1, 2), (2, 3))
+    ],
+    np.uint64,
+)
 # Finished blocks held per worker thread before the consumer reads them.
 _IN_FLIGHT_PER_THREAD = 2
 # Sign rows ``_flip_phase`` gathers for a group of rows at a time (int8).
@@ -227,28 +145,19 @@ _GATHER_BYTES = 1 << 16
 @dataclass(frozen=True)
 class _Edges:
     """A cost layer's RZZ gates as arrays: angles theta_k (float64), qubits
-    qa_k and qb_k (intp) and their bits 2^qa_k and 2^qb_k (uint64), in gate
-    order, and the qubit pairs as Python ints."""
+    qa_k and qb_k (intp) and their bits 2^qa_k and 2^qb_k (uint64, 2 by
+    edges), in gate order."""
 
     theta: np.ndarray
     qa: np.ndarray
     qb: np.ndarray
-    bit_a: np.ndarray
-    bit_b: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
+    bits: np.ndarray
 
     @classmethod
     def of(cls, gates: tuple[GateOp, ...]) -> "_Edges":
-        pairs = tuple(g.qubits for g in gates)
-        qa, qb = (np.array([p[i] for p in pairs], np.intp) for i in (0, 1))
-        return cls(
-            np.array([g.theta for g in gates], np.float64),
-            qa,
-            qb,
-            np.array([1 << a for a, _ in pairs], np.uint64),
-            np.array([1 << b for _, b in pairs], np.uint64),
-            pairs,
-        )
+        qa, qb = (np.array([g.qubits[i] for g in gates], np.intp) for i in (0, 1))
+        bits = np.array([[1 << int(q) for q in qs] for qs in (qa, qb)], np.uint64)
+        return cls(np.array([g.theta for g in gates], np.float64), qa, qb, bits)
 
 
 @dataclass(frozen=True)
@@ -437,8 +346,9 @@ def _correction_bytes(num_qubits: int, edges: int, dtype: np.dtype, rows: int = 
     state's real precision, and two in its precision, the phases and the
     copy of the row they multiply; and per row and edge, 96 bytes of the
     draws, flip masks and edge lists the flipped edges are found from.
-    That also covers the Pauli kernels that follow, which hold at most one
-    chunk in the state's precision (``_PAULI_PIECE``)."""
+    That also covers the Pauli string that follows on one row at a time
+    (``_apply_pauli_string``): its gather index (intp) and sign product
+    (int8) over a chunk, and two gathered chunks in the state's precision."""
     chunk = 1 << min(num_qubits, _GATE_BLOCK_BITS)
     per_chunk = 16 + dtype.itemsize // 2 + 2 * dtype.itemsize
     return 2 * max(_GATHER_BYTES, edges * chunk) + rows * (chunk * per_chunk + 96 * edges)
@@ -505,23 +415,67 @@ def _flip_phase(
         states[rows, z0 : z0 + chunk] *= phase
 
 
-def _flipped(edges: _Edges, fire: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _flipped(edges: _Edges, fire: np.ndarray, codes: np.ndarray):
     """Per row of draws over a layer, the edges that anticommute with an odd
-    number of the Paulis fired before them (bool, rows by edges).
+    number of the Paulis fired before them (bool, rows by edges), and the
+    Pauli string i^q X^x Z^z its fired Paulis compose to in firing order:
+    the qubit masks x and z (uint64) and q, which counts mod 4.
 
-    A Pauli fired at edge j flips the qubits its X or Y components act on;
-    the flips before edge k are the exclusive prefix XOR of those masks,
-    and edge k anticommutes when they hold exactly one of its qubits.
+    The Pauli fired at edge j is i^y_j X^x_j Z^z_j (``_PAULI_TERMS``).  The
+    flips before edge k, before_k, are the exclusive prefix XOR of the x_j,
+    and edge k anticommutes when they hold exactly one of its qubits.  x and
+    z are the XORs of all the x_j and z_j, and moving each Z^z_k right past
+    the X^x_j fired before it gives q = sum_k y_k + 2 |z_k & before_k|.
     """
-    flips = _ANTICOMMUTES_WITH_Z[codes >> 2]
-    flips *= edges.bit_a
-    other = _ANTICOMMUTES_WITH_Z[codes & 3]
-    other *= edges.bit_b
-    flips |= other
-    flips *= fire
-    before = np.bitwise_xor.accumulate(flips, axis=1)
-    before ^= flips
-    return ((before & edges.bit_a) != 0) != ((before & edges.bit_b) != 0)
+    masks = _PAULI_TERMS.take(codes * fire, axis=2)
+    masks *= edges.bits[:, None]
+    xz = masks[:, 0] | masks[:, 1]  # x_j and z_j
+    del masks  # dropped before the prefix XOR's arrays
+    after = np.bitwise_xor.accumulate(xz, axis=2)
+    before = after[0] ^ xz[0]
+    held = (before & edges.bits[:, None]) != 0
+    # a Y sets both masks, so y_j = |x_j & z_j|; of sum_k |z_k & before_k|
+    # only the parity counts
+    y = np.bitwise_count(xz[0] & xz[1]).sum(axis=1)
+    odd = np.bitwise_count(np.bitwise_xor.reduce(xz[1] & before, axis=1)) & 1
+    return held[0] != held[1], after[0, :, -1], after[1, :, -1], y + 2 * odd
+
+
+def _apply_pauli_string(amps: np.ndarray, x: int, z: int, q: int, signs: np.ndarray) -> None:
+    """amps <- i^q X^x Z^z amps, that is new[l] = i^q (-1)^|z & (l ^ x)|
+    old[l ^ x], one chunk of ``signs``' width 2^low at a time.
+
+    Destination chunk c gathers chunk c ^ (x >> low) at offsets m ^ (x mod
+    2^low) into a copy; two chunks that trade places are both gathered
+    before either is written.  The sign splits as the product of the
+    ``signs`` rows of z's low bits, over m, times the constant
+    (-1)^|z & x| (-1)^|(z >> low) & c|.  Every factor is +-1 or +-i, so
+    the amplitudes move exactly.
+    """
+    chunk = signs.shape[1]
+    low = chunk.bit_length() - 1
+    index = np.arange(chunk)
+    index ^= x & (chunk - 1)
+    sign = None
+    for b in range(low):
+        if z >> b & 1:
+            sign = signs[b] if sign is None else sign * signs[b]
+    high, power = x >> low, q + 2 * (z & x).bit_count()
+    parts = amps.reshape(-1, chunk)
+    for c in range(len(parts)):
+        if c ^ high < c:
+            continue  # written with its partner
+        pair = (c, c ^ high) if high else (c,)
+        gathered = [parts[d ^ high].take(index) for d in pair]
+        for d, part in zip(pair, gathered):
+            unit = (power + 2 * ((z >> low) & d).bit_count()) & 3
+            if unit:
+                part *= (1, 1j, -1, -1j)[unit]
+            if sign is None:
+                parts[d] = part
+            else:
+                np.multiply(part, sign, out=parts[d])
+        del gathered, part  # dropped before the next pair's
 
 
 def _commute_fired(
@@ -535,9 +489,10 @@ def _commute_fired(
     """Finish a cost layer whose diagonal is applied, on the rows ``rows`` of
     ``states``, given the draws over the layer's edges of each one's
     trajectory as rows of ``fire`` and ``codes``: one phase per row for
-    the later edges its fired Paulis anticommute with, then its Paulis in
-    firing order.  ``signs`` is the ensemble's ``_sign_table``."""
-    flipped = _flipped(edges, fire, codes)
+    the later edges its fired Paulis anticommute with, then one Pauli
+    string per row, the product of its fired Paulis in firing order.
+    ``signs`` is the ensemble's ``_sign_table``."""
+    flipped, x, z, q = _flipped(edges, fire, codes)
     counts = flipped.sum(axis=1)
     phased = np.flatnonzero(counts)
     if phased.size:
@@ -545,9 +500,8 @@ def _commute_fired(
         _flip_phase(
             states, rows[phased], counts[phased], edges.theta[k], edges.qa[k], edges.qb[k], signs
         )
-    i, k = np.nonzero(fire)
-    for i, k, code in zip(i.tolist(), k.tolist(), codes[i, k].tolist()):
-        _apply_pauli_pair(states[rows[i]], code, *edges.pairs[k])
+    for r, xr, zr, qr in zip(rows.tolist(), x.tolist(), z.tolist(), q.tolist()):
+        _apply_pauli_string(states[r], xr, zr, qr, signs)
 
 
 def _run_block(ens: _Ensemble, block: _Block) -> tuple[np.ndarray, list[int], list[int]]:

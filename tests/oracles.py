@@ -23,6 +23,31 @@ def embed_single(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return np.kron(np.eye(1 << (n - 1 - qubit)), np.kron(op, np.eye(1 << qubit)))
 
 
+def apply_pauli(amps: np.ndarray, pauli: int, qubit: int) -> None:
+    """One-qubit Pauli 1, 2 or 3 (X, Y, Z) on ``qubit``, in place, by
+    reshape: X swaps the halves where the qubit is clear and set, Y swaps
+    them and multiplies the first by -i and the second by i, Z negates the
+    second."""
+    v = amps.reshape(-1, 2, 1 << qubit)
+    if pauli in (1, 2):
+        v[:, [0, 1]] = v[:, [1, 0]]
+    if pauli == 2:
+        v[:, 0] *= -1j
+        v[:, 1] *= 1j
+    elif pauli == 3:
+        v[:, 1] *= -1
+
+
+def apply_pauli_pair(amps: np.ndarray, code: int, qa: int, qb: int) -> None:
+    """The two-qubit Pauli numbered 1..15, one qubit at a time: base-4
+    digits for qa and qb, 0 meaning I."""
+    pa, pb = divmod(code, 4)
+    if pa:
+        apply_pauli(amps, pa, qa)
+    if pb:
+        apply_pauli(amps, pb, qb)
+
+
 def gate_unitary(gate, n: int) -> np.ndarray:
     """Full-space matrix for one gate, built from matrix exponentials."""
     if gate.kind == "H":

@@ -612,6 +612,20 @@ def test_classify_pool_size_guard(tmp_path, instance_path):
     assert code == 2
 
 
+def test_classify_refuses_a_density_of_one_repeat_before_writing(tmp_path, instance_path, capsys):
+    # the density needs two random subsample means, and one repeat gives one
+    qpu = tmp_path / "qpu.json"
+    assert run_cli("simulate", "--instance", instance_path, "--out", qpu, "--p", 1) == 0
+    before = sorted(tmp_path.iterdir())
+    code = run_cli(
+        "classify", "--qpu", qpu, "--instance", instance_path, "--out", tmp_path / "r.json",
+        "--repeats", 1, "--kde-out", tmp_path / "kde.csv",
+    )
+    assert code == 2
+    assert "--kde-out needs at least 2 repeats" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize(
     "counts",
     [

@@ -45,7 +45,7 @@ from lrqbench.engine import (
     state_bytes,
 )
 from lrqbench.noise import (
-    _apply_pauli_pair,
+    _apply_pauli_string,
     _Block,
     _clean_state,
     _commute_fired,
@@ -56,9 +56,6 @@ from lrqbench.noise import (
     _prepare,
     _run_block,
     _sign_table,
-    _x_kernel,
-    _y_kernel,
-    _z_kernel,
 )
 from lrqbench.rng import derive_rng
 
@@ -87,43 +84,59 @@ def test_epsilon_accumulated_uses_gate_count():
     assert epsilon_accumulated(n_2q, 0.001) == pytest.approx(3.384)
 
 
+# each Pauli as a string i^phase X^x Z^z on qubit q, with Y = i X Z; the ids
+# keep the names of the one-qubit kernels the string kernel replaced
+ONE_QUBIT_PAULIS = {
+    "_x_kernel": (oracles.X, 1, 0, 0),
+    "_y_kernel": (oracles.Y, 1, 1, 1),
+    "_z_kernel": (oracles.Z, 0, 1, 0),
+}
+
+
 @pytest.mark.parametrize(
-    "kernel,matrix", [(_x_kernel, oracles.X), (_y_kernel, oracles.Y), (_z_kernel, oracles.Z)]
+    "matrix,x,z,phase",
+    [pytest.param(*v, id=f"{k}-matrix{i}") for i, (k, v) in enumerate(ONE_QUBIT_PAULIS.items())],
 )
 @pytest.mark.parametrize("q", [0, 1, 2])
-def test_pauli_kernels_match_matrices(kernel, matrix, q):
+def test_pauli_kernels_match_matrices(matrix, x, z, phase, q):
     start = random_state(3, 40 + q)
     amps = start.copy()
-    kernel(amps, q)
+    _apply_pauli_string(amps, x << q, z << q, phase, _sign_table(3))
     np.testing.assert_allclose(amps, oracles.embed_single(matrix, q, 3) @ start, atol=1e-14)
 
 
 @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
-@pytest.mark.parametrize("kernel", [_x_kernel, _y_kernel])
+@pytest.mark.parametrize(
+    "matrix,x,z,phase",
+    [pytest.param(*ONE_QUBIT_PAULIS[k], id=k) for k in ("_x_kernel", "_y_kernel")],
+)
 @pytest.mark.parametrize("q", [3, 15, 16])
-def test_pauli_kernels_hold_at_most_one_chunk(precision, kernel, q):
+def test_pauli_kernels_hold_at_most_one_chunk(precision, matrix, x, z, phase, q):
+    # at q = 15 and 16 the two chunks of a pair trade places whole
     n = 17
     amps = random_state(n, 90 + q).astype(precision.dtype)
-    matrix = oracles.X if kernel is _x_kernel else oracles.Y
+    signs = _sign_table(n)
     v = amps.reshape(-1, 2, 1 << q)
     want = np.einsum("ij,rjc->ric", matrix, v.astype(np.complex128))
     tracemalloc.start()
     try:
-        kernel(amps, q)
+        _apply_pauli_string(amps, x << q, z << q, phase, signs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one chunk of 2^15 amplitudes, and the views' Python objects
-    assert peak <= (1 << _GATE_BLOCK_BITS) * precision.dtype.itemsize + 8192
+    assert peak <= _correction_bytes(n, 1, precision.dtype)
     np.testing.assert_array_equal(amps.reshape(v.shape), want.astype(precision.dtype))
 
 
 @pytest.mark.parametrize("code", list(range(1, 16)))
 def test_pauli_pair_code_mapping(code):
+    # a layer of the one edge (qa, qb), which fires Pauli ``code``
     qa, qb = 0, 2
     start = random_state(3, 50 + code)
     amps = start.copy()
-    _apply_pauli_pair(amps, code, qa, qb)
+    edges = _Edges.of((GateOp("RZZ", (qa, qb), 0.5),))
+    fire, codes = np.ones((1, 1), bool), np.array([[code]])
+    _commute_fired(amps[None], np.array([0]), edges, fire, codes, _sign_table(3))
     pa, pb = divmod(code, 4)
     want = (
         oracles.embed_single(oracles.PAULIS[pa], qa, 3)
@@ -131,6 +144,38 @@ def test_pauli_pair_code_mapping(code):
         @ start
     )
     np.testing.assert_allclose(amps, want, atol=1e-14)
+
+
+@pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+@pytest.mark.parametrize("n", range(2, 18))
+def test_pauli_strings_match_the_referee_bitwise(n, precision):
+    # random layers whose Paulis are composed to one string per row, against
+    # the referee applying them one by one; each factor is +-1 or +-i, so
+    # the bytes agree.  From n=16 on, a string whose X acts only on qubits
+    # at or above bit 15 moves whole chunks, with no permutation inside.
+    rng = np.random.default_rng(200 + n)
+    rows = 12
+    pairs = [tuple(int(q) for q in rng.choice(n, 2, replace=False)) for _ in range(12)]
+    fire = rng.random((rows, len(pairs))) < rng.uniform(0.1, 0.9, size=(rows, 1))
+    fire[: rows // 2, -1] = True  # the layer's last edge fires
+    codes = rng.integers(1, 16, size=fire.shape)
+    codes[:2, -1] = (4, 8)  # X I and Y I there
+    if n > 15:
+        pairs[0] = (15, 3)
+        fire[-1] = False
+        fire[-1, 0], codes[-1, 0] = True, 7  # X Z on (15, 3)
+    gates = tuple(GateOp("RZZ", pair, 0.0) for pair in pairs)
+    signs = _sign_table(n)
+    _, xs, zs, qs = noise._flipped(_Edges.of(gates), fire, codes)
+    if n > 15:
+        assert int(xs[-1]) == 1 << 15
+    for r in range(rows):
+        start = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).astype(precision.dtype)
+        got, want = start.copy(), start.copy()
+        _apply_pauli_string(got, int(xs[r]), int(zs[r]), int(qs[r]), signs)
+        for k in np.flatnonzero(fire[r]):
+            oracles.apply_pauli_pair(want, int(codes[r, k]), *pairs[k])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_commuted_paulis_match_time_ordered_product():
@@ -186,6 +231,29 @@ def flipped_by_walk(gates, fire, codes):
     return out
 
 
+def string_by_walk(gates, fire, codes):
+    """The fired Paulis' product in firing order as (x, z, q) with product
+    i^q X^x Z^z, by a walk over the gates that multiplies each qubit's 2 by
+    2 Pauli matrices and then reads each qubit's product as c I, c X, c Y or
+    c Z, with Y = i X Z: the reference for ``noise._flipped``'s string."""
+    product = {}
+    for k, gate in enumerate(gates):
+        if fire[k]:
+            for pauli, qubit in zip(divmod(int(codes[k]), 4), gate.qubits):
+                product[qubit] = oracles.PAULIS[pauli] @ product.get(qubit, oracles.I2)
+    x = z = 0
+    phase = 1
+    for qubit, m in product.items():
+        for pauli, sigma in enumerate(oracles.PAULIS):
+            c = np.trace(sigma.conj().T @ m) / 2
+            if abs(c) == 1:
+                break
+        x |= (pauli in (1, 2)) << qubit
+        z |= (pauli in (2, 3)) << qubit
+        phase *= c * (1j if pauli == 2 else 1)
+    return x, z, [1, 1j, -1, -1j].index(phase)
+
+
 @pytest.mark.parametrize("n", [3, 5, 9, 40])
 def test_flipped_edges_match_a_walk_over_the_gates(n):
     # n=40 puts qubits above bit 31 of the uint64 flip masks
@@ -195,10 +263,17 @@ def test_flipped_edges_match_a_walk_over_the_gates(n):
     gates = tuple(GateOp("RZZ", pair, 0.1) for pair in pairs)
     fire = rng.random((64, len(gates))) < rng.uniform(0.01, 0.5, size=(64, 1))
     codes = rng.integers(1, 16, size=fire.shape)
-    got = noise._flipped(_Edges.of(gates), fire, codes)
+    # the layer's last edge fires X or Y on one qubit or both in some rows
+    fire[:8, -1] = True
+    codes[:8, -1] = (4, 8, 1, 2, 5, 10, 6, 9)
+    got, *string = noise._flipped(_Edges.of(gates), fire, codes)
     want = np.array([flipped_by_walk(gates, f, c) for f, c in zip(fire, codes)])
     np.testing.assert_array_equal(got, want)
     assert want.any() and not want.all()
+    x, z, q = (np.asarray(a).tolist() for a in string)
+    walked = [string_by_walk(gates, f, c) for f, c in zip(fire, codes)]
+    assert [(a, b, c % 4) for a, b, c in zip(x, z, q)] == walked
+    assert len({w[2] for w in walked}) == 4
 
 
 def zz_signs(n, qa, qb):
@@ -254,7 +329,7 @@ def test_commute_fired_chunked_matches_time_ordered_product(n):
         want *= diagonal
         got *= diagonal
         if fire[k]:
-            _apply_pauli_pair(want, int(codes[k]), *gate.qubits)
+            oracles.apply_pauli_pair(want, int(codes[k]), *gate.qubits)
     _commute_fired(got[None], np.array([0]), _Edges.of(gates), fire[None], codes[None], _sign_table(n))
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.max(np.abs(got - start)) > 1e-3
