@@ -17,7 +17,10 @@ lists them under ``compared_by_schema`` with their header and row count,
 and ``replay`` compares those instead.  Every output and manifest goes
 through ``files.write_output``: written whole beside the target and
 renamed into place, never truncated in place, so neither a reader nor
-``replay`` sees a partial file.
+``replay`` sees a partial file.  Before a command runs, the directory of
+each output it names (``--out``, ``--kde-out``, ``--dump-state``; timing
+CSVs and manifests sit beside ``--out``) must exist, so a missing one
+exits 4 with nothing written.
 Exit codes: 0 success, 2 bad input, 3 over a capacity limit, 4 runtime
 failure.
 """
@@ -25,10 +28,12 @@ failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import io
 import json
+import os
 import statistics
 import sys
 from datetime import datetime, timezone
@@ -173,6 +178,16 @@ def _write_timing(path: Path, records) -> None:
     text = io.StringIO()
     write_timing_csv(records, text)
     write_output(path, text.getvalue())
+
+
+def _check_output_dirs(args) -> None:
+    """Refuse a command whose outputs cannot all be written, before it runs:
+    any of ``--out``, ``--kde-out`` and ``--dump-state`` given whose
+    directory, after resolving symlinks as ``write_output`` does, is
+    missing."""
+    for path in (getattr(args, name, None) for name in ("out", "kde_out", "dump_state")):
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.realpath(path))):
+            raise FileNotFoundError(errno.ENOENT, "no directory to write the output into", str(path))
 
 
 def _load_results(path: Path) -> dict:
@@ -737,6 +752,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

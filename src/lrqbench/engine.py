@@ -25,10 +25,11 @@ as C = const(h) + sum of a_i(h) over the set bits of l + Q(l), so the
 phase factors as exp(i (const - Theta/2)) * prod exp(i a_i) * exp(i Q(l)).
 The table exp(i Q) is built once per layer, as products over the split
 l = m 2^s + r, s = min(8, b) (``_CostPhase``): 2^s + 2^(b - s) + s (b - s)
-exponentials, not 2^b, and the cut's table Q is never formed.  Each block
-takes 1 + b exponentials and two complex doubling tables, A over the low
-12 bits of l (starting at exp(i (const - Theta/2))) and B over the rest
-(starting at 1).  Index z then gets (A[l & 4095] * B[l >> 12]) * exp(i Q(l))
+exponentials, not 2^b, and the cut's table Q is never formed.  A range's
+blocks take const and a_i from one ``block_terms`` call, then each takes
+1 + b exponentials and two complex doubling tables, A over the low 12
+bits of l (from exp(i (const - Theta/2))) and B over the rest (from 1).
+Index z then gets (A[l & 4095] * B[l >> 12]) * exp(i Q(l))
 in double precision, rounded to the state's precision and multiplied in,
 over aligned pieces of at most 2^12 amplitudes, each of which reads one
 entry of B.  An index's phase is the same three products whatever range,
@@ -371,11 +372,10 @@ class _CostPhase:
         eq[1:] *= np.exp(1j * cut.offset_table(s, b)[1:, None])
         self.eq = eq.reshape(-1)
 
-    def block_tables(self, h: int) -> tuple[np.ndarray, np.ndarray]:
-        """(A, B) for block h: A over the offset's low _PHASE_PIECE_BITS
-        bits, starting at exp(i (const - Theta/2)), and B over the rest,
-        starting at 1."""
-        const, linear = self.cut.block_terms(h)
+    def block_tables(self, const: float, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) for the block whose ``block_terms`` row is (const, linear):
+        A over the offset's low _PHASE_PIECE_BITS bits, starting at
+        exp(i (const - Theta/2)), and B over the rest, starting at 1."""
         e = np.exp(1j * np.concatenate(([const - 0.5 * self.cut.total], linear)))
         split = 1 + min(_PHASE_PIECE_BITS, self.cut.block_bits)
         return (
@@ -393,18 +393,21 @@ def _apply_cost_layer(amps: np.ndarray, phase: _CostPhase, offset: int = 0) -> N
     (A[l mod 2^s] * B[l >> s]) * exp(i Q(l)) from its block's tables, in
     that operand order, over the pieces of ``aligned_pieces`` of at most
     2^s, so its phase does not depend on the range, block, shard or piece
-    computing it.  Scratch is one piece in double precision and one in the
-    state's, so no phase product is formed in place.
+    computing it.  Scratch is the range's ``block_terms`` rows, one piece in
+    double precision and one in the state's (no phase product in place).
     """
     b = phase.cut.block_bits
     split = min(_PHASE_PIECE_BITS, b)
+    stop = offset + amps.shape[-1]
+    first = offset >> b
     wide = np.empty(1 << split, np.complex128)
     rounded = np.empty(wide.size, amps.dtype)
+    const, linear = phase.cut.block_terms(np.arange(first, (stop + (1 << b) - 1) >> b, dtype=np.uint64))
     block = None
-    for z, k in aligned_pieces(offset, offset + amps.shape[-1], split):
+    for z, k in aligned_pieces(offset, stop, split):
         if z >> b != block:
             block = z >> b
-            low, high = phase.block_tables(block)
+            low, high = phase.block_tables(const[block - first], linear[block - first])
         l, size = z & ((1 << b) - 1), 1 << k
         lo = l & ((1 << split) - 1)
         np.multiply(low[lo : lo + size], high[l >> split], out=wide[:size])
@@ -467,14 +470,17 @@ def _cost_layer_bytes(num_qubits: int, precision: Precision) -> tuple[int, int]:
     exponentials (2^s and 2^(b - s)), a broadcasting multiply's buffer of
     up to ``np.getbufsize()`` elements and the cut's Python objects; one
     ``_apply_cost_layer`` call's pieces, in double and the state's
-    precision, and its block's table over 2^12 offsets."""
+    precision, its block's table over 2^12 offsets, and for all 2^(n - b)
+    blocks (a run's slabs together) an index, high bits and (b + 1)
+    float64 of ``block_terms`` rows, twice for ``np.where``'s temporaries."""
     b = min(_BLOCK_BITS, num_qubits)
     s = min(_PHASE_SPLIT_BITS, b)
     table, low, high = 1 << b, 1 << s, 1 << (b - s)
     build = 32 * (b - s) * low + 40 * low + 24 * high + 16 * min(np.getbufsize(), table) + 4096
     piece = min(table, 1 << _PHASE_PIECE_BITS)
     phase = 16 * table + 8 * num_qubits**2 + build
-    return phase, piece * (16 + precision.bytes_per_amplitude + 16)
+    terms = (8 + num_qubits - b + 16 * (b + 1)) << (num_qubits - b)
+    return phase, piece * (16 + precision.bytes_per_amplitude + 16) + terms
 
 
 def _shot_bytes(num_qubits: int, shots: int) -> int:

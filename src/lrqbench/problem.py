@@ -219,9 +219,9 @@ class CutDiagonal:
     ``offset_cut``, built on first use; ``offset_table`` gives its entries
     over a range of bits without it.  A block's high bits fix a constant (its
     high-high cut plus the low-high edges whose high end is set) and a
-    linear term a_i = sum_j w_ij (1 - 2 h_j) per low vertex i
-    (``block_terms``), so a block is
-    C = const + sum of a_i over the set bits of l + Q(l), its middle term
+    linear term a_i = sum_j w_ij (1 - 2 h_j) per low vertex i, formed for
+    all the blocks a caller touches in one ``block_terms`` call, so a block
+    is C = const + sum of a_i over the set bits of l + Q(l), its middle term
     built by doubling over the low vertices.  Every value is a fixed
     sequence of additions determined by its index alone, so any range,
     block, shard, sub-range or lookup gives the same bits for the same index.
@@ -264,61 +264,52 @@ class CutDiagonal:
     def offset_cut(self) -> np.ndarray:
         return self.offset_table(0, self.block_bits)
 
-    def block_terms(self, h: int) -> tuple[float, np.ndarray]:
-        """Block h's constant const(h) and linear terms a_i(h), i < b."""
+    def block_terms(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        """Rows const(h) (B,) and a_i(h) (B, b) of the B blocks h, each by the
+        same additions whatever the others: per high vertex j in order, j's
+        low-high cut where h_j is set and -w_ij or w_ij, then w_jk for each
+        later k with h_k != h_j.  A term not taken adds +0.0: a no-op here."""
         n, b, w = self.num_vertices, self.block_bits, self._w
-        bits = [(h >> (j - b)) & 1 for j in range(b, n)]
-        const = 0.0
-        linear = np.zeros(b)
+        h = np.asarray(blocks, dtype="<u8").reshape(-1, 1)
+        high = np.unpackbits(h.view(np.uint8), axis=1, count=n - b, bitorder="little").view(bool)
+        const = np.zeros(len(h))
+        linear = np.zeros((len(h), b))
         for j in range(b, n):
-            if bits[j - b]:
-                const += self._low_to_high[j - b]
-                linear -= w[:b, j]
-            else:
-                linear += w[:b, j]
+            set_j = high[:, j - b]
+            const += np.where(set_j, self._low_to_high[j - b], 0.0)
+            linear += np.where(set_j[:, None], -w[:b, j], w[:b, j])
             for k in range(j + 1, n):
-                if bits[j - b] != bits[k - b]:
-                    const += w[j, k]
+                const += np.where(set_j != high[:, k - b], w[j, k], 0.0)
         return const, linear
 
-    def _piece(self, lo: int, k: int) -> np.ndarray:
-        """Values on [lo, lo + 2^k), lo a multiple of 2^k, k <= block_bits."""
-        b = self.block_bits
-        const, linear = self.block_terms(lo >> b)
-        offset = lo & ((1 << b) - 1)
-        v = doubling(const, linear[:k])
-        for i in range(k, b):
-            if (offset >> i) & 1:
-                v += linear[i]
-        v += self.offset_cut[offset : offset + (1 << k)]
-        return v
-
     def values(self, start: int, stop: int) -> np.ndarray:
-        """Cut values of the indices [start, stop)."""
+        """Cut values of the indices [start, stop): each block the range
+        touches is const + a_i over the set bits of l, by doubling in
+        increasing i, + Q(l), sliced to the range."""
         start, stop = int(start), int(stop)
         if not 0 <= start <= stop <= 1 << self.num_vertices:
             raise ValidationError(
                 f"index range [{start}, {stop}) outside [0, 2^{self.num_vertices})"
             )
-        pieces = [self._piece(z, k) for z, k in aligned_pieces(start, stop, self.block_bits)]
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces) if pieces else np.zeros(0)
+        b = self.block_bits
+        first = start >> b
+        const, linear = self.block_terms(np.arange(first, (stop + (1 << b) - 1) >> b, dtype=np.uint64))
+        v = doubling(const, linear.T).T  # one row per block
+        v += self.offset_cut
+        return v.reshape(-1)[start - (first << b) : stop - (first << b)]
 
     def at(self, indices) -> np.ndarray:
         """Cut values of arbitrary indices in [0, 2^n), each with the bits
-        ``values`` gives it: ``block_terms`` once per distinct block, then
-        const + a_i over the set bits of l in increasing i + Q(l), adding
-        0.0 where a bit is clear (which changes only a -0.0)."""
+        ``values`` gives it: one ``block_terms`` call for the distinct
+        blocks, then const + a_i over the set bits of l in increasing i +
+        Q(l), adding 0.0 where a bit is clear (which changes only a -0.0)."""
         z = np.asarray(indices, dtype=np.uint64)
         flat = z.ravel()
         if flat.size and int(flat.max()) >> self.num_vertices:
             raise ValidationError(f"index {int(flat.max())} outside [0, 2^{self.num_vertices})")
         b = self.block_bits
         blocks, inv = np.unique(flat >> np.uint64(b), return_inverse=True)
-        terms = [self.block_terms(int(h)) for h in blocks]
-        const = np.array([c for c, _ in terms])
-        linear = np.array([a for _, a in terms]).reshape(-1, b)
+        const, linear = self.block_terms(blocks)
         low = flat & np.uint64((1 << b) - 1)
         acc = const[inv]
         for i in range(b):

@@ -247,9 +247,9 @@ def _resample_bytes(num_vertices: int, pool_size: int, repeats: int, kde: bool) 
       the offsets and the running sum), 57 bytes traced at n = 6 to 24.
       Afterwards it is the ratio and the index range a subsample may draw
       from, 16 bytes.
-    - Each distinct block the pool hits holds its ``block_terms`` in
-      ``CutDiagonal.at``, about 460 bytes traced at n = 30 to 64; 512 are
-      counted for each of at most min(pool, 2^(n - 16)) blocks.
+    - Each distinct block the pool hits holds its ``block_terms`` rows and
+      their temporaries in ``CutDiagonal.at``, 250 to 295 bytes traced at
+      n = 30 to 64; 512 are counted for each of at most min(pool, 2^(n - 16)) blocks.
     - A repeat keeps a float64 mean for each of the two pools, and the
       density (``kde_curve``) holds three float64 arrays of a block of
       ``_kde_rows`` grid points per mean: at most 3 * 8 * 2^16 bytes, or

@@ -127,6 +127,42 @@ def cost_phase_table(cut) -> np.ndarray:
     return np.exp(1j * cut.offset_cut)
 
 
+def cut_block_terms(w: np.ndarray, b: int, h: int) -> tuple[float, np.ndarray]:
+    """Block h's constant and linear terms of the cut whose n x n weight
+    matrix is ``w``, with b low vertices, by the scalar loop over the high
+    vertices j: where h_j is set, const gains the sum of w_ij over i < b
+    (numpy's column sums, as the cut forms them) and the linear terms lose
+    w_ij, else they gain it; then const gains w_jk for every later k on the
+    other side."""
+    n = len(w)
+    bits = [(h >> (j - b)) & 1 for j in range(b, n)]
+    low_to_high = w[:b, b:].sum(axis=0)
+    const = 0.0
+    linear = np.zeros(b)
+    for j in range(b, n):
+        if bits[j - b]:
+            const += low_to_high[j - b]
+            linear -= w[:b, j]
+        else:
+            linear += w[:b, j]
+        for k in range(j + 1, n):
+            if bits[j - b] != bits[k - b]:
+                const += w[j, k]
+    return float(const), linear
+
+
+def cut_by_block_terms(w: np.ndarray, b: int, offset_cut: np.ndarray, z: int) -> float:
+    """C(z) from ``cut_block_terms`` of its block h = z >> b: const, plus
+    a_i over the set bits i of the offset l in increasing order, plus the
+    offset cut Q(l)."""
+    const, linear = cut_block_terms(w, b, z >> b)
+    l = z & ((1 << b) - 1)
+    for i in range(b):
+        if (l >> i) & 1:
+            const += linear[i]
+    return float(const + offset_cut[l])
+
+
 def cut_of_index(edges, z: int) -> float:
     """Cut weight of assignment z where vertex k is bit k of z."""
     return sum(w for i, j, w in edges if ((z >> i) & 1) != ((z >> j) & 1))

@@ -904,6 +904,23 @@ def test_exit_code_runtime_state_error(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--qpu", "qpu.json", "--instance", "inst.json", "--out", "report.json", "--kde-out", "nodir/kde.csv"),
+    ("simulate", "--instance", "inst.json", "--out", "sim.json", "--p", 1, "--dump-state", "nodir/state.bin"),
+    ("simulate", "--instance", "inst.json", "--out", "nodir/sim.json", "--p", 1, "--dump-state", "state.bin"),
+])
+def test_an_output_without_its_directory_exits_4_writing_nothing(tmp_path, monkeypatch, capsys, argv):
+    # checked before the command runs, so no earlier output is left behind
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen", "--n", 6, "--out", "inst.json", "--seed", 3) == 0
+    assert run_cli("simulate", "--instance", "inst.json", "--out", "qpu.json", "--p", 1) == 0
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert run_cli(*argv) == 4
+    assert "nodir" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")

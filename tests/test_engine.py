@@ -735,6 +735,17 @@ def test_cost_phase_build_peaks_within_its_bound(n):
     assert bound / 2 < traced_peak(lambda: engine._CostPhase(layer)) <= bound
 
 
+def test_cost_layer_on_a_range_of_blocks_peaks_within_its_bound():
+    # 2^20 amplitudes at n = 30: 16 blocks' terms from one block_terms call,
+    # with the cast buffers _scratch_bytes adds to each call
+    n, offset = 30, 5 << 20
+    phase = engine._CostPhase(cost_layer(n, 7))
+    amps = np.ones(1 << 20, np.complex64)
+    engine._apply_cost_layer(amps[:10], phase, offset)  # numpy's one-time allocations
+    bound = engine._cost_layer_bytes(n, Precision.FP32)[1] + 3 * 16 * np.getbufsize()
+    assert traced_peak(lambda: engine._apply_cost_layer(amps, phase, offset)) <= bound
+
+
 @pytest.mark.parametrize("n", [3, 9, 12, 17, 20])
 def test_cost_layer_matches_cos_sin_formula(n):
     # the cost phase of 0.3.0: cos and sin of C - Theta/2 per amplitude

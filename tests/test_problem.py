@@ -28,7 +28,7 @@ from lrqbench.problem import (
     indices_to_bitstrings,
 )
 
-from oracles import best_cut_by_enumeration, cut_of_index
+from oracles import best_cut_by_enumeration, cut_block_terms, cut_by_block_terms, cut_of_index
 
 
 def test_complete_edge_list_lexicographic():
@@ -90,7 +90,7 @@ def test_cut_lookup_matches_python_loop():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * inst.total_weight())
 
 
-@pytest.mark.parametrize("n", [5, 16, 17])
+@pytest.mark.parametrize("n", [5, 16, 17, 18])
 def test_cut_lookup_matches_range_scan(n):
     # every index of a full scan, shuffled, in one lookup and in a 2-D one
     inst = generate_instance(n, n)
@@ -99,9 +99,16 @@ def test_cut_lookup_matches_range_scan(n):
     assert inst.cut.at(z).tobytes() == scan[z].tobytes()
     assert inst.cut.at(z.reshape(-1, 4)).tobytes() == scan[z].tobytes()
     assert inst.cut.at(np.zeros(0, np.uint64)).shape == (0,)
-    # a value depends only on its index, not on the range it was scanned in
-    lo, hi = (1 << n) // 3, (1 << n) // 3 + (1 << n) // 2
-    assert inst.cut.values(lo, hi).tobytes() == scan[lo:hi].tobytes()
+    # a value depends only on its index, not on the range it was scanned in:
+    # ranges that start and end mid-block, within one block and across three
+    block = 1 << inst.cut.block_bits
+    ranges = [((1 << n) // 3, (1 << n) // 3 + (1 << n) // 2), (5, min(block, 1 << n) - 3), (7, 7)]
+    if n > 16:
+        ranges.append((block - 1, block + 1))
+    if n > 17:
+        ranges.append((block + 100, 3 * block - 100))
+    for lo, hi in ranges:
+        assert inst.cut.values(lo, hi).tobytes() == scan[lo:hi].tobytes()
     with pytest.raises(ValidationError):
         inst.cut.at([1 << n])
 
@@ -112,6 +119,40 @@ def test_cut_lookup_matches_range_scan_at_n20():
     edges = [lo + d for lo in range(0, 1 << 20, 1 << 16) for d in (0, 1, (1 << 16) - 1)]
     z = np.concatenate((rng.integers(0, 1 << 20, size=4000), edges)).astype(np.uint64)
     assert inst.cut.at(z).tobytes() == inst.cut.values(0, 1 << 20)[z].tobytes()
+
+
+def cuts_with_blocks(n: int) -> list[CutDiagonal]:
+    """An instance's cut, and a cost layer's: negative angles, -0.0 on the
+    low-high edge (0, n - 1) and the high-high edge (n - 2, n - 1)."""
+    angles = [(i, j, -0.9 * w) for i, j, w in generate_instance(n, 100 + n).edges]
+    for e in (n - 2, -1):
+        angles[e] = (*angles[e][:2], -0.0)
+    return [generate_instance(n, n).cut, CutDiagonal(n, angles)]
+
+
+@pytest.mark.parametrize("n", [17, 24, 30, 40, 64])
+def test_block_terms_match_the_scalar_referee(n):
+    # the batched rows, lookups and range scans against one block at a time
+    rng = np.random.default_rng(n)
+    for cut in cuts_with_blocks(n):
+        b = cut.block_bits
+        blocks = rng.integers(0, 1 << (n - b), size=30, dtype=np.uint64)
+        blocks[:2] = (0, (1 << (n - b)) - 1)
+        const, linear = cut.block_terms(blocks)
+        want = [cut_block_terms(cut._w, b, int(h)) for h in blocks]
+        assert const.tobytes() == np.array([c for c, _ in want]).tobytes()
+        assert linear.tobytes() == np.array([a for _, a in want]).tobytes()
+        const, linear = cut.block_terms(np.zeros(0, np.uint64))
+        assert const.shape == (0,) and linear.shape == (0, b)
+        z = (blocks << np.uint64(b)) | rng.integers(0, 1 << b, size=blocks.size, dtype=np.uint64)
+        want = np.array([cut_by_block_terms(cut._w, b, cut.offset_cut, int(x)) for x in z])
+        assert cut.at(z).tobytes() == want.tobytes()
+        # a range across a block boundary, its ends checked by the referee
+        lo = int(blocks[2]) % ((1 << (n - b)) - 1) << b | (1 << b) - 40
+        values = cut.values(lo, lo + 80)
+        assert values.tobytes() == cut.at(np.arange(lo, lo + 80, dtype=np.uint64)).tobytes()
+        for x in (lo, lo + 39, lo + 40, lo + 79):
+            assert values[x - lo] == cut_by_block_terms(cut._w, b, cut.offset_cut, x)
 
 
 @pytest.mark.parametrize("n", [3, 9, 16, 20])
