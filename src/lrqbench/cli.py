@@ -17,10 +17,11 @@ lists them under ``compared_by_schema`` with their header and row count,
 and ``replay`` compares those instead.  Every output and manifest goes
 through ``files.write_output``: written whole beside the target and
 renamed into place, never truncated in place, so neither a reader nor
-``replay`` sees a partial file.  Before a command runs, the directory of
-each output it names (``--out``, ``--kde-out``, ``--dump-state``; timing
-CSVs and manifests sit beside ``--out``) must exist, so a missing one
-exits 4 with nothing written.
+``replay`` sees a partial file.  Before a command runs, each output it
+names (``--out``, ``--kde-out``, ``--dump-state``; timing CSVs and
+manifests sit beside ``--out``) is resolved through symlinks: one whose
+directory is missing exits 4, and one that is another output or an input
+exits 2, with nothing written.
 Exit codes: 0 success, 2 bad input, 3 over a capacity limit, 4 runtime
 failure.
 """
@@ -180,14 +181,28 @@ def _write_timing(path: Path, records) -> None:
     write_output(path, text.getvalue())
 
 
-def _check_output_dirs(args) -> None:
-    """Refuse a command whose outputs cannot all be written, before it runs:
-    any of ``--out``, ``--kde-out`` and ``--dump-state`` given whose
-    directory, after resolving symlinks as ``write_output`` does, is
-    missing."""
-    for path in (getattr(args, name, None) for name in ("out", "kde_out", "dump_state")):
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.realpath(path))):
+def _check_outputs(args) -> None:
+    """Refuse a command whose outputs cannot all be written, before it runs.
+    Its outputs are ``--out``, ``--kde-out`` and ``--dump-state``, a
+    sharded run's timing CSV and the manifest beside ``--out``, and its
+    inputs ``--instance``, ``--qpu``, ``--noiseless`` and ``fitnoise``'s
+    results, each resolved through symlinks as ``write_output`` does.  An
+    output whose directory is missing raises ``FileNotFoundError``; one
+    that is another output or an input raises ``ValidationError``."""
+    outputs = [getattr(args, name, None) for name in ("out", "kde_out", "dump_state")]
+    if outputs[0] is not None:
+        outputs.append(f"{outputs[0]}.manifest.json")
+        if args.command == "simulate" and args.shards != 1:
+            outputs.append(outputs[0].with_suffix(".timing.csv"))
+    inputs = [getattr(args, name, None) for name in ("instance", "qpu", "noiseless")]
+    taken = {os.path.realpath(p): f"input {p}" for p in inputs + getattr(args, "results", []) if p}
+    for path in filter(None, outputs):
+        real = os.path.realpath(path)
+        if not os.path.isdir(os.path.dirname(real)):
             raise FileNotFoundError(errno.ENOENT, "no directory to write the output into", str(path))
+        if real in taken:
+            raise ValidationError(f"output {path} is the same file as {taken[real]}")
+        taken[real] = f"output {path}"
 
 
 def _load_results(path: Path) -> dict:
@@ -752,7 +767,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _check_output_dirs(args)
+        _check_outputs(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,16 +25,17 @@ as C = const(h) + sum of a_i(h) over the set bits of l + Q(l), so the
 phase factors as exp(i (const - Theta/2)) * prod exp(i a_i) * exp(i Q(l)).
 The table exp(i Q) is built once per layer, as products over the split
 l = m 2^s + r, s = min(8, b) (``_CostPhase``): 2^s + 2^(b - s) + s (b - s)
-exponentials, not 2^b, and the cut's table Q is never formed.  A range's
-blocks take const and a_i from one ``block_terms`` call, then each takes
-1 + b exponentials and two complex doubling tables, A over the low 12
-bits of l (from exp(i (const - Theta/2))) and B over the rest (from 1).
-Index z then gets (A[l & 4095] * B[l >> 12]) * exp(i Q(l))
-in double precision, rounded to the state's precision and multiplied in,
-over aligned pieces of at most 2^12 amplitudes, each of which reads one
-entry of B.  An index's phase is the same three products whatever range,
-block, shard or piece computes it, so no full-length diagonal is ever
-held and a shard gets the dense bits.
+exponentials, not 2^b, and the cut's table Q is never formed.  A layer
+multiplies 2^k indices at a multiple of 2^k (a slab, or states as rows),
+whose blocks take const and a_i from one ``block_terms`` call, then 1 + b
+exponentials and two complex doubling tables each, A over the low 12 bits
+of l (from exp(i (const - Theta/2))) and B over the rest (from 1).  Index
+z gets (A[l & 4095] * B[l >> 12]) * exp(i Q(l)) in double precision,
+rounded to the state's precision and multiplied in, over pieces of
+min(2^k, 2^12) amplitudes, each reading one entry of B.  An index's
+phase is the same three products whatever range, block, shard or piece
+computes it, so no full-length diagonal is ever held and a shard gets
+the dense bits.
 
 Every circuit opens with an H on each qubit of |0...0>, which leaves
 every amplitude equal to x (``_plus_amplitude``).  The executed layer
@@ -107,14 +108,13 @@ from .problem import (
     _BLOCK_BITS,
     WmcInstance,
     _require_optimal,
-    aligned_pieces,
     doubling,
     indices_to_bitstrings,
 )
 from .rng import derive_rng
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes
-_REDUCTION_CHUNK = 1 << 16
+_REDUCTION_CHUNK = 1 << _BLOCK_BITS  # a chunk of the tail is a block of the cut
 
 
 class Precision(enum.Enum):
@@ -345,7 +345,7 @@ def _apply_gate_run(amps: np.ndarray, run: _GateRun) -> None:
             np.copyto(b, np.matmul(m, b, out=scratch[0, : part.size].reshape(b.shape)))
 
 
-# A cost layer's phases are formed over aligned pieces of at most
+# A cost layer's phases are formed over pieces of at most
 # 2^_PHASE_PIECE_BITS amplitudes; a block's doubling tables split its
 # offsets at the same bit, so a piece reads one entry of the high table.
 _PHASE_PIECE_BITS = 12
@@ -365,10 +365,7 @@ class _CostPhase:
         # Q(m 2^s + r) = Q(r) + Q(m 2^s) - 2 sum_{j: m_j = 1} sum_{i<s} w_{i,s+j} r_i:
         # row m is row 0 times f[j] per set bit j of m, times exp(i Q(m 2^s))
         f = doubling(1.0, np.exp(-2j * cut._w[:s, s:b]), np.multiply, np.complex128).T.copy()
-        eq = np.empty((1 << (b - s), 1 << s), np.complex128)
-        np.exp(1j * cut.offset_table(0, s), out=eq[0])
-        for j in range(b - s):
-            np.multiply(eq[: 1 << j], f[j], out=eq[1 << j : 2 << j])
+        eq = doubling(np.exp(1j * cut.offset_table(0, s)), f, np.multiply, np.complex128)
         eq[1:] *= np.exp(1j * cut.offset_table(s, b)[1:, None])
         self.eq = eq.reshape(-1)
 
@@ -386,37 +383,37 @@ class _CostPhase:
 
 def _apply_cost_layer(amps: np.ndarray, phase: _CostPhase, offset: int = 0) -> None:
     """Multiply the amplitudes of the indices [offset, offset + amps.shape[-1])
-    by a cost layer's diagonal: ``amps`` is one range, or a batch of them
-    as rows, each row getting the bits it would get alone.
+    by a cost layer's diagonal: ``amps`` is one range of 2^k indices at a
+    multiple of 2^k (k >= 2, as a layer has two qubits), or a batch of
+    them as rows, each row getting the bits it would get alone.
 
     With s = _PHASE_PIECE_BITS, index z = h * 2^b + l gets
     (A[l mod 2^s] * B[l >> s]) * exp(i Q(l)) from its block's tables, in
-    that operand order, over the pieces of ``aligned_pieces`` of at most
-    2^s, so its phase does not depend on the range, block, shard or piece
+    that operand order, over pieces of min(2^k, 2^s) inside one block, so
+    its phase does not depend on the range, block, shard or piece
     computing it.  Scratch is the range's ``block_terms`` rows, one piece in
     double precision and one in the state's (no phase product in place).
     """
     b = phase.cut.block_bits
     split = min(_PHASE_PIECE_BITS, b)
     stop = offset + amps.shape[-1]
+    size = min(amps.shape[-1], 1 << split)
     first = offset >> b
     wide = np.empty(1 << split, np.complex128)
     rounded = np.empty(wide.size, amps.dtype)
     const, linear = phase.cut.block_terms(np.arange(first, (stop + (1 << b) - 1) >> b, dtype=np.uint64))
     block = None
-    for z, k in aligned_pieces(offset, stop, split):
+    for z in range(offset, stop, size):
         if z >> b != block:
             block = z >> b
             low, high = phase.block_tables(const[block - first], linear[block - first])
-        l, size = z & ((1 << b) - 1), 1 << k
+        l = z & ((1 << b) - 1)
         lo = l & ((1 << split) - 1)
         np.multiply(low[lo : lo + size], high[l >> split], out=wide[:size])
         # rounded to the state's precision as it is stored
         np.multiply(wide[:size], phase.eq[l : l + size], out=rounded[:size], casting="same_kind")
         piece = amps[..., z - offset : z - offset + size]
-        # numpy runs a one-element multiply into its own input as a
-        # reduction, without the fused multiply-add of its array loop
-        np.multiply(piece if size > 1 else piece.copy(), rounded[:size], out=piece)
+        np.multiply(piece, rounded[:size], out=piece)
 
 
 def _layer_plan(circuit: CircuitIR, nq_local: int, dtype: np.dtype = np.complex64):
@@ -682,7 +679,7 @@ def _expected_r(chunks, inst: WmcInstance) -> float:
     opt = _require_optimal(inst)
     total = 0.0
     for lo, p in chunks:
-        weighted = inst.cut.values(lo, lo + p.size)
+        weighted = inst.cut.block(lo >> _BLOCK_BITS)
         weighted *= p
         total += float(weighted.sum())
         del weighted  # dropped before the next chunk's values are formed

@@ -197,22 +197,9 @@ def doubling(
     return v
 
 
-def aligned_pieces(start: int, stop: int, max_bits: int):
-    """(z, k) for the pieces [z, z + 2^k) that tile [start, stop) in order:
-    from each z, the largest power-of-two piece of at most 2^max_bits that
-    is aligned (z a multiple of 2^k) and fits."""
-    z = start
-    while z < stop:
-        k = min(max_bits, (stop - z).bit_length() - 1)
-        if z:
-            k = min(k, (z & -z).bit_length() - 1)
-        yield z, k
-        z += 1 << k
-
-
 class CutDiagonal:
-    """Cut values C(z) = sum of w_ij over edges with z_i != z_j, by index
-    range (``values``) or at any indices (``at``).
+    """Cut values C(z) = sum of w_ij over edges with z_i != z_j, a whole
+    block at a time (``block``) or at any indices (``at``).
 
     An index z splits into a block h = z >> b and an offset l < 2^b, with
     b = min(16, n).  Edges among the low b vertices give a table Q(l),
@@ -223,8 +210,9 @@ class CutDiagonal:
     all the blocks a caller touches in one ``block_terms`` call, so a block
     is C = const + sum of a_i over the set bits of l + Q(l), its middle term
     built by doubling over the low vertices.  Every value is a fixed
-    sequence of additions determined by its index alone, so any range,
-    block, shard, sub-range or lookup gives the same bits for the same index.
+    sequence of additions determined by its index alone, so a block and a
+    lookup give the same bits for the same index; any other range is
+    ``at(np.arange(start, stop))``.
 
     Edges are ``(i, j, w)`` triples; repeated pairs add up and weights may
     be any finite number (cost layers pass RZZ angles).
@@ -282,25 +270,20 @@ class CutDiagonal:
                 const += np.where(set_j != high[:, k - b], w[j, k], 0.0)
         return const, linear
 
-    def values(self, start: int, stop: int) -> np.ndarray:
-        """Cut values of the indices [start, stop): each block the range
-        touches is const + a_i over the set bits of l, by doubling in
-        increasing i, + Q(l), sliced to the range."""
-        start, stop = int(start), int(stop)
-        if not 0 <= start <= stop <= 1 << self.num_vertices:
-            raise ValidationError(
-                f"index range [{start}, {stop}) outside [0, 2^{self.num_vertices})"
-            )
-        b = self.block_bits
-        first = start >> b
-        const, linear = self.block_terms(np.arange(first, (stop + (1 << b) - 1) >> b, dtype=np.uint64))
-        v = doubling(const, linear.T).T  # one row per block
+    def block(self, h: int) -> np.ndarray:
+        """Cut values of block h, the indices [h 2^b, (h + 1) 2^b): const +
+        a_i over the set bits of l, by doubling in increasing i, + Q(l)."""
+        n, b = self.num_vertices, self.block_bits
+        if not 0 <= h < 1 << (n - b):
+            raise ValidationError(f"block {h} outside [0, 2^{n - b})")
+        const, linear = self.block_terms([h])
+        v = doubling(const[0], linear[0])
         v += self.offset_cut
-        return v.reshape(-1)[start - (first << b) : stop - (first << b)]
+        return v
 
     def at(self, indices) -> np.ndarray:
         """Cut values of arbitrary indices in [0, 2^n), each with the bits
-        ``values`` gives it: one ``block_terms`` call for the distinct
+        ``block`` gives it: one ``block_terms`` call for the distinct
         blocks, then const + a_i over the set bits of l in increasing i +
         Q(l), adding 0.0 where a bit is clear (which changes only a -0.0)."""
         z = np.asarray(indices, dtype=np.uint64)
@@ -335,15 +318,15 @@ def optimal_cut_bruteforce(
     # a cut ties with its complement, and of the two the lower index has
     # the top bit clear, so the lower half of the indices holds the answer
     half = 1 << (n - 1)
-    chunk = 1 << min(_BLOCK_BITS, n - 1)
+    b = inst.cut.block_bits
     best_val, best_z = -math.inf, 0
-    # chunks ascend and argmax takes the first maximum, so a strict
+    # blocks ascend and argmax takes the first maximum, so a strict
     # improvement keeps a tie at the lowest index
-    for lo in range(0, half, chunk):
-        vals = inst.cut.values(lo, min(lo + chunk, half))
+    for h in range(max(1, half >> b)):  # at n <= 16, the front of block 0
+        vals = inst.cut.block(h)[:half]
         k = int(np.argmax(vals))
         if vals[k] > best_val:
-            best_val, best_z = float(vals[k]), lo + k
+            best_val, best_z = float(vals[k]), (h << b) + k
     return index_to_bitstring(best_z, n), best_val
 
 

@@ -921,6 +921,49 @@ def test_an_output_without_its_directory_exits_4_writing_nothing(tmp_path, monke
     assert sorted(os.listdir(tmp_path)) == before
 
 
+CLS = ("classify", "--qpu", "qpu.json", "--instance", "inst.json")
+
+
+@pytest.mark.parametrize("argv", [
+    # an output that is an input
+    ("simulate", "--instance", "inst.json", "--out", "inst.json"),
+    ("simulate", "--instance", "inst.json", "--out", "s.json", "--dump-state", "inst.json"),
+    ("simulate", "--instance", "x.timing.csv", "--out", "x.json", "--shards", 2),
+    ("simulate", "--instance", "x.json.manifest.json", "--out", "x.json"),
+    ("simulate", "--instance", "inst.json", "--out", "link.json"),  # link.json -> inst.json
+    (*CLS, "--out", "qpu.json"),
+    (*CLS, "--out", "inst.json"),
+    (*CLS, "--noiseless", "nl.json", "--out", "nl.json"),
+    (*CLS, "--out", "r.json", "--kde-out", "qpu.json"),
+    (*CLS, "--out", "r.json", "--kde-out", "inst.json"),
+    (*CLS, "--noiseless", "nl.json", "--out", "r.json", "--kde-out", "nl.json"),
+    ("classify", "--qpu", "x.json.manifest.json", "--instance", "inst.json", "--out", "x.json"),
+    ("fitnoise", "qpu.json", "--out", "qpu.json"),
+    ("fitnoise", "x.json.manifest.json", "--out", "x.json"),
+    # an output that is another output
+    ("simulate", "--instance", "inst.json", "--out", "s.json", "--dump-state", "s.json"),
+    ("simulate", "--instance", "inst.json", "--out", "s.json", "--shards", 2, "--dump-state", "s.timing.csv"),
+    ("simulate", "--instance", "inst.json", "--out", "s.json", "--dump-state", "s.json.manifest.json"),
+    (*CLS, "--out", "r.json", "--kde-out", "r.json"),
+    (*CLS, "--out", "r.json", "--kde-out", "r.json.manifest.json"),
+])
+def test_an_output_that_is_an_input_or_another_output_exits_2_writing_nothing(tmp_path, monkeypatch, argv):
+    # checked before the command runs, through symlinks, so no input is
+    # overwritten; every input is valid (a noisy run stands for the device,
+    # so fitnoise finds its overlap), so only the collision stops a command
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen", "--n", 6, "--out", "inst.json", "--seed", 3) == 0
+    noisy = ("--mode", "noisy", "--epsilon", 0.05, "--trajectories", 2, "--p", 1)
+    assert run_cli("simulate", "--instance", "inst.json", "--out", "qpu.json", *noisy) == 0
+    os.symlink("inst.json", "link.json")
+    os.symlink("qpu.json", "nl.json")
+    for name in ("x.timing.csv", "x.json.manifest.json"):
+        Path(name).write_bytes(Path("inst.json" if "simulate" in argv else "qpu.json").read_bytes())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run_cli(*argv) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")

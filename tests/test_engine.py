@@ -365,8 +365,8 @@ def test_expected_r_builds_one_cut_diagonal(monkeypatch):
     want = dot = 0.0  # per-chunk evaluations
     for lo in range(0, probs.size, 1 << 16):
         chunk = probs[lo : lo + (1 << 16)]
-        want += float((cut.values(lo, lo + (1 << 16)) * chunk).sum())
-        dot += float(chunk @ cut.values(lo, lo + (1 << 16)))
+        want += float((cut.block(lo >> 16) * chunk).sum())
+        dot += float(chunk @ cut.block(lo >> 16))
     want /= inst.optimal_cut.value
     assert want == pytest.approx(dot / inst.optimal_cut.value, rel=1e-14)
     built = []
@@ -665,7 +665,8 @@ def test_largest_admitted_angles_run_without_overflow(layout):
     circ = CircuitIR(n, [GateOp("H", (q,)) for q in range(n)] + gates)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         assert np.isfinite(engine._CostPhase(layer).eq).all()
-        values = layer.cut().values(0, 1 << n)
+        cut = layer.cut()
+        values = np.concatenate([cut.block(0), cut.block(1)])
         sv = run_circuit(circ, "fp64")
         noisy = lrqbench.noisy_expected_probs(circ, lrqbench.DepolarizingConfig(1.0, 2, 3), "fp64")
     assert np.isfinite(values).all()
@@ -673,33 +674,23 @@ def test_largest_admitted_angles_run_without_overflow(layout):
     assert sv.norm_squared() == pytest.approx(1.0, abs=sv.norm_tolerance())
 
 
-def range_cuts(size: int, rng) -> list[int]:
-    """Sub-range bounds: unaligned offsets, pieces below 2^8 and 2^16 block
-    edges approached from both sides."""
-    cuts = {0, size, 1, 3, 250, 256 + 7}
-    cuts |= {int(c) for c in rng.integers(0, size, 12)}
-    for edge in range(1 << 16, size, 1 << 16):
-        cuts |= {edge - 5, edge + 3, edge + 4096 + 1}
-    return sorted(c for c in cuts if 0 <= c <= size)
-
-
 @pytest.mark.parametrize("precision", ["fp32", "fp64"])
 @pytest.mark.parametrize("n", [3, 16, 17, 18])
 def test_cost_layer_sub_ranges_match_full_range(n, precision):
+    # every range of 2^k indices at a multiple of 2^k, k = 2 .. n, the shapes
+    # of slabs, shards and rows: within a piece, a block and across blocks.
+    # Above one block, where all of them take 2^(n - 1) calls, the ranges
+    # under a 2^12 piece are those in each block's first and last piece.
     phase = engine._CostPhase(cost_layer(n, 70 + n))
     start = random_state(n, n).astype(Precision.coerce(precision).dtype)
     full = start.copy()
     engine._apply_cost_layer(full, phase)
-    cuts = range_cuts(start.size, np.random.default_rng(n))
-    parts = start.copy()
-    for lo, hi in zip(cuts, cuts[1:]):
-        engine._apply_cost_layer(parts[lo:hi], phase, lo)
-    assert parts.tobytes() == full.tobytes()
-    if n >= 16:
-        rows = start.copy().reshape(-1, 1 << 15)
-        for s, row in enumerate(rows):
-            engine._apply_cost_layer(row, phase, s << 15)
-        assert rows.tobytes() == full.tobytes()
+    for k in range(2, n + 1):
+        parts = start.copy()
+        for lo in range(0, start.size, 1 << k):
+            if n <= 16 or k >= 12 or not 0 < (lo >> 12) % 16 < 15:
+                engine._apply_cost_layer(parts[lo : lo + (1 << k)], phase, lo)
+                assert parts[lo : lo + (1 << k)].tobytes() == full[lo : lo + (1 << k)].tobytes()
 
 
 @pytest.mark.parametrize("precision", ["fp32", "fp64"])
@@ -741,7 +732,7 @@ def test_cost_layer_on_a_range_of_blocks_peaks_within_its_bound():
     n, offset = 30, 5 << 20
     phase = engine._CostPhase(cost_layer(n, 7))
     amps = np.ones(1 << 20, np.complex64)
-    engine._apply_cost_layer(amps[:10], phase, offset)  # numpy's one-time allocations
+    engine._apply_cost_layer(amps[:16], phase, offset)  # numpy's one-time allocations
     bound = engine._cost_layer_bytes(n, Precision.FP32)[1] + 3 * 16 * np.getbufsize()
     assert traced_peak(lambda: engine._apply_cost_layer(amps, phase, offset)) <= bound
 
@@ -751,7 +742,7 @@ def test_cost_layer_matches_cos_sin_formula(n):
     # the cost phase of 0.3.0: cos and sin of C - Theta/2 per amplitude
     layer = cost_layer(n, 80 + n)
     cut = layer.cut()
-    x = cut.values(0, 1 << n) - 0.5 * cut.total
+    x = cut.at(np.arange(1 << n, dtype=np.uint64)) - 0.5 * cut.total
     start = random_state(n, 90 + n)
     want = start * (np.cos(x) + 1j * np.sin(x))
     got = start.copy()

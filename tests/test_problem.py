@@ -90,11 +90,16 @@ def test_cut_lookup_matches_python_loop():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * inst.total_weight())
 
 
+def block_scan(cut: CutDiagonal) -> np.ndarray:
+    """The cut values of every index, block after block."""
+    return np.concatenate([cut.block(h) for h in range(1 << (cut.num_vertices - cut.block_bits))])
+
+
 @pytest.mark.parametrize("n", [5, 16, 17, 18])
 def test_cut_lookup_matches_range_scan(n):
     # every index of a full scan, shuffled, in one lookup and in a 2-D one
     inst = generate_instance(n, n)
-    scan = inst.cut.values(0, 1 << n)
+    scan = block_scan(inst.cut)
     z = np.random.default_rng(n).permutation(1 << n).astype(np.uint64)
     assert inst.cut.at(z).tobytes() == scan[z].tobytes()
     assert inst.cut.at(z.reshape(-1, 4)).tobytes() == scan[z].tobytes()
@@ -108,7 +113,7 @@ def test_cut_lookup_matches_range_scan(n):
     if n > 17:
         ranges.append((block + 100, 3 * block - 100))
     for lo, hi in ranges:
-        assert inst.cut.values(lo, hi).tobytes() == scan[lo:hi].tobytes()
+        assert inst.cut.at(np.arange(lo, hi, dtype=np.uint64)).tobytes() == scan[lo:hi].tobytes()
     with pytest.raises(ValidationError):
         inst.cut.at([1 << n])
 
@@ -118,7 +123,7 @@ def test_cut_lookup_matches_range_scan_at_n20():
     rng = np.random.default_rng(20)
     edges = [lo + d for lo in range(0, 1 << 20, 1 << 16) for d in (0, 1, (1 << 16) - 1)]
     z = np.concatenate((rng.integers(0, 1 << 20, size=4000), edges)).astype(np.uint64)
-    assert inst.cut.at(z).tobytes() == inst.cut.values(0, 1 << 20)[z].tobytes()
+    assert inst.cut.at(z).tobytes() == block_scan(inst.cut)[z].tobytes()
 
 
 def cuts_with_blocks(n: int) -> list[CutDiagonal]:
@@ -128,6 +133,26 @@ def cuts_with_blocks(n: int) -> list[CutDiagonal]:
     for e in (n - 2, -1):
         angles[e] = (*angles[e][:2], -0.0)
     return [generate_instance(n, n).cut, CutDiagonal(n, angles)]
+
+
+@pytest.mark.parametrize("n", [5, 16, 17, 18, 24, 30, 40, 64])
+def test_block_matches_the_scalar_referee_and_lookups(n):
+    # the first, the last and two more blocks: the referee at 40 offsets,
+    # the lookup at every index
+    rng = np.random.default_rng(n)
+    for cut in cuts_with_blocks(n):
+        b, last = cut.block_bits, (1 << (n - cut.block_bits)) - 1
+        for h in {0, last, *(int(x) for x in rng.integers(0, last + 1, size=2, dtype=np.uint64))}:
+            values = cut.block(h)
+            z = np.arange(h << b, (h + 1) << b, dtype=np.uint64)
+            assert values.tobytes() == cut.at(z).tobytes()
+            offsets = {0, 1, (1 << b) - 1, *(int(l) for l in rng.integers(0, 1 << b, size=37))}
+            for l in offsets:
+                want = cut_by_block_terms(cut._w, b, cut.offset_cut, (h << b) + l)
+                assert values[l].tobytes() == np.float64(want).tobytes()
+        for h in (-1, last + 1):
+            with pytest.raises(ValidationError):
+                cut.block(h)
 
 
 @pytest.mark.parametrize("n", [17, 24, 30, 40, 64])
@@ -149,8 +174,7 @@ def test_block_terms_match_the_scalar_referee(n):
         assert cut.at(z).tobytes() == want.tobytes()
         # a range across a block boundary, its ends checked by the referee
         lo = int(blocks[2]) % ((1 << (n - b)) - 1) << b | (1 << b) - 40
-        values = cut.values(lo, lo + 80)
-        assert values.tobytes() == cut.at(np.arange(lo, lo + 80, dtype=np.uint64)).tobytes()
+        values = cut.at(np.arange(lo, lo + 80, dtype=np.uint64))
         for x in (lo, lo + 39, lo + 40, lo + 79):
             assert values[x - lo] == cut_by_block_terms(cut._w, b, cut.offset_cut, x)
 
@@ -187,8 +211,8 @@ def test_cut_weights_keep_the_bits_of_one_edge_at_a_time(n):
     assert cut.total.hex() == want.total.hex()
     b = cut.block_bits
     assert cut.offset_table(0, b).tobytes() == want.offset_table(0, b).tobytes()
-    values = cut.values(0, 1 << n)
-    assert values.tobytes() == want.values(0, 1 << n).tobytes()
+    values = block_scan(cut)
+    assert values.tobytes() == block_scan(want).tobytes()
     z = np.random.default_rng(n).integers(0, 1 << n, size=500).astype(np.uint64)
     assert cut.at(z).tobytes() == want.at(z).tobytes() == values[z].tobytes()
 
@@ -332,7 +356,7 @@ def test_random_baseline_triangle(triangle_solved):
 
 def test_random_baseline_equals_uniform_average():
     inst = solve_instance(generate_instance(6, 8))
-    mean_cut = inst.cut.values(0, 64).mean()
+    mean_cut = inst.cut.block(0).mean()
     want = mean_cut / inst.optimal_cut.value
     assert abs(random_baseline_expectation(inst) - want) < 1e-12
 

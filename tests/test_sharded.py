@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import lrqbench.engine as engine
+import lrqbench.noise as noise
 import lrqbench.sharded as sharded
 from lrqbench import (
     AbortedRunError,
     CircuitIR,
     CostLayer,
+    DepolarizingConfig,
     GateOp,
     LrQaoaParams,
     SweepConfig,
@@ -27,6 +29,7 @@ from lrqbench import (
     plan_shards,
     run_circuit,
     run_circuit_sharded,
+    run_noisy_ensemble,
     scaling_sweep,
     write_timing_csv,
 )
@@ -366,6 +369,31 @@ def test_steps_call_the_executors_once_per_worker(monkeypatch, cpus):
         want += [("cost" if isinstance(op, CostLayer) else "run", (1 << 12) // slabs)] * slabs
     assert [(kind, size) for kind, size, *_ in calls] == want
     assert sv.amps.tobytes() == run_circuit(circ, "fp64").amps.tobytes()
+
+
+def test_cost_layers_run_on_ranges_of_2_to_the_k_at_multiples_of_2_to_the_k(monkeypatch):
+    # what _apply_cost_layer relies on, at every call of a dense run, a
+    # sharded run at each plan for n = 9 (slabs down to 16 amplitudes) and
+    # a noisy run (whole states as rows)
+    circ = build_circuit(generate_instance(9, 5), LrQaoaParams(p=2))
+    ranges = []
+    for module in (engine, noise):
+
+        def cost(amps, phase, offset=0, real=module._apply_cost_layer):
+            ranges.append((offset, amps.shape[-1]))
+            real(amps, phase, offset)
+
+        monkeypatch.setattr(module, "_apply_cost_layer", cost)
+    use_cpus(monkeypatch, 32)
+    run_circuit(circ, "fp32")
+    for shards in (1, 2, 4, 8, 16, 32):
+        run_circuit_sharded(circ, plan_for_shard_count(9, shards), "fp32")
+    dense_and_sharded = len(ranges)
+    run_noisy_ensemble(circ, DepolarizingConfig(0.05, 8, 1), 4, threads=2)
+    assert dense_and_sharded == 2 * (1 + 1 + 2 + 4 + 8 + 16 + 32) < len(ranges)
+    assert {size for _, size in ranges} == {1 << k for k in range(4, 10)}
+    for offset, size in ranges:
+        assert size & (size - 1) == 0 and size >= 4 and offset % size == 0
 
 
 @pytest.mark.parametrize("precision", ["fp32", "fp64"])
