@@ -267,8 +267,6 @@ def _cmd_simulate(args) -> int:
     _check_mode_flags(args)
     if args.mode == "noisy":
         args.threads = 1 if args.threads is None else args.threads  # as the manifest records it
-        if args.threads < 1:
-            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
     inst = load_instance(args.instance)
     precision = Precision.coerce(args.precision)
     delta_beta, delta_gamma = _resolved_deltas(args)

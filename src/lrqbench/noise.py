@@ -30,26 +30,20 @@ the sign of Z_i Z_j on every later edge whose qubits carry an odd number
 of its X/Y components.  The later edges F that anticommute with an odd
 number of the Paulis fired before them need RZZ(-2 theta_k), which all
 commute, so their product is one diagonal
-exp(i sum_{k in F} theta_k S_k(z)), S_k = +-1 the ZZ sign of edge k.
-Each cost layer of a block takes one commute pass (``_commute_fired``)
-over all the rows that fire in it: every row's F comes from a prefix XOR
-of its fired Paulis' X/Y qubit masks, in a few numpy calls.  Each row's
-angle is summed in float64 by an einsum over its own F, from
-``_sign_table``, the signs of the qubits below bit 15 over one chunk of
-at most 2^15 amplitudes, built once per ensemble; a qubit at or above bit
-15 is constant over a chunk and only flips its edges' signs there.  The
-angles of all the rows are reduced to [-pi, pi], their cos and sin taken
-in the state's precision, and the phases multiplied in, in one pass per
-chunk.  Then each row takes one Pauli string: its fired Paulis compose,
-in firing order, to i^q X^x Z^z (the phase and bit masks of Aaronson and
-Gottesman, PRA 70, 052328, 2004), whose x, z and q come from the same
-prefix XOR as F.  ``_apply_pauli_string`` gathers each chunk at l ^ x
-and multiplies in signs and a constant, each +-1 or +-i, so amplitudes
-move exactly, as one Pauli at a time moves them.  This is the
-time-ordered product, global phase included, up to rounding; its scratch
-is bounded by the block's rows of one chunk and |F|, not by the state,
-and counted by ``check_memory``; and every row gets the operations of
-its trajectory run alone, bit for bit.
+exp(i sum_{k in F} theta_k S_k(z)), S_k = +-1 the ZZ sign of edge k; and
+the fired Paulis compose, in firing order, to one Pauli string
+i^q X^x Z^z (the phase and bit masks of Aaronson and Gottesman, PRA 70,
+052328, 2004).  Each cost layer of a block takes one pass
+(``_commute_fired``) over all the rows that fire in it: a prefix XOR of
+their fired Paulis' X/Y qubit masks gives every row's F, x, z and q, and
+then, a chunk of at most 2^15 amplitudes at a time, one ``take`` gathers
+every row at l ^ x, and the phases, from float64 angles over the ZZ
+signs of ``_sign_table`` (built once per ensemble), and units and signs,
+each +-1 or +-i, are multiplied in.  This is the time-ordered product,
+global phase included, up to rounding; its scratch is bounded by the
+block's rows of one chunk and |F|, not by the state, and counted by
+``check_memory``; and every row gets the operations of its trajectory
+run alone, bit for bit.
 
 Noise strength aggregates as eps_acc = N_2q * eps, and the overlap ratio
 
@@ -138,7 +132,7 @@ _PAULI_TERMS = np.array(
 )
 # Finished blocks held per worker thread before the consumer reads them.
 _IN_FLIGHT_PER_THREAD = 2
-# Sign rows ``_flip_phase`` gathers for a group of rows at a time (int8).
+# Sign rows ``_commute_fired`` gathers for a group of rows at a time (int8).
 _GATHER_BYTES = 1 << 16
 
 
@@ -201,7 +195,7 @@ def _block_rows(num_qubits: int, trajectories: int, threads: int) -> int:
     (one when a state is larger), capped at each thread's share of the
     trajectories."""
     rows = max(1, (1 << _GATE_BLOCK_BITS) >> num_qubits)
-    return min(rows, -(-trajectories // max(1, threads)))
+    return min(rows, -(-trajectories // threads))
 
 
 def _draw_bytes(rows: int, n_rzz: int) -> int:
@@ -281,11 +275,13 @@ def _prepare(
     each hold one block while it runs.  Its layers, cost-layer phases and
     edges and its sign table are built once ``_account`` has checked the
     run, ``held`` bytes of the caller's and the ``baseline`` draws against
-    the memory budget."""
+    the memory budget.  Fewer than one thread is refused."""
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
     precision = Precision.coerce(precision)
     n = circuit.num_qubits
     rows = _block_rows(n, cfg.trajectories, threads)
-    workers = min(max(1, threads), cfg.trajectories)
+    workers = min(threads, cfg.trajectories)
     start, layers, n_rzz = _account(circuit, precision, memory_budget, rows, workers, held, baseline)
     phases = [_CostPhase(op) if isinstance(op, CostLayer) else None for op in layers]
     edges = [_Edges.of(op.gates) if isinstance(op, CostLayer) else None for op in layers]
@@ -341,78 +337,14 @@ def _correction_bytes(num_qubits: int, edges: int, dtype: np.dtype, rows: int = 
     """Scratch of one ``_commute_fired`` call on up to ``rows`` rows of a
     block, over a layer of at most ``edges`` edges: the gathered sign rows
     of a group of rows, at most _GATHER_BYTES or one row's edges over a
-    chunk, and their product's second operand (int8); per row and chunk,
-    two chunks of angles (float64), a chunk of reduced angles in the
-    state's real precision, and two in its precision, the phases and the
-    copy of the row they multiply; and per row and edge, 96 bytes of the
-    draws, flip masks and edge lists the flipped edges are found from.
-    That also covers the Pauli string that follows on one row at a time
-    (``_apply_pauli_string``): its gather index (intp) and sign product
-    (int8) over a chunk, and two gathered chunks in the state's precision."""
+    chunk, and their product's second operand (int8); per row and chunk, a
+    gather index (intp), a sign (int8), two chunks of angles (float64), one
+    of reduced angles in the state's real precision, and three in its
+    precision: the phases and two moved chunks; and per row and edge, 96
+    bytes of the draws, masks and edge lists the pass starts from."""
     chunk = 1 << min(num_qubits, _GATE_BLOCK_BITS)
-    per_chunk = 16 + dtype.itemsize // 2 + 2 * dtype.itemsize
+    per_chunk = 25 + dtype.itemsize // 2 + 3 * dtype.itemsize
     return 2 * max(_GATHER_BYTES, edges * chunk) + rows * (chunk * per_chunk + 96 * edges)
-
-
-def _flip_phase(
-    states: np.ndarray,
-    rows: np.ndarray,
-    counts: np.ndarray,
-    theta: np.ndarray,
-    qa: np.ndarray,
-    qb: np.ndarray,
-    signs: np.ndarray,
-) -> None:
-    """Multiply row rows[i] of ``states`` by exp(i sum_k theta_k Z_qa_k
-    Z_qb_k), the product of the commuting RZZ(-2 theta_k), over its
-    counts[i] edges, the next of ``theta``, ``qa`` and ``qb`` in order;
-    one chunk of ``signs``' width at a time.
-
-    A chunk starts at z0, a multiple of 2^low, so the ZZ sign of index
-    z0 + l is its sign at z0 (set only by qubits at or above low) times its
-    sign at l (set only by those below).  Each row's angle is summed in
-    float64 by an einsum over its edges' gathered sign rows, which calls no
-    BLAS; then every row's angle is reduced to [-pi, pi], rounded to the
-    state's real precision for cos and sin, and multiplied into its row as
-    one phase array, in one pass over all the rows.
-    """
-    chunk = signs.shape[1]
-    ends = np.cumsum(counts).tolist()
-    starts = [0] + ends[:-1]
-    # rows whose sign rows are gathered together: consecutive rows up to
-    # _GATHER_BYTES, or one row, so the einsums read them from cache
-    groups, first = [], 0
-    for i in range(1, len(ends) + 1):
-        if i == len(ends) or (ends[i] - starts[first]) * chunk > _GATHER_BYTES:
-            groups.append((first, i))
-            first = i
-    # a state of several chunks is a block of one row, gathered once
-    many = states.shape[-1] > chunk
-    gathered = None
-    angle, turns = np.empty((2, len(rows), chunk))
-    reduced = np.empty(angle.shape, np.finfo(states.dtype).dtype)
-    phase = np.empty(angle.shape, states.dtype)
-    for z0 in range(0, states.shape[-1], chunk):
-        w = theta * (1 - 2 * ((z0 >> qa) & 1)) * (1 - 2 * ((z0 >> qb) & 1)) if z0 else theta
-        for first, last in groups:
-            a, b = starts[first], ends[last - 1]
-            if gathered is None or not many:
-                # "clip" sends every qubit at or above low to the last row, the ones
-                gathered = signs.take(qa[a:b], axis=0, mode="clip")
-                gathered *= signs.take(qb[a:b], axis=0, mode="clip")
-            for i in range(first, last):
-                lo, hi = starts[i], ends[i]
-                np.einsum("k,kz->z", w[lo:hi], gathered[lo - a : hi - a], out=angle[i])
-            if not many:
-                gathered = None  # dropped before the next group's
-        # angle - 2 pi rint(angle / 2 pi): np.remainder takes six times longer
-        np.multiply(angle, 0.5 / np.pi, out=turns)
-        np.rint(turns, out=turns)
-        turns *= 2.0 * np.pi
-        np.subtract(angle, turns, out=reduced, casting="same_kind")
-        np.cos(reduced, out=phase.real)
-        np.sin(reduced, out=phase.imag)
-        states[rows, z0 : z0 + chunk] *= phase
 
 
 def _flipped(edges: _Edges, fire: np.ndarray, codes: np.ndarray):
@@ -441,43 +373,6 @@ def _flipped(edges: _Edges, fire: np.ndarray, codes: np.ndarray):
     return held[0] != held[1], after[0, :, -1], after[1, :, -1], y + 2 * odd
 
 
-def _apply_pauli_string(amps: np.ndarray, x: int, z: int, q: int, signs: np.ndarray) -> None:
-    """amps <- i^q X^x Z^z amps, that is new[l] = i^q (-1)^|z & (l ^ x)|
-    old[l ^ x], one chunk of ``signs``' width 2^low at a time.
-
-    Destination chunk c gathers chunk c ^ (x >> low) at offsets m ^ (x mod
-    2^low) into a copy; two chunks that trade places are both gathered
-    before either is written.  The sign splits as the product of the
-    ``signs`` rows of z's low bits, over m, times the constant
-    (-1)^|z & x| (-1)^|(z >> low) & c|.  Every factor is +-1 or +-i, so
-    the amplitudes move exactly.
-    """
-    chunk = signs.shape[1]
-    low = chunk.bit_length() - 1
-    index = np.arange(chunk)
-    index ^= x & (chunk - 1)
-    sign = None
-    for b in range(low):
-        if z >> b & 1:
-            sign = signs[b] if sign is None else sign * signs[b]
-    high, power = x >> low, q + 2 * (z & x).bit_count()
-    parts = amps.reshape(-1, chunk)
-    for c in range(len(parts)):
-        if c ^ high < c:
-            continue  # written with its partner
-        pair = (c, c ^ high) if high else (c,)
-        gathered = [parts[d ^ high].take(index) for d in pair]
-        for d, part in zip(pair, gathered):
-            unit = (power + 2 * ((z >> low) & d).bit_count()) & 3
-            if unit:
-                part *= (1, 1j, -1, -1j)[unit]
-            if sign is None:
-                parts[d] = part
-            else:
-                np.multiply(part, sign, out=parts[d])
-        del gathered, part  # dropped before the next pair's
-
-
 def _commute_fired(
     states: np.ndarray,
     rows: np.ndarray,
@@ -488,20 +383,100 @@ def _commute_fired(
 ) -> None:
     """Finish a cost layer whose diagonal is applied, on the rows ``rows`` of
     ``states``, given the draws over the layer's edges of each one's
-    trajectory as rows of ``fire`` and ``codes``: one phase per row for
-    the later edges its fired Paulis anticommute with, then one Pauli
-    string per row, the product of its fired Paulis in firing order.
-    ``signs`` is the ensemble's ``_sign_table``."""
+    trajectory as rows of ``fire`` and ``codes``: each row takes the phase
+    of the later edges its fired Paulis anticommute with, then their Pauli
+    string i^q X^x Z^z, in one pass over chunks of 2^low amplitudes, the
+    width of ``signs`` (the ensemble's ``_sign_table``).
+
+    A state of several chunks is a block of one row (``_block_rows``), so
+    the rows share x >> low and z >> low.  Chunk c of each row takes chunk
+    c ^ (x >> low) at offsets m ^ u, u = x mod 2^low, by one flat ``take``,
+    times the phases there, the unit i^q (-1)^|z & x| (-1)^|(z >> low) & c|
+    and the sign (-1)^|z & m|; chunks that trade places are both read
+    before either is written.  An angle is an einsum (no BLAS) in float64
+    over the edges' sign rows over m, weighted by theta_k and the edge's
+    sign at z0 + u, z0 the chunk's start; it is reduced to [-pi, pi] and
+    rounded to the state's real precision for cos and sin.  Units and
+    signs are +-1 or +-i, so each row gets the products of its trajectory
+    run alone, in its order, besides exact ones: the phase 1 of a row with
+    no flipped edge, and a unit or sign of 1 that another row needs.
+    """
+    chunk = signs.shape[1]
     flipped, x, z, q = _flipped(edges, fire, codes)
     counts = flipped.sum(axis=1)
-    phased = np.flatnonzero(counts)
-    if phased.size:
-        k = np.nonzero(flipped[phased])[1]
-        _flip_phase(
-            states, rows[phased], counts[phased], edges.theta[k], edges.qa[k], edges.qb[k], signs
-        )
-    for r, xr, zr, qr in zip(rows.tolist(), x.tolist(), z.tolist(), q.tolist()):
-        _apply_pauli_string(states[r], xr, zr, qr, signs)
+    phased = np.flatnonzero(counts).tolist()
+    k = np.nonzero(flipped)[1]
+    theta, qa, qb = edges.theta[k], edges.qa[k], edges.qb[k]
+    low_x = (x & (chunk - 1)).astype(np.intp)
+    moves = np.repeat(low_x, counts)  # per flipped edge, the u of its row
+    ends = np.cumsum(counts[phased]).tolist()
+    starts = [0] + ends[:-1]
+    # groups of consecutive phased rows whose sign rows, up to _GATHER_BYTES, stay in cache
+    groups, first = [], 0
+    for i in range(1, len(ends) + 1):
+        if i == len(ends) or (ends[i] - starts[first]) * chunk > _GATHER_BYTES:
+            groups.append((first, i))
+            first = i
+    # every row's flat gather index, and its sign unless every row's is 1
+    index = np.arange(chunk) ^ low_x[:, None]
+    index += (rows * states.shape[-1])[:, None]
+    low_z = (z & (chunk - 1)).astype(np.uint16)
+    sign = None
+    if low_z.any():
+        sign = (np.bitwise_count(np.arange(chunk, dtype=np.uint16) & low_z[:, None]) & 1).view(np.int8)
+        sign *= -2
+        sign += 1
+    power = q + 2 * np.bitwise_count(z & x)
+    # a state of several chunks is a block of one row, its sign rows gathered once
+    many, gathered = states.shape[-1] > chunk, None
+    high, high_z = int(x[0]) // chunk, int(z[0]) // chunk
+    flat, parts = states.reshape(-1), states.reshape(len(states), -1, chunk)
+    for c in range(parts.shape[1]):
+        if c ^ high < c:
+            continue  # written with its partner
+        pair = (c, c ^ high) if high else (c,)
+        moved = []
+        for d in pair:
+            z0, phase = (d ^ high) * chunk, None
+            if phased:
+                v = z0 + moves
+                w = theta * (1 - 2 * ((v >> qa) & 1)) * (1 - 2 * ((v >> qb) & 1))
+                angle = np.empty(index.shape)
+                angle[counts == 0] = 0.0
+                for first, last in groups:
+                    a, b = starts[first], ends[last - 1]
+                    if gathered is None or not many:
+                        # "clip" sends every qubit at or above low to the last row, the ones
+                        gathered = signs.take(qa[a:b], axis=0, mode="clip")
+                        gathered *= signs.take(qb[a:b], axis=0, mode="clip")
+                    for i in range(first, last):
+                        lo, hi = starts[i], ends[i]
+                        np.einsum("k,kz->z", w[lo:hi], gathered[lo - a : hi - a], out=angle[phased[i]])
+                    if not many:
+                        gathered = None  # dropped before the next group's
+                # angle - 2 pi rint(angle / 2 pi): np.remainder takes six times longer
+                turns = np.multiply(angle, 0.5 / np.pi)
+                np.rint(turns, out=turns)
+                turns *= 2.0 * np.pi
+                angle -= turns
+                reduced = angle.astype(np.finfo(states.dtype).dtype, copy=False)
+                del angle, turns  # each dropped once read, to keep the peak low
+                phase = np.empty(index.shape, states.dtype)
+                np.cos(reduced, out=phase.real)
+                np.sin(reduced, out=phase.imag)
+                del reduced
+            out = flat[z0:].take(index)
+            if phase is not None:
+                out *= phase
+            unit = (power + 2 * (high_z & d).bit_count()) & 3
+            if unit.any():
+                out *= np.array([1, 1j, -1, -1j], states.dtype).take(unit)[:, None]
+            if sign is not None:
+                out *= sign
+            moved.append(out)
+        for d, out in zip(pair, moved):
+            parts[rows, d] = out
+        del moved, out  # dropped before the next pair's
 
 
 def _run_block(ens: _Ensemble, block: _Block) -> tuple[np.ndarray, list[int], list[int]]:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class OptimalCut:
 
 @dataclass
 class WmcInstance:
-    """Complete-graph weighted MaxCut instance."""
+    """Complete-graph weighted MaxCut instance: one edge (i, j, w) per vertex
+    pair, with integer vertex ids and a real weight in [0, 1]."""
 
     num_vertices: int
     edges: list[tuple[int, int, float]]
@@ -65,7 +66,14 @@ class WmcInstance:
         n = self.num_vertices
         _check_vertex_count(n)
         normalized = []
-        for i, j, w in self.edges:
+        for edge in self.edges:
+            if not isinstance(edge, Sequence) or len(edge) != 3:
+                raise ValidationError(f"edge {edge!r} is not (i, j, weight)")
+            i, j, w = edge
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (i, j)):
+                raise ValidationError(f"edge ({i!r}, {j!r}) needs integer vertex ids")
+            if isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating)):
+                raise ValidationError(f"edge ({i}, {j}) has weight {w!r}, not a real number")
             i, j = int(i), int(j)
             if i == j:
                 raise ValidationError(f"self-loop on vertex {i}")
@@ -125,6 +133,8 @@ def bitstring_to_index(bits: str | Sequence[int]) -> int:
     """Index of a bitstring written vertex 0 first (vertex k -> bit k)."""
     z = 0
     for k, b in enumerate(bits):
+        if not isinstance(b, (str, int, np.integer, np.bool_)):  # a float is not truncated
+            raise ValidationError(f"bit {k} is {b!r}, expected 0 or 1")
         try:
             b = int(b)
         except (TypeError, ValueError):
@@ -163,12 +173,15 @@ def bitstrings_to_indices(strings: Sequence[str], n: int) -> np.ndarray:
 
 
 def as_index(x: int | str | Sequence[int] | np.integer, n: int) -> int:
-    """Normalize a bitstring in any accepted form to a basis index."""
+    """Normalize a sample to a basis index: an integer index, or a bitstring
+    as a string or a sequence of bits; anything else is refused."""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         z = int(x)
         if not 0 <= z < (1 << n):
             raise ValidationError(f"basis index {z} out of range for n={n}")
         return z
+    if not isinstance(x, (str, Sequence, np.ndarray)):
+        raise ValidationError(f"sample {x!r} is neither a basis index nor a bitstring")
     if len(x) != n:
         raise ValidationError(f"bitstring of length {len(x)} does not match n={n}")
     return bitstring_to_index(x)
@@ -433,7 +446,7 @@ def instance_to_dict(inst: WmcInstance) -> dict:
 def instance_from_dict(data: dict) -> WmcInstance:
     try:
         n = data["n"]
-        edges = [(e[0], e[1], e[2]) for e in data["edges"]]
+        edges = [tuple(e) for e in data["edges"]]
         opt = data.get("optimal")
     except (KeyError, TypeError, IndexError) as exc:
         raise ValidationError(f"malformed instance record: {exc}") from exc

@@ -56,11 +56,14 @@ def mean_of_means(pool, cfg: ResampleConfig) -> MeanOfMeans:
 
     Repeat i draws from stream i of the "resample" family
     (``StreamFamily``), so repeats could run in any order (or in parallel)
-    without changing the outcome.
+    without changing the outcome.  A pool with a value that is not finite
+    is refused.
     """
     values = np.asarray(pool, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValidationError("empty pool")
+    if not np.isfinite(values).all():
+        raise ValidationError("pool holds a value that is not finite")
     if not cfg.replacement and values.size < cfg.subsample_size:
         raise ValidationError(
             f"pool of {values.size} too small for subsamples of "
@@ -128,11 +131,14 @@ def classify(
 
     The measured side enters as its raw mean; only the baselines are
     resampled.  The two pools use sub-seeds derived from the config seed
-    so their subsampling streams never collide.
+    so their subsampling streams never collide.  A ratio that is not
+    finite, measured or in a pool, is refused.
     """
     qpu = np.asarray(qpu_r_values, dtype=np.float64).ravel()
     if qpu.size == 0:
         raise ValidationError("no measured ratios to classify")
+    if not np.isfinite(qpu).all():
+        raise ValidationError("a measured ratio is not finite")
     qpu_mean = float(qpu.mean())
 
     rand_mom = mean_of_means(
@@ -218,13 +224,16 @@ def kde_curve(
     (grid, density).  The kernel values are formed for ``_kde_rows`` grid
     points at a time, and each point's sum is numpy's pairwise sum over its
     own row, so the bits do not depend on how many rows a block holds.
+    Values or a bandwidth that are not finite are refused.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     if x.size < 2:
         raise ValidationError("density estimate needs at least two values")
+    if not np.isfinite(x).all():
+        raise ValidationError("density estimate of a value that is not finite")
     h = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
-    if h <= 0.0:
-        raise ValidationError(f"bandwidth must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise ValidationError(f"bandwidth must be positive and finite, got {h}")
     grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, KDE_GRID_POINTS)
     density = np.empty(KDE_GRID_POINTS)
     rows = _kde_rows(x.size)

@@ -339,6 +339,29 @@ def test_simulate_noisy_rejects_zero_threads(tmp_path, instance_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edge", [[0, 1.7, 0.5], ["a", 1, 0.5], [0, 1, "x"], [0, 1, None], [0, 1, 0.5, 7], "abc"])
+def test_simulate_refuses_malformed_edges_before_writing(tmp_path, instance_path, edge, capsys):
+    # a fractional vertex id was truncated and ran; the others crashed with exit 1
+    data = json.loads(instance_path.read_text())
+    data["edges"][0] = edge
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "res.json"
+    assert run_cli("simulate", "--instance", bad, "--out", out, "--p", 1) == 2
+    assert "edge" in capsys.readouterr().err
+    assert list(tmp_path.glob("res.json*")) == []
+
+
+@pytest.mark.parametrize("sample", [1.5, True, None, 1e30])
+def test_classify_refuses_samples_that_are_neither_an_index_nor_bits(tmp_path, instance_path, sample, capsys):
+    qpu = tmp_path / "qpu.json"
+    qpu.write_text(json.dumps({"bitstrings": ["010101", sample]}))
+    out = tmp_path / "report.json"
+    assert run_cli("classify", "--qpu", qpu, "--instance", instance_path, "--out", out) == 2
+    assert f"sample {sample!r} is neither" in capsys.readouterr().err
+    assert list(tmp_path.glob("report.json*")) == []
+
+
 def test_non_integer_thread_counts_are_rejected(tmp_path, instance_path):
     out = tmp_path / "noisy.json"
     with pytest.raises(SystemExit) as exc:

@@ -45,14 +45,12 @@ from lrqbench.engine import (
     state_bytes,
 )
 from lrqbench.noise import (
-    _apply_pauli_string,
     _Block,
     _clean_state,
     _commute_fired,
     _correction_bytes,
     _draw_bytes,
     _Edges,
-    _flip_phase,
     _prepare,
     _run_block,
     _sign_table,
@@ -79,51 +77,66 @@ def test_config_validation():
         DepolarizingConfig(epsilon=0.1, trajectories=0)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_fewer_than_one_thread_is_refused(threads):
+    # they used to run silently on one worker
+    circ = build_circuit(generate_instance(4, 1), LrQaoaParams(p=1))
+    cfg = DepolarizingConfig(0.1, trajectories=3)
+    inst = solve_instance(generate_instance(4, 1))
+    for run in (
+        lambda: run_noisy_ensemble(circ, cfg, 5, threads=threads),
+        lambda: noisy_expected_probs(circ, cfg, threads=threads),
+        lambda: noisy_expected_r(circ, inst, cfg, threads=threads),
+    ):
+        with pytest.raises(ValidationError, match="threads must be at least 1"):
+            run()
+
+
 def test_epsilon_accumulated_uses_gate_count():
     _, n_2q = gate_counts(48, 3)
     assert epsilon_accumulated(n_2q, 0.001) == pytest.approx(3.384)
 
 
-# each Pauli as a string i^phase X^x Z^z on qubit q, with Y = i X Z; the ids
-# keep the names of the one-qubit kernels the string kernel replaced
-ONE_QUBIT_PAULIS = {
-    "_x_kernel": (oracles.X, 1, 0, 0),
-    "_y_kernel": (oracles.Y, 1, 1, 1),
-    "_z_kernel": (oracles.Z, 0, 1, 0),
-}
+# each one-qubit Pauli (1, 2, 3: X, Y, Z) fired on qubit q of a one-edge
+# layer; the ids keep the names of the one-qubit kernels it replaced
+ONE_QUBIT_PAULIS = {"_x_kernel": (oracles.X, 1), "_y_kernel": (oracles.Y, 2), "_z_kernel": (oracles.Z, 3)}
+
+
+def fire_one(amps: np.ndarray, pauli: int, q: int, signs: np.ndarray) -> None:
+    """Pauli ``pauli`` on qubit q of ``amps``, fired by the one edge (q, q')
+    of a layer through ``_commute_fired``; no later edge flips."""
+    n = amps.size.bit_length() - 1
+    edges = _Edges.of((GateOp("RZZ", (q, (q + 1) % n), 0.5),))
+    fire, codes = np.ones((1, 1), bool), np.array([[4 * pauli]])
+    _commute_fired(amps[None], np.array([0]), edges, fire, codes, signs)
 
 
 @pytest.mark.parametrize(
-    "matrix,x,z,phase",
+    "matrix,pauli",
     [pytest.param(*v, id=f"{k}-matrix{i}") for i, (k, v) in enumerate(ONE_QUBIT_PAULIS.items())],
 )
 @pytest.mark.parametrize("q", [0, 1, 2])
-def test_pauli_kernels_match_matrices(matrix, x, z, phase, q):
+def test_pauli_kernels_match_matrices(matrix, pauli, q):
     start = random_state(3, 40 + q)
     amps = start.copy()
-    _apply_pauli_string(amps, x << q, z << q, phase, _sign_table(3))
+    fire_one(amps, pauli, q, _sign_table(3))
     np.testing.assert_allclose(amps, oracles.embed_single(matrix, q, 3) @ start, atol=1e-14)
 
 
 @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
 @pytest.mark.parametrize(
-    "matrix,x,z,phase",
+    "matrix,pauli",
     [pytest.param(*ONE_QUBIT_PAULIS[k], id=k) for k in ("_x_kernel", "_y_kernel")],
 )
 @pytest.mark.parametrize("q", [3, 15, 16])
-def test_pauli_kernels_hold_at_most_one_chunk(precision, matrix, x, z, phase, q):
+def test_pauli_kernels_hold_at_most_one_chunk(precision, matrix, pauli, q):
     # at q = 15 and 16 the two chunks of a pair trade places whole
     n = 17
     amps = random_state(n, 90 + q).astype(precision.dtype)
-    signs = _sign_table(n)
     v = amps.reshape(-1, 2, 1 << q)
+    signs = _sign_table(n)
     want = np.einsum("ij,rjc->ric", matrix, v.astype(np.complex128))
-    tracemalloc.start()
-    try:
-        _apply_pauli_string(amps, x << q, z << q, phase, signs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: fire_one(amps, pauli, q, signs))
     assert peak <= _correction_bytes(n, 1, precision.dtype)
     np.testing.assert_array_equal(amps.reshape(v.shape), want.astype(precision.dtype))
 
@@ -150,9 +163,11 @@ def test_pauli_pair_code_mapping(code):
 @pytest.mark.parametrize("n", range(2, 18))
 def test_pauli_strings_match_the_referee_bitwise(n, precision):
     # random layers whose Paulis are composed to one string per row, against
-    # the referee applying them one by one; each factor is +-1 or +-i, so
-    # the bytes agree.  From n=16 on, a string whose X acts only on qubits
-    # at or above bit 15 moves whole chunks, with no permutation inside.
+    # the referee applying them one by one; each factor is +-1 or +-i, and
+    # the zero angles give the flipped rows the phase 1, so the bytes
+    # agree.  Rows that are one chunk go in one call, larger ones one per
+    # call.  From n=16 on, a string whose X acts only on qubits at or above
+    # bit 15 moves whole chunks, with no permutation inside.
     rng = np.random.default_rng(200 + n)
     rows = 12
     pairs = [tuple(int(q) for q in rng.choice(n, 2, replace=False)) for _ in range(12)]
@@ -164,18 +179,21 @@ def test_pauli_strings_match_the_referee_bitwise(n, precision):
         pairs[0] = (15, 3)
         fire[-1] = False
         fire[-1, 0], codes[-1, 0] = True, 7  # X Z on (15, 3)
-    gates = tuple(GateOp("RZZ", pair, 0.0) for pair in pairs)
-    signs = _sign_table(n)
-    _, xs, zs, qs = noise._flipped(_Edges.of(gates), fire, codes)
+    edges = _Edges.of(tuple(GateOp("RZZ", pair, 0.0) for pair in pairs))
+    flipped, xs, _, _ = noise._flipped(edges, fire, codes)
+    assert flipped.any()
     if n > 15:
         assert int(xs[-1]) == 1 << 15
+    start = np.stack(
+        [(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).astype(precision.dtype) for _ in range(rows)]
+    )
+    got, want = start.copy(), start.copy()
+    for call in [np.arange(rows)] if n <= 15 else np.arange(rows)[:, None]:
+        _commute_fired(got, call, edges, fire[call], codes[call], _sign_table(n))
     for r in range(rows):
-        start = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).astype(precision.dtype)
-        got, want = start.copy(), start.copy()
-        _apply_pauli_string(got, int(xs[r]), int(zs[r]), int(qs[r]), signs)
         for k in np.flatnonzero(fire[r]):
-            oracles.apply_pauli_pair(want, int(codes[r, k]), *pairs[k])
-        assert got.tobytes() == want.tobytes()
+            oracles.apply_pauli_pair(want[r], int(codes[r, k]), *pairs[k])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_commuted_paulis_match_time_ordered_product():
@@ -283,22 +301,35 @@ def zz_signs(n, qa, qb):
     return (1 - 2 * ((z >> qa) & 1)) * (1 - 2 * ((z >> qb) & 1))
 
 
+def flipping_layer(qa, qb, theta, low):
+    """A layer whose first edges fire X X on qubits 0..low-1 (low even) and
+    whose edges (qa_k, qb_k) follow, each with one qubit below low and one
+    at or above it, so every one of them flips: its ``_Edges`` and one
+    trajectory's draws over it."""
+    gates = [GateOp("RZZ", (q, q + 1), 0.0) for q in range(0, low, 2)]
+    gates += [GateOp("RZZ", (int(a), int(b)), float(t)) for a, b, t in zip(qa, qb, theta)]
+    fire = np.arange(len(gates))[None] < low // 2
+    return _Edges.of(tuple(gates)), fire, np.where(fire, 5, 1)
+
+
 def test_flip_phase_fp32_error_within_per_edge_chain():
     # one float64 angle sum, cos and sin in float32, against the chain of
-    # complex64 factors an RZZ(-2 theta) kernel applied edge by edge forms
-    n = 12
+    # complex64 factors an RZZ(-2 theta) kernel applied edge by edge forms;
+    # the layer's X X on qubits 0..5 moves the phase to l ^ 63, undone exactly
+    n, low = 12, 6
     signs = _sign_table(n)
     rng = np.random.default_rng(12)
     worst_diagonal = worst_chain = 0.0
     for _ in range(50):
         size = int(rng.integers(5, 41))
-        qa = rng.integers(0, n, size)
-        qb = (qa + rng.integers(1, n, size)) % n
+        qa = rng.integers(0, low, size)
+        qb = rng.integers(low, n, size)
         theta = rng.uniform(-np.pi, np.pi, size)
         zz = zz_signs(n, qa, qb)
         exact = np.exp(1j * (theta[:, None] * zz).sum(axis=0))
-        diagonal = np.ones(1 << n, np.complex64)
-        _flip_phase(diagonal[None], np.array([0]), np.array([size]), theta, qa, qb, signs)
+        moved = np.ones((1, 1 << n), np.complex64)
+        _commute_fired(moved, np.array([0]), *flipping_layer(qa, qb, theta, low), signs)
+        diagonal = moved[0, np.arange(1 << n) ^ ((1 << low) - 1)]
         chain = np.ones(1 << n, np.complex64)
         for t, s in zip(theta, zz):
             chain[s == 1] *= np.complex64(cmath.exp(1j * t))
@@ -340,17 +371,13 @@ def test_correction_scratch_is_what_check_memory_counts(precision):
     n = 17
     signs = _sign_table(n)
     assert signs.nbytes == (_GATE_BLOCK_BITS + 1) << _GATE_BLOCK_BITS
-    amps = np.ones(1 << n, precision.dtype)
+    amps = np.ones((1, 1 << n), precision.dtype)
     qa = np.repeat([0, 1], 15)
     qb = np.tile(np.arange(2, 17), 2)
     theta = np.linspace(-3.0, 3.0, qa.size)
-    tracemalloc.start()
-    try:
-        _flip_phase(amps[None], np.array([0]), np.array([qa.size]), theta, qa, qb, signs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0 < peak <= _correction_bytes(n, qa.size, precision.dtype)
+    edges, fire, codes = flipping_layer(qa, qb, theta, 2)
+    _, peak = traced_peak(lambda: _commute_fired(amps, np.array([0]), edges, fire, codes, signs))
+    assert 0 < peak <= _correction_bytes(n, len(edges.theta), precision.dtype)
     # chunks of 2^15 amplitudes: the count does not grow with the state
     assert _correction_bytes(30, qa.size, precision.dtype) == _correction_bytes(
         n, qa.size, precision.dtype

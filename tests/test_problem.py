@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,41 @@ def test_edges_normalized_to_sorted_order():
 def test_bad_instances_rejected(n, edges):
     with pytest.raises(ValidationError):
         WmcInstance(n, edges)
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [
+        (0, 1.7, 0.5), ("a", 1, 0.5), (0, 1, "x"), (0, 1, None), (True, 1, 0.5), (0, 1, False), (0, 1, "0.5"),
+        (0, 1), (0, 1, 0.5, 7), "abc", 5,
+    ],
+)
+def test_malformed_edges_are_refused(edge):
+    # a fractional vertex id used to be truncated, and other types crashed
+    with pytest.raises(ValidationError):
+        WmcInstance(3, (edge, (0, 2, 1.0), (1, 2, 0.25)))
+
+
+@pytest.mark.parametrize("bits", [[0, 1.7, 1, 0], [0, 1.0, 1, 0], [0, np.float64(1.0), 1, 0], [0, None, 1, 0]])
+def test_bits_that_are_not_0_or_1_are_refused(bits):
+    # a fractional bit used to be truncated
+    with pytest.raises(ValidationError, match="bit 1 is"):
+        as_index(bits, 4)
+    assert as_index([0, np.True_, "1", 0], 4) == 6
+
+
+def test_numpy_ids_and_weights_are_accepted():
+    edges = ((np.int64(1), np.int32(0), np.float32(0.5)), (0, 2, np.float64(1.0)), (1, 2, 0))
+    assert WmcInstance(3, edges).edges == [(0, 1, 0.5), (0, 2, 1.0), (1, 2, 0.0)]
+
+
+@pytest.mark.parametrize("sample", [1.5, True, None, 1e30, np.float64(3.0), np.bool_(True), {"x": 1}])
+def test_samples_that_are_neither_an_index_nor_bits_are_refused(sample):
+    with pytest.raises(ValidationError, match=f"sample {re.escape(repr(sample))} is neither"):
+        as_index(sample, 4)
+    inst = generate_instance(4, 1)
+    with pytest.raises(ValidationError, match="is neither a basis index nor a bitstring"):
+        shot_ratios(solve_instance(inst), ["0101", sample])
 
 
 def test_cut_value_hand_computed(triangle):

@@ -157,6 +157,36 @@ def test_classify_rejects_empty_measurement():
         classify([], random_pool, ResampleConfig(subsample_size=10))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_refuses_ratios_that_are_not_finite(bad):
+    # NaN compared below every threshold and read RANDOM, inf read TRANSITION
+    random_pool, noiseless_pool = _pools()
+    cfg = ResampleConfig(subsample_size=10, repeats=20, rng_seed=1)
+    with pytest.raises(ValidationError, match="not finite"):
+        classify([bad], random_pool, cfg)
+    with pytest.raises(ValidationError, match="not finite"):
+        classify(np.r_[np.full(9, 0.85), bad], random_pool, cfg, noiseless_pool)
+    # a value in a pool used to make the threshold NaN
+    with pytest.raises(ValidationError, match="not finite"):
+        classify(np.full(10, 0.85), np.r_[random_pool, bad], cfg, noiseless_pool)
+    with pytest.raises(ValidationError, match="not finite"):
+        classify(np.full(10, 0.85), random_pool, cfg, np.r_[noiseless_pool, bad])
+    with pytest.raises(ValidationError, match="not finite"):
+        mean_of_means(np.r_[random_pool, bad], cfg)
+
+
+@pytest.mark.parametrize("values", [[1.0, np.inf], [np.nan, 1.0, 2.0], [-np.inf, 0.5]])
+def test_kde_curve_refuses_values_that_are_not_finite(values):
+    with pytest.raises(ValidationError, match="not finite"):
+        kde_curve(values)
+
+
+@pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0, -1.0])
+def test_kde_curve_refuses_a_bandwidth_that_is_not_positive_and_finite(bandwidth):
+    with pytest.raises(ValidationError, match="bandwidth"):
+        kde_curve([0.1, 0.2, 0.4], bandwidth)
+
+
 def test_report_to_dict_is_json_friendly():
     random_pool, noiseless_pool = _pools()
     cfg = ResampleConfig(subsample_size=10, repeats=100, rng_seed=1)
