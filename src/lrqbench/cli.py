@@ -45,9 +45,9 @@ import numpy as np
 from . import __version__
 from .circuit import LrQaoaParams, build_circuit, gate_counts, hqc_cost
 from .engine import (
-    DEFAULT_MEMORY_BUDGET,
     Precision,
-    _gate_list_bytes,
+    _Counts,
+    _run_bytes,
     _shot_bytes,
     check_memory,
     exact_expected_r,
@@ -66,6 +66,7 @@ from .files import write_output
 from .noise import (
     DepolarizingConfig,
     _clean_state,
+    _ensemble_bytes,
     _prepare,
     _sample_ensemble,
     epsilon_accumulated,
@@ -86,6 +87,7 @@ from .problem import (
 from .rng import derive_seed
 from .sharded import (
     SweepConfig,
+    _workers,
     plan_for_shard_count,
     run_circuit_sharded,
     scaling_sweep,
@@ -108,7 +110,7 @@ _EXIT_RUNTIME = 4
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -268,22 +270,30 @@ def _cmd_simulate(args) -> int:
     if args.mode == "noisy":
         args.threads = 1 if args.threads is None else args.threads  # as the manifest records it
     inst = load_instance(args.instance)
-    precision = Precision.coerce(args.precision)
+    n, precision = inst.num_vertices, Precision.coerce(args.precision)
     delta_beta, delta_gamma = _resolved_deltas(args)
     params = LrQaoaParams(p=args.p, delta_beta=delta_beta, delta_gamma=delta_gamma)
-    n_1q, n_2q = gate_counts(inst.num_vertices, args.p)
-    # the depth sets the gate list's size: refused before it is built
-    gate_list = _gate_list_bytes(n_1q + n_2q)
-    check_memory(inst.num_vertices, precision, args.memory_bytes, scratch=gate_list)
-    circuit = build_circuit(inst, params)
+    n_1q, n_2q = gate_counts(n, args.p)
     solved = inst.optimal_cut is not None
     if args.ideal_shots is not None and not solved:
         raise ValidationError(
             f"--ideal-shots needs a solved instance, and {args.instance} has no optimal cut"
         )
+    # the run's whole need, from counts, before anything is built
+    counts = _Counts.lrqaoa(n, args.p)
+    if args.mode == "noiseless":
+        plan = plan_for_shard_count(n, args.shards)
+        need = _run_bytes(counts, precision, _workers(plan), args.shots)
+    else:
+        cfg = DepolarizingConfig(epsilon=args.epsilon, trajectories=args.trajectories, rng_seed=args.seed)
+        held = _shot_bytes(n, args.trajectories * args.shots)  # the pooled shots
+        baseline = (args.ideal_shots or 0) if solved else None
+        need = _ensemble_bytes(counts, precision, args.trajectories, args.threads, held, baseline)
+    check_memory(need, args.memory_bytes, f"simulate --mode {args.mode} of {n} qubits at {precision.value}")
+    circuit = build_circuit(inst, params)
 
     payload = {
-        "n": inst.num_vertices,
+        "n": n,
         "p": args.p,
         "delta_beta": delta_beta,
         "delta_gamma": delta_gamma,
@@ -297,7 +307,6 @@ def _cmd_simulate(args) -> int:
 
     if args.mode == "noiseless":
         if args.shards != 1:
-            plan = plan_for_shard_count(inst.num_vertices, args.shards)
             sv, record = run_circuit_sharded(
                 circuit, plan, args.precision, args.memory_bytes, args.shots
             )
@@ -322,14 +331,7 @@ def _cmd_simulate(args) -> int:
             save_statevector(sv, args.dump_state)
             outputs.append(args.dump_state)
     else:
-        cfg = DepolarizingConfig(
-            epsilon=args.epsilon, trajectories=args.trajectories, rng_seed=args.seed
-        )
-        # the ensemble, and on a solved instance the ideal baseline before
-        # it, share the cost layers' phases, built once both runs are
-        # checked against the budget
-        held = _shot_bytes(inst.num_vertices, args.trajectories * args.shots)  # the pooled shots
-        baseline = (args.ideal_shots or 0) if solved else None
+        # the ensemble and the ideal baseline before it share one phase per cost layer
         ens = _prepare(circuit, cfg, precision, args.memory_bytes, args.threads, held, baseline)
         if solved:
             # the ideal baseline first, its state and shots dropped before the
@@ -360,7 +362,7 @@ def _cmd_simulate(args) -> int:
                 "paulis_fired": int(shots.paulis_fired.sum()),
                 "zero_fire_trajectories": int(np.count_nonzero(shots.paulis_fired == 0)),
                 "norm_drift": shots.norm_drift,
-                "norm_tolerance": norm_tolerance(inst.num_vertices, precision),
+                "norm_tolerance": norm_tolerance(n, precision),
                 "mean_r": mean_r,
                 "r_ovl": ovl,
                 "bitstrings": shots.bitstrings(),
@@ -390,14 +392,8 @@ def _cmd_classify(args) -> int:
             f"--kde-out needs at least 2 repeats to estimate a density from, got {args.repeats}"
         )
     # refused before the pool or the means are allocated
-    need = _resample_bytes(
-        inst.num_vertices, args.random_pool_size, args.repeats, args.kde_out is not None
-    )
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise CapacityError(
-            f"a random pool of {args.random_pool_size} shots and {args.repeats} repeats "
-            f"need {need} bytes, budget is {DEFAULT_MEMORY_BUDGET} bytes"
-        )
+    need = _resample_bytes(inst.num_vertices, args.random_pool_size, args.repeats, args.kde_out is not None)
+    check_memory(need, None, f"classify of a {args.random_pool_size}-shot pool and {args.repeats} repeats")
     qpu_r = shot_ratios(inst, bitstrings)
     random_pool = shot_ratios(
         inst, uniform_sampler(inst, args.random_pool_size, args.seed)
@@ -545,6 +541,8 @@ def _cmd_fitnoise(args) -> int:
 def _cmd_hqc(args) -> int:
     n_1q, n_2q = gate_counts(args.n, args.p)
     n_m = args.n if args.n_m is None else args.n_m
+    if n_m > args.n:
+        raise ValidationError(f"--n-m {n_m} measures more qubits than the circuit's {args.n}")
     cost = hqc_cost(n_1q, n_2q, n_m, args.shots)
     print(
         f"n={args.n} p={args.p}: n_1q={n_1q} n_2q={n_2q} n_m={n_m} "

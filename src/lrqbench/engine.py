@@ -80,10 +80,10 @@ the full probability vector, bit for bit.  The sampler,
 every trajectory's shots through it too.
 
 Single precision (complex64) is the default and costs 2^(n+3) bytes;
-double costs 2^(n+4).  A run over its ``memory_budget`` (by default
-``DEFAULT_MEMORY_BUDGET``) raises ``CapacityError`` before its state is
-allocated, naming the bytes needed; this module alone bounds a run's
-scratch (``_scratch_bytes``), which the noisy engine adds to.
+double costs 2^(n+4).  A run's whole need, ``_run_bytes``, depends on
+counts alone (``_Counts``), and ``check_memory`` refuses one over its
+``memory_budget`` (by default ``DEFAULT_MEMORY_BUDGET``) before anything
+is built.  This module alone bounds a run's scratch (``_scratch_bytes``).
 """
 
 from __future__ import annotations
@@ -98,15 +98,17 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import CircuitIR, CostLayer, GateOp
+from .circuit import CircuitIR, CostLayer, GateOp, gate_counts
 from .errors import AbortedRunError, CapacityError, ValidationError
 from .files import write_output
 from .problem import (
     _BLOCK_BITS,
     WmcInstance,
+    _check_vertex_count,
     _require_optimal,
     doubling,
     indices_to_bitstrings,
@@ -143,25 +145,13 @@ def state_bytes(num_qubits: int, precision: Precision) -> int:
     return precision.bytes_per_amplitude << num_qubits
 
 
-def check_memory(
-    num_qubits: int,
-    precision: Precision,
-    budget: int | None = None,
-    arrays: int = 1,
-    scratch: int = 0,
-) -> None:
-    """Refuse a run that holds ``arrays`` state-sized arrays plus ``scratch``
-    bytes over the budget, ``DEFAULT_MEMORY_BUDGET`` when it is None."""
-    need = arrays * state_bytes(num_qubits, precision) + scratch
+def check_memory(need: int, budget: int | None = None, what: str = "the run") -> None:
+    """Refuse ``what``, which needs ``need`` bytes, over the budget,
+    ``DEFAULT_MEMORY_BUDGET`` when it is None."""
     limit = DEFAULT_MEMORY_BUDGET if budget is None else int(budget)
     if need > limit:
-        what = "statevector" if arrays == 1 else f"{arrays} state-sized arrays"
-        if scratch:
-            what += f" and {scratch} bytes of scratch"
-        raise CapacityError(
-            f"{what} for {num_qubits} qubits at {precision.value} needs "
-            f"{need} bytes ({need / (1 << 30):.1f} GiB), budget is {limit} bytes"
-        )
+        shown = f"{need / (1 << 30):.1f} GiB" if need >= 1 << 30 else f"{need / (1 << 20):.1f} MiB"
+        raise CapacityError(f"{what} needs {need} bytes ({shown}), budget is {limit} bytes")
 
 
 @dataclass
@@ -220,13 +210,12 @@ def zero_state(
     num_qubits: int,
     precision: Precision | str = Precision.FP32,
     memory_budget: int | None = None,
-    scratch: int = 0,
 ) -> StateVector:
-    """|0...0>, after checking that it and ``scratch`` bytes fit the budget."""
+    """|0...0>, after checking that it fits the budget."""
     precision = Precision.coerce(precision)
     if num_qubits < 1:
         raise ValidationError(f"need at least one qubit, got {num_qubits}")
-    check_memory(num_qubits, precision, memory_budget, scratch=scratch)
+    check_memory(state_bytes(num_qubits, precision), memory_budget, f"a state of {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=precision.dtype)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
@@ -416,6 +405,13 @@ def _apply_cost_layer(amps: np.ndarray, phase: _CostPhase, offset: int = 0) -> N
         np.multiply(piece, rounded[:size], out=piece)
 
 
+def _folds(runs: list, num_qubits: int) -> bool:
+    """Whether ``_layer_plan`` folds the H layer of a circuit's ``layers()``."""
+    if len(runs) < 2 or not isinstance(runs[1], CostLayer):
+        return False
+    return sorted((g.kind, g.qubits[0]) for g in runs[0]) == [("H", q) for q in range(num_qubits)]
+
+
 def _layer_plan(circuit: CircuitIR, nq_local: int, dtype: np.dtype = np.complex64):
     """The executed layer view: the start amplitude (None when the H layer
     does not fold) and the (step, leg, row) of every step in execution
@@ -434,11 +430,7 @@ def _layer_plan(circuit: CircuitIR, nq_local: int, dtype: np.dtype = np.complex6
     runs = circuit.layers()
     n = circuit.num_qubits
     start, row = None, 0
-    if (
-        len(runs) > 1
-        and isinstance(runs[1], CostLayer)
-        and sorted((g.kind, g.qubits[0]) for g in runs[0]) == [("H", q) for q in range(n)]
-    ):
+    if _folds(runs, n):
         start, runs, row = _plus_amplitude(n, dtype), runs[1:], len(runs[0])
     steps = []
     for op in runs:
@@ -494,12 +486,6 @@ def _group_bytes(num_qubits: int, precision: Precision) -> int:
     return sum(precision.bytes_per_amplitude << 2 * w for _, w in _groups(num_qubits))
 
 
-def _more_matrix_bytes(steps, num_qubits: int, precision: Precision) -> int:
-    """A layer view's group matrices beyond the one run's ``_scratch_bytes`` counts."""
-    held = sum(m.nbytes for op, *_ in steps if isinstance(op, _GateRun) for _, m in op.products)
-    return max(0, held - _group_bytes(num_qubits, precision))
-
-
 def _scratch_bytes(
     num_qubits: int, precision: Precision, workers: int = 1, shots: int = 0
 ) -> tuple[int, int]:
@@ -548,6 +534,42 @@ def _gate_list_bytes(gates: int) -> int:
     schedule and layer views: 320 a gate, above the 276 traced at n = 2,
     where each layer's own objects weigh most (CPython 3.11)."""
     return 320 * gates
+
+
+class _Counts(NamedTuple):
+    """What a run's memory need takes from its circuit: qubits, gates,
+    executed gate runs (a folded H layer not counted), cost layers and the
+    most RZZ gates in one."""
+
+    num_qubits: int
+    gates: int
+    gate_runs: int
+    cost_layers: int
+    widest: int
+
+    @classmethod
+    def of(cls, circuit: CircuitIR) -> "_Counts":
+        """A circuit's counts, read off its layers, nothing built."""
+        runs = circuit.layers()
+        costs = [len(op.gates) for op in runs if isinstance(op, CostLayer)]
+        gate_runs = len(runs) - len(costs) - _folds(runs, circuit.num_qubits)
+        return cls(circuit.num_qubits, len(circuit.gates), gate_runs, len(costs), max(costs, default=0))
+
+    @classmethod
+    def lrqaoa(cls, num_qubits: int, p: int) -> "_Counts":
+        """``build_circuit``'s at depth p on an instance, a complete graph."""
+        _check_vertex_count(num_qubits)
+        return cls(num_qubits, sum(gate_counts(num_qubits, p)), p, p, num_qubits * (num_qubits - 1) // 2)
+
+
+def _run_bytes(counts: _Counts, precision: Precision, workers: int = 1, shots: int = 0) -> int:
+    """The bytes a run on ``workers`` slabs drawing ``shots`` needs: the
+    state, the gate list, the larger of ``_scratch_bytes``, and the group
+    matrices of every gate run but the one the executor bound holds."""
+    n = counts.num_qubits
+    scratch = max(_scratch_bytes(n, precision, workers, shots))
+    matrices = max(0, counts.gate_runs - 1) * _group_bytes(n, precision)
+    return state_bytes(n, precision) + _gate_list_bytes(counts.gates) + matrices + scratch
 
 
 def _timed(fn, *args) -> float:
@@ -599,9 +621,8 @@ def _run_steps(
     workers: int = 1,
 ) -> tuple[StateVector, float, list[tuple[int, float, float, int]]]:
     """Evolve |0...0> through ``_layer_plan(circuit, nq_local)`` on
-    ``workers`` slabs, the qubits from ``nq_local`` up global.  The budget
-    covers the state, the gate list and ``_scratch_bytes``, with ``shots``
-    draws the caller takes from the result or holds beside it.
+    ``workers`` slabs, the qubits from ``nq_local`` up global, once
+    ``_run_bytes`` with ``shots`` draws fits the budget.
 
     Returns the state, the seconds from its allocation to the end of the
     last step, and per step its row (see ``_layer_plan``), compute and
@@ -609,9 +630,9 @@ def _run_steps(
     """
     precision = Precision.coerce(precision)
     n = circuit.num_qubits
+    check_memory(_run_bytes(_Counts.of(circuit), precision, workers, shots), memory_budget, f"a run of {n} qubits")
     start, steps = _layer_plan(circuit, nq_local, precision.dtype)
-    scratch = max(_scratch_bytes(n, precision, workers, shots)) + _gate_list_bytes(len(circuit.gates))
-    sv = zero_state(n, precision, memory_budget, scratch + _more_matrix_bytes(steps, n, precision))
+    sv = zero_state(n, precision, memory_budget)
     size = sv.amps.size
     timed = []
 
@@ -663,8 +684,8 @@ def run_circuit(
     """Evolve |0...0> through the circuit's layers (the IR includes its H
     layer, which ``_layer_plan`` folds into the start state): ``_run_steps``
     with every qubit local, on one worker, the calling thread.  The budget
-    covers the state, the gate list and ``_scratch_bytes``, with ``shots``
-    draws the caller takes from the result or holds beside it."""
+    covers ``_run_bytes`` with ``shots`` draws the caller takes from the
+    result or holds beside it."""
     return _run_steps(circuit, circuit.num_qubits, precision, memory_budget, shots)[0]
 
 
@@ -804,14 +825,13 @@ _HEADER = struct.Struct("<4sBBH")  # magic, format version, float bytes, num_qub
 
 
 def save_statevector(sv: StateVector, path: str | Path) -> None:
-    """Write little-endian interleaved re/im pairs behind a small header."""
+    """Write little-endian interleaved re/im pairs behind a small header,
+    the amplitudes straight from the state (on a little-endian host, with
+    no copy)."""
     float_bytes = sv.precision.bytes_per_amplitude // 2
     code = "<c8" if sv.precision is Precision.FP32 else "<c16"
-    # one buffer holds header and payload, so the state is copied once
-    data = bytearray(_HEADER.size + sv.amps.nbytes)
-    _HEADER.pack_into(data, 0, _MAGIC, 1, float_bytes, sv.num_qubits)
-    np.frombuffer(data, dtype=code, offset=_HEADER.size)[...] = sv.amps
-    write_output(path, data)
+    header = _HEADER.pack(_MAGIC, 1, float_bytes, sv.num_qubits)
+    write_output(path, header, np.ascontiguousarray(sv.amps, dtype=code))
 
 
 def load_statevector(path: str | Path) -> StateVector:

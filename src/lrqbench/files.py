@@ -16,8 +16,10 @@ from __future__ import annotations
 import os
 
 
-def write_output(path: str | os.PathLike, data: bytes | bytearray | str) -> None:
-    """Make ``data`` (a ``str`` is UTF-8 encoded) the whole content of ``path``.
+def write_output(path: str | os.PathLike, *parts) -> None:
+    """Make ``parts``, each a ``str`` (UTF-8 encoded) or a contiguous buffer
+    such as ``bytes`` or an array, written in order, the whole content of
+    ``path``.
 
     A regular file or an absent path, judged after resolving symlinks, is
     replaced by a new file with mode ``0o666 & ~umask``; a symlink keeps
@@ -26,21 +28,21 @@ def write_output(path: str | os.PathLike, data: bytes | bytearray | str) -> None
     never unlinked.  If the write fails, the temporary file is removed, the
     old target keeps its bytes, and the error propagates unchanged.
     """
-    if isinstance(data, str):
-        data = data.encode()
+    views = [memoryview(p.encode() if isinstance(p, str) else p).cast("B") for p in parts]
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "wb") as fh:
-            fh.write(data)
+            for view in views:
+                fh.write(view)
         return
     head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view) :]
+            for view in views:
+                while view:
+                    view = view[os.write(fd, view) :]
         finally:
             os.close(fd)
         if os.path.lexists(target):

@@ -12,18 +12,19 @@ amplitudes (one row when a state is larger), through the dense engine's
 executors: each run of H/RX gates is one ``_apply_gate_run`` call on the
 block's active rows, and each cost layer one ``_apply_cost_layer`` call
 on them from the layer's ``_CostPhase``, built once and shared by the
-threads.  ``_prepare`` plans, accounts and builds every ensemble, adding
-what only the ensemble holds to the dense engine's scratch bound.  Row 0
-of a block follows the noiseless path, and starts as the amplitude of
-the folded H layer (``engine._layer_plan``); a block of that row alone
-is ``run_circuit``'s state bit for bit, and is the ideal baseline a
-noisy ``simulate`` runs on the ensemble's phases (``_clean_state``).  A
-trajectory gets its own row, a copy of row 0 after the cost layer, only
-at the first cost layer where it fires a Pauli; trajectories that fire
-nothing share row 0's final state.  The shots of every trajectory that
-ends in one row come from one call of the dense engine's streamed
-sampler (``engine._draw_streamed``), which reads the row chunk by chunk,
-so no float64 vector of 2^n is formed on the way to the shots.
+threads.  Its whole memory need, ``_ensemble_bytes``, counts what only
+the ensemble holds besides the dense engine's, from counts alone; it is
+checked once, before anything is built.  Row 0 of a block follows the
+noiseless path, and starts as the amplitude of the folded H layer
+(``engine._layer_plan``); a block of that row alone is ``run_circuit``'s
+state bit for bit, and is the ideal baseline a noisy ``simulate`` runs
+on the ensemble's phases (``_clean_state``).  A trajectory gets its own
+row, a copy of row 0 after the cost layer, only at the first cost
+layer where it fires a Pauli; trajectories that fire nothing share row
+0's final state.  The shots of every trajectory that ends in one row
+come from one call of the dense engine's streamed sampler
+(``engine._draw_streamed``), which reads the row chunk by chunk, so no
+float64 vector of 2^n is formed on the way to the shots.
 
 A Pauli fired inside a layer is commuted to the layer's end: it flips
 the sign of Z_i Z_j on every later edge whose qubits carry an odd number
@@ -42,7 +43,7 @@ signs of ``_sign_table`` (built once per ensemble), and units and signs,
 each +-1 or +-i, are multiplied in.  This is the time-ordered product,
 global phase included, up to rounding; its scratch is bounded by the
 block's rows of one chunk and |F|, not by the state, and counted by
-``check_memory``; and every row gets the operations of its trajectory
+``_ensemble_bytes``; and every row gets the operations of its trajectory
 run alone, bit for bit.
 
 Noise strength aggregates as eps_acc = N_2q * eps, and the overlap ratio
@@ -78,11 +79,12 @@ from .engine import (
     _apply_gate_run,
     _cost_layer_bytes,
     _CostPhase,
+    _Counts,
     _GateRun,
     _draw_streamed,
     _gate_list_bytes,
+    _group_bytes,
     _layer_plan,
-    _more_matrix_bytes,
     _scratch_bytes,
     _shot_bytes,
     _squared_chunks,
@@ -204,61 +206,49 @@ def _draw_bytes(rows: int, n_rzz: int) -> int:
     return rows * n_rzz * 9
 
 
-def _account(
-    circuit: CircuitIR,
+def _ensemble_bytes(
+    counts: _Counts,
     precision: Precision,
-    memory_budget: int | None,
-    rows: int = 1,
-    workers: int = 1,
+    trajectories: int,
+    threads: int = 1,
     held: int = 0,
     baseline: int | None = None,
-):
-    """Check that the run and ``held`` bytes of the caller's fit the memory
-    budget, before anything is built; return the start amplitude, the
-    executed layers and their RZZ count.
+) -> int:
+    """The bytes an ensemble of ``trajectories`` on ``threads`` needs, with
+    ``held`` bytes of the caller's; fewer than one thread is refused.
 
-    The dense engine bounds the gate list, and in ``_scratch_bytes`` the
-    ``workers``' executors and the consumer's tail: with one worker the
-    consumer samples a block after running it, so the larger counts, and
-    with more while they run, so both do.  To the one ``_CostPhase`` and
-    the one gate run's group matrices the executor bound holds this adds
-    the other cost layers' and gate runs', the sign table,
-    each worker's ``_correction_bytes`` over a block of ``rows`` states,
-    the blocks of ``rows`` states in flight: one without threads, else up
-    to _IN_FLIGHT_PER_THREAD per worker, each from the start of its run
-    until its consumer drops it, before asking for the next; the draws of
-    those blocks and of the one the consumer is cutting.  A stream family
-    holds one generator however many streams it serves, so the draws'
-    streams add no term.
+    To the gate list and the dense engine's ``_scratch_bytes`` for its
+    min(threads, trajectories) workers (the larger of executor and tail
+    with one, whose consumer samples a block after running it, and both
+    with more, whose consumer samples while they run) this adds the
+    other cost layers' phases and gate runs' matrices, the sign table,
+    each worker's ``_correction_bytes``, the blocks in flight, each held
+    from the start of its run until its consumer drops it, and their
+    draws and those of the block being cut.  The draws' streams add no
+    term: a stream family holds one generator however many it serves.
 
-    With ``baseline`` draws, the count is the larger of that and the one
-    of the ideal baseline a noisy ``simulate`` makes before the ensemble
-    and draws those shots from (``_clean_state``): one block of the clean
-    row alone, so one state, one worker's executor or the dense tail, the
-    gate list, and the sign table and the phases built for the ensemble,
-    all p of them alive.
+    With ``baseline`` draws, the larger of that and the ideal baseline a
+    noisy ``simulate`` runs first (``_clean_state``): one state, one
+    worker's executor or the dense tail with those draws, the gate list,
+    the sign table and every cost layer's phase, all alive.
     """
-    n, dtype = circuit.num_qubits, precision.dtype
-    start, steps = _layer_plan(circuit, n, dtype)
-    layers = [op for op, *_ in steps]
-    costs = [op for op in layers if isinstance(op, CostLayer)]
-    widest = max((len(op.gates) for op in costs), default=0)
-    n_rzz = sum(len(op.gates) for op in costs)
-    low = min(n, _GATE_BLOCK_BITS)
-    signs = (low + 1) << low  # ``_sign_table``'s bytes
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
+    n = counts.num_qubits
+    rows, workers = _block_rows(n, trajectories, threads), min(threads, trajectories)
     in_flight = 1 if workers == 1 else _IN_FLIGHT_PER_THREAD * workers
-    executor, tail = _scratch_bytes(n, precision, workers)
-    dense = executor + tail if workers > 1 else max(executor, tail)
-    tables = len(costs[1:]) * _cost_layer_bytes(n, precision)[0]
-    shared = _gate_list_bytes(len(circuit.gates)) + signs + tables + _more_matrix_bytes(steps, n, precision)
-    correction = workers * _correction_bytes(n, widest, dtype, rows)
-    draws = (in_flight + 1) * _draw_bytes(rows, n_rzz)
-    runs = [(in_flight * rows, dense + shared + correction + draws + held)]
-    if baseline is not None:
-        runs.append((1, max(_scratch_bytes(n, precision, 1, baseline)) + shared))
-    arrays, scratch = max(runs, key=lambda run: run[0] * state_bytes(n, precision) + run[1])
-    check_memory(n, precision, memory_budget, arrays=arrays, scratch=scratch)
-    return start, layers, n_rzz
+    dense = (sum if workers > 1 else max)(_scratch_bytes(n, precision, workers))
+    tables = max(0, counts.cost_layers - 1) * _cost_layer_bytes(n, precision)[0]
+    matrices = max(0, counts.gate_runs - 1) * _group_bytes(n, precision)
+    signs = (min(n, _GATE_BLOCK_BITS) + 1) << min(n, _GATE_BLOCK_BITS)  # ``_sign_table``'s bytes
+    shared = _gate_list_bytes(counts.gates) + signs + tables + matrices
+    blocks = in_flight * rows * state_bytes(n, precision)
+    draws = (in_flight + 1) * _draw_bytes(rows, counts.cost_layers * counts.widest)
+    correction = workers * _correction_bytes(n, counts.widest, precision.dtype, rows)
+    need = blocks + dense + shared + correction + draws + held
+    if baseline is None:
+        return need
+    return max(need, state_bytes(n, precision) + max(_scratch_bytes(n, precision, 1, baseline)) + shared)
 
 
 def _prepare(
@@ -270,21 +260,18 @@ def _prepare(
     held: int = 0,
     baseline: int | None = None,
 ) -> _Ensemble:
-    """The ensemble of ``cfg``'s trajectories on ``threads``: blocks of
-    ``_block_rows`` states, run by min(threads, trajectories) workers that
-    each hold one block while it runs.  Its layers, cost-layer phases and
-    edges and its sign table are built once ``_account`` has checked the
-    run, ``held`` bytes of the caller's and the ``baseline`` draws against
-    the memory budget.  Fewer than one thread is refused."""
-    if threads < 1:
-        raise ValidationError(f"threads must be at least 1, got {threads}")
+    """The ensemble of ``cfg``'s trajectories on ``threads``, built once its
+    ``_ensemble_bytes`` with ``held`` and ``baseline`` fits the budget."""
     precision = Precision.coerce(precision)
     n = circuit.num_qubits
-    rows = _block_rows(n, cfg.trajectories, threads)
-    workers = min(threads, cfg.trajectories)
-    start, layers, n_rzz = _account(circuit, precision, memory_budget, rows, workers, held, baseline)
+    need = _ensemble_bytes(_Counts.of(circuit), precision, cfg.trajectories, threads, held, baseline)
+    check_memory(need, memory_budget, f"a noisy ensemble of {n} qubits at {precision.value}")
+    start, steps = _layer_plan(circuit, n, precision.dtype)
+    layers = [op for op, *_ in steps]
     phases = [_CostPhase(op) if isinstance(op, CostLayer) else None for op in layers]
     edges = [_Edges.of(op.gates) if isinstance(op, CostLayer) else None for op in layers]
+    n_rzz = sum(len(op.gates) for op in layers if isinstance(op, CostLayer))
+    rows, workers = _block_rows(n, cfg.trajectories, threads), min(threads, cfg.trajectories)
     return _Ensemble(n, precision.dtype, start, layers, phases, edges, n_rzz, _sign_table(n), rows, workers)
 
 
@@ -534,7 +521,7 @@ def _run_blocks(ens: _Ensemble, cfg: DepolarizingConfig):
     With several workers, blocks run on a pool of that many threads and at
     most ``_IN_FLIGHT_PER_THREAD`` per worker of them are submitted and not
     yet read, so finished blocks never pile up.  The consumer drops each
-    block before it asks for the next, as ``_account`` counts.
+    block before it asks for the next, as ``_ensemble_bytes`` counts.
     """
     blocks = _blocks(ens, cfg)
     if ens.workers > 1:

@@ -13,9 +13,9 @@ the convention on which the static ``exchange_volume`` and the measured
 counters agree; both read ``engine._layer_plan``, in which a folded H
 layer takes no step.  The timing record keeps one row per gate: a step's
 figures go on its row (see ``engine._layer_plan``), the others carry
-zeros.  The memory budget covers the state, the gate list and each
-worker's scratch (``engine._scratch_bytes``); a sweep checks the state
-and the gate list before it builds a circuit.
+zeros.  The memory budget covers a run's whole need
+(``engine._run_bytes``); a sweep checks its largest run's once, before
+it builds any circuit.
 """
 
 from __future__ import annotations
@@ -25,14 +25,15 @@ import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .circuit import CircuitIR, LrQaoaParams, build_circuit, gate_counts
+from .circuit import CircuitIR, LrQaoaParams, build_circuit
 from .engine import (
     _GROUP_BITS,
     Precision,
     StateVector,
-    _gate_list_bytes,
+    _Counts,
     _layer_plan,
     _moved,
+    _run_bytes,
     _run_steps,
     check_memory,
 )
@@ -228,31 +229,24 @@ class SweepConfig:
 
 
 def scaling_sweep(cfg: SweepConfig) -> list[TimingRecord]:
+    """Every run's timing records, in order, once the largest run's
+    ``engine._run_bytes`` fits the budget; each size's circuit is built
+    when its first run is due and dropped before the next size's."""
     params = LrQaoaParams(p=cfg.p, delta_beta=cfg.delta_beta, delta_gamma=cfg.delta_gamma)
     precision = Precision.coerce(cfg.precision)
-
-    def circuit_for(nq: int) -> CircuitIR:
-        inst = generate_instance(nq, cfg.seed)
-        # the depth sets the gate list's size: refused before it is built
-        gate_list = _gate_list_bytes(sum(gate_counts(nq, cfg.p)))
-        check_memory(nq, precision, cfg.memory_budget, scratch=gate_list)
-        return build_circuit(inst, params)
-
-    runs: list[tuple[CircuitIR, ShardPlan]] = []
     if cfg.mode == "strong":
-        circuit = circuit_for(cfg.nq)
-        for count in cfg.shard_counts:
-            runs.append((circuit, plan_for_shard_count(cfg.nq, count)))
+        plans = [plan_for_shard_count(cfg.nq, count) for count in cfg.shard_counts]
+    elif min(cfg.nq_values) < cfg.nq_local:
+        raise ValidationError(f"nq={min(cfg.nq_values)} below nq_local={cfg.nq_local}")
     else:
-        for nq in cfg.nq_values:
-            if nq < cfg.nq_local:
-                raise ValidationError(f"nq={nq} below nq_local={cfg.nq_local}")
-            runs.append((circuit_for(nq), plan_shards(nq, cfg.nq_local)))
-    records = []
-    for circuit, plan in runs:
+        plans = [plan_shards(nq, cfg.nq_local) for nq in cfg.nq_values]
+    need, nq = max((_run_bytes(_Counts.lrqaoa(q.nq, cfg.p), precision, _workers(q)), q.nq) for q in plans)
+    check_memory(need, cfg.memory_budget, f"bench --mode {cfg.mode} of up to {nq} qubits at {precision.value}")
+    records, circuit = [], None
+    for plan in plans:
+        if circuit is None or circuit.num_qubits != plan.nq:
+            circuit = None  # dropped before the next size's is built
+            circuit = build_circuit(generate_instance(plan.nq, cfg.seed), params)
         for _ in range(cfg.repeat):
-            _, record = run_circuit_sharded(
-                circuit, plan, cfg.precision, cfg.memory_budget
-            )
-            records.append(record)
+            records.append(run_circuit_sharded(circuit, plan, precision, cfg.memory_budget)[1])
     return records

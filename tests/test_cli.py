@@ -1210,7 +1210,7 @@ def test_noisy_simulate_peaks_within_its_count(tmp_path, capsys, n, ideal):
     assert run_cli("gen", "--n", n, "--out", inst, "--seed", 2) == 0
     argv = ("simulate", "--instance", inst, "--out", tmp_path / "r.json", "--mode", "noisy",
             "--epsilon", 0.05, "--trajectories", 2, "--shots", 10, "--seed", 3, *ideal)
-    # above the state and gate list checked before the circuit is built
+    # the state and the gate list alone, far below the run's whole need
     first = state_bytes(n, Precision.FP32) + _gate_list_bytes(sum(gate_counts(n, 3)))
     capsys.readouterr()
     assert run_cli(*argv, "--memory-bytes", first) == 3
@@ -1224,3 +1224,91 @@ def test_noisy_simulate_peaks_within_its_count(tmp_path, capsys, n, ideal):
     assert code == 0
     assert peak <= need
     assert run_cli(*argv, "--memory-bytes", need - 1) == 3
+
+
+NOISY = ("--mode", "noisy", "--epsilon", 0.05, "--trajectories", 20, "--shots", 10)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", 18, "--precision", "fp32"),
+        ("simulate", "--n", 18, "--precision", "fp64"),
+        ("simulate", "--n", 18, "--precision", "fp32", "--dump-state", "state.bin"),
+        ("simulate", "--n", 18, "--precision", "fp64", "--dump-state", "state.bin"),
+        ("simulate", "--n", 14, "--shards", 2),
+        ("simulate", "--n", 12, *NOISY, "--threads", 1),
+        ("simulate", "--n", 12, *NOISY, "--threads", 2),
+        ("simulate", "--n", 12, *NOISY, "--threads", 1, "--ideal-shots", 5000),
+        ("simulate", "--n", 12, *NOISY, "--threads", 2, "--ideal-shots", 5000),
+        ("bench", "--nq", 14, "--shards", "1,2"),
+        ("bench", "--mode", "size", "--nq-range", "4:12", "--nq-local", 4),
+    ],
+    ids=["fp32", "fp64", "dump-fp32", "dump-fp64", "shards", "noisy-t1", "noisy-t2",
+         "noisy-ideal-t1", "noisy-ideal-t2", "bench-strong", "bench-size"],
+)
+def test_one_refusal_names_the_whole_need(tmp_path, monkeypatch, capsys, argv):
+    # the first refusal names N; the run is refused at N - 1 with nothing
+    # written, and runs at N within it
+    monkeypatch.chdir(tmp_path)
+    command, _, n, *rest = argv
+    if command == "simulate":
+        assert run_cli("gen", "--n", n, "--out", "inst.json", "--seed", 2) == 0
+        argv = ("simulate", "--instance", "inst.json", "--out", "r.json", *rest)
+    else:
+        argv = (*argv, "--out", "b.csv")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run_cli(*argv, "--memory-bytes", 1) == 3
+    need = int(re.search(r"needs (\d+) bytes", capsys.readouterr().err).group(1))
+    assert run_cli(*argv, "--memory-bytes", need - 1) == 3
+    assert f"needs {need} bytes" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv, "--memory-bytes", need)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= need
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--instance", "inst.json", "--out", "r.json"),
+        ("simulate", "--instance", "inst.json", "--out", "r.json", "--shards", 2),
+        ("simulate", "--instance", "inst.json", "--out", "r.json", *NOISY),
+        ("bench", "--nq", 8, "--shards", "1,2", "--out", "b.csv"),
+        ("bench", "--mode", "size", "--nq-range", "4:8", "--nq-local", 4, "--out", "b.csv"),
+    ],
+    ids=["noiseless", "sharded", "noisy", "bench-strong", "bench-size"],
+)
+def test_over_the_budget_is_refused_before_the_build(tmp_path, monkeypatch, capsys, argv):
+    from lrqbench import cli, engine, noise, sharded
+
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen", "--n", 8, "--out", "inst.json") == 0
+    before = sorted(tmp_path.iterdir())
+
+    def built(*args, **kwargs):
+        raise AssertionError("built before the run was refused")
+
+    for module, name in [(cli, "build_circuit"), (sharded, "build_circuit"), (engine, "_layer_plan"),
+                         (noise, "_layer_plan"), (sharded, "_layer_plan")]:
+        monkeypatch.setattr(module, name, built)
+    capsys.readouterr()
+    assert run_cli(*argv, "--memory-bytes", 100_000) == 3
+    assert "capacity error" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_hqc_refuses_more_measured_qubits_than_the_circuit_has(tmp_path, capsys):
+    out = tmp_path / "hqc.json"
+    assert run_cli("hqc", "--n", 8, "--n-m", 100, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert "--n-m 100" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli("hqc", "--n", 8, "--n-m", 8, "--out", out) == 0

@@ -538,7 +538,10 @@ def test_state_bytes():
 
 def test_capacity_error_names_requirement():
     with pytest.raises(CapacityError, match=r"68719476736 bytes \(64\.0 GiB\)"):
-        check_memory(33, Precision.FP32)
+        check_memory(state_bytes(33, Precision.FP32))
+    # below a GiB the need shows in MiB, not as "0.0 GiB"
+    with pytest.raises(CapacityError, match=r"^a dense run needs 8596608 bytes \(8\.2 MiB\), budget is 1 bytes$"):
+        check_memory(8596608, 1, "a dense run")
 
 
 def test_run_budget_counts_the_shots_to_be_drawn():

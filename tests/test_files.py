@@ -2,6 +2,7 @@ import errno
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from lrqbench import files
@@ -16,6 +17,15 @@ def umasked_mode() -> int:
 
 def leftovers(directory) -> list:
     return sorted(p.name for p in directory.glob(".*.tmp"))
+
+
+def test_parts_are_written_in_order_as_their_bytes(tmp_path):
+    # a state dump's header and amplitudes, the array written as it is held
+    path = tmp_path / "out.bin"
+    amps = np.arange(5, dtype=np.complex128) * (1 - 2j)
+    write_output(path, "head", b"\x01", amps)
+    assert path.read_bytes() == b"head\x01" + amps.tobytes()
+    assert leftovers(tmp_path) == []
 
 
 def test_overwrite_makes_a_new_file(tmp_path):
