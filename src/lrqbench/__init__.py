@@ -20,6 +20,7 @@ from .engine import (
     StateVector,
     exact_expected_r,
     load_statevector,
+    read_out,
     run_circuit,
     sample,
     save_statevector,

@@ -52,6 +52,7 @@ from .engine import (
     check_memory,
     exact_expected_r,
     norm_tolerance,
+    read_out,
     run_circuit,
     sample,
     save_statevector,
@@ -315,14 +316,14 @@ def _cmd_simulate(args) -> int:
             outputs.extend(timing)
         else:
             sv = run_circuit(circuit, args.precision, args.memory_bytes, args.shots)
-        shots = sample(sv, args.shots, args.seed)
+        shots, exact_r, norm = read_out(sv, args.shots, args.seed, inst if solved else None)
         payload.update(
             {
                 "shards": args.shards,
                 "shots": args.shots,
                 "mean_r": approximation_ratio(inst, shots) if solved else None,
-                "exact_expected_r": exact_expected_r(sv, inst) if solved else None,
-                "norm_drift": abs(sv.norm_squared() - 1.0),
+                "exact_expected_r": exact_r,
+                "norm_drift": abs(norm - 1.0),
                 "norm_tolerance": sv.norm_tolerance(),
                 "bitstrings": shots.bitstrings(),
             }

@@ -70,14 +70,15 @@ slowest slab's span (with a cost layer's ``_CostPhase`` build), exchange
 the legs' slowest shares, and the amplitudes exchanged those the
 outward leg moves to another shard.
 
-The tail of a run streams over the final state: ``norm_squared``,
-``exact_expected_r`` and ``sample`` read |amplitude|^2 in float64 one
-2^16-amplitude chunk at a time (``_squared_chunks``), and the sampler
-keeps one running total per chunk, so the tail holds
-O(2^16 + 2^(n-16)) bytes besides the state and its results are those of
-the full probability vector, bit for bit.  The sampler,
-``_draw_streamed``, is the package's only one: the noisy engine draws
-every trajectory's shots through it too.
+The tail of a run reads the final state once (``read_out``): each
+2^16-amplitude chunk's |amplitude|^2 in float64 gives the squared norm,
+the exact ratio and the sampler's running totals, kept at the end of
+every piece of 2^k amplitudes, and a second pass rebuilds only the
+pieces the draws land in.  So the tail holds two chunks, 24 bytes a
+piece (at most 192 a draw) and O(2^(n-16)) besides the state, and its
+results are those of the full probability vector, bit for bit.  The
+sampler, ``_draw_streamed``, is the package's only one: the noisy engine
+draws every trajectory's shots through it too.
 
 Single precision (complex64) is the default and costs 2^(n+3) bytes;
 double costs 2^(n+4).  A run's whole need, ``_run_bytes``, depends on
@@ -165,12 +166,9 @@ class StateVector:
 
     def norm_squared(self) -> float:
         """Sum of |amplitude|^2 in double precision: numpy's pairwise sums
-        over fixed chunks (``_squared_chunks``), added in order, so no BLAS
-        thread count can change the bits."""
-        total = 0.0
-        for _, p in _squared_chunks(self.amps):
-            total += float(p.sum())
-        return total
+        over fixed chunks (``_read``), added in order, so no BLAS thread
+        count can change the bits."""
+        return _read(self.amps)[0]
 
     def norm_tolerance(self) -> float:
         """Allowed drift of the squared norm: ``norm_tolerance`` of the state."""
@@ -183,27 +181,23 @@ def norm_tolerance(num_qubits: int, precision: Precision) -> float:
     return 10.0 * (1 << num_qubits) * float(eps)
 
 
-def _squared_chunks(amps: np.ndarray, chunks=None):
-    """(lo, |amps[lo : lo + _REDUCTION_CHUNK]|^2) in double precision, for
-    the chunks numbered in ``chunks`` (all of them by default), in order.
+def _squared_chunks(amps: np.ndarray, buf: np.ndarray | None = None):
+    """(lo, |amps[lo : lo + _REDUCTION_CHUNK]|^2) for every chunk in order,
+    by ``_squares`` in row 0 of a two-row float64 buffer (``buf`` or a new
+    one) that the next chunk overwrites; row 1 is free once one is yielded."""
+    buf = np.empty((2, min(amps.size, _REDUCTION_CHUNK))) if buf is None else buf
+    for lo in range(0, amps.size, buf.shape[1]):
+        yield lo, _squares(amps[lo : lo + buf.shape[1]], *buf)
 
-    Every chunk is written into row 0 of one two-row float64 buffer: the
-    squared real parts, plus the squared imaginary parts held in row 1,
-    elementwise, so its bits do not depend on the chunking.  The view
-    yielded is overwritten by the next chunk; a caller may work on it in
-    place.  Scratch is the buffer, two chunks.
-    """
-    buf = np.empty((2, min(amps.size, _REDUCTION_CHUNK)))
-    if chunks is None:
-        chunks = range(-(-amps.size // _REDUCTION_CHUNK))
-    for j in chunks:
-        lo = int(j) * _REDUCTION_CHUNK
-        part = amps[lo : lo + _REDUCTION_CHUNK]
-        p, imag = buf[0, : part.size], buf[1, : part.size]
-        np.square(part.real, out=p, dtype=np.float64)
-        np.square(part.imag, out=imag, dtype=np.float64)
-        p += imag
-        yield lo, p
+
+def _squares(amps: np.ndarray, p: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """``p`` = |amps|^2 in double precision: the squared real parts plus the
+    squared imaginary parts, held in ``imag``, elementwise, so the bits do
+    not depend on the chunking."""
+    np.square(amps.real, out=p, dtype=np.float64)
+    np.square(amps.imag, out=imag, dtype=np.float64)
+    p += imag
+    return p
 
 
 def zero_state(
@@ -459,25 +453,37 @@ def _cost_layer_bytes(num_qubits: int, precision: Precision) -> tuple[int, int]:
     exponentials (2^s and 2^(b - s)), a broadcasting multiply's buffer of
     up to ``np.getbufsize()`` elements and the cut's Python objects; one
     ``_apply_cost_layer`` call's pieces, in double and the state's
-    precision, its block's table over 2^12 offsets, and for all 2^(n - b)
-    blocks (a run's slabs together) an index, high bits and (b + 1)
-    float64 of ``block_terms`` rows, twice for ``np.where``'s temporaries."""
+    precision, its block's table over 2^12 offsets, and the ``block_terms``
+    rows of all blocks (a run's slabs together, ``_terms_bytes``)."""
     b = min(_BLOCK_BITS, num_qubits)
     s = min(_PHASE_SPLIT_BITS, b)
     table, low, high = 1 << b, 1 << s, 1 << (b - s)
     build = 32 * (b - s) * low + 40 * low + 24 * high + 16 * min(np.getbufsize(), table) + 4096
     piece = min(table, 1 << _PHASE_PIECE_BITS)
     phase = 16 * table + 8 * num_qubits**2 + build
-    terms = (8 + num_qubits - b + 16 * (b + 1)) << (num_qubits - b)
-    return phase, piece * (16 + precision.bytes_per_amplitude + 16) + terms
+    return phase, piece * (16 + precision.bytes_per_amplitude + 16) + _terms_bytes(num_qubits)
+
+
+def _terms_bytes(num_qubits: int) -> int:
+    """Bytes of ``block_terms`` over all 2^(n - b) blocks: an index, high
+    bits and (b + 1) float64 a block, twice for ``np.where``'s temporaries."""
+    b = min(_BLOCK_BITS, num_qubits)
+    return (8 + num_qubits - b + 16 * (b + 1)) << (num_qubits - b)
+
+
+def _piece_bits(num_qubits: int, draws: int) -> int:
+    """k of the sampler's pieces of 2^k amplitudes: n - bit_length(4 draws),
+    4 to 8 pieces a draw, within [6, 15] (a piece fits half a chunk)."""
+    return min(15, max(6, num_qubits - (4 * draws).bit_length()))
 
 
 def _shot_bytes(num_qubits: int, shots: int) -> int:
     """Bytes ``shots`` draws hold at most: each its uint64 index, the codes
     of ``indices_to_bitstrings`` (n uint64, twice) and the bitstring as
     text (the result's ``str``, a JSON chunk, the joined text and its
-    bytes), together under 4 (64 + n) bytes.  The sampler's and the cut
-    evaluation's temporaries, under 100 bytes a draw, are gone by then."""
+    bytes), together under 4 (64 + n) bytes.  The sampler's temporaries
+    (38 bytes a draw traced at n = 12 to 20, besides the piece ends the
+    tail counts) and the cut evaluation's (57) are gone by then."""
     return shots * (8 + 16 * num_qubits + 4 * (64 + num_qubits))
 
 
@@ -506,26 +512,28 @@ def _scratch_bytes(
       unseen by tracemalloc: a fresh process's first complex64 and
       complex128 products grew its resident set by 0.45 and 0.32 MiB, at
       1 or 2 threads and any state size (OpenBLAS 0.3.31, 2-vCPU host).
-    - The tail: the reader's two float64 chunks (``_squared_chunks``),
-      the sampler's two running totals per chunk, the draws
-      (``_shot_bytes``), and the instance's ``CutDiagonal``
-      (``WmcInstance.cut``), its table and transient, with one chunk of
-      cut values.  Loading a solved instance builds that cut
-      (``load_instance`` checks the optimum against it), so it is alive
-      during every run as well.  Only the tail counts it; the executors
-      hold it within their slack: traced from the instance load through
-      the tail, for n = 14 to 20, p = 1 and 3, at either precision, the
-      peak above the state stayed below 0.92 of the larger bound.
+    - The tail: the reader's two float64 chunks (``_read``), which also
+      hold a chunk's cut values and pass 2's gathered pieces; for a state
+      of several chunks, 24 bytes a piece for the sampler's piece ends and
+      their temporaries; the draws (``_shot_bytes``); and the instance's
+      ``CutDiagonal`` (``WmcInstance.cut``), its table and transient, with
+      every block's ``block_terms`` rows (``_terms_bytes``).  Loading a
+      solved instance builds that cut (``load_instance`` checks the
+      optimum against it), so it is alive during every run as well.  Only
+      the tail counts it; the executors hold it within their slack: traced
+      from the instance load through the tail, for n = 14 to 20, p = 1 and
+      3, at either precision, the peak above the state stayed below 0.92
+      of the larger bound.
     """
     block = min(1 << num_qubits, 1 << _GATE_BLOCK_BITS)
     table = 1 << min(_BLOCK_BITS, num_qubits)
     chunk = min(1 << num_qubits, _REDUCTION_CHUNK)
-    chunks = -(-(1 << num_qubits) // _REDUCTION_CHUNK)
+    ends = 24 << (num_qubits - _piece_bits(num_qubits, shots)) if num_qubits > _BLOCK_BITS else 0
     buffers = 3 * 16 * np.getbufsize()
     gate_run = 2 * block * precision.bytes_per_amplitude + buffers
     phase, pieces = _cost_layer_bytes(num_qubits, precision)
     executor = max(_group_bytes(num_qubits, precision) + workers * gate_run, phase + workers * (pieces + buffers))
-    tail = 2 * 8 * chunk + 2 * 8 * chunks + 3 * 8 * table + 8 * chunk + buffers
+    tail = 2 * 8 * chunk + ends + _terms_bytes(num_qubits) + 3 * 8 * table + buffers
     return executor, tail + _shot_bytes(num_qubits, shots)
 
 
@@ -693,39 +701,26 @@ def run_circuit(
 # observables and sampling
 
 
-def _expected_r(chunks, inst: WmcInstance) -> float:
-    """Expected approximation ratio from (lo, probabilities of the indices
-    lo, lo + 1, ...) chunks: an elementwise product with the cut values and
-    numpy's pairwise sum per chunk, not a BLAS dot, added in order."""
-    opt = _require_optimal(inst)
-    total = 0.0
-    for lo, p in chunks:
-        weighted = inst.cut.block(lo >> _BLOCK_BITS)
-        weighted *= p
-        total += float(weighted.sum())
-        del weighted  # dropped before the next chunk's values are formed
-    return total / opt.value
-
-
 def expected_r_from_probs(probs: np.ndarray, inst: WmcInstance) -> float:
-    """Expected approximation ratio of an explicit basis-state distribution."""
+    """Expected approximation ratio of an explicit basis-state distribution:
+    per block of cut values, an elementwise product and numpy's pairwise
+    sum, not a BLAS dot, added in order."""
     if probs.size != 1 << inst.num_vertices:
         raise ValidationError(
             f"distribution over {probs.size} states does not match n={inst.num_vertices}"
         )
-    step = _REDUCTION_CHUNK
-    return _expected_r(((lo, probs[lo : lo + step]) for lo in range(0, probs.size, step)), inst)
+    opt, total, step = _require_optimal(inst), 0.0, _REDUCTION_CHUNK
+    for lo, weighted in zip(range(0, probs.size, step), inst.cut.blocks(range(-(-probs.size // step)))):
+        weighted *= probs[lo : lo + step]
+        total += float(weighted.sum())
+    return total / opt.value
 
 
 def exact_expected_r(sv: StateVector, inst: WmcInstance) -> float:
     """Expected approximation ratio of the full distribution, no sampling:
     ``expected_r_from_probs`` of |amplitude|^2 bit for bit, read chunk by
-    chunk off the state."""
-    if inst.num_vertices != sv.num_qubits:
-        raise ValidationError(
-            f"instance has {inst.num_vertices} vertices, state has {sv.num_qubits} qubits"
-        )
-    return _expected_r(_squared_chunks(sv.amps), inst)
+    chunk off the state (``read_out``)."""
+    return read_out(sv, inst=inst)[1]
 
 
 @dataclass(eq=False)
@@ -748,73 +743,98 @@ class ShotSet:
         return indices_to_bitstrings(self.indices, self.num_qubits)
 
 
-def _draw_streamed(amps: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse-CDF draws over |amps|^2: the basis index each uniform of
-    ``u`` in [0, 1) draws, in an array of ``u``'s shape (a row of uniforms
-    per trajectory), and the state's squared norm, with no full-length
-    vector.
+def _read(amps: np.ndarray, u: np.ndarray | None = None, cut=None, norm: bool = True):
+    """One read of |amps|^2 (``_squared_chunks``): (the squared norm, as
+    numpy's pairwise sum per chunk added in order, or 0.0 without ``norm``;
+    sum |amps|^2 C(z) over the cut's values by the same sums, or 0.0; the
+    index each uniform of ``u`` draws, in u's shape, or None; the last
+    value of the full ``np.cumsum`` of |amps|^2, or None).
 
-    Each u gets the first index where the full ``np.cumsum`` of |amps|^2,
-    divided by its last value (the norm, in double precision, so
-    single-precision drift does not bias the draw), exceeds u; the last
-    value divided by itself is 1, so there is one.  ``np.cumsum`` adds in
-    order, so chunk j's slice of the full cumsum is the cumsum of its
-    probabilities with the running total up to the chunk added into its
-    first one.  Pass 1 keeps only each chunk's last value, the running
-    totals, whose last is the norm; divided by it they are the normalized
-    CDF at the chunks' ends.  A uniform goes to the first chunk whose end
-    exceeds it, and pass 2 searches it inside that chunk's slice: the last
-    chunk's is still in pass 1's buffer, and every other chunk hit is
-    rebuilt.  The running totals are formed once however many trajectories
-    share the state, and a state of one chunk is read once, with no
-    search over chunk ends.
-    """
-    totals = np.empty(-(-amps.size // _REDUCTION_CHUNK))
-    carry = 0.0
-    for j, (lo, p) in enumerate(_squared_chunks(amps)):
-        p[0] += carry
-        carry = totals[j] = np.cumsum(p, out=p)[-1]
-    total = float(carry)
-    if total <= 0.0:
+    A uniform draws the first index where that cumsum over its last value
+    exceeds it.  ``np.cumsum`` adds in order, so pass 1 forms each chunk's
+    slice of it in place from the last chunk's end, keeping its value at
+    the end of every piece of 2^k amplitudes (``_piece_bits``).  Pass 2
+    gathers the pieces hit into row 1, ascending, in batches, and forms
+    their cumsums in row 0, each from the previous piece's end: the full
+    cumsum's additions.  A state of one chunk is searched in pass 1."""
+    buf = np.empty((2, min(amps.size, _REDUCTION_CHUNK)))
+    values = None if cut is None else cut.blocks(range(amps.size // buf.shape[1]), buf[1])
+    flat = None if u is None else u.reshape(-1)
+    if many := flat is not None and amps.size > buf.shape[1]:
+        k = _piece_bits(amps.size.bit_length() - 1, flat.size)
+        ends = np.empty(amps.size >> k)
+    total = weighted = carry = 0.0
+    for lo, p in _squared_chunks(amps, buf):
+        if norm:
+            total += float(p.sum())
+        if values is not None:
+            w = next(values)  # row 1, free once the squares are added
+            w *= p
+            weighted += float(w.sum())
+        if flat is not None:
+            p[0] += carry
+            carry = np.cumsum(p, out=p)[-1]
+            if many:
+                ends[lo >> k : (lo + p.size) >> k] = p[(1 << k) - 1 :: 1 << k]
+    if flat is None:
+        return total, weighted, None, None
+    end = float(carry)
+    if end <= 0.0:
         raise ValidationError("statevector has zero norm, nothing to sample")
-    flat = u.reshape(-1)
-    last = totals.size - 1
-    hit, which = [last], None
-    if last:
-        # the last end is total / total = 1, beyond every u, so it needs no search
-        which = np.searchsorted(totals[:last] / total, flat, side="right")
-        hit = np.flatnonzero(np.bincount(which, minlength=totals.size)).tolist()
-    one = len(hit) == 1  # every uniform falls in one chunk
-    idx = np.empty(flat.size, np.uint64)
+    if not many:
+        p /= end
+        return total, weighted, np.searchsorted(p, u, side="right").astype(np.uint64), end
+    which = np.searchsorted(ends[:-1] / end, flat, side="right")  # the last end is 1
+    hit = np.flatnonzero(np.bincount(which, minlength=ends.size))
+    half = buf.shape[1] >> 1  # a batch's amplitudes fill row 1, its squares row 0
+    start, batch = np.where(hit > 0, ends[hit - 1], 0.0), np.searchsorted(hit, which) // (half >> k)
+    rows, idx = amps.reshape(-1, 1 << k), np.empty(flat.size, np.uint64)
+    for b, s in enumerate(range(0, hit.size, half >> k)):
+        pieces = hit[s : s + (half >> k)]
+        got = buf[1].view(amps.dtype)[: pieces.size << k]
+        np.take(rows, pieces, axis=0, out=got.reshape(-1, 1 << k), mode="clip")
+        cdf = _squares(got, buf[0, : got.size], buf[0, half : half + got.size]).reshape(-1, 1 << k)
+        cdf[:, 0] += start[s : s + pieces.size]
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= end
+        mine = batch == b
+        at = np.searchsorted(cdf.reshape(-1), flat[mine], side="right")
+        idx[mine] = (pieces[at >> k] << k) + (at & ((1 << k) - 1))
+    return total, weighted, idx.reshape(u.shape), end
 
-    def search(lo: int, p: np.ndarray) -> None:
-        """The uniforms of the chunk at ``lo`` in its slice of the normalized CDF."""
-        p /= total
-        shots = slice(None) if one else which == lo // _REDUCTION_CHUNK
-        idx[shots] = lo + np.searchsorted(p, flat[shots], side="right")
 
-    if hit[-1] == last:
-        search(lo, p)
-        hit.pop()
-    del p  # pass 1's buffer goes before pass 2's is allocated
-    if hit:
-        for lo, p in _squared_chunks(amps, hit):
-            if lo:
-                p[0] += totals[lo // _REDUCTION_CHUNK - 1]
-            np.cumsum(p, out=p)
-            search(lo, p)
-    return idx.reshape(u.shape), total
+def _draw_streamed(amps: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_read`` without a cut or a norm: the index each uniform of ``u``
+    draws, in u's shape (a row per trajectory sharing the state, whose
+    pieces are formed once), and the cumsum's last value, its norm."""
+    _, _, idx, end = _read(amps, u, norm=False)
+    return idx, end
+
+
+def read_out(
+    sv: StateVector, n_shots: int = 0, rng_seed: int = 0, inst: WmcInstance | None = None
+) -> tuple[ShotSet | None, float | None, float]:
+    """(``sample``'s shots, None for none; ``exact_expected_r``, None
+    without an instance; ``norm_squared``) of the state, bit for bit, from
+    one read (``_read``)."""
+    if n_shots < 0:
+        raise ValidationError(f"shot count must not be negative, got {n_shots}")
+    if inst is not None and inst.num_vertices != sv.num_qubits:
+        raise ValidationError(f"instance has {inst.num_vertices} vertices, state has {sv.num_qubits} qubits")
+    opt = None if inst is None else _require_optimal(inst).value
+    u = derive_rng(rng_seed, "shots", 0).random((1, n_shots)) if n_shots else None
+    norm, weighted, idx, _ = _read(sv.amps, u, None if inst is None else inst.cut)
+    shots = None if u is None else ShotSet(sv.num_qubits, idx[0], int(rng_seed), "noiseless")
+    return shots, None if opt is None else weighted / opt, norm
 
 
 def sample(sv: StateVector, n_shots: int, rng_seed: int) -> ShotSet:
-    """Draw basis states by inverse-CDF over |amplitude|^2 (``_draw_streamed``,
-    on the stream ("shots", 0) derived from ``rng_seed``): same seed, same
-    shots, and no vector of the state's length is formed.
-    """
+    """Draw basis states by inverse-CDF over |amplitude|^2 (``_read``, on
+    the stream ("shots", 0) derived from ``rng_seed``): same seed, same
+    shots, and no vector of the state's length is formed."""
     if n_shots < 1:
         raise ValidationError(f"shot count must be positive, got {n_shots}")
-    (idx,), _ = _draw_streamed(sv.amps, derive_rng(rng_seed, "shots", 0).random((1, n_shots)))
-    return ShotSet(sv.num_qubits, idx, int(rng_seed), "noiseless")
+    return read_out(sv, n_shots, rng_seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -197,13 +197,13 @@ def cut_value(inst: WmcInstance, x: int | str | Sequence[int]) -> float:
 
 
 def doubling(
-    start: float | complex, steps: np.ndarray, op: np.ufunc = np.add, dtype=np.float64
+    start: float | complex, steps: np.ndarray, op: np.ufunc = np.add, dtype=np.float64, out=None
 ) -> np.ndarray:
     """v[l] = start op steps[i] over the set bits i of l, applied in
     increasing bit order, for l in [0, 2^len(steps)): sums by default,
     products with ``op=np.multiply``.  Steps with trailing axes give one
-    table per column, v[l] of their shape."""
-    v = np.empty((1 << len(steps),) + np.shape(steps)[1:], dtype)
+    table per column, v[l] of their shape.  Written into ``out`` if given."""
+    v = np.empty((1 << len(steps),) + np.shape(steps)[1:], dtype) if out is None else out
     v[0] = start
     for i, step in enumerate(steps):
         op(v[: 1 << i], step, out=v[1 << i : 2 << i])
@@ -212,7 +212,8 @@ def doubling(
 
 class CutDiagonal:
     """Cut values C(z) = sum of w_ij over edges with z_i != z_j, a whole
-    block at a time (``block``) or at any indices (``at``).
+    block at a time (``block``, or ``blocks`` for many from one
+    ``block_terms`` call) or at any indices (``at``).
 
     An index z splits into a block h = z >> b and an offset l < 2^b, with
     b = min(16, n).  Edges among the low b vertices give a table Q(l),
@@ -289,10 +290,17 @@ class CutDiagonal:
         n, b = self.num_vertices, self.block_bits
         if not 0 <= h < 1 << (n - b):
             raise ValidationError(f"block {h} outside [0, 2^{n - b})")
-        const, linear = self.block_terms([h])
-        v = doubling(const[0], linear[0])
-        v += self.offset_cut
-        return v
+        return next(self.blocks([h]))
+
+    def blocks(self, hs, out: np.ndarray | None = None):
+        """Cut values of each block of ``hs`` in turn, with ``block``'s bits,
+        from one ``block_terms`` call: a new array per block, or ``out``
+        (2^b float64) overwritten by each."""
+        const, linear = self.block_terms(hs)
+        for c, a in zip(const, linear):
+            v = doubling(c, a, out=out)
+            v += self.offset_cut
+            yield v
 
     def at(self, indices) -> np.ndarray:
         """Cut values of arbitrary indices in [0, 2^n), each with the bits
@@ -335,8 +343,9 @@ def optimal_cut_bruteforce(
     best_val, best_z = -math.inf, 0
     # blocks ascend and argmax takes the first maximum, so a strict
     # improvement keeps a tie at the lowest index
-    for h in range(max(1, half >> b)):  # at n <= 16, the front of block 0
-        vals = inst.cut.block(h)[:half]
+    blocks = inst.cut.blocks(range(max(1, half >> b)), np.empty(1 << b))  # at n <= 16, block 0
+    for h, vals in enumerate(blocks):
+        vals = vals[:half]
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_z = float(vals[k]), (h << b) + k

@@ -134,6 +134,15 @@ TIMING_CSV_FIELDS = (
 )
 
 
+def _timing_bytes(rows: int) -> int:
+    """Bytes ``rows`` timing rows hold until their CSV is written: each
+    row's ``GateTiming`` and list slot, its share of its ``TimingRecord``,
+    and its CSV text in a ``StringIO``, the value taken from it and that
+    encoded: 400 a row, above the 240 to 300 traced for ``bench`` runs of
+    2 to 12 qubits at p = 1 and 3 (CPython 3.11)."""
+    return 400 * rows
+
+
 def write_timing_csv(records: Iterable[TimingRecord], fh: IO[str]) -> None:
     writer = csv.writer(fh)
     writer.writerow(TIMING_CSV_FIELDS)
@@ -230,8 +239,9 @@ class SweepConfig:
 
 def scaling_sweep(cfg: SweepConfig) -> list[TimingRecord]:
     """Every run's timing records, in order, once the largest run's
-    ``engine._run_bytes`` fits the budget; each size's circuit is built
-    when its first run is due and dropped before the next size's."""
+    ``engine._run_bytes`` and every run's timing rows (``_timing_bytes``)
+    fit the budget; each size's circuit is built when its first run is due
+    and dropped before the next size's."""
     params = LrQaoaParams(p=cfg.p, delta_beta=cfg.delta_beta, delta_gamma=cfg.delta_gamma)
     precision = Precision.coerce(cfg.precision)
     if cfg.mode == "strong":
@@ -240,7 +250,9 @@ def scaling_sweep(cfg: SweepConfig) -> list[TimingRecord]:
         raise ValidationError(f"nq={min(cfg.nq_values)} below nq_local={cfg.nq_local}")
     else:
         plans = [plan_shards(nq, cfg.nq_local) for nq in cfg.nq_values]
-    need, nq = max((_run_bytes(_Counts.lrqaoa(q.nq, cfg.p), precision, _workers(q)), q.nq) for q in plans)
+    counts = {q.nq: _Counts.lrqaoa(q.nq, cfg.p) for q in plans}
+    need, nq = max((_run_bytes(counts[q.nq], precision, _workers(q)), q.nq) for q in plans)
+    need += _timing_bytes(cfg.repeat * sum(counts[q.nq].gates for q in plans))
     check_memory(need, cfg.memory_budget, f"bench --mode {cfg.mode} of up to {nq} qubits at {precision.value}")
     records, circuit = [], None
     for plan in plans:

@@ -105,12 +105,17 @@ def probabilities(amps: np.ndarray) -> np.ndarray:
 
 
 def inverse_cdf_shots(probs: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
+    """``inverse_cdf`` of ``n_shots`` uniforms drawn from ``rng``."""
+    return inverse_cdf(probs, rng.random(n_shots))
+
+
+def inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw over a whole unnormalized probability vector: per
     uniform u, the first index where the normalized cumulative sum exceeds
     u (clamped to the last index)."""
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    idx = np.searchsorted(cdf, rng.random(n_shots), side="right")
+    idx = np.searchsorted(cdf, u, side="right")
     return np.minimum(idx, cdf.size - 1).astype(np.uint64)
 
 

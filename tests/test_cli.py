@@ -1243,9 +1243,10 @@ NOISY = ("--mode", "noisy", "--epsilon", 0.05, "--trajectories", 20, "--shots", 
         ("simulate", "--n", 12, *NOISY, "--threads", 2, "--ideal-shots", 5000),
         ("bench", "--nq", 14, "--shards", "1,2"),
         ("bench", "--mode", "size", "--nq-range", "4:12", "--nq-local", 4),
+        ("bench", "--nq", 6, "--shards", "1", "--p", 1, "--repeat", 1000),
     ],
     ids=["fp32", "fp64", "dump-fp32", "dump-fp64", "shards", "noisy-t1", "noisy-t2",
-         "noisy-ideal-t1", "noisy-ideal-t2", "bench-strong", "bench-size"],
+         "noisy-ideal-t1", "noisy-ideal-t2", "bench-strong", "bench-size", "bench-rows"],
 )
 def test_one_refusal_names_the_whole_need(tmp_path, monkeypatch, capsys, argv):
     # the first refusal names N; the run is refused at N - 1 with nothing
@@ -1272,6 +1273,22 @@ def test_one_refusal_names_the_whole_need(tmp_path, monkeypatch, capsys, argv):
         tracemalloc.stop()
     assert code == 0
     assert peak <= need
+
+
+def test_bench_need_counts_the_timing_rows_of_every_run(tmp_path, capsys):
+    # each of the 999 more runs of both plans keeps a row per gate until the
+    # CSV is written; one run, the default, fits the default budget
+    from lrqbench.circuit import gate_counts
+    from lrqbench.sharded import _timing_bytes
+
+    argv = ("bench", "--nq", 6, "--shards", "1,2", "--out", tmp_path / "b.csv")
+    needs = []
+    for repeat in (1, 1000):
+        capsys.readouterr()
+        assert run_cli(*argv, "--repeat", repeat, "--memory-bytes", 1) == 3
+        needs.append(int(re.search(r"needs (\d+) bytes", capsys.readouterr().err).group(1)))
+    assert needs[1] - needs[0] == _timing_bytes(999 * 2 * sum(gate_counts(6, 3)))
+    assert run_cli(*argv) == 0
 
 
 @pytest.mark.parametrize(

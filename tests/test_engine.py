@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -466,6 +467,60 @@ def test_streamed_expected_r_and_norm_match_full_vector(precision, n):
     assert exact_expected_r(sv, inst) == expected_r_from_probs(probs, inst)
     want = sum(float(probs[lo : lo + (1 << 16)].sum()) for lo in range(0, probs.size, 1 << 16))
     assert sv.norm_squared() == want
+
+
+@functools.lru_cache(maxsize=None)
+def random_state_once(n: int) -> np.ndarray:
+    state = random_state(n, 90 + n)
+    state.flags.writeable = False
+    return state
+
+
+def piece_cases(n: int, draws: int) -> dict:
+    """States around the sampler's pieces of 2^k amplitudes for ``draws``."""
+    piece = 1 << engine._piece_bits(n, draws)
+    dense = random_state_once(n)
+    hollow = dense.copy()  # every other piece without mass
+    hollow.reshape(-1, piece)[::2] = 0.0
+    seam = np.zeros(1 << n, complex)  # mass on both sides of two piece edges
+    seam[[piece - 1, piece, -piece - 1, -piece]] = 0.3, 0.5j, 0.4, 0.7j
+    return {"dense": dense, "hollow": hollow, "seam": seam}
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", [16, 17, 20])
+@pytest.mark.parametrize("case", ["dense", "hollow", "seam"])
+@pytest.mark.parametrize("draws", [1, 100, 3000, 10**5])
+def test_draws_by_pieces_match_the_full_cdf(precision, n, case, draws):
+    # 1 and 10^5 draws take k at its ceiling and its floor; some uniforms
+    # equal a piece's normalized end exactly, and one is 0
+    amps = piece_cases(n, draws)[case].astype(Precision.coerce(precision).dtype)
+    probs = oracles.probabilities(amps)
+    cdf = np.cumsum(probs)
+    piece = 1 << engine._piece_bits(n, draws)
+    u = np.random.default_rng(draws + n).random(draws)
+    special = np.concatenate(((cdf / cdf[-1])[piece - 1 :: piece][:-1], [0.0]))[:draws]
+    u[: special.size] = special
+    got, total = engine._draw_streamed(amps, u)
+    assert got.dtype == np.uint64 and got.shape == u.shape
+    np.testing.assert_array_equal(got, oracles.inverse_cdf(probs, u))
+    assert total == cdf[-1]
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", [16, 17, 20])
+def test_read_out_is_sample_exact_ratio_and_norm_bit_for_bit(precision, n):
+    inst = solve_instance(generate_instance(n, 9))
+    sv = StateVector(n, random_state_once(n).astype(Precision.coerce(precision).dtype))
+    probs = oracles.probabilities(sv.amps)
+    shots, ratio, norm = engine.read_out(sv, 2000, 4, inst)
+    assert shots.indices.tobytes() == sample(sv, 2000, 4).indices.tobytes()
+    assert ratio.hex() == exact_expected_r(sv, inst).hex() == expected_r_from_probs(probs, inst).hex()
+    want = sum(float(probs[lo : lo + (1 << 16)].sum()) for lo in range(0, probs.size, 1 << 16))
+    assert norm.hex() == sv.norm_squared().hex() == want.hex()
+    shots, ratio, norm = engine.read_out(sv, 20, 4)  # no instance, no ratio
+    assert ratio is None and norm.hex() == want.hex()
+    assert shots.indices.tobytes() == sample(sv, 20, 4).indices.tobytes()
 
 
 def traced_peak(fn) -> int:

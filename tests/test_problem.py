@@ -191,6 +191,22 @@ def test_block_matches_the_scalar_referee_and_lookups(n):
                 cut.block(h)
 
 
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_blocks_are_block_bit_for_bit_from_one_block_terms_call(n, monkeypatch):
+    # every block, as new arrays and through one buffer, and blocks repeated
+    # out of order
+    for cut in cuts_with_blocks(n):
+        hs = range(1 << (n - cut.block_bits))
+        want = [cut.block(h).tobytes() for h in hs]
+        calls, terms = [], cut.block_terms
+        monkeypatch.setattr(cut, "block_terms", lambda blocks: calls.append(len(blocks)) or terms(blocks))
+        assert [v.tobytes() for v in cut.blocks(hs)] == want
+        out = np.empty(1 << cut.block_bits)
+        assert [v.tobytes() for v in cut.blocks(hs, out) if v is out] == want
+        assert [v.tobytes() for v in cut.blocks([hs[-1], 0, hs[-1]])] == [want[-1], want[0], want[-1]]
+        assert calls == [len(hs), len(hs), 3]
+
+
 @pytest.mark.parametrize("n", [17, 24, 30, 40, 64])
 def test_block_terms_match_the_scalar_referee(n):
     # the batched rows, lookups and range scans against one block at a time
