@@ -118,15 +118,15 @@ def _sha256(path: Path) -> str:
 
 @functools.cache
 def _blas_fingerprint() -> str:
-    """The first 16 hex digits of the SHA-256 of one product call of the
-    engine's shape, a 16 x 16 by 16 x 64 product in complex64 and again
-    in complex128, on fixed inputs that round: hosts whose BLAS gives these
-    bytes give a run's states the same bits."""
-    values = [(k * 0.6180339887498949) % 1.0 - 0.5 for k in range(2 * 16 * 80)]
-    data = np.array(values).view(np.complex128)
+    """The first 16 hex digits of the SHA-256 of the product calls a run
+    makes, an 8 x 16 by 16 x 128 real product in float32 and again in
+    float64 (half a group matrix on a state's float view), on fixed
+    inputs that round: hosts whose BLAS gives these bytes give a run's
+    states the same bits."""
+    values = np.array([(k * 0.6180339887498949) % 1.0 - 0.5 for k in range(16 * 136)])
     digest = hashlib.sha256()
-    for dtype in (np.complex64, np.complex128):
-        a, b = data[:256].astype(dtype).reshape(16, 16), data[256:].astype(dtype).reshape(16, 64)
+    for dtype in (np.float32, np.float64):
+        a, b = values[:128].astype(dtype).reshape(8, 16), values[128:].astype(dtype).reshape(16, 128)
         digest.update(np.matmul(a, b).tobytes())
     return digest.hexdigest()[:16]
 
@@ -394,7 +394,7 @@ def _cmd_classify(args) -> int:
         )
     # refused before the pool or the means are allocated
     need = _resample_bytes(inst.num_vertices, args.random_pool_size, args.repeats, args.kde_out is not None)
-    check_memory(need, None, f"classify of a {args.random_pool_size}-shot pool and {args.repeats} repeats")
+    check_memory(need, args.memory_bytes, f"classify of a {args.random_pool_size}-shot pool and {args.repeats} repeats")
     qpu_r = shot_ratios(inst, bitstrings)
     random_pool = shot_ratios(
         inst, uniform_sampler(inst, args.random_pool_size, args.seed)
@@ -720,6 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the density of random-baseline subsample means as CSV",
     )
+    p_cls.add_argument("--memory-bytes", type=_positive, default=None, help="memory budget, bytes")
     _add_seed(p_cls)
     p_cls.set_defaults(func=_cmd_classify)
 

@@ -5,16 +5,27 @@ bit position k.  Each run of H/RX gates goes through one executor,
 ``_apply_gate_run``, as products over the qubit groups [4k, 4k + 4) and a
 last one of the n mod 4 left (Haener and Steiger, arXiv:1704.01127), each
 group's 2^w x 2^w matrix the Kronecker product of its qubits' gates.
-Every ``np.matmul`` call writes a 2^w x W output, W = min(64, 2^(n - w)),
-whatever slab, row or block it reads: OpenBLAS sets an output's bits by
-its kernel and that shape alone, not by B's row stride, transposition,
+
+A run runs in the frame S-dagger^x of its RX qubits x (``_framed``),
+where RX is the real rotation [[c, s], [-s, c]] (S-dagger X S = -Y) and
+H is real: every group matrix of a ``build_circuit`` circuit is real and
+multiplies the float view, and a group with a qubit carrying both H and
+RX stays complex.  The plan changes frames, exactly, where runs differ
+and after the last (``_change_frame``); cost layers are diagonal and run
+in any frame.
+
+Every ``np.matmul`` call writes the outputs of min(2^w, 8) rows by W
+amplitudes, W = min(64, 2^(n - w)) (2W floats of the float view for a
+real matrix), whatever slab, row or block it reads: OpenBLAS sets an
+output's bits by its kernel and that shape alone, not by B's row stride,
 place in a stacked call or column.  Other shapes round differently
 (widths not a multiple of 8 in fp32 or 4 in fp64, one column, the row
-form B.T @ M.T), and under the Haswell and Zen kernels two threads split
-outputs of 256 columns or more.  At W = 64 every call is one thread's
-and a group pass costs about what wide calls do (1.04 against 0.98 ms
-over 2^20 fp32 amplitudes at W = 4096), so the bits are the kernel's at
-any thread count, slab, row or shard.
+form B.T @ M.T), the float32 kernels of Haswell and Zen give the columns
+of a 16-row output bits that depend on their place (OpenBLAS 0.3.31), so
+a group of 4 qubits takes two calls of 8 rows, and under those kernels
+two threads split outputs of 256 columns or more.  At W = 64 every call
+is one thread's, so the bits are the kernel's at any thread count, slab,
+row or shard.
 
 A cost layer (a run of RZZ gates, see ``CircuitIR.layers``) is
 diagonal, so it runs as one elementwise phase multiply by
@@ -54,21 +65,23 @@ a cost layer, a gate run's groups below ``nq_local``, or one group
 once per slab, one of ``workers`` contiguous ranges, each whole shards
 (a gate run takes fewer, so a slab holds one call's columns); a cost
 layer multiplies each slab's range, from its offset, by one read-only
-``_CostPhase``.  Both executors give an index the same bits whatever
-range computes it.  The outward leg (``_swap_fields``) maps the group's
-qubits in order onto those local bits and the bits it displaces onto the
-group's places, moving runs of 2^(nq_local - w) amplitudes and
-(1 - 2^-j) of the state to another shard; the restore leg undoes it.  A
-leg is one task per worker, over a strided share of pieces copied
-through one buffer of at most 2^14 amplitudes.  With several workers a
-step maps its tasks on a thread pool, the map returning being the
-barrier; with one, they run on the calling thread.  Tasks of a step
-touch disjoint amplitudes and never wait on each other, so results
-cannot depend on scheduling; an exception in any aborts the run
-(``AbortedRunError``).  The loop times every step: compute is the
-slowest slab's span (with a cost layer's ``_CostPhase`` build), exchange
-the legs' slowest shares, and the amplitudes exchanged those the
-outward leg moves to another shard.
+``_CostPhase``, and a change of frame each slab's by its global indices,
+before a run's outward leg or after its restore leg.  The executors give
+an index the same bits whatever range computes it.  The outward leg
+(``_swap_fields``) maps the group's qubits in order onto those local bits
+and the bits it displaces onto the group's places, moving runs of
+2^(nq_local - w) amplitudes and (1 - 2^-j) of the state to another
+shard; the restore leg undoes it.  A leg is one task per worker, over a
+strided share of pieces copied through one buffer of at most 2^14
+amplitudes.  With several workers a step maps its tasks on a thread
+pool, the map returning being the barrier; with one, they run on the
+calling thread.  Tasks of a step touch disjoint amplitudes and never
+wait on each other, so results cannot depend on scheduling; an exception
+in any aborts the run (``AbortedRunError``).  The loop times every step:
+compute is the slowest slab's span (with a cost layer's ``_CostPhase``
+build and a gate run's changes of frame), exchange the legs' slowest
+shares, and the amplitudes exchanged those the outward leg moves to
+another shard.
 
 The tail of a run reads the final state once (``read_out``): each
 2^16-amplitude chunk's |amplitude|^2 in float64 gives the squared norm,
@@ -97,7 +110,7 @@ import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -219,9 +232,15 @@ def zero_state(
 # one-qubit gates as group products
 
 _GROUP_BITS = 4  # qubits [4k, 4k + 4) form group k
-_CALL_COLUMNS = 64  # a product call writes 2^w x min(64, 2^(n - w)) outputs
+_CALL_COLUMNS = 64  # a product call writes min(2^w, 8) x min(64, 2^(n - w)) outputs
+_CALL_ROWS = 8
 _ROTATION_BITS = 12  # groups in the low 12 bits run as rotations of blocks
-_GATE_BLOCK_BITS = 15  # the executor's scratch chunks hold 2^15 amplitudes
+_GATE_BLOCK_BITS = 15  # the executor's scratch chunk holds 2^15 amplitudes
+# A cost layer's phases and a change of frame's units are formed over pieces
+# of at most 2^_PHASE_PIECE_BITS amplitudes; a block's doubling tables split
+# its offsets at the same bit, so a piece reads one entry of the high table.
+_PHASE_PIECE_BITS = 12
+_PHASE_SPLIT_BITS = 8  # exp(i Q) is built from tables over l's low 8 bits and the rest
 
 
 def _groups(num_qubits: int) -> list[tuple[int, int]]:
@@ -239,14 +258,56 @@ def _gate_matrix(gate: GateOp) -> np.ndarray:
     return np.array([[c, s], [s, c]], np.complex128)
 
 
+_UNITS = np.array([1, 1j, -1, -1j])  # i^e; a product by one is exact
+
+
+def _framed(m: np.ndarray) -> tuple[int, np.ndarray]:
+    """(f, r): a group matrix in the S-dagger frame on the group's bits f
+    (bit t where entry (2^t, 0) is imaginary), r = m times i^(|k & f| -
+    |j & f|) at (j, k), exact, in m's real type; (0, m) if r is complex."""
+    f = sum(1 << t for t in range(len(m).bit_length() - 1) if m[1 << t, 0].imag != 0)
+    e = np.bitwise_count(np.arange(len(m)) & f)
+    r = m * _UNITS.astype(m.dtype).take((e[None, :] - e[:, None]) & 3)  # uint8 wraps by 256, 0 mod 4
+    return (0, m) if r.imag.any() else (f, r.real.copy())
+
+
+def _change_frame(amps: np.ndarray, old: int, new: int, offset: int = 0, fill=None) -> None:
+    """Move the indices [offset, offset + amps.size), or a flat batch of
+    states from 0, from the S-dagger frame on qubits ``old`` to ``new``'s:
+    index z times i^(|z & old| - |z & new|), exactly (with ``fill``, that
+    times ``fill`` written), a piece of 2^min(12, the size's power of two)
+    at a time, from a table over its offsets and the unit of its start."""
+    leave, enter = old & ~new, new & ~old
+    if not leave | enter and fill is None:
+        return
+    k = min(_PHASE_PIECE_BITS, (amps.size & -amps.size).bit_length() - 1)
+    l, units = np.arange(1 << k), _UNITS.astype(amps.dtype)
+    tables = units[:, None] * units.take((np.bitwise_count(l & leave) + 3 * np.bitwise_count(l & enter)) & 3)
+    for z in range(offset, offset + amps.size, 1 << k):
+        piece = amps[z - offset : z - offset + (1 << k)]
+        e = ((z & leave).bit_count() + 3 * (z & enter).bit_count()) & 3
+        np.multiply(tables[e], piece if fill is None else fill, out=piece)
+
+
 @dataclass(frozen=True, eq=False)
 class _GateRun:
     """A run of H/RX gates as group products: the circuit's qubit count,
-    which fixes every call's columns, and the lowest bit and the 2^w x 2^w
-    matrix of each group applied, ascending."""
+    which fixes every call's columns, the lowest bit and the 2^w x 2^w
+    matrix of each group applied, ascending, and the state's S-dagger
+    frames (qubit masks) on arrival, in the products and on leaving; one
+    given no ``frame`` runs alone, from and back to the plain state."""
 
     num_qubits: int
     products: tuple[tuple[int, np.ndarray], ...]
+    arrive: int = 0
+    frame: int | None = None
+    leave: int = 0
+
+    def __post_init__(self) -> None:
+        if self.frame is None:
+            framed = [(q, *_framed(m)) for q, m in self.products]
+            object.__setattr__(self, "products", tuple((q, m) for q, _, m in framed))
+            object.__setattr__(self, "frame", sum(f << q for q, f, _ in framed))
 
 
 def _group_matrices(gates, num_qubits: int, dtype: np.dtype) -> dict[tuple[int, int], np.ndarray]:
@@ -280,59 +341,49 @@ def _plus_amplitude(num_qubits: int, dtype: np.dtype) -> np.generic:
 
 
 def _apply_gate_run(amps: np.ndarray, run: _GateRun) -> None:
-    """Apply a gate run's products to ``amps``, a state, slab or flat batch
-    of states.  Groups in the low bits = min(n, 12, the size's power of
-    two) and the gaps between them are segments rotating blocks of 2^bits,
-    a chunk of blocks at a time; each other group is a pass of M @
-    view(-1, 2^w, 2^q), a piece of columns at a time through scratch, two
-    chunks of at most 2^_GATE_BLOCK_BITS amplitudes."""
+    """Apply a gate run to ``amps``, a state, slab or flat batch of states
+    (frames by index from 0): a real matrix multiplies the float view.
+    Groups in the low bits = min(n, 12, the size's power of two) rotate
+    blocks of 2^bits, a chunk at a time: each copies a block, the bits up
+    to its top rotated to the top, to scratch and multiplies that back in
+    C order; the bits above the last take one more rotation.  Each other
+    group is a pass of M @ view(-1, 2^w, 2^q), a piece of columns at a
+    time through scratch, one chunk of at most 2^_GATE_BLOCK_BITS."""
     n, size = run.num_qubits, amps.size
+    _change_frame(amps, run.arrive, run.frame)
     bits = min(n, _ROTATION_BITS, (size & -size).bit_length() - 1)
-    segments, high, top = [], [], 0
-    for q, m in run.products:
-        w = len(m).bit_length() - 1
-        if q + w > bits:
-            high.append((q, w, m))
-        else:  # gaps between the low groups are bare rotations
-            segments += [(q - top, None)] * (q > top) + [(w, m)]
-            top = q + w
-    segments += [(bits - top, None)] * (0 < top < bits)
+    groups = [(q, len(m).bit_length() - 1, m) for q, m in run.products]
+    low = [g for g in groups if g[0] + g[1] <= bits]
+    low += [(bits, 0, None)] * (0 < low[-1][0] + low[-1][1] < bits if low else False)
     chunk = min(size, 1 << _GATE_BLOCK_BITS)
-    scratch = np.empty((2, chunk), amps.dtype)
-    for lo in range(0, size if segments else 0, chunk):
-        # each segment writes M @ B, B the block's low w bits by the rest, to
-        # another buffer (without M, copies B.T), so the next is at bit 0
+    spare = np.empty(chunk, amps.dtype)
+    for lo in range(0, size if low else 0, chunk):
         x = amps[lo : lo + chunk]
-        blocks, src, spare = x.size >> bits, x, (scratch[0, : x.size], scratch[1, : x.size])
-        for i, (w, m) in enumerate(segments):
-            dst = x if i == len(segments) - 1 and src is not x else spare[src is spare[0]]
-            rows = 1 << (bits - w)
-            view = src.reshape(blocks, rows, 1 << w)
+        blocks, t, top = x.size >> bits, spare[: x.size], 0
+        for q, w, m in low:
+            r, top = q + w - top, q + w
+            np.copyto(t.reshape(blocks, 1 << r, -1), x.reshape(blocks, -1, 1 << r).transpose(0, 2, 1))
             if m is None:
-                np.copyto(dst.reshape(blocks, 1 << w, rows), view.transpose(0, 2, 1))
-            else:
-                cols = min(_CALL_COLUMNS, 1 << (n - w))
-                b = view.reshape(blocks, rows // cols, cols, 1 << w).transpose(0, 1, 3, 2)
-                np.matmul(m, b, out=dst.reshape(blocks, 1 << w, rows // cols, cols).transpose(0, 2, 1, 3))
-            src = dst
-        if src is not x:
-            np.copyto(x, src)
-    for q, w, m in high:
-        cols = min(_CALL_COLUMNS, 1 << (n - w))
-        per = 1 << ((chunk >> w).bit_length() - 1)  # columns a piece holds
+                np.copyto(x, t)
+            else:  # f = 2 on the float view of a real matrix
+                cols = x.itemsize // m.itemsize * min(_CALL_COLUMNS, 1 << (n - w))
+                src, dst = (a.view(m.dtype).reshape(blocks, 1 << w, -1, cols).transpose(0, 2, 1, 3) for a in (t, x))
+                for j in range(0, 1 << w, _CALL_ROWS):
+                    np.matmul(m[j : j + _CALL_ROWS], src, out=dst[..., j : j + _CALL_ROWS, :])
+    for q, w, m in (g for g in groups if g[0] + g[1] > bits):
+        f = amps.itemsize // m.itemsize
+        cols = f * min(_CALL_COLUMNS, 1 << (n - w))
+        per = 1 << ((chunk >> w).bit_length() - 1)  # amplitudes of a row a piece holds
         hh, cc = (1, per) if per <= 1 << q else (per >> q, 1 << q)
-        v = amps.reshape(-1, 1 << w, 1 << q)
-        for h, c in itertools.product(range(0, len(v), hh), range(0, 1 << q, cc)):
-            part = v[h : h + hh, :, c : c + cc]
-            b = part.reshape(len(part), 1 << w, cc // cols, cols).transpose(0, 2, 1, 3)
-            np.copyto(b, np.matmul(m, b, out=scratch[0, : part.size].reshape(b.shape)))
-
-
-# A cost layer's phases are formed over pieces of at most
-# 2^_PHASE_PIECE_BITS amplitudes; a block's doubling tables split its
-# offsets at the same bit, so a piece reads one entry of the high table.
-_PHASE_PIECE_BITS = 12
-_PHASE_SPLIT_BITS = 8  # exp(i Q) is built from tables over l's low 8 bits and the rest
+        v, out = amps.view(m.dtype).reshape(-1, 1 << w, f << q), spare.view(m.dtype)
+        for h, c in itertools.product(range(0, len(v), hh), range(0, f << q, f * cc)):
+            part = v[h : h + hh, :, c : c + f * cc]
+            b = part.reshape(len(part), 1 << w, -1, cols).transpose(0, 2, 1, 3)
+            prod = out[: part.size].reshape(b.shape)
+            for j in range(0, 1 << w, _CALL_ROWS):
+                np.matmul(m[j : j + _CALL_ROWS], b, out=prod[..., j : j + _CALL_ROWS, :])
+            np.copyto(b, prod)
+    _change_frame(amps, run.frame, run.leave)
 
 
 class _CostPhase:
@@ -420,29 +471,38 @@ def _layer_plan(circuit: CircuitIR, nq_local: int, dtype: np.dtype = np.complex6
     legs of its leg (q, w); with ``nq_local`` = n every leg is None.  A
     step's row indexes ``circuit.gates``: the gate whose timing row gets
     its figures, its first, or for a leg its first on a global qubit.
+    A run's steps run in the frame of its groups' ``_framed``, the first
+    arriving from the last run's, and the last step leaves it plain.
     """
     runs = circuit.layers()
     n = circuit.num_qubits
     start, row = None, 0
     if _folds(runs, n):
         start, runs, row = _plus_amplitude(n, dtype), runs[1:], len(runs[0])
-    steps = []
+    steps, frame = [], 0
     for op in runs:
         if isinstance(op, CostLayer):
             steps.append((op, None, row))
             row += len(op.gates)
             continue
-        matrices = _group_matrices(op, n, dtype)
-        local = tuple((q, m) for (q, w), m in matrices.items() if q + w <= nq_local)
+        framed = {g: _framed(m) for g, m in _group_matrices(op, n, dtype).items()}
+        arrive, frame = frame, sum(f << q for (q, _), (f, _) in framed.items())
+        local = tuple((q, m) for (q, w), (_, m) in framed.items() if q + w <= nq_local)
         if local:
             top = max(q + m.shape[0].bit_length() - 1 for q, m in local)
-            steps.append((_GateRun(n, local), None, row + next(i for i, g in enumerate(op) if g.qubits[0] < top)))
-        for (q, w), m in matrices.items():
+            first = next(j for j, g in enumerate(op) if g.qubits[0] < top)
+            steps.append((_GateRun(n, local, arrive, frame, frame), None, row + first))
+            arrive = frame
+        for (q, w), (_, m) in framed.items():
             if q + w > nq_local:
-                mine = [i for i, g in enumerate(op) if q <= g.qubits[0] < q + w]
-                first = next((i for i in mine if op[i].qubits[0] >= nq_local), mine[0])
-                steps.append((_GateRun(n, ((nq_local - w, m),)), (q, w), row + first))
+                mine = [j for j, g in enumerate(op) if q <= g.qubits[0] < q + w]
+                first = next((j for j in mine if op[j].qubits[0] >= nq_local), mine[0])
+                steps.append((_GateRun(n, ((nq_local - w, m),), arrive, frame, frame), (q, w), row + first))
+                arrive = frame
         row += len(op)
+    if frame:  # the last step leaves the state plain
+        i = max(i for i, (op, *_) in enumerate(steps) if isinstance(op, _GateRun))
+        steps[i] = (replace(steps[i][0], leave=0), *steps[i][1:])
     return start, steps
 
 
@@ -504,14 +564,16 @@ def _scratch_bytes(
     each of up to three operands.
 
     - Executors, the larger of a gate run: one run's group matrices
-      (``_group_bytes``) and per worker ``_apply_gate_run``'s two chunks of
+      (``_group_bytes``) and per worker ``_apply_gate_run``'s chunk of
       scratch (this also bounds a sharded run's leg, which holds one
-      buffer of at most half a chunk per worker); and a cost layer: its
-      ``_CostPhase``, and per worker ``_apply_cost_layer``'s pieces
+      buffer of at most half a chunk per worker) with a change of frame's
+      index arrays and unit tables; and a cost layer: its ``_CostPhase``,
+      and per worker ``_apply_cost_layer``'s pieces
       (``_cost_layer_bytes``).  Not counted are OpenBLAS's own buffers,
-      unseen by tracemalloc: a fresh process's first complex64 and
-      complex128 products grew its resident set by 0.45 and 0.32 MiB, at
-      1 or 2 threads and any state size (OpenBLAS 0.3.31, 2-vCPU host).
+      unseen by tracemalloc: a fresh process's first float32 and float64
+      products of the engine's shape grew its resident set by 0.19 and
+      0.25 MiB (complex ones by 0.45 and 0.32), at 1 or 2 threads and any
+      state size (OpenBLAS 0.3.31, 2-vCPU Xeon host).
     - The tail: the reader's two float64 chunks (``_read``), which also
       hold a chunk's cut values and pass 2's gathered pieces; for a state
       of several chunks, 24 bytes a piece for the sampler's piece ends and
@@ -530,7 +592,8 @@ def _scratch_bytes(
     chunk = min(1 << num_qubits, _REDUCTION_CHUNK)
     ends = 24 << (num_qubits - _piece_bits(num_qubits, shots)) if num_qubits > _BLOCK_BITS else 0
     buffers = 3 * 16 * np.getbufsize()
-    gate_run = 2 * block * precision.bytes_per_amplitude + buffers
+    frame = (24 + 5 * precision.bytes_per_amplitude) << min(_PHASE_PIECE_BITS, num_qubits)  # its arrays, tables
+    gate_run = block * precision.bytes_per_amplitude + frame + buffers
     phase, pieces = _cost_layer_bytes(num_qubits, precision)
     executor = max(_group_bytes(num_qubits, precision) + workers * gate_run, phase + workers * (pieces + buffers))
     tail = 2 * 8 * chunk + ends + _terms_bytes(num_qubits) + 3 * 8 * table + buffers
@@ -645,8 +708,11 @@ def _run_steps(
     timed = []
 
     wall0 = time.perf_counter()
+    # a folded H layer fills the state straight into the first run's frame: the fill being
+    # real, the first cost layer gives the bits of entering after it, as the noisy engine does
+    frame = next((op.frame for op, *_ in steps if isinstance(op, _GateRun)), 0) if start is not None else 0
     if start is not None:
-        sv.amps.fill(start)
+        _change_frame(sv.amps, 0, frame, fill=start)
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
 
         def each(fn, items) -> list:
@@ -675,11 +741,21 @@ def _run_steps(
             built = time.perf_counter() - t0
             return built + max(each(lambda lo: _timed(task, lo), range(0, size, slab)))
 
+        def change(old: int, new: int) -> float:
+            # between frames by global index, a slab per worker: the slowest slab's seconds
+            task = lambda lo: _timed(_change_frame, sv.amps[lo : lo + size // workers], old, new, lo)
+            return 0.0 if old == new else max(each(task, range(0, size, size // workers)))
+
         for op, leg, row in steps:
+            turns, leave = 0.0, frame  # a gate run's changes of frame, outside its legs
+            if isinstance(op, _GateRun):
+                turns, leave, frame = change(frame, op.frame), op.leave, op.frame
+                op = _GateRun(n, op.products, frame, frame, frame)
             out = swap(leg, False) if leg else 0.0
             compute_s = compute(op)
             back = swap(leg, True) if leg else 0.0  # moves the same amplitudes home, uncounted
-            timed.append((row, compute_s, out + back, _moved(leg, nq_local, size) if leg else 0))
+            turns, frame = turns + change(frame, leave), leave
+            timed.append((row, compute_s + turns, out + back, _moved(leg, nq_local, size) if leg else 0))
     return sv, time.perf_counter() - wall0, timed
 
 

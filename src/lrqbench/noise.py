@@ -34,17 +34,19 @@ commute, so their product is one diagonal
 exp(i sum_{k in F} theta_k S_k(z)), S_k = +-1 the ZZ sign of edge k; and
 the fired Paulis compose, in firing order, to one Pauli string
 i^q X^x Z^z (the phase and bit masks of Aaronson and Gottesman, PRA 70,
-052328, 2004).  Each cost layer of a block takes one pass
-(``_commute_fired``) over all the rows that fire in it: a prefix XOR of
-their fired Paulis' X/Y qubit masks gives every row's F, x, z and q, and
-then, a chunk of at most 2^15 amplitudes at a time, one ``take`` gathers
-every row at l ^ x, and the phases, from float64 angles over the ZZ
-signs of ``_sign_table`` (built once per ensemble), and units and signs,
-each +-1 or +-i, are multiplied in.  This is the time-ordered product,
-global phase included, up to rounding; its scratch is bounded by the
-block's rows of one chunk and |F|, not by the state, and counted by
-``_ensemble_bytes``; and every row gets the operations of its trajectory
-run alone, bit for bit.
+052328, 2004).  After a mixer the rows are in its S-dagger frame on the
+qubits f (``engine._layer_plan``), where the string is i^(q + 3 |x & f|)
+X^x Z^(z ^ (x & f)), with the same flipped edges.  Each cost layer of a
+block takes one pass (``_commute_fired``) over all the rows that fire in
+it: a prefix XOR of their fired Paulis' X/Y qubit masks gives every
+row's F, x, z and q, and then, a chunk of at most 2^15 amplitudes at a
+time, one ``take`` gathers every row at l ^ x, and the phases, from
+float64 angles over the ZZ signs of ``_sign_table`` (built once per
+ensemble), and units and signs, each +-1 or +-i, are multiplied in.
+This is the time-ordered product, global phase included, up to
+rounding; its scratch is bounded by the block's rows of one chunk and
+|F|, not by the state, and counted by ``_ensemble_bytes``; and every row
+gets the operations of its trajectory run alone, bit for bit.
 
 Noise strength aggregates as eps_acc = N_2q * eps, and the overlap ratio
 
@@ -72,6 +74,7 @@ import numpy as np
 from .circuit import CircuitIR, CostLayer, GateOp
 from .engine import (
     _GATE_BLOCK_BITS,
+    _UNITS,
     Precision,
     ShotSet,
     StateVector,
@@ -142,18 +145,20 @@ _GATHER_BYTES = 1 << 16
 class _Edges:
     """A cost layer's RZZ gates as arrays: angles theta_k (float64), qubits
     qa_k and qb_k (intp) and their bits 2^qa_k and 2^qb_k (uint64, 2 by
-    edges), in gate order."""
+    edges), in gate order, and the qubits whose S-dagger frame the states
+    are in there (``engine._layer_plan``), as a mask."""
 
     theta: np.ndarray
     qa: np.ndarray
     qb: np.ndarray
     bits: np.ndarray
+    frame: int = 0
 
     @classmethod
-    def of(cls, gates: tuple[GateOp, ...]) -> "_Edges":
+    def of(cls, gates: tuple[GateOp, ...], frame: int = 0) -> "_Edges":
         qa, qb = (np.array([g.qubits[i] for g in gates], np.intp) for i in (0, 1))
         bits = np.array([[1 << int(q) for q in qs] for qs in (qa, qb)], np.uint64)
-        return cls(np.array([g.theta for g in gates], np.float64), qa, qb, bits)
+        return cls(np.array([g.theta for g in gates], np.float64), qa, qb, bits, frame)
 
 
 @dataclass(frozen=True)
@@ -267,9 +272,11 @@ def _prepare(
     need = _ensemble_bytes(_Counts.of(circuit), precision, cfg.trajectories, threads, held, baseline)
     check_memory(need, memory_budget, f"a noisy ensemble of {n} qubits at {precision.value}")
     start, steps = _layer_plan(circuit, n, precision.dtype)
-    layers = [op for op, *_ in steps]
+    layers, edges, frame = [op for op, *_ in steps], [], 0
+    for op in layers:  # a cost layer's states are in the frame the last gate run left
+        edges.append(_Edges.of(op.gates, frame) if isinstance(op, CostLayer) else None)
+        frame = frame if isinstance(op, CostLayer) else op.leave
     phases = [_CostPhase(op) if isinstance(op, CostLayer) else None for op in layers]
-    edges = [_Edges.of(op.gates) if isinstance(op, CostLayer) else None for op in layers]
     n_rzz = sum(len(op.gates) for op in layers if isinstance(op, CostLayer))
     rows, workers = _block_rows(n, cfg.trajectories, threads), min(threads, cfg.trajectories)
     return _Ensemble(n, precision.dtype, start, layers, phases, edges, n_rzz, _sign_table(n), rows, workers)
@@ -337,14 +344,17 @@ def _correction_bytes(num_qubits: int, edges: int, dtype: np.dtype, rows: int = 
 def _flipped(edges: _Edges, fire: np.ndarray, codes: np.ndarray):
     """Per row of draws over a layer, the edges that anticommute with an odd
     number of the Paulis fired before them (bool, rows by edges), and the
-    Pauli string i^q X^x Z^z its fired Paulis compose to in firing order:
-    the qubit masks x and z (uint64) and q, which counts mod 4.
+    Pauli string i^q X^x Z^z its fired Paulis compose to in firing order,
+    in the layer's frame: the qubit masks x and z (uint64) and q, which
+    counts mod 4.
 
     The Pauli fired at edge j is i^y_j X^x_j Z^z_j (``_PAULI_TERMS``).  The
     flips before edge k, before_k, are the exclusive prefix XOR of the x_j,
     and edge k anticommutes when they hold exactly one of its qubits.  x and
     z are the XORs of all the x_j and z_j, and moving each Z^z_k right past
     the X^x_j fired before it gives q = sum_k y_k + 2 |z_k & before_k|.
+    In the S-dagger frame on the qubits f, X is S-dagger X S = -i X Z and Z
+    stays, so the string becomes i^(q + 3 |x & f|) X^x Z^(z ^ (x & f)).
     """
     masks = _PAULI_TERMS.take(codes * fire, axis=2)
     masks *= edges.bits[:, None]
@@ -357,7 +367,8 @@ def _flipped(edges: _Edges, fire: np.ndarray, codes: np.ndarray):
     # only the parity counts
     y = np.bitwise_count(xz[0] & xz[1]).sum(axis=1)
     odd = np.bitwise_count(np.bitwise_xor.reduce(xz[1] & before, axis=1)) & 1
-    return held[0] != held[1], after[0, :, -1], after[1, :, -1], y + 2 * odd
+    x, framed = after[0, :, -1], after[0, :, -1] & np.uint64(edges.frame)
+    return held[0] != held[1], x, after[1, :, -1] ^ framed, y + 2 * odd + 3 * np.bitwise_count(framed)
 
 
 def _commute_fired(
@@ -457,7 +468,7 @@ def _commute_fired(
                 out *= phase
             unit = (power + 2 * (high_z & d).bit_count()) & 3
             if unit.any():
-                out *= np.array([1, 1j, -1, -1j], states.dtype).take(unit)[:, None]
+                out *= _UNITS.astype(states.dtype).take(unit)[:, None]
             if sign is not None:
                 out *= sign
             moved.append(out)

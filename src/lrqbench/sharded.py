@@ -92,7 +92,7 @@ def exchange_volume(circuit: CircuitIR, plan: ShardPlan) -> int:
 # timing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateTiming:
     gate_index: int
     kind: str
@@ -138,9 +138,10 @@ def _timing_bytes(rows: int) -> int:
     """Bytes ``rows`` timing rows hold until their CSV is written: each
     row's ``GateTiming`` and list slot, its share of its ``TimingRecord``,
     and its CSV text in a ``StringIO``, the value taken from it and that
-    encoded: 400 a row, above the 240 to 300 traced for ``bench`` runs of
-    2 to 12 qubits at p = 1 and 3 (CPython 3.11)."""
-    return 400 * rows
+    encoded: 390 a row, 100 above the 220 to 290 traced for ``bench`` runs
+    of 2 to 12 qubits at p = 1 and 3 (CPython 3.11; 260 to 330 before
+    ``GateTiming`` had slots)."""
+    return 390 * rows
 
 
 def write_timing_csv(records: Iterable[TimingRecord], fh: IO[str]) -> None:

@@ -522,14 +522,14 @@ def test_simulate_noisy_reports_fired_paulis(tmp_path, instance_path):
 @pytest.mark.parametrize(
     "extra,digest",
     [
-        ((), "293e213fbfc6cfe8fb0d51dadce95262bcc90d7fd7fe61852c77b2126c351a40"),
-        (("--ideal-shots", 200), "3d7a37b9bcf168ecc97e4c1893d2ca47c0922bc627dcfe9fa393ad79a65cc1ca"),
+        ((), "72605c4eaea13b1c9855fd3e71f8afb94d199bc6f203a05006bc5aa98d33ac59"),
+        (("--ideal-shots", 200), "30ad4f3c75ac002e2f3eaff70dd71dab04a753154e53ca74dd30272c3cb3724e"),
     ],
     ids=["exact", "ideal-shots"],
 )
 def test_noisy_result_bytes_are_pinned(tmp_path, extra, digest):
     # r_ideal, from the exact baseline or its shots, and the trajectories'
-    # shots, at 0.9.0; the states' bits depend on the BLAS kernel, so the run
+    # shots, at 0.10.0; the states' bits depend on the BLAS kernel, so the run
     # forces OpenBLAS's Haswell kernel, which every AVX2 host can run
     inst, out = tmp_path / "inst.json", tmp_path / "r.json"
     argv = ("--mode", "noisy", "--epsilon", 0.02, "--trajectories", 10, "--shots", 4, "--seed", 4, *extra)
@@ -671,6 +671,25 @@ def test_classify_counts_over_the_budget_exit_3_before_the_pool(tmp_path, instan
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_classify_memory_bytes_is_its_budget(tmp_path, instance_path, capsys):
+    # the refusal names _resample_bytes; one byte under it exits 3 with no
+    # report or manifest, and the need itself runs
+    from lrqbench.stats import _resample_bytes
+
+    qpu, out = tmp_path / "qpu.json", tmp_path / "r.json"
+    assert run_cli("simulate", "--instance", instance_path, "--out", qpu, "--p", 1) == 0
+    argv = ("classify", "--qpu", qpu, "--instance", instance_path, "--out", out, "--repeats", 50)
+    capsys.readouterr()
+    assert run_cli(*argv, "--memory-bytes", 1) == 3
+    need = int(re.search(r"needs (\d+) bytes", capsys.readouterr().err).group(1))
+    assert need == _resample_bytes(load_instance(instance_path).num_vertices, 10_000, 50, False)
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(*argv, "--memory-bytes", need - 1) == 3
+    assert sorted(tmp_path.iterdir()) == before
+    assert run_cli(*argv, "--memory-bytes", need) == 0
+    assert out.exists() and Path(f"{out}.manifest.json").exists()
+
+
 def test_fitnoise_pipeline(tmp_path, instance_path, capsys):
     results = []
     for i, eps in enumerate((0.002, 0.01, 0.03)):
@@ -792,6 +811,26 @@ def test_replay_warns_on_another_blas_fingerprint(tmp_path, capsys):
     assert run_cli("replay", manifest) == 0
     err = capsys.readouterr().err
     assert "warning" in err and "0123456789abcdef" in err and _blas_fingerprint() in err
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blas_fingerprint_reads_the_real_products_runs_make(monkeypatch, dtype):
+    # a BLAS whose real product of the engine's shape rounds one ulp higher
+    # gives another fingerprint; a complex product, which no CLI run calls, is not read
+    from lrqbench import cli
+
+    fingerprint = cli._blas_fingerprint.__wrapped__  # uncached
+    before, real = fingerprint(), np.matmul
+    assert before == cli._blas_fingerprint()
+
+    def product(a, b, *args, off=dtype, **kwargs):
+        out = real(a, b, *args, **kwargs)
+        return np.nextafter(out, np.inf) if out.dtype == off else out
+
+    monkeypatch.setattr(np, "matmul", product)
+    assert fingerprint() != before
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: product(*args, off=np.complex64, **kwargs))
+    assert fingerprint() == before
 
 
 @pytest.mark.parametrize("change", ["tampered", "deleted"])

@@ -42,7 +42,7 @@ from lrqbench.engine import (
 )
 from lrqbench import engine, problem
 from lrqbench.problem import CutDiagonal, index_to_bitstring
-from lrqbench.sharded import _workers, plan_for_shard_count, run_circuit_sharded
+from lrqbench.sharded import _workers, plan_for_shard_count, plan_shards, run_circuit_sharded
 from lrqbench.rng import derive_rng
 
 import oracles
@@ -691,6 +691,81 @@ def test_other_openings_take_the_unfolded_path(name, precision):
         CostLayer if isinstance(op, CostLayer) else engine._GateRun for op in circ.layers()
     ]
     assert run_circuit(circ, precision).amps.tobytes() == run_unfolded(circ, precision).tobytes()
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n,p", [(2, 1), (5, 2), (9, 3), (13, 1), (17, 2)])
+def test_build_circuit_plans_have_only_real_group_matrices(n, p, precision):
+    # every mixer runs in the S-dagger frame on all qubits, dense and on 2
+    # and 4 shards: entered by the first run and left by the last step,
+    # and each plan gives the dense bits
+    circ = build_circuit(generate_instance(n, 70 + n), LrQaoaParams(p=p))
+    dtype = Precision.coerce(precision).dtype
+    dense = run_circuit(circ, precision).amps.tobytes()
+    for nq_local in {max(min(4, n), n - k) for k in (0, 1, 2)}:
+        assert run_circuit_sharded(circ, plan_shards(n, nq_local), precision)[0].amps.tobytes() == dense
+        _, steps = engine._layer_plan(circ, nq_local, dtype)
+        runs = [op for op, *_ in steps if isinstance(op, engine._GateRun)]
+        assert len(runs) >= p and all(run.frame == (1 << n) - 1 for run in runs)
+        assert {m.dtype for run in runs for _, m in run.products} == {np.finfo(dtype).dtype}
+        assert runs[0].arrive == 0 and runs[-1].leave == 0
+        assert all(run.arrive == run.frame for run in runs[1:])
+        assert all(run.leave == run.frame for run in runs[:-1])
+
+
+@pytest.mark.parametrize("n", [9, 14])
+def test_real_products_write_at_most_8_rows_of_64_amplitudes(monkeypatch, n):
+    # the float32 kernels of Haswell and Zen give the columns of a 16-row
+    # output bits that depend on their place, so no call writes more than
+    # 8 rows; each writes min(64, 2^(n - w)) amplitudes, 2 floats each
+    shapes, real = [], np.matmul
+
+    def matmul(a, b, out):
+        shapes.append((a.dtype, out.shape[-2:]))
+        return real(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    run_circuit(build_circuit(generate_instance(n, 3), LrQaoaParams(p=1)), "fp32")
+    widths = (4, n % 4 or 4)
+    assert shapes and {dtype for dtype, _ in shapes} == {np.dtype(np.float32)}
+    assert {rows for _, (rows, _) in shapes} == {min(8, 1 << w) for w in widths}
+    assert {cols // 2 for _, (_, cols) in shapes} == {min(64, 1 << (n - w)) for w in widths}
+
+
+def test_a_qubit_carrying_h_then_rx_keeps_a_complex_product():
+    # qubit 1 carries H then RX, so group [0, 4) stays complex in the plain
+    # frame; group [4, 6) holds RX on qubit 4 and H on qubit 5, real in the
+    # frame S-dagger on qubit 4 alone
+    n = 6
+    gates = [GateOp("H", (1,)), GateOp("RX", (1,), 0.7), GateOp("RX", (0,), -0.4),
+             GateOp("RX", (4,), 1.1), GateOp("H", (5,))]
+    run = engine._GateRun(n, tuple((q, m) for (q, _), m in engine._group_matrices(gates, n, np.complex128).items()))
+    assert run.frame == 1 << 4
+    assert [m.dtype for _, m in run.products] == [np.complex128, np.float64]
+    start = random_state(n, 61)
+    amps = start.copy()
+    run_gates(amps, gates)
+    want = start
+    for g in gates:
+        want = oracles.gate_unitary(g, n) @ want
+    np.testing.assert_allclose(amps, want, atol=1e-12)
+
+
+def test_runs_in_different_frames_match_the_oracle():
+    # three runs whose frames differ (the RX qubits {0, 1, 2}, then {0, 3},
+    # then none but an H layer), between cost layers: each change of frame
+    # is exact, so the state is the matrix product's
+    n = 5
+    cost = [GateOp("RZZ", (i, j), 0.1 * (i + 2 * j)) for i in range(n) for j in range(i + 1, n)]
+    gates = [GateOp("RX", (q,), -0.3 - 0.1 * q) for q in range(3)] + cost
+    gates += [GateOp("RX", (0,), 0.8), GateOp("H", (1,)), GateOp("RX", (3,), 0.5)] + cost
+    gates += [GateOp("H", (q,)) for q in range(n)]
+    circ = CircuitIR(num_qubits=n, gates=gates)
+    _, steps = engine._layer_plan(circ, n)
+    assert [op.frame for op, *_ in steps if isinstance(op, engine._GateRun)] == [0b111, 0b1001, 0]
+    for precision, atol in (("fp32", 1e-6), ("fp64", 1e-12)):
+        got = run_circuit(circ, precision).amps
+        assert np.max(np.abs(got - oracles.final_state(circ))) < atol
 
 
 def cost_layer(n: int, seed: int) -> CostLayer:

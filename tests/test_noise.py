@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import lrqbench.engine as engine
 import lrqbench.noise as noise
 from lrqbench import (
     CapacityError,
@@ -157,6 +158,32 @@ def test_pauli_pair_code_mapping(code):
         @ start
     )
     np.testing.assert_allclose(amps, want, atol=1e-14)
+
+
+@pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+@pytest.mark.parametrize("code", list(range(1, 16)))
+def test_pauli_pairs_fired_in_a_frame_match_the_referee_bitwise(code, precision):
+    # a row in the S-dagger frame on qubits 0, 2 and 3 fires Pauli ``code``
+    # on the edge (2, 1), one qubit framed and one not; taken back out of
+    # the frame it is the Pauli applied to the plain state, as the string's
+    # mapping into the frame and both changes of frame are exact
+    n, frame = 5, 0b01101
+    start = random_state(n, 60 + code).astype(precision.dtype)
+    got, want = start.copy(), start.copy()
+    engine._change_frame(got, 0, frame)
+    edges = _Edges.of((GateOp("RZZ", (2, 1), 0.5),), frame)
+    _commute_fired(got[None], np.array([0]), edges, np.ones((1, 1), bool), np.array([[code]]), _sign_table(n))
+    engine._change_frame(got, frame, 0)
+    oracles.apply_pauli_pair(want, code, 2, 1)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cost_layers_after_a_mixer_fire_in_its_frame():
+    # the ensemble's first cost layer comes before any mixer, the others
+    # after one, in the frame S-dagger on every qubit
+    circ = build_circuit(generate_instance(6, 2), LrQaoaParams(p=3))
+    ens = _prepare(circ, DepolarizingConfig(0.1), Precision.FP32)
+    assert [e.frame for e in ens.edges if e is not None] == [0, 63, 63]
 
 
 @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
