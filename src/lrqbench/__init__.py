@@ -1,6 +1,6 @@
 """Linear-ramp QAOA MaxCut simulation and statistical verification toolkit."""
 
-__version__ = "0.10.0"
+__version__ = "0.10.1"
 
 from .circuit import (
     CircuitIR,

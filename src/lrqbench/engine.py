@@ -6,13 +6,14 @@ bit position k.  Each run of H/RX gates goes through one executor,
 last one of the n mod 4 left (Haener and Steiger, arXiv:1704.01127), each
 group's 2^w x 2^w matrix the Kronecker product of its qubits' gates.
 
-A run runs in the frame S-dagger^x of its RX qubits x (``_framed``),
-where RX is the real rotation [[c, s], [-s, c]] (S-dagger X S = -Y) and
-H is real: every group matrix of a ``build_circuit`` circuit is real and
-multiplies the float view, and a group with a qubit carrying both H and
-RX stays complex.  The plan changes frames, exactly, where runs differ
-and after the last (``_change_frame``); cost layers are diagonal and run
-in any frame.
+A circuit runs in one frame, S-dagger^x on the qubits x that carry an RX
+and no H (``_layer_plan``), where RX is the real rotation
+[[c, s], [-s, c]] (S-dagger X S = -Y) and H is real: every
+``build_circuit`` group matrix is real and multiplies the float view; a
+group with a qubit carrying both H and RX stays complex (``_framed``).
+|0...0> is in every frame, a folded H layer is filled into it, cost
+layers are diagonal, and the state leaves it once, exactly, after the
+last step (``_change_frame``).
 
 Every ``np.matmul`` call writes the outputs of min(2^w, 8) rows by W
 amplitudes, W = min(64, 2^(n - w)) (2W floats of the float view for a
@@ -65,23 +66,22 @@ a cost layer, a gate run's groups below ``nq_local``, or one group
 once per slab, one of ``workers`` contiguous ranges, each whole shards
 (a gate run takes fewer, so a slab holds one call's columns); a cost
 layer multiplies each slab's range, from its offset, by one read-only
-``_CostPhase``, and a change of frame each slab's by its global indices,
-before a run's outward leg or after its restore leg.  The executors give
-an index the same bits whatever range computes it.  The outward leg
-(``_swap_fields``) maps the group's qubits in order onto those local bits
-and the bits it displaces onto the group's places, moving runs of
-2^(nq_local - w) amplitudes and (1 - 2^-j) of the state to another
-shard; the restore leg undoes it.  A leg is one task per worker, over a
-strided share of pieces copied through one buffer of at most 2^14
-amplitudes.  With several workers a step maps its tasks on a thread
-pool, the map returning being the barrier; with one, they run on the
-calling thread.  Tasks of a step touch disjoint amplitudes and never
+``_CostPhase``, and the leave of the frame after the last step each
+slab's by its global indices.  The executors give an index the same bits
+whatever range computes it.  The outward leg (``_swap_fields``) maps the
+group's qubits in order onto those local bits and the bits it displaces
+onto the group's places, moving runs of 2^(nq_local - w) amplitudes and
+(1 - 2^-j) of the state to another shard; the restore leg undoes it.  A
+leg is one task per worker, over a strided share of pieces copied
+through one buffer of at most 2^14 amplitudes.  With several workers a
+step maps its tasks on a thread pool, the map returning being the
+barrier; with one, they run on the calling thread.  Tasks of a step touch disjoint amplitudes and never
 wait on each other, so results cannot depend on scheduling; an exception
 in any aborts the run (``AbortedRunError``).  The loop times every step:
 compute is the slowest slab's span (with a cost layer's ``_CostPhase``
-build and a gate run's changes of frame), exchange the legs' slowest
-shares, and the amplitudes exchanged those the outward leg moves to
-another shard.
+build, and on the last step the leave of the frame), exchange the legs'
+slowest shares, and the amplitudes exchanged those the outward leg moves
+to another shard.
 
 The tail of a run reads the final state once (``read_out``): each
 2^16-amplitude chunk's |amplitude|^2 in float64 gives the squared norm,
@@ -110,7 +110,7 @@ import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -261,14 +261,13 @@ def _gate_matrix(gate: GateOp) -> np.ndarray:
 _UNITS = np.array([1, 1j, -1, -1j])  # i^e; a product by one is exact
 
 
-def _framed(m: np.ndarray) -> tuple[int, np.ndarray]:
-    """(f, r): a group matrix in the S-dagger frame on the group's bits f
-    (bit t where entry (2^t, 0) is imaginary), r = m times i^(|k & f| -
-    |j & f|) at (j, k), exact, in m's real type; (0, m) if r is complex."""
-    f = sum(1 << t for t in range(len(m).bit_length() - 1) if m[1 << t, 0].imag != 0)
+def _framed(m: np.ndarray, f: int) -> np.ndarray:
+    """A group matrix in the S-dagger frame on the group's bits f: m times
+    i^(|k & f| - |j & f|) at (j, k), exact, in m's real type where that is
+    real, else complex."""
     e = np.bitwise_count(np.arange(len(m)) & f)
     r = m * _UNITS.astype(m.dtype).take((e[None, :] - e[:, None]) & 3)  # uint8 wraps by 256, 0 mod 4
-    return (0, m) if r.imag.any() else (f, r.real.copy())
+    return r if r.imag.any() else r.real.copy()
 
 
 def _change_frame(amps: np.ndarray, old: int, new: int, offset: int = 0, fill=None) -> None:
@@ -276,13 +275,16 @@ def _change_frame(amps: np.ndarray, old: int, new: int, offset: int = 0, fill=No
     states from 0, from the S-dagger frame on qubits ``old`` to ``new``'s:
     index z times i^(|z & old| - |z & new|), exactly (with ``fill``, that
     times ``fill`` written), a piece of 2^min(12, the size's power of two)
-    at a time, from a table over its offsets and the unit of its start."""
+    at a time from row e of four tables, e the exponent of its start: each
+    unit is taken from ``_UNITS``, never formed as a product, so no zero's
+    sign depends on where a piece starts."""
     leave, enter = old & ~new, new & ~old
     if not leave | enter and fill is None:
         return
     k = min(_PHASE_PIECE_BITS, (amps.size & -amps.size).bit_length() - 1)
-    l, units = np.arange(1 << k), _UNITS.astype(amps.dtype)
-    tables = units[:, None] * units.take((np.bitwise_count(l & leave) + 3 * np.bitwise_count(l & enter)) & 3)
+    l = np.arange(1 << k)
+    turns = (np.bitwise_count(l & leave) + 3 * np.bitwise_count(l & enter)) & 3
+    tables = _UNITS.astype(amps.dtype).take(np.add.outer(np.arange(4), np.arange(4)) & 3).take(turns, axis=1)
     for z in range(offset, offset + amps.size, 1 << k):
         piece = amps[z - offset : z - offset + (1 << k)]
         e = ((z & leave).bit_count() + 3 * (z & enter).bit_count()) & 3
@@ -292,22 +294,11 @@ def _change_frame(amps: np.ndarray, old: int, new: int, offset: int = 0, fill=No
 @dataclass(frozen=True, eq=False)
 class _GateRun:
     """A run of H/RX gates as group products: the circuit's qubit count,
-    which fixes every call's columns, the lowest bit and the 2^w x 2^w
-    matrix of each group applied, ascending, and the state's S-dagger
-    frames (qubit masks) on arrival, in the products and on leaving; one
-    given no ``frame`` runs alone, from and back to the plain state."""
+    which fixes every call's columns, and each group's lowest bit and 2^w x
+    2^w matrix, ascending, in the circuit's frame (``_layer_plan``)."""
 
     num_qubits: int
     products: tuple[tuple[int, np.ndarray], ...]
-    arrive: int = 0
-    frame: int | None = None
-    leave: int = 0
-
-    def __post_init__(self) -> None:
-        if self.frame is None:
-            framed = [(q, *_framed(m)) for q, m in self.products]
-            object.__setattr__(self, "products", tuple((q, m) for q, _, m in framed))
-            object.__setattr__(self, "frame", sum(f << q for q, f, _ in framed))
 
 
 def _group_matrices(gates, num_qubits: int, dtype: np.dtype) -> dict[tuple[int, int], np.ndarray]:
@@ -341,8 +332,8 @@ def _plus_amplitude(num_qubits: int, dtype: np.dtype) -> np.generic:
 
 
 def _apply_gate_run(amps: np.ndarray, run: _GateRun) -> None:
-    """Apply a gate run to ``amps``, a state, slab or flat batch of states
-    (frames by index from 0): a real matrix multiplies the float view.
+    """Apply a gate run to ``amps``, a state, slab or flat batch of states:
+    a real matrix multiplies the float view.
     Groups in the low bits = min(n, 12, the size's power of two) rotate
     blocks of 2^bits, a chunk at a time: each copies a block, the bits up
     to its top rotated to the top, to scratch and multiplies that back in
@@ -350,7 +341,6 @@ def _apply_gate_run(amps: np.ndarray, run: _GateRun) -> None:
     group is a pass of M @ view(-1, 2^w, 2^q), a piece of columns at a
     time through scratch, one chunk of at most 2^_GATE_BLOCK_BITS."""
     n, size = run.num_qubits, amps.size
-    _change_frame(amps, run.arrive, run.frame)
     bits = min(n, _ROTATION_BITS, (size & -size).bit_length() - 1)
     groups = [(q, len(m).bit_length() - 1, m) for q, m in run.products]
     low = [g for g in groups if g[0] + g[1] <= bits]
@@ -383,7 +373,6 @@ def _apply_gate_run(amps: np.ndarray, run: _GateRun) -> None:
             for j in range(0, 1 << w, _CALL_ROWS):
                 np.matmul(m[j : j + _CALL_ROWS], b, out=prod[..., j : j + _CALL_ROWS, :])
             np.copyto(b, prod)
-    _change_frame(amps, run.frame, run.leave)
 
 
 class _CostPhase:
@@ -459,51 +448,48 @@ def _folds(runs: list, num_qubits: int) -> bool:
 
 def _layer_plan(circuit: CircuitIR, nq_local: int, dtype: np.dtype = np.complex64):
     """The executed layer view: the start amplitude (None when the H layer
-    does not fold) and the (step, leg, row) of every step in execution
-    order.
+    does not fold), the circuit's S-dagger frame and the (step, leg, row)
+    of every step in execution order.
 
     A circuit that opens with exactly one H per qubit, followed by a cost
     layer, starts as ``_plus_amplitude`` in ``dtype`` (which the state is
     filled with), and those gates take no step; any other circuit runs all
-    of its layers.  A gate run is one ``_GateRun`` step for its groups
-    below ``nq_local`` and one for each group (q, w) holding a global
-    qubit, applied on the local bits [nq_local - w, nq_local) between the
-    legs of its leg (q, w); with ``nq_local`` = n every leg is None.  A
-    step's row indexes ``circuit.gates``: the gate whose timing row gets
-    its figures, its first, or for a leg its first on a global qubit.
-    A run's steps run in the frame of its groups' ``_framed``, the first
-    arriving from the last run's, and the last step leaves it plain.
+    of its layers.  The frame is the mask of the qubits that carry an
+    executed RX and no executed H, and every group matrix comes
+    ``_framed`` on its bits of it.  A gate run is one ``_GateRun`` step for
+    its groups below ``nq_local`` and one for each group (q, w) holding a
+    global qubit, applied on the local bits [nq_local - w, nq_local)
+    between the legs of its leg (q, w); with ``nq_local`` = n every leg is
+    None.  A step's row indexes ``circuit.gates``: the gate whose timing
+    row gets its figures, its first, or for a leg its first on a global
+    qubit.
     """
     runs = circuit.layers()
     n = circuit.num_qubits
     start, row = None, 0
     if _folds(runs, n):
         start, runs, row = _plus_amplitude(n, dtype), runs[1:], len(runs[0])
-    steps, frame = [], 0
+    rx, h = ({1 << g.qubits[0] for g in circuit.gates[row:] if g.kind == kind} for kind in ("RX", "H"))
+    frame = sum(rx - h)
+    steps = []
     for op in runs:
         if isinstance(op, CostLayer):
             steps.append((op, None, row))
             row += len(op.gates)
             continue
-        framed = {g: _framed(m) for g, m in _group_matrices(op, n, dtype).items()}
-        arrive, frame = frame, sum(f << q for (q, _), (f, _) in framed.items())
-        local = tuple((q, m) for (q, w), (_, m) in framed.items() if q + w <= nq_local)
+        groups = {g: _framed(m, frame >> g[0] & ((1 << g[1]) - 1)) for g, m in _group_matrices(op, n, dtype).items()}
+        local = tuple((q, m) for (q, w), m in groups.items() if q + w <= nq_local)
         if local:
             top = max(q + m.shape[0].bit_length() - 1 for q, m in local)
             first = next(j for j, g in enumerate(op) if g.qubits[0] < top)
-            steps.append((_GateRun(n, local, arrive, frame, frame), None, row + first))
-            arrive = frame
-        for (q, w), (_, m) in framed.items():
+            steps.append((_GateRun(n, local), None, row + first))
+        for (q, w), m in groups.items():
             if q + w > nq_local:
                 mine = [j for j, g in enumerate(op) if q <= g.qubits[0] < q + w]
                 first = next((j for j in mine if op[j].qubits[0] >= nq_local), mine[0])
-                steps.append((_GateRun(n, ((nq_local - w, m),), arrive, frame, frame), (q, w), row + first))
-                arrive = frame
+                steps.append((_GateRun(n, ((nq_local - w, m),)), (q, w), row + first))
         row += len(op)
-    if frame:  # the last step leaves the state plain
-        i = max(i for i, (op, *_) in enumerate(steps) if isinstance(op, _GateRun))
-        steps[i] = (replace(steps[i][0], leave=0), *steps[i][1:])
-    return start, steps
+    return start, frame, steps
 
 
 def _cost_layer_bytes(num_qubits: int, precision: Precision) -> tuple[int, int]:
@@ -702,16 +688,13 @@ def _run_steps(
     precision = Precision.coerce(precision)
     n = circuit.num_qubits
     check_memory(_run_bytes(_Counts.of(circuit), precision, workers, shots), memory_budget, f"a run of {n} qubits")
-    start, steps = _layer_plan(circuit, nq_local, precision.dtype)
+    start, frame, steps = _layer_plan(circuit, nq_local, precision.dtype)
     sv = zero_state(n, precision, memory_budget)
     size = sv.amps.size
     timed = []
 
     wall0 = time.perf_counter()
-    # a folded H layer fills the state straight into the first run's frame: the fill being
-    # real, the first cost layer gives the bits of entering after it, as the noisy engine does
-    frame = next((op.frame for op, *_ in steps if isinstance(op, _GateRun)), 0) if start is not None else 0
-    if start is not None:
+    if start is not None:  # into the frame; the fill is real, so entering after a cost layer (noise) gives these bits
         _change_frame(sv.amps, 0, frame, fill=start)
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
 
@@ -741,21 +724,15 @@ def _run_steps(
             built = time.perf_counter() - t0
             return built + max(each(lambda lo: _timed(task, lo), range(0, size, slab)))
 
-        def change(old: int, new: int) -> float:
-            # between frames by global index, a slab per worker: the slowest slab's seconds
-            task = lambda lo: _timed(_change_frame, sv.amps[lo : lo + size // workers], old, new, lo)
-            return 0.0 if old == new else max(each(task, range(0, size, size // workers)))
-
         for op, leg, row in steps:
-            turns, leave = 0.0, frame  # a gate run's changes of frame, outside its legs
-            if isinstance(op, _GateRun):
-                turns, leave, frame = change(frame, op.frame), op.leave, op.frame
-                op = _GateRun(n, op.products, frame, frame, frame)
             out = swap(leg, False) if leg else 0.0
             compute_s = compute(op)
             back = swap(leg, True) if leg else 0.0  # moves the same amplitudes home, uncounted
-            turns, frame = turns + change(frame, leave), leave
-            timed.append((row, compute_s + turns, out + back, _moved(leg, nq_local, size) if leg else 0))
+            timed.append((row, compute_s, out + back, _moved(leg, nq_local, size) if leg else 0))
+        if frame:  # the state leaves the frame by global index, a slab per worker, on the last step's row
+            task = lambda lo: _timed(_change_frame, sv.amps[lo : lo + size // workers], frame, 0, lo)
+            row, compute_s, *rest = timed[-1]
+            timed[-1] = (row, compute_s + max(each(task, range(0, size, size // workers))), *rest)
     return sv, time.perf_counter() - wall0, timed
 
 

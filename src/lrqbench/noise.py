@@ -34,19 +34,22 @@ commute, so their product is one diagonal
 exp(i sum_{k in F} theta_k S_k(z)), S_k = +-1 the ZZ sign of edge k; and
 the fired Paulis compose, in firing order, to one Pauli string
 i^q X^x Z^z (the phase and bit masks of Aaronson and Gottesman, PRA 70,
-052328, 2004).  After a mixer the rows are in its S-dagger frame on the
-qubits f (``engine._layer_plan``), where the string is i^(q + 3 |x & f|)
-X^x Z^(z ^ (x & f)), with the same flipped edges.  Each cost layer of a
-block takes one pass (``_commute_fired``) over all the rows that fire in
-it: a prefix XOR of their fired Paulis' X/Y qubit masks gives every
-row's F, x, z and q, and then, a chunk of at most 2^15 amplitudes at a
-time, one ``take`` gathers every row at l ^ x, and the phases, from
-float64 angles over the ZZ signs of ``_sign_table`` (built once per
-ensemble), and units and signs, each +-1 or +-i, are multiplied in.
-This is the time-ordered product, global phase included, up to
-rounding; its scratch is bounded by the block's rows of one chunk and
-|F|, not by the state, and counted by ``_ensemble_bytes``; and every row
-gets the operations of its trajectory run alone, bit for bit.
+052328, 2004).  From its first gate run on, a block's rows are in the
+circuit's S-dagger frame on the qubits f (``engine._layer_plan``), where
+the string is i^(q + 3 |x & f|) X^x Z^(z ^ (x & f)), with the same
+flipped edges; they never leave it, as no power of i changes the
+|amplitude|^2 every reader of a row uses (``_clean_state`` alone takes
+its row out).  Each cost layer of a block takes one pass
+(``_commute_fired``) over all the rows that fire in it: a prefix XOR of
+their fired Paulis' X/Y qubit masks gives every row's F, x, z and q, and
+then, a chunk of at most 2^15 amplitudes at a time, one ``take`` gathers
+every row at l ^ x, and the phases, from float64 angles over the ZZ
+signs of ``_sign_table`` (built once per ensemble), and units and signs,
+each +-1 or +-i, are multiplied in.  This is the time-ordered product,
+global phase included, up to rounding; its scratch is bounded by the
+block's rows of one chunk and |F|, not by the state, and counted by
+``_ensemble_bytes``; and every row gets the operations of its trajectory
+run alone, bit for bit.
 
 Noise strength aggregates as eps_acc = N_2q * eps, and the overlap ratio
 
@@ -80,6 +83,7 @@ from .engine import (
     StateVector,
     _apply_cost_layer,
     _apply_gate_run,
+    _change_frame,
     _cost_layer_bytes,
     _CostPhase,
     _Counts,
@@ -145,8 +149,8 @@ _GATHER_BYTES = 1 << 16
 class _Edges:
     """A cost layer's RZZ gates as arrays: angles theta_k (float64), qubits
     qa_k and qb_k (intp) and their bits 2^qa_k and 2^qb_k (uint64, 2 by
-    edges), in gate order, and the qubits whose S-dagger frame the states
-    are in there (``engine._layer_plan``), as a mask."""
+    edges), in gate order, and the S-dagger frame the rows are in there
+    (none before the first gate run), as a mask."""
 
     theta: np.ndarray
     qa: np.ndarray
@@ -164,15 +168,16 @@ class _Edges:
 @dataclass(frozen=True)
 class _Ensemble:
     """What every trajectory of one run shares: the folded start amplitude
-    (None when the H layer does not fold), the circuit's executed layers
-    with each gate run's group matrices, each cost layer's read-only
-    ``_CostPhase`` and ``_Edges`` (None for a gate run), the RZZ count the
-    draws cover, the ZZ sign table of ``_sign_table``, the rows of a
-    block, and the workers that each run one block at a time."""
+    (None when the H layer does not fold), the circuit's S-dagger frame
+    and executed layers with each gate run's group matrices, each cost
+    layer's read-only ``_CostPhase`` and ``_Edges`` (None for a gate run),
+    the RZZ count the draws cover, the ZZ sign table of ``_sign_table``,
+    the rows of a block, and the workers that each run one at a time."""
 
     num_qubits: int
     dtype: np.dtype
     start: np.generic | None
+    frame: int
     layers: list[CostLayer | _GateRun]
     phases: list[_CostPhase | None]
     edges: list[_Edges | None]
@@ -271,15 +276,15 @@ def _prepare(
     n = circuit.num_qubits
     need = _ensemble_bytes(_Counts.of(circuit), precision, cfg.trajectories, threads, held, baseline)
     check_memory(need, memory_budget, f"a noisy ensemble of {n} qubits at {precision.value}")
-    start, steps = _layer_plan(circuit, n, precision.dtype)
-    layers, edges, frame = [op for op, *_ in steps], [], 0
-    for op in layers:  # a cost layer's states are in the frame the last gate run left
-        edges.append(_Edges.of(op.gates, frame) if isinstance(op, CostLayer) else None)
-        frame = frame if isinstance(op, CostLayer) else op.leave
+    start, frame, steps = _layer_plan(circuit, n, precision.dtype)
+    layers, edges, framed = [op for op, *_ in steps], [], 0
+    for op in layers:  # the rows enter the frame at the first gate run
+        edges.append(_Edges.of(op.gates, framed) if isinstance(op, CostLayer) else None)
+        framed = framed if isinstance(op, CostLayer) else frame
     phases = [_CostPhase(op) if isinstance(op, CostLayer) else None for op in layers]
     n_rzz = sum(len(op.gates) for op in layers if isinstance(op, CostLayer))
     rows, workers = _block_rows(n, cfg.trajectories, threads), min(threads, cfg.trajectories)
-    return _Ensemble(n, precision.dtype, start, layers, phases, edges, n_rzz, _sign_table(n), rows, workers)
+    return _Ensemble(n, precision.dtype, start, frame, layers, phases, edges, n_rzz, _sign_table(n), rows, workers)
 
 
 def _blocks(ens: _Ensemble, cfg: DepolarizingConfig):
@@ -500,9 +505,11 @@ def _run_block(ens: _Ensemble, block: _Block) -> tuple[np.ndarray, list[int], li
     else:
         states[0] = ens.start
     row_of = np.zeros(len(fire), np.intp)
-    active, k = 1, 0
+    active, k, framed = 1, 0, 0
     for op, phase, edges in zip(ens.layers, ens.phases, ens.edges):
-        if phase is None:
+        if phase is None:  # the rows enter the frame at the first gate run, never to leave it
+            _change_frame(states[:active].reshape(-1), framed, ens.frame)
+            framed = ens.frame
             _apply_gate_run(states[:active].reshape(-1), op)
             continue
         _apply_cost_layer(states[:active], phase)
@@ -553,10 +560,11 @@ def _pooled(ens: _Ensemble, blocks):
 
 
 def _clean_state(ens: _Ensemble) -> StateVector:
-    """The noiseless final state: a block of the clean row alone, run on the
-    ensemble's phases, which is ``run_circuit``'s state bit for bit."""
+    """The noiseless final state, ``run_circuit``'s bit for bit: a block of
+    the clean row alone, run on the ensemble's phases, out of the frame."""
     none = np.empty((0, ens.n_rzz), bool)
     states, _, _ = _run_block(ens, _Block(none, none.astype(np.int64), [-1]))
+    _change_frame(states[0], ens.frame, 0)
     return StateVector(ens.num_qubits, states[0])
 
 

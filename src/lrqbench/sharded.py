@@ -84,7 +84,7 @@ def exchange_volume(circuit: CircuitIR, plan: ShardPlan) -> int:
     global qubits, the (1 - 2^-j) of the state its leg moves to another
     shard.  Diagonal layers never exchange, nor does a folded H layer.
     """
-    _, steps = _layer_plan(circuit, plan.nq_local)
+    _, _, steps = _layer_plan(circuit, plan.nq_local)
     return sum(_moved(leg, plan.nq_local, 1 << plan.nq) for _, leg, _ in steps if leg)
 
 

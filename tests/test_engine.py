@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -56,12 +57,21 @@ def random_state(n: int, seed: int) -> np.ndarray:
     return amps / np.sqrt((amps.real**2 + amps.imag**2).sum())
 
 
-def run_gates(amps: np.ndarray, gates, n: int | None = None) -> None:
+def run_gates(amps: np.ndarray, gates, n: int | None = None, frame: int | None = None) -> None:
     """``gates`` as one gate run on ``amps``: a state of n qubits (by
-    default its size's), or a flat batch of them."""
+    default its size's), or a flat batch of them, in the S-dagger frame on
+    the qubits ``frame``, entered before and left after.  By default that
+    is a circuit of this run alone's (``engine._layer_plan``): the qubits
+    that carry an RX and no H."""
     n = amps.size.bit_length() - 1 if n is None else n
+    if frame is None:
+        rx, h = ({g.qubits[0] for g in gates if g.kind == kind} for kind in ("RX", "H"))
+        frame = sum(1 << q for q in rx - h)
     matrices = engine._group_matrices(gates, n, amps.dtype)
-    engine._apply_gate_run(amps, engine._GateRun(n, tuple((q, m) for (q, _), m in matrices.items())))
+    products = tuple((q, engine._framed(m, frame >> q & ((1 << w) - 1))) for (q, w), m in matrices.items())
+    engine._change_frame(amps, 0, frame)
+    engine._apply_gate_run(amps, engine._GateRun(n, products))
+    engine._change_frame(amps, frame, 0)
 
 
 def plus_state(n: int, precision: str) -> StateVector:
@@ -643,13 +653,15 @@ def test_load_rejects_corrupt_dump(tmp_path):
 
 def run_unfolded(circuit, precision):
     """The layer view executed as it stands: |0...0>, the H gates as a gate
-    run, each cost layer multiplied into the state."""
+    run, each cost layer multiplied into the state, and each gate run in
+    the frame of the circuit's plan (``engine._layer_plan``)."""
     amps = zero_state(circuit.num_qubits, precision).amps
+    _, frame, _ = engine._layer_plan(circuit, circuit.num_qubits, amps.dtype)
     for op in circuit.layers():
         if isinstance(op, CostLayer):
             engine._apply_cost_layer(amps, engine._CostPhase(op))
         else:
-            run_gates(amps, op)
+            run_gates(amps, op, frame=frame)
     return amps
 
 
@@ -663,7 +675,7 @@ def test_folded_start_matches_unfolded_h_run(n, precision):
     if n == 1:  # no instance, and no edge to make a cost layer
         return
     circ = build_circuit(generate_instance(n, 60 + n), LrQaoaParams(p=1))
-    start, _ = engine._layer_plan(circ, n, plus.dtype)
+    start, _, _ = engine._layer_plan(circ, n, plus.dtype)
     assert start.tobytes() == plus[:1].tobytes()
     assert run_circuit(circ, precision).amps.tobytes() == run_unfolded(circ, precision).tobytes()
 
@@ -685,7 +697,7 @@ def unfoldable_circuits():
 @pytest.mark.parametrize("name", sorted(unfoldable_circuits()))
 def test_other_openings_take_the_unfolded_path(name, precision):
     circ = CircuitIR(num_qubits=5, gates=unfoldable_circuits()[name])
-    start, steps = engine._layer_plan(circ, 5, Precision.coerce(precision).dtype)
+    start, _, steps = engine._layer_plan(circ, 5, Precision.coerce(precision).dtype)
     assert start is None
     assert [type(op) for op, *_ in steps] == [
         CostLayer if isinstance(op, CostLayer) else engine._GateRun for op in circ.layers()
@@ -696,21 +708,17 @@ def test_other_openings_take_the_unfolded_path(name, precision):
 @pytest.mark.parametrize("precision", ["fp32", "fp64"])
 @pytest.mark.parametrize("n,p", [(2, 1), (5, 2), (9, 3), (13, 1), (17, 2)])
 def test_build_circuit_plans_have_only_real_group_matrices(n, p, precision):
-    # every mixer runs in the S-dagger frame on all qubits, dense and on 2
-    # and 4 shards: entered by the first run and left by the last step,
-    # and each plan gives the dense bits
+    # every mixer runs in the circuit's S-dagger frame on all qubits, dense
+    # and on 2 and 4 shards, and each plan gives the dense bits
     circ = build_circuit(generate_instance(n, 70 + n), LrQaoaParams(p=p))
     dtype = Precision.coerce(precision).dtype
     dense = run_circuit(circ, precision).amps.tobytes()
     for nq_local in {max(min(4, n), n - k) for k in (0, 1, 2)}:
         assert run_circuit_sharded(circ, plan_shards(n, nq_local), precision)[0].amps.tobytes() == dense
-        _, steps = engine._layer_plan(circ, nq_local, dtype)
+        _, frame, steps = engine._layer_plan(circ, nq_local, dtype)
         runs = [op for op, *_ in steps if isinstance(op, engine._GateRun)]
-        assert len(runs) >= p and all(run.frame == (1 << n) - 1 for run in runs)
+        assert len(runs) >= p and frame == (1 << n) - 1
         assert {m.dtype for run in runs for _, m in run.products} == {np.finfo(dtype).dtype}
-        assert runs[0].arrive == 0 and runs[-1].leave == 0
-        assert all(run.arrive == run.frame for run in runs[1:])
-        assert all(run.leave == run.frame for run in runs[:-1])
 
 
 @pytest.mark.parametrize("n", [9, 14])
@@ -733,14 +741,14 @@ def test_real_products_write_at_most_8_rows_of_64_amplitudes(monkeypatch, n):
 
 
 def test_a_qubit_carrying_h_then_rx_keeps_a_complex_product():
-    # qubit 1 carries H then RX, so group [0, 4) stays complex in the plain
-    # frame; group [4, 6) holds RX on qubit 4 and H on qubit 5, real in the
-    # frame S-dagger on qubit 4 alone
+    # the frame is S-dagger on the RX-only qubits 0 and 4; qubit 1 carries
+    # H then RX, so group [0, 4) stays complex in it; group [4, 6) holds RX
+    # on qubit 4 and H on qubit 5, real in it
     n = 6
     gates = [GateOp("H", (1,)), GateOp("RX", (1,), 0.7), GateOp("RX", (0,), -0.4),
              GateOp("RX", (4,), 1.1), GateOp("H", (5,))]
-    run = engine._GateRun(n, tuple((q, m) for (q, _), m in engine._group_matrices(gates, n, np.complex128).items()))
-    assert run.frame == 1 << 4
+    _, frame, [(run, _, _)] = engine._layer_plan(CircuitIR(n, gates), n, np.complex128)
+    assert frame == 0b10001
     assert [m.dtype for _, m in run.products] == [np.complex128, np.float64]
     start = random_state(n, 61)
     amps = start.copy()
@@ -752,20 +760,82 @@ def test_a_qubit_carrying_h_then_rx_keeps_a_complex_product():
 
 
 def test_runs_in_different_frames_match_the_oracle():
-    # three runs whose frames differ (the RX qubits {0, 1, 2}, then {0, 3},
-    # then none but an H layer), between cost layers: each change of frame
-    # is exact, so the state is the matrix product's
+    # three runs between cost layers (the RX qubits {0, 1, 2}, then {0, 3}
+    # with an H on 1, then an H layer): every qubit carries an H, so the
+    # circuit's frame is empty, its RX runs keep complex products and the
+    # state is the matrix product's
     n = 5
     cost = [GateOp("RZZ", (i, j), 0.1 * (i + 2 * j)) for i in range(n) for j in range(i + 1, n)]
     gates = [GateOp("RX", (q,), -0.3 - 0.1 * q) for q in range(3)] + cost
     gates += [GateOp("RX", (0,), 0.8), GateOp("H", (1,)), GateOp("RX", (3,), 0.5)] + cost
     gates += [GateOp("H", (q,)) for q in range(n)]
     circ = CircuitIR(num_qubits=n, gates=gates)
-    _, steps = engine._layer_plan(circ, n)
-    assert [op.frame for op, *_ in steps if isinstance(op, engine._GateRun)] == [0b111, 0b1001, 0]
+    _, frame, steps = engine._layer_plan(circ, n)
+    assert frame == 0
+    assert [{m.dtype for _, m in op.products} for op, *_ in steps if isinstance(op, engine._GateRun)] == [
+        {np.dtype(np.complex64)}, {np.dtype(np.complex64)}, {np.dtype(np.float32)}
+    ]
     for precision, atol in (("fp32", 1e-6), ("fp64", 1e-12)):
         got = run_circuit(circ, precision).amps
         assert np.max(np.abs(got - oracles.final_state(circ))) < atol
+
+
+def test_build_circuit_plans_frame_every_qubit():
+    for n in range(2, 18):
+        inst = generate_instance(n, 90 + n)
+        for p in (1, 2, 3):
+            assert engine._layer_plan(build_circuit(inst, LrQaoaParams(p=p)), n)[1] == (1 << n) - 1
+
+
+def test_a_mixed_circuits_frame_is_exactly_its_rx_only_qubits():
+    # qubits 0, 2 and 3 carry RX alone, qubit 1 RX and H, qubit 4 H alone
+    # and qubit 5 nothing: the frame is {0, 2, 3}, the first run's group
+    # [0, 4) stays complex (qubit 1's RX), the others are real; the state
+    # is the matrix product's, and shards give the dense bits
+    n = 6
+    cost = [GateOp("RZZ", (i, j), 0.1 * (i + 2 * j)) for i in range(n) for j in range(i + 1, n)]
+    gates = [GateOp("RX", (q,), -0.3 - 0.1 * q) for q in range(3)] + cost
+    gates += [GateOp("RX", (0,), 0.8), GateOp("H", (1,)), GateOp("RX", (3,), 0.5)] + cost
+    gates += [GateOp("H", (4,)), GateOp("RX", (2,), 0.6)]
+    circ = CircuitIR(num_qubits=n, gates=gates)
+    _, frame, steps = engine._layer_plan(circ, n)
+    assert frame == 0b1101
+    assert [[m.dtype.kind for _, m in op.products] for op, *_ in steps if isinstance(op, engine._GateRun)] == [
+        ["c"], ["f"], ["f", "f"]
+    ]
+    for precision, atol in (("fp32", 1e-6), ("fp64", 1e-12)):
+        dense = run_circuit(circ, precision).amps
+        assert np.max(np.abs(dense - oracles.final_state(circ))) < atol
+        for nq_local in (4, 5):
+            assert run_circuit_sharded(circ, plan_shards(n, nq_local), precision)[0].amps.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_the_state_leaves_the_frame_once_per_slab_after_the_last_step(monkeypatch, workers):
+    # the folded H layer is filled into the frame, no step changes it, and
+    # one pass per slab leaves it, timed on the last step's row
+    circ = build_circuit(generate_instance(8, 6), LrQaoaParams(p=2))
+    events, real_change, real_run = [], engine._change_frame, engine._apply_gate_run
+
+    def change(amps, old, new, offset=0, fill=None):
+        events.append(("frame", old, new, offset, amps.size))
+        if old:
+            time.sleep(0.02)
+        real_change(amps, old, new, offset, fill)
+
+    def run(amps, gates):
+        events.append("run")
+        real_run(amps, gates)
+
+    monkeypatch.setattr(engine, "_change_frame", change)
+    monkeypatch.setattr(engine, "_apply_gate_run", run)
+    sv, _, timed = engine._run_steps(circ, 8, "fp32", None, 0, workers)
+    slab = 256 // workers
+    assert events[0] == ("frame", 0, 255, 0, 256)
+    assert sorted(events[-workers:]) == [("frame", 255, 0, lo, slab) for lo in range(0, 256, slab)]
+    assert all(e == "run" for e in events[1:-workers])
+    assert timed[-1][1] >= 0.02
+    assert sv.amps.tobytes() == run_circuit(circ, "fp32").amps.tobytes()
 
 
 def cost_layer(n: int, seed: int) -> CostLayer:

@@ -186,6 +186,33 @@ def test_cost_layers_after_a_mixer_fire_in_its_frame():
     assert [e.frame for e in ens.edges if e is not None] == [0, 63, 63]
 
 
+def test_block_rows_enter_the_frame_once_and_never_leave_it(monkeypatch):
+    # one change of frame per block (of 8 rows at n=12), before its first
+    # gate run, and none after its last mixer; only the clean state leaves
+    # the frame
+    circ = build_circuit(generate_instance(12, 5), LrQaoaParams(p=3))
+    cfg = DepolarizingConfig(0.02, trajectories=20, rng_seed=3)
+    events, real_change, real_run = [], noise._change_frame, noise._apply_gate_run
+
+    def change(amps, old, new, *args):
+        if old != new:  # a pass over the rows; equal frames return at once
+            events.append((old, new))
+        real_change(amps, old, new, *args)
+
+    def run(amps, gates):
+        events.append("run")
+        real_run(amps, gates)
+
+    monkeypatch.setattr(noise, "_change_frame", change)
+    monkeypatch.setattr(noise, "_apply_gate_run", run)
+    assert run_noisy_ensemble(circ, cfg, 10).paulis_fired.any()
+    block = [(0, 4095), "run", "run", "run"]
+    assert len(events) > len(block) and events == block * (len(events) // len(block))
+    del events[:]
+    _clean_state(_prepare(circ, cfg, Precision.FP32))
+    assert events == block + [(4095, 0)]
+
+
 @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
 @pytest.mark.parametrize("n", range(2, 18))
 def test_pauli_strings_match_the_referee_bitwise(n, precision):
@@ -257,6 +284,7 @@ def test_commuted_paulis_match_time_ordered_product():
                 k += 1
         states, row_of, _ = _run_block(ens, _Block(fire[None], codes[None], [0]))
         got = states[row_of[0]]
+        engine._change_frame(got, ens.frame, 0)  # block rows stay in the frame
         assert np.max(np.abs(got - want)) < 1e-12
     assert most_in_one_layer >= 4
 
@@ -562,9 +590,11 @@ def per_trajectory_reference(circ, cfg, precision, shots):
             rng = oracles.jumped(derive_rng(cfg.rng_seed, "trajectory", 0), t)
             fire = rng.random(ens.n_rzz) < 15.0 / 16.0 * cfg.epsilon
             codes = rng.integers(1, 16, size=ens.n_rzz)
-        k = 0
+        k, frame = 0, 0
         for op, phase, edges in zip(ens.layers, ens.phases, ens.edges):
             if phase is None:
+                engine._change_frame(amps, frame, ens.frame)  # entered at the first gate run
+                frame = ens.frame
                 _apply_gate_run(amps, op)
                 continue
             _apply_cost_layer(amps, phase)

@@ -76,7 +76,7 @@ def test_shard_plan_derives_its_sizes():
 def test_local_gate_needs_no_exchange():
     plan = plan_shards(6, 4)
     circ = CircuitIR(num_qubits=6, gates=[GateOp("RX", (2,), 0.1), GateOp("RZZ", (0, 5), 0.1)])
-    _, layers = engine._layer_plan(circ, plan.nq_local)
+    _, _, layers = engine._layer_plan(circ, plan.nq_local)
     assert [leg for _, leg, _ in layers] == [None, None]
 
 
@@ -85,7 +85,7 @@ def test_global_gate_single_step():
     # holds both global qubits, and one step applies it on local bits [2, 4)
     plan = plan_shards(6, 4)
     circ = CircuitIR(num_qubits=6, gates=[GateOp("RX", (4,), 0.1)])
-    _, layers = engine._layer_plan(circ, plan.nq_local)
+    _, _, layers = engine._layer_plan(circ, plan.nq_local)
     [(run, leg, row)] = layers
     assert (leg, row) == ((4, 2), 0)
     assert [q for q, _ in run.products] == [2]
@@ -362,7 +362,7 @@ def test_steps_call_the_executors_once_per_worker(monkeypatch, cpus):
     workers = sharded._workers(plan)
     calls = record_executor_calls(monkeypatch)
     sv, _ = run_circuit_sharded(circ, plan, "fp64")
-    _, steps = engine._layer_plan(circ, plan.nq_local)
+    _, _, steps = engine._layer_plan(circ, plan.nq_local)
     want = []
     for op, *_ in steps:
         slabs = workers if isinstance(op, CostLayer) else min(workers, 4)
@@ -429,6 +429,23 @@ def test_more_threads_than_cores_keep_dense_bits(monkeypatch, cpus):
     finally:
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(sv.amps, run_circuit(circ, "fp64").amps)
+
+
+@pytest.mark.parametrize("precision", ["fp32", "fp64"])
+@pytest.mark.parametrize("n", [5, 8])
+def test_a_sparse_frame_keeps_the_dense_bytes_of_zero_amplitudes(monkeypatch, n, precision):
+    # RX on qubits 0, 2 and n - 1 around a cost layer: the frame is those
+    # qubits, the state is zero wherever another qubit is set, and the
+    # leave pass splits its slabs at other places than the dense run;
+    # each unit is taken by its exponent, never formed as a product, so
+    # every zero part keeps its sign (np.array_equal holds either way)
+    use_cpus(monkeypatch, 16)
+    rx = [GateOp("RX", (q,), 0.7 + 0.1 * q) for q in (0, 2, n - 1)]
+    circ = CircuitIR(n, rx + [GateOp("RZZ", (0, 1), 0.3)] + rx)
+    assert engine._layer_plan(circ, n)[1] == 0b101 | 1 << (n - 1)
+    dense = run_circuit(circ, precision).amps.tobytes()
+    for shards in (2, 4, 8, 16)[: n - 4]:
+        assert run_circuit_sharded(circ, plan_for_shard_count(n, shards), precision)[0].amps.tobytes() == dense
 
 
 def test_timing_csv_schema():
